@@ -1,0 +1,11 @@
+"""Puts the benchmark modules and the toolkit sources on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
