@@ -73,6 +73,15 @@ class DimensionMismatch(ToolkitError):
     """Inconsistent dimensions in a network specification."""
 
 
+class InvalidSpec(ToolkitError, ValueError):
+    """A network spec or one of its agents is malformed; the message says where.
+
+    Raised for JSON specs with a missing or ill-typed entry (named by its JSON
+    path) and for agents whose ``f``/``h`` cannot evaluate on numpy arrays
+    (named by vertex and callable).
+    """
+
+
 class NonConvexCertificate(ToolkitError):
     """An integral function lacks the convexity certificate required here."""
 

@@ -1,17 +1,20 @@
 """Diffusively-coupled networks: simulation, transforms, dual optimization.
 
-Agents sit on vertices, controllers on edges of a directed graph; the
-coupling is ζ = Eᵀy, u = −Eμ with E the incidence matrix.  The module
-integrates the closed loop with fixed-step RK4, applies per-agent 2x2 I/O
-transforms in closed form, and predicts steady states by minimizing the two
-dual network objectives (potentials over outputs, flows over edge variables)
-with subgradient descent plus a simplex polish.
+Agents sit on vertices and static positive gains on the edges of a directed
+graph; the coupling is ζ = Eᵀy, μ = Gζ, u = −Eμ with E the incidence matrix
+and G the diagonal of edge gains.  The module integrates the closed loop with
+fixed-step RK4, applies per-agent 2x2 I/O transforms in closed form, and
+predicts steady states by minimizing the two dual network objectives
+(potentials over outputs, flows over edge variables) with subgradient descent
+plus a simplex polish.  It also holds the two numeric kernels shared with the
+dissipation certificate: the RK4 step and the array-at-a-time root bracketer.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -20,6 +23,7 @@ from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatch,
+    InvalidSpec,
     NoConvergence,
     NonConvexCertificate,
     NonFiniteState,
@@ -27,7 +31,6 @@ from .errors import (
     SingularTransform,
 )
 from .relations import (
-    OF_K,
     OF_K_INVERSE,
     IntegralFunction,
     PlanarRelation,
@@ -69,9 +72,68 @@ class Graph:
         return E
 
 
+# ---------------------------------------------------------------------------
+# Numeric kernels
+
+
+def _agent_error(fn, where: str, exc: Exception) -> InvalidSpec:
+    name = getattr(fn, "__qualname__", repr(fn))
+    return InvalidSpec(
+        f"{where}: {name} failed on array input ({type(exc).__name__}: {exc}); "
+        "agent f and h must evaluate elementwise on numpy arrays"
+    )
+
+
+def agent_call(fn, x, u):
+    """fn(x, u) on equal-shape arrays; InvalidSpec if fn cannot do that."""
+    try:
+        return np.broadcast_to(fn(x, u), np.shape(x))
+    except (TypeError, ValueError) as exc:
+        raise _agent_error(fn, "agent", exc) from exc
+
+
+def rk4_step(f, x, dt: float, k1, *args):
+    """One classical RK4 step of dx/dt = f(x, *args), given k1 = f(x, *args)."""
+    k2 = f(x + 0.5 * dt * k1, *args)
+    k3 = f(x + 0.5 * dt * k2, *args)
+    k4 = f(x + dt * k3, *args)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
+    """Roots of x -> f(x, u) on [lo, hi] for every input level u at once.
+
+    Each level's grid of ``cells + 1`` points is evaluated in one array call.
+    A cell whose left end is an exact zero yields that grid point; a cell
+    with a strict sign change is bisected, all such cells together, for 80
+    iterations.  Returns the roots and, for each, the index
+    of its input level, ordered by level and then by cell.
+    """
+    us = np.atleast_1d(np.asarray(u_values, dtype=float))
+    xs = np.linspace(lo, hi, cells + 1)
+    X, U = np.meshgrid(xs, us)
+    vals = agent_call(f, X, U)
+    va = vals[:, :-1]
+    zero = va == 0.0
+    level, cell = np.nonzero(zero | (va * vals[:, 1:] < 0.0))
+    u = us[level]
+    a, b, fa = xs[cell], xs[cell + 1], va[level, cell]
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = agent_call(f, m, u)
+        left = fa * fm <= 0.0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    return np.where(zero[level, cell], xs[cell], 0.5 * (a + b)), level
+
+
 @dataclass(frozen=True)
 class AgentODE:
     """Scalar-state agent dx/dt = f(x,u), y = h(x,u).
+
+    ``f``, ``h`` and ``storage`` must evaluate elementwise on numpy arrays of
+    equal shape (and on scalars): the simulator calls them once for all
+    vertices that share an agent object, and the certificate and relation
+    checks call them on whole grids of states and inputs.
 
     The output may include a constant feedthrough term: h(x,u) must equal
     h(x,0) + feedthrough*u.  Optional extras carry a storage-function
@@ -81,7 +143,6 @@ class AgentODE:
 
     f: Callable[[float, float], float]
     h: Callable[[float, float], float]
-    state_dim: int = 1
     feedthrough: float = 0.0
     storage: Callable[[float, float], float] | None = None
     indices: object | None = None
@@ -94,78 +155,35 @@ class AgentODE:
         """Declared relation consistent with the dynamics at its samples.
 
         Each sampled (u, y) must sit at a forced equilibrium: a root of
-        f(., u) localized by bisection to width ~1e-12 whose output matches y
-        within tolerance.  (The root is certified by its sign-change bracket
-        rather than by |f|, which is unbounded below for infinite-slope
-        dynamics like cube roots.)
+        f(., u) on [-50, 50] whose output matches y within tolerance.  The
+        root is certified by its sign-change bracket rather than by |f|, which
+        is unbounded below for infinite-slope dynamics like cube roots.
         """
         if self.relation is None:
             return True
         idx = np.linspace(0, len(self.relation.u) - 1, n_samples).astype(int)
-        for u, y in zip(self.relation.u[idx], self.relation.y[idx]):
-            x = self._state_at(u, y)
-            if x is None:
-                return False
-            if abs(self.h(x, u) - y) > tol * (1.0 + abs(y)):
-                return False
-        return True
-
-    def _state_at(self, u: float, y: float, span: float = 50.0):
-        """Bisect f(x, u) = 0 near the sample, preferring roots matching y."""
-        xs = np.linspace(-span, span, 2001)
-        vals = np.array([self.f(x, u) for x in xs])
-        best = None
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-                a, b = xs[i], xs[i + 1]
-                fa = vals[i]
-                for _ in range(60):
-                    m = 0.5 * (a + b)
-                    fm = self.f(m, u)
-                    if fa * fm <= 0.0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                root = 0.5 * (a + b)
-                err = abs(self.h(root, u) - y)
-                if best is None or err < best[1]:
-                    best = (root, err)
-        return None if best is None else best[0]
+        us, ys = self.relation.u[idx], self.relation.y[idx]
+        roots, level = bracket_roots(self.f, us, -50.0, 50.0, 2000)
+        err = np.abs(agent_call(self.h, roots, us[level]) - ys[level])
+        best = np.full(len(us), np.inf)
+        np.minimum.at(best, level, err)
+        return bool(np.all(best <= tol * (1.0 + np.abs(ys))))
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Edge controller: a static positive gain or an ODE (phi, psi).
-
-    Static controllers have the quadratic potential gain/2 * ζ²; dynamic
-    controllers supply phi (state derivative) and psi (output map) plus an
-    optional potential.
-    """
+    """Static edge controller μ = gain·ζ with potential gain/2·ζ²."""
 
     gain: float | None = None
-    phi: Callable | None = None
-    psi: Callable | None = None
-    eta0: float = 0.0
-    potential: IntegralFunction | None = None
 
     def __post_init__(self):
-        if self.gain is not None and not self.gain > 0.0:
-            raise ValueError(f"static controller gain must be positive: {self.gain}")
-        if self.gain is None and (self.phi is None or self.psi is None):
-            raise ValueError("controller needs either a gain or (phi, psi)")
-
-    @property
-    def is_static(self) -> bool:
-        return self.gain is not None
+        if self.gain is None or not self.gain > 0.0:
+            raise ValueError(f"controller gain must be positive: {self.gain}")
 
     def potential_on(self, grid: np.ndarray) -> IntegralFunction:
-        if self.is_static:
-            return IntegralFunction.from_function(
-                lambda z: 0.5 * self.gain * z * z, grid
-            )
-        if self.potential is None:
-            raise NonConvexCertificate("dynamic controller lacks a potential")
-        return self.potential
+        return IntegralFunction.from_function(
+            lambda z: 0.5 * self.gain * z * z, grid
+        )
 
 
 @dataclass(frozen=True)
@@ -239,126 +257,100 @@ class SimResult:
         }
 
 
-def _outputs(agents, x, u_guess, E, gains, dynamic_mu=None):
-    """Closed-loop outputs and inputs at state x for static couplings.
+def _agent_groups(agents, name: str):
+    """(callable, selector) per distinct agent object, in first-seen order.
 
-    With constant feedthrough D and static gains G the loop
-    y = h0(x) + D u, u = -E G Eᵀ y is linear in y and solved directly;
-    dynamic controllers contribute a fixed mu term instead.
+    A group of two or more vertices is selected by an index array and
+    evaluated with one array call; a single vertex is selected by its index
+    and evaluated with scalars, which costs less than a 1-element array.
     """
-    n = len(agents)
-    h0 = np.array([agents[i].h0(x[i]) for i in range(n)])
-    D = np.array([a.feedthrough for a in agents])
-    if dynamic_mu is not None:
-        u = -E @ dynamic_mu
-        y = h0 + D * u
-        return u, y
-    M = E @ (gains[:, None] * E.T)
-    if np.any(D != 0.0):
-        y = np.linalg.solve(np.eye(n) + D[:, None] * M, h0)
-    else:
-        y = h0
-    u = -M @ y
-    return u, y
+    members: dict[int, tuple[AgentODE, list[int]]] = {}
+    for i, agent in enumerate(agents):
+        members.setdefault(id(agent), (agent, []))[1].append(i)
+    return [(getattr(agent, name), ix[0] if len(ix) == 1 else np.array(ix))
+            for agent, ix in members.values()]
+
+
+def _evaluate(groups, x, u):
+    """Per-vertex values of each group's callable at (x, u)."""
+    out = np.empty(len(x))
+    try:
+        for fn, sel in groups:
+            out[sel] = fn(x[sel], u[sel])
+    except (TypeError, ValueError) as exc:
+        vertex = np.arange(len(x))[sel].tolist()
+        raise _agent_error(fn, f"agent at vertex {vertex}", exc) from exc
+    return out
 
 
 def simulate(spec: NetworkSpec) -> SimResult:
     """Fixed-step RK4 integration of the diffusively-coupled closed loop.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
-    the stored signals satisfy them exactly.  The convergence flag is set
-    when the max state-derivative norm over the trailing window drops below
-    the configured tolerance; by default integration stops there.
+    the stored signals satisfy them exactly.  With constant feedthrough D
+    the loop y = h(x,0) + D u, u = -E G Eᵀ y is linear in y and solved with
+    an inverse computed once.  The convergence flag is set when the max
+    state-derivative norm has stayed below the configured tolerance over the
+    trailing window; by default integration stops there.
     """
     cfg = spec.integrator
     if cfg.dt <= 0.0:
         raise ValueError("integrator step must be positive")
+    n = spec.graph.vertex_count
     E = spec.graph.incidence_matrix()
-    n, m = spec.graph.vertex_count, spec.graph.edge_count
-    agents = spec.agents
-    static = all(c.is_static for c in spec.controllers)
-    if not static and any(a.feedthrough != 0.0 for a in agents):
-        raise DimensionMismatch(
-            "dynamic edge controllers require agents without feedthrough"
-        )
-    gains = np.array([c.gain if c.is_static else 0.0 for c in spec.controllers])
-    eta = np.array([c.eta0 for c in spec.controllers])
+    Et, negE = E.T.copy(), -E
+    gains = np.array([c.gain for c in spec.controllers], dtype=float)
+    D = np.array([a.feedthrough for a in spec.agents], dtype=float)
+    try:
+        loop_inv = (np.linalg.inv(np.eye(n) + D[:, None] * (E @ (gains[:, None] * Et)))
+                    if np.any(D != 0.0) else None)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidSpec(f"feedthrough loop I + D·E·G·Eᵀ is singular ({exc})") from exc
+    f_groups = _agent_groups(spec.agents, "f")
+    h_groups = _agent_groups(spec.agents, "h")
+    no_input = np.zeros(n)
 
-    def controller_mu(eta_vec, zeta):
-        mu = np.empty(m)
-        for e, c in enumerate(spec.controllers):
-            mu[e] = c.gain * zeta[e] if c.is_static else c.psi(eta_vec[e], zeta[e])
-        return mu
+    def signals(x):
+        y = _evaluate(h_groups, x, no_input)
+        if loop_inv is not None:
+            y = loop_inv @ y
+        zeta = Et @ y
+        mu = gains * zeta
+        return negE @ mu, y, zeta, mu
 
-    def rhs(x, eta_vec):
-        if static:
-            u, y = _outputs(agents, x, None, E, gains)
-            zeta = E.T @ y
-            mu = gains * zeta
-            u = -E @ mu
-            eta_dot = np.zeros(m)
-        else:
-            y = np.array([agents[i].h0(x[i]) for i in range(n)])
-            zeta = E.T @ y
-            mu = controller_mu(eta_vec, zeta)
-            u = -E @ mu
-            eta_dot = np.array([
-                0.0 if c.is_static else c.phi(eta_vec[e], zeta[e])
-                for e, c in enumerate(spec.controllers)
-            ])
-        xdot = np.array([agents[i].f(x[i], u[i]) for i in range(n)])
-        return xdot, eta_dot, u, y, zeta, mu
+    def xdot(x):
+        return _evaluate(f_groups, x, signals(x)[0])
 
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    window = max(1, int(round(cfg.convergence_window / cfg.dt)))
-    x = np.atleast_1d(np.asarray(spec.x0, dtype=float)).copy()
-
-    ts, xs, us, ys, zetas, mus = [], [], [], [], [], []
-    recent = np.full(window, np.inf)
-    converged = False
     dt = cfg.dt
+    n_steps = int(round(cfg.horizon / dt))
+    window = max(1, int(round(cfg.convergence_window / dt)))
+    x = np.atleast_1d(np.asarray(spec.x0, dtype=float)).copy()
+    rows = []  # stored (t, x, u, y, zeta, mu)
+    last_moving = -1  # last step whose derivative norm was not below tol_conv
+    converged = False
     for k in range(n_steps + 1):
-        k1, e1, u, y, zeta, mu = rhs(x, eta)
-        stored = k % cfg.store_stride == 0 or k == n_steps
-        if stored:
-            ts.append(k * dt)
-            xs.append(x.copy())
-            us.append(u)
-            ys.append(y)
-            zetas.append(zeta)
-            mus.append(mu)
-        recent[k % window] = float(np.max(np.abs(k1))) if n else 0.0
-        if k >= window and np.max(recent) < cfg.tol_conv:
+        u, y, zeta, mu = signals(x)
+        k1 = _evaluate(f_groups, x, u)
+        row = (k * dt, x, u, y, zeta, mu)
+        if k % cfg.store_stride == 0 or k == n_steps:
+            rows.append(row)
+        if not (float(np.abs(k1).max()) if n else 0.0) < cfg.tol_conv:
+            last_moving = k
+        if k >= window and last_moving <= k - window:
             converged = True
             if cfg.stop_on_convergence:
-                if not stored:
-                    ts.append(k * dt)
-                    xs.append(x.copy())
-                    us.append(u)
-                    ys.append(y)
-                    zetas.append(zeta)
-                    mus.append(mu)
+                if rows[-1] is not row:
+                    rows.append(row)
                 break
         if k == n_steps:
             break
-        k2, e2, *_ = rhs(x + 0.5 * dt * k1, eta + 0.5 * dt * e1)
-        k3, e3, *_ = rhs(x + 0.5 * dt * k2, eta + 0.5 * dt * e2)
-        k4, e4, *_ = rhs(x + dt * k3, eta + dt * e3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta = eta + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(eta))):
+        x = rk4_step(xdot, x, dt, k1)
+        if not np.isfinite(x).all():
             raise NonFiniteState(f"state blew up at t = {k * dt:.3f}")
 
-    return SimResult(
-        t=np.asarray(ts),
-        x=np.asarray(xs),
-        u=np.asarray(us),
-        y=np.asarray(ys),
-        zeta=np.asarray(zetas),
-        mu=np.asarray(mus),
-        converged=converged,
-        steady_state=np.asarray(ys[-1]),
-    )
+    t, xs, us, ys, zetas, mus = (np.asarray(c) for c in zip(*rows))
+    return SimResult(t=t, x=xs, u=us, y=ys, zeta=zetas, mu=mus,
+                     converged=converged, steady_state=ys[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +398,21 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
 
 
 def apply_network_transform(spec: NetworkSpec, transforms) -> NetworkSpec:
-    """Per-vertex I/O transforms applied to every agent of the network."""
+    """Per-vertex I/O transforms applied to every agent of the network.
+
+    Vertices sharing an agent object and a transform object share the
+    transformed agent, so the simulator can evaluate them together.
+    """
     if len(transforms) != spec.graph.vertex_count:
         raise DimensionMismatch("one transform per vertex required")
-    agents = tuple(
-        transform_agent(agent, T) for agent, T in zip(spec.agents, transforms)
-    )
-    return replace(spec, agents=agents)
+    made = {}
+    agents = []
+    for agent, T in zip(spec.agents, transforms):
+        key = (id(agent), id(T))
+        if key not in made:
+            made[key] = transform_agent(agent, T)
+        agents.append(made[key])
+    return replace(spec, agents=tuple(agents))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ def solve_ofp(
 
     Minimizes sum_i K_i((-Eμ)_i) + sum_e Γ*_e(μ_e); K_i is the conjugate of
     the agent potential (via the discrete Legendre transform) unless given,
-    and likewise Γ*_e for static gains is μ²/(2*gain).
+    and likewise Γ*_e = μ²/(2*gain) for the edge gains.
     """
     grid = DEFAULT_OPT_GRID if grid is None else np.asarray(grid, dtype=float)
     if node_potentials is None:
@@ -551,15 +551,10 @@ def solve_ofp(
             legendre(_agent_kstar(a, grid), grid) for a in spec.agents
         ]
     if edge_duals is None:
-        edge_duals = []
-        for c in spec.controllers:
-            if c.is_static:
-                g = c.gain
-                edge_duals.append(IntegralFunction.from_function(
-                    lambda z, g=g: z * z / (2.0 * g), grid
-                ))
-            else:
-                edge_duals.append(legendre(c.potential_on(grid), grid))
+        edge_duals = [
+            IntegralFunction.from_function(lambda z, g=c.gain: z * z / (2.0 * g), grid)
+            for c in spec.controllers
+        ]
     E = spec.graph.incidence_matrix()
     m = spec.graph.edge_count
     if m == 0:
@@ -632,9 +627,9 @@ def predict_and_verify(
     """Transform the network, predict its steady state, and simulate it.
 
     Preconditions checked and reported on failure: every transformed agent
-    relation is (numerically) maximally monotone, at least one side of each
-    relation is strictly monotone, and every controller is MEIP (static
-    positive gain or dynamic with a certified convex potential).
+    relation is (numerically) maximally monotone, and at least one side of
+    each relation is strictly monotone.  Every controller is MEIP by
+    construction (a static positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
     failures = []
@@ -652,15 +647,6 @@ def predict_and_verify(
                 f"agent {i}: neither the relation nor its inverse is strictly "
                 "monotone"
             )
-    for e, c in enumerate(tspec.controllers):
-        if not c.is_static:
-            try:
-                pot = c.potential_on(DEFAULT_OPT_GRID)
-            except NonConvexCertificate:
-                failures.append(f"controller {e}: no potential supplied")
-                continue
-            if not pot.convexity_certificate:
-                failures.append(f"controller {e}: potential is not convex")
     if failures:
         raise PreconditionFailed("; ".join(failures))
 
@@ -680,6 +666,19 @@ def predict_and_verify(
 # JSON ingest
 
 
+@contextmanager
+def _located(path: str):
+    """Report a malformed JSON entry as InvalidSpec naming its path."""
+    try:
+        yield
+    except InvalidSpec:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        reason = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
+                  else f"{type(exc).__name__}: {exc}")
+        raise InvalidSpec(f"{path}: {reason}") from exc
+
+
 def spec_from_json(doc: str | dict, agent_registry: dict | None = None) -> NetworkSpec:
     """Build a NetworkSpec from a JSON document.
 
@@ -691,32 +690,51 @@ def spec_from_json(doc: str | dict, agent_registry: dict | None = None) -> Netwo
          "x0": [...],
          "integrator": {"dt": 1e-3, "horizon": 100.0}}
 
-    ``agents`` may be a single object applied to every vertex.  Agent kinds
-    resolve through ``agent_registry`` (defaults to the built-in fixtures).
+    ``agents`` may be a single object applied to every vertex, and so may
+    ``controllers``.  Agent kinds resolve through ``agent_registry``
+    (defaults to the built-in fixtures); equal agent entries share one
+    agent object.  A missing or malformed entry raises :class:`InvalidSpec`
+    naming its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if agent_registry is None:
         from .systems import AGENT_REGISTRY
         agent_registry = AGENT_REGISTRY
-    g = doc["graph"]
-    graph = Graph(int(g["vertices"]), tuple((int(h), int(t)) for h, t in g["edges"]))
+    with _located("$"):
+        g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
+        raw_x0 = doc["x0"]
+    with _located("$.graph"):
+        graph = Graph(int(g["vertices"]),
+                      tuple((int(h), int(t)) for h, t in g["edges"]))
 
-    raw_agents = doc["agents"]
     if isinstance(raw_agents, dict):
         raw_agents = [raw_agents] * graph.vertex_count
+    built = {}
     agents = []
-    for spec_a in raw_agents:
-        kind = spec_a["kind"]
-        if kind not in agent_registry:
-            raise ValueError(f"unknown agent kind {kind!r}")
-        agents.append(agent_registry[kind](**spec_a.get("params", {})))
+    with _located("$.agents"):
+        for i, entry in enumerate(raw_agents):
+            with _located(f"$.agents[{i}]"):
+                key = json.dumps(entry, sort_keys=True, default=repr)
+                if key not in built:
+                    kind = entry["kind"]
+                    if kind not in agent_registry:
+                        raise InvalidSpec(
+                            f"$.agents[{i}].kind: unknown agent kind {kind!r}")
+                    with _located(f"$.agents[{i}].params"):
+                        built[key] = agent_registry[kind](**entry.get("params", {}))
+                agents.append(built[key])
 
-    raw_ctrl = doc["controllers"]
     if isinstance(raw_ctrl, dict):
         raw_ctrl = [raw_ctrl] * graph.edge_count
-    controllers = tuple(ControllerSpec(gain=float(c["gain"])) for c in raw_ctrl)
+    controllers = []
+    with _located("$.controllers"):
+        for e, c in enumerate(raw_ctrl):
+            with _located(f"$.controllers[{e}]"):
+                controllers.append(ControllerSpec(gain=float(c["gain"])))
 
-    x0 = np.asarray(doc["x0"], dtype=float)
-    integ = IntegratorConfig(**doc.get("integrator", {}))
-    return NetworkSpec(graph, tuple(agents), controllers, x0, integ)
+    with _located("$.x0"):
+        x0 = np.asarray(raw_x0, dtype=float)
+    with _located("$.integrator"):
+        integ = IntegratorConfig(**doc.get("integrator", {}))
+    return NetworkSpec(graph, tuple(agents), tuple(controllers), x0, integ)

@@ -142,18 +142,6 @@ class IntegralFunction:
         vals = np.asarray(f(grid), dtype=float) * np.ones_like(grid)
         return cls(grid, vals, _convex_certificate(grid, vals))
 
-    def anchored(self) -> "IntegralFunction":
-        """Shift values so the minimum over the grid is zero."""
-        return IntegralFunction(
-            self.grid, self.values - float(self.values.min()),
-            self.convexity_certificate,
-        )
-
-    def plus_quadratic(self, coeff: float) -> "IntegralFunction":
-        """Add coeff/2 * x^2 pointwise (output-feedback integral rule)."""
-        vals = self.values + 0.5 * coeff * self.grid**2
-        return IntegralFunction(self.grid, vals, _convex_certificate(self.grid, vals))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -127,7 +127,7 @@ def pendulum_network(
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(x0_range[0], x0_range[1], size=n_agents)
     graph = Graph.path(n_agents)
-    agents = tuple(pendulum_gradient_agent(r1, r2) for _ in range(n_agents))
+    agents = (pendulum_gradient_agent(r1, r2),) * n_agents
     controllers = tuple(ControllerSpec(gain=gain) for _ in range(graph.edge_count))
     return NetworkSpec(graph, agents, controllers, x0,
                        integrator or IntegratorConfig())

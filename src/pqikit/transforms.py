@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteState,
     SingularTransform,
 )
+from .network import agent_call, bracket_roots, rk4_step
 from .pqi import PQI, PassivityIndices, boundary_rays
 
 
@@ -167,7 +168,7 @@ def decompose(transform: Transform2, tol: float = 1e-12) -> ElementaryDecomposit
     transform.require_invertible(tol)
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     scale = max(abs(a), abs(b), abs(c), abs(d))
-    swapped = abs(a) <= 1e-2 * scale
+    swapped = abs(a) <= 1e-2 * scale and abs(b) > abs(a)
     if swapped:
         a, b = b, a
         c, d = d, c
@@ -202,32 +203,13 @@ def find_equilibria(system, u_values, x_range=(-10.0, 10.0), cells: int = 400):
     """Sample forced equilibria by bisecting f(x, u) = 0 on a state grid.
 
     Returns a list of (x_eq, u_eq, y_eq) triples; one entry per sign change
-    of f over the cell grid, for each input level.
+    of f over the cell grid (or exact zero at a cell's left end), for each
+    input level.
     """
-    lo, hi = x_range
-    xs = np.linspace(lo, hi, cells + 1)
-    out = []
-    for u in np.atleast_1d(u_values):
-        vals = np.array([system.f(x, u) for x in xs])
-        for i in range(cells):
-            va, vb = vals[i], vals[i + 1]
-            if va == 0.0:
-                root = xs[i]
-            elif va * vb < 0.0:
-                a_, b_ = xs[i], xs[i + 1]
-                fa = va
-                for _ in range(80):
-                    m = 0.5 * (a_ + b_)
-                    fm = system.f(m, u)
-                    if fa * fm <= 0.0:
-                        b_ = m
-                    else:
-                        a_, fa = m, fm
-                root = 0.5 * (a_ + b_)
-            else:
-                continue
-            out.append((float(root), float(u), float(system.h(root, u))))
-    return out
+    us = np.atleast_1d(np.asarray(u_values, dtype=float))
+    roots, level = bracket_roots(system.f, us, x_range[0], x_range[1], cells)
+    ys = agent_call(system.h, roots, us[level])
+    return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]
 
 
 def _storage_rate(storage, x, x_eq, xdot, eps_scale: float = 1e-6):
@@ -255,9 +237,10 @@ def verify_passivation(
     """Simulate random trajectories and check the transformed inequality.
 
     Inputs are piecewise-constant random signals; all trials integrate in one
-    vectorized RK4 sweep.  At subsampled times the storage rate (numeric
-    directional derivative of the supplied storage candidate) is compared
-    against the transformed supply rate shifted by each sampled equilibrium.
+    vectorized RK4 sweep that calls the system's ``f`` on the trial arrays.
+    At subsampled times the storage rate (numeric directional derivative of
+    the supplied storage candidate) is compared against the transformed
+    supply rate shifted by each sampled equilibrium.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
@@ -276,21 +259,15 @@ def verify_passivation(
     u_levels = rng.uniform(u_range[0], u_range[1], size=(n_segments + 1, trials))
     x = rng.uniform(x0_range[0], x0_range[1], size=trials)
 
-    f = np.vectorize(system.f)
-    h = np.vectorize(system.h)
-
+    f, h = system.f, system.h
     xs, us = [], []
     for k in range(n_steps):
         u = u_levels[min(k // seg_len, n_segments)]
         if k % eval_stride == 0:
-            xs.append(x.copy())
-            us.append(u.copy())
-        k1 = f(x, u)
-        k2 = f(x + 0.5 * dt * k1, u)
-        k3 = f(x + 0.5 * dt * k2, u)
-        k4 = f(x + dt * k3, u)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+            xs.append(x)
+            us.append(u)
+        x = rk4_step(f, x, dt, f(x, u), u)
+        if not np.isfinite(x).all():
             raise NonFiniteState(f"trajectory blew up at t = {k * dt:.3f}")
 
     xs = np.asarray(xs)  # (times, trials)

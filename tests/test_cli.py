@@ -87,6 +87,26 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert len(manifest["input_digest"]) == 64
 
+    @pytest.mark.parametrize("key, value, located", [
+        ("x0", None, "$: missing key 'x0'"),
+        ("agents", {"kind": "quadratic", "params": {"centre": 1.0}},
+         "$.agents[0].params"),
+    ])
+    def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
+                                             located):
+        doc = dict(QUAD_SPEC)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--spec", str(path), "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ") and located in err
+        assert "Traceback" not in err
+
     def test_missing_spec_is_error(self, tmp_path, capsys):
         rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),
                    "--outdir", str(tmp_path)])

@@ -1,6 +1,9 @@
 """Network simulation, per-agent transforms, and dual steady-state solvers."""
 
+import copy
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from pqikit import (
 )
 from pqikit.errors import (
     DimensionMismatch,
+    InvalidSpec,
     NonFiniteState,
     PreconditionFailed,
 )
@@ -84,6 +88,50 @@ class TestSimulate:
         spec = NetworkSpec(Graph(1, ()), (runaway,), (), np.array([5.0]),
                            IntegratorConfig(horizon=2.0))
         with pytest.raises(NonFiniteState):
+            simulate(spec)
+
+    @pytest.mark.parametrize("layout", ["per-vertex", "alternating"])
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_shared_agent_matches_scalar_evaluation(self, layout, transformed):
+        # one shared agent object is evaluated with one array call per stage;
+        # the reference gives each vertex its own object (scalar calls), or
+        # alternates two objects (index-array groups)
+        shared = pendulum_network(integrator=IntegratorConfig(horizon=6.0))
+        if layout == "per-vertex":
+            agents = tuple(pendulum_gradient_agent() for _ in range(5))
+        else:
+            pair = (pendulum_gradient_agent(), pendulum_gradient_agent())
+            agents = tuple(pair[i % 2] for i in range(5))
+        reference = replace(shared, agents=agents)
+        if transformed:
+            T = Transform2(1.0, 2.5, 0.0, 1.0)
+            shared = apply_network_transform(shared, [T] * 5)
+            reference = apply_network_transform(reference, [T] * 5)
+        assert len({id(a) for a in shared.agents}) == 1
+        a, b = simulate(shared), simulate(reference)
+        assert a.converged == b.converged
+        assert a.t[-1] == b.t[-1]
+        np.testing.assert_allclose(a.y, b.y, rtol=0.0, atol=1e-9)
+
+    def test_non_broadcasting_agent_is_located(self):
+        def math_sine_flow(x, u):
+            return -math.sin(x) + u
+
+        agent = AgentODE(f=math_sine_flow, h=lambda x, u: x)
+        spec = NetworkSpec(Graph.path(3), (agent,) * 3,
+                           (ControllerSpec(gain=1.0),) * 2, np.zeros(3),
+                           IntegratorConfig(horizon=1.0))
+        with pytest.raises(InvalidSpec,
+                           match=r"vertex \[0, 1, 2\].*math_sine_flow"):
+            simulate(spec)
+
+    def test_singular_feedthrough_loop_rejected(self):
+        # D = -1/2 on both ends of a unit-gain edge: I + D·E·G·Eᵀ is singular
+        agent = nonmonotone_demo_agent()
+        spec = NetworkSpec(Graph.path(2), (agent, agent),
+                           (ControllerSpec(gain=1.0),), np.array([0.5, 1.0]),
+                           IntegratorConfig(horizon=1.0))
+        with pytest.raises(InvalidSpec, match="singular"):
             simulate(spec)
 
     def test_dimension_mismatch_rejected(self):
@@ -215,6 +263,48 @@ class TestJsonIngest:
         with pytest.raises(ValueError):
             spec_from_json(doc)
 
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: d.pop("x0"), r"^\$: missing key 'x0'"),
+        (lambda d: d.pop("graph"), r"^\$: missing key 'graph'"),
+        (lambda d: d.pop("agents"), r"^\$: missing key 'agents'"),
+        (lambda d: d.pop("controllers"), r"^\$: missing key 'controllers'"),
+        (lambda d: d["graph"].pop("edges"), r"^\$\.graph: missing key 'edges'"),
+        (lambda d: d["agents"][1].pop("kind"), r"^\$\.agents\[1\]: missing key 'kind'"),
+        (lambda d: d["agents"][1]["params"].update(centre=2.0),
+         r"^\$\.agents\[1\]\.params: .*'centre'"),
+        (lambda d: d["controllers"][0].pop("gain"),
+         r"^\$\.controllers\[0\]: missing key 'gain'"),
+        (lambda d: d["controllers"][0].update(gain=-1.0),
+         r"^\$\.controllers\[0\]: .*positive"),
+        (lambda d: d["integrator"].update(step=0.1), r"^\$\.integrator: .*'step'"),
+    ])
+    def test_malformed_spec_names_json_path(self, mutate, where):
+        doc = {
+            "graph": {"vertices": 2, "edges": [[0, 1]]},
+            "agents": [{"kind": "quadratic", "params": {"center": 1.0}},
+                       {"kind": "quadratic", "params": {"center": 3.0}}],
+            "controllers": [{"gain": 1.0}],
+            "x0": [0.0, 0.0],
+            "integrator": {"horizon": 30.0},
+        }
+        spec_from_json(copy.deepcopy(doc))
+        mutate(doc)
+        with pytest.raises(InvalidSpec, match=where):
+            spec_from_json(doc)
+
+    def test_equal_agent_entries_share_one_agent(self):
+        pend = {"kind": "pendulum-gradient", "params": {"r1": 2.0}}
+        doc = {
+            "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+            "agents": [pend, {"kind": "quadratic"}, dict(pend)],
+            "controllers": {"gain": 1.0},
+            "x0": [0.0, 1.0, 2.0],
+        }
+        agents = spec_from_json(doc).agents
+        assert agents[0] is agents[2] and agents[0] is not agents[1]
+        doc["agents"] = pend
+        assert len({id(a) for a in spec_from_json(doc).agents}) == 1
+
     def test_csv_export(self, tmp_path):
         sim = simulate(quadratic_network(integrator=FAST))
         path = tmp_path / "sim.csv"
@@ -232,3 +322,5 @@ class TestAgentDeclarations:
     def test_static_controller_gain_positive(self):
         with pytest.raises(ValueError):
             ControllerSpec(gain=-1.0)
+        with pytest.raises(ValueError):
+            ControllerSpec()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqikit import (
@@ -19,8 +19,13 @@ from pqikit import (
     verify_passivation,
 )
 from pqikit.errors import NoStorageFunction, SingularTransform
-from pqikit.network import AgentODE
-from pqikit.systems import nonmonotone_demo_agent, quadratic_agent
+from pqikit.network import AgentODE, bracket_roots
+from pqikit.systems import (
+    nonmonotone_demo_agent,
+    odd_cubic_agent,
+    pendulum_gradient_agent,
+    quadratic_agent,
+)
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -154,6 +159,8 @@ class TestDecompose:
             decompose(Transform2(1.0, 2.0, 2.0, 4.0))
 
     @given(invertible_transforms())
+    @example(Transform2(0.03125, 0.0, 0.0, 4.0))
+    @example(Transform2(0.03125, 2.2e-313, 0.0, 4.0))
     @settings(max_examples=300, deadline=None)
     def test_reconstruction(self, T):
         dec = decompose(T)
@@ -162,6 +169,46 @@ class TestDecompose:
             dec.reconstruct(), T.matrix(), atol=1e-12 * max(scale, 1.0)
         )
         assert dec.delta_B != 0.0 and dec.delta_D != 0.0
+
+
+def scalar_roots(f, u, lo, hi, cells):
+    """Reference scan-and-bisect: one grid point and one bracket at a time."""
+    xs = np.linspace(lo, hi, cells + 1)
+    vals = [f(x, u) for x in xs]
+    roots = []
+    for i in range(cells):
+        if vals[i] == 0.0:
+            roots.append(xs[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            a, b, fa = xs[i], xs[i + 1], vals[i]
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = f(m, u)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    return roots
+
+
+class TestBracketRoots:
+    @pytest.mark.parametrize("agent", [
+        pendulum_gradient_agent(), odd_cubic_agent(), nonmonotone_demo_agent(),
+    ])
+    def test_matches_scalar_reference(self, agent):
+        us = [-2.0, -0.5, 0.0, 0.3, 1.7]
+        roots, level = bracket_roots(agent.f, us, -10.0, 10.0, 400)
+        for j, u in enumerate(us):
+            want = scalar_roots(agent.f, u, -10.0, 10.0, 400)
+            assert len(roots[level == j]) == len(want)
+            np.testing.assert_allclose(roots[level == j], want, rtol=0.0,
+                                       atol=1e-12)
+
+    def test_exact_grid_zero_returns_grid_point(self):
+        roots, _ = bracket_roots(pendulum_gradient_agent().f, [0.0],
+                                 -10.0, 10.0, 400)
+        assert 0.0 in roots.tolist()
 
 
 class TestVerifyPassivation:
