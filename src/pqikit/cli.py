@@ -149,6 +149,7 @@ def cmd_optimize(args) -> int:
         "primal": [float(v) for v in result.primal],
         "coupling": [float(v) for v in result.coupling],
         "iterations": result.iterations,
+        "residual": result.residual,
     }
     outdir = _outdir(args)
     out_path = os.path.join(outdir, f"optimize_{args.problem}.json")

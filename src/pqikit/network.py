@@ -5,9 +5,10 @@ graph; the coupling is ζ = Eᵀy, μ = Gζ, u = −Eμ with E the incidence mat
 and G the diagonal of edge gains.  The module integrates the closed loop with
 fixed-step RK4, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
-(potentials over outputs, flows over edge variables) with subgradient descent
-plus a simplex polish.  It also holds the two numeric kernels shared with the
-dissipation certificate: the RK4 step and the array-at-a-time root bracketer.
+(potentials over outputs, flows over edge variables) with one trust-region
+Newton solver on C¹ models of the sampled potentials.  It also holds the two
+numeric kernels shared with the dissipation certificate: the RK4 step and
+the array-at-a-time root bracketer.
 """
 
 from __future__ import annotations
@@ -179,11 +180,6 @@ class ControllerSpec:
     def __post_init__(self):
         if self.gain is None or not self.gain > 0.0:
             raise ValueError(f"controller gain must be positive: {self.gain}")
-
-    def potential_on(self, grid: np.ndarray) -> IntegralFunction:
-        return IntegralFunction.from_function(
-            lambda z: 0.5 * self.gain * z * z, grid
-        )
 
 
 @dataclass(frozen=True)
@@ -421,184 +417,147 @@ def apply_network_transform(spec: NetworkSpec, transforms) -> NetworkSpec:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Solution of one dual steady-state problem.
+
+    ``residual`` is the max-norm of the model objective's gradient at the
+    minimizer; ``iterations`` counts the trust-region iterations.
+    """
+
     minimizer: np.ndarray
     objective: float
     primal: np.ndarray       # y for the potential problem, u for the flow one
     coupling: np.ndarray     # zeta or mu
     iterations: int
+    residual: float
 
 
-def _pwl(fun: IntegralFunction):
-    """Value and subgradient callables of the linear interpolant."""
-    g, v = fun.grid, fun.values
-    slopes = np.diff(v) / np.diff(g)
-
-    def value(x):
-        return np.interp(x, g, v)
-
-    def subgrad(x):
-        j = np.clip(np.searchsorted(g, x) - 1, 0, len(slopes) - 1)
-        return slopes[j]
-
-    return value, subgrad
+def _require_convex(funs) -> None:
+    for i, F in enumerate(funs):
+        if not F.convexity_certificate:
+            raise NonConvexCertificate(
+                f"vertex {i}: potential failed the convexity certificate")
 
 
-def _minimize_separable(node_funs, edge_funs, A, z0, max_iter, tol, step0):
-    """Minimize sum_i F_i(z_i') + sum_e G_e((A z)_e) over z.
+def _c1_model(F: IntegralFunction):
+    """Grid, nodal slopes and nodal values of the C¹ model of F.
 
-    z' is A_node z when A is None... here node terms act on z directly when
-    A is the coupling for edge terms only.  Subgradient descent with c/sqrt(k)
-    steps and best-iterate tracking, then a Nelder-Mead polish seeded at the
-    best iterate.
+    The model's derivative is the linear interpolant of the nodal slopes,
+    the averages of adjacent cell slopes (the end cell slopes at the ends),
+    so it is nondecreasing whenever the cell slopes are; the end cells'
+    quadratics extend it past the grid.  It reproduces a quadratic sampled
+    on a uniform grid exactly.
     """
-    node_v, node_g = zip(*(_pwl(f) for f in node_funs))
-    edge_v, edge_g = zip(*(_pwl(f) for f in edge_funs)) if edge_funs else ((), ())
+    x, v = F.grid, F.values
+    h = np.diff(x)
+    s = np.diff(v) / h
+    d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
+    m = np.concatenate(([v[0]], v[0] + np.cumsum(0.5 * h * (d[:-1] + d[1:]))))
+    return x, d, m
 
-    def objective(z):
-        total = sum(float(v(z[i])) for i, v in enumerate(node_v))
-        if edge_funs:
-            w = A @ z
-            total += sum(float(v(w[e])) for e, v in enumerate(edge_v))
-        return total
 
-    def subgradient(z):
-        g = np.array([float(gi(z[i])) for i, gi in enumerate(node_g)])
-        if edge_funs:
-            w = A @ z
-            g = g + A.T @ np.array([float(ge(w[e])) for e, ge in enumerate(edge_g)])
-        return g
+def _minimize_convex(node_funs, B, Q):
+    """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by trust-region Newton.
 
-    z = np.asarray(z0, dtype=float).copy()
-    best_z, best_f = z.copy(), objective(z)
-    k = 0
-    for k in range(1, max_iter + 1):
-        g = subgradient(z)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        z = z - (step0 / np.sqrt(k)) * g / gn
-        f = objective(z)
-        if f < best_f:
-            best_f, best_z = f, z.copy()
-    res = minimize(objective, best_z, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000})
-    if res.fun <= best_f:
-        best_z, best_f = np.atleast_1d(res.x), float(res.fun)
-    return best_z, best_f, k
+    Each certified-convex Fᵢ is replaced by its C¹ piecewise-quadratic
+    model, so value, gradient and Hessian are exact for the model.  Returns
+    the minimizer, the objective with the sampled Fᵢ themselves, the
+    iteration count and the gradient residual.  Convergence is judged by
+    that residual against the size of the gradient's two parts, not by the
+    optimizer's status: at a minimum it often reports that rounding hid
+    the predicted decrease.
+    """
+    _require_convex(node_funs)
+    models = [_c1_model(F) for F in node_funs]
+
+    def pieces(w):
+        """Value, slope and curvature of each model at the matching w."""
+        out = np.empty((3, len(w)))
+        for i, ((x, d, m), wi) in enumerate(zip(models, w)):
+            j = min(max(int(np.searchsorted(x, wi)) - 1, 0), len(x) - 2)
+            t, c = wi - x[j], (d[j + 1] - d[j]) / (x[j + 1] - x[j])
+            out[:, i] = m[j] + t * (d[j] + 0.5 * c * t), d[j] + c * t, c
+        return out
+
+    def fun(z):
+        val, slope, _ = pieces(B @ z)
+        Qz = Q @ z
+        return val.sum() + 0.5 * z @ Qz, B.T @ slope + Qz
+
+    def hess(z):
+        curv = pieces(B @ z)[2]
+        return B.T @ (curv[:, None] * B) + Q
+
+    z, iterations = np.zeros(B.shape[1]), 0
+    if z.size:
+        res = minimize(fun, z, jac=True, hess=hess, method="trust-exact")
+        z, iterations = res.x, int(res.nit)
+    w = B @ z
+    Qz = Q @ z
+    objective = float(sum(F(wi) for F, wi in zip(node_funs, w)) + 0.5 * z @ Qz)
+    if not np.isfinite(objective):
+        raise NoConvergence("steady-state problem has a non-finite objective")
+    node_part = B.T @ pieces(w)[1]
+    residual = float(np.abs(node_part + Qz).max(initial=0.0))
+    bound = 1e-6 * (1.0 + max(np.abs(node_part).max(initial=0.0),
+                              np.abs(Qz).max(initial=0.0)))
+    if residual > bound:
+        raise NoConvergence(
+            f"steady-state problem stopped with gradient residual "
+            f"{residual:.3e} > {bound:.3e}")
+    return z, objective, iterations, residual
 
 
 DEFAULT_OPT_GRID = np.linspace(-20.0, 20.0, 4001)
 
 
-def _agent_kstar(agent: AgentODE, grid) -> IntegralFunction:
+def _agent_kstar(agent: AgentODE) -> IntegralFunction:
     if agent.relation is None:
         raise PreconditionFailed("agent lacks a steady-state relation")
-    F = integral_function(agent.relation, OF_K_INVERSE)
-    if not F.convexity_certificate:
-        raise NonConvexCertificate(
-            "agent potential failed the convexity certificate"
-        )
-    return F
+    return integral_function(agent.relation, OF_K_INVERSE)
 
 
-def solve_opp(
-    spec: NetworkSpec,
-    grid=None,
-    node_potentials=None,
-    max_iter: int = 2000,
-    tol: float = 1e-10,
-) -> OptimizationResult:
-    """Steady-state outputs from the potential problem.
+def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
+    """Steady-state outputs from the optimal potential problem.
 
-    Minimizes sum_i K*_i(y_i) + sum_e Γ_e((Eᵀy)_e); K*_i comes from each
-    agent's relation (integrated in the inverse direction) unless supplied,
-    Γ_e from the edge controllers.
+    Minimizes Σᵢ K*ᵢ(yᵢ) + ½ yᵀ E G Eᵀ y over the outputs y, with G the
+    diagonal of edge gains, so the edge terms are the exact quadratics
+    gₑ/2·ζₑ².  K*ᵢ is each agent's relation integrated in the inverse
+    direction unless ``node_potentials`` supplies it; every K*ᵢ must carry
+    the convexity certificate.  The minimizer is found on the C¹ models of
+    the K*ᵢ (see :func:`_minimize_convex`) and the reported objective uses
+    the sampled K*ᵢ.  ``grid`` is accepted for symmetry with
+    :func:`solve_ofp`; the potential problem does not use it.
     """
-    grid = DEFAULT_OPT_GRID if grid is None else np.asarray(grid, dtype=float)
     if node_potentials is None:
-        node_potentials = [_agent_kstar(a, grid) for a in spec.agents]
-    for F in node_potentials:
-        if not F.convexity_certificate:
-            raise NonConvexCertificate("node potential is not certified convex")
-    edge_potentials = [c.potential_on(grid) for c in spec.controllers]
+        node_potentials = [_agent_kstar(a) for a in spec.agents]
     E = spec.graph.incidence_matrix()
-    y0 = np.zeros(spec.graph.vertex_count)
-    y, fval, iters = _minimize_separable(
-        node_potentials, edge_potentials, E.T, y0, max_iter, tol, step0=1.0
-    )
-    if not np.isfinite(fval):
-        raise NoConvergence("potential problem did not converge")
-    return OptimizationResult(y, fval, y, E.T @ y, iters)
+    gains = np.array([c.gain for c in spec.controllers], dtype=float)
+    y, fval, iters, residual = _minimize_convex(
+        node_potentials, np.eye(spec.graph.vertex_count), E @ (gains[:, None] * E.T))
+    return OptimizationResult(y, fval, y, E.T @ y, iters, residual)
 
 
-def solve_ofp(
-    spec: NetworkSpec,
-    grid=None,
-    node_potentials=None,
-    edge_duals=None,
-    max_iter: int = 2000,
-    tol: float = 1e-10,
-) -> OptimizationResult:
-    """Steady-state flows from the dual problem over edge variables.
+def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
+    """Steady-state flows from the optimal flow problem over edge variables.
 
-    Minimizes sum_i K_i((-Eμ)_i) + sum_e Γ*_e(μ_e); K_i is the conjugate of
-    the agent potential (via the discrete Legendre transform) unless given,
-    and likewise Γ*_e = μ²/(2*gain) for the edge gains.
+    Minimizes Σᵢ Kᵢ((-Eμ)ᵢ) + Σₑ μₑ²/(2gₑ) over the edge flows μ.  Kᵢ is the
+    discrete Legendre transform, on ``grid`` (default ``DEFAULT_OPT_GRID``),
+    of the agent potential K*ᵢ used by :func:`solve_opp`, unless
+    ``node_potentials`` supplies it; the K*ᵢ, or the supplied Kᵢ, must carry
+    the convexity certificate.  Solved and reported like the potential
+    problem, so at the optimum the two objectives sum to zero.
     """
-    grid = DEFAULT_OPT_GRID if grid is None else np.asarray(grid, dtype=float)
     if node_potentials is None:
-        node_potentials = [
-            legendre(_agent_kstar(a, grid), grid) for a in spec.agents
-        ]
-    if edge_duals is None:
-        edge_duals = [
-            IntegralFunction.from_function(lambda z, g=c.gain: z * z / (2.0 * g), grid)
-            for c in spec.controllers
-        ]
+        if grid is None:
+            grid = DEFAULT_OPT_GRID
+        kstars = [_agent_kstar(a) for a in spec.agents]
+        _require_convex(kstars)
+        node_potentials = [legendre(F, grid) for F in kstars]
     E = spec.graph.incidence_matrix()
-    m = spec.graph.edge_count
-    if m == 0:
-        u = np.zeros(spec.graph.vertex_count)
-        obj = float(sum(F(0.0) for F in node_potentials))
-        return OptimizationResult(np.zeros(0), obj, u, np.zeros(0), 0)
-
-    # node terms act on u = -E mu, so fold them into "edge" terms over mu
-    node_v, _ = zip(*(_pwl(f) for f in node_potentials))
-    edge_v, _ = zip(*(_pwl(f) for f in edge_duals))
-
-    def objective(mu):
-        u = -E @ mu
-        total = sum(float(v(u[i])) for i, v in enumerate(node_v))
-        total += sum(float(v(mu[e])) for e, v in enumerate(edge_v))
-        return total
-
-    node_pwls = [_pwl(f) for f in node_potentials]
-    edge_pwls = [_pwl(f) for f in edge_duals]
-
-    def subgradient(mu):
-        u = -E @ mu
-        gu = np.array([float(node_pwls[i][1](u[i])) for i in range(len(u))])
-        gm = np.array([float(edge_pwls[e][1](mu[e])) for e in range(m)])
-        return -E.T @ gu + gm
-
-    mu = np.zeros(m)
-    best_mu, best_f = mu.copy(), objective(mu)
-    iters = 0
-    for k in range(1, max_iter + 1):
-        g = subgradient(mu)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        mu = mu - (1.0 / np.sqrt(k)) * g / gn
-        f = objective(mu)
-        if f < best_f:
-            best_f, best_mu = f, mu.copy()
-        iters = k
-    res = minimize(objective, best_mu, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000})
-    if res.fun <= best_f:
-        best_mu, best_f = np.atleast_1d(res.x), float(res.fun)
-    return OptimizationResult(best_mu, best_f, -E @ best_mu, best_mu, iters)
+    gains = np.array([c.gain for c in spec.controllers], dtype=float)
+    mu, fval, iters, residual = _minimize_convex(
+        node_potentials, -E, np.diag(1.0 / gains))
+    return OptimizationResult(mu, fval, -E @ mu, mu, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +580,6 @@ class PredictionReport:
 def predict_and_verify(
     spec: NetworkSpec,
     transforms,
-    grid=None,
     tolerance: float = 1e-2,
 ) -> PredictionReport:
     """Transform the network, predict its steady state, and simulate it.
@@ -650,7 +608,7 @@ def predict_and_verify(
     if failures:
         raise PreconditionFailed("; ".join(failures))
 
-    opt = solve_opp(tspec, grid=grid)
+    opt = solve_opp(tspec)
     sim = simulate(tspec)
     gap = float(np.max(np.abs(sim.steady_state - opt.primal)))
     return PredictionReport(

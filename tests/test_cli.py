@@ -121,6 +121,7 @@ class TestOptimize:
         report = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(report["primal"], [5.0 / 3.0, 7.0 / 3.0],
                                    atol=1e-2)
+        assert 0.0 <= report["residual"] <= 1e-6
 
     def test_ofp_recovers_edge_flow(self, tmp_path, quad_spec_path, capsys):
         rc = main(["optimize", "--spec", quad_spec_path, "--problem", "ofp",
@@ -129,6 +130,22 @@ class TestOptimize:
         report = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(report["coupling"], [-2.0 / 3.0],
                                    atol=1e-2)
+
+    @pytest.mark.parametrize("problem", ["opp", "ofp"])
+    def test_nonconvex_potential_is_located_error(self, tmp_path, capsys,
+                                                  problem):
+        doc = {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+               "agents": {"kind": "pendulum-gradient"},
+               "controllers": {"gain": 1.0},
+               "x0": [0.0, 0.0, 0.0]}
+        path = tmp_path / "pendulum.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["optimize", "--spec", str(path), "--problem", problem,
+                   "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: NonConvexCertificate: vertex 0")
+        assert "Traceback" not in err
 
 
 class TestCaseStudy:

@@ -28,6 +28,7 @@ from pqikit import (
 from pqikit.errors import (
     DimensionMismatch,
     InvalidSpec,
+    NonConvexCertificate,
     NonFiniteState,
     PreconditionFailed,
 )
@@ -200,6 +201,53 @@ class TestSolvers:
         res = solve_ofp(spec)
         assert res.coupling.size == 0
         np.testing.assert_array_equal(res.primal, [0.0])
+
+    @staticmethod
+    def _seeded_quadratic_network(n, shape, seed):
+        """Quadratic agents on a path or a random connected graph."""
+        rng = np.random.default_rng(seed)
+        if shape == "path":
+            edges = [(i, i + 1) for i in range(n - 1)]
+        else:  # random spanning tree plus n // 2 extra edges
+            edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            while len(edges) < n - 1 + n // 2:
+                h, t = (int(v) for v in rng.choice(n, 2, replace=False))
+                if (h, t) not in edges and (t, h) not in edges:
+                    edges.append((h, t))
+        centers = rng.uniform(-3.0, 3.0, n)
+        gains = rng.uniform(0.5, 2.0, len(edges))
+        return NetworkSpec(Graph(n, tuple(edges)),
+                           tuple(quadratic_agent(c) for c in centers),
+                           tuple(ControllerSpec(gain=g) for g in gains),
+                           np.zeros(n)), centers
+
+    @pytest.mark.parametrize("n, shape, seed", [
+        (5, "path", 0), (5, "random", 1), (20, "path", 2), (20, "random", 3),
+        (50, "path", 4), (50, "random", 5), (2, "gain-500", None),
+    ])
+    def test_quadratic_network_matches_closed_form(self, n, shape, seed):
+        if seed is None:
+            centers = np.array([1.0, 3.0])
+            spec = quadratic_network(centers=tuple(centers), gain=500.0)
+        else:
+            spec, centers = self._seeded_quadratic_network(n, shape, seed)
+        E = spec.graph.incidence_matrix()
+        G = np.diag([c.gain for c in spec.controllers])
+        # steady state y = u + c with u = -E G Eᵀ y
+        y = np.linalg.solve(np.eye(n) + E @ G @ E.T, centers)
+        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        np.testing.assert_allclose(opp.primal, y, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(ofp.primal, y - centers, rtol=0.0, atol=1e-6)
+        assert abs(opp.objective + ofp.objective) <= 1e-3
+
+    @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
+    def test_nonconvex_supplied_potential_rejected(self, solver):
+        spec = quadratic_network(centers=(0.0, 0.0, 0.0))
+        grid = np.linspace(-5.0, 5.0, 1001)
+        convex = IntegralFunction.from_function(lambda y: 0.5 * y * y, grid)
+        bumpy = IntegralFunction.from_function(np.cos, grid)
+        with pytest.raises(NonConvexCertificate, match="^vertex 1: "):
+            solver(spec, node_potentials=[convex, bumpy, convex])
 
     def test_quadratic_pair_dual_solutions_match(self):
         spec = quadratic_network()
