@@ -1,11 +1,14 @@
 """LTI analysis path: stability, L-infinity norms, and passivity indices.
 
 Transfer functions are rational with real coefficients.  Stability is read
-off companion-matrix roots; peak gains come from a log-spaced frequency
-sweep refined by golden-section search; the index formulas turn a stabilized
-loop gain into an equilibrium-independent passivity-index pair, and a loop
-transformation maps a transfer function through a 2x2 I/O change of
-coordinates.
+off companion-matrix roots with a margin relative to each pole's magnitude.
+Peak gains and frequency-domain indices are exact extrema over omega >= 0:
+on the imaginary axis |G|^2, Re G and Re 1/G are ratios a(x)/b(x) of real
+polynomials in x = omega^2, so each extremum is the best of x = 0, the
+positive real roots of a'b - ab' and the limit x -> infinity.  The index
+formulas turn a stabilized loop gain into an equilibrium-independent
+passivity-index pair, and a loop transformation maps a transfer function
+through a 2x2 I/O change of coordinates.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     DegenerateDegree,
@@ -31,9 +35,12 @@ from .pqi import PassivityIndices
 
 @dataclass(frozen=True)
 class FrequencyIndices:
-    """Strict passivity estimates from a frequency sweep.
+    """Strict passivity indices read off the imaginary axis.
 
-    Unlike PassivityIndices this pair is not tied to a non-trivial quadratic
+    rho is the infimum of Re 1/G(j omega) and nu the infimum of Re G(j omega)
+    over omega >= 0, both exact; rho is -inf when Re 1/G is unbounded below
+    (relative degree two or more) and +inf for G = 0.  Unlike
+    PassivityIndices this pair is not tied to a non-trivial quadratic
     inequality (both values can be large and positive for a system that is
     simultaneously input- and output-strictly passive), so no product bound
     is enforced.
@@ -44,26 +51,19 @@ class FrequencyIndices:
 
 
 STABILITY_MARGIN = 1e-9
-TRIM_RTOL = 1e-14
 COMMON_ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Real polynomial stored as ascending coefficients, trailing zeros trimmed."""
+    """Real polynomial: ascending coefficients, trailing exact zeros trimmed."""
 
     coeffs: tuple[float, ...]
 
     @classmethod
     def make(cls, coeffs) -> "RealPolynomial":
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        scale = float(np.abs(c).max())
-        if scale == 0.0:
-            return cls((0.0,))
-        keep = len(c)
-        while keep > 1 and abs(c[keep - 1]) <= TRIM_RTOL * scale:
-            keep -= 1
-        return cls(tuple(float(v) for v in c[:keep]))
+        c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+        return cls(tuple(float(v) for v in c) or (0.0,))
 
     @property
     def degree(self) -> int:
@@ -74,29 +74,28 @@ class RealPolynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
+        return P.polyval(s, np.asarray(self.coeffs))
 
     def roots(self) -> np.ndarray:
-        if self.degree < 1:
-            return np.array([])
-        return np.roots(np.asarray(self.coeffs)[::-1])
+        return np.roots(self.coeffs[::-1])
 
     def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return RealPolynomial.make(a)
+        return RealPolynomial.make(P.polyadd(self.coeffs, other.coeffs))
 
     def scaled(self, k: float) -> "RealPolynomial":
         return RealPolynomial.make(np.asarray(self.coeffs) * k)
 
 
 def is_stable(q: RealPolynomial) -> bool:
-    """All roots in the open left half-plane with margin 1e-9."""
+    """Every root r satisfies Re r < -STABILITY_MARGIN * |r|.
+
+    The margin is relative to each pole's magnitude, so the verdict does not
+    change when time is rescaled (s -> alpha*s).
+    """
     if q.degree < 1:
         raise DegenerateDegree("stability is undefined for constant polynomials")
-    return bool(np.all(q.roots().real < -STABILITY_MARGIN))
+    r = q.roots()
+    return bool(np.all(r.real < -STABILITY_MARGIN * np.abs(r)))
 
 
 @dataclass(frozen=True)
@@ -117,34 +116,23 @@ class RationalTF:
         return cls(n, d)._cancel_common_roots()
 
     def _cancel_common_roots(self) -> "RationalTF":
-        if self.num.is_zero or self.num.degree < 1 or self.den.degree < 1:
+        if self.num.degree < 1 or self.den.degree < 1:
             return self
-        nr = list(self.num.roots())
-        dr = list(self.den.roots())
-        cancelled = False
-        kept_d = []
-        for r in dr:
-            hit = None
-            for i, z in enumerate(nr):
-                if abs(z - r) <= COMMON_ROOT_TOL * (1.0 + abs(r)):
-                    hit = i
-                    break
-            if hit is None:
-                kept_d.append(r)
+        nr, kept_d = list(self.num.roots()), []
+        for r in self.den.roots():
+            hit = [i for i, z in enumerate(nr)
+                   if abs(z - r) <= COMMON_ROOT_TOL * max(abs(z), abs(r))]
+            if hit:
+                nr.pop(hit[0])
             else:
-                nr.pop(hit)
-                cancelled = True
-        if not cancelled:
+                kept_d.append(r)
+        if len(kept_d) == self.den.degree:
             return self
         warnings.warn("cancelling near-common numerator/denominator roots",
                       stacklevel=3)
-        n_lead = self.num.coeffs[-1]
-        d_lead = self.den.coeffs[-1]
-        num = RealPolynomial.make(np.real(np.poly(nr))[::-1] * n_lead if nr
-                                  else [n_lead])
-        den = RealPolynomial.make(np.real(np.poly(kept_d))[::-1] * d_lead if kept_d
-                                  else [d_lead])
-        return RationalTF(num, den)
+        return RationalTF(
+            RealPolynomial.make(P.polyfromroots(nr).real * self.num.coeffs[-1]),
+            RealPolynomial.make(P.polyfromroots(kept_d).real * self.den.coeffs[-1]))
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
@@ -157,64 +145,70 @@ class RationalTF:
         return cls.make(d["num"], d["den"])
 
 
-def _golden_refine(fun, lo: float, hi: float, maximize: bool, iters: int = 200):
-    """Golden-section search for an interior extremum of fun on [lo, hi]."""
-    sign = -1.0 if maximize else 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * fun(c), sign * fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * fun(d)
-        if b - a <= 1e-13 * (1.0 + abs(a)):
-            break
-    x = 0.5 * (a + b)
-    return x, fun(x)
+def _real_product(u, w):
+    """Re(u(j omega) conj(w(j omega))) in x = omega^2, trailing zeros trimmed.
 
-
-def _sweep_extremum(fun, maximize: bool = True) -> float:
-    """Extremize fun(omega) over omega >= 0 via log sweep plus refinement.
-
-    The sweep covers [1e-4, 1e4] rad/s with 10^4 points, plus omega = 0 and a
-    high-frequency tail; the grid extends adaptively while the extremum sits
-    on the upper boundary, then a golden-section pass polishes the winner.
+    Its odd powers of omega vanish exactly: u(j omega) has coefficients u_k j^k.
     """
-    lo_exp, hi_exp = -4.0, 4.0
-    best_w, best_v = None, None
-    for _ in range(8):
-        omegas = np.concatenate([[0.0], np.logspace(lo_exp, hi_exp, 10_000)])
-        vals = np.asarray(fun(omegas), dtype=float)
-        vals = np.where(np.isfinite(vals), vals,
-                        -np.inf if maximize else np.inf)
-        i = int(np.argmax(vals) if maximize else np.argmin(vals))
-        best_w, best_v = float(omegas[i]), float(vals[i])
-        if i < len(omegas) - 1:
-            break
-        hi_exp += 2.0  # extremum on the boundary: extend the sweep
-    i = int(np.argmax(vals) if maximize else np.argmin(vals))
-    lo = float(omegas[max(0, i - 1)])
-    hi = float(omegas[min(len(omegas) - 1, i + 1)])
-    if hi > lo:
-        w, v = _golden_refine(lambda x: float(fun(np.asarray([x]))[0]), lo, hi,
-                              maximize)
-        if (v > best_v) if maximize else (v < best_v):
-            best_v = v
-    return best_v
+    uj, wj = (c * np.array([1.0, 1j, -1.0, -1j])[np.arange(len(c)) % 4]
+              for c in (u, w))
+    return np.trim_zeros(P.polymul(uj, wj.conj()).real[::2], "b")
+
+
+def _ratio_limit(a, b, end: int) -> float:
+    """Limit of a(x)/b(x) as x -> 0 (end 0) or x -> infinity (end -1)."""
+    ia, ib = np.flatnonzero(a)[end], np.flatnonzero(b)[end]
+    if ia == ib:
+        return float(a[ia] / b[ib])
+    return math.copysign(math.inf, a[ia] * b[ib]) if (ia < ib) == (end == 0) else 0.0
+
+
+def _axis_extremum(u, w, v, maximize: bool) -> float:
+    """Exact extremum over omega >= 0 of Re(u conj(w))/|v|^2 at s = j omega.
+
+    Candidates as in the module docstring; the two ends are limits of a/b and
+    may be infinite.  Every candidate lies on the axis, so a spurious or
+    inexact root of a'b - ab' can only lose, never overshoot.
+    """
+    a, b = _real_product(u, w), _real_product(v, v)
+    if not len(b):
+        return math.inf  # v = 0: Re 1/G of G = 0
+    if not len(a):
+        return 0.0
+    # a'b - ab' has degree deg a + deg b - 1, one less when they are equal; a
+    # rounding residue left in that term would add a root near 1/eps
+    keep = len(a) + len(b) - 2 - (len(a) == len(b))
+    slope = np.trim_zeros(P.polysub(P.polymul(P.polyder(a), b),
+                                    P.polymul(a, P.polyder(b)))[:keep], "b")
+    x = P.polyroots(slope).real if len(slope) > 1 else np.empty(0)
+    jw = 1j * np.sqrt(x[x > 0.0])
+    uj, wj, vj = (P.polyval(jw, c) for c in (u, w, v))
+    vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2
+    vals = np.concatenate([vals[np.isfinite(vals)],
+                           [_ratio_limit(a, b, 0), _ratio_limit(a, b, -1)]])
+    return float(vals.max() if maximize else vals.min())
+
+
+def _unit_frequency(G: RationalTF, what: str):
+    """Coefficients of p, q in G(omega_s s) = p/q for a stable G.
+
+    omega_s = |q_0/q_n|^(1/n) is the geometric mean of the pole magnitudes.
+    """
+    if G.den.degree >= 1 and not is_stable(G.den):
+        raise UnstableDenominator(f"{what} requires a stable denominator")
+    num, den = np.asarray(G.num.coeffs), np.asarray(G.den.coeffs)
+    w_s = abs(den[0] / den[-1]) ** (1.0 / G.den.degree) if G.den.degree else 1.0
+    return num * w_s ** np.arange(len(num)), den * w_s ** np.arange(len(den))
 
 
 def linf_norm(G: RationalTF) -> float:
-    """Peak magnitude sup_omega |G(j omega)| for a stable transfer function."""
-    if G.den.degree >= 1 and not is_stable(G.den):
-        raise UnstableDenominator("peak gain requires a stable denominator")
-    return _sweep_extremum(lambda w: np.abs(G(1j * w)), maximize=True)
+    """Peak magnitude sup_omega |G(j omega)| for a stable transfer function.
+
+    Exact up to polynomial-root accuracy: the stationary points of |G|^2 in
+    omega^2, plus omega = 0 and omega -> infinity, on G(omega_s s).
+    """
+    p, q = _unit_frequency(G, "peak gain")
+    return math.sqrt(_axis_extremum(p, p, q, maximize=True))
 
 
 def l2gain_to_input_index(beta: float) -> float:
@@ -259,10 +253,10 @@ def lambda_search(G: RationalTF, grid) -> float:
     """
     best_lam, best_mu = None, np.inf
     for lam in np.asarray(grid, dtype=float):
-        shifted = G.den + G.num.scaled(float(lam))
-        if shifted.degree != G.den.degree or not is_stable(shifted):
+        try:
+            mu = loop_mu(G, float(lam))
+        except (DegreeDrop, DestabilizingLambda):
             continue
-        mu = linf_norm(RationalTF(G.num, shifted)) + 0.25
         if mu < best_mu:
             best_lam, best_mu = float(lam), mu
     if best_lam is None:
@@ -293,11 +287,11 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
     """Frequency-domain strict indices of a stable transfer function.
 
     The input index is the infimum of Re G(j omega), the output index the
-    infimum of Re 1/G(j omega), both over the sweep used for peak gains.
-    Positive values certify input- and output-strict passivity.
+    infimum of Re 1/G(j omega), both over omega >= 0 and found exactly like
+    the peak gain.  Re 1/G is unbounded below when the relative degree is two
+    or more, and the output index is then -inf.  Positive values certify
+    input- and output-strict passivity.
     """
-    if G.den.degree >= 1 and not is_stable(G.den):
-        raise UnstableDenominator("index sweep requires a stable denominator")
-    nu_hat = _sweep_extremum(lambda w: np.real(G(1j * w)), maximize=False)
-    rho_hat = _sweep_extremum(lambda w: np.real(1.0 / G(1j * w)), maximize=False)
-    return FrequencyIndices(float(rho_hat), float(nu_hat))
+    p, q = _unit_frequency(G, "index search")
+    return FrequencyIndices(_axis_extremum(q, p, p, maximize=False),
+                            _axis_extremum(p, q, q, maximize=False))

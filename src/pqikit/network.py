@@ -393,6 +393,15 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
     )
 
 
+def _once_per_object(items, build, key=id) -> list:
+    """[build(item) for item in items], calling build once per distinct key."""
+    made = {}
+    for item in items:
+        if key(item) not in made:
+            made[key(item)] = build(item)
+    return [made[key(item)] for item in items]
+
+
 def apply_network_transform(spec: NetworkSpec, transforms) -> NetworkSpec:
     """Per-vertex I/O transforms applied to every agent of the network.
 
@@ -401,13 +410,9 @@ def apply_network_transform(spec: NetworkSpec, transforms) -> NetworkSpec:
     """
     if len(transforms) != spec.graph.vertex_count:
         raise DimensionMismatch("one transform per vertex required")
-    made = {}
-    agents = []
-    for agent, T in zip(spec.agents, transforms):
-        key = (id(agent), id(T))
-        if key not in made:
-            made[key] = transform_agent(agent, T)
-        agents.append(made[key])
+    agents = _once_per_object(list(zip(spec.agents, transforms)),
+                              lambda pair: transform_agent(*pair),
+                              key=lambda pair: (id(pair[0]), id(pair[1])))
     return replace(spec, agents=tuple(agents))
 
 
@@ -467,7 +472,7 @@ def _minimize_convex(node_funs, B, Q):
     the predicted decrease.
     """
     _require_convex(node_funs)
-    models = [_c1_model(F) for F in node_funs]
+    models = _once_per_object(node_funs, _c1_model)
 
     def pieces(w):
         """Value, slope and curvature of each model at the matching w."""
@@ -529,7 +534,7 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     :func:`solve_ofp`; the potential problem does not use it.
     """
     if node_potentials is None:
-        node_potentials = [_agent_kstar(a) for a in spec.agents]
+        node_potentials = _once_per_object(spec.agents, _agent_kstar)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     y, fval, iters, residual = _minimize_convex(
@@ -550,9 +555,9 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     if node_potentials is None:
         if grid is None:
             grid = DEFAULT_OPT_GRID
-        kstars = [_agent_kstar(a) for a in spec.agents]
+        kstars = _once_per_object(spec.agents, _agent_kstar)
         _require_convex(kstars)
-        node_potentials = [legendre(F, grid) for F in kstars]
+        node_potentials = _once_per_object(kstars, lambda F: legendre(F, grid))
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     mu, fval, iters, residual = _minimize_convex(

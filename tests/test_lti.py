@@ -1,5 +1,8 @@
 """Transfer-function stability, peak gains, and passivity indices."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,15 @@ class TestStability:
         with pytest.raises(DegenerateDegree):
             is_stable(RealPolynomial.make([1.0]))
 
+    def test_slow_lightly_damped_poles_are_stable(self):
+        # poles -1e-9 +- 1e-6j: the margin is relative to each pole's size
+        assert is_stable(RealPolynomial.make([1e-12, 2e-9, 1.0]))
+        assert not is_stable(RealPolynomial.make([1e-12, -2e-9, 1.0]))
+
+    def test_small_leading_coefficient_is_kept(self):
+        assert RealPolynomial.make([1e16, 1e7, 1.0]).degree == 2
+        assert RealPolynomial.make([1.0, 2.0, 0.0, 0.0]).coeffs == (1.0, 2.0)
+
 
 class TestLinfNorm:
     def test_critically_damped_peaks_at_dc(self):
@@ -58,6 +70,34 @@ class TestLinfNorm:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableDenominator):
             linf_norm(unstable_plant_tf())
+
+    def test_fast_resonance_peak(self):
+        # 1e16/(s^2 + 1e7 s + 1e16): omega_0 = 1e8, zeta = 0.05
+        zeta = 0.05
+        want = 1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta * zeta))
+        got = linf_norm(RationalTF.make([1e16], [1e16, 1e7, 1.0]))
+        assert abs(got - want) <= 1e-12 * want
+
+    @given(st.floats(0.1, 3.0), st.floats(0.05, 4.0), st.floats(0.1, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_second_order_closed_form_peak(self, k, a, c):
+        # k/(s^2 + a s + c) peaks at resonance when a^2 < 2c, else at dc
+        if a * a < 2.0 * c:
+            want = k / (a * math.sqrt(c - 0.25 * a * a))
+        else:
+            want = k / c
+        got = linf_norm(RationalTF.make([k], [c, a, 1.0]))
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_two_resonances_match_sampled_gain(self):
+        # poles at 1 and 3 rad/s, zeta = 0.1 and 0.05; the sampled maximum
+        # is a lower bound that a 5e-5 rad/s grid meets to about 1e-7
+        den = RealPolynomial.make([1.0, 0.2, 1.0]).coeffs
+        den = np.polynomial.polynomial.polymul(den, [9.0, 0.3, 1.0])
+        G = RationalTF.make([9.0, 1.0], den)
+        sampled = float(np.max(np.abs(G(1j * np.linspace(0.0, 10.0, 200001)))))
+        got = linf_norm(G)
+        assert sampled * (1.0 - 1e-15) <= got <= sampled * (1.0 + 1e-6)
 
     @given(st.floats(0.5, 4.0), st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)
@@ -190,6 +230,59 @@ class TestTFPassivityIndices:
         assert abs(idx.nu - 2.0) <= 1e-9
         assert abs(idx.rho - 0.5) <= 1e-9
 
+    def test_relative_degree_two_has_unbounded_output_index(self):
+        # Re 1/G(j omega) = 1 - omega^2; Re G is smallest at omega^2 = 2
+        idx = tf_passivity_indices(RationalTF.make([1.0], [1.0, 1.0, 1.0]))
+        assert idx.rho == -math.inf
+        assert abs(idx.nu + 1.0 / 3.0) <= 1e-12
+
+    def test_zero_at_dc(self):
+        # s/(s+1): Re G = omega^2/(1 + omega^2), Re 1/G = 1 for omega > 0
+        idx = tf_passivity_indices(RationalTF.make([0.0, 1.0], [1.0, 1.0]))
+        assert (idx.rho, idx.nu) == (1.0, 0.0)
+
+    def test_zero_transfer_function(self):
+        # y = 0 satisfies every output-index inequality
+        idx = tf_passivity_indices(RationalTF.make([0.0], [1.0, 1.0]))
+        assert (idx.rho, idx.nu) == (math.inf, 0.0)
+
+
+def _pipeline(G):
+    """lambda, mu, indices, strict indices and stabilized-loop peak of G."""
+    lam = lambda_search(G, np.arange(11.0))
+    idx = eips_indices(G, lam)
+    T = passivize(idx, PassivityIndices(0.0, 0.0))
+    strict = tf_passivity_indices(transformed_tf(G, T))
+    peak = linf_norm(RationalTF.make(G.num, G.den + G.num.scaled(lam)))
+    return lam, loop_mu(G, lam), idx.rho, idx.nu, strict.rho, strict.nu, peak
+
+
+def _time_scaled(k, a, b, alpha):
+    """k/(s^2 + a s + b) with s replaced by alpha*s."""
+    return RationalTF.make([k], [b, a * alpha, alpha * alpha])
+
+
+class TestTimeScaleInvariance:
+    @given(st.floats(0.2, 3.0), st.floats(0.3, 3.0), st.floats(-1.5, 1.5),
+           st.floats(-8.0, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_pipeline_unchanged_by_time_scaling(self, k, a, b, log_alpha):
+        want = _pipeline(_time_scaled(k, a, b, 1.0))
+        got = _pipeline(_time_scaled(k, a, b, 10.0 ** log_alpha))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+    def test_extreme_scales_match_unit_scale(self, alpha):
+        # the plant 1/(s^2 + 0.5 s + 1) at lambda = 0, as in analyze-lti
+        G = _time_scaled(1.0, 0.5, 1.0, alpha)
+        T = passivize(eips_indices(G, 0.0), PassivityIndices(0.0, 0.0))
+        Gt = transformed_tf(G, T)
+        assert Gt.den.degree == 2
+        strict = tf_passivity_indices(Gt)
+        assert abs(loop_mu(G, 0.0) - 2.3155911179772892) <= 1e-12
+        assert abs(strict.rho - 0.5437835587824665) <= 1e-12
+        assert abs(strict.nu - 0.6545158625850946) <= 1e-12
+
 
 class TestCrossModuleConsistency:
     def test_index_pipeline_reaches_strict_passivity(self):
@@ -217,3 +310,18 @@ class TestSerialization:
             G = RationalTF.make([1.0, 1.0], [1.0, 2.0, 1.0])  # (s+1)/(s+1)^2
         assert G.num.degree == 0
         assert G.den.degree == 1
+
+    def test_slow_distinct_roots_kept(self):
+        # (1 + 1e8 s)/(2 + 1e8 s): roots -1e-8 and -2e-8 are not common
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = RationalTF.make([1.0, 1e8], [2.0, 1e8])
+        assert G.num.coeffs == (1.0, 1e8)
+        assert G.den.coeffs == (2.0, 1e8)
+
+    def test_slow_common_root_cancelled(self):
+        # (s + 1e-8)/((s + 1e-8)(s + 1))
+        with pytest.warns(UserWarning):
+            G = RationalTF.make([1e-8, 1.0], [1e-8, 1.0 + 1e-8, 1.0])
+        assert G.num.degree == 0
+        np.testing.assert_allclose(G.den.coeffs, (1.0, 1.0), rtol=1e-12)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pqikit.network as network_module
 from pqikit import (
     AgentODE,
     ControllerSpec,
@@ -15,9 +16,11 @@ from pqikit import (
     IntegralFunction,
     IntegratorConfig,
     NetworkSpec,
+    PassivityIndices,
     Transform2,
     apply_network_transform,
     legendre,
+    passivize,
     predict_and_verify,
     simulate,
     solve_ofp,
@@ -248,6 +251,24 @@ class TestSolvers:
         bumpy = IntegralFunction.from_function(np.cos, grid)
         with pytest.raises(NonConvexCertificate, match="^vertex 1: "):
             solver(spec, node_potentials=[convex, bumpy, convex])
+
+    @pytest.mark.parametrize("solver, legendre_calls",
+                             [(solve_opp, 0), (solve_ofp, 1)])
+    def test_shared_agent_potential_built_once(self, solver, legendre_calls,
+                                               monkeypatch):
+        spec = pendulum_network()
+        T = passivize(PassivityIndices(-2.5, 0.0), PassivityIndices(0.0, 0.0))
+        spec = apply_network_transform(spec, [T] * spec.graph.vertex_count)
+        assert len({id(a) for a in spec.agents}) == 1 < spec.graph.vertex_count
+        calls = {"integral_function": 0, "legendre": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(network_module, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(network_module, name, counted)
+        solver(spec)
+        assert calls == {"integral_function": 1, "legendre": legendre_calls}
 
     def test_quadratic_pair_dual_solutions_match(self):
         spec = quadratic_network()
