@@ -221,13 +221,17 @@ def l2gain_to_input_index(beta: float) -> float:
 def loop_mu(G: RationalTF, lam: float) -> float:
     """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4."""
     shifted = G.den + G.num.scaled(lam)
+    if shifted.is_zero:
+        raise DegreeDrop(f"q + {lam}*p vanishes identically")
     if shifted.degree != G.den.degree:
         raise DegreeDrop(
             f"q + {lam}*p drops degree from {G.den.degree} to {shifted.degree}"
         )
-    if not is_stable(shifted):
-        raise DestabilizingLambda(f"q + {lam}*p is not a stable polynomial")
-    return linf_norm(RationalTF(G.num, shifted)) + 0.25
+    try:
+        return linf_norm(RationalTF(G.num, shifted)) + 0.25
+    except UnstableDenominator:
+        raise DestabilizingLambda(
+            f"q + {lam}*p is not a stable polynomial") from None
 
 
 def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:

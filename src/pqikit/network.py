@@ -494,7 +494,10 @@ def _minimize_convex(node_funs, B, Q):
 
     z, iterations = np.zeros(B.shape[1]), 0
     if z.size:
-        res = minimize(fun, z, jac=True, hess=hess, method="trust-exact")
+        # gtol bounds the gradient's 2-norm, so a normal stop also passes
+        # the max-norm residual test below
+        res = minimize(fun, z, jac=True, hess=hess, method="trust-exact",
+                       options={"gtol": 1e-6})
         z, iterations = res.x, int(res.nit)
     w = B @ z
     Qz = Q @ z

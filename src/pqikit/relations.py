@@ -6,6 +6,10 @@ Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for the
 numeric surrogate of cursivity that underpins the maximality check.
+Integration merges ties in the abscissa with an array mask, the conjugate
+reads its slopes off a weighted isotonic regression (the greatest convex
+minorant), and near self-intersections are found by one fixed-radius k-d
+tree query.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import isotonic_regression
+from scipy.spatial import cKDTree
 
 from .errors import MultiValued, WrongRepresentation
 
@@ -216,8 +222,9 @@ def integral_function(
 
     ``of_k`` integrates y as a function of u; ``of_k_inverse`` integrates u
     as a function of y.  The relation must be single-valued in the chosen
-    direction: ties in the abscissa (within ``tie_tol``) are merged, genuine
-    folds raise.  Values are anchored to zero at the left end of the grid.
+    direction: runs of abscissae each within ``tie_tol`` (relative) of the
+    previous one are merged into their first sample, genuine folds raise.
+    Values are anchored to zero at the left end of the grid.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -235,62 +242,45 @@ def integral_function(
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
     scale = float(np.abs(x).max()) + 1.0
-    keep_x, keep_v = [x[0]], [v[0]]
-    for xi, vi in zip(x[1:], v[1:]):
-        if xi - keep_x[-1] <= tie_tol * scale:
-            if abs(vi - keep_v[-1]) > 1e-8 * (abs(vi) + abs(keep_v[-1]) + 1.0):
-                raise MultiValued(
-                    f"relation folds near abscissa {xi}: values "
-                    f"{keep_v[-1]} and {vi}"
-                )
-            continue
-        keep_x.append(xi)
-        keep_v.append(vi)
-    gx = np.asarray(keep_x)
-    gv = np.asarray(keep_v)
+    keep = np.concatenate(([True], np.diff(x) > tie_tol * scale))
+    # each sample is compared with the first sample of its tie run
+    first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
+    vf = v[first]
+    fold = ~keep & (np.abs(v - vf) > 1e-8 * (np.abs(v) + np.abs(vf) + 1.0))
+    if fold.any():
+        i = int(np.argmax(fold))
+        raise MultiValued(
+            f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
+        )
+    gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
     vals = cumulative_trapezoid(gv, gx, initial=0.0)
     return IntegralFunction(gx, vals, _convex_certificate(gx, vals))
 
 
-def _lower_convex_hull(x: np.ndarray, v: np.ndarray):
-    """Indices of the lower convex hull of the graph points (x sorted)."""
-    hull: list[int] = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # pop i1 if it lies on or above segment i0 -> i
-            cross = (x[i1] - x[i0]) * (v[i] - v[i0]) - (x[i] - x[i0]) * (v[i1] - v[i0])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return np.asarray(hull)
-
-
 def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
     """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)).
 
-    The conjugate of the sampled function equals the conjugate of its lower
-    convex hull, so the hull is built once and each query resolved by a
-    binary search over the hull slopes.  The default dual grid spans the hull
-    slope range with as many points as the primal grid.
+    The conjugate of the sampled function equals the conjugate of its
+    greatest convex minorant, whose cell slopes are the isotonic regression
+    of the cell slopes weighted by the cell widths.  Each pooled block of
+    equal slopes starts at a sample on the minorant, so a binary search over
+    the slopes picks the maximizing sample itself.  The default dual grid
+    spans the slope range with as many points as the primal grid.
     """
     x, v = F.grid, F.values
-    h = _lower_convex_hull(x, v)
-    hx, hv = x[h], v[h]
-    slopes = np.diff(hv) / np.diff(hx)
+    dx = np.diff(x)
+    slopes = isotonic_regression(np.diff(v) / dx, weights=dx).x
     if dual_grid is None:
-        lo, hi = (float(slopes.min()), float(slopes.max())) if len(slopes) else (-1.0, 1.0)
+        lo, hi = (float(slopes[0]), float(slopes[-1])) if len(slopes) else (-1.0, 1.0)
         if hi - lo < 1e-12:
             lo, hi = lo - 1.0, hi + 1.0
         dual_grid = np.linspace(lo, hi, len(x))
     ys = np.asarray(dual_grid, dtype=float)
-    # vertex j of the hull is the argmax for y between slopes[j-1] and slopes[j]
+    # sample j is the argmax for y between slopes[j-1] and slopes[j]
     j = np.searchsorted(slopes, ys)
-    vals = ys * hx[j] - hv[j]
+    vals = ys * x[j] - v[j]
     return IntegralFunction(ys, vals, _convex_certificate(ys, vals))
 
 
@@ -355,7 +345,8 @@ def is_cursive(
     Lipschitz-consistent bound (continuity), the point norm escapes past a
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
-    coincide (self-intersection measure, via a spatial hash).  These support
+    coincide within the median segment length (self-intersection measure:
+    one fixed-radius k-d tree query of the nearest samples).  These support
     but cannot prove the limit properties; the report says which passed.
     """
     if rel.kind != PARAM:
@@ -395,24 +386,17 @@ def is_cursive(
 
 
 def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool:
-    """Spatial-hash check that parameter-distant samples stay separated."""
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(pts / radius).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    r2 = radius * radius
-    for (cx, cy), idx in cells.items():
-        neighborhood = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighborhood.extend(cells.get((cx + dx, cy + dy), ()))
-        for i in idx:
-            for j in neighborhood:
-                if j - i > gap:
-                    d = pts[i] - pts[j]
-                    if d[0] * d[0] + d[1] * d[1] < r2:
-                        return False
-    return True
+    """No two samples more than ``gap`` steps apart lie within ``radius``.
+
+    Only 2*gap + 1 samples lie within ``gap`` steps of a point, so if a
+    point has 2*gap + 2 neighbours inside the radius one of them is
+    parameter-distant: querying that many neighbours (or all samples, if
+    fewer) keeps the test exact.
+    """
+    k = min(2 * gap + 2, len(pts))
+    dist, idx = cKDTree(pts).query(pts, k=k, distance_upper_bound=radius)
+    near = np.abs(idx - np.arange(len(pts))[:, None]) > gap
+    return not bool(np.any(near & (dist < radius)))
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:

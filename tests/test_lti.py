@@ -139,6 +139,20 @@ class TestEipsIndices:
         with pytest.raises(DegreeDrop):
             eips_indices(G, -1.0)
 
+    def test_constant_plant(self):
+        # the loop 2/(1 + 2*lam) is a constant gain
+        G = RationalTF.make([2.0], [1.0])
+        assert loop_mu(G, 0.0) == 2.25
+        assert loop_mu(G, 3.0) == pytest.approx(2.0 / 7.0 + 0.25, rel=1e-15)
+        with pytest.raises(DegreeDrop, match="vanishes"):
+            loop_mu(G, -0.5)
+        assert lambda_search(G, [-0.5, 0.0, 1.0]) == 1.0
+
+    def test_destabilizing_shift_names_the_shift(self):
+        with pytest.raises(DestabilizingLambda,
+                           match=r"^q \+ 0\.5\*p is not a stable polynomial$"):
+            loop_mu(unstable_plant_tf(), 0.5)
+
     @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.1, 2.0),
            st.floats(0.0, 2.0))
     @settings(max_examples=200, deadline=None)

@@ -17,6 +17,7 @@ from pqikit import (
     IntegratorConfig,
     NetworkSpec,
     PassivityIndices,
+    PlanarRelation,
     Transform2,
     apply_network_transform,
     legendre,
@@ -204,6 +205,29 @@ class TestSolvers:
         res = solve_ofp(spec)
         assert res.coupling.size == 0
         np.testing.assert_array_equal(res.primal, [0.0])
+
+    def test_non_quadratic_flow_problem_converges(self):
+        # not one Newton step: the solver must iterate to the residual bound
+        def relation_agent(u_of_y, s_range, n):
+            rel = PlanarRelation.from_param_curve(u_of_y, lambda s: s,
+                                                  s_range, n)
+            return AgentODE(f=lambda x, u: -x, h=lambda x, u: x, relation=rel)
+
+        agents = (
+            relation_agent(lambda y: np.sinh(y - 1.0), (-6.0, 6.0), 2001),
+            relation_agent(lambda y: 2.5 * (np.sin(y) + y) + 0.1 * y - 2.0,
+                           (-40.0, 40.0), 4001),
+        )
+        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.3),),
+                           np.zeros(2))
+        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        assert opp.residual <= 1e-6 and ofp.residual <= 1e-6
+        y = opp.primal
+        flow = 1.3 * (y[0] - y[1])
+        assert abs(np.sinh(y[0] - 1.0) + flow) <= 1e-3
+        assert abs(2.5 * (np.sin(y[1]) + y[1]) + 0.1 * y[1] - 2.0 - flow) <= 1e-3
+        np.testing.assert_allclose(ofp.primal, [-flow, flow], atol=1e-3)
+        assert abs(opp.objective + ofp.objective) <= 1e-3
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):

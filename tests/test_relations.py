@@ -1,6 +1,7 @@
 """Relation transport, integral functions, Legendre duals, shape checks."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,42 @@ class TestIntegralFunction:
         assert np.max(diff) - np.min(diff) <= 1e-6
         assert F.convexity_certificate and not base.convexity_certificate
 
+    def test_repeated_abscissae_merge(self):
+        # from_points drops the exact duplicate; 1 + 1e-10 is a tie in value
+        rel = PlanarRelation.from_points([0.0, 1.0, 1.0, 1.0, 2.0],
+                                         [0.0, 1.0, 1.0, 1.0 + 1e-10, 4.0])
+        F = integral_function(rel, OF_K)
+        np.testing.assert_array_equal(F.grid, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(F.values, [0.0, 0.5, 3.0])
+        near = PlanarRelation.from_points([0.0, 1.0, 1.0 + 1e-13, 2.0],
+                                          [0.0, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(integral_function(near, OF_K).grid,
+                                      [0.0, 1.0, 2.0])
+
+    def test_chained_near_ties_merge_into_first(self):
+        # successive gaps of 0.6 tie_tol*scale: one run, though its ends
+        # lie 1.2 tie_tol*scale apart
+        t = 1e-12 * 3.0
+        rel = PlanarRelation.from_points([0.0, 1.0, 1.0 + 0.6 * t, 1.0 + 1.2 * t, 2.0],
+                                         [0.0, 1.0, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(integral_function(rel, OF_K).grid,
+                                      [0.0, 1.0, 2.0])
+
+    def test_first_tie_fold_names_abscissa_and_values(self):
+        rel = PlanarRelation.from_points([0.0, 1.0, 1.0, 2.0, 2.0],
+                                         [0.0, 1.0, 1.5, 2.0, 5.0])
+        with pytest.raises(MultiValued,
+                           match=r"^relation folds near abscissa 1\.0: "
+                                 r"values 1\.0 and 1\.5$"):
+            integral_function(rel, OF_K)
+
+    def test_tie_run_compared_with_its_first_sample(self):
+        # each step is within the 1e-8 value band, the run as a whole is not
+        rel = PlanarRelation.from_points([0.0, 1.0, 1.0, 1.0, 2.0],
+                                         [0.0, 1.0, 1.0 + 3e-8, 1.0 + 6e-8, 2.0])
+        with pytest.raises(MultiValued, match=r"values 1\.0 and 1\.00000006$"):
+            integral_function(rel, OF_K)
+
 
 class TestLegendre:
     def test_half_square_is_self_dual(self):
@@ -179,6 +216,65 @@ class TestLegendre:
         interior = (np.abs(g) <= 3.0)
         err = np.abs(back.values - F.values)[interior]
         assert np.max(err) <= 5.0 * h * h * max(curv, 1.0)
+
+
+def brute_force_conjugate(F, ys):
+    """max_i (y*x_i - F(x_i)) by direct enumeration."""
+    return np.max(ys[:, None] * F.grid[None, :] - F.values[None, :], axis=1)
+
+
+def assert_conjugate_exact(F, ys=None):
+    Fs = legendre(F, ys)
+    want = brute_force_conjugate(F, Fs.grid)
+    scale = (np.abs(Fs.grid).max() * np.abs(F.grid).max()
+             + np.abs(F.values).max() + 1.0)
+    assert np.max(np.abs(Fs.values - want)) <= 1e-12 * scale
+    return Fs
+
+
+def random_walk_function(seed, n):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5 * n
+    return IntegralFunction(grid, np.cumsum(rng.normal(size=n)), False)
+
+
+class TestLegendreAgainstBruteForce:
+    """The conjugate of a non-convex sampled F, against direct enumeration."""
+
+    def test_double_well(self):
+        F = IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2,
+                                           np.linspace(-2.0, 2.0, 4001))
+        assert not F.convexity_certificate
+        Fs = assert_conjugate_exact(F)
+        # the default dual grid spans the slopes of the convex minorant
+        assert Fs.grid[0] == pytest.approx(-6.0, abs=1e-2)
+        assert Fs.grid[-1] == pytest.approx(6.0, abs=1e-2)
+        # the minorant is flat at -1/4 on [-1, 1]
+        assert legendre(F, [0.0]).values[0] == pytest.approx(0.25, abs=1e-12)
+        assert_conjugate_exact(F, np.linspace(-20.0, 20.0, 801))
+
+    @pytest.mark.parametrize("seed, n", [(0, 3), (1, 17), (2, 400), (3, 3000)])
+    def test_seeded_random_walks(self, seed, n):
+        F = random_walk_function(seed, n)
+        assert_conjugate_exact(F)
+        lo, hi = np.diff(F.values).min(), np.diff(F.values).max()
+        assert_conjugate_exact(F, np.linspace(-2.0 * hi + lo, 2.0 * hi - lo, 501))
+
+    def test_two_points(self):
+        F = IntegralFunction(np.array([-1.0, 2.0]), np.array([3.0, -1.5]), True)
+        Fs = assert_conjugate_exact(F, np.linspace(-5.0, 5.0, 11))
+        assert assert_conjugate_exact(F).grid[[0, -1]].tolist() == [-2.5, -0.5]
+        np.testing.assert_array_equal(Fs.values, np.maximum(
+            -Fs.grid - 3.0, 2.0 * Fs.grid + 1.5))
+
+    def test_affine(self):
+        F = IntegralFunction.from_function(lambda y: 3.0 * y + 1.0,
+                                           np.linspace(-2.0, 2.0, 4001))
+        Fs = assert_conjugate_exact(F)
+        # one slope: the default dual grid is widened by one on each side
+        assert Fs.grid[0] == pytest.approx(2.0, abs=1e-12)
+        assert Fs.grid[-1] == pytest.approx(4.0, abs=1e-12)
+        assert_conjugate_exact(F, np.linspace(-10.0, 10.0, 201))
 
 
 class TestShapeChecks:
@@ -231,6 +327,75 @@ class TestShapeChecks:
             lambda s: s, lambda s: s, (0.0, 1.0), 501
         )
         assert not is_maximal_monotone(rel)
+
+
+def brute_force_no_self_intersection(rel, gap, atol=1e-6):
+    """O(n^2) check of the same radius and gap as is_cursive."""
+    pts = rel.points
+    radius = max(float(np.median(np.linalg.norm(np.diff(pts, axis=0), axis=1))),
+                 atol)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    i, j = np.indices(dist.shape)
+    return not bool(np.any((j - i > gap) & (dist < radius)))
+
+
+def param_relation(u, y):
+    return PlanarRelation("param", np.asarray(u, float), np.asarray(y, float),
+                          sigma=np.arange(len(u), dtype=float))
+
+
+def self_intersection_cases():
+    cases = {}
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 1500))
+        cases[f"walk{seed}"] = param_relation(np.cumsum(rng.normal(size=n)),
+                                              np.cumsum(rng.normal(size=n)))
+        t = np.linspace(-3.0, 3.0, n)
+        cases[f"curve{seed}"] = param_relation(
+            t**3 + rng.uniform(-1, 1) * t, np.sin(rng.uniform(1, 4) * t) + t)
+    t = np.linspace(0.0, 2.0 * np.pi, 1201)
+    cases["figure_eight"] = param_relation(np.sin(t), np.sin(t) * np.cos(t))
+    t = np.linspace(0.0, 4.0 * np.pi, 1201)
+    cases["cycloid_loops"] = param_relation(t - 3.0 * np.sin(t), -3.0 * np.cos(t))
+    # the spiral r = theta over five turns: with 105 samples its arms come
+    # within 0.96 median segments of each other, with 116 samples 1.05
+    for name, n in (("spiral_touching", 105), ("spiral_clear", 116)):
+        theta = np.linspace(2.0 * np.pi, 12.0 * np.pi, n)
+        cases[name] = param_relation(theta * np.cos(theta), theta * np.sin(theta))
+    return cases
+
+
+class TestSelfIntersectionAgainstBruteForce:
+    CASES = self_intersection_cases()
+
+    @pytest.mark.parametrize("gap", [0, 3, 20])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_pair_check(self, name, gap):
+        rel = self.CASES[name]
+        got = is_cursive(rel, intersection_sigma_gap=gap).no_self_intersection
+        assert got == brute_force_no_self_intersection(rel, gap)
+
+    def test_cases_cover_both_outcomes(self):
+        verdicts = {name: brute_force_no_self_intersection(rel, 20)
+                    for name, rel in self.CASES.items()}
+        assert not verdicts["figure_eight"] and not verdicts["cycloid_loops"]
+        assert not verdicts["spiral_touching"] and verdicts["spiral_clear"]
+
+    def test_revisit_just_beyond_the_gap(self):
+        # a closed polygon returns onto its first sample after `steps` steps
+        for steps, flagged in ((20, False), (21, True)):
+            t = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+            rel = param_relation(np.cos(t), np.sin(t))
+            report = is_cursive(rel, intersection_sigma_gap=20)
+            assert report.no_self_intersection == (not flagged)
+
+    def test_constant_curve_is_fast(self):
+        rel = param_relation(np.full(4001, 2.0), np.full(4001, -1.0))
+        start = time.perf_counter()
+        report = is_cursive(rel)
+        assert time.perf_counter() - start <= 1.0
+        assert not report.no_self_intersection
 
 
 class TestRepresentations:
