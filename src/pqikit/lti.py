@@ -5,7 +5,8 @@ off companion-matrix roots with a margin relative to each pole's magnitude.
 Peak gains and frequency-domain indices are exact extrema over omega >= 0:
 on the imaginary axis |G|^2, Re G and Re 1/G are ratios a(x)/b(x) of real
 polynomials in x = omega^2, so each extremum is the best of x = 0, the
-positive real roots of a'b - ab' and the limit x -> infinity.  The index
+positive real roots of a'b - ab' and the limit x -> infinity; a zero of G
+on the axis makes Re 1/G unbounded instead.  The index
 formulas turn a stabilized loop gain into an equilibrium-independent
 passivity-index pair, and a loop transformation maps a transfer function
 through a 2x2 I/O change of coordinates.
@@ -189,6 +190,24 @@ def _axis_extremum(u, w, v, maximize: bool) -> float:
     return float(vals.max() if maximize else vals.min())
 
 
+def _re_ratio_unbounded(u, v) -> bool:
+    """Whether Re u/v is unbounded on the imaginary axis.
+
+    Near a simple zero j omega_0 of v, u/v is r/(s - j omega_0) plus a
+    bounded part, and Re r/(j(omega - omega_0)) runs to both infinities
+    unless the residue r = u/v' there is real.  A zero counts as on the axis,
+    and r as not real, at 1e-9 relative.
+    """
+    if len(v) < 2:
+        return False
+    z = P.polyroots(v)
+    z = z[(z.imag > 0.0) & (np.abs(z.real) <= 1e-9 * np.abs(z))]
+    if not z.size:  # the common case; skips the residues
+        return False
+    r = P.polyval(z, u) / P.polyval(z, P.polyder(v))
+    return bool(np.any(np.abs(r.imag) > 1e-9 * np.abs(r)))
+
+
 def _unit_frequency(G: RationalTF, what: str):
     """Coefficients of p, q in G(omega_s s) = p/q for a stable G.
 
@@ -293,9 +312,11 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
     The input index is the infimum of Re G(j omega), the output index the
     infimum of Re 1/G(j omega), both over omega >= 0 and found exactly like
     the peak gain.  Re 1/G is unbounded below when the relative degree is two
-    or more, and the output index is then -inf.  Positive values certify
-    input- and output-strict passivity.
+    or more, or when G has a zero on the imaginary axis where 1/G has a
+    residue that is not real, and the output index is then -inf.  Positive
+    values certify input- and output-strict passivity.
     """
     p, q = _unit_frequency(G, "index search")
-    return FrequencyIndices(_axis_extremum(q, p, p, maximize=False),
-                            _axis_extremum(p, q, q, maximize=False))
+    rho = (-math.inf if _re_ratio_unbounded(q, p)
+           else _axis_extremum(q, p, p, maximize=False))
+    return FrequencyIndices(rho, _axis_extremum(p, q, q, maximize=False))

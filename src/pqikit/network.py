@@ -3,12 +3,12 @@
 Agents sit on vertices and static positive gains on the edges of a directed
 graph; the coupling is ζ = Eᵀy, μ = Gζ, u = −Eμ with E the incidence matrix
 and G the diagonal of edge gains.  The module integrates the closed loop with
-fixed-step RK4, applies per-agent 2x2 I/O transforms in closed form, and
+an adaptive Dormand–Prince 5(4) pair whose step never falls below the
+configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
-Newton solver on C¹ models of the sampled potentials.  It also holds the two
-numeric kernels shared with the dissipation certificate: the RK4 step and
-the array-at-a-time root bracketer.
+Newton solver on C¹ models of the sampled potentials.  It also holds the
+array-at-a-time root bracketer shared with the equilibrium search.
 """
 
 from __future__ import annotations
@@ -91,14 +91,6 @@ def agent_call(fn, x, u):
         return np.broadcast_to(fn(x, u), np.shape(x))
     except (TypeError, ValueError) as exc:
         raise _agent_error(fn, "agent", exc) from exc
-
-
-def rk4_step(f, x, dt: float, k1, *args):
-    """One classical RK4 step of dx/dt = f(x, *args), given k1 = f(x, *args)."""
-    k2 = f(x + 0.5 * dt * k1, *args)
-    k3 = f(x + 0.5 * dt * k2, *args)
-    k4 = f(x + dt * k3, *args)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
@@ -184,6 +176,15 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Settings of :func:`simulate`.
+
+    ``dt`` is the step floor: steps adapt between it and half the
+    ``convergence_window``.  Rows are stored every ``store_stride·dt`` of
+    time.  The run is converged once the max state-derivative norm has
+    stayed below ``tol_conv`` for ``convergence_window``, and then stops if
+    ``stop_on_convergence``; otherwise it ends at ``horizon``.
+    """
+
     dt: float = 1e-3
     horizon: float = 100.0
     convergence_window: float = 1.0
@@ -268,8 +269,12 @@ def _agent_groups(agents, name: str):
 
 
 def _evaluate(groups, x, u):
-    """Per-vertex values of each group's callable at (x, u)."""
-    out = np.empty(len(x))
+    """Per-vertex values of each group's callable at (x, u).
+
+    Vertices run along the first axis; a trailing axis evaluates many
+    states at once.
+    """
+    out = np.empty(x.shape)
     try:
         for fn, sel in groups:
             out[sel] = fn(x[sel], u[sel])
@@ -279,19 +284,63 @@ def _evaluate(groups, x, u):
     return out
 
 
+# Dormand–Prince 5(4) pair (Dormand & Prince 1980).  Stage s is evaluated at
+# x + h·(_DP_STAGES[s-1] @ K[:s]); the last row is the 5th-order solution,
+# so its stage is the next step's first ("first same as last").
+_DP_STAGES = tuple(np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+))
+# 5th- minus 4th-order weights: h·(_DP_ERROR @ K) estimates the local error
+_DP_ERROR = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                      -22 / 525, 1 / 40])
+# 4th-order dense output: x(t + σh) = x + h·([σ, σ², σ³, σ⁴] @ _DP_DENSE @ K)
+_DP_DENSE = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [-8048581381 / 2820520608, 0, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423],
+    [8663915743 / 2820520608, 0, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423],
+    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
+# step acceptance: RMS over vertices of error / (ATOL + RTOL·|x|) at most 1
+SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
+
+
 def simulate(spec: NetworkSpec) -> SimResult:
-    """Fixed-step RK4 integration of the diffusively-coupled closed loop.
+    """Adaptive Dormand–Prince 5(4) integration of the diffusively-coupled loop.
+
+    The step adapts to a fixed error tolerance (``SIM_RTOL``, ``SIM_ATOL``)
+    between the floor ``dt`` and half the convergence window, and never
+    passes the horizon (``horizon`` rounded to a multiple of ``dt``).  A step
+    at the floor is accepted whatever its error estimate, so no run takes
+    more steps than fixed steps of ``dt`` would; a non-finite step above the
+    floor is retried with a smaller one, and only a non-finite step at the
+    floor raises :class:`NonFiniteState`.  Rows are stored at multiples of
+    ``store_stride·dt`` from the pair's 4th-order interpolant, plus a final
+    row at the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
     the stored signals satisfy them exactly.  With constant feedthrough D
     the loop y = h(x,0) + D u, u = -E G Eᵀ y is linear in y and solved with
-    an inverse computed once.  The convergence flag is set when the max
-    state-derivative norm has stayed below the configured tolerance over the
-    trailing window; by default integration stops there.
+    an inverse computed once.  The convergence flag is set, at an accepted
+    step, once the last step end with max state-derivative norm not below
+    ``tol_conv`` lies at least ``convergence_window`` back; by default
+    integration stops there.
     """
     cfg = spec.integrator
     if cfg.dt <= 0.0:
         raise ValueError("integrator step must be positive")
+    if cfg.store_stride < 1:
+        raise ValueError("store_stride must be at least 1")
     n = spec.graph.vertex_count
     E = spec.graph.incidence_matrix()
     Et, negE = E.T.copy(), -E
@@ -304,49 +353,77 @@ def simulate(spec: NetworkSpec) -> SimResult:
         raise InvalidSpec(f"feedthrough loop I + D·E·G·Eᵀ is singular ({exc})") from exc
     f_groups = _agent_groups(spec.agents, "f")
     h_groups = _agent_groups(spec.agents, "h")
-    no_input = np.zeros(n)
 
-    def signals(x):
-        y = _evaluate(h_groups, x, no_input)
+    def signals(x, u0=np.zeros(n)):
+        """u, y, ζ, μ at x; a trailing axis of x holds many states."""
+        y = _evaluate(h_groups, x, u0)
         if loop_inv is not None:
             y = loop_inv @ y
         zeta = Et @ y
-        mu = gains * zeta
+        mu = (gains * zeta.T).T
         return negE @ mu, y, zeta, mu
 
     def xdot(x):
         return _evaluate(f_groups, x, signals(x)[0])
 
     dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
-    window = max(1, int(round(cfg.convergence_window / dt)))
+    t_end = int(round(cfg.horizon / dt)) * dt
+    window = max(cfg.convergence_window, dt)
+    h_max = max(0.5 * window, dt)
+    rms = 1.0 / np.sqrt(max(n, 1))
+    t, h = 0.0, dt
     x = np.atleast_1d(np.asarray(spec.x0, dtype=float)).copy()
-    rows = []  # stored (t, x, u, y, zeta, mu)
-    last_moving = -1  # last step whose derivative norm was not below tol_conv
+    K = np.empty((7, n))  # stages of the current step
+    K[0] = xdot(x)
+    stored_t, stored_x = [], []
+    next_row = 0  # index of the next stored row, at next_row·store_stride·dt
+    last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
-    for k in range(n_steps + 1):
-        u, y, zeta, mu = signals(x)
-        k1 = _evaluate(f_groups, x, u)
-        row = (k * dt, x, u, y, zeta, mu)
-        if k % cfg.store_stride == 0 or k == n_steps:
-            rows.append(row)
-        if not (float(np.abs(k1).max()) if n else 0.0) < cfg.tol_conv:
-            last_moving = k
-        if k >= window and last_moving <= k - window:
+    while t < t_end:
+        h = min(max(h, dt), h_max)
+        at_floor = h <= dt
+        if t_end - t - h < 0.01 * dt:  # land on the horizon
+            h = t_end - t
+            at_floor = at_floor or h <= dt
+        for s, weights in enumerate(_DP_STAGES, start=1):
+            x_new = x + (h * weights) @ K[:s]
+            K[s] = xdot(x_new)
+        finite = bool(np.isfinite(x_new).all())
+        scale = SIM_ATOL + SIM_RTOL * np.maximum(abs(x), abs(x_new))
+        err = rms * float(np.linalg.norm(h * (_DP_ERROR @ K) / scale)) if finite else np.inf
+        factor = min(10.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+        if not (err <= 1.0 or at_floor):
+            h *= factor
+            continue
+        if not finite:
+            raise NonFiniteState(f"state blew up at t = {t:.3f}")
+        t_new = t_end if t_end - t <= h else t + h
+        rows_end = next_row
+        while rows_end * cfg.store_stride * dt < t_new:
+            rows_end += 1
+        if rows_end > next_row:
+            row_t = np.arange(next_row, rows_end) * cfg.store_stride * dt
+            sigma = (row_t - t) / h
+            stored_t.append(row_t)
+            stored_x.append(x + h * (sigma[:, None] ** np.arange(1, 5)
+                                     @ (_DP_DENSE @ K)))
+            next_row = rows_end
+        t, x = t_new, x_new
+        K[0] = K[6]
+        if not float(np.abs(K[0]).max(initial=0.0)) < cfg.tol_conv:
+            last_moving = t
+        if t - last_moving >= window:
             converged = True
             if cfg.stop_on_convergence:
-                if rows[-1] is not row:
-                    rows.append(row)
                 break
-        if k == n_steps:
-            break
-        x = rk4_step(xdot, x, dt, k1)
-        if not np.isfinite(x).all():
-            raise NonFiniteState(f"state blew up at t = {k * dt:.3f}")
+        h *= factor
 
-    t, xs, us, ys, zetas, mus = (np.asarray(c) for c in zip(*rows))
-    return SimResult(t=t, x=xs, u=us, y=ys, zeta=zetas, mu=mus,
-                     converged=converged, steady_state=ys[-1])
+    stored_t.append([t])
+    stored_x.append(x[None])
+    xs = np.concatenate(stored_x)
+    u, y, zeta, mu = (a.T for a in signals(xs.T, np.zeros(xs.T.shape)))
+    return SimResult(t=np.concatenate(stored_t), x=xs, u=u, y=y, zeta=zeta,
+                     mu=mu, converged=converged, steady_state=y[-1])
 
 
 # ---------------------------------------------------------------------------

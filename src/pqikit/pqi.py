@@ -122,26 +122,30 @@ def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
     """
     if not is_nontrivial(p):
         raise TrivialPQI(f"discriminant {discriminant(p)} is not positive")
-    scale = math.sqrt(p.a * p.a + p.b * p.b + p.c * p.c)
-    sqrt_d = math.sqrt(discriminant(p))
+    # Scaling by a power of two is exact, so normal-range coefficients give
+    # the same rays bit for bit, and b^2 - 4ac never becomes subnormal.
+    e = math.frexp(max(abs(p.a), abs(p.b), abs(p.c)))[1]
+    a, b, c = (math.ldexp(v, -e) for v in (p.a, p.b, p.c))
+    scale = math.sqrt(a * a + b * b + c * c)
+    sqrt_d = math.sqrt(b * b - 4.0 * a * c)
     # The paired-root formulas are cancellation-free for any nonzero a, so
     # the chi = 0 fallback is reserved for leading coefficients so small the
     # exact root q/a (bounded by scale/|a|) would overflow useful range.
-    if abs(p.a) > 1e-30 * scale:
+    if abs(a) > 1e-30 * scale:
         # cancellation-free root pairing: one root via (-b -/+ sqrt_d)/2a,
         # the other via c divided by the same quantity
-        if p.b >= 0.0:
-            q = -0.5 * (p.b + sqrt_d)
-            s_minus = q / p.a
-            s_plus = p.c / q if q != 0.0 else (-p.b + sqrt_d) / (2.0 * p.a)
+        if b >= 0.0:
+            q = -0.5 * (b + sqrt_d)
+            s_minus = q / a
+            s_plus = c / q if q != 0.0 else (-b + sqrt_d) / (2.0 * a)
         else:
-            q = -0.5 * (p.b - sqrt_d)
-            s_plus = q / p.a
-            s_minus = p.c / q if q != 0.0 else (-p.b - sqrt_d) / (2.0 * p.a)
+            q = -0.5 * (b - sqrt_d)
+            s_plus = q / a
+            s_minus = c / q if q != 0.0 else (-b - sqrt_d) / (2.0 * a)
         return np.array([-s_minus, -1.0]), np.array([s_plus, 1.0])
     # a == 0: one boundary line is chi = 0, the other b*xi + c*chi = 0
     # (b != 0 since the discriminant is b^2); scale by b for invariance.
-    return np.array([1.0, 0.0]), np.array([-p.c / p.b, 1.0])
+    return np.array([1.0, 0.0]), np.array([-c / b, 1.0])
 
 
 def _unit(v: np.ndarray) -> tuple[float, float]:

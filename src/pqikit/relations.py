@@ -155,13 +155,6 @@ class IntegralFunction:
             for x, v in zip(self.grid, self.values):
                 w.writerow([repr(float(x)), repr(float(v))])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "convexity_certificate": self.convexity_certificate,
-        }
-
 
 def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
     """Nonnegative discrete second differences, with a relative band."""
@@ -391,8 +384,21 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
     Only 2*gap + 1 samples lie within ``gap`` steps of a point, so if a
     point has 2*gap + 2 neighbours inside the radius one of them is
     parameter-distant: querying that many neighbours (or all samples, if
-    fewer) keeps the test exact.
+    fewer) keeps the test exact.  Exact repeats are found first, with one
+    sort: a k-d tree cannot split them, so many of them would make the
+    query quadratic.
     """
+    # each point as one complex number, which numpy sorts by (u, y); the
+    # stable sort keeps a repeat's indices ascending
+    z = np.ascontiguousarray(pts).view(np.complex128).ravel()
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    repeat = zs[1:] == zs[:-1]
+    if radius > 0.0 and repeat.any():
+        run = np.flatnonzero(np.r_[True, ~repeat])
+        last = np.r_[run[1:], len(pts)] - 1
+        if np.any(order[last] - order[run] > gap):
+            return False
     k = min(2 * gap + 2, len(pts))
     dist, idx = cKDTree(pts).query(pts, k=k, distance_upper_bound=radius)
     near = np.abs(idx - np.arange(len(pts))[:, None]) > gap

@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteState,
     SingularTransform,
 )
-from .network import agent_call, bracket_roots, rk4_step
+from .network import agent_call, bracket_roots
 from .pqi import PQI, PassivityIndices, boundary_rays
 
 
@@ -220,6 +220,15 @@ def _storage_rate(storage, x, x_eq, xdot, eps_scale: float = 1e-6):
     return (storage(x + step, x_eq) - storage(x - step, x_eq)) / (2.0 * step) * xdot
 
 
+def rk4_step(f, x, dt: float, *args):
+    """One classical RK4 step of dx/dt = f(x, *args)."""
+    k1 = f(x, *args)
+    k2 = f(x + 0.5 * dt * k1, *args)
+    k3 = f(x + 0.5 * dt * k2, *args)
+    k4 = f(x + dt * k3, *args)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def verify_passivation(
     system,
     transform: Transform2,
@@ -266,7 +275,7 @@ def verify_passivation(
         if k % eval_stride == 0:
             xs.append(x)
             us.append(u)
-        x = rk4_step(f, x, dt, f(x, u), u)
+        x = rk4_step(f, x, dt, u)
         if not np.isfinite(x).all():
             raise NonFiniteState(f"trajectory blew up at t = {k * dt:.3f}")
 

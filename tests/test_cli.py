@@ -167,6 +167,20 @@ class TestCaseStudy:
         for name in ("lti_report.json", "case_study_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_gradient_network_passes_and_reruns_byte_identical(self, tmp_path,
+                                                                 capsys):
+        # both runs write to one directory, so the manifests' paths agree
+        argv = ["case-study", "gradient-network", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+        summary = json.loads(first["case_study_summary.json"])
+        checks = {c["name"]: c for c in summary["checks"]}
+        assert len(checks) == 4 and all(c["passed"] for c in checks.values())
+        assert checks["untransformed_clustering"]["detail"]["clusters"] >= 2
+
     def test_unknown_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["case-study", "bogus"])

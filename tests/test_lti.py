@@ -260,6 +260,17 @@ class TestTFPassivityIndices:
         idx = tf_passivity_indices(RationalTF.make([0.0], [1.0, 1.0]))
         assert (idx.rho, idx.nu) == (math.inf, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 1.0, 7.0, 1e4])
+    def test_imaginary_axis_zero_has_unbounded_output_index(self, alpha):
+        # G(alpha s) with G = (s^2 + 1)/(s^2 + s + 2): with x = omega^2,
+        # Re 1/G = (2 - x)/(1 - x) has a pole at x = 1, so rho = -inf, and
+        # Re G = 1 - 2/(x^2 - 3x + 4) is smallest at x = 3/2: nu = -1/7
+        G = RationalTF.make([1.0, 0.0, alpha * alpha],
+                            [2.0, alpha, alpha * alpha])
+        idx = tf_passivity_indices(G)
+        assert idx.rho == -math.inf
+        assert abs(idx.nu + 1.0 / 7.0) <= 1e-12
+
 
 def _pipeline(G):
     """lambda, mu, indices, strict indices and stabilized-loop peak of G."""

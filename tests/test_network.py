@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqikit.network as network_module
 from pqikit import (
@@ -38,6 +40,7 @@ from pqikit.errors import (
 )
 from pqikit.systems import (
     nonmonotone_demo_agent,
+    odd_cubic_agent,
     pendulum_gradient_agent,
     pendulum_network,
     quadratic_agent,
@@ -95,6 +98,28 @@ class TestSimulate:
         with pytest.raises(NonFiniteState):
             simulate(spec)
 
+    def test_non_finite_trial_step_is_retried(self):
+        # sqrt(x) is NaN below zero: once x is tiny, steps of a few time
+        # units put some stages there, and those steps are retried smaller
+        nan_calls = []
+
+        def flow(x, u):
+            dx = -x + 0.0 * np.sqrt(x)
+            nan_calls.append(not np.isfinite(dx).all())
+            return dx
+
+        spec = NetworkSpec(
+            Graph(1, ()), (AgentODE(f=flow, h=lambda x, u: x),), (),
+            np.array([1.0]),
+            IntegratorConfig(horizon=60.0, convergence_window=10.0,
+                             stop_on_convergence=False))
+        with np.errstate(invalid="ignore"):
+            sim = simulate(spec)
+        assert any(nan_calls)
+        assert sim.t[-1] == 60.0
+        np.testing.assert_allclose(sim.y[:, 0], np.exp(-sim.t), rtol=0.0,
+                                   atol=1e-8)
+
     @pytest.mark.parametrize("layout", ["per-vertex", "alternating"])
     @pytest.mark.parametrize("transformed", [False, True])
     def test_shared_agent_matches_scalar_evaluation(self, layout, transformed):
@@ -117,6 +142,58 @@ class TestSimulate:
         assert a.converged == b.converged
         assert a.t[-1] == b.t[-1]
         np.testing.assert_allclose(a.y, b.y, rtol=0.0, atol=1e-9)
+
+    def test_odd_cubic_path_converges(self):
+        # consensus y = 1 on the steady-state relation u = y^3 - y (u = 0)
+        agent = odd_cubic_agent()
+        spec = NetworkSpec(Graph.path(5), (agent,) * 5,
+                           (ControllerSpec(gain=1.0),) * 4,
+                           np.linspace(-2.0, 2.5, 5))
+        sim = simulate(spec)
+        assert sim.converged
+        np.testing.assert_allclose(sim.steady_state, np.ones(5), atol=1e-5)
+
+    def test_cube_root_network_at_the_step_floor(self):
+        # near its cube-root equilibrium x = 0 this network pins the step to
+        # the floor dt; there a step costs 6 calls of f against RK4's 4, and
+        # fewer steps than fixed steps of dt must keep the total under 1.5x
+        calls = []
+        demo = nonmonotone_demo_agent()
+
+        def counted_f(x, u):
+            calls.append(1)
+            return demo.f(x, u)
+
+        agent = replace(demo, f=counted_f)
+        cfg = IntegratorConfig(horizon=20.0)
+        spec = NetworkSpec(Graph.path(5), (agent,) * 5,
+                           (ControllerSpec(gain=1.0),) * 4,
+                           np.linspace(-2.0, 2.5, 5), cfg)
+        spec = apply_network_transform(spec, [Transform2(1.0, 1.0, 1.0, 2.0)] * 5)
+        sim = simulate(spec)
+        assert len(calls) <= 1.5 * 4 * cfg.horizon / cfg.dt
+        assert np.max(np.abs(sim.steady_state)) <= 1e-4
+
+    @given(st.floats(-3.0, 3.0))
+    @settings(max_examples=12, deadline=None)
+    def test_time_scaling_keeps_verdict_and_steady_state(self, log_alpha):
+        # f -> alpha f is the same flow in time t / alpha: with dt, horizon
+        # and window divided by alpha and tol_conv multiplied by it, each
+        # step is the same step in scaled time up to rounding.  Rounding can
+        # move the stop by one step, over which |dx| < tol_conv * window.
+        alpha = 10.0 ** log_alpha
+        base = pendulum_network()
+        agent = base.agents[0]
+        fast = replace(agent, f=lambda x, u: alpha * agent.f(x, u))
+        cfg = base.integrator
+        scaled = replace(base, agents=(fast,) * 5, integrator=replace(
+            cfg, dt=cfg.dt / alpha, horizon=cfg.horizon / alpha,
+            convergence_window=cfg.convergence_window / alpha,
+            tol_conv=cfg.tol_conv * alpha))
+        want, got = simulate(base), simulate(scaled)
+        assert want.converged and got.converged
+        np.testing.assert_allclose(got.steady_state, want.steady_state, rtol=0.0,
+                                   atol=cfg.tol_conv * cfg.convergence_window)
 
     def test_non_broadcasting_agent_is_located(self):
         def math_sine_flow(x, u):

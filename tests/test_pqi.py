@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqikit import (
@@ -73,6 +73,7 @@ class TestBoundaryRays:
 
     @given(nontrivial_pqis())
     @settings(max_examples=200, deadline=None)
+    @example(PQI(2.4666937367612336e-161, 2.4666937367612336e-161, 0.0))
     def test_rays_satisfy_equality(self, p):
         for ray in boundary_rays(p):
             ray = ray / np.linalg.norm(ray)

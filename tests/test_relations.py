@@ -309,6 +309,17 @@ class TestShapeChecks:
         assert not report.cursive
         assert not report.diverges
 
+    def test_many_coincident_samples_stay_fast(self):
+        # a k-d tree cannot split 40 001 equal points, so a query of their
+        # neighbours alone compares every pair; the repeats decide first
+        n = 40001
+        rel = PlanarRelation("param", np.full(n, 2.0), np.full(n, -1.0),
+                             sigma=np.arange(float(n)))
+        start = time.perf_counter()
+        report = is_cursive(rel)
+        assert time.perf_counter() - start <= 0.5
+        assert not report.no_self_intersection
+
     def test_sampled_representation_rejected(self):
         with pytest.raises(WrongRepresentation):
             is_cursive(PlanarRelation.from_points([0.0, 1.0], [0.0, 1.0]))
@@ -363,6 +374,17 @@ def self_intersection_cases():
     for name, n in (("spiral_touching", 105), ("spiral_clear", 116)):
         theta = np.linspace(2.0 * np.pi, 12.0 * np.pi, n)
         cases[name] = param_relation(theta * np.cos(theta), theta * np.sin(theta))
+    # exact repeats: a parabola that pauses on one sample for 12 or 25
+    # samples, and a unit-step square that returns onto its first sample
+    t = np.linspace(0.0, 1.0, 200)
+    for name, held in (("pause_within_gap", 12), ("pause_beyond_gap", 25)):
+        counts = np.ones(200, dtype=int)
+        counts[50] = held
+        cases[name] = param_relation(np.repeat(t, counts), np.repeat(t * t, counts))
+    side = np.arange(10.0)
+    cases["square_closing"] = param_relation(
+        np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(11)],
+        np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(11.0)])
     return cases
 
 
