@@ -7,8 +7,9 @@ an adaptive Dormand–Prince 5(4) pair whose step never falls below the
 configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
-Newton solver on C¹ models of the sampled potentials.  It also holds the
-array-at-a-time root bracketer shared with the equilibrium search.
+Newton solver on C¹ models of the sampled potentials and their exact
+conjugates.  It also holds the root bracketer shared with the equilibrium
+search.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .relations import (
     integral_function,
     is_maximal_monotone,
     is_monotone,
-    legendre,
     transform_relation,
 )
 
@@ -333,8 +333,8 @@ def simulate(spec: NetworkSpec) -> SimResult:
     the loop y = h(x,0) + D u, u = -E G Eᵀ y is linear in y and solved with
     an inverse computed once.  The convergence flag is set, at an accepted
     step, once the last step end with max state-derivative norm not below
-    ``tol_conv`` lies at least ``convergence_window`` back; by default
-    integration stops there.
+    ``tol_conv`` lies at least ``convergence_window`` back, less dt/100 so
+    that rounding cannot decide a tie; by default integration stops there.
     """
     cfg = spec.integrator
     if cfg.dt <= 0.0:
@@ -412,7 +412,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
         K[0] = K[6]
         if not float(np.abs(K[0]).max(initial=0.0)) < cfg.tol_conv:
             last_moving = t
-        if t - last_moving >= window:
+        if t - last_moving >= window - 0.01 * dt:
             converged = True
             if cfg.stop_on_convergence:
                 break
@@ -513,43 +513,60 @@ class OptimizationResult:
     residual: float
 
 
-def _require_convex(funs) -> None:
+def _c1_models(funs) -> list:
+    """C¹ model (grid, nodal slopes, nodal values) of each certified-convex Fᵢ.
+
+    A model's derivative is the linear interpolant of the nodal slopes, the
+    averages of adjacent cell slopes (the end cell slopes at the ends), so
+    it is nondecreasing whenever the cell slopes are; the end cells'
+    quadratics extend it past the grid.  It reproduces a quadratic sampled
+    on a uniform grid exactly.
+    """
     for i, F in enumerate(funs):
         if not F.convexity_certificate:
             raise NonConvexCertificate(
                 f"vertex {i}: potential failed the convexity certificate")
 
+    def model(F: IntegralFunction):
+        s = np.diff(F.values) / np.diff(F.grid)
+        d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
+        return _integrated(F.grid, d, F.values[0])
 
-def _c1_model(F: IntegralFunction):
-    """Grid, nodal slopes and nodal values of the C¹ model of F.
+    return _once_per_object(funs, model)
 
-    The model's derivative is the linear interpolant of the nodal slopes,
-    the averages of adjacent cell slopes (the end cell slopes at the ends),
-    so it is nondecreasing whenever the cell slopes are; the end cells'
-    quadratics extend it past the grid.  It reproduces a quadratic sampled
-    on a uniform grid exactly.
+
+def _integrated(x, d, first):
+    """The model (x, d, m) whose nodal values m integrate d from ``first``."""
+    return x, d, np.concatenate(
+        ([first], first + np.cumsum(0.5 * np.diff(x) * (d[:-1] + d[1:]))))
+
+
+def _conjugate(model):
+    """C¹ model of the convex conjugate of the model (x, d, m).
+
+    Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
+    the convexity certificate tolerates are lifted, a run of d flat to within
+    4 ulps of the values per cell width (a kink of the conjugate) becomes one
+    node at its mean abscissa; the values are integrated from the first node.
     """
-    x, v = F.grid, F.values
-    h = np.diff(x)
-    s = np.diff(v) / h
-    d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
-    m = np.concatenate(([v[0]], v[0] + np.cumsum(0.5 * h * (d[:-1] + d[1:]))))
-    return x, d, m
+    x, d, m = model
+    d = np.maximum.accumulate(d)
+    rounding = 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
+    new = np.diff(d, prepend=-np.inf) > rounding
+    run = np.cumsum(new) - 1
+    return _integrated(d[new], np.bincount(run, x) / np.bincount(run), x[0] * d[0] - m[0])
 
 
-def _minimize_convex(node_funs, B, Q):
+def _minimize_convex(models, B, Q):
     """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by trust-region Newton.
 
-    Each certified-convex Fᵢ is replaced by its C¹ piecewise-quadratic
-    model, so value, gradient and Hessian are exact for the model.  Returns
-    the minimizer, the objective with the sampled Fᵢ themselves, the
-    iteration count and the gradient residual.  Convergence is judged by
-    that residual against the size of the gradient's two parts, not by the
-    optimizer's status: at a minimum it often reports that rounding hid
-    the predicted decrease.
+    Each Fᵢ is a convex C¹ piecewise-quadratic model (x, d, m), so value,
+    gradient and Hessian are exact.  Returns the minimizer, the objective,
+    the iteration count and the gradient residual, which is judged against
+    the size of the gradient's two parts, not by the optimizer's status: it
+    often stops when rounding hides the predicted decrease of a large
+    objective, and then one exact Newton step is kept if it lowers the residual.
     """
-    _require_convex(node_funs)
-    models = _once_per_object(node_funs, _c1_model)
 
     def pieces(w):
         """Value, slope and curvature of each model at the matching w."""
@@ -576,12 +593,13 @@ def _minimize_convex(node_funs, B, Q):
         res = minimize(fun, z, jac=True, hess=hess, method="trust-exact",
                        options={"gtol": 1e-6})
         z, iterations = res.x, int(res.nit)
-    w = B @ z
-    Qz = Q @ z
-    objective = float(sum(F(wi) for F, wi in zip(node_funs, w)) + 0.5 * z @ Qz)
+        if res.status != 0:
+            step = np.linalg.lstsq(hess(z), fun(z)[1], rcond=None)[0]
+            z = min((z, z - step), key=lambda v: np.abs(fun(v)[1]).max())
+    objective = float(fun(z)[0])
     if not np.isfinite(objective):
         raise NoConvergence("steady-state problem has a non-finite objective")
-    node_part = B.T @ pieces(w)[1]
+    node_part, Qz = B.T @ pieces(B @ z)[1], Q @ z
     residual = float(np.abs(node_part + Qz).max(initial=0.0))
     bound = 1e-6 * (1.0 + max(np.abs(node_part).max(initial=0.0),
                               np.abs(Qz).max(initial=0.0)))
@@ -590,9 +608,6 @@ def _minimize_convex(node_funs, B, Q):
             f"steady-state problem stopped with gradient residual "
             f"{residual:.3e} > {bound:.3e}")
     return z, objective, iterations, residual
-
-
-DEFAULT_OPT_GRID = np.linspace(-20.0, 20.0, 4001)
 
 
 def _agent_kstar(agent: AgentODE) -> IntegralFunction:
@@ -608,17 +623,17 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     diagonal of edge gains, so the edge terms are the exact quadratics
     gₑ/2·ζₑ².  K*ᵢ is each agent's relation integrated in the inverse
     direction unless ``node_potentials`` supplies it; every K*ᵢ must carry
-    the convexity certificate.  The minimizer is found on the C¹ models of
-    the K*ᵢ (see :func:`_minimize_convex`) and the reported objective uses
-    the sampled K*ᵢ.  ``grid`` is accepted for symmetry with
-    :func:`solve_ofp`; the potential problem does not use it.
+    the convexity certificate.  The problem is solved, and its objective
+    reported, on the C¹ models of the K*ᵢ (see :func:`_minimize_convex`).
+    ``grid`` is accepted for symmetry with :func:`solve_ofp`; neither
+    problem uses it.
     """
     if node_potentials is None:
         node_potentials = _once_per_object(spec.agents, _agent_kstar)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     y, fval, iters, residual = _minimize_convex(
-        node_potentials, np.eye(spec.graph.vertex_count), E @ (gains[:, None] * E.T))
+        _c1_models(node_potentials), np.eye(len(E)), E @ (gains[:, None] * E.T))
     return OptimizationResult(y, fval, y, E.T @ y, iters, residual)
 
 
@@ -626,22 +641,22 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     """Steady-state flows from the optimal flow problem over edge variables.
 
     Minimizes Σᵢ Kᵢ((-Eμ)ᵢ) + Σₑ μₑ²/(2gₑ) over the edge flows μ.  Kᵢ is the
-    discrete Legendre transform, on ``grid`` (default ``DEFAULT_OPT_GRID``),
-    of the agent potential K*ᵢ used by :func:`solve_opp`, unless
-    ``node_potentials`` supplies it; the K*ᵢ, or the supplied Kᵢ, must carry
-    the convexity certificate.  Solved and reported like the potential
-    problem, so at the optimum the two objectives sum to zero.
+    exact conjugate of the C¹ model of the agent potential K*ᵢ used by
+    :func:`solve_opp`, unless ``node_potentials`` supplies Kᵢ; the K*ᵢ, or
+    the supplied Kᵢ, must carry the convexity certificate.  Solved and
+    reported like the potential problem, so at the optimum the two
+    objectives sum to zero.  ``grid`` is accepted for symmetry with
+    :func:`solve_opp`; neither problem uses it.
     """
     if node_potentials is None:
-        if grid is None:
-            grid = DEFAULT_OPT_GRID
-        kstars = _once_per_object(spec.agents, _agent_kstar)
-        _require_convex(kstars)
-        node_potentials = _once_per_object(kstars, lambda F: legendre(F, grid))
+        models = _once_per_object(
+            _c1_models(_once_per_object(spec.agents, _agent_kstar)), _conjugate)
+    else:
+        models = _c1_models(node_potentials)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     mu, fval, iters, residual = _minimize_convex(
-        node_potentials, -E, np.diag(1.0 / gains))
+        models, -E, np.diag(1.0 / gains))
     return OptimizationResult(mu, fval, -E @ mu, mu, iters, residual)
 
 

@@ -19,7 +19,6 @@ from pqikit import (
     PassivityIndices,
     PlanarRelation,
     Transform2,
-    apply_network_transform,
     compose_via_stages,
     decompose,
     discriminant,
@@ -28,19 +27,18 @@ from pqikit import (
     mapping_transform,
     passivize,
     pullback,
-    simulate,
     solve_ofp,
     solve_opp,
     transform_relation,
     transformed_tf,
     verify_passivation,
 )
+from pqikit.cli import _case_study_gradient_network
 from pqikit.lti import eips_indices, loop_mu, tf_passivity_indices, RationalTF
 from pqikit.relations import OF_K_INVERSE
 from pqikit.systems import (
     nonmonotone_demo_agent,
     odd_cubic_agent,
-    pendulum_network,
     quadratic_network,
     unstable_plant_tf,
 )
@@ -215,29 +213,21 @@ def test_criterion_6_integral_function_rules():
     )
 
 
-def test_criterion_7_network_consensus_and_clustering():
+def test_criterion_7_network_consensus_and_clustering(tmp_path):
+    # the checks of the CLI gradient-network case study, run by its own code
     t0 = time.perf_counter()
-    spec = pendulum_network()
-    T = passivize(PassivityIndices(-2.5, 0.0), PassivityIndices(0.0, 0.0))
-    tspec = apply_network_transform(spec, [T] * spec.graph.vertex_count)
-
-    sim_t = simulate(tspec)
-    y_inf = float(np.max(np.abs(sim_t.steady_state)))
-    opt = solve_opp(tspec)
-    pred_gap = float(np.max(np.abs(sim_t.steady_state - opt.primal)))
-
-    sim_u = simulate(spec)
-    terminal = np.sort(sim_u.steady_state)
-    gaps = np.diff(terminal)
-    clusters = 1 + int(np.sum(gaps > 1.0))
+    checks, _ = _case_study_gradient_network(str(tmp_path))
     elapsed = time.perf_counter() - t0
+    detail = {c["name"]: c["detail"] for c in checks}
+    y_inf = float(np.max(np.abs(
+        detail["transformed_consensus_at_zero"]["terminal_y"])))
 
     _report(
         "criterion-7 network consensus and clustering",
-        (sim_t.converged and y_inf <= 1e-3 and pred_gap <= 1e-2
-         and clusters >= 2 and elapsed < 60.0),
+        all(c["passed"] for c in checks) and elapsed < 60.0,
         f"transformed |y|_inf {y_inf:.2e} (<=1e-3), prediction gap "
-        f"{pred_gap:.2e} (<=1e-2), untransformed clusters {clusters} (>=2, "
+        f"{detail['prediction_agreement']['gap']:.2e} (<=1e-2), untransformed "
+        f"clusters {detail['untransformed_clustering']['clusters']} (>=2, "
         f"separation >1), {elapsed:.1f}s (<60s)",
     )
 

@@ -150,7 +150,12 @@ class TestPullback:
         v2 = back.normalized().coeffs
         if np.dot(v1, v2) < 0:
             v2 = -v2  # same inequality scaled by a positive factor
-        np.testing.assert_allclose(v1, v2, atol=1e-8)
+        # T.inverse() rounds, and each pullback applies a map twice, so the
+        # round trip loses about cond(T)²·eps whatever pullback does; 20 000
+        # random draws and a 20 000-example search maximizing the error
+        # stayed below 1.5 cond(T)²·eps
+        tol = 4.0 * np.linalg.cond(T.matrix()) ** 2 * np.finfo(float).eps
+        np.testing.assert_allclose(v1, v2, rtol=0.0, atol=tol)
 
     @given(nontrivial_pqis(), st.floats(0.1, 50.0))
     @settings(max_examples=100, deadline=None)
