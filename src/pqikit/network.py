@@ -3,13 +3,13 @@
 Agents sit on vertices and static positive gains on the edges of a directed
 graph; the coupling is ζ = Eᵀy, μ = Gζ, u = −Eμ with E the incidence matrix
 and G the diagonal of edge gains.  The module integrates the closed loop with
-an adaptive Dormand–Prince 5(4) pair whose step never falls below the
+an adaptive Dormand–Prince 5(4) stepper whose step never falls below the
 configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
 Newton solver on C¹ models of the sampled potentials and their exact
-conjugates.  It also holds the root bracketer shared with the equilibrium
-search.
+conjugates.  The stepper and the root bracketer are shared with the
+dissipation certificate and the equilibrium search.
 """
 
 from __future__ import annotations
@@ -311,22 +311,70 @@ _DP_DENSE = np.array([
      -10690763975 / 1880347072, 701980252875 / 199316789632,
      -1453857185 / 822651844, 69997945 / 29380423],
 ])
-# step acceptance: RMS over vertices of error / (ATOL + RTOL·|x|) at most 1
+# step acceptance: RMS over components of error / (ATOL + RTOL·|x|) at most 1
 SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
+
+
+def dormand_prince(f, x, t: float, t_end: float, dt: float, h_max: float,
+                   stride: int):
+    """Accepted steps of an adaptive Dormand–Prince 5(4) pair for dx/dt = f(x).
+
+    Steps from (t, x) to ``t_end``, with steps between the floor ``dt`` and
+    ``h_max`` that meet ``SIM_RTOL`` and ``SIM_ATOL`` (RMS over x).  A step at
+    the floor is accepted whatever its error; a non-finite step above the
+    floor is retried smaller, one at the floor raises :class:`NonFiniteState`.
+    Yields each accepted step's end time, state and derivative (overwritten
+    by the next step), and the 4th-order interpolant's rows (times, states)
+    at the multiples of ``stride·dt`` in [step start, step end).
+    """
+    rms = 1.0 / np.sqrt(max(x.size, 1))
+    no_rows = (np.empty(0), np.empty((0,) + x.shape))
+    K = np.empty((7,) + x.shape)  # stages of the current step
+    K[0] = f(x)
+    next_row = max(int(t / (stride * dt)) - 1, 0)  # first row at or after t
+    while next_row * stride * dt < t:
+        next_row += 1
+    h = dt
+    while t < t_end:
+        h = min(max(h, dt), h_max)
+        at_floor = h <= dt or t_end - t <= dt
+        if t_end - t - h < 0.01 * dt:  # land on t_end
+            h = t_end - t
+        for s, weights in enumerate(_DP_STAGES, start=1):
+            x_new = x + (h * weights) @ K[:s]
+            K[s] = f(x_new)
+        finite = bool(np.isfinite(x_new).all())
+        scale = SIM_ATOL + SIM_RTOL * np.maximum(abs(x), abs(x_new))
+        err = rms * float(np.linalg.norm(h * (_DP_ERROR @ K) / scale)) if finite else np.inf
+        factor = min(10.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+        if not (err <= 1.0 or at_floor):
+            h *= factor
+            continue
+        if not finite:
+            raise NonFiniteState(f"state blew up at t = {t:.3f}")
+        t_new = t_end if t_end - t <= h else t + h
+        rows_end = next_row
+        while rows_end * stride * dt < t_new:
+            rows_end += 1
+        rows = no_rows
+        if rows_end > next_row:
+            row_t = np.arange(next_row, rows_end) * stride * dt
+            sigma = (row_t - t) / h
+            rows = row_t, x + h * (sigma[:, None] ** np.arange(1, 5) @ (_DP_DENSE @ K))
+            next_row = rows_end
+        t, x = t_new, x_new
+        K[0] = K[6]
+        yield (t, x, K[0], *rows)
+        h *= factor
 
 
 def simulate(spec: NetworkSpec) -> SimResult:
     """Adaptive Dormand–Prince 5(4) integration of the diffusively-coupled loop.
 
-    The step adapts to a fixed error tolerance (``SIM_RTOL``, ``SIM_ATOL``)
-    between the floor ``dt`` and half the convergence window, and never
-    passes the horizon (``horizon`` rounded to a multiple of ``dt``).  A step
-    at the floor is accepted whatever its error estimate, so no run takes
-    more steps than fixed steps of ``dt`` would; a non-finite step above the
-    floor is retried with a smaller one, and only a non-finite step at the
-    floor raises :class:`NonFiniteState`.  Rows are stored at multiples of
-    ``store_stride·dt`` from the pair's 4th-order interpolant, plus a final
-    row at the stop time.
+    :func:`dormand_prince` steps it between the floor ``dt`` and half the
+    convergence window up to ``horizon`` rounded to a multiple of ``dt``, so
+    no run takes more steps than fixed steps of ``dt``.  Rows are stored at
+    multiples of ``store_stride·dt``, plus a final row at the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
     the stored signals satisfy them exactly.  With constant feedthrough D
@@ -367,56 +415,22 @@ def simulate(spec: NetworkSpec) -> SimResult:
         return _evaluate(f_groups, x, signals(x)[0])
 
     dt = cfg.dt
-    t_end = int(round(cfg.horizon / dt)) * dt
     window = max(cfg.convergence_window, dt)
-    h_max = max(0.5 * window, dt)
-    rms = 1.0 / np.sqrt(max(n, 1))
-    t, h = 0.0, dt
-    x = np.atleast_1d(np.asarray(spec.x0, dtype=float)).copy()
-    K = np.empty((7, n))  # stages of the current step
-    K[0] = xdot(x)
+    t, x = 0.0, np.atleast_1d(np.asarray(spec.x0, dtype=float))
     stored_t, stored_x = [], []
-    next_row = 0  # index of the next stored row, at next_row·store_stride·dt
     last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
-    while t < t_end:
-        h = min(max(h, dt), h_max)
-        at_floor = h <= dt
-        if t_end - t - h < 0.01 * dt:  # land on the horizon
-            h = t_end - t
-            at_floor = at_floor or h <= dt
-        for s, weights in enumerate(_DP_STAGES, start=1):
-            x_new = x + (h * weights) @ K[:s]
-            K[s] = xdot(x_new)
-        finite = bool(np.isfinite(x_new).all())
-        scale = SIM_ATOL + SIM_RTOL * np.maximum(abs(x), abs(x_new))
-        err = rms * float(np.linalg.norm(h * (_DP_ERROR @ K) / scale)) if finite else np.inf
-        factor = min(10.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
-        if not (err <= 1.0 or at_floor):
-            h *= factor
-            continue
-        if not finite:
-            raise NonFiniteState(f"state blew up at t = {t:.3f}")
-        t_new = t_end if t_end - t <= h else t + h
-        rows_end = next_row
-        while rows_end * cfg.store_stride * dt < t_new:
-            rows_end += 1
-        if rows_end > next_row:
-            row_t = np.arange(next_row, rows_end) * cfg.store_stride * dt
-            sigma = (row_t - t) / h
-            stored_t.append(row_t)
-            stored_x.append(x + h * (sigma[:, None] ** np.arange(1, 5)
-                                     @ (_DP_DENSE @ K)))
-            next_row = rows_end
-        t, x = t_new, x_new
-        K[0] = K[6]
-        if not float(np.abs(K[0]).max(initial=0.0)) < cfg.tol_conv:
+    for t, x, x_dot, row_t, row_x in dormand_prince(
+            xdot, x, 0.0, int(round(cfg.horizon / dt)) * dt, dt,
+            max(0.5 * window, dt), cfg.store_stride):
+        stored_t.append(row_t)
+        stored_x.append(row_x)
+        if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
             last_moving = t
         if t - last_moving >= window - 0.01 * dt:
             converged = True
             if cfg.stop_on_convergence:
                 break
-        h *= factor
 
     stored_t.append([t])
     stored_x.append(x[None])
@@ -547,14 +561,21 @@ def _conjugate(model):
     Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
     the convexity certificate tolerates are lifted, a run of d flat to within
     4 ulps of the values per cell width (a kink of the conjugate) becomes one
-    node at its mean abscissa; the values are integrated from the first node.
+    node at its mean abscissa.  A run's value error then shifts every node
+    beyond it, so the values are integrated from an exact node: the median
+    node of strict slope increase (else the first node).
     """
     x, d, m = model
     d = np.maximum.accumulate(d)
     rounding = 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
     new = np.diff(d, prepend=-np.inf) > rounding
     run = np.cumsum(new) - 1
-    return _integrated(d[new], np.bincount(run, x) / np.bincount(run), x[0] * d[0] - m[0])
+    count = np.bincount(run)
+    single = np.flatnonzero(count == 1)
+    anchor = single[len(single) // 2] if len(single) else 0
+    k = np.searchsorted(run, anchor)
+    dc, xc, mc = _integrated(d[new], np.bincount(run, x) / count, 0.0)
+    return dc, xc, mc + (x[k] * d[k] - m[k] - mc[anchor])
 
 
 def _minimize_convex(models, B, Q):

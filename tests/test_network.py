@@ -239,6 +239,25 @@ class TestSimulate:
         with pytest.raises(InvalidSpec, match="singular"):
             simulate(spec)
 
+    def test_feedthrough_loop_matches_closed_form(self):
+        # x' = -x + u + c, y = x + D·u rests at y = c + (1 + D)·u with
+        # u = -E G Eᵀ y, so y* = (I + (1 + D)·E G Eᵀ)⁻¹ c
+        D, gain, centers = 0.5, 1.5, np.array([1.0, -2.0, 0.5, 3.0])
+        agents = tuple(AgentODE(f=lambda x, u, c=c: -x + u + c,
+                                h=lambda x, u: x + D * u, feedthrough=D)
+                       for c in centers)
+        n = len(centers)
+        spec = NetworkSpec(Graph.path(n), agents,
+                           (ControllerSpec(gain=gain),) * (n - 1), np.zeros(n),
+                           FAST)
+        sim = simulate(spec)
+        E = spec.graph.incidence_matrix()
+        want = np.linalg.solve(np.eye(n) + (1.0 + D) * gain * E @ E.T, centers)
+        assert sim.converged
+        np.testing.assert_allclose(sim.steady_state, want, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(sim.y, sim.x + D * sim.u, rtol=0.0,
+                                   atol=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             NetworkSpec(Graph(2, ((0, 1),)), (quadratic_agent(),),
@@ -432,8 +451,14 @@ class TestSolvers:
         spec = NetworkSpec(Graph.path(2), (_relation_agent(u_of_y),
                                            quadratic_agent(center)),
                            (ControllerSpec(gain=1.0),), np.zeros(2))
-        _, ofp, u = self._duals(spec)
+        opp, ofp, u = self._duals(spec)
         np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-3)
+        # where u(y) is not flat at the solution, the flow sits off every
+        # kink of the flow potential, whose model is exact there, so the
+        # objectives cancel; on a kink the model's smoothing remains
+        y = opp.primal[0]
+        if np.ptp(u_of_y(np.array([y - 1e-3, y + 1e-3]))) > 1e-6:
+            assert abs(opp.objective + ofp.objective) <= 1e-9
 
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_nonconvex_supplied_potential_rejected(self, solver):
@@ -493,6 +518,14 @@ class TestPredictAndVerify:
         spec = pendulum_network(n_agents=3, integrator=FAST)
         with pytest.raises(PreconditionFailed):
             predict_and_verify(spec, [Transform2.identity()] * 3)
+
+    def test_agent_without_relation_rejected(self):
+        bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
+        spec = NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
+                           (ControllerSpec(gain=1.0),), np.zeros(2), FAST)
+        with pytest.raises(PreconditionFailed,
+                           match="^agent 1: no steady-state relation declared$"):
+            predict_and_verify(spec, [Transform2.identity()] * 2)
 
 
 class TestJsonIngest:

@@ -1,5 +1,9 @@
 """Transform synthesis, elementary decomposition, dissipation certificate."""
 
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +22,12 @@ from pqikit import (
     solution_set,
     verify_passivation,
 )
-from pqikit.errors import NoStorageFunction, SingularTransform
+from pqikit.errors import (
+    InvalidSpec,
+    NonFiniteState,
+    NoStorageFunction,
+    SingularTransform,
+)
 from pqikit.network import AgentODE, bracket_roots
 from pqikit.systems import (
     nonmonotone_demo_agent,
@@ -219,6 +228,15 @@ class TestVerifyPassivation:
         for x_eq, u_eq, y_eq in eqs:
             assert abs(system.f(x_eq, u_eq)) < 1e-9
 
+    def test_non_broadcasting_agent_is_located(self):
+        def math_sine_flow(x, u):
+            return -math.sin(x) + u
+
+        agent = AgentODE(f=math_sine_flow, h=lambda x, u: x)
+        with pytest.raises(InvalidSpec,
+                           match="^agent: .*math_sine_flow failed on array input"):
+            find_equilibria(agent, [0.0])
+
     def test_transformed_system_certified(self):
         system = nonmonotone_demo_agent()
         report = verify_passivation(
@@ -243,6 +261,35 @@ class TestVerifyPassivation:
             PassivityIndices(0.0, 0.0), trials=20, horizon=5.0,
         )
         assert report.passed
+
+    def test_blow_up_names_the_trajectory_time(self):
+        # x' = x² from x0 = 2 leaves every bound at t = 1/x0 = 0.5, in the
+        # third of the ten input segments
+        runaway = AgentODE(f=lambda x, u: x * x, h=lambda x, u: x,
+                           storage=lambda x, xe: 0.5 * (x - xe) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState, match=r"t = \d") as err:
+            verify_passivation(runaway, Transform2.identity(),
+                               PassivityIndices(0.0, 0.0), trials=3,
+                               x0_range=(2.0, 2.0), horizon=2.0)
+        t = float(re.search(r"t = ([0-9.]+)", str(err.value)).group(1))
+        assert abs(t - 0.5) <= 0.01
+
+    def test_pendulum_certificate_work(self):
+        # the adaptive stepper takes long steps on the smooth pendulum
+        # trajectories; fixed steps of the 1e-3 floor would need 40 000 calls
+        calls = []
+        agent = pendulum_gradient_agent()
+
+        def counted_f(x, u):
+            calls.append(1)
+            return agent.f(x, u)
+
+        report = verify_passivation(replace(agent, f=counted_f),
+                                    Transform2(1.0, 2.5, 0.0, 1.0),
+                                    PassivityIndices(0.0, 0.0), trials=10)
+        assert report.passed
+        assert len(calls) <= 10_000
 
     def test_missing_storage_rejected(self):
         bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
