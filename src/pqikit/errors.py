@@ -92,3 +92,7 @@ class NoConvergence(ToolkitError):
 
 class PreconditionFailed(ToolkitError):
     """A condition required for steady-state prediction does not hold."""
+
+
+class NonFiniteValue(ToolkitError, ValueError):
+    """A coefficient or grid value is nan or infinite; the message says which."""

@@ -6,10 +6,13 @@ Peak gains and frequency-domain indices are exact extrema over omega >= 0:
 on the imaginary axis |G|^2, Re G and Re 1/G are ratios a(x)/b(x) of real
 polynomials in x = omega^2, so each extremum is the best of x = 0, the
 positive real roots of a'b - ab' and the limit x -> infinity; a zero of G
-on the axis makes Re 1/G unbounded instead.  The index
-formulas turn a stabilized loop gain into an equilibrium-independent
-passivity-index pair, and a loop transformation maps a transfer function
-through a 2x2 I/O change of coordinates.
+on the axis makes Re 1/G unbounded instead.  The stability test and this
+extremum work on rows, one polynomial problem per row, so a lambda grid
+search is one stacked solve: every shift q + lambda*p is screened, rescaled
+and scored at once, and a single transfer function is the one-row case.
+The index formulas turn a stabilized loop gain into an
+equilibrium-independent passivity-index pair, and a loop transformation
+maps a transfer function through a 2x2 I/O change of coordinates.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     DestabilizingLambda,
     DegreeDrop,
     NoStabilizingLambda,
+    NonFiniteValue,
     NonpositiveGain,
     SingularDenominator1p2lm,
     UnstableDenominator,
@@ -63,7 +67,12 @@ class RealPolynomial:
 
     @classmethod
     def make(cls, coeffs) -> "RealPolynomial":
-        c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        if not np.isfinite(c).all():
+            i = int(np.argmin(np.isfinite(c)))
+            raise NonFiniteValue(
+                f"coefficient {i} (of s^{i}) of {c.tolist()} is {c[i]}")
+        c = np.trim_zeros(c, "b")
         return cls(tuple(float(v) for v in c) or (0.0,))
 
     @property
@@ -85,18 +94,6 @@ class RealPolynomial:
 
     def scaled(self, k: float) -> "RealPolynomial":
         return RealPolynomial.make(np.asarray(self.coeffs) * k)
-
-
-def is_stable(q: RealPolynomial) -> bool:
-    """Every root r satisfies Re r < -STABILITY_MARGIN * |r|.
-
-    The margin is relative to each pole's magnitude, so the verdict does not
-    change when time is rescaled (s -> alpha*s).
-    """
-    if q.degree < 1:
-        raise DegenerateDegree("stability is undefined for constant polynomials")
-    r = q.roots()
-    return bool(np.all(r.real < -STABILITY_MARGIN * np.abs(r)))
 
 
 @dataclass(frozen=True)
@@ -146,48 +143,131 @@ class RationalTF:
         return cls.make(d["num"], d["den"])
 
 
-def _real_product(u, w):
-    """Re(u(j omega) conj(w(j omega))) in x = omega^2, trailing zeros trimmed.
+def _lengths(c: np.ndarray) -> np.ndarray:
+    """Per row, one past the last nonzero coefficient (0 for a zero row)."""
+    return ((c != 0.0) * np.arange(1, c.shape[1] + 1)).max(axis=1, initial=0)
 
-    Its odd powers of omega vanish exactly: u(j omega) has coefficients u_k j^k.
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of each row of c (ascending, equal lengths, nonzero tops).
+
+    One stacked eigenvalue solve of the companion matrices that
+    numpy.polynomial's polyroots builds.
     """
-    uj, wj = (c * np.array([1.0, 1j, -1.0, -1j])[np.arange(len(c)) % 4]
-              for c in (u, w))
-    return np.trim_zeros(P.polymul(uj, wj.conj()).real[::2], "b")
+    n = c.shape[1] - 1
+    A = np.zeros((len(c), n, n))
+    A[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(A)
 
 
-def _ratio_limit(a, b, end: int) -> float:
-    """Limit of a(x)/b(x) as x -> 0 (end 0) or x -> infinity (end -1)."""
-    ia, ib = np.flatnonzero(a)[end], np.flatnonzero(b)[end]
-    if ia == ib:
-        return float(a[ia] / b[ib])
-    return math.copysign(math.inf, a[ia] * b[ib]) if (ia < ib) == (end == 0) else 0.0
+def _stable(q: np.ndarray) -> np.ndarray:
+    """Per row of q: every root r satisfies Re r < -STABILITY_MARGIN * |r|.
+
+    Rows share a length and have nonzero tops; constants count as stable.
+    A zero constant term is a root at 0.
+    """
+    if q.shape[1] < 2:
+        return np.ones(len(q), dtype=bool)
+    r = _roots(q)
+    return (q[:, 0] != 0.0) & np.all(r.real < -STABILITY_MARGIN * np.abs(r), axis=1)
 
 
-def _axis_extremum(u, w, v, maximize: bool) -> float:
+def is_stable(q: RealPolynomial) -> bool:
+    """Every root r satisfies Re r < -STABILITY_MARGIN * |r|.
+
+    The margin is relative to each pole's magnitude, so the verdict does not
+    change when time is rescaled (s -> alpha*s).
+    """
+    if q.degree < 1:
+        raise DegenerateDegree("stability is undefined for constant polynomials")
+    return bool(_stable(np.asarray(q.coeffs)[None])[0])
+
+
+def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise product of polynomials (ascending coefficients)."""
+    out = np.zeros((max(len(x), len(y)), x.shape[1] + y.shape[1] - 1))
+    for k in range(x.shape[1]):
+        out[:, k:k + y.shape[1]] += x[:, k:k + 1] * y
+    return out
+
+
+def _real_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re(u(j omega) conj(w(j omega))) in x = omega^2, row by row.
+
+    u(j omega) = ue(x) + j omega uo(x), where ue and uo take the even and the
+    odd coefficients with alternating signs, so the product is
+    ue we + x uo wo.
+    """
+    (ue, uo), (we, wo) = (
+        [c[:, i::2] * (-1.0) ** np.arange((c.shape[1] - i + 1) // 2) for i in (0, 1)]
+        for c in (u, w))
+    out = np.zeros((max(len(u), len(w)), (u.shape[1] + w.shape[1]) // 2))
+    even = _polymul(ue, we)
+    out[:, :even.shape[1]] = even
+    if uo.size and wo.size:
+        odd = _polymul(uo, wo)
+        out[:, 1:1 + odd.shape[1]] += odd
+    return out
+
+
+def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of c evaluated (Horner) at the points in the same row of z."""
+    acc = np.zeros_like(z)
+    for k in range(c.shape[1] - 1, -1, -1):
+        acc = acc * z + c[:, k:k + 1]
+    return acc
+
+
+def _ratio_limits(a, b, la, lb) -> np.ndarray:
+    """Per row, the limits of a(x)/b(x) as x -> 0 and as x -> infinity.
+
+    Near each end a/b behaves as (a_i/b_k) x^(i - k) for the lowest or the
+    highest nonzero coefficients; la, lb are the rows' trimmed lengths.
+    """
+    ia = np.column_stack([np.argmax(a != 0.0, axis=1), la - 1])
+    ib = np.column_stack([np.argmax(b != 0.0, axis=1), lb - 1])
+    rows = np.arange(len(a))[:, None]
+    ea, eb = a[rows, ia], b[rows, ib]
+    grows = (ia < ib) == np.array([True, False])
+    return np.where(ia == ib, ea / eb,
+                    np.where(grows, np.copysign(np.inf, ea * eb), 0.0))
+
+
+def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
     """Exact extremum over omega >= 0 of Re(u conj(w))/|v|^2 at s = j omega.
 
-    Candidates as in the module docstring; the two ends are limits of a/b and
-    may be infinite.  Every candidate lies on the axis, so a spurious or
-    inexact root of a'b - ab' can only lose, never overshoot.
+    One problem per row of the coefficient arrays u, w, v (a single row
+    broadcasts).  Candidates as in the module docstring; the two ends are
+    limits of a/b and may be infinite.  The slope polynomials are grouped by
+    trimmed length, one stacked eigenvalue solve per group.  Every candidate
+    lies on the axis, so a spurious or inexact root of a'b - ab' can only
+    lose, never overshoot.
     """
     a, b = _real_product(u, w), _real_product(v, v)
-    if not len(b):
-        return math.inf  # v = 0: Re 1/G of G = 0
-    if not len(a):
-        return 0.0
+    la, lb = _lengths(a), _lengths(b)
     # a'b - ab' has degree deg a + deg b - 1, one less when they are equal; a
     # rounding residue left in that term would add a root near 1/eps
-    keep = len(a) + len(b) - 2 - (len(a) == len(b))
-    slope = np.trim_zeros(P.polysub(P.polymul(P.polyder(a), b),
-                                    P.polymul(a, P.polyder(b)))[:keep], "b")
-    x = P.polyroots(slope).real if len(slope) > 1 else np.empty(0)
-    jw = 1j * np.sqrt(x[x > 0.0])
-    uj, wj, vj = (P.polyval(jw, c) for c in (u, w, v))
-    vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2
-    vals = np.concatenate([vals[np.isfinite(vals)],
-                           [_ratio_limit(a, b, 0), _ratio_limit(a, b, -1)]])
-    return float(vals.max() if maximize else vals.min())
+    slope = (_polymul(a[:, 1:] * np.arange(1, a.shape[1]), b)
+             - _polymul(a, b[:, 1:] * np.arange(1, b.shape[1])))
+    keep = la + lb - 2 - (la == lb)
+    slope[np.arange(slope.shape[1]) >= keep[:, None]] = 0.0
+    ls = _lengths(slope)
+    x = np.full((len(a), max(slope.shape[1] - 1, 0)), np.nan)
+    for n in np.unique(ls[ls > 1]):
+        rows = np.flatnonzero(ls == n)
+        x[rows, :n - 1] = _roots(slope[rows, :n]).real
+    on_axis = x > 0.0
+    jw = 1j * np.sqrt(np.where(on_axis, x, 0.0))
+    uj, wj, vj = (_polyval(c, jw) for c in (u, w, v))
+    fill = -np.inf if maximize else np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2
+        vals = np.where(on_axis & np.isfinite(vals), vals, fill)
+        vals = np.column_stack([vals, _ratio_limits(a, b, la, lb)])
+    ext = vals.max(axis=1) if maximize else vals.min(axis=1)
+    # v = 0 is Re 1/G of G = 0
+    return np.where(lb == 0, np.inf, np.where(la == 0, 0.0, ext))
 
 
 def _re_ratio_unbounded(u, v) -> bool:
@@ -200,7 +280,7 @@ def _re_ratio_unbounded(u, v) -> bool:
     """
     if len(v) < 2:
         return False
-    z = P.polyroots(v)
+    z = _roots(v[None])[0]
     z = z[(z.imag > 0.0) & (np.abs(z.real) <= 1e-9 * np.abs(z))]
     if not z.size:  # the common case; skips the residues
         return False
@@ -208,16 +288,28 @@ def _re_ratio_unbounded(u, v) -> bool:
     return bool(np.any(np.abs(r.imag) > 1e-9 * np.abs(r)))
 
 
-def _unit_frequency(G: RationalTF, what: str):
-    """Coefficients of p, q in G(omega_s s) = p/q for a stable G.
+def _unit_frequency(p: np.ndarray, q: np.ndarray):
+    """Rows of p, q in G(omega_s s) = p/q, one omega_s per row of q.
 
-    omega_s = |q_0/q_n|^(1/n) is the geometric mean of the pole magnitudes.
+    omega_s = |q_0/q_n|^(1/n) is the geometric mean of the pole magnitudes
+    (1 for a constant q).
     """
-    if G.den.degree >= 1 and not is_stable(G.den):
+    w_s = np.abs(q[:, :1] / q[:, -1:]) ** (1.0 / max(q.shape[1] - 1, 1))
+    return p * w_s ** np.arange(p.shape[1]), q * w_s ** np.arange(q.shape[1])
+
+
+def _stable_rows(G: RationalTF, what: str):
+    """Coefficient rows of p and q for G, whose denominator must be stable."""
+    p, q = np.asarray(G.num.coeffs)[None], np.asarray(G.den.coeffs)[None]
+    if not _stable(q)[0]:
         raise UnstableDenominator(f"{what} requires a stable denominator")
-    num, den = np.asarray(G.num.coeffs), np.asarray(G.den.coeffs)
-    w_s = abs(den[0] / den[-1]) ** (1.0 / G.den.degree) if G.den.degree else 1.0
-    return num * w_s ** np.arange(len(num)), den * w_s ** np.arange(len(den))
+    return p, q
+
+
+def _peak_gain(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sup_omega |p/q| at s = j omega for each row of q (stable)."""
+    p, q = _unit_frequency(p, q)
+    return np.sqrt(_axis_extremum(p, p, q, maximize=True))
 
 
 def linf_norm(G: RationalTF) -> float:
@@ -226,8 +318,7 @@ def linf_norm(G: RationalTF) -> float:
     Exact up to polynomial-root accuracy: the stationary points of |G|^2 in
     omega^2, plus omega = 0 and omega -> infinity, on G(omega_s s).
     """
-    p, q = _unit_frequency(G, "peak gain")
-    return math.sqrt(_axis_extremum(p, p, q, maximize=True))
+    return float(_peak_gain(*_stable_rows(G, "peak gain"))[0])
 
 
 def l2gain_to_input_index(beta: float) -> float:
@@ -237,9 +328,27 @@ def l2gain_to_input_index(beta: float) -> float:
     return -(beta * beta + 0.25)
 
 
+def _shift_rows(G: RationalTF, lams) -> np.ndarray:
+    """Coefficient rows of q + lam*p, one per lam.
+
+    A nan or infinite coefficient raises NonFiniteValue, naming the first
+    such lam, before any root is taken.
+    """
+    lams = np.asarray(lams, dtype=float).ravel()
+    p = np.zeros(G.den.degree + 1)
+    p[:G.num.degree + 1] = G.num.coeffs
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = np.asarray(G.den.coeffs) + lams[:, None] * p
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"lambda entry {bad[0]} ({lams[bad[0]]}) gives "
+                             "q + lambda*p a non-finite coefficient")
+    return rows
+
+
 def loop_mu(G: RationalTF, lam: float) -> float:
     """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4."""
-    shifted = G.den + G.num.scaled(lam)
+    shifted = RealPolynomial.make(_shift_rows(G, lam)[0])
     if shifted.is_zero:
         raise DegreeDrop(f"q + {lam}*p vanishes identically")
     if shifted.degree != G.den.degree:
@@ -269,22 +378,35 @@ def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
     return PassivityIndices(rho, nu)
 
 
+def _grid_mu(G: RationalTF, grid) -> np.ndarray:
+    """loop_mu for every lambda of a grid in one stacked solve.
+
+    Rows q + lambda*p that drop degree are masked out, one stacked root
+    solve screens the rest for stability, and the admissible rows share one
+    row-wise extremum; inadmissible entries get mu = inf.
+    """
+    rows = _shift_rows(G, grid)
+    admissible = rows[:, -1] != 0.0
+    admissible[admissible] = _stable(rows[admissible])
+    mu = np.full(len(rows), np.inf)
+    p = np.asarray(G.num.coeffs)[None]
+    mu[admissible] = _peak_gain(p, rows[admissible]) + 0.25
+    return mu
+
+
 def lambda_search(G: RationalTF, grid) -> float:
     """Grid value of lambda minimizing mu among the admissible candidates.
 
     Admissible means q + lambda*p keeps the denominator degree and is stable.
+    The whole grid is scored in one stacked solve (_grid_mu), and ties go
+    to the first grid value.
     """
-    best_lam, best_mu = None, np.inf
-    for lam in np.asarray(grid, dtype=float):
-        try:
-            mu = loop_mu(G, float(lam))
-        except (DegreeDrop, DestabilizingLambda):
-            continue
-        if mu < best_mu:
-            best_lam, best_mu = float(lam), mu
-    if best_lam is None:
+    mu = _grid_mu(G, grid)
+    scored = mu < np.inf  # nan never wins
+    if not scored.any():
         raise NoStabilizingLambda("no grid value stabilizes q + lambda*p")
-    return best_lam
+    best = np.argmin(np.where(scored, mu, np.inf))
+    return float(np.asarray(grid, dtype=float).ravel()[best])
 
 
 def transformed_tf(G: RationalTF, transform) -> RationalTF:
@@ -316,7 +438,7 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
     residue that is not real, and the output index is then -inf.  Positive
     values certify input- and output-strict passivity.
     """
-    p, q = _unit_frequency(G, "index search")
-    rho = (-math.inf if _re_ratio_unbounded(q, p)
-           else _axis_extremum(q, p, p, maximize=False))
-    return FrequencyIndices(rho, _axis_extremum(p, q, q, maximize=False))
+    p, q = _unit_frequency(*_stable_rows(G, "index search"))
+    rho = (-math.inf if _re_ratio_unbounded(q[0], p[0])
+           else float(_axis_extremum(q, p, p, maximize=False)[0]))
+    return FrequencyIndices(rho, float(_axis_extremum(p, q, q, maximize=False)[0]))

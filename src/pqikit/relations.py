@@ -8,8 +8,8 @@ by a discrete Legendre transform, and tested for monotonicity and for the
 numeric surrogate of cursivity that underpins the maximality check.
 Integration merges ties in the abscissa with an array mask, the conjugate
 reads its slopes off a weighted isotonic regression (the greatest convex
-minorant), and near self-intersections are found by one fixed-radius k-d
-tree query.
+minorant), and near self-intersections are found by one k-d tree pair
+query whose output a pigeonhole count bounds first.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def is_cursive(
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
     coincide within the median segment length (self-intersection measure:
-    one fixed-radius k-d tree query of the nearest samples).  These support
+    one k-d tree pair query, bounded by a pigeonhole count).  These support
     but cannot prove the limit properties; the report says which passed.
     """
     if rel.kind != PARAM:
@@ -381,12 +381,13 @@ def is_cursive(
 def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool:
     """No two samples more than ``gap`` steps apart lie within ``radius``.
 
-    Only 2*gap + 1 samples lie within ``gap`` steps of a point, so if a
-    point has 2*gap + 2 neighbours inside the radius one of them is
-    parameter-distant: querying that many neighbours (or all samples, if
-    fewer) keeps the test exact.  Exact repeats are found first, with one
-    sort: a k-d tree cannot split them, so many of them would make the
-    query quadratic.
+    One k-d tree pair query at the largest float below ``radius`` (the pair
+    query keeps distances up to and including its bound).  Its output is
+    bounded first: only 2*gap + 1 samples lie within ``gap`` steps of a
+    point, so if more than n*(2*gap + 1) ordered pairs (self-pairs
+    included) lie within the radius, one of them is parameter-distant by
+    pigeonhole, and a dual-tree count says so without listing them.  Exact
+    repeats are found first, with one sort: a k-d tree cannot split them.
     """
     # each point as one complex number, which numpy sorts by (u, y); the
     # stable sort keeps a repeat's indices ascending
@@ -399,10 +400,11 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
         last = np.r_[run[1:], len(pts)] - 1
         if np.any(order[last] - order[run] > gap):
             return False
-    k = min(2 * gap + 2, len(pts))
-    dist, idx = cKDTree(pts).query(pts, k=k, distance_upper_bound=radius)
-    near = np.abs(idx - np.arange(len(pts))[:, None]) > gap
-    return not bool(np.any(near & (dist < radius)))
+    tree, below = cKDTree(pts), np.nextafter(radius, 0.0)
+    if tree.count_neighbors(tree, below) > len(pts) * (2 * gap + 1):
+        return False
+    pairs = tree.query_pairs(below, output_type="ndarray")
+    return not bool(np.any(pairs[:, 1] - pairs[:, 0] > gap))
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:

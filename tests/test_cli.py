@@ -70,6 +70,17 @@ class TestAnalyzeLTI:
         rc = main(["analyze-lti", "--num", "abc", "--den", "1,1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--lambda-grid", "0,nan", "lambda entry 1 "),
+        ("--lambda-grid", "inf", "lambda entry 0 "),
+        ("--den", "1,nan", "coefficient 1 ")])
+    def test_non_finite_input_is_named(self, capsys, flag, value, named):
+        args = {"--num": "0.75", "--den": "-2,2,1", flag: value}
+        rc = main(["analyze-lti"] + [f"{k}={v}" for k, v in args.items()])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "NonFiniteValue" in err and named in err
+
 
 class TestSimulate:
     def test_writes_outputs_and_summary(self, tmp_path, quad_spec_path,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqikit import lti
 from pqikit import (
     PassivityIndices,
     RationalTF,
@@ -28,6 +29,7 @@ from pqikit.errors import (
     DegreeDrop,
     DestabilizingLambda,
     NoStabilizingLambda,
+    NonFiniteValue,
     NonpositiveGain,
     UnstableDenominator,
 )
@@ -186,6 +188,84 @@ class TestLambdaSearch:
         with pytest.raises(NoStabilizingLambda):
             lambda_search(unstable_plant_tf(), [0.0, 1.0])
 
+    @pytest.mark.parametrize("grid, entry", [([math.nan], 0), ([math.inf], 0),
+                                             ([-math.inf, 2.0], 0),
+                                             ([2.0, math.nan], 1)])
+    def test_non_finite_entry_named_before_any_root(self, grid, entry,
+                                                    monkeypatch):
+        G = unstable_plant_tf()
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("eigenvalue solve on a non-finite grid")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_roots)
+        with pytest.raises(NonFiniteValue, match=f"lambda entry {entry} "):
+            lambda_search(G, grid)
+
+    def test_non_finite_shift_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            loop_mu(unstable_plant_tf(), math.nan)
+
+
+@st.composite
+def plants_and_grids(draw):
+    """A plant of order 1-4 and a lambda grid.
+
+    Half of the plants have real stable poles and half are time-scaled.
+
+    Grids are unsorted, carry duplicates, and for equal num/den degree may
+    hold lambda = -q_n/p_n, where q + lambda*p drops degree exactly.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, n))
+    coef, lead = st.floats(-3.0, 3.0), st.floats(0.2, 3.0)
+    den = draw(st.lists(coef, min_size=n, max_size=n)) + [
+        draw(lead) * draw(st.sampled_from([-1.0, 1.0]))]
+    stable = draw(st.booleans())
+    if stable:  # real stable poles: small shifts stay admissible
+        poles = draw(st.lists(st.floats(-3.0, -0.1), min_size=n, max_size=n))
+        den = list(np.polynomial.polynomial.polyfromroots(poles) * abs(den[-1]))
+    num = draw(st.lists(coef, min_size=m, max_size=m)) + [
+        draw(lead) * draw(st.sampled_from([-1.0, 1.0]))]
+    if draw(st.booleans()):
+        alpha = 10.0 ** draw(st.floats(-8.0, 8.0))
+        den = [c * alpha ** k for k, c in enumerate(den)]
+        num = [c * alpha ** k for k, c in enumerate(num)]
+    grid = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))
+    grid += [0.0] * stable
+    if m == n and draw(st.booleans()):
+        drop = draw(lead) * draw(st.sampled_from([-1.0, 1.0]))
+        den[-1] = -(drop * num[-1])
+        grid.append(drop)
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4))
+    grid = draw(st.permutations(grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return RationalTF.make(num, den), np.asarray(grid)
+
+
+class TestLambdaSearchOracle:
+    @given(plants_and_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_first_minimizer_of_loop_mu(self, case):
+        G, grid = case
+        batch = lti._grid_mu(G, grid)
+        best_lam, best_mu = None, math.inf
+        for lam, row_mu in zip(grid, batch):
+            try:
+                mu = loop_mu(G, float(lam))
+            except (DegreeDrop, DestabilizingLambda):
+                assert row_mu == math.inf
+                continue
+            assert mu == row_mu  # the batch scores each row as loop_mu alone
+            if mu < best_mu:
+                best_lam, best_mu = float(lam), mu
+        if best_lam is None:
+            with pytest.raises(NoStabilizingLambda):
+                lambda_search(G, grid)
+        else:
+            assert lambda_search(G, grid) == best_lam
+
 
 class TestL2GainBound:
     def test_unit_gain(self):
@@ -329,6 +409,13 @@ class TestSerialization:
     def test_improper_rejected(self):
         with pytest.raises(ValueError):
             RationalTF.make([0.0, 0.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("num, den, named", [
+        ([1.0], [1.0, math.nan], "coefficient 1 "),
+        ([math.inf, 1.0], [1.0, 1.0], "coefficient 0 ")])
+    def test_non_finite_coefficient_named(self, num, den, named):
+        with pytest.raises(NonFiniteValue, match=named):
+            RationalTF.make(num, den)
 
     def test_common_root_cancelled_with_warning(self):
         with pytest.warns(UserWarning):

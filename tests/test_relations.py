@@ -320,6 +320,19 @@ class TestShapeChecks:
         assert time.perf_counter() - start <= 0.5
         assert not report.no_self_intersection
 
+    def test_near_coincident_cluster_stays_fast(self):
+        # 40 001 distinct points within 1e-9 of one point: every pair is
+        # inside the radius, so the pair count decides before any listing
+        n = 40001
+        jitter = np.random.default_rng(0).normal(size=(n, 2))
+        pts = np.array([2.0, -1.0]) + 1e-9 * jitter
+        rel = PlanarRelation("param", pts[:, 0].copy(), pts[:, 1].copy(),
+                             sigma=np.arange(float(n)))
+        start = time.perf_counter()
+        report = is_cursive(rel)
+        assert time.perf_counter() - start <= 0.5
+        assert not report.no_self_intersection
+
     def test_sampled_representation_rejected(self):
         with pytest.raises(WrongRepresentation):
             is_cursive(PlanarRelation.from_points([0.0, 1.0], [0.0, 1.0]))
@@ -385,6 +398,11 @@ def self_intersection_cases():
     cases["square_closing"] = param_relation(
         np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(11)],
         np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(11.0)])
+    # unit steps round three sides and back down the fourth, stopping short
+    # of the start: every other sample lies exactly one median segment away
+    cases["square_equal_steps"] = param_relation(
+        np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(9)],
+        np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(9.0)])
     return cases
 
 
@@ -403,6 +421,8 @@ class TestSelfIntersectionAgainstBruteForce:
                     for name, rel in self.CASES.items()}
         assert not verdicts["figure_eight"] and not verdicts["cycloid_loops"]
         assert not verdicts["spiral_touching"] and verdicts["spiral_clear"]
+        # nothing is strictly closer than the radius, even next door
+        assert brute_force_no_self_intersection(self.CASES["square_equal_steps"], 0)
 
     def test_revisit_just_beyond_the_gap(self):
         # a closed polygon returns onto its first sample after `steps` steps
