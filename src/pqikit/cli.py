@@ -51,15 +51,18 @@ class RunManifest:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def write(self, outdir: str) -> str:
-        path = os.path.join(outdir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return _write_json(os.path.join(outdir, "manifest.json"), self.__dict__)
+
+
+def _write_json(path: str, obj) -> str:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def _outdir(args) -> str:
-    d = getattr(args, "outdir", None) or os.environ.get("PQIKIT_OUTDIR") or "."
+    d = args.outdir or "."
     os.makedirs(d, exist_ok=True)
     return d
 
@@ -70,6 +73,15 @@ def _parse_poly(text: str):
 
 def _matrix_list(T: Transform2):
     return [[T.a, T.b], [T.c, T.d]]
+
+
+def _lti_pipeline(G: RationalTF, lam: float):
+    """mu, EIPS indices, passivizing transform, transformed TF, its indices."""
+    mu = loop_mu(G, lam)
+    idx = eips_indices(G, lam)
+    T = passivize(idx, PassivityIndices(0.0, 0.0))
+    Gt = transformed_tf(G, T)
+    return mu, idx, T, Gt, tf_passivity_indices(Gt)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +112,7 @@ def cmd_analyze_lti(args) -> int:
         grid = (np.asarray(_parse_poly(args.lambda_grid))
                 if args.lambda_grid else np.arange(0.0, 11.0))
         lam = lambda_search(G, grid)
-    mu = loop_mu(G, lam)
-    idx = eips_indices(G, lam)
-    T = passivize(idx, PassivityIndices(0.0, 0.0))
-    Gt = transformed_tf(G, T)
-    strict = tf_passivity_indices(Gt)
+    mu, idx, T, Gt, strict = _lti_pipeline(G, lam)
     report = {
         "lambda": lam,
         "mu": mu,
@@ -126,10 +134,8 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     traj = os.path.join(outdir, "trajectories.csv")
     result.to_csv(traj)
-    summary_path = os.path.join(outdir, "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(result.summary_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary_path = _write_json(os.path.join(outdir, "summary.json"),
+                               result.summary_dict())
     manifest = RunManifest("simulate", RunManifest.digest(doc),
                            outputs=[traj, summary_path])
     manifest.write(outdir)
@@ -152,10 +158,8 @@ def cmd_optimize(args) -> int:
         "residual": result.residual,
     }
     outdir = _outdir(args)
-    out_path = os.path.join(outdir, f"optimize_{args.problem}.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_json(os.path.join(outdir, f"optimize_{args.problem}.json"),
+                           report)
     manifest = RunManifest("optimize",
                            RunManifest.digest(doc + args.problem),
                            outputs=[out_path])
@@ -172,11 +176,7 @@ def _check(name, ok, detail, source) -> dict:
 def _case_study_lti(outdir: str):
     G = unstable_plant_tf(0.75)
     lam = 4.0
-    mu = loop_mu(G, lam)
-    idx = eips_indices(G, lam)
-    T = passivize(idx, PassivityIndices(0.0, 0.0))
-    Gt = transformed_tf(G, T)
-    strict_oracle = tf_passivity_indices(Gt)
+    mu, idx, T, Gt, strict_oracle = _lti_pipeline(G, lam)
     displayed = RationalTF.make([3.0, 2.0, 1.0], [2.0, 2.0, 1.0])
     strict_disp = tf_passivity_indices(displayed)
 
@@ -218,13 +218,7 @@ def _case_study_lti(outdir: str):
         "transformed_tf": Gt.to_json_dict(),
         "checks": checks,
     }
-    files = []
-    report_path = os.path.join(outdir, "lti_report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append(report_path)
-    return checks, files
+    return checks, [_write_json(os.path.join(outdir, "lti_report.json"), report)]
 
 
 def _cluster_count(values: np.ndarray, gap: float = 1.0) -> int:
@@ -290,11 +284,8 @@ def cmd_case_study(args) -> int:
         seed = 4
     all_pass = all(c["passed"] for c in checks)
     summary = {"case_study": args.name, "passed": all_pass, "checks": checks}
-    summary_path = os.path.join(outdir, "case_study_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append(summary_path)
+    files.append(_write_json(os.path.join(outdir, "case_study_summary.json"),
+                             summary))
     manifest = RunManifest("case-study", RunManifest.digest(args.name),
                            seed=seed, outputs=files)
     manifest.write(outdir)

@@ -30,7 +30,7 @@ class MultiValued(ToolkitError):
 
 
 class WrongRepresentation(ToolkitError):
-    """Operation requires a different relation representation."""
+    """A curve-only operation got a relation without a curve parameter."""
 
 
 class DegenerateDegree(ToolkitError):

@@ -86,9 +86,6 @@ class RealPolynomial:
     def __call__(self, s):
         return P.polyval(s, np.asarray(self.coeffs))
 
-    def roots(self) -> np.ndarray:
-        return np.roots(self.coeffs[::-1])
-
     def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
         return RealPolynomial.make(P.polyadd(self.coeffs, other.coeffs))
 
@@ -116,8 +113,8 @@ class RationalTF:
     def _cancel_common_roots(self) -> "RationalTF":
         if self.num.degree < 1 or self.den.degree < 1:
             return self
-        nr, kept_d = list(self.num.roots()), []
-        for r in self.den.roots():
+        nr, kept_d = list(_roots(np.asarray(self.num.coeffs)[None])[0]), []
+        for r in _roots(np.asarray(self.den.coeffs)[None])[0]:
             hit = [i for i, z in enumerate(nr)
                    if abs(z - r) <= COMMON_ROOT_TOL * max(abs(z), abs(r))]
             if hit:
@@ -148,15 +145,31 @@ def _lengths(c: np.ndarray) -> np.ndarray:
     return ((c != 0.0) * np.arange(1, c.shape[1] + 1)).max(axis=1, initial=0)
 
 
+def _companion_column(c: np.ndarray) -> np.ndarray:
+    """-c_k/c_n per row: the last column of each row's companion matrix.
+
+    It is non-finite when the top vanishes, or when a root lies beyond float
+    range (a ratio overflows).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return -c[:, :-1] / c[:, -1:]
+
+
 def _roots(c: np.ndarray) -> np.ndarray:
     """Roots of each row of c (ascending, equal lengths, nonzero tops).
 
     One stacked eigenvalue solve of the companion matrices that
-    numpy.polynomial's polyroots builds.
+    numpy.polynomial's polyroots builds.  A row whose companion matrix
+    overflows raises NonFiniteValue naming that row.
     """
     n = c.shape[1] - 1
+    col = _companion_column(c)
+    bad = ~np.isfinite(col).all(axis=1)
+    if bad.any():
+        raise NonFiniteValue(f"polynomial {c[np.argmax(bad)].tolist()} has a "
+                             "root beyond float range")
     A = np.zeros((len(c), n, n))
-    A[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    A[:, :, -1] = col
     A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     return np.linalg.eigvals(A)
 
@@ -381,12 +394,14 @@ def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
 def _grid_mu(G: RationalTF, grid) -> np.ndarray:
     """loop_mu for every lambda of a grid in one stacked solve.
 
-    Rows q + lambda*p that drop degree are masked out, one stacked root
-    solve screens the rest for stability, and the admissible rows share one
-    row-wise extremum; inadmissible entries get mu = inf.
+    Rows q + lambda*p that drop degree or have a root beyond float range
+    are masked out, one stacked root solve screens the rest for stability,
+    and the admissible rows share one row-wise extremum; inadmissible
+    entries get mu = inf.
     """
     rows = _shift_rows(G, grid)
-    admissible = rows[:, -1] != 0.0
+    admissible = ((rows[:, -1] != 0.0)
+                  & np.isfinite(_companion_column(rows)).all(axis=1))
     admissible[admissible] = _stable(rows[admissible])
     mu = np.full(len(rows), np.inf)
     p = np.asarray(G.num.coeffs)[None]

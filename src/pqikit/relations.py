@@ -1,7 +1,8 @@
 """Steady-state I/O relations: transport, integral functions, duals, checks.
 
 A planar relation is a set of (u, y) pairs a system can hold at equilibrium,
-stored as a parameterized curve, a sampled point list, or a closed-form map.
+stored as samples plus, for a curve, the parameter of each sample (a
+closed-form map is the curve parameterized by its own grid).
 Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for the
@@ -15,7 +16,6 @@ query whose output a pigeonhole count bounds first.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,28 +26,30 @@ from scipy.spatial import cKDTree
 
 from .errors import MultiValued, WrongRepresentation
 
-PARAM = "param"
-SAMPLED = "sampled"
-CLOSED = "closed"
-
 DEFAULT_GRID_POINTS = 4001
 
 
 @dataclass(frozen=True)
 class PlanarRelation:
-    """Planar relation with a concrete sample set and optional extra structure.
+    """Planar relation: samples (u, y), a curve exactly when ``sigma`` is set.
 
-    ``kind`` is one of ``param`` (curve over a sigma grid), ``sampled``
-    (ordered, deduplicated point list) or ``closed`` (function plus a
-    direction flag, sampled on a grid for numeric work).
+    ``sigma`` is the curve parameter of each sample; a point list has none.
     """
 
-    kind: str
     u: np.ndarray
     y: np.ndarray
     sigma: np.ndarray | None = None
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    direction: str = "u_to_y"
+
+    @classmethod
+    def _curve(cls, sigma, u_of_sigma: Callable, y_of_sigma: Callable):
+        sigma = np.asarray(sigma, dtype=float)
+        u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
+                for f in (u_of_sigma, y_of_sigma))
+        bad = ~(np.isfinite(u) & np.isfinite(y))
+        if bad.any():
+            raise ValueError("curve maps must be finite on the grid, not at "
+                             f"parameter {sigma[np.argmax(bad)]}")
+        return cls(u, y, sigma)
 
     @classmethod
     def from_param_curve(
@@ -58,18 +60,14 @@ class PlanarRelation:
         n: int = DEFAULT_GRID_POINTS,
     ) -> "PlanarRelation":
         sigma = np.linspace(sigma_range[0], sigma_range[1], n)
-        u = np.asarray(u_of_sigma(sigma), dtype=float) * np.ones_like(sigma)
-        y = np.asarray(y_of_sigma(sigma), dtype=float) * np.ones_like(sigma)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-            raise ValueError("curve maps must be finite on the grid")
-        return cls(PARAM, u, y, sigma=sigma)
+        return cls._curve(sigma, u_of_sigma, y_of_sigma)
 
     @classmethod
     def from_points(cls, u, y) -> "PlanarRelation":
         u = np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
         pts = np.unique(np.column_stack([u, y]), axis=0)
-        return cls(SAMPLED, pts[:, 0], pts[:, 1])
+        return cls(pts[:, 0], pts[:, 1])
 
     @classmethod
     def from_closed_form(
@@ -78,17 +76,13 @@ class PlanarRelation:
         direction: str = "u_to_y",
         grid: np.ndarray | None = None,
     ) -> "PlanarRelation":
+        """The graph of ``func``, a curve parameterized by its own grid."""
         if direction not in ("u_to_y", "y_to_u"):
             raise ValueError(f"unknown direction {direction!r}")
         if grid is None:
             grid = np.linspace(-3.0, 3.0, DEFAULT_GRID_POINTS)
-        grid = np.asarray(grid, dtype=float)
-        img = np.asarray(func(grid), dtype=float) * np.ones_like(grid)
-        if direction == "u_to_y":
-            u, y = grid, img
-        else:
-            u, y = img, grid
-        return cls(CLOSED, u, y, func=func, direction=direction)
+        maps = (lambda s: s, func)
+        return cls._curve(grid, *(maps if direction == "u_to_y" else maps[::-1]))
 
     @property
     def points(self) -> np.ndarray:
@@ -96,14 +90,8 @@ class PlanarRelation:
 
     def inverse(self) -> "PlanarRelation":
         """Swap the roles of input and output (an involution)."""
-        direction = self.direction
-        if self.kind == CLOSED:
-            direction = "y_to_u" if direction == "u_to_y" else "u_to_y"
-        return PlanarRelation(
-            self.kind, self.y.copy(), self.u.copy(),
-            sigma=None if self.sigma is None else self.sigma.copy(),
-            func=self.func, direction=direction,
-        )
+        sigma = None if self.sigma is None else self.sigma.copy()
+        return PlanarRelation(self.y.copy(), self.u.copy(), sigma)
 
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:
@@ -115,7 +103,7 @@ class PlanarRelation:
                 w.writerow([repr(float(s)), repr(float(u)), repr(float(y))])
 
     def to_json_dict(self) -> dict:
-        d = {"kind": self.kind, "u": self.u.tolist(), "y": self.y.tolist()}
+        d = {"u": self.u.tolist(), "y": self.y.tolist()}
         if self.sigma is not None:
             d["sigma"] = self.sigma.tolist()
         return d
@@ -123,8 +111,7 @@ class PlanarRelation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PlanarRelation":
         sigma = np.asarray(d["sigma"], dtype=float) if "sigma" in d else None
-        return cls(d["kind"], np.asarray(d["u"], float), np.asarray(d["y"], float),
-                   sigma=sigma)
+        return cls(np.asarray(d["u"], float), np.asarray(d["y"], float), sigma)
 
 
 @dataclass(frozen=True)
@@ -173,13 +160,7 @@ def transform_relation(rel: PlanarRelation, transform) -> PlanarRelation:
     """Pointwise image of the relation under an invertible 2x2 map."""
     transform.require_invertible()
     ut, yt = transform(rel.u, rel.y)
-    kind = rel.kind if rel.kind != CLOSED else PARAM
-    sigma = rel.sigma
-    if rel.kind == CLOSED:
-        # the original abscissa doubles as the curve parameter
-        sigma = rel.u if rel.direction == "u_to_y" else rel.y
-    return PlanarRelation(kind, ut, yt,
-                          sigma=None if sigma is None else np.asarray(sigma))
+    return PlanarRelation(ut, yt, rel.sigma)
 
 
 def compose_via_stages(rel: PlanarRelation, dec) -> PlanarRelation:
@@ -194,8 +175,7 @@ def compose_via_stages(rel: PlanarRelation, dec) -> PlanarRelation:
         z = z[::-1]
     for factor in dec.factors():
         z = factor @ z
-    kind = rel.kind if rel.kind != CLOSED else PARAM
-    return PlanarRelation(kind, z[0], z[1],
+    return PlanarRelation(z[0], z[1],
                           sigma=None if rel.sigma is None else rel.sigma.copy())
 
 
@@ -342,7 +322,7 @@ def is_cursive(
     one k-d tree pair query, bounded by a pigeonhole count).  These support
     but cannot prove the limit properties; the report says which passed.
     """
-    if rel.kind != PARAM:
+    if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
     pts = rel.points
     notes: list[str] = []

@@ -26,11 +26,13 @@ from pqikit import (
 )
 from pqikit.errors import (
     DegenerateDegree,
+    DegenerateTransformedTF,
     DegreeDrop,
     DestabilizingLambda,
     NoStabilizingLambda,
     NonFiniteValue,
     NonpositiveGain,
+    ToolkitError,
     UnstableDenominator,
 )
 from pqikit.systems import unstable_plant_tf
@@ -202,6 +204,24 @@ class TestLambdaSearch:
         with pytest.raises(NonFiniteValue, match=f"lambda entry {entry} "):
             lambda_search(G, grid)
 
+    def test_pole_beyond_float_range_screened(self):
+        G = RationalTF.make([1.0], [1.0, 1e-308])
+        grid = np.linspace(-5.0, 5.0, 11)
+        np.testing.assert_array_equal(lti._grid_mu(G, grid),
+                                      np.where(grid == 0.0, 1.25, np.inf))
+        assert lambda_search(G, grid) == 0.0
+        with pytest.raises(NonFiniteValue, match=r"\[2\.0, 1e-308\]"):
+            loop_mu(G, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: RationalTF.make([1.0, 1.0], [1.0, 1e-310]),
+        lambda: linf_norm(RationalTF.make([1.0], [1.0, 1e-310])),
+        lambda: lambda_search(RationalTF.make([1.0], [1.0, 1e-310]), [0.0, 1.0]),
+    ], ids=["make", "linf_norm", "lambda_search"])
+    def test_pole_beyond_float_range_is_a_toolkit_error(self, call):
+        with pytest.raises(ToolkitError):
+            call()
+
     def test_non_finite_shift_rejected(self):
         with pytest.raises(NonFiniteValue):
             loop_mu(unstable_plant_tf(), math.nan)
@@ -214,7 +234,10 @@ def plants_and_grids(draw):
     Half of the plants have real stable poles and half are time-scaled.
 
     Grids are unsorted, carry duplicates, and for equal num/den degree may
-    hold lambda = -q_n/p_n, where q + lambda*p drops degree exactly.
+    hold lambda = -q_n/p_n, where q + lambda*p drops degree exactly.  A
+    constant numerator may come with a top q_n near the float minimum, so
+    that a root of q + lambda*p lies beyond float range for the larger
+    |q_0 + lambda*p_0|.
     """
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, n))
@@ -231,6 +254,8 @@ def plants_and_grids(draw):
         alpha = 10.0 ** draw(st.floats(-8.0, 8.0))
         den = [c * alpha ** k for k, c in enumerate(den)]
         num = [c * alpha ** k for k, c in enumerate(num)]
+    if m == 0 and draw(st.booleans()):
+        den[-1] = draw(st.sampled_from([1e-310, 1e-308, -1e-308]))
     grid = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))
     grid += [0.0] * stable
     if m == n and draw(st.booleans()):
@@ -254,7 +279,7 @@ class TestLambdaSearchOracle:
         for lam, row_mu in zip(grid, batch):
             try:
                 mu = loop_mu(G, float(lam))
-            except (DegreeDrop, DestabilizingLambda):
+            except (DegreeDrop, DestabilizingLambda, NonFiniteValue):
                 assert row_mu == math.inf
                 continue
             assert mu == row_mu  # the batch scores each row as loop_mu alone
@@ -437,3 +462,18 @@ class TestSerialization:
             G = RationalTF.make([1e-8, 1.0], [1e-8, 1.0 + 1e-8, 1.0])
         assert G.num.degree == 0
         np.testing.assert_allclose(G.den.coeffs, (1.0, 1.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: RationalTF.make([1.0], [0.0]), ValueError, "denominator must be nonzero"),
+    (lambda: transformed_tf(RationalTF.make([1.0], [1.0]),
+                            Transform2(1.0, -1.0, 0.0, 1.0)),
+     DegenerateTransformedTF, "vanished identically"),
+    (lambda: transformed_tf(RationalTF.make([2.0, 1.0], [1.0, 1.0]),
+                            Transform2(1.0, -1.0, 0.0, 1.0)),
+     DegenerateTransformedTF, "numerator degree exceeds"),
+], ids=["zero_denominator", "transformed_denominator_vanishes",
+        "transformed_improper"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -38,6 +38,7 @@ from pqikit.errors import (
     NonConvexCertificate,
     NonFiniteState,
     PreconditionFailed,
+    SingularTransform,
 )
 from pqikit.systems import (
     nonmonotone_demo_agent,
@@ -616,3 +617,50 @@ class TestAgentDeclarations:
             ControllerSpec(gain=-1.0)
         with pytest.raises(ValueError):
             ControllerSpec()
+
+
+def _kinked_agent():
+    """Monotone relation with a vertical and a horizontal piece.
+
+    (-3, -3) to the origin along u = y, up to (0, 1), across to (1, 1), then
+    along u = y again: maximally monotone, strictly monotone on neither side.
+    """
+    s = np.linspace(-3.0, 4.0, 701)
+    u = np.where(s < 1.0, np.minimum(s, 0.0), s - 1.0)
+    y = np.where(s < 1.0, s, np.maximum(s - 1.0, 1.0))
+    rel = PlanarRelation(u, y, s)
+    return AgentODE(f=lambda x, u: -x, h=lambda x, u: x, relation=rel)
+
+
+def _bare_spec():
+    bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
+    return NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
+                       (ControllerSpec(gain=1.0),), np.zeros(2), FAST)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(0.0),) * 2, (),
+                         np.zeros(2)),
+     DimensionMismatch, "0 controllers for 1 edges"),
+    (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(0.0),) * 2,
+                         (ControllerSpec(gain=1.0),), np.zeros(3)),
+     DimensionMismatch, "initial state length"),
+    (lambda: simulate(quadratic_network(integrator=IntegratorConfig(dt=0.0))),
+     ValueError, "step must be positive"),
+    (lambda: simulate(quadratic_network(integrator=IntegratorConfig(store_stride=0))),
+     ValueError, "store_stride"),
+    (lambda: transform_agent(replace(quadratic_agent(0.0), feedthrough=1.0),
+                             Transform2(1.0, -1.0, 0.0, 1.0)),
+     SingularTransform, r"a \+ b\*feedthrough vanished"),
+    (lambda: solve_opp(_bare_spec()), PreconditionFailed,
+     "lacks a steady-state relation"),
+    (lambda: predict_and_verify(
+        NetworkSpec(Graph(1, ()), (_kinked_agent(),), (), np.zeros(1), FAST),
+        [Transform2.identity()]),
+     PreconditionFailed, "^agent 0: neither the relation nor its inverse"),
+], ids=["controller_count", "x0_length", "dt", "store_stride", "feedthrough",
+        "opp_without_relation", "not_strictly_monotone"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+

@@ -16,7 +16,7 @@ from pqikit import (
     pullback,
     solution_set,
 )
-from pqikit.errors import TrivialPQI
+from pqikit.errors import SingularTransform, TrivialPQI
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -132,6 +132,11 @@ class TestPullback:
         p = PQI(1.0, 2.0, -3.0)
         q = pullback(p, Transform2.identity())
         np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
+
+    @pytest.mark.parametrize("t", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]]])
+    def test_singular_map_rejected(self, t):
+        with pytest.raises(SingularTransform, match="below tolerance"):
+            pullback(PQI(1.0, 0.0, 1.0), np.array(t))
 
     def test_diagonal_scaling(self):
         q = pullback(PQI(0.0, 1.0, 0.0), np.array([[2.0, 0.0], [0.0, 3.0]]))

@@ -313,7 +313,7 @@ class TestShapeChecks:
         # a k-d tree cannot split 40 001 equal points, so a query of their
         # neighbours alone compares every pair; the repeats decide first
         n = 40001
-        rel = PlanarRelation("param", np.full(n, 2.0), np.full(n, -1.0),
+        rel = PlanarRelation(np.full(n, 2.0), np.full(n, -1.0),
                              sigma=np.arange(float(n)))
         start = time.perf_counter()
         report = is_cursive(rel)
@@ -326,7 +326,7 @@ class TestShapeChecks:
         n = 40001
         jitter = np.random.default_rng(0).normal(size=(n, 2))
         pts = np.array([2.0, -1.0]) + 1e-9 * jitter
-        rel = PlanarRelation("param", pts[:, 0].copy(), pts[:, 1].copy(),
+        rel = PlanarRelation(pts[:, 0].copy(), pts[:, 1].copy(),
                              sigma=np.arange(float(n)))
         start = time.perf_counter()
         report = is_cursive(rel)
@@ -364,7 +364,7 @@ def brute_force_no_self_intersection(rel, gap, atol=1e-6):
 
 
 def param_relation(u, y):
-    return PlanarRelation("param", np.asarray(u, float), np.asarray(y, float),
+    return PlanarRelation(np.asarray(u, float), np.asarray(y, float),
                           sigma=np.arange(len(u), dtype=float))
 
 
@@ -469,9 +469,74 @@ class TestRepresentations:
         )
         np.testing.assert_array_equal(back.u, rel.u)
         np.testing.assert_array_equal(back.y, rel.y)
+        np.testing.assert_array_equal(back.sigma, rel.sigma)
 
     def test_integral_function_csv(self, tmp_path):
         F = integral_function(odd_cubic_agent().relation, OF_K_INVERSE)
         path = tmp_path / "pot.csv"
         F.to_csv(path)
         assert path.read_text().startswith("x,value")
+
+
+class TestOneRepresentation:
+    """A closed form is a curve over its grid; verdicts follow the samples."""
+
+    def test_folded_closed_form_is_multivalued(self):
+        rel = PlanarRelation.from_closed_form(lambda u: u**3 - u)
+        F = integral_function(rel, OF_K)
+        assert F.grid[0] == -3.0 and F.grid[-1] == 3.0
+        with pytest.raises(MultiValued):
+            integral_function(rel, OF_K_INVERSE)
+        with pytest.raises(MultiValued):
+            integral_function(rel.inverse(), OF_K)
+
+    def test_closed_form_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(invalid="ignore"):
+            PlanarRelation.from_closed_form(np.sqrt)
+
+    @pytest.mark.parametrize("direction", ["u_to_y", "y_to_u"])
+    def test_transports_keep_the_grid_as_parameter(self, direction):
+        rel = PlanarRelation.from_closed_form(lambda x: x**3, direction,
+                                              np.linspace(-2.0, 2.0, 401))
+        T = Transform2(1.0, 1.0, 1.0, 2.0)
+        direct = transform_relation(rel, T)
+        staged = compose_via_stages(rel, decompose(T))
+        np.testing.assert_array_equal(direct.sigma, np.linspace(-2.0, 2.0, 401))
+        np.testing.assert_array_equal(staged.sigma, direct.sigma)
+
+    def test_maximality_does_not_depend_on_the_constructor(self):
+        closed = PlanarRelation.from_closed_form(lambda u: u**3)
+        curve = PlanarRelation.from_param_curve(lambda s: s, lambda s: s**3,
+                                                (-3.0, 3.0))
+        np.testing.assert_array_equal(closed.points, curve.points)
+        assert is_cursive(closed) == is_cursive(curve)
+        assert is_maximal_monotone(closed) == is_maximal_monotone(curve) is True
+
+
+def test_cursive_report_names_a_jump():
+    s = np.r_[np.linspace(-3.0, 0.0, 50), np.linspace(5.0, 8.0, 50)]
+    report = is_cursive(param_relation(s, s))
+    assert not report.continuous and not report.cursive
+    assert report.notes[0].startswith("jump:")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PlanarRelation.from_closed_form(np.tanh, "both"), ValueError,
+     "unknown direction"),
+    (lambda: IntegralFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3), True),
+     ValueError, "strictly increasing"),
+    (lambda: integral_function(cubic_fold_curve(n=11), "of_y"), ValueError,
+     "unknown direction"),
+    (lambda: integral_function(PlanarRelation.from_points([1.0, 1.0], [2.0, 2.0]),
+                               OF_K), MultiValued, "single abscissa"),
+], ids=["closed_form_direction", "potential_grid", "integral_direction",
+        "single_abscissa"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_strict_monotonicity_rejects_a_flat_step():
+    rel = PlanarRelation.from_points([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+    assert is_monotone(rel) and not is_monotone(rel, strict=True)
