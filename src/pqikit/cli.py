@@ -33,7 +33,7 @@ from .network import apply_network_transform, simulate, solve_ofp, solve_opp, sp
 from .pqi import PassivityIndices
 from .relations import OF_K_INVERSE, integral_function
 from .systems import pendulum_network, unstable_plant_tf
-from .transforms import Transform2, decompose, passivize
+from .transforms import STAGE_REALIZATIONS, Transform2, decompose, passivize
 
 
 @dataclass
@@ -97,7 +97,7 @@ def cmd_passivize(args) -> int:
     print(f"  [[{T.a:g}, {T.b:g}],")
     print(f"   [{T.c:g}, {T.d:g}]]")
     print("decomposition:")
-    for name, label in dec.realizations().items():
+    for name, label in STAGE_REALIZATIONS.items():
         print(f"  {name} = {getattr(dec, name):g}  ({label})")
     if dec.column_swapped:
         print("  (columns swapped before factoring)")
@@ -221,9 +221,9 @@ def _case_study_lti(outdir: str):
     return checks, [_write_json(os.path.join(outdir, "lti_report.json"), report)]
 
 
-def _cluster_count(values: np.ndarray, gap: float = 1.0) -> int:
-    v = np.sort(values)
-    return 1 + int(np.sum(np.diff(v) > gap))
+def _cluster_count(values: np.ndarray) -> int:
+    """Groups of the sorted values separated by gaps wider than 1."""
+    return 1 + int(np.sum(np.diff(np.sort(values)) > 1.0))
 
 
 def _case_study_gradient_network(outdir: str):

@@ -302,13 +302,17 @@ def _re_ratio_unbounded(u, v) -> bool:
 
 
 def _unit_frequency(p: np.ndarray, q: np.ndarray):
-    """Rows of p, q in G(omega_s s) = p/q, one omega_s per row of q.
+    """Rows of p, q and e in G(omega_s s) = 2^e p/q, one omega_s per row of q.
 
     omega_s = |q_0/q_n|^(1/n) is the geometric mean of the pole magnitudes
-    (1 for a constant q).
+    (1 for a constant q).  Each row is then scaled by a power of two to a
+    largest coefficient in [1/2, 1), exactly, so squared gains stay in float
+    range and normal-range extrema scaled back by 2^e are unchanged bit for bit.
     """
     w_s = np.abs(q[:, :1] / q[:, -1:]) ** (1.0 / max(q.shape[1] - 1, 1))
-    return p * w_s ** np.arange(p.shape[1]), q * w_s ** np.arange(q.shape[1])
+    p, q = p * w_s ** np.arange(p.shape[1]), q * w_s ** np.arange(q.shape[1])
+    ep, eq = (np.frexp(np.abs(c).max(axis=1, keepdims=True))[1] for c in (p, q))
+    return np.ldexp(p, -ep), np.ldexp(q, -eq), (ep - eq)[:, 0]
 
 
 def _stable_rows(G: RationalTF, what: str):
@@ -321,8 +325,8 @@ def _stable_rows(G: RationalTF, what: str):
 
 def _peak_gain(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sup_omega |p/q| at s = j omega for each row of q (stable)."""
-    p, q = _unit_frequency(p, q)
-    return np.sqrt(_axis_extremum(p, p, q, maximize=True))
+    p, q, e = _unit_frequency(p, q)
+    return np.ldexp(np.sqrt(_axis_extremum(p, p, q, maximize=True)), e)
 
 
 def linf_norm(G: RationalTF) -> float:
@@ -453,7 +457,8 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
     residue that is not real, and the output index is then -inf.  Positive
     values certify input- and output-strict passivity.
     """
-    p, q = _unit_frequency(*_stable_rows(G, "index search"))
+    p, q, e = _unit_frequency(*_stable_rows(G, "index search"))
     rho = (-math.inf if _re_ratio_unbounded(q[0], p[0])
-           else float(_axis_extremum(q, p, p, maximize=False)[0]))
-    return FrequencyIndices(rho, float(_axis_extremum(p, q, q, maximize=False)[0]))
+           else float(np.ldexp(_axis_extremum(q, p, p, maximize=False), -e)[0]))
+    return FrequencyIndices(
+        rho, float(np.ldexp(_axis_extremum(p, q, q, maximize=False), e)[0]))

@@ -14,7 +14,6 @@ dissipation certificate and the equilibrium search.
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,8 @@ from .relations import (
     OF_K_INVERSE,
     IntegralFunction,
     PlanarRelation,
+    _trapezoid,
+    _write_csv,
     integral_function,
     is_maximal_monotone,
     is_monotone,
@@ -81,7 +82,7 @@ def _agent_error(fn, where: str, exc: Exception) -> InvalidSpec:
     name = getattr(fn, "__qualname__", repr(fn))
     return InvalidSpec(
         f"{where}: {name} failed on array input ({type(exc).__name__}: {exc}); "
-        "agent f and h must evaluate elementwise on numpy arrays"
+        "agent f, h and storage must evaluate elementwise on numpy arrays"
     )
 
 
@@ -144,11 +145,11 @@ class AgentODE:
     def h0(self, x):
         return self.h(x, 0.0)
 
-    def check_relation(self, n_samples: int = 50, tol: float = 1e-8) -> bool:
+    def check_relation(self, n_samples: int = 50) -> bool:
         """Declared relation consistent with the dynamics at its samples.
 
         Each sampled (u, y) must sit at a forced equilibrium: a root of
-        f(., u) on [-50, 50] whose output matches y within tolerance.  The
+        f(., u) on [-50, 50] whose output is within 1e-8·(1 + |y|) of y.  The
         root is certified by its sign-change bracket rather than by |f|, which
         is unbounded below for infinite-slope dynamics like cube roots.
         """
@@ -160,7 +161,7 @@ class AgentODE:
         err = np.abs(agent_call(self.h, roots, us[level]) - ys[level])
         best = np.full(len(us), np.inf)
         np.minimum.at(best, level, err)
-        return bool(np.all(best <= tol * (1.0 + np.abs(ys))))
+        return bool(np.all(best <= 1e-8 * (1.0 + np.abs(ys))))
 
 
 @dataclass(frozen=True)
@@ -229,21 +230,13 @@ class SimResult:
     def to_csv(self, path) -> None:
         n = self.y.shape[1]
         m = self.zeta.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = (["t"]
-                      + [f"x{i}" for i in range(n)]
-                      + [f"u{i}" for i in range(n)]
-                      + [f"y{i}" for i in range(n)]
-                      + [f"zeta{e}" for e in range(m)]
-                      + [f"mu{e}" for e in range(m)])
-            w.writerow(header)
-            for k in range(len(self.t)):
-                row = np.concatenate([
-                    [self.t[k]], self.x[k], self.u[k], self.y[k],
-                    self.zeta[k], self.mu[k],
-                ])
-                w.writerow([repr(float(v)) for v in row])
+        header = (["t"]
+                  + [f"x{i}" for i in range(n)]
+                  + [f"u{i}" for i in range(n)]
+                  + [f"y{i}" for i in range(n)]
+                  + [f"zeta{e}" for e in range(m)]
+                  + [f"mu{e}" for e in range(m)])
+        _write_csv(path, header, [self.t, self.x, self.u, self.y, self.zeta, self.mu])
 
     def summary_dict(self) -> dict:
         return {
@@ -544,15 +537,9 @@ def _c1_models(funs) -> list:
     def model(F: IntegralFunction):
         s = np.diff(F.values) / np.diff(F.grid)
         d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
-        return _integrated(F.grid, d, F.values[0])
+        return F.grid, d, _trapezoid(F.grid, d, F.values[0])
 
     return _once_per_object(funs, model)
-
-
-def _integrated(x, d, first):
-    """The model (x, d, m) whose nodal values m integrate d from ``first``."""
-    return x, d, np.concatenate(
-        ([first], first + np.cumsum(0.5 * np.diff(x) * (d[:-1] + d[1:]))))
 
 
 def _conjugate(model):
@@ -574,7 +561,8 @@ def _conjugate(model):
     single = np.flatnonzero(count == 1)
     anchor = single[len(single) // 2] if len(single) else 0
     k = np.searchsorted(run, anchor)
-    dc, xc, mc = _integrated(d[new], np.bincount(run, x) / count, 0.0)
+    dc, xc = d[new], np.bincount(run, x) / count
+    mc = _trapezoid(dc, xc, 0.0)
     return dc, xc, mc + (x[k] * d[k] - m[k] - mc[anchor])
 
 
@@ -698,13 +686,10 @@ class PredictionReport:
         return self.converged and self.gap <= self.tolerance
 
 
-def predict_and_verify(
-    spec: NetworkSpec,
-    transforms,
-    tolerance: float = 1e-2,
-) -> PredictionReport:
+def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
     """Transform the network, predict its steady state, and simulate it.
 
+    The report passes when the run converges to within 1e-2 of the prediction.
     Preconditions checked and reported on failure: every transformed agent
     relation is (numerically) maximally monotone, and at least one side of
     each relation is strictly monotone.  Every controller is MEIP by
@@ -736,7 +721,7 @@ def predict_and_verify(
         y_predicted=opt.primal,
         y_simulated=sim.steady_state,
         gap=gap,
-        tolerance=tolerance,
+        tolerance=1e-2,
         converged=sim.converged,
     )
 
@@ -758,7 +743,7 @@ def _located(path: str):
         raise InvalidSpec(f"{path}: {reason}") from exc
 
 
-def spec_from_json(doc: str | dict, agent_registry: dict | None = None) -> NetworkSpec:
+def spec_from_json(doc: str | dict) -> NetworkSpec:
     """Build a NetworkSpec from a JSON document.
 
     Expected shape::
@@ -770,16 +755,14 @@ def spec_from_json(doc: str | dict, agent_registry: dict | None = None) -> Netwo
          "integrator": {"dt": 1e-3, "horizon": 100.0}}
 
     ``agents`` may be a single object applied to every vertex, and so may
-    ``controllers``.  Agent kinds resolve through ``agent_registry``
-    (defaults to the built-in fixtures); equal agent entries share one
+    ``controllers``.  Agent kinds resolve through the built-in fixtures of
+    :data:`pqikit.systems.AGENT_REGISTRY`; equal agent entries share one
     agent object.  A missing or malformed entry raises :class:`InvalidSpec`
     naming its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if agent_registry is None:
-        from .systems import AGENT_REGISTRY
-        agent_registry = AGENT_REGISTRY
+    from .systems import AGENT_REGISTRY
     with _located("$"):
         g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
         raw_x0 = doc["x0"]
@@ -797,11 +780,11 @@ def spec_from_json(doc: str | dict, agent_registry: dict | None = None) -> Netwo
                 key = json.dumps(entry, sort_keys=True, default=repr)
                 if key not in built:
                     kind = entry["kind"]
-                    if kind not in agent_registry:
+                    if kind not in AGENT_REGISTRY:
                         raise InvalidSpec(
                             f"$.agents[{i}].kind: unknown agent kind {kind!r}")
                     with _located(f"$.agents[{i}].params"):
-                        built[key] = agent_registry[kind](**entry.get("params", {}))
+                        built[key] = AGENT_REGISTRY[kind](**entry.get("params", {}))
                 agents.append(built[key])
 
     if isinstance(raw_ctrl, dict):

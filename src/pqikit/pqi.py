@@ -105,10 +105,10 @@ def discriminant(p: PQI) -> float:
     return p.b * p.b - 4.0 * p.a * p.c
 
 
-def is_nontrivial(p: PQI, rtol: float = DISC_RTOL) -> bool:
-    """True iff b^2 - 4ac > 0, with a relative zero band."""
+def is_nontrivial(p: PQI) -> bool:
+    """True iff b^2 - 4ac > 0, with a relative zero band of DISC_RTOL."""
     scale = p.a * p.a + p.b * p.b + p.c * p.c
-    return discriminant(p) > rtol * scale
+    return discriminant(p) > DISC_RTOL * scale
 
 
 def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +175,7 @@ def contains(p: PQI, point, rtol: float = MEMBER_RTOL) -> bool:
     return p(xi, chi) >= -band
 
 
-def pullback(p: PQI, transform, tol: float = 1e-12) -> PQI:
+def pullback(p: PQI, transform) -> PQI:
     """The PQI q with q(z) = p(T^{-1} z) for an invertible 2x2 map T.
 
     Accepts a 2x2 array or anything exposing ``.matrix()``.
@@ -189,7 +189,7 @@ def pullback(p: PQI, transform, tol: float = 1e-12) -> PQI:
     # well-defined maps with badly scaled rows or columns fail only one
     col_norms = float(np.linalg.norm(t[:, 0])) * float(np.linalg.norm(t[:, 1]))
     row_norms = float(np.linalg.norm(t[0, :])) * float(np.linalg.norm(t[1, :]))
-    if det == 0.0 or abs(det) <= tol * min(col_norms, row_norms):
+    if det == 0.0 or abs(det) <= 1e-12 * min(col_norms, row_norms):
         raise SingularTransform(f"|det T| = {abs(det)} below tolerance")
     # T^{-1} = [[al, be], [ga, de]]; substitute xi = al*xi' + be*chi', etc.
     al = t[1, 1] / det

@@ -20,13 +20,31 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import isotonic_regression
 from scipy.spatial import cKDTree
 
 from .errors import MultiValued, WrongRepresentation
 
 DEFAULT_GRID_POINTS = 4001
+# Relative gap below which integral_function merges adjacent abscissae.
+TIE_RTOL = 1e-12
+# Floor of is_cursive's jump, divergence and self-intersection scales.
+CURSIVE_ATOL = 1e-6
+
+
+def _write_csv(path, header, columns) -> None:
+    """CSV of the columns side by side under ``header``, cells repr(float)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(v) for v in row]
+                    for row in np.column_stack(columns).astype(float).tolist())
+
+
+def _trapezoid(x, v, first: float) -> np.ndarray:
+    """Trapezoid-rule integral of the samples v over x, from ``first`` at x[0]."""
+    return np.concatenate(
+        ([first], first + np.cumsum(0.5 * np.diff(x) * (v[:-1] + v[1:]))))
 
 
 @dataclass(frozen=True)
@@ -95,12 +113,9 @@ class PlanarRelation:
 
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sigma", "u", "y"])
-            sig = self.sigma if self.sigma is not None else np.arange(len(self.u))
-            for s, u, y in zip(sig, self.u, self.y):
-                w.writerow([repr(float(s)), repr(float(u)), repr(float(y))])
+        """Columns sigma, u, y; a point list's sigma is the sample index."""
+        sig = self.sigma if self.sigma is not None else np.arange(len(self.u))
+        _write_csv(path, ["sigma", "u", "y"], [sig, self.u, self.y])
 
     def to_json_dict(self) -> dict:
         d = {"u": self.u.tolist(), "y": self.y.tolist()}
@@ -136,11 +151,7 @@ class IntegralFunction:
         return cls(grid, vals, _convex_certificate(grid, vals))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "value"])
-            for x, v in zip(self.grid, self.values):
-                w.writerow([repr(float(x)), repr(float(v))])
+        _write_csv(path, ["x", "value"], [self.grid, self.values])
 
 
 def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
@@ -186,16 +197,12 @@ OF_K = "of_k"
 OF_K_INVERSE = "of_k_inverse"
 
 
-def integral_function(
-    rel: PlanarRelation,
-    direction: str = OF_K,
-    tie_tol: float = 1e-12,
-) -> IntegralFunction:
+def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFunction:
     """Cumulative-trapezoid potential of the relation in one direction.
 
     ``of_k`` integrates y as a function of u; ``of_k_inverse`` integrates u
     as a function of y.  The relation must be single-valued in the chosen
-    direction: runs of abscissae each within ``tie_tol`` (relative) of the
+    direction: runs of abscissae each within ``TIE_RTOL`` (relative) of the
     previous one are merged into their first sample, genuine folds raise.
     Values are anchored to zero at the left end of the grid.
     """
@@ -209,13 +216,13 @@ def integral_function(
         # a curve is single-valued in this direction iff the abscissa is
         # monotone along the parameter
         dx = np.diff(x)
-        slack = tie_tol * (float(np.abs(x).max()) + 1.0)
+        slack = TIE_RTOL * (float(np.abs(x).max()) + 1.0)
         if not (np.all(dx >= -slack) or np.all(dx <= slack)):
             raise MultiValued("curve abscissa is not monotone in the parameter")
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
     scale = float(np.abs(x).max()) + 1.0
-    keep = np.concatenate(([True], np.diff(x) > tie_tol * scale))
+    keep = np.concatenate(([True], np.diff(x) > TIE_RTOL * scale))
     # each sample is compared with the first sample of its tie run
     first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
     vf = v[first]
@@ -228,7 +235,7 @@ def integral_function(
     gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    vals = cumulative_trapezoid(gv, gx, initial=0.0)
+    vals = _trapezoid(gx, gv, 0.0)
     return IntegralFunction(gx, vals, _convex_certificate(gx, vals))
 
 
@@ -261,7 +268,7 @@ def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
 # Monotonicity and cursivity
 
 
-def is_monotone(rel: PlanarRelation, strict: bool = False, tol: float = 1e-9) -> bool:
+def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
     """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs.
 
     Sorting by input reduces the pairwise check to adjacent comparisons.
@@ -273,7 +280,7 @@ def is_monotone(rel: PlanarRelation, strict: bool = False, tol: float = 1e-9) ->
     du = np.diff(u)
     dy = np.diff(y)
     scale = float(np.abs(y).max()) + 1.0
-    if not np.all(dy >= -tol * scale):
+    if not np.all(dy >= -1e-9 * scale):
         return False
     if strict:
         uscale = float(np.abs(u).max()) + 1.0
@@ -306,12 +313,7 @@ def _ends_grow(norms: np.ndarray) -> bool:
     return bool(np.all(np.diff(checkpoints) >= -slack))
 
 
-def is_cursive(
-    rel: PlanarRelation,
-    intersection_sigma_gap: int = 20,
-    end_factor: float = 1.5,
-    atol: float = 1e-6,
-) -> CursivityReport:
+def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> CursivityReport:
     """Numeric surrogate for the cursive property of a parameterized curve.
 
     Checks three finite-grid stand-ins: adjacent images stay within a
@@ -329,13 +331,13 @@ def is_cursive(
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     med_seg = float(np.median(seg))
-    continuous = bool(seg.max() <= max(10.0 * med_seg, atol))
+    continuous = bool(seg.max() <= max(10.0 * med_seg, CURSIVE_ATOL))
     if not continuous:
         notes.append("jump: a grid segment exceeds 10x the median segment length")
 
     norms = np.linalg.norm(pts, axis=1)
     med = float(np.median(norms))
-    threshold = max(end_factor * med, atol)
+    threshold = max(1.5 * med, CURSIVE_ATOL)
     diverges = (
         norms[0] > threshold
         and norms[-1] > threshold
@@ -349,7 +351,7 @@ def is_cursive(
         )
 
     no_self_intersection = _no_near_self_intersection(
-        pts, max(med_seg, atol), intersection_sigma_gap
+        pts, max(med_seg, CURSIVE_ATOL), intersection_sigma_gap
     )
     if not no_self_intersection:
         notes.append("near self-intersection: parameter-distant samples coincide")

@@ -44,9 +44,9 @@ class Transform2:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def require_invertible(self, tol: float = 1e-12) -> None:
+    def require_invertible(self) -> None:
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        if abs(self.det) <= tol * scale * scale:
+        if abs(self.det) <= 1e-12 * scale * scale:
             raise SingularTransform(f"det {self.det} below tolerance")
 
     def inverse(self) -> "Transform2":
@@ -101,9 +101,6 @@ class ElementaryDecomposition:
             m = m @ _COLUMN_SWAP
         return m
 
-    def realizations(self) -> dict[str, str]:
-        return dict(STAGE_REALIZATIONS)
-
 
 def _ray_matrix(p: PQI) -> np.ndarray:
     r1, r2 = boundary_rays(p)
@@ -152,7 +149,7 @@ def passivize(
     return mapping_transform(indices.pqi(), target.pqi())
 
 
-def decompose(transform: Transform2, tol: float = 1e-12) -> ElementaryDecomposition:
+def decompose(transform: Transform2) -> ElementaryDecomposition:
     """Factor T into output-feedback, post-gain, feedthrough and pre-gain.
 
     Requires the (1,1) entry to carry weight; when it is small the columns
@@ -160,7 +157,7 @@ def decompose(transform: Transform2, tol: float = 1e-12) -> ElementaryDecomposit
     b/a and d - (b/a)c gain formulas well conditioned) and the flag records
     the swap.
     """
-    transform.require_invertible(tol)
+    transform.require_invertible()
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     scale = max(abs(a), abs(b), abs(c), abs(d))
     swapped = abs(a) <= 1e-2 * scale and abs(b) > abs(a)
@@ -179,6 +176,8 @@ def decompose(transform: Transform2, tol: float = 1e-12) -> ElementaryDecomposit
 # ---------------------------------------------------------------------------
 # Numeric dissipation certificate
 
+U_RANGE = (-2.0, 2.0)  # inputs of the sampled equilibria and of the trials
+
 
 @dataclass
 class PassivationReport:
@@ -194,25 +193,25 @@ class PassivationReport:
         return self.max_violation <= self.tolerance
 
 
-def find_equilibria(system, u_values, x_range=(-10.0, 10.0), cells: int = 400):
-    """Sample forced equilibria by bisecting f(x, u) = 0 on a state grid.
+def find_equilibria(system, u_values):
+    """Sample forced equilibria by bisecting f(x, u) = 0 on 400 cells of [-10, 10].
 
     Returns a list of (x_eq, u_eq, y_eq) triples; one entry per sign change
     of f over the cell grid (or exact zero at a cell's left end), for each
     input level.
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
-    roots, level = bracket_roots(system.f, us, x_range[0], x_range[1], cells)
+    roots, level = bracket_roots(system.f, us, -10.0, 10.0, 400)
     ys = agent_call(system.h, roots, us[level])
     return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]
 
 
-def _storage_rate(storage, x, x_eq, xdot, eps_scale: float = 1e-6):
+def _storage_rate(storage, x, x_eq, xdot):
     """Directional numeric derivative of S along the vector field."""
-    eps = eps_scale * (1.0 + np.abs(x))
-    step = eps * np.sign(xdot + (xdot == 0.0))
+    step = 1e-6 * (1.0 + np.abs(x)) * np.sign(xdot + (xdot == 0.0))
     # dS/dt = S'(x) * xdot, via central difference in the state.
-    return (storage(x + step, x_eq) - storage(x - step, x_eq)) / (2.0 * step) * xdot
+    return ((agent_call(storage, x + step, x_eq) - agent_call(storage, x - step, x_eq))
+            / (2.0 * step) * xdot)
 
 
 def verify_passivation(
@@ -221,27 +220,26 @@ def verify_passivation(
     indices_target: PassivityIndices,
     trials: int = 100,
     n_equilibria: int = 20,
-    u_range=(-2.0, 2.0),
     x0_range=(-3.0, 3.0),
     horizon: float = 10.0,
-    tolerance: float = 1e-6,
     seed: int = 0,
 ) -> PassivationReport:
     """Simulate random trajectories and check the transformed inequality.
 
-    Inputs are piecewise constant over 10 segments; all trials of a segment
-    step together with :func:`~pqikit.network.dormand_prince` (floor 1e-3,
-    cap the segment), which calls the system's ``f`` on the trial arrays.
-    Every 0.02 time units the storage rate (numeric directional derivative
-    of the supplied storage candidate) is compared against the transformed
-    supply rate shifted by each sampled equilibrium.
+    Inputs in U_RANGE are piecewise constant over 10 segments; all trials
+    of a segment step together with :func:`~pqikit.network.dormand_prince`
+    (floor 1e-3, cap the segment), which calls the system's ``f`` on the
+    trial arrays.  Every 0.02 time units the storage rate (numeric
+    directional derivative of the supplied storage candidate) is compared
+    against the transformed supply rate shifted by each sampled
+    equilibrium; the report passes when no violation exceeds 1e-6.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
     transform.require_invertible()
     rng = np.random.default_rng(seed)
 
-    u_grid = np.linspace(u_range[0], u_range[1], max(4, n_equilibria))
+    u_grid = np.linspace(*U_RANGE, max(4, n_equilibria))
     eqs = find_equilibria(system, u_grid)
     if len(eqs) > n_equilibria:
         idx = rng.choice(len(eqs), size=n_equilibria, replace=False)
@@ -250,7 +248,7 @@ def verify_passivation(
     dt, stride, n_segments = 1e-3, 20, 10
     n_steps = int(round(horizon / dt))
     seg_len = max(1, n_steps // n_segments)
-    u_levels = rng.uniform(u_range[0], u_range[1], size=(n_segments + 1, trials))
+    u_levels = rng.uniform(*U_RANGE, size=(n_segments + 1, trials))
     x = rng.uniform(x0_range[0], x0_range[1], size=trials)
     # segment k holds u_levels[k]; the last level covers any remainder
     ends = [min(k * seg_len, n_steps) for k in range(1, n_segments + 1)] + [n_steps]
@@ -281,7 +279,7 @@ def verify_passivation(
         worst = max(worst, float(np.max(sdot - supply)))
     return PassivationReport(
         max_violation=worst,
-        tolerance=tolerance,
+        tolerance=1e-6,
         trials=trials,
         equilibria=eqs,
     )

@@ -34,6 +34,13 @@ class TestPassivize:
         assert rc == 0
         assert "transform:" in out and "decomposition:" in out
 
+    def test_small_leading_entry_swaps_columns(self, capsys):
+        rc = main(["passivize", "--rho=-3", "--nu=0.25", "--rho-target=1",
+                   "--nu-target=0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "(columns swapped before factoring)" in out
+
     def test_trivial_pair_rejected(self, capsys):
         rc = main(["passivize", "--rho", "1.0", "--nu", "1.0"])
         assert rc == 2

@@ -32,6 +32,7 @@ from pqikit.errors import (
     NoStabilizingLambda,
     NonFiniteValue,
     NonpositiveGain,
+    SingularDenominator1p2lm,
     ToolkitError,
     UnstableDenominator,
 )
@@ -414,6 +415,21 @@ class TestTimeScaleInvariance:
         assert abs(strict.nu - 0.6545158625850946) <= 1e-12
 
 
+class TestGainScaleInvariance:
+    # squared gains of 1e±200 leave float range; the extrema must not
+    @pytest.mark.parametrize("k", [1e-200, 1e200])
+    def test_peak_gain_equals_the_gain(self, k):
+        assert linf_norm(RationalTF.make([k], [1.0, 1.0])) == k
+        assert linf_norm(RationalTF.make([k], [1.0, 2.0, 1.0])) == k
+
+    @pytest.mark.parametrize("k", [1e-200, 1e200])
+    def test_indices_scale_with_the_gain(self, k):
+        # Re k(s+2)/(s+1) falls from 2k to k, Re of its inverse rises from
+        # 1/(2k) to 1/k
+        strict = tf_passivity_indices(RationalTF.make([2.0 * k, k], [1.0, 1.0]))
+        assert (strict.rho, strict.nu) == (0.5 / k, k)
+
+
 class TestCrossModuleConsistency:
     def test_index_pipeline_reaches_strict_passivity(self):
         G = unstable_plant_tf(0.75)
@@ -472,8 +488,11 @@ class TestSerialization:
     (lambda: transformed_tf(RationalTF.make([2.0, 1.0], [1.0, 1.0]),
                             Transform2(1.0, -1.0, 0.0, 1.0)),
      DegenerateTransformedTF, "numerator degree exceeds"),
+    # mu = 1 + 1/4, so 1 + 2*lam*mu rounds to -4.4e-16 at this root
+    (lambda: eips_indices(RationalTF.make([1.0], [1.0]), (-7 + math.sqrt(41)) / 2),
+     SingularDenominator1p2lm, "vanished"),
 ], ids=["zero_denominator", "transformed_denominator_vanishes",
-        "transformed_improper"])
+        "transformed_improper", "eips_denominator_vanishes"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,6 +1,7 @@
 """Network simulation, per-agent transforms, and dual steady-state solvers."""
 
 import copy
+import csv
 import json
 import math
 from dataclasses import replace
@@ -35,6 +36,7 @@ from pqikit import (
 from pqikit.errors import (
     DimensionMismatch,
     InvalidSpec,
+    NoConvergence,
     NonConvexCertificate,
     NonFiniteState,
     PreconditionFailed,
@@ -604,6 +606,11 @@ class TestJsonIngest:
         sim.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x0,x1,u0,u1,y0,y1,zeta0,mu0"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cells = np.array([[float(c) for c in row] for row in rows])
+        want = np.column_stack([sim.t, sim.x, sim.u, sim.y, sim.zeta, sim.mu])
+        np.testing.assert_array_equal(cells.view(np.int64), want.view(np.int64))
 
 
 class TestAgentDeclarations:
@@ -611,6 +618,9 @@ class TestAgentDeclarations:
         for agent in (quadratic_agent(2.0), pendulum_gradient_agent(),
                       nonmonotone_demo_agent()):
             assert agent.check_relation(n_samples=15)
+
+    def test_agent_without_relation_passes_the_check(self):
+        assert AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x).check_relation()
 
     def test_static_controller_gain_positive(self):
         with pytest.raises(ValueError):
@@ -658,8 +668,14 @@ def _bare_spec():
         NetworkSpec(Graph(1, ()), (_kinked_agent(),), (), np.zeros(1), FAST),
         [Transform2.identity()]),
      PreconditionFailed, "^agent 0: neither the relation nor its inverse"),
+    # each potential is flat at 1e308 in float, so their sum overflows
+    (lambda: solve_opp(quadratic_network(), node_potentials=[
+        IntegralFunction.from_function(lambda y, c=c: 1e308 + (y - c) ** 2,
+                                       np.linspace(-5.0, 5.0, 101))
+        for c in (1.0, 3.0)]),
+     NoConvergence, "non-finite objective"),
 ], ids=["controller_count", "x0_length", "dt", "store_stride", "feedthrough",
-        "opp_without_relation", "not_strictly_monotone"])
+        "opp_without_relation", "not_strictly_monotone", "opp_overflow"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,5 +1,6 @@
 """Relation transport, integral functions, Legendre duals, shape checks."""
 
+import csv
 import json
 import time
 
@@ -33,6 +34,15 @@ from pqikit.systems import (
 def cubic_fold_curve(n=4001):
     """(2s - s^3, s^3 - s): non-monotone in both coordinates."""
     return nonmonotone_demo_agent(n=n).relation
+
+
+def assert_csv_cells(path, columns):
+    """Every data cell, read back with float(), is its source bit for bit."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = np.array([[float(c) for c in row] for row in rows])
+    want = np.column_stack(columns).astype(float)
+    np.testing.assert_array_equal(cells.view(np.int64), want.view(np.int64))
 
 
 class TestTransformRelation:
@@ -156,8 +166,8 @@ class TestIntegralFunction:
                                       [0.0, 1.0, 2.0])
 
     def test_chained_near_ties_merge_into_first(self):
-        # successive gaps of 0.6 tie_tol*scale: one run, though its ends
-        # lie 1.2 tie_tol*scale apart
+        # successive gaps of 0.6 TIE_RTOL*scale: one run, though its ends
+        # lie 1.2 TIE_RTOL*scale apart
         t = 1e-12 * 3.0
         rel = PlanarRelation.from_points([0.0, 1.0, 1.0 + 0.6 * t, 1.0 + 1.2 * t, 2.0],
                                          [0.0, 1.0, 1.0, 1.0, 2.0])
@@ -464,6 +474,7 @@ class TestRepresentations:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "sigma,u,y"
         assert len(rows) == 102
+        assert_csv_cells(path, [rel.sigma, rel.u, rel.y])
         back = PlanarRelation.from_json_dict(
             json.loads(json.dumps(rel.to_json_dict()))
         )
@@ -476,6 +487,14 @@ class TestRepresentations:
         path = tmp_path / "pot.csv"
         F.to_csv(path)
         assert path.read_text().startswith("x,value")
+        assert_csv_cells(path, [F.grid, F.values])
+
+    def test_point_list_csv_indexes_its_samples(self, tmp_path):
+        rel = PlanarRelation.from_points([0.1, -2.0, 1e-300], [1.0 / 3.0, 7.0, -0.0])
+        path = tmp_path / "points.csv"
+        rel.to_csv(path)
+        assert path.read_text().startswith("sigma,u,y")
+        assert_csv_cells(path, [[0.0, 1.0, 2.0], rel.u, rel.y])
 
 
 class TestOneRepresentation:

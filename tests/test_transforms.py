@@ -291,6 +291,14 @@ class TestVerifyPassivation:
         assert report.passed
         assert len(calls) <= 10_000
 
+    def test_non_broadcasting_storage_is_located(self):
+        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x,
+                         storage=lambda x, xe: 0.5 * float(x - xe) ** 2)
+        with pytest.raises(InvalidSpec,
+                           match="^agent: .* failed on array input.*storage"):
+            verify_passivation(agent, Transform2.identity(),
+                               PassivityIndices(0.0, 0.0), trials=3)
+
     def test_missing_storage_rejected(self):
         bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
         with pytest.raises(NoStorageFunction):
