@@ -7,8 +7,8 @@ an adaptive Dormand–Prince 5(4) stepper whose step never falls below the
 configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
-Newton solver on C¹ models of the sampled potentials and their exact
-conjugates.  The stepper and the root bracketer are shared with the
+Newton–CG solver, in numpy alone, on C¹ models of the sampled potentials
+and their exact conjugates.  The stepper and the root bracketer are shared with the
 dissipation certificate and the equilibrium search.
 """
 
@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatch,
@@ -509,7 +508,9 @@ class OptimizationResult:
     """Solution of one dual steady-state problem.
 
     ``residual`` is the max-norm of the model objective's gradient at the
-    minimizer; ``iterations`` counts the trust-region iterations.
+    minimizer; ``iterations`` counts the trust-region Newton–CG iterations
+    (0 when the problem has no variables or the first point meets the
+    residual bound; see :func:`_minimize_convex`).
     """
 
     minimizer: np.ndarray
@@ -566,15 +567,63 @@ def _conjugate(model):
     return dc, xc, mc + (x[k] * d[k] - m[k] - mc[anchor])
 
 
+# Trust-region iterations before _minimize_convex falls back on one Newton step.
+_TRUST_ITERATIONS = 500
+
+
+class _Iterate(NamedTuple):
+    """A point of _minimize_convex: objective, its rounding, the gradient,
+    its max-norm residual and the residual's bound, the model curvatures."""
+
+    f: float
+    rounding: float
+    grad: np.ndarray
+    residual: float
+    bound: float
+    curv: np.ndarray
+
+
+def _steihaug(g, hv, radius):
+    """Step p minimizing g·p + ½ pᵀHp over |p| ≤ radius, and whether it is on the edge.
+
+    Conjugate gradients on Hp = -g from p = 0, cut where a direction leaves
+    the region or has no positive curvature (Steihaug 1983; Nocedal &
+    Wright, Alg. 7.2).  The iteration runs to a residual 1e-10 times |g|,
+    so an interior step is the Newton step.
+    """
+    p, r = np.zeros_like(g), g.copy()
+    d, rr = -r, r @ r
+    for _ in range(2 * len(g) + 2):
+        Hd = hv(d)
+        dHd = d @ Hd
+        if dHd > 0.0:
+            alpha = rr / dHd
+            if np.linalg.norm(p + alpha * d) < radius:
+                p, r = p + alpha * d, r + alpha * Hd
+                rr, rr_old = r @ r, rr
+                if rr <= 1e-20 * (g @ g):
+                    break
+                d = -r + (rr / rr_old) * d
+                continue
+        # the edge point p + τd, τ > 0, of the current direction
+        a, b, c = d @ d, p @ d, p @ p - radius**2
+        return p + (-c / (b + np.sqrt(b * b - a * c))) * d, True
+    return p, False
+
+
 def _minimize_convex(models, B, Q):
-    """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by trust-region Newton.
+    """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by trust-region Newton–CG.
 
     Each Fᵢ is a convex C¹ piecewise-quadratic model (x, d, m), so value,
-    gradient and Hessian are exact.  Returns the minimizer, the objective,
-    the iteration count and the gradient residual, which is judged against
-    the size of the gradient's two parts, not by the optimizer's status: it
-    often stops when rounding hides the predicted decrease of a large
-    objective, and then one exact Newton step is kept if it lowers the residual.
+    gradient and the Hessian product Bᵀ(curv·(Bv)) + Qv are exact; steps
+    come from :func:`_steihaug`.  The iteration stops when the max-norm
+    gradient residual is within 1e-6 of the size of the gradient's two
+    parts.  A step is taken when it achieves at least 0.15 of its predicted
+    decrease, or, where that decrease is below the rounding of the
+    objective, when it lowers the residual.  If the steps stop moving z
+    or run out, one exact Newton step is kept if it lowers the residual.
+    Returns the minimizer, the objective, the iteration count and the
+    residual.
     """
 
     def pieces(w):
@@ -586,37 +635,56 @@ def _minimize_convex(models, B, Q):
             out[:, i] = m[j] + t * (d[j] + 0.5 * c * t), d[j] + c * t, c
         return out
 
-    def fun(z):
-        val, slope, _ = pieces(B @ z)
-        Qz = Q @ z
-        return val.sum() + 0.5 * z @ Qz, B.T @ slope + Qz
+    def at(z) -> _Iterate:
+        val, slope, curv = pieces(B @ z)
+        node, Qz = B.T @ slope, Q @ z
+        edge = 0.5 * z @ Qz
+        return _Iterate(
+            f=val.sum() + edge,
+            rounding=1e-14 * (np.abs(val).sum() + abs(edge)),
+            grad=node + Qz,
+            residual=float(np.abs(node + Qz).max(initial=0.0)),
+            bound=1e-6 * (1.0 + max(np.abs(node).max(initial=0.0),
+                                    np.abs(Qz).max(initial=0.0))),
+            curv=curv)
 
-    def hess(z):
-        curv = pieces(B @ z)[2]
-        return B.T @ (curv[:, None] * B) + Q
+    z, radius, iterations = np.zeros(B.shape[1]), 1.0, 0
+    now = at(z)
+    while (now.residual > now.bound and np.isfinite(now.f)
+           and iterations < _TRUST_ITERATIONS):
+        iterations += 1
 
-    z, iterations = np.zeros(B.shape[1]), 0
-    if z.size:
-        # gtol bounds the gradient's 2-norm, so a normal stop also passes
-        # the max-norm residual test below
-        res = minimize(fun, z, jac=True, hess=hess, method="trust-exact",
-                       options={"gtol": 1e-6})
-        z, iterations = res.x, int(res.nit)
-        if res.status != 0:
-            step = np.linalg.lstsq(hess(z), fun(z)[1], rcond=None)[0]
-            z = min((z, z - step), key=lambda v: np.abs(fun(v)[1]).max())
-    objective = float(fun(z)[0])
-    if not np.isfinite(objective):
+        def hv(v, curv=now.curv):
+            return B.T @ (curv * (B @ v)) + Q @ v
+
+        p, on_edge = _steihaug(now.grad, hv, radius)
+        if np.all(z + p == z):
+            break
+        trial = at(z + p)
+        predicted = -(now.grad @ p + 0.5 * p @ hv(p))
+        if predicted <= max(now.rounding, trial.rounding):
+            rho = 1.0 if trial.residual < now.residual else 0.0
+        else:
+            rho = (now.f - trial.f) / predicted
+        if rho < 0.25:
+            radius = 0.25 * np.linalg.norm(p)
+        elif rho > 0.75 and on_edge:
+            radius *= 2.0
+        if rho > 0.15:
+            z, now = z + p, trial
+    if now.residual > now.bound and np.isfinite(now.f):
+        newton = z - np.linalg.lstsq(B.T @ (now.curv[:, None] * B) + Q, now.grad,
+                                     rcond=None)[0]
+        step = at(newton)
+        if step.residual < now.residual:
+            z, now = newton, step
+    if not np.isfinite(now.f):
         raise NoConvergence("steady-state problem has a non-finite objective")
-    node_part, Qz = B.T @ pieces(B @ z)[1], Q @ z
-    residual = float(np.abs(node_part + Qz).max(initial=0.0))
-    bound = 1e-6 * (1.0 + max(np.abs(node_part).max(initial=0.0),
-                              np.abs(Qz).max(initial=0.0)))
-    if residual > bound:
+    if now.residual > now.bound:
         raise NoConvergence(
             f"steady-state problem stopped with gradient residual "
-            f"{residual:.3e} > {bound:.3e}")
-    return z, objective, iterations, residual
+            f"{now.residual:.3e} > {now.bound:.3e}")
+    return z, float(now.f), iterations, now.residual
 
 
 def _agent_kstar(agent: AgentODE) -> IntegralFunction:

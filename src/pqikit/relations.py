@@ -7,10 +7,13 @@ Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for the
 numeric surrogate of cursivity that underpins the maximality check.
-Integration merges ties in the abscissa with an array mask, the conjugate
-reads its slopes off a weighted isotonic regression (the greatest convex
-minorant), and near self-intersections are found by one k-d tree pair
-query whose output a pigeonhole count bounds first.
+Integration merges ties in the abscissa with an array mask.  The conjugate
+reads the greatest convex minorant's slopes off the cell slopes when they
+never decrease, and otherwise finds every maximizer by an exact monotone
+argmax, level by level.  Near self-intersections are found by one sort of
+the samples into square grid cells, small enough that a crowded cell proves
+one by pigeonhole; otherwise only pairs of neighbour cells are measured.
+Everything here is numpy alone.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import isotonic_regression
-from scipy.spatial import cKDTree
 
 from .errors import MultiValued, WrongRepresentation
 
@@ -242,26 +243,59 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
 def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
     """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)).
 
-    The conjugate of the sampled function equals the conjugate of its
-    greatest convex minorant, whose cell slopes are the isotonic regression
-    of the cell slopes weighted by the cell widths.  Each pooled block of
-    equal slopes starts at a sample on the minorant, so a binary search over
-    the slopes picks the maximizing sample itself.  The default dual grid
-    spans the slope range with as many points as the primal grid.
+    Where the cell slopes never decrease, sample j maximizes for y between
+    slopes j-1 and j, so one binary search over the slopes picks it.
+    Otherwise the maximizer is found exactly, by the monotone argmax.  The
+    default dual grid spans the end slopes of the greatest convex minorant
+    with as many points as the primal grid.
     """
     x, v = F.grid, F.values
-    dx = np.diff(x)
-    slopes = isotonic_regression(np.diff(v) / dx, weights=dx).x
+    slopes = np.diff(v) / np.diff(x)
+    convex = bool(np.all(np.diff(slopes) >= 0.0))
     if dual_grid is None:
-        lo, hi = (float(slopes[0]), float(slopes[-1])) if len(slopes) else (-1.0, 1.0)
+        if not len(slopes):
+            lo, hi = -1.0, 1.0
+        elif convex:
+            lo, hi = float(slopes[0]), float(slopes[-1])
+        else:
+            # the minorant's end cells are the extreme chords of the ends
+            lo = float(np.min((v[1:] - v[0]) / (x[1:] - x[0])))
+            hi = float(np.max((v[-1] - v[:-1]) / (x[-1] - x[:-1])))
         if hi - lo < 1e-12:
             lo, hi = lo - 1.0, hi + 1.0
         dual_grid = np.linspace(lo, hi, len(x))
     ys = np.asarray(dual_grid, dtype=float)
-    # sample j is the argmax for y between slopes[j-1] and slopes[j]
-    j = np.searchsorted(slopes, ys)
+    j = np.searchsorted(slopes, ys) if convex else _monotone_argmax(x, v, ys)
     vals = ys * x[j] - v[j]
     return IntegralFunction(ys, vals, _convex_certificate(ys, vals))
+
+
+def _monotone_argmax(x, v, ys) -> np.ndarray:
+    """First maximizer j of ys[k]*x[j] - v[j], for increasing ys and x.
+
+    The first maximizer never decreases in y, so once row k is solved the
+    rows below it search only up to its maximizer and the rows above only
+    from it.  Rows are solved level by level, the middle row of every
+    unsolved run at once, so each level costs O(len(x) + rows) and there
+    are log2(len(ys)) levels (Aggarwal, Klawe, Moran, Shor & Wilber 1987).
+    """
+    j = np.zeros(len(ys), dtype=np.intp)
+    # unsolved row runs [a, b) with their column ranges [lo, hi]
+    a, b = np.zeros(1, np.intp), np.full(1, len(ys))
+    lo, hi = np.zeros(1, np.intp), np.full(1, len(x) - 1)
+    while True:
+        keep = a < b
+        a, b, lo, hi = a[keep], b[keep], lo[keep], hi[keep]
+        if not len(a):
+            return j
+        mid, width = (a + b) // 2, hi - lo + 1
+        start = np.cumsum(width) - width
+        cols = np.arange(width.sum()) - np.repeat(start - lo, width)
+        vals = np.repeat(ys[mid], width) * x[cols] - v[cols]
+        top = np.repeat(np.maximum.reduceat(vals, start), width)
+        j[mid] = np.minimum.reduceat(np.where(vals == top, cols, len(x)), start)
+        a, b = np.r_[a, mid + 1], np.r_[mid, b]
+        lo, hi = np.r_[lo, j[mid]], np.r_[j[mid], hi]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +355,9 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
     coincide within the median segment length (self-intersection measure:
-    one k-d tree pair query, bounded by a pigeonhole count).  These support
-    but cannot prove the limit properties; the report says which passed.
+    one sort into grid cells, see :func:`_no_near_self_intersection`).
+    These support but cannot prove the limit properties; the report says
+    which passed.
     """
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
@@ -363,30 +398,51 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
 def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool:
     """No two samples more than ``gap`` steps apart lie within ``radius``.
 
-    One k-d tree pair query at the largest float below ``radius`` (the pair
-    query keeps distances up to and including its bound).  Its output is
-    bounded first: only 2*gap + 1 samples lie within ``gap`` steps of a
-    point, so if more than n*(2*gap + 1) ordered pairs (self-pairs
-    included) lie within the radius, one of them is parameter-distant by
-    pigeonhole, and a dual-tree count says so without listing them.  Exact
-    repeats are found first, with one sort: a k-d tree cannot split them.
+    The samples are sorted by the square cell of the plane they fall in.
+    The side is a power of two, so a cell's bounds are exact, and below
+    radius/1.5: any two samples of one cell lie within the radius, and the
+    cell proves an intersection as soon as its sample indices span more
+    than ``gap`` (one holding more than gap + 1 samples always does; an
+    exact repeat shares its cell).  Otherwise each cell holds at most
+    gap + 1 samples, and each sample is measured only against the samples
+    of the cells after its own within ``reach`` cells in both directions,
+    so the candidate count stays linear in the samples.
     """
-    # each point as one complex number, which numpy sorts by (u, y); the
-    # stable sort keeps a repeat's indices ascending
-    z = np.ascontiguousarray(pts).view(np.complex128).ravel()
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    repeat = zs[1:] == zs[:-1]
-    if radius > 0.0 and repeat.any():
-        run = np.flatnonzero(np.r_[True, ~repeat])
-        last = np.r_[run[1:], len(pts)] - 1
-        if np.any(order[last] - order[run] > gap):
-            return False
-    tree, below = cKDTree(pts), np.nextafter(radius, 0.0)
-    if tree.count_neighbors(tree, below) > len(pts) * (2 * gap + 1):
+    m, e = np.frexp(radius)
+    side = np.ldexp(1.0, int(e) - (1 if m >= 0.75 else 2))  # radius/side in [1.5, 3)
+    # a margin over the radius, so that no pair whose rounded distance
+    # falls below it lies out of reach
+    reach = int(radius * (1.0 + 1e-6) / side) + 1
+    # cell coordinates with gaps wider than the reach closed up to it,
+    # which keeps every neighbourhood and bounds the key below n^2 * 16
+    col, row = (_close_gaps(c, reach) for c in np.floor(pts / side).T)
+    width = int(row.max()) + 2 * reach + 1
+    key = col * width + row + reach
+    order = np.argsort(key, kind="stable")  # indices ascend within a cell
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    end = np.r_[start[1:], len(key)]
+    if np.any(order[end - 1] - order[start] > gap):
         return False
-    pairs = tree.query_pairs(below, output_type="ndarray")
-    return not bool(np.any(pairs[:, 1] - pairs[:, 0] > gap))
+    # the cells after a sample's own, column by column: rows above it in
+    # its own column, rows within the reach in the next ``reach`` columns
+    lo = np.concatenate([np.searchsorted(key, key + a * width - (reach if a else -1))
+                         for a in range(reach + 1)])
+    hi = np.concatenate([np.searchsorted(key, key + a * width + reach, "right")
+                         for a in range(reach + 1)])
+    count = hi - lo
+    i = order[np.repeat(np.tile(np.arange(len(key)), reach + 1), count)]
+    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    far = np.abs(i - j) > gap
+    d = pts[i[far]] - pts[j[far]]
+    return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < radius))
+
+
+def _close_gaps(c: np.ndarray, reach: int) -> np.ndarray:
+    """Integer ranks of c with every gap between distinct values cut to reach + 1."""
+    values, inverse = np.unique(c, return_inverse=True)
+    steps = np.minimum(np.diff(values), reach + 1).astype(np.int64)
+    return np.r_[0, np.cumsum(steps)][inverse]
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:

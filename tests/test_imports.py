@@ -1,0 +1,50 @@
+"""The package runs on numpy alone: no scipy module on its import path."""
+
+import os
+import subprocess
+import sys
+
+import pqikit
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pqikit.__file__)))
+
+# scipy blocked: any import of it, however deep, raises ImportError
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import pqikit, pqikit.cli, pqikit.systems
+from pqikit import (IntegralFunction, PlanarRelation, is_maximal_monotone,
+                    legendre, solve_ofp, solve_opp)
+from pqikit.systems import nonmonotone_demo_agent, quadratic_network
+
+spec = quadratic_network()
+opp, ofp = solve_opp(spec), solve_ofp(spec)
+assert abs(opp.objective + ofp.objective) <= 1e-9
+grid = np.linspace(-2.0, 2.0, 401)
+for f in (lambda y: 0.5 * y * y, lambda y: 0.25 * y**4 - 0.5 * y**2):
+    F = IntegralFunction.from_function(f, grid)
+    Fs = legendre(F)
+    want = np.max(Fs.grid[:, None] * grid - F.values, axis=1)
+    assert np.max(np.abs(Fs.values - want)) <= 1e-12 * (1.0 + np.abs(want).max())
+assert is_maximal_monotone(PlanarRelation.from_param_curve(
+    lambda s: s, lambda s: s**3 + s, (-3.0, 3.0)))
+assert not is_maximal_monotone(nonmonotone_demo_agent().relation)
+print("ok")
+"""
+
+
+def _run(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_runs_with_scipy_blocked():
+    assert _run(WITHOUT_SCIPY).split() == ["ok"]
+
+
+def test_import_loads_no_scipy_module():
+    loaded = _run("import sys, pqikit, pqikit.cli, pqikit.systems\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert loaded.split() == []

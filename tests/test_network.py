@@ -330,14 +330,7 @@ class TestSolvers:
 
     def test_non_quadratic_flow_problem_converges(self):
         # not one Newton step: the solver must iterate to the residual bound
-        agents = (
-            _relation_agent(lambda y: np.sinh(y - 1.0), (-6.0, 6.0), 2001),
-            _relation_agent(lambda y: 2.5 * (np.sin(y) + y) + 0.1 * y - 2.0,
-                            (-40.0, 40.0)),
-        )
-        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.3),),
-                           np.zeros(2))
-        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        opp, ofp = (solver(self._sinh_spec()) for solver in (solve_opp, solve_ofp))
         assert opp.residual <= 1e-6 and ofp.residual <= 1e-6
         y = opp.primal
         flow = 1.3 * (y[0] - y[1])
@@ -345,6 +338,32 @@ class TestSolvers:
         assert abs(2.5 * (np.sin(y[1]) + y[1]) + 0.1 * y[1] - 2.0 - flow) <= 1e-3
         np.testing.assert_allclose(ofp.primal, [-flow, flow], atol=1e-3)
         assert abs(opp.objective + ofp.objective) <= 1e-3
+
+    @staticmethod
+    def _sinh_spec():
+        agents = (
+            _relation_agent(lambda y: np.sinh(y - 1.0), (-6.0, 6.0), 2001),
+            _relation_agent(lambda y: 2.5 * (np.sin(y) + y) + 0.1 * y - 2.0,
+                            (-40.0, 40.0)),
+        )
+        return NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.3),),
+                           np.zeros(2))
+
+    @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
+    def test_residual_above_bound_raises_when_iterations_run_out(
+            self, solver, monkeypatch):
+        # with no trust-region iteration left only the one Newton step from
+        # zero is taken, which cannot settle a non-quadratic problem
+        monkeypatch.setattr(network_module, "_TRUST_ITERATIONS", 0)
+        with pytest.raises(NoConvergence, match="stopped with gradient residual"):
+            solver(self._sinh_spec())
+
+    def test_newton_fallback_settles_a_quadratic_problem(self, monkeypatch):
+        monkeypatch.setattr(network_module, "_TRUST_ITERATIONS", 0)
+        res = solve_opp(quadratic_network(centers=(1.0, 3.0)))
+        assert res.iterations == 0 and res.residual <= 1e-6
+        np.testing.assert_allclose(res.primal, [5.0 / 3.0, 7.0 / 3.0],
+                                   rtol=0.0, atol=1e-9)
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):

@@ -228,6 +228,23 @@ class TestLegendre:
         assert np.max(err) <= 5.0 * h * h * max(curv, 1.0)
 
 
+    def test_convex_input_reads_its_slopes_as_they_are(self):
+        # cell slopes that never decrease are the minorant's own slopes, so
+        # the conjugate is one binary search over them, bit for bit
+        rng = np.random.default_rng(7)
+        x = np.cumsum(rng.uniform(0.01, 0.1, 3001)) - 75.0
+        F = IntegralFunction.from_function(lambda y: np.exp(0.05 * y) + y * y, x)
+        slopes = np.diff(F.values) / np.diff(F.grid)
+        assert np.all(np.diff(slopes) > 0.0)
+        ys = np.sort(rng.uniform(slopes[0] - 5.0, slopes[-1] + 5.0, 500))
+        j = np.searchsorted(slopes, ys)
+        np.testing.assert_array_equal(legendre(F, ys).values, ys * x[j] - F.values[j])
+        Fs = legendre(F)
+        np.testing.assert_array_equal(Fs.grid, np.linspace(slopes[0], slopes[-1], len(x)))
+        j = np.searchsorted(slopes, Fs.grid)
+        np.testing.assert_array_equal(Fs.values, Fs.grid * x[j] - F.values[j])
+
+
 def brute_force_conjugate(F, ys):
     """max_i (y*x_i - F(x_i)) by direct enumeration."""
     return np.max(ys[:, None] * F.grid[None, :] - F.values[None, :], axis=1)
@@ -240,6 +257,26 @@ def assert_conjugate_exact(F, ys=None):
              + np.abs(F.values).max() + 1.0)
     assert np.max(np.abs(Fs.values - want)) <= 1e-12 * scale
     return Fs
+
+
+def lower_hull(x, v):
+    """Vertices of the greatest convex minorant, by Andrew's monotone chain.
+
+    Exact on integer samples: collinear samples are dropped."""
+    hull = []
+    for i in range(len(x)):
+        while len(hull) >= 2 and ((v[hull[-1]] - v[hull[-2]]) * (x[i] - x[hull[-2]])
+                                  >= (v[i] - v[hull[-2]]) * (x[hull[-1]] - x[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    return np.array(hull)
+
+
+def integer_walk_function(seed, n):
+    """Integer abscissae and values: slopes and collinear runs are exact."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.integers(1, 4, n)).astype(float)
+    return IntegralFunction(grid, np.cumsum(rng.integers(-3, 4, n)).astype(float), False)
 
 
 def random_walk_function(seed, n):
@@ -269,6 +306,47 @@ class TestLegendreAgainstBruteForce:
         assert_conjugate_exact(F)
         lo, hi = np.diff(F.values).min(), np.diff(F.values).max()
         assert_conjugate_exact(F, np.linspace(-2.0 * hi + lo, 2.0 * hi - lo, 501))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dual_points_on_minorant_slopes(self, seed):
+        # at a minorant slope every sample of that minorant edge maximizes,
+        # the ends of its collinear run included
+        F = integer_walk_function(seed, 300)
+        h = lower_hull(F.grid, F.values)
+        edges = np.diff(F.values[h]) / np.diff(F.grid[h])
+        Fs = assert_conjugate_exact(F, edges)
+        np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, edges))
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        assert_conjugate_exact(F, np.sort(np.r_[edges, mids]))
+
+    def test_minorant_with_collinear_runs(self):
+        # |x| on the integers -10..10 with two samples lifted off it: the
+        # minorant is |x| again, each arm one collinear run of 11 samples
+        x = np.arange(-10.0, 11.0)
+        v = np.abs(x)
+        v[[3, 15]] += (2.0, 1.0)
+        F = IntegralFunction(x, v, False)
+        assert not F.convexity_certificate
+        ys = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        Fs = legendre(F, ys)
+        np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, ys))
+        np.testing.assert_array_equal(Fs.values, [20.0, 0.0, 0.0, 0.0, 0.0, 0.0, 20.0])
+        Fs = assert_conjugate_exact(F)
+        assert Fs.grid[[0, -1]].tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_grid_ends_nonconvex(self, seed):
+        # the default dual grid spans the minorant's first and last edge
+        # slopes, and the conjugate is exact at both ends
+        for F in (integer_walk_function(seed, 500), random_walk_function(seed, 500)):
+            assert not F.convexity_certificate
+            h = lower_hull(F.grid, F.values)
+            edges = np.diff(F.values[h]) / np.diff(F.grid[h])
+            Fs = assert_conjugate_exact(F)
+            np.testing.assert_allclose(Fs.grid[[0, -1]], edges[[0, -1]],
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(Fs.values[[0, -1]],
+                                          brute_force_conjugate(F, Fs.grid[[0, -1]]))
 
     def test_two_points(self):
         F = IntegralFunction(np.array([-1.0, 2.0]), np.array([3.0, -1.5]), True)
@@ -413,6 +491,31 @@ def self_intersection_cases():
     cases["square_equal_steps"] = param_relation(
         np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(9)],
         np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(9.0)])
+    # steps of exactly 5 down, right, up, left and then diagonally by
+    # (-3, -4) back to (3, 4): 5 from the first sample, so exactly one
+    # radius away across a cell boundary; a nudge brings it inside
+    path = np.array([(0.0, -5.0 * k) for k in range(7)]
+                    + [(5.0 * k, -30.0) for k in range(1, 9)]
+                    + [(40.0, -30.0 + 5.0 * k) for k in range(1, 15)]
+                    + [(40.0 - 5.0 * k, 40.0) for k in range(1, 3)]
+                    + [(30.0 - 3.0 * k, 40.0 - 4.0 * k) for k in range(1, 10)])
+    cases["return_at_radius"] = param_relation(*path.T.copy())
+    path[-1, 1] -= 2.0**-40
+    cases["return_inside_radius"] = param_relation(*path.T)
+    # the square of unit steps scaled so that the radius falls in both
+    # branches of the cell side, and shifted off the cell lattice
+    for scale in (0.7, 3.0):
+        sq = cases["square_equal_steps"]
+        cases[f"square_steps_x{scale}"] = param_relation(scale * sq.u + 0.1,
+                                                         scale * sq.y - 0.3)
+    # samples jittering within 0.01 midway along a walk of unit steps: 300
+    # of them prove an intersection from one cell, 15 lie within the gap
+    rng = np.random.default_rng(11)
+    for name, held in (("dense_cluster", 300), ("small_cluster", 15)):
+        jitter = 0.01 * rng.uniform(-1.0, 1.0, (held, 2))
+        u = np.r_[np.arange(500.0), 500.0 + jitter[:, 0], np.arange(501.0, 1000.0)]
+        y = np.r_[np.zeros(500), jitter[:, 1], np.zeros(499)]
+        cases[name] = param_relation(u, y)
     return cases
 
 
@@ -431,6 +534,8 @@ class TestSelfIntersectionAgainstBruteForce:
                     for name, rel in self.CASES.items()}
         assert not verdicts["figure_eight"] and not verdicts["cycloid_loops"]
         assert not verdicts["spiral_touching"] and verdicts["spiral_clear"]
+        assert verdicts["return_at_radius"] and not verdicts["return_inside_radius"]
+        assert not verdicts["dense_cluster"] and verdicts["small_cluster"]
         # nothing is strictly closer than the radius, even next door
         assert brute_force_no_self_intersection(self.CASES["square_equal_steps"], 0)
 
