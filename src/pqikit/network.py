@@ -8,8 +8,8 @@ configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
 Newton–CG solver, in numpy alone, on C¹ models of the sampled potentials
-and their exact conjugates.  The stepper and the root bracketer are shared with the
-dissipation certificate and the equilibrium search.
+and their exact conjugates.  The stepper and the root bracketer are shared
+with the dissipation certificate and the equilibrium search.
 """
 
 from __future__ import annotations
@@ -584,7 +584,7 @@ class _Iterate(NamedTuple):
 
 
 def _steihaug(g, hv, radius):
-    """Step p minimizing g·p + ½ pᵀHp over |p| ≤ radius, and whether it is on the edge.
+    """Step p minimizing g·p + ½ pᵀHp over |p| ≤ radius; True if on the edge.
 
     Conjugate gradients on Hp = -g from p = 0, cut where a direction leaves
     the region or has no positive curvature (Steihaug 1983; Nocedal &

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MultiValued, WrongRepresentation
+from .errors import MultiValued, NonFiniteValue, WrongRepresentation
 
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
@@ -362,6 +362,11 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
     pts = rel.points
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteValue(f"cursivity check needs finite samples, not sample "
+                             f"{i} ({pts[i, 0]}, {pts[i, 1]})")
     notes: list[str] = []
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -434,7 +439,7 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
     i = order[np.repeat(np.tile(np.arange(len(key)), reach + 1), count)]
     j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
     far = np.abs(i - j) > gap
-    d = pts[i[far]] - pts[j[far]]
+    d = pts[i[far]] - pts[j[far]]  # measured as np.linalg.norm rounds it
     return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < radius))
 
 

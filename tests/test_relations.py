@@ -22,7 +22,7 @@ from pqikit import (
     legendre,
     transform_relation,
 )
-from pqikit.errors import MultiValued, WrongRepresentation
+from pqikit.errors import MultiValued, NonFiniteValue, WrongRepresentation
 from pqikit.relations import OF_K, OF_K_INVERSE
 from pqikit.systems import (
     nonmonotone_demo_agent,
@@ -508,6 +508,11 @@ def self_intersection_cases():
         sq = cases["square_equal_steps"]
         cases[f"square_steps_x{scale}"] = param_relation(scale * sq.u + 0.1,
                                                          scale * sq.y - 0.3)
+    # a diagonal line whose last sixth runs out to 6e17 in both axes, about
+    # 2^65 cells of the median segment's size
+    t = np.linspace(-3.0, 3.0, 1001)
+    cases["runaway"] = param_relation(t + np.exp(40.0 * (t - 2.0)),
+                                      2.0 * t + np.exp(41.0 * (t - 2.0)))
     # samples jittering within 0.01 midway along a walk of unit steps: 300
     # of them prove an intersection from one cell, 15 lie within the gap
     rng = np.random.default_rng(11)
@@ -654,8 +659,12 @@ def test_cursive_report_names_a_jump():
      "unknown direction"),
     (lambda: integral_function(PlanarRelation.from_points([1.0, 1.0], [2.0, 2.0]),
                                OF_K), MultiValued, "single abscissa"),
+    (lambda: is_cursive(param_relation([0.0, 1.0, np.inf], [0.0, 1.0, 2.0])),
+     NonFiniteValue, r"not sample 2 \(inf, 2\.0\)"),
+    (lambda: is_cursive(param_relation([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])),
+     NonFiniteValue, r"not sample 1 \(1\.0, nan\)"),
 ], ids=["closed_form_direction", "potential_grid", "integral_direction",
-        "single_abscissa"])
+        "single_abscissa", "cursive_inf", "cursive_nan"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
