@@ -148,9 +148,10 @@ class AgentODE:
         """Declared relation consistent with the dynamics at its samples.
 
         Each sampled (u, y) must sit at a forced equilibrium: a root of
-        f(., u) on [-50, 50] whose output is within 1e-8·(1 + |y|) of y.  The
-        root is certified by its sign-change bracket rather than by |f|, which
-        is unbounded below for infinite-slope dynamics like cube roots.
+        f(., u) on [-50, 50] whose output is within 1e-8·(Y + |y|) of y, Y the
+        relation's largest |y|.  The root is certified by its sign-change
+        bracket rather than by |f|, which is unbounded below for
+        infinite-slope dynamics like cube roots.
         """
         if self.relation is None:
             return True
@@ -160,7 +161,8 @@ class AgentODE:
         err = np.abs(agent_call(self.h, roots, us[level]) - ys[level])
         best = np.full(len(us), np.inf)
         np.minimum.at(best, level, err)
-        return bool(np.all(best <= 1e-8 * (1.0 + np.abs(ys))))
+        scale = float(np.abs(self.relation.y).max())
+        return bool(np.all(best <= 1e-8 * (scale + np.abs(ys))))
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     D = agent.feedthrough
     denom = a + b * D
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= 1e-12 * (abs(a) + abs(b * D)):
         raise SingularTransform(
             "a + b*feedthrough vanished; transformed input undefined"
         )

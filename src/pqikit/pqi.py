@@ -85,17 +85,18 @@ class SymmetricDoubleCone:
 
     def _basis_inverse(self) -> np.ndarray:
         r = np.column_stack([self.ray1, self.ray2])
-        det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-        if abs(det) < 1e-14:
+        if is_singular(r):
             raise DegenerateRays("boundary rays are colinear")
+        det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
         return np.array([[r[1, 1], -r[0, 1]], [-r[1, 0], r[0, 0]]]) / det
 
     def contains(self, point, tol: float = 1e-12) -> bool:
-        """Geometric membership: same sector pair as the interior probe."""
+        """Geometric membership: same sector pair as the interior probe, with a
+        boundary band of ``tol``·|w|², w the point in ray coordinates."""
         inv = self._basis_inverse()
         w = inv @ np.asarray(point, dtype=float)
         wp = inv @ np.asarray(self.interior_probe, dtype=float)
-        band = tol * float(w @ w + 1.0)
+        band = tol * float(w @ w)
         if wp[0] * wp[1] > 0:
             return bool(w[0] * w[1] >= -band)
         return bool(w[0] * w[1] <= band)
@@ -175,6 +176,16 @@ def contains(p: PQI, point, rtol: float = MEMBER_RTOL) -> bool:
     return p(xi, chi) >= -band
 
 
+def is_singular(t: np.ndarray) -> bool:
+    """Whether the 2x2 map t is singular: |det t| tiny against both its row and
+    its column norm products (a well-defined map with badly scaled rows or
+    columns fails only one), so the verdict does not depend on its scale."""
+    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    cols = float(np.linalg.norm(t[:, 0])) * float(np.linalg.norm(t[:, 1]))
+    rows = float(np.linalg.norm(t[0, :])) * float(np.linalg.norm(t[1, :]))
+    return bool(det == 0.0 or abs(det) <= 1e-12 * min(cols, rows))
+
+
 def pullback(p: PQI, transform) -> PQI:
     """The PQI q with q(z) = p(T^{-1} z) for an invertible 2x2 map T.
 
@@ -184,12 +195,7 @@ def pullback(p: PQI, transform) -> PQI:
         transform, dtype=float
     )
     det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    # scale-free singularity guard: a genuinely rank-deficient map has a
-    # determinant tiny against both its row and column norm products, while
-    # well-defined maps with badly scaled rows or columns fail only one
-    col_norms = float(np.linalg.norm(t[:, 0])) * float(np.linalg.norm(t[:, 1]))
-    row_norms = float(np.linalg.norm(t[0, :])) * float(np.linalg.norm(t[1, :]))
-    if det == 0.0 or abs(det) <= 1e-12 * min(col_norms, row_norms):
+    if is_singular(t):
         raise SingularTransform(f"|det T| = {abs(det)} below tolerance")
     # T^{-1} = [[al, be], [ga, de]]; substitute xi = al*xi' + be*chi', etc.
     al = t[1, 1] / det

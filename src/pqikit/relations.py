@@ -13,6 +13,9 @@ never decrease, and otherwise finds every maximizer by an exact monotone
 argmax, level by level.  Near self-intersections are found by one sort of
 the samples into square grid cells, small enough that a crowded cell proves
 one by pigeonhole; otherwise only pairs of neighbour cells are measured.
+Every tolerance is relative to the size of its own operands (an axis's
+largest magnitude, a curve's median sample norm), never an absolute floor,
+so rescaling u and y by positive factors changes no verdict.
 Everything here is numpy alone.
 """
 
@@ -29,8 +32,6 @@ from .errors import MultiValued, NonFiniteValue, WrongRepresentation
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
 TIE_RTOL = 1e-12
-# Floor of is_cursive's jump, divergence and self-intersection scales.
-CURSIVE_ATOL = 1e-6
 
 
 def _write_csv(path, header, columns) -> None:
@@ -53,21 +54,26 @@ class PlanarRelation:
     """Planar relation: samples (u, y), a curve exactly when ``sigma`` is set.
 
     ``sigma`` is the curve parameter of each sample; a point list has none.
+    Every sample must be finite.
     """
 
     u: np.ndarray
     y: np.ndarray
     sigma: np.ndarray | None = None
 
+    def __post_init__(self):
+        bad = ~(np.isfinite(self.u) & np.isfinite(self.y))
+        if bad.any():
+            i = int(np.argmax(bad))
+            at = "" if self.sigma is None else f" at parameter {self.sigma[i]}"
+            raise NonFiniteValue(f"relation samples must be finite, not sample "
+                                 f"{i} ({self.u[i]}, {self.y[i]}){at}")
+
     @classmethod
     def _curve(cls, sigma, u_of_sigma: Callable, y_of_sigma: Callable):
         sigma = np.asarray(sigma, dtype=float)
         u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
                 for f in (u_of_sigma, y_of_sigma))
-        bad = ~(np.isfinite(u) & np.isfinite(y))
-        if bad.any():
-            raise ValueError("curve maps must be finite on the grid, not at "
-                             f"parameter {sigma[np.argmax(bad)]}")
         return cls(u, y, sigma)
 
     @classmethod
@@ -156,11 +162,11 @@ class IntegralFunction:
 
 
 def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
-    """Nonnegative discrete second differences, with a relative band."""
+    """Nonnegative discrete second differences, with a band relative to the slopes."""
     if len(grid) < 3:
         return True
     slopes = np.diff(values) / np.diff(grid)
-    scale = float(np.abs(slopes).max()) + 1.0
+    scale = float(np.abs(slopes).max())
     return bool(np.all(np.diff(slopes) >= -1e-9 * scale))
 
 
@@ -217,17 +223,18 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         # a curve is single-valued in this direction iff the abscissa is
         # monotone along the parameter
         dx = np.diff(x)
-        slack = TIE_RTOL * (float(np.abs(x).max()) + 1.0)
+        slack = TIE_RTOL * float(np.abs(x).max())
         if not (np.all(dx >= -slack) or np.all(dx <= slack)):
             raise MultiValued("curve abscissa is not monotone in the parameter")
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
-    scale = float(np.abs(x).max()) + 1.0
+    scale = float(np.abs(x).max())
     keep = np.concatenate(([True], np.diff(x) > TIE_RTOL * scale))
     # each sample is compared with the first sample of its tie run
     first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
     vf = v[first]
-    fold = ~keep & (np.abs(v - vf) > 1e-8 * (np.abs(v) + np.abs(vf) + 1.0))
+    band = 1e-8 * (np.abs(v) + np.abs(vf) + float(np.abs(v).max()))
+    fold = ~keep & (np.abs(v - vf) > band)
     if fold.any():
         i = int(np.argmax(fold))
         raise MultiValued(
@@ -313,12 +320,10 @@ def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
     u, y = rel.u[order], rel.y[order]
     du = np.diff(u)
     dy = np.diff(y)
-    scale = float(np.abs(y).max()) + 1.0
-    if not np.all(dy >= -1e-9 * scale):
+    if not np.all(dy >= -1e-9 * float(np.abs(y).max())):
         return False
     if strict:
-        uscale = float(np.abs(u).max()) + 1.0
-        distinct = du > 1e-12 * uscale
+        distinct = du > 1e-12 * float(np.abs(u).max())
         if np.any(dy[distinct] <= 0.0):
             return False
     return True
@@ -343,7 +348,7 @@ def _ends_grow(norms: np.ndarray) -> bool:
     n = len(norms)
     dec = norms[max(0, n - max(2, n // 10)):]
     checkpoints = dec[np.linspace(0, len(dec) - 1, min(10, len(dec))).astype(int)]
-    slack = 1e-9 * (float(np.abs(checkpoints).max()) + 1.0)
+    slack = 1e-9 * float(checkpoints.max())
     return bool(np.all(np.diff(checkpoints) >= -slack))
 
 
@@ -355,29 +360,28 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
     coincide within the median segment length (self-intersection measure:
-    one sort into grid cells, see :func:`_no_near_self_intersection`).
+    one sort into grid cells, see :func:`_no_near_self_intersection`).  Both
+    segment scales are floored at 1e-6 of the median sample norm (of the
+    largest if the median is zero).
     These support but cannot prove the limit properties; the report says
     which passed.
     """
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
     pts = rel.points
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteValue(f"cursivity check needs finite samples, not sample "
-                             f"{i} ({pts[i, 0]}, {pts[i, 1]})")
     notes: list[str] = []
-
+    norms = np.linalg.norm(pts, axis=1)
+    med = float(np.median(norms))
+    # of the segment scales, from the curve's own size: its median norm, or
+    # its largest where more than half the samples sit at the origin
+    floor = 1e-6 * (med or float(norms.max()))
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     med_seg = float(np.median(seg))
-    continuous = bool(seg.max() <= max(10.0 * med_seg, CURSIVE_ATOL))
+    continuous = bool(seg.max() <= max(10.0 * med_seg, floor))
     if not continuous:
         notes.append("jump: a grid segment exceeds 10x the median segment length")
 
-    norms = np.linalg.norm(pts, axis=1)
-    med = float(np.median(norms))
-    threshold = max(1.5 * med, CURSIVE_ATOL)
+    threshold = 1.5 * med
     diverges = (
         norms[0] > threshold
         and norms[-1] > threshold
@@ -391,8 +395,7 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
         )
 
     no_self_intersection = _no_near_self_intersection(
-        pts, max(med_seg, CURSIVE_ATOL), intersection_sigma_gap
-    )
+        pts, max(med_seg, floor), intersection_sigma_gap)
     if not no_self_intersection:
         notes.append("near self-intersection: parameter-distant samples coincide")
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRays, NoStorageFunction, SingularTransform
+from .errors import NoStorageFunction, SingularTransform
 from .network import agent_call, bracket_roots, dormand_prince
-from .pqi import PQI, PassivityIndices, boundary_rays
+from .pqi import PQI, PassivityIndices, boundary_rays, is_singular
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class Transform2:
         return self.a * self.d - self.b * self.c
 
     def require_invertible(self) -> None:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        if abs(self.det) <= 1e-12 * scale * scale:
+        if is_singular(self.matrix()):
             raise SingularTransform(f"det {self.det} below tolerance")
 
     def inverse(self) -> "Transform2":
@@ -102,18 +101,6 @@ class ElementaryDecomposition:
         return m
 
 
-def _ray_matrix(p: PQI) -> np.ndarray:
-    r1, r2 = boundary_rays(p)
-    m = np.column_stack([r1, r2])
-    # colinearity is an angle condition, so normalize by the column norms
-    # rather than the matrix scale (the rays can differ by many orders of
-    # magnitude for near-degenerate leading coefficients)
-    norms = float(np.linalg.norm(r1)) * float(np.linalg.norm(r2))
-    if abs(np.linalg.det(m)) <= 1e-12 * norms:
-        raise DegenerateRays("boundary rays are colinear")
-    return m
-
-
 def mapping_transform(source: PQI, target: PQI) -> Transform2:
     """A map carrying the source cone onto the target cone.
 
@@ -123,8 +110,8 @@ def mapping_transform(source: PQI, target: PQI) -> Transform2:
     matching signs select the plain candidate, opposite signs the one with the
     second target ray negated.
     """
-    rs = _ray_matrix(source)
-    rt = _ray_matrix(target)
+    rs = np.column_stack(boundary_rays(source))
+    rt = np.column_stack(boundary_rays(target))
     alpha1 = source(rs[0, 0] + rs[0, 1], rs[1, 0] + rs[1, 1])
     alpha2 = target(rt[0, 0] + rt[0, 1], rt[1, 0] + rt[1, 1])
     rs_inv = np.linalg.inv(rs)

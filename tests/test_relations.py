@@ -6,12 +6,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqikit import (
+    PQI,
     IntegralFunction,
+    PassivityIndices,
     PlanarRelation,
+    SymmetricDoubleCone,
+    ToolkitError,
     Transform2,
     compose_via_stages,
     decompose,
@@ -20,9 +24,16 @@ from pqikit import (
     is_maximal_monotone,
     is_monotone,
     legendre,
+    pullback,
+    solution_set,
     transform_relation,
 )
-from pqikit.errors import MultiValued, NonFiniteValue, WrongRepresentation
+from pqikit.errors import (
+    DegenerateRays,
+    MultiValued,
+    NonFiniteValue,
+    WrongRepresentation,
+)
 from pqikit.relations import OF_K, OF_K_INVERSE
 from pqikit.systems import (
     nonmonotone_demo_agent,
@@ -166,8 +177,8 @@ class TestIntegralFunction:
                                       [0.0, 1.0, 2.0])
 
     def test_chained_near_ties_merge_into_first(self):
-        # successive gaps of 0.6 TIE_RTOL*scale: one run, though its ends
-        # lie 1.2 TIE_RTOL*scale apart
+        # successive gaps of 0.9 TIE_RTOL*scale (the scale is max|u| = 2): one
+        # run, though its ends lie 1.8 TIE_RTOL*scale apart
         t = 1e-12 * 3.0
         rel = PlanarRelation.from_points([0.0, 1.0, 1.0 + 0.6 * t, 1.0 + 1.2 * t, 2.0],
                                          [0.0, 1.0, 1.0, 1.0, 2.0])
@@ -355,6 +366,12 @@ class TestLegendreAgainstBruteForce:
         np.testing.assert_array_equal(Fs.values, np.maximum(
             -Fs.grid - 3.0, 2.0 * Fs.grid + 1.5))
 
+    def test_one_point(self):
+        # no slope to span: the default dual grid is the single point -1
+        F = IntegralFunction(np.array([2.0]), np.array([3.0]), True)
+        Fs = assert_conjugate_exact(F)
+        assert Fs.grid.tolist() == [-1.0] and Fs.values.tolist() == [-5.0]
+
     def test_affine(self):
         F = IntegralFunction.from_function(lambda y: 3.0 * y + 1.0,
                                            np.linspace(-2.0, 2.0, 4001))
@@ -441,11 +458,117 @@ class TestShapeChecks:
         assert not is_maximal_monotone(rel)
 
 
-def brute_force_no_self_intersection(rel, gap, atol=1e-6):
+def _outcome(call):
+    """What the call returns, or the name of the toolkit error it raises."""
+    try:
+        return call()
+    except ToolkitError as e:
+        return type(e).__name__
+
+
+def _unit_relations():
+    s = np.linspace(-3.0, 3.0, 1001)
+    t = np.linspace(0.0, 1.0, 201)
+    return {
+        "monotone": PlanarRelation(s + 0.3 * np.sin(s), s**3 + s, s),
+        "decreasing": PlanarRelation(s, -s, s),
+        "saturation": PlanarRelation(s, np.clip(s, -1.0, 1.0), s),
+        "cubic_fold": PlanarRelation(s, s**3 - s, s),
+        "segment": PlanarRelation(t, t, t),
+    }
+
+
+def _relation_verdicts(rel, cursive):
+    out = [is_monotone(rel), is_monotone(rel, strict=True)]
+    out += [_outcome(lambda d=d: integral_function(rel, d).convexity_certificate)
+            for d in (OF_K, OF_K_INVERSE)]
+    if cursive:
+        out += [is_cursive(rel).cursive, is_maximal_monotone(rel)]
+    return out
+
+
+def _map_verdicts(t):
+    T = Transform2.from_matrix(t)
+    return (_outcome(T.require_invertible),
+            _outcome(lambda: decompose(T).column_swapped),
+            _outcome(lambda: pullback(PQI(0.0, 1.0, 0.0), t) is not None))
+
+
+class TestUnitInvariance:
+    """Rescaling u, y, a map or a point changes no verdict (ROADMAP item 10)."""
+
+    RELATIONS = _unit_relations()
+    # is_cursive measures Euclidean lengths, which a different factor per
+    # axis changes (a stretched saturation stops diverging); lines keep
+    # their verdict, and so does this monotone curve over the range drawn
+    CURSIVE = ("monotone", "decreasing", "segment")
+
+    @given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+    @example(-8.0, -8.0)  # the monotone curve lost maximality
+    @example(-12.0, -12.0)  # its potential reduced to one abscissa
+    @example(-12.0, 0.0)  # u at 1e-12 merged into a false fold
+    @example(0.0, -9.0)  # the decreasing line passed as monotone, convex
+    @settings(max_examples=40, deadline=None)
+    def test_relation_verdicts_and_potentials(self, log_alpha, log_beta):
+        alpha, beta = 10.0**log_alpha, 10.0**log_beta
+        for name, rel in self.RELATIONS.items():
+            big = PlanarRelation(alpha * rel.u, beta * rel.y, rel.sigma)
+            cursive = name in self.CURSIVE
+            assert (_relation_verdicts(big, cursive)
+                    == _relation_verdicts(rel, cursive)), name
+            for direction, scale in ((OF_K, alpha), (OF_K_INVERSE, beta)):
+                want = _outcome(lambda: integral_function(rel, direction))
+                if isinstance(want, str):
+                    continue
+                got = integral_function(big, direction)
+                np.testing.assert_allclose(got.grid, scale * want.grid,
+                                           rtol=1e-12, atol=0.0)
+                atol = 1e-12 * alpha * beta * np.abs(want.values).max()
+                np.testing.assert_allclose(got.values, alpha * beta * want.values,
+                                           rtol=0.0, atol=atol)
+
+    @given(st.floats(-8.0, 8.0))
+    @example(-8.0)  # every sample lay within an absolute radius of 1e-6
+    @settings(max_examples=40, deadline=None)
+    def test_cursive_flags_under_one_factor(self, log_alpha):
+        alpha = 10.0**log_alpha
+        for rel in self.RELATIONS.values():
+            big = PlanarRelation(alpha * rel.u, alpha * rel.y, rel.sigma)
+            want, got = is_cursive(rel), is_cursive(big)
+            assert ((got.continuous, got.diverges, got.no_self_intersection)
+                    == (want.continuous, want.diverges, want.no_self_intersection))
+
+    MAPS = ([[1.0, 4.0], [1.0, 5.0]], [[1.0, 2.0], [2.0, 4.0]],
+            [[0.0, 0.0], [1.0, 3.0]], [[0.0, 2.0], [3.0, 4.0]],
+            [[1.0, 1.0], [1.0, 1.0 + 1e-13]], [[1.0, 1.0], [1.0, 1.0 + 1e-9]],
+            [[1e-6, 1.0], [0.0, 1e6]])
+
+    @given(st.floats(-8.0, 8.0), st.sampled_from(MAPS))
+    @example(-7.0, MAPS[0])  # require_invertible and decompose rejected it
+    @example(0.0, MAPS[-1])  # require_invertible rejected it, pullback not
+    @settings(max_examples=40, deadline=None)
+    def test_map_verdicts(self, log_k, t):
+        t = np.array(t)
+        verdicts = _map_verdicts(10.0**log_k * t)
+        assert verdicts == _map_verdicts(t)
+        assert (verdicts[0] is None) == (verdicts[2] is True)  # one rule
+
+    @given(st.floats(-8.0, 8.0), st.floats(-np.pi, np.pi),
+           st.sampled_from([(0.0, 0.0), (0.3, -0.5), (-2 / 3, -1 / 3), (0.1, 0.2)]))
+    @example(-6.0, -np.pi / 4.0, (0.0, 0.0))  # the cone held (1e-6, -1e-6)
+    @settings(max_examples=100, deadline=None)
+    def test_cone_membership(self, log_k, angle, indices):
+        cone = solution_set(PassivityIndices(*indices).pqi())
+        z = np.array([np.cos(angle), np.sin(angle)])
+        assert cone.contains(10.0**log_k * z) == cone.contains(z)
+
+
+def brute_force_no_self_intersection(rel, gap):
     """O(n^2) check of the same radius and gap as is_cursive."""
     pts = rel.points
+    norms = np.linalg.norm(pts, axis=1)
     radius = max(float(np.median(np.linalg.norm(np.diff(pts, axis=0), axis=1))),
-                 atol)
+                 1e-6 * float(np.median(norms) or norms.max()))
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     i, j = np.indices(dist.shape)
     return not bool(np.any((j - i > gap) & (dist < radius)))
@@ -508,6 +631,12 @@ def self_intersection_cases():
         sq = cases["square_equal_steps"]
         cases[f"square_steps_x{scale}"] = param_relation(scale * sq.u + 0.1,
                                                          scale * sq.y - 0.3)
+    # the same square far below any absolute length
+    cases["square_steps_x1e-8"] = param_relation(1e-8 * sq.u, 1e-8 * sq.y)
+    # 16 samples at the origin, then a parabola in steps of 1e-3: the
+    # median norm and the median segment are both zero
+    k = np.r_[np.zeros(16), np.arange(1.0, 15.0)]
+    cases["rest_at_origin"] = param_relation(1e-3 * k, 1e-3 * k * k)
     # a diagonal line whose last sixth runs out to 6e17 in both axes, about
     # 2^65 cells of the median segment's size
     t = np.linspace(-3.0, 3.0, 1001)
@@ -663,8 +792,17 @@ def test_cursive_report_names_a_jump():
      NonFiniteValue, r"not sample 2 \(inf, 2\.0\)"),
     (lambda: is_cursive(param_relation([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])),
      NonFiniteValue, r"not sample 1 \(1\.0, nan\)"),
+    (lambda: integral_function(param_relation([0.0, 1.0, np.nan], [0.0, 1.0, 2.0]),
+                               OF_K_INVERSE),
+     NonFiniteValue, r"not sample 2 \(nan, 2\.0\) at parameter 2\.0$"),
+    (lambda: is_monotone(PlanarRelation(np.array([0.0, 1.0, 2.0]),
+                                        np.array([0.0, np.inf, 2.0]))),
+     NonFiniteValue, r"not sample 1 \(1\.0, inf\)$"),
+    (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
+     .contains((1.0, 1.0)), DegenerateRays, "colinear"),
 ], ids=["closed_form_direction", "potential_grid", "integral_direction",
-        "single_abscissa", "cursive_inf", "cursive_nan"])
+        "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
+        "monotone_inf", "cone_colinear_rays"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
