@@ -97,10 +97,11 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
     """Roots of x -> f(x, u) on [lo, hi] for every input level u at once.
 
     Each level's grid of ``cells + 1`` points is evaluated in one array call.
-    A cell whose left end is an exact zero yields that grid point; a cell
-    with a strict sign change is bisected, all such cells together, for 80
-    iterations.  Returns the roots and, for each, the index
-    of its input level, ordered by level and then by cell.
+    A cell whose left end is an exact zero yields that grid point; the cells
+    with a strict sign change are bisected together, for at most 80
+    iterations, until no midpoint differs from its bracket's ends (such a
+    bracket would not move again).  Returns the roots and, for each, the
+    index of its input level, ordered by level and then by cell.
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
     xs = np.linspace(lo, hi, cells + 1)
@@ -109,14 +110,19 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
     va = vals[:, :-1]
     zero = va == 0.0
     level, cell = np.nonzero(zero | (va * vals[:, 1:] < 0.0))
-    u = us[level]
-    a, b, fa = xs[cell], xs[cell + 1], va[level, cell]
+    roots = xs[cell]
+    sign = ~zero[level, cell]
+    u, ix = us[level[sign]], cell[sign]
+    a, b, fa = xs[ix], xs[ix + 1], va[level[sign], ix]
     for _ in range(80):
         m = 0.5 * (a + b)
+        if np.all((m == a) | (m == b)):
+            break
         fm = agent_call(f, m, u)
         left = fa * fm <= 0.0
         a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
-    return np.where(zero[level, cell], xs[cell], 0.5 * (a + b)), level
+    roots[sign] = 0.5 * (a + b)
+    return roots, level
 
 
 @dataclass(frozen=True)
@@ -515,7 +521,6 @@ class OptimizationResult:
     residual bound; see :func:`_minimize_convex`).
     """
 
-    minimizer: np.ndarray
     objective: float
     primal: np.ndarray       # y for the potential problem, u for the flow one
     coupling: np.ndarray     # zeta or mu
@@ -527,10 +532,10 @@ def _c1_models(funs) -> list:
     """C¹ model (grid, nodal slopes, nodal values) of each certified-convex Fᵢ.
 
     A model's derivative is the linear interpolant of the nodal slopes, the
-    averages of adjacent cell slopes (the end cell slopes at the ends), so
-    it is nondecreasing whenever the cell slopes are; the end cells'
-    quadratics extend it past the grid.  It reproduces a quadratic sampled
-    on a uniform grid exactly.
+    averages of adjacent cell slopes, and at each end the second-order
+    one-sided slope of the two end cells, so it is nondecreasing whenever
+    the cell slopes are; the end cells' quadratics extend it past the grid.
+    It reproduces a quadratic sampled on a uniform grid exactly.
     """
     for i, F in enumerate(funs):
         if not F.convexity_certificate:
@@ -538,9 +543,13 @@ def _c1_models(funs) -> list:
                 f"vertex {i}: potential failed the convexity certificate")
 
     def model(F: IntegralFunction):
-        s = np.diff(F.values) / np.diff(F.grid)
+        x = F.grid
+        s = np.diff(F.values) / np.diff(x)
         d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
-        return F.grid, d, _trapezoid(F.grid, d, F.values[0])
+        k = min(2, len(s))  # one cell: its slope at both ends
+        d[0] += (s[0] - s[k - 1]) * (x[1] - x[0]) / (x[k] - x[0])
+        d[-1] += (s[-1] - s[-k]) * (x[-1] - x[-2]) / (x[-1] - x[-1 - k])
+        return x, d, _trapezoid(x, d, F.values[0])
 
     return _once_per_object(funs, model)
 
@@ -618,15 +627,17 @@ def _minimize_convex(models, B, Q):
 
     Each Fᵢ is a convex C¹ piecewise-quadratic model (x, d, m), so value,
     gradient and the Hessian product Bᵀ(curv·(Bv)) + Qv are exact; steps
-    come from :func:`_steihaug`.  The iteration stops when the max-norm
-    gradient residual is within 1e-6 of the size of the gradient's two
-    parts.  A step is taken when it achieves at least 0.15 of its predicted
+    come from :func:`_steihaug`, in a region whose radius starts at the
+    widest model grid.  The iteration stops when the max-norm gradient
+    residual is at most 1e-6 of the larger of its two parts plus 1e-12 of
+    the largest nodal slope, so a change of units scales z and nothing else.
+    A step is taken when it achieves at least 0.15 of its predicted
     decrease, or, where that decrease is below the rounding of the
-    objective, when it lowers the residual.  If the steps stop moving z
-    or run out, one exact Newton step is kept if it lowers the residual.
-    Returns the minimizer, the objective, the iteration count and the
-    residual.
+    objective, when it lowers the residual.  If the steps run out, one exact
+    Newton step is kept if it lowers the residual.  Returns the minimizer,
+    the objective, the iteration count and the residual.
     """
+    floor = 1e-12 * max(max(-d.min(), d.max()) for _, d, _ in models)
 
     def pieces(w):
         """Value, slope and curvature of each model at the matching w."""
@@ -646,11 +657,12 @@ def _minimize_convex(models, B, Q):
             rounding=1e-14 * (np.abs(val).sum() + abs(edge)),
             grad=node + Qz,
             residual=float(np.abs(node + Qz).max(initial=0.0)),
-            bound=1e-6 * (1.0 + max(np.abs(node).max(initial=0.0),
-                                    np.abs(Qz).max(initial=0.0))),
+            bound=floor + 1e-6 * max(np.abs(node).max(initial=0.0),
+                                     np.abs(Qz).max(initial=0.0)),
             curv=curv)
 
-    z, radius, iterations = np.zeros(B.shape[1]), 1.0, 0
+    z, iterations = np.zeros(B.shape[1]), 0
+    radius = max(float(x[-1] - x[0]) for x, _, _ in models)
     now = at(z)
     while (now.residual > now.bound and np.isfinite(now.f)
            and iterations < _TRUST_ITERATIONS):
@@ -660,8 +672,6 @@ def _minimize_convex(models, B, Q):
             return B.T @ (curv * (B @ v)) + Q @ v
 
         p, on_edge = _steihaug(now.grad, hv, radius)
-        if np.all(z + p == z):
-            break
         trial = at(z + p)
         predicted = -(now.grad @ p + 0.5 * p @ hv(p))
         if predicted <= max(now.rounding, trial.rounding):
@@ -713,7 +723,7 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     y, fval, iters, residual = _minimize_convex(
         _c1_models(node_potentials), np.eye(len(E)), E @ (gains[:, None] * E.T))
-    return OptimizationResult(y, fval, y, E.T @ y, iters, residual)
+    return OptimizationResult(fval, y, E.T @ y, iters, residual)
 
 
 def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
@@ -736,7 +746,7 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     mu, fval, iters, residual = _minimize_convex(
         models, -E, np.diag(1.0 / gains))
-    return OptimizationResult(mu, fval, -E @ mu, mu, iters, residual)
+    return OptimizationResult(fval, -E @ mu, mu, iters, residual)
 
 
 # ---------------------------------------------------------------------------

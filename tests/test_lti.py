@@ -415,6 +415,34 @@ class TestTimeScaleInvariance:
         assert abs(strict.nu - 0.6545158625850946) <= 1e-12
 
 
+@st.composite
+def stable_plants(draw):
+    """A stable plant of order 1-4, near-common roots cancelled.
+
+    Poles and zeros have real parts of size 0.1 to 3, the poles' negative,
+    and half of the pole and zero sets of two or more hold one complex
+    pair.  Zeros near the imaginary axis are left out, since they make ρ
+    ill-conditioned: 1e-10 + s² - s³ has zeros 5e-11 off the axis and
+    ρ = -5e14, which the rounding of k·num alone moves by 4.6e-10 relative
+    at k = 10.
+    """
+
+    def coefficients(count, signs):
+        re = draw(st.lists(st.floats(0.1, 3.0), min_size=count, max_size=count))
+        roots = [r * draw(st.sampled_from(signs)) for r in re]
+        if count >= 2 and draw(st.booleans()):
+            im = draw(st.floats(0.1, 3.0))
+            roots[:2] = [complex(roots[0], im), complex(roots[0], -im)]
+        scale = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return list(np.polynomial.polynomial.polyfromroots(roots).real * scale)
+
+    n = draw(st.integers(1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return RationalTF.make(coefficients(draw(st.integers(0, n)), [-1.0, 1.0]),
+                               coefficients(n, [-1.0]))
+
+
 class TestGainScaleInvariance:
     # squared gains of 1e±200 leave float range; the extrema must not
     @pytest.mark.parametrize("k", [1e-200, 1e200])
@@ -428,6 +456,18 @@ class TestGainScaleInvariance:
         # 1/(2k) to 1/k
         strict = tf_passivity_indices(RationalTF.make([2.0 * k, k], [1.0, 1.0]))
         assert (strict.rho, strict.nu) == (0.5 / k, k)
+
+    @given(stable_plants(), st.floats(-8.0, 8.0))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:cancelling near-common")
+    def test_peak_gain_and_indices_follow_the_gain(self, G, log_k):
+        # kG has peak k·|G|∞ and indices (ρ/k, k·ν); a -inf ρ stays -inf
+        k = 10.0 ** log_k
+        kG = RationalTF.make([k * c for c in G.num.coeffs], G.den.coeffs)
+        strict, scaled = tf_passivity_indices(G), tf_passivity_indices(kG)
+        for got, want in ((linf_norm(kG), k * linf_norm(G)),
+                          (scaled.rho, strict.rho / k), (scaled.nu, k * strict.nu)):
+            assert got == want or abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 class TestCrossModuleConsistency:

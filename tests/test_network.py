@@ -316,6 +316,37 @@ class TestSolvers:
         res = solve_opp(spec)
         np.testing.assert_allclose(res.primal, [3.0], atol=1e-6)
 
+    @pytest.mark.parametrize("center", [30.0, -45.0])
+    def test_quadratic_model_extends_past_its_grid(self, center):
+        # the relation is sampled on [-20, 20]; past it the model goes on
+        # with its end cell's quadratic, which must have the full curvature
+        # (with half of it, 30 reads 40.01).  The rounding of the nodal
+        # slopes grows with the distance past the grid over the cell width
+        spec = NetworkSpec(Graph(1, ()), (quadratic_agent(center),), (),
+                           np.zeros(1))
+        np.testing.assert_allclose(solve_opp(spec).primal, [center],
+                                   rtol=1e-9, atol=0.0)
+
+    def test_units_scale_the_solution_and_not_the_work(self):
+        # u = y - cᵢ sampled on [-20s, 20s] with centres s·c: both
+        # solutions scale by s and each solver iterates alike at every s
+        E = Graph.path(5).incidence_matrix()
+        L = 1.5 * E @ E.T
+        iterations = set()
+        for s in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            centers = s * np.array([1.0, 3.0, -2.0, 0.5, -1.2])
+            agents = tuple(_relation_agent(lambda y, c=c: y - c, (-20.0 * s, 20.0 * s))
+                           for c in centers)
+            spec = NetworkSpec(Graph.path(5), agents,
+                               (ControllerSpec(gain=1.5),) * 4, np.zeros(5))
+            y = np.linalg.solve(np.eye(5) + L, centers)
+            opp, ofp = solve_opp(spec), solve_ofp(spec)
+            for got, want in ((opp.primal, y), (ofp.primal, -L @ y)):
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-9 * np.abs(want).max())
+            iterations.add((opp.iterations, ofp.iterations))
+        assert len(iterations) == 1, iterations
+
     def test_strong_coupling_drives_consensus_to_mean(self):
         spec = quadratic_network(centers=(1.0, 3.0), gain=500.0)
         res = solve_opp(spec)

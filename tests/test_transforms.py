@@ -219,6 +219,31 @@ class TestBracketRoots:
                                  -10.0, 10.0, 400)
         assert 0.0 in roots.tolist()
 
+    def test_bisection_stops_once_brackets_cannot_move(self):
+        # the grid 0, 2/3, 4/3, 2 brackets the root 1 in one cell, whose
+        # ends are adjacent floats after about 53 halvings of its width
+        calls = []
+
+        def f(x, u):
+            calls.append(np.size(x))
+            return x - 1.0 + u
+
+        roots, level = bracket_roots(f, [0.0], 0.0, 2.0, 3)
+        assert roots.tolist() == [1.0] and level.tolist() == [0]
+        assert len(calls) <= 56
+
+    def test_grid_zero_cells_are_not_bisected(self):
+        # every cell's left end is a root: the grid call answers them all
+        calls = []
+
+        def f(x, u):
+            calls.append(np.size(x))
+            return np.zeros_like(x) + u
+
+        roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 4)
+        assert roots.tolist() == [-1.0, -0.5, 0.0, 0.5]
+        assert calls == [5]
+
 
 class TestVerifyPassivation:
     def test_equilibrium_finder_matches_relation(self):
