@@ -6,10 +6,14 @@ Peak gains and frequency-domain indices are exact extrema over omega >= 0:
 on the imaginary axis |G|^2, Re G and Re 1/G are ratios a(x)/b(x) of real
 polynomials in x = omega^2, so each extremum is the best of x = 0, the
 positive real roots of a'b - ab' and the limit x -> infinity; a zero of G
-on the axis makes Re 1/G unbounded instead.  The stability test and this
+on the axis can make Re 1/G unbounded instead.  The stability test and this
 extremum work on rows, one polynomial problem per row, so a lambda grid
 search is one stacked solve: every shift q + lambda*p is screened, rescaled
 and scored at once, and a single transfer function is the one-row case.
+The kernel's numpy-call count does not grow with its row count, so one
+row costs about what two do: the strict indices nu and rho of a transfer
+function are one two-row problem, and a numerator and denominator of equal
+degree share one root solve.
 The index formulas turn a stabilized loop gain into an
 equilibrium-independent passivity-index pair, and a loop transformation
 maps a transfer function through a 2x2 I/O change of coordinates.
@@ -113,8 +117,12 @@ class RationalTF:
     def _cancel_common_roots(self) -> "RationalTF":
         if self.num.degree < 1 or self.den.degree < 1:
             return self
-        nr, kept_d = list(_roots(np.asarray(self.num.coeffs)[None])[0]), []
-        for r in _roots(np.asarray(self.den.coeffs)[None])[0]:
+        n, d = np.asarray(self.num.coeffs), np.asarray(self.den.coeffs)
+        # one stacked solve when the degrees agree
+        nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
+                  else (_roots(n[None])[0], _roots(d[None])[0]))
+        nr, kept_d = list(nr), []
+        for r in dr:
             hit = [i for i, z in enumerate(nr)
                    if abs(z - r) <= COMMON_ROOT_TOL * max(abs(z), abs(r))]
             if hit:
@@ -169,8 +177,8 @@ def _roots(c: np.ndarray) -> np.ndarray:
         raise NonFiniteValue(f"polynomial {c[np.argmax(bad)].tolist()} has a "
                              "root beyond float range")
     A = np.zeros((len(c), n, n))
+    A[:, 1:, :-1] = np.eye(n - 1)
     A[:, :, -1] = col
-    A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     return np.linalg.eigvals(A)
 
 
@@ -210,16 +218,16 @@ def _real_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     u(j omega) = ue(x) + j omega uo(x), where ue and uo take the even and the
     odd coefficients with alternating signs, so the product is
-    ue we + x uo wo.
+    ue we + x uo wo.  Coefficient k carries the sign (-1)^floor(k/2).
     """
-    (ue, uo), (we, wo) = (
-        [c[:, i::2] * (-1.0) ** np.arange((c.shape[1] - i + 1) // 2) for i in (0, 1)]
-        for c in (u, w))
+    sign = (-1.0) ** (np.arange(max(u.shape[1], w.shape[1])) // 2)
+    su = u * sign[:u.shape[1]]
+    sw = su if w is u else w * sign[:w.shape[1]]
     out = np.zeros((max(len(u), len(w)), (u.shape[1] + w.shape[1]) // 2))
-    even = _polymul(ue, we)
+    even = _polymul(su[:, ::2], sw[:, ::2])
     out[:, :even.shape[1]] = even
-    if uo.size and wo.size:
-        odd = _polymul(uo, wo)
+    if u.shape[1] > 1 and w.shape[1] > 1:
+        odd = _polymul(su[:, 1::2], sw[:, 1::2])
         out[:, 1:1 + odd.shape[1]] += odd
     return out
 
@@ -238,8 +246,8 @@ def _ratio_limits(a, b, la, lb) -> np.ndarray:
     Near each end a/b behaves as (a_i/b_k) x^(i - k) for the lowest or the
     highest nonzero coefficients; la, lb are the rows' trimmed lengths.
     """
-    ia = np.column_stack([np.argmax(a != 0.0, axis=1), la - 1])
-    ib = np.column_stack([np.argmax(b != 0.0, axis=1), lb - 1])
+    ia = np.array([np.argmax(a != 0.0, axis=1), la - 1]).T
+    ib = np.array([np.argmax(b != 0.0, axis=1), lb - 1]).T
     rows = np.arange(len(a))[:, None]
     ea, eb = a[rows, ia], b[rows, ib]
     grows = (ia < ib) == np.array([True, False])
@@ -267,38 +275,58 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
     slope[np.arange(slope.shape[1]) >= keep[:, None]] = 0.0
     ls = _lengths(slope)
     x = np.full((len(a), max(slope.shape[1] - 1, 0)), np.nan)
-    for n in np.unique(ls[ls > 1]):
+    for n in sorted(set(ls[ls > 1].tolist())):
         rows = np.flatnonzero(ls == n)
         x[rows, :n - 1] = _roots(slope[rows, :n]).real
     on_axis = x > 0.0
     jw = 1j * np.sqrt(np.where(on_axis, x, 0.0))
-    uj, wj, vj = (_polyval(c, jw) for c in (u, w, v))
+    # every caller passes one array twice, which is evaluated once
+    uj = _polyval(u, jw)
+    wj = uj if w is u else _polyval(w, jw)
+    vj = wj if v is w else _polyval(v, jw)
     fill = -np.inf if maximize else np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2
         vals = np.where(on_axis & np.isfinite(vals), vals, fill)
-        vals = np.column_stack([vals, _ratio_limits(a, b, la, lb)])
+        vals = np.concatenate([vals, _ratio_limits(a, b, la, lb)], axis=1)
     ext = vals.max(axis=1) if maximize else vals.min(axis=1)
     # v = 0 is Re 1/G of G = 0
     return np.where(lb == 0, np.inf, np.where(la == 0, 0.0, ext))
 
 
 def _re_ratio_unbounded(u, v) -> bool:
-    """Whether Re u/v is unbounded on the imaginary axis.
+    """Whether Re u/v is unbounded below on the imaginary axis.
 
-    Near a simple zero j omega_0 of v, u/v is r/(s - j omega_0) plus a
-    bounded part, and Re r/(j(omega - omega_0)) runs to both infinities
-    unless the residue r = u/v' there is real.  A zero counts as on the axis,
-    and r as not real, at 1e-9 relative.
+    With x = omega^2, an m-fold zero j omega_0 of v is a 2m-fold zero of
+    b = |v|^2 at x0 = omega_0^2, and a = Re(u conj v) vanishes there to an
+    order k >= m.  So a/b behaves as A (x - x0)^(k - 2m), A of the sign of
+    the k-th derivative of a at x0, and is unbounded below when 2m - k is
+    odd, or even and positive with A < 0 (for m = 1: when the residue u/v'
+    is not real).  The eigenvalue solve splits an m-fold zero into a cluster
+    about eps^(1/m) wide, so roots within 1e-3 (relative) of each other
+    along the axis are one zero at their mean.  The mean counts as on the
+    axis, and a derivative of a as zero, at 1e-9 relative (to |a|'s, the
+    polynomial of a's coefficient magnitudes).
     """
     if len(v) < 2:
         return False
     z = _roots(v[None])[0]
-    z = z[(z.imag > 0.0) & (np.abs(z.real) <= 1e-9 * np.abs(z))]
-    if not z.size:  # the common case; skips the residues
+    z = z[(z.imag > 0.0) & (np.abs(z.real) <= 1e-3 * np.abs(z))]
+    if not z.size:  # the common case; skips the clusters
         return False
-    r = P.polyval(z, u) / P.polyval(z, P.polyder(v))
-    return bool(np.any(np.abs(r.imag) > 1e-9 * np.abs(r)))
+    z = z[np.argsort(z.imag)]
+    a = _real_product(u[None], v[None])[0]
+    for zero in np.split(z, np.flatnonzero(np.diff(z.imag) > 1e-3 * z.imag[1:]) + 1):
+        mean, m = zero.mean(), len(zero)
+        if abs(mean.real) > 1e-9 * abs(mean):
+            continue
+        for k in range(m, 2 * m):
+            d, size = (P.polyval(mean.imag**2, P.polyder(c, k)) for c in (a, np.abs(a)))
+            if abs(d) > 1e-9 * size:
+                if (2 * m - k) % 2 or d < 0.0:
+                    return True
+                break
+    return False
 
 
 def _unit_frequency(p: np.ndarray, q: np.ndarray):
@@ -315,12 +343,19 @@ def _unit_frequency(p: np.ndarray, q: np.ndarray):
     return np.ldexp(p, -ep), np.ldexp(q, -eq), (ep - eq)[:, 0]
 
 
-def _stable_rows(G: RationalTF, what: str):
-    """Coefficient rows of p and q for G, whose denominator must be stable."""
-    p, q = np.asarray(G.num.coeffs)[None], np.asarray(G.den.coeffs)[None]
+def _stable_den(G: RationalTF, what: str) -> np.ndarray:
+    """The coefficient row of G's denominator, which must be stable."""
+    q = np.asarray(G.den.coeffs)[None]
     if not _stable(q)[0]:
         raise UnstableDenominator(f"{what} requires a stable denominator")
-    return p, q
+    return q
+
+
+def _padded_num(G: RationalTF) -> np.ndarray:
+    """G's numerator coefficients, padded with zeros to the denominator's width."""
+    p = np.zeros(G.den.degree + 1)
+    p[:G.num.degree + 1] = G.num.coeffs
+    return p
 
 
 def _peak_gain(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -335,7 +370,8 @@ def linf_norm(G: RationalTF) -> float:
     Exact up to polynomial-root accuracy: the stationary points of |G|^2 in
     omega^2, plus omega = 0 and omega -> infinity, on G(omega_s s).
     """
-    return float(_peak_gain(*_stable_rows(G, "peak gain"))[0])
+    return float(_peak_gain(np.asarray(G.num.coeffs)[None],
+                            _stable_den(G, "peak gain"))[0])
 
 
 def l2gain_to_input_index(beta: float) -> float:
@@ -352,10 +388,8 @@ def _shift_rows(G: RationalTF, lams) -> np.ndarray:
     such lam, before any root is taken.
     """
     lams = np.asarray(lams, dtype=float).ravel()
-    p = np.zeros(G.den.degree + 1)
-    p[:G.num.degree + 1] = G.num.coeffs
     with np.errstate(invalid="ignore", over="ignore"):
-        rows = np.asarray(G.den.coeffs) + lams[:, None] * p
+        rows = np.asarray(G.den.coeffs) + lams[:, None] * _padded_num(G)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise NonFiniteValue(f"lambda entry {bad[0]} ({lams[bad[0]]}) gives "
@@ -435,9 +469,9 @@ def transformed_tf(G: RationalTF, transform) -> RationalTF:
     frequency domain; near-common roots of the two combinations cancel with
     a warning.
     """
-    a, b, c, d = transform.a, transform.b, transform.c, transform.d
-    den = G.den.scaled(a) + G.num.scaled(b)
-    num = G.den.scaled(c) + G.num.scaled(d)
+    q, p = np.asarray(G.den.coeffs), _padded_num(G)
+    den = RealPolynomial.make(transform.a * q + transform.b * p)
+    num = RealPolynomial.make(transform.c * q + transform.d * p)
     if den.is_zero:
         raise DegenerateTransformedTF("a*q + b*p vanished identically")
     if num.degree > den.degree:
@@ -452,13 +486,15 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
 
     The input index is the infimum of Re G(j omega), the output index the
     infimum of Re 1/G(j omega), both over omega >= 0 and found exactly like
-    the peak gain.  Re 1/G is unbounded below when the relative degree is two
-    or more, or when G has a zero on the imaginary axis where 1/G has a
-    residue that is not real, and the output index is then -inf.  Positive
-    values certify input- and output-strict passivity.
+    the peak gain, in one stacked two-row solve.  Re 1/G is unbounded below
+    when the relative degree is two or more, or at some zeros of G on the
+    imaginary axis (see _re_ratio_unbounded), and the output index is then
+    -inf.  Positive values certify input- and output-strict passivity.
     """
-    p, q, e = _unit_frequency(*_stable_rows(G, "index search"))
-    rho = (-math.inf if _re_ratio_unbounded(q[0], p[0])
-           else float(np.ldexp(_axis_extremum(q, p, p, maximize=False), -e)[0]))
-    return FrequencyIndices(
-        rho, float(np.ldexp(_axis_extremum(p, q, q, maximize=False), e)[0]))
+    p, q, e = _unit_frequency(_padded_num(G)[None], _stable_den(G, "index search"))
+    qp = np.concatenate([q, p])
+    nu, rho = np.ldexp(_axis_extremum(np.concatenate([p, q]), qp, qp,
+                                      maximize=False), [e[0], -e[0]])
+    if _re_ratio_unbounded(q[0], p[0, :G.num.degree + 1]):
+        rho = -math.inf
+    return FrequencyIndices(float(rho), float(nu))

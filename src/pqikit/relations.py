@@ -10,9 +10,12 @@ numeric surrogate of cursivity that underpins the maximality check.
 Integration merges ties in the abscissa with an array mask.  The conjugate
 reads the greatest convex minorant's slopes off the cell slopes when they
 never decrease, and otherwise finds every maximizer by an exact monotone
-argmax, level by level.  Near self-intersections are found by one sort of
-the samples into square grid cells, small enough that a crowded cell proves
-one by pigeonhole; otherwise only pairs of neighbour cells are measured.
+argmax, level by level.  Near self-intersections of a chain, a curve whose
+every axis is monotone along the parameter, are decided by the pairs just
+beyond the parameter gap, one pass.  On any other curve they are found by
+one sort of the samples into square grid cells, small enough that a crowded
+cell proves one by pigeonhole; otherwise only pairs of neighbour cells are
+measured.
 Every tolerance is relative to the size of its own operands (an axis's
 largest magnitude, a curve's median sample norm), never an absolute floor,
 so rescaling u and y by positive factors changes no verdict.
@@ -360,7 +363,9 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
     coincide within the median segment length (self-intersection measure:
-    one sort into grid cells, see :func:`_no_near_self_intersection`).  Both
+    on a chain, whose every axis is monotone along the parameter, one pass
+    over the pairs ``intersection_sigma_gap`` + 1 apart, otherwise one sort
+    into grid cells; see :func:`_no_near_self_intersection`).  Both
     segment scales are floored at 1e-6 of the median sample norm (of the
     largest if the median is zero).
     These support but cannot prove the limit properties; the report says
@@ -406,16 +411,28 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
 def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool:
     """No two samples more than ``gap`` steps apart lie within ``radius``.
 
-    The samples are sorted by the square cell of the plane they fall in.
-    The side is a power of two, so a cell's bounds are exact, and below
-    radius/1.5: any two samples of one cell lie within the radius, and the
-    cell proves an intersection as soon as its sample indices span more
+    A chain, whose every axis is monotone along the index, takes an exact
+    O(n) pass.  For i < j < k on a chain |x_k - x_i| >= |x_j - x_i| in each
+    axis, and rounding keeps that order: a rounded difference, square, sum
+    and square root never decrease as their operands grow.  So the measured
+    distance from sample i never decreases along the chain, and the pair
+    (i, i + gap + 1) is the nearest of i's distant pairs.
+
+    Any other curve is sorted by the square cell of the plane its samples
+    fall in.  The side is a power of two, so a cell's bounds are exact, and
+    below radius/1.5: any two samples of one cell lie within the radius, and
+    the cell proves an intersection as soon as its sample indices span more
     than ``gap`` (one holding more than gap + 1 samples always does; an
     exact repeat shares its cell).  Otherwise each cell holds at most
     gap + 1 samples, and each sample is measured only against the samples
     of the cells after its own within ``reach`` cells in both directions,
     so the candidate count stays linear in the samples.
     """
+    step = np.diff(pts, axis=0)
+    if np.all((step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)):
+        d = pts[gap + 1:] - pts[:-gap - 1]
+        return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+                               < radius))
     m, e = np.frexp(radius)
     side = np.ldexp(1.0, int(e) - (1 if m >= 0.75 else 2))  # radius/side in [1.5, 3)
     # a margin over the radius, so that no pair whose rounded distance

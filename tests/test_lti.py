@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from pqikit import lti
 from pqikit import (
@@ -376,6 +377,93 @@ class TestTFPassivityIndices:
         idx = tf_passivity_indices(G)
         assert idx.rho == -math.inf
         assert abs(idx.nu + 1.0 / 7.0) <= 1e-12
+
+    # (s^2 + w^2)^m k/(s + 1)^2m: the eigenvalue solve splits the m-fold
+    # zero j w into a cluster about eps^(1/m) wide.  With x = omega^2,
+    # Re 1/G = k Re((1 + j omega)^2m)/(w^2 - x)^m, and at x = w^2 the real
+    # part is -7 for w = 2, m = 2 and vanishes once for w = 1, m = 1 or 3.
+    @pytest.mark.parametrize("w, m, k, rho", [
+        (1.0, 2, 1.0, -math.inf),  # -4/(1 - x)^2
+        (2.0, 2, 1.0, -math.inf),  # -7/(4 - x)^2
+        (1.0, 2, -1.0, -1.0),      # -1 + 4x/(1 - x)^2, bounded below
+        (1.0, 1, 1.0, 1.0),        # (1 - x)/(1 - x)
+        (1.0, 3, 1.0, -math.inf),  # (1 - 14x + x^2)/(1 - x)^2
+    ])
+    @pytest.mark.parametrize("alpha", [1e-4, 1.0, 1e4])
+    def test_repeated_imaginary_axis_zero(self, w, m, k, rho, alpha):
+        num = k * P.polypow([w * w, 0.0, 1.0], m)
+        den = P.polypow([1.0, 1.0], 2 * m)
+        G = RationalTF.make(*([c * alpha**i for i, c in enumerate(c)]
+                              for c in (num, den)))
+        got = tf_passivity_indices(G).rho
+        assert got == rho or abs(got - rho) <= 1e-12 * abs(rho), got
+
+    def test_lightly_damped_zero_is_off_the_axis(self):
+        # zeros at -1e-5 ± j, 1e-5 (relative) off the axis: with x = omega^2,
+        # Re 1/G = ((2 - x)(1 - x) + 2e-5 x)/((1 - x)^2 + 4e-10 x) is bounded,
+        # smallest near x = 1 + 4.8e-5, at about -0.1036/1e-5
+        G = RationalTF.make([1.0, 2e-5, 1.0], [2.0, 1.0, 1.0])
+        omega = np.sqrt(np.linspace(1.0 - 1e-4, 1.0 + 1e-4, 200001))
+        sampled = float(np.min((1.0 / G(1j * omega)).real))
+        rho = tf_passivity_indices(G).rho
+        assert rho <= sampled and abs(rho - sampled) <= 1e-9 * abs(sampled)
+        assert abs(rho + 0.1036e5) <= 10.0
+
+
+@st.composite
+def time_scaled_stable_plants(draw):
+    """A stable plant of order 1-4, half of them time-scaled (s -> alpha s)."""
+    G = draw(stable_plants())
+    if draw(st.booleans()):
+        alpha = 10.0 ** draw(st.floats(-8.0, 8.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            G = RationalTF.make(*([c * alpha**i for i, c in enumerate(poly.coeffs)]
+                                  for poly in (G.num, G.den)))
+    return G
+
+
+class TestStackedIndicesOracle:
+    @given(time_scaled_stable_plants())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_two_one_row_solves(self, G):
+        # the stacked rows [p; q] over [q; p], p padded to q's width, give
+        # each index bit for bit as its own unpadded one-row problem
+        p, q, e = lti._unit_frequency(np.asarray(G.num.coeffs)[None],
+                                      np.asarray(G.den.coeffs)[None])
+        nu = np.ldexp(lti._axis_extremum(p, q, q, maximize=False), e)[0]
+        rho = (-math.inf if lti._re_ratio_unbounded(q[0], p[0])
+               else np.ldexp(lti._axis_extremum(q, p, p, maximize=False), -e)[0])
+        got = tf_passivity_indices(G)
+        assert (got.rho, got.nu) == (rho, nu)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("alpha", [1.0, 1e4])
+    def test_design_pipeline_calls(self, monkeypatch, alpha):
+        # a design job: lambda search, mu and indices at the chosen lambda,
+        # the passivizing transform and the transformed plant's indices
+        G = _time_scaled(1.3, 0.7, 2.0, alpha)
+        counts = {"eigvals": 0, "extremum": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(lti, "_axis_extremum",
+                            counted("extremum", lti._axis_extremum))
+        lam = lambda_search(G, np.arange(11.0))
+        loop_mu(G, lam)
+        T = passivize(eips_indices(G, lam), PassivityIndices(0.0, 0.0))
+        strict = tf_passivity_indices(transformed_tf(G, T))
+        assert strict.rho >= 0.0 and strict.nu >= 0.0
+        # lambda_search: screen and peak; loop_mu twice: stability and
+        # peak; transformed_tf: one stacked cancellation solve;
+        # tf_passivity_indices: stability, axis zeros and both indices
+        assert counts == {"eigvals": 10, "extremum": 4}
 
 
 def _pipeline(G):

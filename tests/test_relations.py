@@ -425,6 +425,18 @@ class TestShapeChecks:
         assert time.perf_counter() - start <= 0.5
         assert not report.no_self_intersection
 
+    def test_many_coincident_samples_off_a_chain_stay_fast(self):
+        # the same repeats with one sample off them, which breaks the chain,
+        # so the grid path's repeat shortcut decides
+        n = 40001
+        u = np.full(n, 2.0)
+        u[n // 2] = 3.0
+        rel = PlanarRelation(u, np.full(n, -1.0), sigma=np.arange(float(n)))
+        start = time.perf_counter()
+        report = is_cursive(rel)
+        assert time.perf_counter() - start <= 0.5
+        assert not report.no_self_intersection
+
     def test_near_coincident_cluster_stays_fast(self):
         # 40 001 distinct points within 1e-9 of one point: every pair is
         # inside the radius, so the pair count decides before any listing
@@ -650,6 +662,31 @@ def self_intersection_cases():
         u = np.r_[np.arange(500.0), 500.0 + jitter[:, 0], np.arange(501.0, 1000.0)]
         y = np.r_[np.zeros(500), jitter[:, 1], np.zeros(499)]
         cases[name] = param_relation(u, y)
+    # chains, every axis monotone along the index: unit steps alternating
+    # right and up lie exactly one radius from their neighbours; a pause of
+    # 3 zero steps puts samples 4 apart exactly one radius apart, and a
+    # nudge of 2^-40 on the step out of it brings them inside
+    steps = np.tile([[1.0, 0.0], [0.0, 1.0]], (60, 1))
+    cases["stairs_at_radius"] = param_relation(*np.cumsum(steps, axis=0).T)
+    for name, pause, nudge in (("stairs_pause_at_radius", 3, 0.0),
+                               ("stairs_pause_inside_radius", 3, 2.0**-40),
+                               ("stairs_pause_beyond_gap", 25, 0.0)):
+        run = np.r_[steps[:50], np.zeros((pause, 2)), steps[50:]]
+        run[50 + pause] -= (nudge, 0.0)
+        run[51 + pause] += (nudge, 0.0)
+        cases[name] = param_relation(*np.cumsum(run, axis=0).T)
+    # increasing in u and decreasing in y, steps of very uneven lengths
+    walk = np.random.default_rng(12).exponential(size=(400, 2)) ** 3
+    cases["chain_down"] = param_relation(np.cumsum(walk[:, 0]), -np.cumsum(walk[:, 1]))
+    # no pair lies more than the gap apart
+    for n in (2, 4, 21):
+        cases[f"chain_of_{n}"] = param_relation(np.arange(float(n)), np.zeros(n))
+    # 30 unit steps right, one step back to (0.5, 0.5) and on up: the step
+    # back breaks the chain and lands within a radius of the first samples,
+    # 31 steps earlier, where no pair gap + 1 apart is near
+    cases["chain_broken_once"] = param_relation(
+        np.r_[np.arange(31.0), np.full(30, 0.5)],
+        np.r_[np.zeros(31), 0.5 + np.arange(30.0)])
     return cases
 
 
@@ -670,6 +707,14 @@ class TestSelfIntersectionAgainstBruteForce:
         assert not verdicts["spiral_touching"] and verdicts["spiral_clear"]
         assert verdicts["return_at_radius"] and not verdicts["return_inside_radius"]
         assert not verdicts["dense_cluster"] and verdicts["small_cluster"]
+        # the chains' boundary cases, at the gap each was built for
+        for name, gap, clear in (("stairs_at_radius", 0, True),
+                                 ("stairs_pause_at_radius", 3, True),
+                                 ("stairs_pause_inside_radius", 3, False),
+                                 ("stairs_pause_beyond_gap", 20, False),
+                                 ("chain_down", 0, False), ("chain_down", 20, True),
+                                 ("chain_broken_once", 20, False)):
+            assert brute_force_no_self_intersection(self.CASES[name], gap) == clear
         # nothing is strictly closer than the radius, even next door
         assert brute_force_no_self_intersection(self.CASES["square_equal_steps"], 0)
 
@@ -683,6 +728,17 @@ class TestSelfIntersectionAgainstBruteForce:
 
     def test_constant_curve_is_fast(self):
         rel = param_relation(np.full(4001, 2.0), np.full(4001, -1.0))
+        start = time.perf_counter()
+        report = is_cursive(rel)
+        assert time.perf_counter() - start <= 1.0
+        assert not report.no_self_intersection
+
+    def test_constant_curve_off_a_chain_is_fast(self):
+        # one sample off the constant breaks the chain: the grid path's
+        # crowded cell decides
+        u = np.full(4001, 2.0)
+        u[2000] = 3.0
+        rel = param_relation(u, np.full(4001, -1.0))
         start = time.perf_counter()
         report = is_cursive(rel)
         assert time.perf_counter() - start <= 1.0
