@@ -76,8 +76,8 @@ class RealPolynomial:
             i = int(np.argmin(np.isfinite(c)))
             raise NonFiniteValue(
                 f"coefficient {i} (of s^{i}) of {c.tolist()} is {c[i]}")
-        c = np.trim_zeros(c, "b")
-        return cls(tuple(float(v) for v in c) or (0.0,))
+        nz = np.flatnonzero(c)
+        return cls(tuple(c[:nz[-1] + 1].tolist()) if nz.size else (0.0,))
 
     @property
     def degree(self) -> int:
@@ -304,9 +304,11 @@ def _re_ratio_unbounded(u, v) -> bool:
     odd, or even and positive with A < 0 (for m = 1: when the residue u/v'
     is not real).  The eigenvalue solve splits an m-fold zero into a cluster
     about eps^(1/m) wide, so roots within 1e-3 (relative) of each other
-    along the axis are one zero at their mean.  The mean counts as on the
-    axis, and a derivative of a as zero, at 1e-9 relative (to |a|'s, the
-    polynomial of a's coefficient magnitudes).
+    along the axis are taken as one zero at their mean, unless the mean is
+    off the axis or a does not vanish there to order m within rounding
+    (1e-12 relative): then each root is a zero of its own.  The mean counts
+    as on the axis, and a derivative of a as zero in the verdict, at 1e-9
+    relative (to |a|'s, the polynomial of a's coefficient magnitudes).
     """
     if len(v) < 2:
         return False
@@ -316,16 +318,20 @@ def _re_ratio_unbounded(u, v) -> bool:
         return False
     z = z[np.argsort(z.imag)]
     a = _real_product(u[None], v[None])[0]
-    for zero in np.split(z, np.flatnonzero(np.diff(z.imag) > 1e-3 * z.imag[1:]) + 1):
+    zeros = np.split(z, np.flatnonzero(np.diff(z.imag) > 1e-3 * z.imag[1:]) + 1)
+    while zeros:
+        zero = zeros.pop()
         mean, m = zero.mean(), len(zero)
-        if abs(mean.real) > 1e-9 * abs(mean):
+        on_axis = abs(mean.real) <= 1e-9 * abs(mean)
+        d, size = ([P.polyval(mean.imag**2, P.polyder(c, k)) for k in range(2 * m)]
+                   for c in (a, np.abs(a)))
+        if m > 1 and (not on_axis
+                      or any(abs(d[k]) > 1e-12 * size[k] for k in range(m))):
+            zeros.extend(zero[:, None])
             continue
-        for k in range(m, 2 * m):
-            d, size = (P.polyval(mean.imag**2, P.polyder(c, k)) for c in (a, np.abs(a)))
-            if abs(d) > 1e-9 * size:
-                if (2 * m - k) % 2 or d < 0.0:
-                    return True
-                break
+        k = next((k for k in range(m, 2 * m) if abs(d[k]) > 1e-9 * size[k]), 2 * m)
+        if on_axis and k < 2 * m and ((2 * m - k) % 2 or d[k] < 0.0):
+            return True
     return False
 
 
@@ -338,7 +344,8 @@ def _unit_frequency(p: np.ndarray, q: np.ndarray):
     range and normal-range extrema scaled back by 2^e are unchanged bit for bit.
     """
     w_s = np.abs(q[:, :1] / q[:, -1:]) ** (1.0 / max(q.shape[1] - 1, 1))
-    p, q = p * w_s ** np.arange(p.shape[1]), q * w_s ** np.arange(q.shape[1])
+    powers = w_s ** np.arange(q.shape[1])  # p is never wider than q
+    p, q = p * powers[:, :p.shape[1]], q * powers
     ep, eq = (np.frexp(np.abs(c).max(axis=1, keepdims=True))[1] for c in (p, q))
     return np.ldexp(p, -ep), np.ldexp(q, -eq), (ep - eq)[:, 0]
 

@@ -378,10 +378,9 @@ class TestTFPassivityIndices:
         assert idx.rho == -math.inf
         assert abs(idx.nu + 1.0 / 7.0) <= 1e-12
 
-    # (s^2 + w^2)^m k/(s + 1)^2m: the eigenvalue solve splits the m-fold
+    # k(s^2 + w^2)^m/(s + 1)^2m: the eigenvalue solve splits the m-fold
     # zero j w into a cluster about eps^(1/m) wide.  With x = omega^2,
-    # Re 1/G = k Re((1 + j omega)^2m)/(w^2 - x)^m, and at x = w^2 the real
-    # part is -7 for w = 2, m = 2 and vanishes once for w = 1, m = 1 or 3.
+    # Re 1/G = Re((1 + j omega)^2m)/(k (w^2 - x)^m), reduced beside each case.
     @pytest.mark.parametrize("w, m, k, rho", [
         (1.0, 2, 1.0, -math.inf),  # -4/(1 - x)^2
         (2.0, 2, 1.0, -math.inf),  # -7/(4 - x)^2
@@ -398,6 +397,16 @@ class TestTFPassivityIndices:
         got = tf_passivity_indices(G).rho
         assert got == rho or abs(got - rho) <= 1e-12 * abs(rho), got
 
+    @pytest.mark.parametrize("sep", [1e-2, 1e-4, 1e-5])
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_close_imaginary_axis_zeros_stay_apart(self, sep, k):
+        # simple zeros at j and j(1 + sep), each with a residue of 1/G that
+        # is not real: their roots share a cluster, but Re(q conj p) does
+        # not vanish to second order at its mean, so each is tested alone
+        num = k * P.polymul([1.0, 0.0, 1.0], [(1.0 + sep) ** 2, 0.0, 1.0])
+        G = RationalTF.make(num, P.polypow([1.0, 1.0], 4))
+        assert tf_passivity_indices(G).rho == -math.inf
+
     def test_lightly_damped_zero_is_off_the_axis(self):
         # zeros at -1e-5 ± j, 1e-5 (relative) off the axis: with x = omega^2,
         # Re 1/G = ((2 - x)(1 - x) + 2e-5 x)/((1 - x)^2 + 4e-10 x) is bounded,
@@ -408,6 +417,10 @@ class TestTFPassivityIndices:
         rho = tf_passivity_indices(G).rho
         assert rho <= sampled and abs(rho - sampled) <= 1e-9 * abs(sampled)
         assert abs(rho + 0.1036e5) <= 10.0
+        # squared, the two roots near j share a cluster whose mean is off
+        # the axis, and each root alone is off it too
+        G = RationalTF.make(P.polypow([1.0, 2e-5, 1.0], 2), P.polypow([2.0, 1.0, 1.0], 2))
+        assert math.isfinite(tf_passivity_indices(G).rho)
 
 
 @st.composite
