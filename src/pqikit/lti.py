@@ -61,6 +61,7 @@ class FrequencyIndices:
 
 STABILITY_MARGIN = 1e-9
 COMMON_ROOT_TOL = 1e-8
+MULTIPLE_ZERO_EPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,6 @@ class RealPolynomial:
 
     def __call__(self, s):
         return P.polyval(s, np.asarray(self.coeffs))
-
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial.make(P.polyadd(self.coeffs, other.coeffs))
-
-    def scaled(self, k: float) -> "RealPolynomial":
-        return RealPolynomial.make(np.asarray(self.coeffs) * k)
 
 
 @dataclass(frozen=True)
@@ -297,24 +292,30 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
 def _re_ratio_unbounded(u, v) -> bool:
     """Whether Re u/v is unbounded below on the imaginary axis.
 
-    With x = omega^2, an m-fold zero j omega_0 of v is a 2m-fold zero of
-    b = |v|^2 at x0 = omega_0^2, and a = Re(u conj v) vanishes there to an
-    order k >= m.  So a/b behaves as A (x - x0)^(k - 2m), A of the sign of
-    the k-th derivative of a at x0, and is unbounded below when 2m - k is
-    odd, or even and positive with A < 0 (for m = 1: when the residue u/v'
-    is not real).  The eigenvalue solve splits an m-fold zero into a cluster
-    about eps^(1/m) wide, so roots within 1e-3 (relative) of each other
-    along the axis are taken as one zero at their mean, unless the mean is
-    off the axis or a does not vanish there to order m within rounding
-    (1e-12 relative): then each root is a zero of its own.  The mean counts
-    as on the axis, and a derivative of a as zero in the verdict, at 1e-9
-    relative (to |a|'s, the polynomial of a's coefficient magnitudes).
+    Near a simple zero j omega_0 of v, Re u/v runs to both infinities unless
+    the residue u/v' is real.  With x = omega^2, an m-fold zero is a 2m-fold
+    zero of b = |v|^2 at x0 = omega_0^2, and a = Re(u conj v) vanishes there
+    to an order k >= m.  So a/b behaves as A (x - x0)^(k - 2m), A of the
+    sign of the k-th derivative of a at x0, and is unbounded below when
+    2m - k is odd, or even and positive with A < 0.  The eigenvalue solve
+    returns an m-fold zero as m roots that are exact for some v perturbed
+    by about eps |v|, |v| the polynomial of v's coefficient magnitudes.  So
+    the roots near the axis are grouped along it (gaps of 1e-3 relative),
+    and a group of m roots at most h from their mean c is tested as one
+    m-fold zero at c when h^m |v^(m)(c)|/m! <= MULTIPLE_ZERO_EPS |v|(|c|),
+    for m = 2 a spread of about 2 sqrt(eps) relative.  Each group is also
+    split at its largest gap and both parts are tested the same way, down
+    to single roots: a merged verdict adds the -inf of a multiple zero and
+    never takes away that of a simple one, so simple zeros too close to
+    tell from a double zero keep their own verdicts.  A zero counts as on
+    the axis, a residue as not real and a derivative of a as zero at 1e-9
+    relative (to |a|'s).
     """
     if len(v) < 2:
         return False
     z = _roots(v[None])[0]
     z = z[(z.imag > 0.0) & (np.abs(z.real) <= 1e-3 * np.abs(z))]
-    if not z.size:  # the common case; skips the clusters
+    if not z.size:  # the common case; skips the groups
         return False
     z = z[np.argsort(z.imag)]
     a = _real_product(u[None], v[None])[0]
@@ -323,14 +324,20 @@ def _re_ratio_unbounded(u, v) -> bool:
         zero = zeros.pop()
         mean, m = zero.mean(), len(zero)
         on_axis = abs(mean.real) <= 1e-9 * abs(mean)
+        if m == 1:
+            r = P.polyval(mean, u) / P.polyval(mean, P.polyder(v))
+            if on_axis and abs(r.imag) > 1e-9 * abs(r):
+                return True
+            continue
+        zeros.extend(np.split(zero, [np.argmax(np.diff(zero.imag)) + 1]))
+        spread = np.abs(zero - mean).max() ** m / math.factorial(m)
+        if not on_axis or (spread * abs(P.polyval(mean, P.polyder(v, m)))
+                           > MULTIPLE_ZERO_EPS * P.polyval(abs(mean), np.abs(v))):
+            continue
         d, size = ([P.polyval(mean.imag**2, P.polyder(c, k)) for k in range(2 * m)]
                    for c in (a, np.abs(a)))
-        if m > 1 and (not on_axis
-                      or any(abs(d[k]) > 1e-12 * size[k] for k in range(m))):
-            zeros.extend(zero[:, None])
-            continue
         k = next((k for k in range(m, 2 * m) if abs(d[k]) > 1e-9 * size[k]), 2 * m)
-        if on_axis and k < 2 * m and ((2 * m - k) % 2 or d[k] < 0.0):
+        if k < 2 * m and ((2 * m - k) % 2 or d[k] < 0.0):
             return True
     return False
 

@@ -369,10 +369,13 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     segment scales are floored at 1e-6 of the median sample norm (of the
     largest if the median is zero).
     These support but cannot prove the limit properties; the report says
-    which passed.
+    which passed.  A negative ``intersection_sigma_gap`` raises ValueError.
     """
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
+    if intersection_sigma_gap < 0:
+        raise ValueError(
+            f"intersection_sigma_gap must be >= 0, got {intersection_sigma_gap}")
     pts = rel.points
     notes: list[str] = []
     norms = np.linalg.norm(pts, axis=1)

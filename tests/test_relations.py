@@ -726,6 +726,12 @@ class TestSelfIntersectionAgainstBruteForce:
             report = is_cursive(rel, intersection_sigma_gap=20)
             assert report.no_self_intersection == (not flagged)
 
+    @pytest.mark.parametrize("gap", [-1, -2])
+    def test_negative_gap_is_rejected(self, gap):
+        rel = self.CASES["chain_down"]
+        with pytest.raises(ValueError, match="intersection_sigma_gap"):
+            is_cursive(rel, intersection_sigma_gap=gap)
+
     def test_constant_curve_is_fast(self):
         rel = param_relation(np.full(4001, 2.0), np.full(4001, -1.0))
         start = time.perf_counter()
