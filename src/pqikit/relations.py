@@ -7,15 +7,15 @@ Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for the
 numeric surrogate of cursivity that underpins the maximality check.
-Integration merges ties in the abscissa with an array mask.  The conjugate
-reads the greatest convex minorant's slopes off the cell slopes when they
-never decrease, and otherwise finds every maximizer by an exact monotone
-argmax, level by level.  Near self-intersections of a chain, a curve whose
-every axis is monotone along the parameter, are decided by the pairs just
-beyond the parameter gap, one pass.  On any other curve they are found by
-one sort of the samples into square grid cells, small enough that a crowded
-cell proves one by pigeonhole; otherwise only pairs of neighbour cells are
-measured.
+Integration merges ties in the abscissa with an array mask.  Only a
+potential whose own samples earn the convexity certificate is conjugated,
+by one binary search over its cell slopes (the dips the certificate
+tolerates lifted by a running maximum).  Near self-intersections of a chain,
+a curve whose every axis is monotone along the parameter, are decided by
+the pairs just beyond the parameter gap, one pass.  On any other curve they
+are found by one sort of the samples into square grid cells, small enough
+that a crowded cell proves one by pigeonhole; otherwise only pairs of
+neighbour cells are measured.
 Every tolerance is relative to the size of its own operands (an axis's
 largest magnitude, a curve's median sample norm), never an absolute floor,
 so rescaling u and y by positive factors changes no verdict.
@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MultiValued, NonFiniteValue, WrongRepresentation
+from .errors import (DimensionMismatch, MultiValued, NonConvexCertificate,
+                     NonFiniteValue, WrongRepresentation)
 
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
@@ -65,6 +66,11 @@ class PlanarRelation:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.u, self.y, self.sigma) if a is not None]
+        if any(len(sh) != 1 for sh in shapes) or len(set(shapes)) > 1:
+            names = "u, y" + ("" if self.sigma is None else ", sigma")
+            raise DimensionMismatch(f"relation {names} must be 1-D of one length, "
+                                    f"not of shapes {', '.join(map(str, shapes))}")
         bad = ~(np.isfinite(self.u) & np.isfinite(self.y))
         if bad.any():
             i = int(np.argmax(bad))
@@ -141,15 +147,28 @@ class PlanarRelation:
 
 @dataclass(frozen=True)
 class IntegralFunction:
-    """Sampled potential: strictly increasing grid plus accumulated values."""
+    """Sampled potential: strictly increasing grid plus accumulated values,
+    every sample finite; the samples decide ``convexity_certificate``."""
 
     grid: np.ndarray
     values: np.ndarray
-    convexity_certificate: bool
+    convexity_certificate: bool = field(init=False)
 
     def __post_init__(self):
-        if not np.all(np.diff(self.grid) > 0):
+        x, v = np.asarray(self.grid, dtype=float), np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "grid", x)
+        object.__setattr__(self, "values", v)
+        if np.ndim(x) != 1 or np.shape(x) != np.shape(v):
+            raise DimensionMismatch(f"integral-function grid and values must be 1-D of "
+                                    f"one length, not {np.shape(x)} and {np.shape(v)}")
+        bad = ~(np.isfinite(x) & np.isfinite(v))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteValue(f"integral-function samples must be finite, not "
+                                 f"value {v[i]} at sample {i}, abscissa {x[i]}")
+        if not np.all(np.diff(x) > 0):
             raise ValueError("integral-function grid must be strictly increasing")
+        object.__setattr__(self, "convexity_certificate", _convex_certificate(x, v))
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
@@ -157,8 +176,7 @@ class IntegralFunction:
     @classmethod
     def from_function(cls, f: Callable, grid) -> "IntegralFunction":
         grid = np.asarray(grid, dtype=float)
-        vals = np.asarray(f(grid), dtype=float) * np.ones_like(grid)
-        return cls(grid, vals, _convex_certificate(grid, vals))
+        return cls(grid, np.asarray(f(grid), dtype=float) * np.ones_like(grid))
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
@@ -246,66 +264,33 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    vals = _trapezoid(gx, gv, 0.0)
-    return IntegralFunction(gx, vals, _convex_certificate(gx, vals))
+    return IntegralFunction(gx, _trapezoid(gx, gv, 0.0))
 
 
 def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
-    """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)).
+    """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)) of a convex F.
 
-    Where the cell slopes never decrease, sample j maximizes for y between
-    slopes j-1 and j, so one binary search over the slopes picks it.
-    Otherwise the maximizer is found exactly, by the monotone argmax.  The
-    default dual grid spans the end slopes of the greatest convex minorant
-    with as many points as the primal grid.
+    F must carry the convexity certificate, else NonConvexCertificate.  Once
+    the dips the certificate tolerates are lifted by a running maximum, the
+    cell slopes never decrease, and sample j maximizes for y between slopes
+    j-1 and j, so one binary search over the slopes picks it.  Where the
+    cell slopes dip, a y among the lifted slopes reads low by at most the
+    dips' depth times the grid's width.  The default dual grid spans the end
+    slopes with as many points as the primal grid.
     """
+    if not F.convexity_certificate:
+        raise NonConvexCertificate(
+            "legendre: potential failed the convexity certificate")
     x, v = F.grid, F.values
-    slopes = np.diff(v) / np.diff(x)
-    convex = bool(np.all(np.diff(slopes) >= 0.0))
+    slopes = np.maximum.accumulate(np.diff(v) / np.diff(x))
     if dual_grid is None:
-        if not len(slopes):
-            lo, hi = -1.0, 1.0
-        elif convex:
-            lo, hi = float(slopes[0]), float(slopes[-1])
-        else:
-            # the minorant's end cells are the extreme chords of the ends
-            lo = float(np.min((v[1:] - v[0]) / (x[1:] - x[0])))
-            hi = float(np.max((v[-1] - v[:-1]) / (x[-1] - x[:-1])))
+        lo, hi = (slopes[0], slopes[-1]) if len(slopes) else (-1.0, 1.0)
         if hi - lo < 1e-12:
             lo, hi = lo - 1.0, hi + 1.0
         dual_grid = np.linspace(lo, hi, len(x))
     ys = np.asarray(dual_grid, dtype=float)
-    j = np.searchsorted(slopes, ys) if convex else _monotone_argmax(x, v, ys)
-    vals = ys * x[j] - v[j]
-    return IntegralFunction(ys, vals, _convex_certificate(ys, vals))
-
-
-def _monotone_argmax(x, v, ys) -> np.ndarray:
-    """First maximizer j of ys[k]*x[j] - v[j], for increasing ys and x.
-
-    The first maximizer never decreases in y, so once row k is solved the
-    rows below it search only up to its maximizer and the rows above only
-    from it.  Rows are solved level by level, the middle row of every
-    unsolved run at once, so each level costs O(len(x) + rows) and there
-    are log2(len(ys)) levels (Aggarwal, Klawe, Moran, Shor & Wilber 1987).
-    """
-    j = np.zeros(len(ys), dtype=np.intp)
-    # unsolved row runs [a, b) with their column ranges [lo, hi]
-    a, b = np.zeros(1, np.intp), np.full(1, len(ys))
-    lo, hi = np.zeros(1, np.intp), np.full(1, len(x) - 1)
-    while True:
-        keep = a < b
-        a, b, lo, hi = a[keep], b[keep], lo[keep], hi[keep]
-        if not len(a):
-            return j
-        mid, width = (a + b) // 2, hi - lo + 1
-        start = np.cumsum(width) - width
-        cols = np.arange(width.sum()) - np.repeat(start - lo, width)
-        vals = np.repeat(ys[mid], width) * x[cols] - v[cols]
-        top = np.repeat(np.maximum.reduceat(vals, start), width)
-        j[mid] = np.minimum.reduceat(np.where(vals == top, cols, len(x)), start)
-        a, b = np.r_[a, mid + 1], np.r_[mid, b]
-        lo, hi = np.r_[lo, j[mid]], np.r_[j[mid], hi]
+    j = np.searchsorted(slopes, ys)
+    return IntegralFunction(ys, ys * x[j] - v[j])
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +361,9 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
     if intersection_sigma_gap < 0:
         raise ValueError(
             f"intersection_sigma_gap must be >= 0, got {intersection_sigma_gap}")
+    if len(rel.u) < 2:
+        raise WrongRepresentation(
+            f"cursivity check needs a curve of 2 or more samples, not {len(rel.u)}")
     pts = rel.points
     notes: list[str] = []
     norms = np.linalg.norm(pts, axis=1)

@@ -16,17 +16,23 @@ import numpy as np
 import pqikit, pqikit.cli, pqikit.systems
 from pqikit import (IntegralFunction, PlanarRelation, is_maximal_monotone,
                     legendre, solve_ofp, solve_opp)
+from pqikit.errors import NonConvexCertificate
 from pqikit.systems import nonmonotone_demo_agent, quadratic_network
 
 spec = quadratic_network()
 opp, ofp = solve_opp(spec), solve_ofp(spec)
 assert abs(opp.objective + ofp.objective) <= 1e-9
 grid = np.linspace(-2.0, 2.0, 401)
-for f in (lambda y: 0.5 * y * y, lambda y: 0.25 * y**4 - 0.5 * y**2):
-    F = IntegralFunction.from_function(f, grid)
-    Fs = legendre(F)
-    want = np.max(Fs.grid[:, None] * grid - F.values, axis=1)
-    assert np.max(np.abs(Fs.values - want)) <= 1e-12 * (1.0 + np.abs(want).max())
+F = IntegralFunction.from_function(lambda y: 0.5 * y * y, grid)
+Fs = legendre(F)
+want = np.max(Fs.grid[:, None] * grid - F.values, axis=1)
+assert np.max(np.abs(Fs.values - want)) <= 1e-12 * (1.0 + np.abs(want).max())
+try:
+    legendre(IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2, grid))
+except NonConvexCertificate:
+    pass
+else:
+    raise AssertionError("the double well was conjugated")
 assert is_maximal_monotone(PlanarRelation.from_param_curve(
     lambda s: s, lambda s: s**3 + s, (-3.0, 3.0)))
 assert not is_maximal_monotone(nonmonotone_demo_agent().relation)

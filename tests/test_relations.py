@@ -30,7 +30,9 @@ from pqikit import (
 )
 from pqikit.errors import (
     DegenerateRays,
+    DimensionMismatch,
     MultiValued,
+    NonConvexCertificate,
     NonFiniteValue,
     WrongRepresentation,
 )
@@ -287,88 +289,137 @@ def integer_walk_function(seed, n):
     """Integer abscissae and values: slopes and collinear runs are exact."""
     rng = np.random.default_rng(seed)
     grid = np.cumsum(rng.integers(1, 4, n)).astype(float)
-    return IntegralFunction(grid, np.cumsum(rng.integers(-3, 4, n)).astype(float), False)
+    return IntegralFunction(grid, np.cumsum(rng.integers(-3, 4, n)).astype(float))
+
+
+def convex_integer_walk_function(seed, n):
+    """Integer abscissae, sorted integer cell slopes: convex, with collinear runs."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.integers(1, 4, n)).astype(float)
+    slopes = np.sort(rng.integers(-20, 21, n - 1)).astype(float)
+    return IntegralFunction(grid, np.r_[0.0, np.cumsum(slopes * np.diff(grid))])
 
 
 def random_walk_function(seed, n):
     rng = np.random.default_rng(seed)
     grid = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5 * n
-    return IntegralFunction(grid, np.cumsum(rng.normal(size=n)), False)
+    return IntegralFunction(grid, np.cumsum(rng.normal(size=n)))
+
+
+def assert_refused(F, ys=None):
+    """An uncertified F has no conjugate: legendre raises NonConvexCertificate."""
+    assert not F.convexity_certificate
+    with pytest.raises(NonConvexCertificate, match="convexity certificate$"):
+        legendre(F, ys)
 
 
 class TestLegendreAgainstBruteForce:
-    """The conjugate of a non-convex sampled F, against direct enumeration."""
+    """The conjugate of a certified sampled F, against direct enumeration; a
+    non-convex F is refused."""
 
     def test_double_well(self):
         F = IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2,
                                            np.linspace(-2.0, 2.0, 4001))
-        assert not F.convexity_certificate
-        Fs = assert_conjugate_exact(F)
-        # the default dual grid spans the slopes of the convex minorant
-        assert Fs.grid[0] == pytest.approx(-6.0, abs=1e-2)
-        assert Fs.grid[-1] == pytest.approx(6.0, abs=1e-2)
-        # the minorant is flat at -1/4 on [-1, 1]
-        assert legendre(F, [0.0]).values[0] == pytest.approx(0.25, abs=1e-12)
-        assert_conjugate_exact(F, np.linspace(-20.0, 20.0, 801))
+        assert_refused(F)
+        assert_refused(F, np.linspace(-20.0, 20.0, 801))
 
     @pytest.mark.parametrize("seed, n", [(0, 3), (1, 17), (2, 400), (3, 3000)])
     def test_seeded_random_walks(self, seed, n):
+        # a walk is certified exactly when every sample is a minorant vertex;
+        # of these, only the three samples of seed 0 are
         F = random_walk_function(seed, n)
-        assert_conjugate_exact(F)
+        convex = len(lower_hull(F.grid, F.values)) == n
+        assert F.convexity_certificate == convex == (n == 3)
         lo, hi = np.diff(F.values).min(), np.diff(F.values).max()
-        assert_conjugate_exact(F, np.linspace(-2.0 * hi + lo, 2.0 * hi - lo, 501))
+        wide = np.linspace(-2.0 * hi + lo, 2.0 * hi - lo, 501)
+        if convex:
+            assert_conjugate_exact(F)
+            assert_conjugate_exact(F, wide)
+        else:
+            assert_refused(F)
+            assert_refused(F, wide)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dual_points_on_minorant_slopes(self, seed):
-        # at a minorant slope every sample of that minorant edge maximizes,
-        # the ends of its collinear run included
         F = integer_walk_function(seed, 300)
         h = lower_hull(F.grid, F.values)
-        edges = np.diff(F.values[h]) / np.diff(F.grid[h])
-        Fs = assert_conjugate_exact(F, edges)
-        np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, edges))
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        assert_conjugate_exact(F, np.sort(np.r_[edges, mids]))
+        assert_refused(F, np.diff(F.values[h]) / np.diff(F.grid[h]))
 
     def test_minorant_with_collinear_runs(self):
-        # |x| on the integers -10..10 with two samples lifted off it: the
-        # minorant is |x| again, each arm one collinear run of 11 samples
+        # |x| on the integers -10..10 with two samples lifted off it
         x = np.arange(-10.0, 11.0)
         v = np.abs(x)
         v[[3, 15]] += (2.0, 1.0)
-        F = IntegralFunction(x, v, False)
-        assert not F.convexity_certificate
-        ys = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
-        Fs = legendre(F, ys)
-        np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, ys))
-        np.testing.assert_array_equal(Fs.values, [20.0, 0.0, 0.0, 0.0, 0.0, 0.0, 20.0])
-        Fs = assert_conjugate_exact(F)
-        assert Fs.grid[[0, -1]].tolist() == [-1.0, 1.0]
+        F = IntegralFunction(x, v)
+        assert_refused(F, np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
+        assert_refused(F)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_default_grid_ends_nonconvex(self, seed):
-        # the default dual grid spans the minorant's first and last edge
-        # slopes, and the conjugate is exact at both ends
         for F in (integer_walk_function(seed, 500), random_walk_function(seed, 500)):
-            assert not F.convexity_certificate
-            h = lower_hull(F.grid, F.values)
-            edges = np.diff(F.values[h]) / np.diff(F.grid[h])
-            Fs = assert_conjugate_exact(F)
-            np.testing.assert_allclose(Fs.grid[[0, -1]], edges[[0, -1]],
-                                       rtol=1e-12, atol=0.0)
-            np.testing.assert_array_equal(Fs.values[[0, -1]],
-                                          brute_force_conjugate(F, Fs.grid[[0, -1]]))
+            assert_refused(F)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_convex_integer_walk_at_minorant_slopes(self, seed):
+        # at a minorant slope every sample of that minorant edge maximizes,
+        # the ends of its collinear run included; integers keep it all exact
+        F = convex_integer_walk_function(seed, 300)
+        assert F.convexity_certificate
+        h = lower_hull(F.grid, F.values)
+        assert len(h) < 100  # 300 samples, at most 41 distinct slopes
+        edges = np.diff(F.values[h]) / np.diff(F.grid[h])
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        for ys in (edges, mids, np.sort(np.r_[edges, mids])):
+            Fs = assert_conjugate_exact(F, ys)
+            np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, ys))
+
+    def test_certified_kink(self):
+        # |x| with 1e-12 noise in the values: the cell slopes dip about a
+        # thousand times, each dip inside the certificate's band
+        rng = np.random.default_rng(5)
+        x = np.linspace(-10.0, 10.0, 2001)
+        F = IntegralFunction(x, np.abs(x) + 1e-12 * rng.uniform(-1.0, 1.0, len(x)))
+        slopes = np.diff(F.values) / np.diff(x)
+        assert F.convexity_certificate
+        assert 800 < np.count_nonzero(np.diff(slopes) < 0.0) < 1200
+        # off the two arms' slope bands the lifted slopes pick the maximizer
+        ys = np.r_[np.linspace(-3.0, -1.001, 100), np.linspace(-0.999, 0.999, 1999),
+                   np.linspace(1.001, 3.0, 100)]
+        Fs = assert_conjugate_exact(F, ys)
+        np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, ys))
+        # the default grid ends on the arms' end slopes, inside the bands: a
+        # dual point there reads below the sampled maximum by no more than
+        # the lifted dips' depth times the grid's width
+        Fs = legendre(F)
+        assert Fs.grid[[0, -1]].tolist() == [slopes[0], slopes.max()]
+        err = brute_force_conjugate(F, Fs.grid) - Fs.values
+        depth = np.max(np.maximum.accumulate(slopes) - slopes)
+        assert np.all(err >= 0.0) and err.max() <= depth * (x[-1] - x[0])
+        np.testing.assert_array_equal(err[1:-1], 0.0)
+
+    def test_certificate_read_off_the_samples(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        assert IntegralFunction(x, x * x).convexity_certificate
+        assert not IntegralFunction(x, -x * x).convexity_certificate
+        assert not IntegralFunction(x, np.cos(3.0 * x)).convexity_certificate
+        with pytest.raises(TypeError):
+            IntegralFunction(x, -x * x, True)
 
     def test_two_points(self):
-        F = IntegralFunction(np.array([-1.0, 2.0]), np.array([3.0, -1.5]), True)
+        F = IntegralFunction(np.array([-1.0, 2.0]), np.array([3.0, -1.5]))
         Fs = assert_conjugate_exact(F, np.linspace(-5.0, 5.0, 11))
         assert assert_conjugate_exact(F).grid[[0, -1]].tolist() == [-2.5, -0.5]
         np.testing.assert_array_equal(Fs.values, np.maximum(
             -Fs.grid - 3.0, 2.0 * Fs.grid + 1.5))
 
+    def test_samples_given_as_lists(self):
+        F = IntegralFunction([-1, 2], [3, -1.5])
+        assert F.grid.dtype == F.values.dtype == float
+        np.testing.assert_array_equal(legendre(F).values, [-0.5, 0.5])
+
     def test_one_point(self):
         # no slope to span: the default dual grid is the single point -1
-        F = IntegralFunction(np.array([2.0]), np.array([3.0]), True)
+        F = IntegralFunction(np.array([2.0]), np.array([3.0]))
         Fs = assert_conjugate_exact(F)
         assert Fs.grid.tolist() == [-1.0] and Fs.values.tolist() == [-5.0]
 
@@ -844,8 +895,25 @@ def test_cursive_report_names_a_jump():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: PlanarRelation.from_closed_form(np.tanh, "both"), ValueError,
      "unknown direction"),
-    (lambda: IntegralFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3), True),
+    (lambda: IntegralFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3)),
      ValueError, "strictly increasing"),
+    (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.zeros(2)),
+     DimensionMismatch, r"not \(3,\) and \(2,\)$"),
+    (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
+     NonFiniteValue, r"not value nan at sample 1, abscissa 1\.0$"),
+    (lambda: IntegralFunction.from_function(lambda y: np.where(y < 0.0, -np.inf, y),
+                                            np.linspace(-1.0, 1.0, 5)),
+     NonFiniteValue, r"not value -inf at sample 0, abscissa -1\.0$"),
+    (lambda: PlanarRelation(np.array([1.0, 2.0]), np.array([1.0])), DimensionMismatch,
+     r"relation u, y must be 1-D of one length, not of shapes \(2,\), \(1,\)$"),
+    (lambda: PlanarRelation(np.zeros(3), np.zeros(3), np.zeros(2)), DimensionMismatch,
+     r"u, y, sigma must be .* \(3,\), \(3,\), \(2,\)$"),
+    (lambda: PlanarRelation(np.zeros((2, 2)), np.zeros((2, 2))), DimensionMismatch,
+     r"not of shapes \(2, 2\), \(2, 2\)$"),
+    (lambda: is_cursive(param_relation([1.0], [2.0])), WrongRepresentation,
+     "2 or more samples, not 1$"),
+    (lambda: is_cursive(param_relation([], [])), WrongRepresentation,
+     "2 or more samples, not 0$"),
     (lambda: integral_function(cubic_fold_curve(n=11), "of_y"), ValueError,
      "unknown direction"),
     (lambda: integral_function(PlanarRelation.from_points([1.0, 1.0], [2.0, 2.0]),
@@ -862,7 +930,9 @@ def test_cursive_report_names_a_jump():
      NonFiniteValue, r"not sample 1 \(1\.0, inf\)$"),
     (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
      .contains((1.0, 1.0)), DegenerateRays, "colinear"),
-], ids=["closed_form_direction", "potential_grid", "integral_direction",
+], ids=["closed_form_direction", "potential_grid", "potential_lengths",
+        "potential_nan", "potential_inf", "relation_lengths", "relation_sigma_length",
+        "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
         "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
         "monotone_inf", "cone_colinear_rays"])
 def test_bad_input_raises(call, error, match):
