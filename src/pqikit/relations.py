@@ -9,13 +9,13 @@ by a discrete Legendre transform, and tested for monotonicity and for the
 numeric surrogate of cursivity that underpins the maximality check.
 Integration merges ties in the abscissa with an array mask.  Only a
 potential whose own samples earn the convexity certificate is conjugated,
-by one binary search over its cell slopes (the dips the certificate
-tolerates lifted by a running maximum).  Near self-intersections of a chain,
-a curve whose every axis is monotone along the parameter, are decided by
-the pairs just beyond the parameter gap, one pass.  On any other curve they
-are found by one sort of the samples into square grid cells, small enough
-that a crowded cell proves one by pigeonhole; otherwise only pairs of
-neighbour cells are measured.
+exactly: binary searches over the running maximum and minimum of its cell
+slopes bracket each maximizer, one sample wherever the slopes never dip.
+Near self-intersections of a chain, a curve whose every axis is monotone
+along the parameter, are decided by the pairs just beyond the parameter
+gap, one pass.  On any other curve they are found by one sort of the
+samples into square grid cells, small enough that a crowded cell proves
+one by pigeonhole; otherwise only pairs of neighbour cells are measured.
 Every tolerance is relative to the size of its own operands (an axis's
 largest magnitude, a curve's median sample norm), never an absolute floor,
 so rescaling u and y by positive factors changes no verdict.
@@ -58,7 +58,7 @@ class PlanarRelation:
     """Planar relation: samples (u, y), a curve exactly when ``sigma`` is set.
 
     ``sigma`` is the curve parameter of each sample; a point list has none.
-    Every sample must be finite.
+    The samples are stored as 1-D float arrays of one length, every one finite.
     """
 
     u: np.ndarray
@@ -66,6 +66,8 @@ class PlanarRelation:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("u", "y") + (() if self.sigma is None else ("sigma",)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         shapes = [np.shape(a) for a in (self.u, self.y, self.sigma) if a is not None]
         if any(len(sh) != 1 for sh in shapes) or len(set(shapes)) > 1:
             names = "u, y" + ("" if self.sigma is None else ", sigma")
@@ -98,9 +100,7 @@ class PlanarRelation:
 
     @classmethod
     def from_points(cls, u, y) -> "PlanarRelation":
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pts = np.unique(np.column_stack([u, y]), axis=0)
+        pts = np.unique(np.column_stack([u, y]).astype(float), axis=0)
         return cls(pts[:, 0], pts[:, 1])
 
     @classmethod
@@ -141,8 +141,7 @@ class PlanarRelation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PlanarRelation":
-        sigma = np.asarray(d["sigma"], dtype=float) if "sigma" in d else None
-        return cls(np.asarray(d["u"], float), np.asarray(d["y"], float), sigma)
+        return cls(d["u"], d["y"], d.get("sigma"))
 
 
 @dataclass(frozen=True)
@@ -270,27 +269,36 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
 def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
     """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)) of a convex F.
 
-    F must carry the convexity certificate, else NonConvexCertificate.  Once
-    the dips the certificate tolerates are lifted by a running maximum, the
-    cell slopes never decrease, and sample j maximizes for y between slopes
-    j-1 and j, so one binary search over the slopes picks it.  Where the
-    cell slopes dip, a y among the lifted slopes reads low by at most the
-    dips' depth times the grid's width.  The default dual grid spans the end
-    slopes with as many points as the primal grid.
+    F must carry the convexity certificate, else NonConvexCertificate.  The
+    term y*x_i - F(x_i) rises from sample i to i + 1 exactly when y exceeds
+    cell slope i, so it rises up to the first sample whose running maximum
+    slope reaches y and falls from the first whose running minimum of the
+    slopes onward does; the best sample between is the maximizer (more than
+    one sample only for a y inside the slope band of a dip).  The default
+    dual grid spans the first cell slope to the largest in len(x) points,
+    widened by 1 either side if they would fall within the certificate's band.
     """
     if not F.convexity_certificate:
         raise NonConvexCertificate(
             "legendre: potential failed the convexity certificate")
     x, v = F.grid, F.values
-    slopes = np.maximum.accumulate(np.diff(v) / np.diff(x))
+    slopes = np.diff(v) / np.diff(x)
     if dual_grid is None:
-        lo, hi = (slopes[0], slopes[-1]) if len(slopes) else (-1.0, 1.0)
-        if hi - lo < 1e-12:
-            lo, hi = lo - 1.0, hi + 1.0
-        dual_grid = np.linspace(lo, hi, len(x))
+        a, b = (slopes[0], slopes.max()) if len(slopes) else (0.0, 0.0)
+        if b - a <= 1e-9 * (len(x) - 1) * max(abs(a), abs(b)):
+            a, b = a - 1.0, b + 1.0
+        dual_grid = np.linspace(a, b, len(x))
     ys = np.asarray(dual_grid, dtype=float)
-    j = np.searchsorted(slopes, ys)
-    return IntegralFunction(ys, ys * x[j] - v[j])
+    lo = np.searchsorted(np.maximum.accumulate(slopes), ys)
+    vals = ys * x[lo] - v[lo]
+    # a window is wider than one sample where the least slope from lo on is below y
+    falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
+    w = np.flatnonzero(falling[lo] < ys)
+    lo, width = lo[w], np.searchsorted(falling, ys[w]) - lo[w] + 1
+    start = np.cumsum(width) - width
+    j = np.arange(width.sum()) - np.repeat(start - lo, width)
+    vals[w] = np.maximum.reduceat(np.repeat(ys[w], width) * x[j] - v[j], start)
+    return IntegralFunction(ys, vals)
 
 
 # ---------------------------------------------------------------------------
