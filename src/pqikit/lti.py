@@ -255,12 +255,25 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
 
     One problem per row of the coefficient arrays u, w, v (a single row
     broadcasts).  Candidates as in the module docstring; the two ends are
-    limits of a/b and may be infinite.  The slope polynomials are grouped by
+    limits of a/b and may be infinite; an end coefficient of a that is a
+    rounding residue is zeroed first.  The slope polynomials are grouped by
     trimmed length, one stacked eigenvalue solve per group.  Every candidate
     lies on the axis, so a spurious or inexact root of a'b - ab' can only
     lose, never overshoot.
     """
     a, b = _real_product(u, w), _real_product(v, v)
+    if w is not u:  # each end of |u|^2 is one square
+        # an end a_k within 8 ulps of the sum of its terms' magnitudes
+        # |u_i w_(2k-i)| is the residue of terms that cancel
+        n = u.shape[1]
+        wide = np.zeros((len(w), w.shape[1] + 2 * n))
+        wide[:, n:n + w.shape[1]] = np.abs(w)
+        ends = np.array([np.argmax(a != 0.0, axis=1), _lengths(a) - 1]).T
+        j = n + 2 * ends[:, :, None] - np.arange(n)
+        terms = np.abs(u)[:, None] * wide[np.arange(len(w))[:, None, None], j]
+        size = terms.sum(axis=2)
+        rows = np.arange(len(a))[:, None]
+        a[rows, ends] *= np.abs(a[rows, ends]) > 8.0 * np.finfo(float).eps * size
     la, lb = _lengths(a), _lengths(b)
     # a'b - ab' has degree deg a + deg b - 1, one less when they are equal; a
     # rounding residue left in that term would add a root near 1/eps
@@ -503,7 +516,10 @@ def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:
     the peak gain, in one stacked two-row solve.  Re 1/G is unbounded below
     when the relative degree is two or more, or at some zeros of G on the
     imaginary axis (see _re_ratio_unbounded), and the output index is then
-    -inf.  Positive values certify input- and output-strict passivity.
+    -inf.  An end coefficient of Re(q conj p) within rounding of its terms
+    counts as zero, so a limit whose terms cancel, as x -> infinity for
+    (s+0.2)/(s+0.1)^2, reads 0.  Positive values certify input- and
+    output-strict passivity.
     """
     p, q, e = _unit_frequency(_padded_num(G)[None], _stable_den(G, "index search"))
     qp = np.concatenate([q, p])

@@ -560,14 +560,24 @@ def _conjugate(model):
     Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
     the convexity certificate tolerates are lifted, a run of d flat to within
     4 ulps of the values per cell width (a kink of the conjugate) becomes one
-    node at its mean abscissa.  A run's value error then shifts every node
-    beyond it, so the values are integrated from an exact node: the median
-    node of strict slope increase (else the first node).
+    node at its mean abscissa.  So does a stretch of lifted steps, each
+    within the certificate's band of 1e-9 of the largest |d|, that holds a
+    dip: on a noisy flat run the record highs would otherwise be nodes
+    1e-11 apart in d and cells apart in x, where an ulp of the argument
+    moves the slope past the solver's residual bound.  A run's value error
+    then shifts every node beyond it, so the values are integrated from an
+    exact node: the median node of strict slope increase (else the first).
     """
     x, d, m = model
-    d = np.maximum.accumulate(d)
-    rounding = 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
-    new = np.diff(d, prepend=-np.inf) > rounding
+    lifted = np.maximum.accumulate(d)
+    step = np.diff(lifted, prepend=-np.inf)
+    new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
+    dip = lifted > d
+    if dip.any():
+        small = step <= 1e-9 * np.abs(d).max()
+        stretch = np.cumsum(~small)
+        new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
+    d = lifted
     run = np.cumsum(new) - 1
     count = np.bincount(run)
     single = np.flatnonzero(count == 1)
@@ -578,7 +588,7 @@ def _conjugate(model):
     return dc, xc, mc + (x[k] * d[k] - m[k] - mc[anchor])
 
 
-# Trust-region iterations before _minimize_convex falls back on one Newton step.
+# Safety cap on the trust-region iterations of _minimize_convex.
 _TRUST_ITERATIONS = 500
 
 
@@ -633,9 +643,11 @@ def _minimize_convex(models, B, Q):
     the largest nodal slope, so a change of units scales z and nothing else.
     A step is taken when it achieves at least 0.15 of its predicted
     decrease, or, where that decrease is below the rounding of the
-    objective, when it lowers the residual.  If the steps run out, one exact
-    Newton step is kept if it lowers the residual.  Returns the minimizer,
-    the objective, the iteration count and the residual.
+    objective, when it lowers the residual.  A step that is not finite or
+    cannot move z ends the iteration, as does the cap of _TRUST_ITERATIONS;
+    either way the residual still above its bound raises NoConvergence.
+    Returns the minimizer, the objective, the iteration count and the
+    residual.
     """
     floor = 1e-12 * max(max(-d.min(), d.max()) for _, d, _ in models)
 
@@ -672,7 +684,10 @@ def _minimize_convex(models, B, Q):
             return B.T @ (curv * (B @ v)) + Q @ v
 
         p, on_edge = _steihaug(now.grad, hv, radius)
-        trial = at(z + p)
+        moved = z + p
+        if not np.isfinite(p).all() or (moved == z).all():
+            break
+        trial = at(moved)
         predicted = -(now.grad @ p + 0.5 * p @ hv(p))
         if predicted <= max(now.rounding, trial.rounding):
             rho = 1.0 if trial.residual < now.residual else 0.0
@@ -683,13 +698,7 @@ def _minimize_convex(models, B, Q):
         elif rho > 0.75 and on_edge:
             radius *= 2.0
         if rho > 0.15:
-            z, now = z + p, trial
-    if now.residual > now.bound and np.isfinite(now.f):
-        newton = z - np.linalg.lstsq(B.T @ (now.curv[:, None] * B) + Q, now.grad,
-                                     rcond=None)[0]
-        step = at(newton)
-        if step.residual < now.residual:
-            z, now = newton, step
+            z, now = moved, trial
     if not np.isfinite(now.f):
         raise NoConvergence("steady-state problem has a non-finite objective")
     if now.residual > now.bound:

@@ -182,12 +182,22 @@ class IntegralFunction:
 
 
 def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
-    """Nonnegative discrete second differences, with a band relative to the slopes."""
+    """Nonnegative discrete second differences, with a band relative to the slopes.
+
+    The band is 1e-9 of the largest cell slope, plus, where that alone
+    fails, the rounding of the two cell slopes involved: 4 ulps of the
+    largest value per cell width, so a line summed by trapezoids passes
+    on any grid.
+    """
     if len(grid) < 3:
         return True
-    slopes = np.diff(values) / np.diff(grid)
-    scale = float(np.abs(slopes).max())
-    return bool(np.all(np.diff(slopes) >= -1e-9 * scale))
+    h = np.diff(grid)
+    slopes = np.diff(values) / h
+    second, band = np.diff(slopes), 1e-9 * np.abs(slopes).max()
+    if np.all(second >= -band):
+        return True
+    rounding = 4.0 * np.finfo(float).eps * np.abs(values).max() / h
+    return bool(np.all(second >= -(band + rounding[:-1] + rounding[1:])))
 
 
 # ---------------------------------------------------------------------------

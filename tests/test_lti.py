@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -362,6 +362,13 @@ class TestTFPassivityIndices:
         idx = tf_passivity_indices(RationalTF.make([0.0, 1.0], [1.0, 1.0]))
         assert (idx.rho, idx.nu) == (1.0, 0.0)
 
+    def test_cancelled_limit_does_not_certify_output_strictness(self):
+        # (s + 2c)/(s + c)^2: Re 1/G = 2c^3/(x + 4c^2) falls to 0 as x grows,
+        # its x terms cancelling exactly, so rho = 0, not their rounding
+        for c in np.random.default_rng(0).uniform(0.05, 5.0, 1000):
+            G = RationalTF.make([2.0 * c, 1.0], [c * c, 2.0 * c, 1.0])
+            assert tf_passivity_indices(G).rho == 0.0, c
+
     def test_zero_transfer_function(self):
         # y = 0 satisfies every output-index inequality
         idx = tf_passivity_indices(RationalTF.make([0.0], [1.0, 1.0]))
@@ -561,6 +568,9 @@ class TestGainScaleInvariance:
         assert (strict.rho, strict.nu) == (0.5 / k, k)
 
     @given(stable_plants(), st.floats(-8.0, 8.0))
+    # Re 1/G = 0.002/(ω² + 0.04): the rounding residue of its cancelled ω²
+    # terms once read as ρ > 0
+    @example(RationalTF.make([0.2, 1.0], [0.01, 0.2, 1.0]), 1.0)
     @settings(max_examples=200, deadline=None)
     @pytest.mark.filterwarnings("ignore:cancelling near-common")
     def test_peak_gain_and_indices_follow_the_gain(self, G, log_k):

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -383,18 +384,32 @@ class TestSolvers:
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_residual_above_bound_raises_when_iterations_run_out(
             self, solver, monkeypatch):
-        # with no trust-region iteration left only the one Newton step from
-        # zero is taken, which cannot settle a non-quadratic problem
+        # with no trust-region iteration left the solve stops at zero
         monkeypatch.setattr(network_module, "_TRUST_ITERATIONS", 0)
         with pytest.raises(NoConvergence, match="stopped with gradient residual"):
             solver(self._sinh_spec())
 
-    def test_newton_fallback_settles_a_quadratic_problem(self, monkeypatch):
-        monkeypatch.setattr(network_module, "_TRUST_ITERATIONS", 0)
-        res = solve_opp(quadratic_network(centers=(1.0, 3.0)))
-        assert res.iterations == 0 and res.residual <= 1e-6
-        np.testing.assert_allclose(res.primal, [5.0 / 3.0, 7.0 / 3.0],
-                                   rtol=0.0, atol=1e-9)
+    def test_step_that_cannot_move_ends_the_solve(self, monkeypatch):
+        # a supplied potential whose slope rises by 1 across one cell 1e-12
+        # wide, where the minimizer lies: an ulp of y moves the gradient by
+        # about 2e-4, past the residual bound, so the region shrinks until a
+        # step no longer moves y, and the solve stops there
+        g = np.sort(np.r_[np.linspace(-5.0, 5.0, 1001), 1.0 + 1e-12])
+        kink = IntegralFunction(g, 0.5 * g * g + np.maximum(g - 1.0, 0.0))
+        bowl = IntegralFunction(g, 0.5 * (g - 4.0) ** 2)
+        calls = []
+
+        def counted(*args, _real=network_module._steihaug):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(network_module, "_steihaug", counted)
+        with (warnings.catch_warnings(),
+              pytest.raises(NoConvergence, match="stopped with gradient residual")):
+            warnings.simplefilter("error", RuntimeWarning)
+            solve_opp(quadratic_network(centers=(0.0, 0.0)),
+                      node_potentials=[kink, bowl])
+        assert len(calls) < network_module._TRUST_ITERATIONS
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):
@@ -512,6 +527,28 @@ class TestSolvers:
         y = opp.primal[0]
         if np.ptp(u_of_y(np.array([y - 1e-3, y + 1e-3]))) > 1e-6:
             assert abs(opp.objective + ofp.objective) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("center", [3.5, -3.2])
+    def test_noisy_flat_runs_settle_like_clean_ones(self, center, seed):
+        # the running maximum of 1e-11 noise on a saturation's flat run keeps
+        # record highs 1e-11 apart and a cell or more wide; unless they merge
+        # into one kink of the flow potential, an ulp of the flow moves its
+        # gradient past the residual bound.  Merged, the run is the clean
+        # saturation's kink, so the duality gap is the clean one
+        def spec(noise):
+            def u_of_y(y):
+                return (np.clip(y, -1.0, 1.0) + noise
+                        * np.random.default_rng(seed).standard_normal(y.shape))
+            return NetworkSpec(Graph.path(2),
+                               (_relation_agent(u_of_y), quadratic_agent(center)),
+                               (ControllerSpec(gain=1.0),), np.zeros(2))
+
+        opp, ofp, u = self._duals(spec(1e-11))
+        np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-3)
+        clean_opp, clean_ofp, _ = self._duals(spec(0.0))
+        assert abs(opp.objective + ofp.objective
+                   - (clean_opp.objective + clean_ofp.objective)) <= 1e-9
 
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_nonconvex_supplied_potential_rejected(self, solver):

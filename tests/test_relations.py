@@ -145,6 +145,20 @@ class TestIntegralFunction:
         assert np.max(diff) - np.min(diff) <= 1e-2
         assert F.convexity_certificate
 
+    @pytest.mark.parametrize("n", [401, 4001, 40001])
+    @pytest.mark.parametrize("span", [1.0, 100.0])
+    def test_line_on_uneven_grid_certified(self, n, span):
+        # a constant relation integrates to a line whose cell slopes differ
+        # only by their rounding, which a narrow cell magnifies past the
+        # 1e-9 band; a concave bend of the same line is still refused
+        for seed in range(20):
+            u = np.sort(np.random.default_rng(seed).uniform(-span, span, n))
+            F = integral_function(PlanarRelation(u, np.full(n, 1.5)))
+            assert F.convexity_certificate, seed
+            bent = IntegralFunction(u, F.values - 1e-3 * u * u)
+            assert not bent.convexity_certificate, seed
+        legendre(F)
+
     def test_fold_rejected(self):
         rel = cubic_fold_curve()
         with pytest.raises(MultiValued):
