@@ -386,9 +386,13 @@ def _padded_num(G: RationalTF) -> np.ndarray:
 
 
 def _peak_gain(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sup_omega |p/q| at s = j omega for each row of q (stable)."""
+    """sup_omega |p/q| at s = j omega for each row of q (stable).
+
+    A gain past float range is inf.
+    """
     p, q, e = _unit_frequency(p, q)
-    return np.ldexp(np.sqrt(_axis_extremum(p, p, q, maximize=True)), e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(_axis_extremum(p, p, q, maximize=True)), e)
 
 
 def linf_norm(G: RationalTF) -> float:

@@ -96,32 +96,58 @@ def agent_call(fn, x, u):
 def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
     """Roots of x -> f(x, u) on [lo, hi] for every input level u at once.
 
-    Each level's grid of ``cells + 1`` points is evaluated in one array call.
-    A cell whose left end is an exact zero yields that grid point; the cells
-    with a strict sign change are bisected together, for at most 80
-    iterations, until no midpoint differs from its bracket's ends (such a
-    bracket would not move again).  Returns the roots and, for each, the
-    index of its input level, ordered by level and then by cell.
+    Each level's grid of ``cells + 1`` points is evaluated in one array call
+    on read-only arrays.  A cell whose left end is an exact zero yields that
+    grid point.  The cells with a strict sign change are narrowed together by
+    ITP steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on Illinois false
+    position (Dowell & Jarratt, BIT 11, 1971).  Each round the interpolated
+    point moves toward its bracket's midpoint by 0.1·w²/c, w the bracket's
+    width and c the cell's, and by at least one ulp, so that it lands past a
+    root it has nearly found; then it is drawn toward the midpoint just far
+    enough that after n rounds no bracket is wider than 2^(2-n)·c.  A
+    bracket leaves the loop once its ends are adjacent floats (it yields
+    their midpoint) or it hits an exact zero (it yields that point), so each
+    round calls ``f`` only on the brackets still open; 80 rounds at most.
+    Returns the roots and, for each, the index of its input level, ordered
+    by level and then by cell.
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
     xs = np.linspace(lo, hi, cells + 1)
-    X, U = np.meshgrid(xs, us)
+    X, U = np.meshgrid(xs, us, copy=False)
+    X.flags.writeable = U.flags.writeable = False
     vals = agent_call(f, X, U)
-    va = vals[:, :-1]
+    va, vb = vals[:, :-1], vals[:, 1:]
     zero = va == 0.0
-    level, cell = np.nonzero(zero | (va * vals[:, 1:] < 0.0))
+    level, cell = np.nonzero(zero | (np.sign(va) * vb < 0.0))
     roots = xs[cell]
-    sign = ~zero[level, cell]
-    u, ix = us[level[sign]], cell[sign]
-    a, b, fa = xs[ix], xs[ix + 1], va[level[sign], ix]
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if np.all((m == a) | (m == b)):
+    k = np.flatnonzero(~zero[level, cell])
+    # x1 is the latest point and f1 its value; x0 is the other end, whose
+    # Illinois value g0 halves in each round after the first that keeps x0
+    lv, ix = level[k], cell[k]
+    u, x0, g0, x1, f1 = us[lv], xs[ix], va[lv, ix], xs[ix + 1], vb[lv, ix]
+    width = abs(hi - lo) / cells
+    for j in range(80):
+        m = 0.5 * (x0 + x1)
+        shut = (m == x0) | (m == x1)
+        if shut.any():
+            roots[k[shut]] = m[shut]
+            k, u, x0, g0, x1, f1, m = (v[~shut] for v in (k, u, x0, g0, x1, f1, m))
+        if not k.size:
             break
-        fm = agent_call(f, m, u)
-        left = fa * fm <= 0.0
-        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
-    roots[sign] = 0.5 * (a + b)
+        w = np.abs(x1 - x0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            xf = x1 + f1 / (f1 - g0) * (x0 - x1)
+        gap = m - xf
+        step = np.maximum(0.1 / width * w * w, np.abs(np.spacing(xf)))
+        reach = np.maximum(width * 2.0 ** (1 - j) - 0.5 * w, 0.0)
+        x = m - np.copysign(np.minimum(np.fmax(np.abs(gap) - step, 0.0), reach), gap)
+        fx = agent_call(f, x, u)
+        flip = np.sign(fx) != np.sign(f1)
+        x0, g0 = np.where(flip, x1, x0), np.where(flip, f1, g0 * (0.5 if j else 1.0))
+        x1, f1 = x, fx
+        x0 = np.where(fx == 0.0, x, x0)
+    else:
+        roots[k] = 0.5 * (x0 + x1)
     return roots, level
 
 
@@ -132,7 +158,8 @@ class AgentODE:
     ``f``, ``h`` and ``storage`` must evaluate elementwise on numpy arrays of
     equal shape (and on scalars): the simulator calls them once for all
     vertices that share an agent object, and the certificate and relation
-    checks call them on whole grids of states and inputs.
+    checks call them on whole grids of states and inputs.  Those grid arrays
+    are read-only: an ``f`` that writes into its input raises InvalidSpec.
 
     The output may include a constant feedthrough term: h(x,u) must equal
     h(x,0) + feedthrough*u.  Optional extras carry a storage-function
@@ -664,9 +691,12 @@ def _minimize_convex(models, B, Q):
         val, slope, curv = pieces(B @ z)
         node, Qz = B.T @ slope, Q @ z
         edge = 0.5 * z @ Qz
+        # a sum past the float range is inf, which ends the iteration
+        with np.errstate(over="ignore"):
+            f, size = val.sum() + edge, np.abs(val).sum() + abs(edge)
         return _Iterate(
-            f=val.sum() + edge,
-            rounding=1e-14 * (np.abs(val).sum() + abs(edge)),
+            f=f,
+            rounding=1e-14 * size,
             grad=node + Qz,
             residual=float(np.abs(node + Qz).max(initial=0.0)),
             bound=floor + 1e-6 * max(np.abs(node).max(initial=0.0),

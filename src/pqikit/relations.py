@@ -39,12 +39,15 @@ TIE_RTOL = 1e-12
 
 
 def _write_csv(path, header, columns) -> None:
-    """CSV of the columns side by side under ``header``, cells repr(float)."""
+    """CSV of the columns side by side under ``header``, cells repr(float).
+
+    No float repr needs quoting, so each row is joined by hand into the
+    bytes ``csv.writer`` would write for it.
+    """
+    rows = np.column_stack(columns).astype(float).tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([repr(v) for v in row]
-                    for row in np.column_stack(columns).astype(float).tolist())
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _trapezoid(x, v, first: float) -> np.ndarray:

@@ -181,11 +181,11 @@ class PassivationReport:
 
 
 def find_equilibria(system, u_values):
-    """Sample forced equilibria by bisecting f(x, u) = 0 on 400 cells of [-10, 10].
+    """Sample forced equilibria: roots of f(x, u) = 0 on 400 cells of [-10, 10].
 
-    Returns a list of (x_eq, u_eq, y_eq) triples; one entry per sign change
-    of f over the cell grid (or exact zero at a cell's left end), for each
-    input level.
+    The roots come from :func:`~pqikit.network.bracket_roots`.  Returns a
+    list of (x_eq, u_eq, y_eq) triples; one entry per sign change of f over
+    the cell grid (or exact zero at a cell's left end), for each input level.
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
     roots, level = bracket_roots(system.f, us, -10.0, 10.0, 400)

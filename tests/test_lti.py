@@ -77,6 +77,10 @@ class TestLinfNorm:
         with pytest.raises(UnstableDenominator):
             linf_norm(unstable_plant_tf())
 
+    def test_gain_past_float_range_is_inf(self):
+        # 1/(s + 5e-324) peaks at 2e323 at dc
+        assert linf_norm(RationalTF.make([1.0], [5e-324, 1.0])) == math.inf
+
     def test_fast_resonance_peak(self):
         # 1e16/(s^2 + 1e7 s + 1e16): omega_0 = 1e8, zeta = 0.05
         zeta = 0.05

@@ -36,7 +36,7 @@ from pqikit.errors import (
     NonFiniteValue,
     WrongRepresentation,
 )
-from pqikit.relations import OF_K, OF_K_INVERSE
+from pqikit.relations import OF_K, OF_K_INVERSE, _write_csv
 from pqikit.systems import (
     nonmonotone_demo_agent,
     odd_cubic_agent,
@@ -875,6 +875,21 @@ class TestRepresentations:
         rel.to_csv(path)
         assert path.read_text().startswith("sigma,u,y")
         assert_csv_cells(path, [[0.0, 1.0, 2.0], rel.u, rel.y])
+
+    def test_csv_bytes_match_csv_module(self, tmp_path):
+        columns = [[-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, 1.0 / 3.0],
+                   [0.0, -5e-324, -1e-5, -1e16, -1.7976931348623157e308, 0.1],
+                   [2.0, 1e-300, 123456.789, 1e22, 1e-7, -2.5]]
+        path = tmp_path / "out.csv"
+        _write_csv(path, ["a", "b", "c"], columns)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["a", "b", "c"])
+            w.writerows([repr(v) for v in row]
+                        for row in np.column_stack(columns).tolist())
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        _write_csv(path, ["a"], [[]])
+        assert path.read_bytes() == b"a\r\n"
 
 
 class TestOneRepresentation:

@@ -181,24 +181,60 @@ class TestDecompose:
 
 
 def scalar_roots(f, u, lo, hi, cells):
-    """Reference scan-and-bisect: one grid point and one bracket at a time."""
+    """Reference scan-and-bisect: one grid point and one bracket at a time.
+
+    Returns the roots and the most halvings a bracket took before its ends
+    were adjacent floats; with the grid call, bisecting every bracket
+    together costs one more array call than that.
+    """
     xs = np.linspace(lo, hi, cells + 1)
     vals = [f(x, u) for x in xs]
-    roots = []
+    roots, halvings = [], 0
     for i in range(cells):
         if vals[i] == 0.0:
             roots.append(xs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
+        elif np.sign(vals[i]) * vals[i + 1] < 0.0:
             a, b, fa = xs[i], xs[i + 1], vals[i]
-            for _ in range(80):
+            for n in range(80):
                 m = 0.5 * (a + b)
+                if m in (a, b):
+                    break
                 fm = f(m, u)
-                if fa * fm <= 0.0:
+                if np.sign(fa) * fm <= 0.0:
                     b = m
                 else:
                     a, fa = m, fm
+            halvings = max(halvings, n)
             roots.append(0.5 * (a + b))
-    return roots
+    return roots, halvings
+
+
+def counted(f):
+    """f, and the list that gets the size of each array f is called on."""
+    calls = []
+
+    def f_counted(x, u):
+        calls.append(np.size(x))
+        return f(x, u)
+    return f_counted, calls
+
+
+def at_sign_change(f, x) -> bool:
+    """f(x) is 0, or x has a float neighbour where f has the other sign."""
+    fx = f(x, 0.0)
+    return fx == 0.0 or any(np.sign(fx) * f(np.nextafter(x, d), 0.0) < 0.0
+                            for d in (-np.inf, np.inf))
+
+
+# hard for interpolation: a jump, two close roots, an infinite slope, a
+# near-step and a root of multiplicity 9
+HARD_SHAPES = {
+    "jump": lambda x, u: np.where(x < 0.3, -1.0, 1.0) + u,
+    "close_pair": lambda x, u: (x - 1.0) ** 2 - 1e-12 + u,
+    "cbrt": lambda x, u: np.cbrt(x - 0.1) + u,
+    "near_step": lambda x, u: np.tanh(1e4 * (x - 0.123)) + u,
+    "ninth_power": lambda x, u: (x - 0.2) ** 9 + u,
+}
 
 
 class TestBracketRoots:
@@ -209,7 +245,7 @@ class TestBracketRoots:
         us = [-2.0, -0.5, 0.0, 0.3, 1.7]
         roots, level = bracket_roots(agent.f, us, -10.0, 10.0, 400)
         for j, u in enumerate(us):
-            want = scalar_roots(agent.f, u, -10.0, 10.0, 400)
+            want, _ = scalar_roots(agent.f, u, -10.0, 10.0, 400)
             assert len(roots[level == j]) == len(want)
             np.testing.assert_allclose(roots[level == j], want, rtol=0.0,
                                        atol=1e-12)
@@ -243,6 +279,64 @@ class TestBracketRoots:
         roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 4)
         assert roots.tolist() == [-1.0, -0.5, 0.0, 0.5]
         assert calls == [5]
+
+    @pytest.mark.parametrize("agent, most", [
+        (pendulum_gradient_agent(), 15), (odd_cubic_agent(), 20),
+        (nonmonotone_demo_agent(), 20),
+    ])
+    def test_relation_check_call_count(self, agent, most):
+        # bisection took 54, 62 and 69 array calls of f here
+        f, calls = counted(agent.f)
+        assert replace(agent, f=f).check_relation()
+        assert len(calls) <= most
+
+    @pytest.mark.parametrize("shape", HARD_SHAPES)
+    def test_hard_shapes_match_bisection_in_fewer_calls(self, shape):
+        f, calls = counted(HARD_SHAPES[shape])
+        roots, _ = bracket_roots(f, [0.0], -10.0, 10.0, 400)
+        want, halvings = scalar_roots(HARD_SHAPES[shape], 0.0, -10.0, 10.0, 400)
+        assert len(roots) == len(want)
+        np.testing.assert_allclose(roots, want, rtol=0.0, atol=1e-12)
+        assert len(calls) <= 1 + halvings
+        assert all(at_sign_change(HARD_SHAPES[shape], x) for x in roots)
+
+    @pytest.mark.parametrize("jump", [-0.61, 0.1234567, 0.3, 0.377777, 0.95])
+    @pytest.mark.parametrize("right", [1.0, 7.0])
+    def test_jump_inside_a_coarse_cell_stays_near_bisection(self, jump, right):
+        # values on either side of a jump say nothing about where it is, so
+        # the interpolated steps gain nothing; the projection keeps each
+        # bracket no wider than bisection's two rounds earlier, and rounding
+        # in the last ulps may cost one round more
+        def step(x, u):
+            return np.where(x < jump, -1.0, right) + u
+
+        f, calls = counted(step)
+        roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 7)
+        want, halvings = scalar_roots(step, 0.0, -1.0, 1.0, 7)
+        np.testing.assert_allclose(roots, want, rtol=0.0, atol=1e-15)
+        assert at_sign_change(step, roots[0])
+        assert len(calls) <= 1 + halvings + 3
+
+    def test_decreasing_grid(self):
+        roots, level = bracket_roots(lambda x, u: x - 0.3 + u, [0.0, 0.1],
+                                     1.0, -1.0, 4)
+        np.testing.assert_allclose(roots, [0.3, 0.2], rtol=0.0, atol=1e-16)
+        assert level.tolist() == [0, 1]
+
+    def test_huge_and_tiny_values_keep_their_sign_changes(self):
+        # products of the grid values would overflow or underflow to zero
+        for scale in (1e200, 1e-200):
+            roots, _ = bracket_roots(lambda x, u: scale * (x - 0.3) + u, [0.0],
+                                     -1.0, 1.0, 7)
+            np.testing.assert_allclose(roots, [0.3], rtol=0.0, atol=1e-15)
+
+    def test_agent_writing_into_its_input_is_located(self):
+        def shifts_in_place(x, u):
+            x += u
+            return x
+
+        with pytest.raises(InvalidSpec, match="shifts_in_place"):
+            bracket_roots(shifts_in_place, [0.5], -1.0, 1.0, 4)
 
 
 class TestVerifyPassivation:
