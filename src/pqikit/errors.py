@@ -87,7 +87,7 @@ class NonConvexCertificate(ToolkitError):
 
 
 class NoConvergence(ToolkitError):
-    """Iterative solver exhausted its iteration budget."""
+    """An iterative solve ended above its bound: out of steps, stalled or non-finite."""
 
 
 class PreconditionFailed(ToolkitError):

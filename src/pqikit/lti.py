@@ -227,14 +227,6 @@ def _real_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of c evaluated (Horner) at the points in the same row of z."""
-    acc = np.zeros_like(z)
-    for k in range(c.shape[1] - 1, -1, -1):
-        acc = acc * z + c[:, k:k + 1]
-    return acc
-
-
 def _ratio_limits(a, b, la, lb) -> np.ndarray:
     """Per row, the limits of a(x)/b(x) as x -> 0 and as x -> infinity.
 
@@ -265,15 +257,11 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
     if w is not u:  # each end of |u|^2 is one square
         # an end a_k within 8 ulps of the sum of its terms' magnitudes
         # |u_i w_(2k-i)| is the residue of terms that cancel
-        n = u.shape[1]
-        wide = np.zeros((len(w), w.shape[1] + 2 * n))
-        wide[:, n:n + w.shape[1]] = np.abs(w)
+        size = _polymul(np.abs(u), np.abs(w))[:, ::2]
         ends = np.array([np.argmax(a != 0.0, axis=1), _lengths(a) - 1]).T
-        j = n + 2 * ends[:, :, None] - np.arange(n)
-        terms = np.abs(u)[:, None] * wide[np.arange(len(w))[:, None, None], j]
-        size = terms.sum(axis=2)
         rows = np.arange(len(a))[:, None]
-        a[rows, ends] *= np.abs(a[rows, ends]) > 8.0 * np.finfo(float).eps * size
+        a[rows, ends] *= (np.abs(a[rows, ends])
+                          > 8.0 * np.finfo(float).eps * size[rows, ends])
     la, lb = _lengths(a), _lengths(b)
     # a'b - ab' has degree deg a + deg b - 1, one less when they are equal; a
     # rounding residue left in that term would add a root near 1/eps
@@ -289,9 +277,10 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
     on_axis = x > 0.0
     jw = 1j * np.sqrt(np.where(on_axis, x, 0.0))
     # every caller passes one array twice, which is evaluated once
-    uj = _polyval(u, jw)
-    wj = uj if w is u else _polyval(w, jw)
-    vj = wj if v is w else _polyval(v, jw)
+    # each row of a coefficient array at the points in the same row of jw
+    uj = P.polyval(jw.T, u.T, tensor=False).T
+    wj = uj if w is u else P.polyval(jw.T, w.T, tensor=False).T
+    vj = wj if v is w else P.polyval(jw.T, v.T, tensor=False).T
     fill = -np.inf if maximize else np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2

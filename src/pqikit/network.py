@@ -15,6 +15,8 @@ with the dissipation certificate and the equilibrium search.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -52,6 +54,8 @@ class Graph:
 
     def __post_init__(self):
         for h, t in self.edges:
+            if not all(isinstance(v, numbers.Integral) for v in (h, t)):
+                raise InvalidSpec(f"edge ({h},{t}): vertex indices must be integers")
             if not (0 <= h < self.vertex_count and 0 <= t < self.vertex_count):
                 raise DimensionMismatch(f"edge ({h},{t}) out of vertex range")
             if h == t:
@@ -177,18 +181,18 @@ class AgentODE:
     def h0(self, x):
         return self.h(x, 0.0)
 
-    def check_relation(self, n_samples: int = 50) -> bool:
-        """Declared relation consistent with the dynamics at its samples.
+    def check_relation(self) -> bool:
+        """Declared relation consistent with the dynamics at 50 of its samples.
 
-        Each sampled (u, y) must sit at a forced equilibrium: a root of
-        f(., u) on [-50, 50] whose output is within 1e-8·(Y + |y|) of y, Y the
-        relation's largest |y|.  The root is certified by its sign-change
-        bracket rather than by |f|, which is unbounded below for
-        infinite-slope dynamics like cube roots.
+        Each sampled (u, y), evenly spaced in index, must sit at a forced
+        equilibrium: a root of f(., u) on [-50, 50] whose output is within
+        1e-8·(Y + |y|) of y, Y the relation's largest |y|.  The root is
+        certified by its sign-change bracket rather than by |f|, which is
+        unbounded below for infinite-slope dynamics like cube roots.
         """
         if self.relation is None:
             return True
-        idx = np.linspace(0, len(self.relation.u) - 1, n_samples).astype(int)
+        idx = np.linspace(0, len(self.relation.u) - 1, 50).astype(int)
         us, ys = self.relation.u[idx], self.relation.y[idx]
         roots, level = bracket_roots(self.f, us, -50.0, 50.0, 2000)
         err = np.abs(agent_call(self.h, roots, us[level]) - ys[level])
@@ -205,8 +209,9 @@ class ControllerSpec:
     gain: float | None = None
 
     def __post_init__(self):
-        if self.gain is None or not self.gain > 0.0:
-            raise ValueError(f"controller gain must be positive: {self.gain}")
+        if self.gain is None or not 0.0 < self.gain < math.inf:
+            raise ValueError(f"controller gain must be positive and finite: "
+                             f"{self.gain}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,8 @@ class IntegratorConfig:
     ``convergence_window``.  Rows are stored every ``store_stride·dt`` of
     time.  The run is converged once the max state-derivative norm has
     stayed below ``tol_conv`` for ``convergence_window``, and then stops if
-    ``stop_on_convergence``; otherwise it ends at ``horizon``.
+    ``stop_on_convergence``; otherwise it ends at ``horizon``.  A bad setting
+    raises ValueError naming it: a non-finite float, dt <= 0, store_stride < 1.
     """
 
     dt: float = 1e-3
@@ -226,6 +232,15 @@ class IntegratorConfig:
     tol_conv: float = 1e-6
     store_stride: int = 10
     stop_on_convergence: bool = True
+
+    def __post_init__(self):
+        for name in ("dt", "horizon", "convergence_window", "tol_conv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.dt <= 0.0:
+            raise ValueError("integrator step must be positive")
+        if self.store_stride < 1:
+            raise ValueError("store_stride must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -412,10 +427,6 @@ def simulate(spec: NetworkSpec) -> SimResult:
     that rounding cannot decide a tie; by default integration stops there.
     """
     cfg = spec.integrator
-    if cfg.dt <= 0.0:
-        raise ValueError("integrator step must be positive")
-    if cfg.store_stride < 1:
-        raise ValueError("store_stride must be at least 1")
     n = spec.graph.vertex_count
     E = spec.graph.incidence_matrix()
     Et, negE = E.T.copy(), -E
@@ -478,7 +489,6 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
     solves u = (u~ - b*h0(x)) / (a + b*D) and the new output is
     y~ = c*u + d*h(x, u); the new feedthrough is (c + d*D)/(a + b*D).
     """
-    transform.require_invertible()
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     D = agent.feedthrough
     denom = a + b * D

@@ -87,16 +87,15 @@ class SymmetricDoubleCone:
         r = np.column_stack([self.ray1, self.ray2])
         if is_singular(r):
             raise DegenerateRays("boundary rays are colinear")
-        det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-        return np.array([[r[1, 1], -r[0, 1]], [-r[1, 0], r[0, 0]]]) / det
+        return _inverse(r)
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
+    def contains(self, point) -> bool:
         """Geometric membership: same sector pair as the interior probe, with a
-        boundary band of ``tol``·|w|², w the point in ray coordinates."""
+        boundary band of 1e-12·|w|², w the point in ray coordinates."""
         inv = self._basis_inverse()
         w = inv @ np.asarray(point, dtype=float)
         wp = inv @ np.asarray(self.interior_probe, dtype=float)
-        band = tol * float(w @ w)
+        band = 1e-12 * float(w @ w)
         if wp[0] * wp[1] > 0:
             return bool(w[0] * w[1] >= -band)
         return bool(w[0] * w[1] <= band)
@@ -176,14 +175,23 @@ def contains(p: PQI, point, rtol: float = MEMBER_RTOL) -> bool:
     return p(xi, chi) >= -band
 
 
-def is_singular(t: np.ndarray) -> bool:
-    """Whether the 2x2 map t is singular: |det t| tiny against both its row and
+def is_singular(t) -> bool:
+    """Whether the 2x2 map t (an array or nested pairs) is singular: its
+    determinant is not finite, or |det t| is tiny against both its row and
     its column norm products (a well-defined map with badly scaled rows or
     columns fails only one), so the verdict does not depend on its scale."""
+    (a, b), (c, d) = t
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    det = a * d - b * c
+    cols = math.hypot(a, c) * math.hypot(b, d)
+    rows = math.hypot(a, b) * math.hypot(c, d)
+    return not math.isfinite(det) or det == 0.0 or abs(det) <= 1e-12 * min(cols, rows)
+
+
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """Adjugate over determinant of the 2x2 array t."""
     det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    cols = float(np.linalg.norm(t[:, 0])) * float(np.linalg.norm(t[:, 1]))
-    rows = float(np.linalg.norm(t[0, :])) * float(np.linalg.norm(t[1, :]))
-    return bool(det == 0.0 or abs(det) <= 1e-12 * min(cols, rows))
+    return np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]]) / det
 
 
 def pullback(p: PQI, transform) -> PQI:
@@ -194,14 +202,10 @@ def pullback(p: PQI, transform) -> PQI:
     t = transform.matrix() if hasattr(transform, "matrix") else np.asarray(
         transform, dtype=float
     )
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
     if is_singular(t):
-        raise SingularTransform(f"|det T| = {abs(det)} below tolerance")
+        raise SingularTransform(f"map {t.tolist()}: |det T| below tolerance")
     # T^{-1} = [[al, be], [ga, de]]; substitute xi = al*xi' + be*chi', etc.
-    al = t[1, 1] / det
-    be = -t[0, 1] / det
-    ga = -t[1, 0] / det
-    de = t[0, 0] / det
+    (al, be), (ga, de) = _inverse(t)
     a, b, c = p.a, p.b, p.c
     qa = a * al * al + b * al * ga + c * ga * ga
     qb = 2.0 * a * al * be + b * (al * de + be * ga) + 2.0 * c * ga * de

@@ -209,7 +209,6 @@ def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
 
 def transform_relation(rel: PlanarRelation, transform) -> PlanarRelation:
     """Pointwise image of the relation under an invertible 2x2 map."""
-    transform.require_invertible()
     ut, yt = transform(rel.u, rel.y)
     return PlanarRelation(ut, yt, rel.sigma)
 
@@ -361,27 +360,24 @@ def _ends_grow(norms: np.ndarray) -> bool:
     return bool(np.all(np.diff(checkpoints) >= -slack))
 
 
-def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> CursivityReport:
+def is_cursive(rel: PlanarRelation) -> CursivityReport:
     """Numeric surrogate for the cursive property of a parameterized curve.
 
     Checks three finite-grid stand-ins: adjacent images stay within a
     Lipschitz-consistent bound (continuity), the point norm escapes past a
     multiple of its median at both parameter ends with monotone growth over
     the end decile (divergence), and no two parameter-distant samples nearly
-    coincide within the median segment length (self-intersection measure:
-    on a chain, whose every axis is monotone along the parameter, one pass
-    over the pairs ``intersection_sigma_gap`` + 1 apart, otherwise one sort
-    into grid cells; see :func:`_no_near_self_intersection`).  Both
+    coincide within the median segment length, more than 20 samples apart
+    (self-intersection measure: on a chain, whose every axis is monotone
+    along the parameter, one pass over the pairs 21 apart, otherwise one
+    sort into grid cells; see :func:`_no_near_self_intersection`).  Both
     segment scales are floored at 1e-6 of the median sample norm (of the
     largest if the median is zero).
     These support but cannot prove the limit properties; the report says
-    which passed.  A negative ``intersection_sigma_gap`` raises ValueError.
+    which passed.
     """
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
-    if intersection_sigma_gap < 0:
-        raise ValueError(
-            f"intersection_sigma_gap must be >= 0, got {intersection_sigma_gap}")
     if len(rel.u) < 2:
         raise WrongRepresentation(
             f"cursivity check needs a curve of 2 or more samples, not {len(rel.u)}")
@@ -412,7 +408,7 @@ def is_cursive(rel: PlanarRelation, intersection_sigma_gap: int = 20) -> Cursivi
         )
 
     no_self_intersection = _no_near_self_intersection(
-        pts, max(med_seg, floor), intersection_sigma_gap)
+        pts, max(med_seg, floor), 20)
     if not no_self_intersection:
         notes.append("near self-intersection: parameter-distant samples coincide")
 

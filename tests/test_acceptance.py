@@ -174,11 +174,11 @@ def test_criterion_5_dissipation_certificate():
     target = PassivityIndices(0.0, 0.0)
     passed = verify_passivation(
         system, Transform2(1.0, 1.0, 1.0, 2.0), target,
-        trials=100, n_equilibria=20,
+        trials=100,
     )
     failed = verify_passivation(
         system, Transform2.identity(), target,
-        trials=100, n_equilibria=20,
+        trials=100,
     )
     elapsed = time.perf_counter() - t0
     _report(

@@ -109,6 +109,11 @@ class TestSimulate:
         ("x0", None, "$: missing key 'x0'"),
         ("agents", {"kind": "quadratic", "params": {"centre": 1.0}},
          "$.agents[0].params"),
+        # written as Infinity and NaN, which json reads back
+        ("integrator", {"horizon": float("inf")},
+         "$.integrator: ValueError: horizon must be finite"),
+        ("integrator", {"dt": float("nan")},
+         "$.integrator: ValueError: dt must be finite"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):

@@ -16,7 +16,7 @@ from pqikit import (
     pullback,
     solution_set,
 )
-from pqikit.errors import SingularTransform, TrivialPQI
+from pqikit.errors import NonFiniteValue, SingularTransform, TrivialPQI
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -133,10 +133,17 @@ class TestPullback:
         q = pullback(p, Transform2.identity())
         np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
 
-    @pytest.mark.parametrize("t", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]]])
+    # a nan map has a nan determinant, which counts as singular
+    @pytest.mark.parametrize("t", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]],
+                                   [[np.nan, 0.0], [0.0, 1.0]]])
     def test_singular_map_rejected(self, t):
         with pytest.raises(SingularTransform, match="below tolerance"):
             pullback(PQI(1.0, 0.0, 1.0), np.array(t))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_transform_rejected_when_built(self, entry):
+        with pytest.raises(NonFiniteValue, match="has a non-finite entry"):
+            Transform2(entry, 0.0, 0.0, 1.0)
 
     def test_diagonal_scaling(self):
         q = pullback(PQI(0.0, 1.0, 0.0), np.array([[2.0, 0.0], [0.0, 3.0]]))

@@ -36,7 +36,8 @@ from pqikit.errors import (
     NonFiniteValue,
     WrongRepresentation,
 )
-from pqikit.relations import OF_K, OF_K_INVERSE, _write_csv
+from pqikit.relations import (OF_K, OF_K_INVERSE, _no_near_self_intersection,
+                               _write_csv)
 from pqikit.systems import (
     nonmonotone_demo_agent,
     odd_cubic_agent,
@@ -102,8 +103,8 @@ class TestComposeViaStages:
         np.testing.assert_allclose(out.u, out.y**3, atol=1e-12)
 
     @given(st.tuples(*[st.floats(-5.0, 5.0) for _ in range(4)])
-           .map(lambda t: Transform2(*t))
-           .filter(lambda T: abs(T.det) > 1e-2))
+           .filter(lambda t: abs(t[0] * t[3] - t[1] * t[2]) > 1e-2)
+           .map(lambda t: Transform2(*t)))
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_direct_transport(self, T):
         rel = cubic_fold_curve(n=401)
@@ -579,9 +580,8 @@ def _relation_verdicts(rel, cursive):
 
 
 def _map_verdicts(t):
-    T = Transform2.from_matrix(t)
-    return (_outcome(T.require_invertible),
-            _outcome(lambda: decompose(T).column_swapped),
+    return (_outcome(lambda: type(Transform2.from_matrix(t)).__name__),
+            _outcome(lambda: decompose(Transform2.from_matrix(t)).column_swapped),
             _outcome(lambda: pullback(PQI(0.0, 1.0, 0.0), t) is not None))
 
 
@@ -635,14 +635,14 @@ class TestUnitInvariance:
             [[1e-6, 1.0], [0.0, 1e6]])
 
     @given(st.floats(-8.0, 8.0), st.sampled_from(MAPS))
-    @example(-7.0, MAPS[0])  # require_invertible and decompose rejected it
-    @example(0.0, MAPS[-1])  # require_invertible rejected it, pullback not
+    @example(-7.0, MAPS[0])  # building the map and decompose rejected it
+    @example(0.0, MAPS[-1])  # building the map rejected it, pullback not
     @settings(max_examples=40, deadline=None)
     def test_map_verdicts(self, log_k, t):
         t = np.array(t)
         verdicts = _map_verdicts(10.0**log_k * t)
         assert verdicts == _map_verdicts(t)
-        assert (verdicts[0] is None) == (verdicts[2] is True)  # one rule
+        assert (verdicts[0] == "Transform2") == (verdicts[2] is True)  # one rule
 
     @given(st.floats(-8.0, 8.0), st.floats(-np.pi, np.pi),
            st.sampled_from([(0.0, 0.0), (0.3, -0.5), (-2 / 3, -1 / 3), (0.1, 0.2)]))
@@ -654,12 +654,17 @@ class TestUnitInvariance:
         assert cone.contains(10.0**log_k * z) == cone.contains(z)
 
 
-def brute_force_no_self_intersection(rel, gap):
-    """O(n^2) check of the same radius and gap as is_cursive."""
-    pts = rel.points
+def cursive_radius(pts):
+    """The radius is_cursive measures near self-intersections with."""
     norms = np.linalg.norm(pts, axis=1)
-    radius = max(float(np.median(np.linalg.norm(np.diff(pts, axis=0), axis=1))),
-                 1e-6 * float(np.median(norms) or norms.max()))
+    return max(float(np.median(np.linalg.norm(np.diff(pts, axis=0), axis=1))),
+               1e-6 * float(np.median(norms) or norms.max()))
+
+
+def brute_force_no_self_intersection(rel, gap):
+    """O(n^2) check of is_cursive's radius and the given gap."""
+    pts = rel.points
+    radius = cursive_radius(pts)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     i, j = np.indices(dist.shape)
     return not bool(np.any((j - i > gap) & (dist < radius)))
@@ -776,8 +781,10 @@ class TestSelfIntersectionAgainstBruteForce:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_pair_check(self, name, gap):
         rel = self.CASES[name]
-        got = is_cursive(rel, intersection_sigma_gap=gap).no_self_intersection
+        got = _no_near_self_intersection(rel.points, cursive_radius(rel.points), gap)
         assert got == brute_force_no_self_intersection(rel, gap)
+        if gap == 20:  # is_cursive's own gap
+            assert is_cursive(rel).no_self_intersection == got
 
     def test_cases_cover_both_outcomes(self):
         verdicts = {name: brute_force_no_self_intersection(rel, 20)
@@ -802,14 +809,8 @@ class TestSelfIntersectionAgainstBruteForce:
         for steps, flagged in ((20, False), (21, True)):
             t = np.linspace(0.0, 2.0 * np.pi, steps + 1)
             rel = param_relation(np.cos(t), np.sin(t))
-            report = is_cursive(rel, intersection_sigma_gap=20)
+            report = is_cursive(rel)
             assert report.no_self_intersection == (not flagged)
-
-    @pytest.mark.parametrize("gap", [-1, -2])
-    def test_negative_gap_is_rejected(self, gap):
-        rel = self.CASES["chain_down"]
-        with pytest.raises(ValueError, match="intersection_sigma_gap"):
-            is_cursive(rel, intersection_sigma_gap=gap)
 
     def test_constant_curve_is_fast(self):
         rel = param_relation(np.full(4001, 2.0), np.full(4001, -1.0))

@@ -58,8 +58,8 @@ def nontrivial_pqis():
 def invertible_transforms():
     return (
         st.tuples(coeff, coeff, coeff, coeff)
+        .filter(lambda t: abs(t[0] * t[3] - t[1] * t[2]) > 1e-3)
         .map(lambda t: Transform2(*t))
-        .filter(lambda T: abs(T.det) > 1e-3)
     )
 
 
@@ -417,6 +417,11 @@ class TestVerifyPassivation:
                            match="^agent: .* failed on array input.*storage"):
             verify_passivation(agent, Transform2.identity(),
                                PassivityIndices(0.0, 0.0), trials=3)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            verify_passivation(nonmonotone_demo_agent(), Transform2.identity(),
+                               PassivityIndices(0.0, 0.0), trials=0)
 
     def test_missing_storage_rejected(self):
         bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
