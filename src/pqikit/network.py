@@ -19,6 +19,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,6 +54,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.vertex_count, numbers.Integral) and self.vertex_count >= 0):
+            raise InvalidSpec(f"vertex count {self.vertex_count!r} must be a "
+                              "non-negative integer")
         for h, t in self.edges:
             if not all(isinstance(v, numbers.Integral) for v in (h, t)):
                 raise InvalidSpec(f"edge ({h},{t}): vertex indices must be integers")
@@ -160,10 +164,12 @@ class AgentODE:
     """Scalar-state agent dx/dt = f(x,u), y = h(x,u).
 
     ``f``, ``h`` and ``storage`` must evaluate elementwise on numpy arrays of
-    equal shape (and on scalars): the simulator calls them once for all
-    vertices that share an agent object, and the certificate and relation
-    checks call them on whole grids of states and inputs.  Those grid arrays
-    are read-only: an ``f`` that writes into its input raises InvalidSpec.
+    equal shape (and on scalars): the simulator calls ``f`` once for all
+    vertices whose ``f`` is equal by value, and ``h`` likewise (the same
+    object, or partials of one function bound to equal values; see
+    :func:`_agent_groups`), and the certificate and relation checks call
+    them on whole grids of states and inputs.  Those grid arrays are
+    read-only: an ``f`` that writes into its input raises InvalidSpec.
 
     The output may include a constant feedthrough term: h(x,u) must equal
     h(x,0) + feedthrough*u.  Optional extras carry a storage-function
@@ -177,9 +183,6 @@ class AgentODE:
     storage: Callable[[float, float], float] | None = None
     indices: object | None = None
     relation: PlanarRelation | None = None
-
-    def h0(self, x):
-        return self.h(x, 0.0)
 
     def check_relation(self) -> bool:
         """Declared relation consistent with the dynamics at 50 of its samples.
@@ -223,7 +226,8 @@ class IntegratorConfig:
     time.  The run is converged once the max state-derivative norm has
     stayed below ``tol_conv`` for ``convergence_window``, and then stops if
     ``stop_on_convergence``; otherwise it ends at ``horizon``.  A bad setting
-    raises ValueError naming it: a non-finite float, dt <= 0, store_stride < 1.
+    raises ValueError naming it: a non-finite or negative float, dt = 0, a
+    horizon of more steps of dt than a float can count, store_stride < 1.
     """
 
     dt: float = 1e-3
@@ -235,10 +239,15 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("dt", "horizon", "convergence_window", "tol_conv"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise ValueError(f"{name} must not be negative, got {value}")
         if self.dt <= 0.0:
             raise ValueError("integrator step must be positive")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon {self.horizon} holds too many steps of dt {self.dt}")
         if self.store_stride < 1:
             raise ValueError("store_stride must be at least 1")
 
@@ -296,18 +305,39 @@ class SimResult:
         }
 
 
-def _agent_groups(agents, name: str):
-    """(callable, selector) per distinct agent object, in first-seen order.
+def _value_key(obj):
+    """Hashable key under which equal callables, and their bound values, agree.
 
-    A group of two or more vertices is selected by an index array and
-    evaluated with one array call; a single vertex is selected by its index
-    and evaluated with scalars, which costs less than a 1-element array.
+    A ``functools.partial`` keys on its function and the keys of its bound
+    arguments, taken recursively; a number on its type and exact bits (so
+    0.0 and -0.0 differ); anything else on its identity.
     """
-    members: dict[int, tuple[AgentODE, list[int]]] = {}
+    if isinstance(obj, partial):
+        return (_value_key(obj.func), tuple(map(_value_key, obj.args)),
+                tuple((k, _value_key(v)) for k, v in sorted(obj.keywords.items())))
+    if isinstance(obj, float):
+        return type(obj), obj.hex()
+    if isinstance(obj, numbers.Integral):
+        return type(obj), int(obj)
+    return (id(obj),)
+
+
+def _agent_groups(agents, name: str):
+    """(callable, selector) per distinct value of the agents' ``name`` callable.
+
+    Vertices whose callables are equal by :func:`_value_key` (the same
+    object, or partials of one kernel bound to equal values) form one group,
+    in first-seen order.  A group of two or more vertices is selected by an
+    index array and evaluated with one array call; a single vertex is
+    selected by its index and evaluated with scalars, which costs less than
+    a 1-element array.
+    """
+    members: dict[tuple, tuple[Callable, list[int]]] = {}
     for i, agent in enumerate(agents):
-        members.setdefault(id(agent), (agent, []))[1].append(i)
-    return [(getattr(agent, name), ix[0] if len(ix) == 1 else np.array(ix))
-            for agent, ix in members.values()]
+        fn = getattr(agent, name)
+        members.setdefault(_value_key(fn), (fn, []))[1].append(i)
+    return [(fn, ix[0] if len(ix) == 1 else np.array(ix))
+            for fn, ix in members.values()]
 
 
 def _evaluate(groups, x, u):
@@ -482,12 +512,28 @@ def simulate(spec: NetworkSpec) -> SimResult:
 # Per-agent I/O transforms
 
 
+def _transformed_input(h, b, denom, x, ut):
+    return (ut - b * h(x, 0.0)) / denom
+
+
+def _transformed_f(f, h, b, denom, x, ut):
+    return f(x, _transformed_input(h, b, denom, x, ut))
+
+
+def _transformed_h(h, b, c, d, denom, x, ut):
+    u = _transformed_input(h, b, denom, x, ut)
+    return c * u + d * h(x, u)
+
+
 def transform_agent(agent: AgentODE, transform) -> AgentODE:
     """Closed-form agent realizing the transformed I/O pair.
 
     With (u~, y~) = T(u, y) and constant feedthrough D, the original input
-    solves u = (u~ - b*h0(x)) / (a + b*D) and the new output is
-    y~ = c*u + d*h(x, u); the new feedthrough is (c + d*D)/(a + b*D).
+    solves u = (u~ - b*h(x, 0)) / (a + b*D) and the new output is
+    y~ = c*u + d*h(x, u); the new feedthrough is (c + d*D)/(a + b*D).  The
+    new f and h are module-level kernels bound with ``functools.partial`` to
+    the agent's f and h and to these numbers, so equal agents under equal
+    transforms get equal callables (see :func:`_agent_groups`).
     """
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     D = agent.feedthrough
@@ -496,25 +542,12 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
         raise SingularTransform(
             "a + b*feedthrough vanished; transformed input undefined"
         )
-    h0 = agent.h0
-    f_old, h_old = agent.f, agent.h
-
-    def u_of(x, ut):
-        return (ut - b * h0(x)) / denom
-
-    def f_new(x, ut):
-        return f_old(x, u_of(x, ut))
-
-    def h_new(x, ut):
-        u = u_of(x, ut)
-        return c * u + d * h_old(x, u)
-
     relation = (None if agent.relation is None
                 else transform_relation(agent.relation, transform))
     return replace(
         agent,
-        f=f_new,
-        h=h_new,
+        f=partial(_transformed_f, agent.f, agent.h, b, denom),
+        h=partial(_transformed_h, agent.h, b, c, d, denom),
         feedthrough=(c + d * D) / denom,
         relation=relation,
         indices=None,
@@ -534,7 +567,9 @@ def apply_network_transform(spec: NetworkSpec, transforms) -> NetworkSpec:
     """Per-vertex I/O transforms applied to every agent of the network.
 
     Vertices sharing an agent object and a transform object share the
-    transformed agent, so the simulator can evaluate them together.
+    transformed agent, built once.  Equal agents under equal transforms get
+    equal callables however they were built, so the simulator evaluates
+    them together (see :func:`_agent_groups`).
     """
     if len(transforms) != spec.graph.vertex_count:
         raise DimensionMismatch("one transform per vertex required")
@@ -859,13 +894,23 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
 # JSON ingest
 
 
+def _json_integer(value, path: str) -> int:
+    """A JSON integer, or a float with an integer value, as int; else InvalidSpec."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float)
+                                                and value.is_integer()):
+        return int(value)
+    raise InvalidSpec(f"{path}: {value!r} is not an integer")
+
+
 @contextmanager
 def _located(path: str):
     """Report a malformed JSON entry as InvalidSpec naming its path."""
     try:
         yield
-    except InvalidSpec:
-        raise
+    except InvalidSpec as exc:
+        if str(exc).startswith("$"):
+            raise
+        raise InvalidSpec(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         reason = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
                   else f"{type(exc).__name__}: {exc}")
@@ -886,8 +931,11 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     ``agents`` may be a single object applied to every vertex, and so may
     ``controllers``.  Agent kinds resolve through the built-in fixtures of
     :data:`pqikit.systems.AGENT_REGISTRY`; equal agent entries share one
-    agent object.  A missing or malformed entry raises :class:`InvalidSpec`
-    naming its JSON path.
+    agent object, and the simulator evaluates vertices whose agents were
+    built with equal parameters in one array call (see :func:`_agent_groups`).
+    The vertex count and the edge indices must be integers, and the count
+    must match the length of ``x0``.  A missing or malformed entry raises
+    :class:`InvalidSpec` naming its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -896,8 +944,17 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
         g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
         raw_x0 = doc["x0"]
     with _located("$.graph"):
-        graph = Graph(int(g["vertices"]),
-                      tuple((int(h), int(t)) for h, t in g["edges"]))
+        raw_n = g["vertices"]
+        n = _json_integer(raw_n, "$.graph.vertices")
+        graph = Graph(n, tuple(
+            tuple(_json_integer(v, f"$.graph.edges[{e}]") for v in edge)
+            for e, edge in enumerate(g["edges"])))
+    with _located("$.x0"):
+        x0 = np.asarray(raw_x0, dtype=float)
+    # the vertex count sizes every list below, so it must match the states given
+    if len(np.atleast_1d(x0)) != graph.vertex_count:
+        raise InvalidSpec(f"$.x0: {len(np.atleast_1d(x0))} initial states for "
+                          f"$.graph.vertices = {raw_n!r}")
 
     if isinstance(raw_agents, dict):
         raw_agents = [raw_agents] * graph.vertex_count
@@ -924,8 +981,6 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
             with _located(f"$.controllers[{e}]"):
                 controllers.append(ControllerSpec(gain=float(c["gain"])))
 
-    with _located("$.x0"):
-        x0 = np.asarray(raw_x0, dtype=float)
     with _located("$.integrator"):
         integ = IntegratorConfig(**doc.get("integrator", {}))
     return NetworkSpec(graph, tuple(agents), tuple(controllers), x0, integ)

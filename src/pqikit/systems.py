@@ -17,6 +17,8 @@ Each factory is named for the behavior it exhibits:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .lti import RationalTF
@@ -30,6 +32,42 @@ from .network import (
 from .pqi import PassivityIndices
 from .relations import PlanarRelation
 
+# Agent kernels.  A factory binds its parameters, if it has any, in front of
+# (x, u) with functools.partial, so agents built with equal parameters have
+# equal callables and the simulator evaluates their vertices in one array call.
+
+
+def _state_output(x, u):
+    return x
+
+
+def _half_square_storage(x, xe):
+    return 0.5 * (x - xe) ** 2
+
+
+def _odd_cubic_f(x, u):
+    return -x + np.cbrt(x) + u
+
+
+def _odd_cubic_h(x, u):
+    return np.cbrt(x)
+
+
+def _demo_f(x, u):
+    return -np.cbrt(x) + 0.5 * x + 0.5 * u
+
+
+def _demo_h(x, u):
+    return 0.5 * x - 0.5 * u
+
+
+def _pendulum_f(r1, r2, x, u):
+    return -r1 * np.sin(x) - r2 * x + u
+
+
+def _quadratic_f(center, x, u):
+    return -x + u + center
+
 
 def odd_cubic_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
     """dx/dt = -x + cbrt(x) + u, y = cbrt(x); inverse relation u = y^3 - y."""
@@ -37,9 +75,9 @@ def odd_cubic_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
         lambda s: s**3 - s, lambda s: s, sigma_range, n
     )
     return AgentODE(
-        f=lambda x, u: -x + np.cbrt(x) + u,
-        h=lambda x, u: np.cbrt(x),
-        storage=lambda x, xe: 0.5 * (x - xe) ** 2,
+        f=_odd_cubic_f,
+        h=_odd_cubic_h,
+        storage=_half_square_storage,
         indices=PassivityIndices(-1.0, 0.0),
         relation=relation,
     )
@@ -55,10 +93,10 @@ def nonmonotone_demo_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
         lambda s: 2.0 * s - s**3, lambda s: s**3 - s, sigma_range, n
     )
     return AgentODE(
-        f=lambda x, u: -np.cbrt(x) + 0.5 * x + 0.5 * u,
-        h=lambda x, u: 0.5 * x - 0.5 * u,
+        f=_demo_f,
+        h=_demo_h,
         feedthrough=-0.5,
-        storage=lambda x, xe: 0.5 * (x - xe) ** 2,
+        storage=_half_square_storage,
         indices=PassivityIndices(-2.0 / 3.0, -1.0 / 3.0),
         relation=relation,
     )
@@ -79,9 +117,9 @@ def pendulum_gradient_agent(
         lambda s: r1 * np.sin(s) + r2 * s, lambda s: s, sigma_range, n
     )
     return AgentODE(
-        f=lambda x, u: -r1 * np.sin(x) - r2 * x + u,
-        h=lambda x, u: x,
-        storage=lambda x, xe: 0.5 * (x - xe) ** 2,
+        f=partial(_pendulum_f, r1, r2),
+        h=_state_output,
+        storage=_half_square_storage,
         relation=relation,
     )
 
@@ -96,9 +134,9 @@ def quadratic_agent(center: float = 0.0) -> AgentODE:
         lambda s: s - center, lambda s: s, (-20.0, 20.0), 4001
     )
     return AgentODE(
-        f=lambda x, u: -x + u + center,
-        h=lambda x, u: x,
-        storage=lambda x, xe: 0.5 * (x - xe) ** 2,
+        f=partial(_quadratic_f, center),
+        h=_state_output,
+        storage=_half_square_storage,
         relation=relation,
     )
 

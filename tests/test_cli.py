@@ -114,6 +114,12 @@ class TestSimulate:
          "$.integrator: ValueError: horizon must be finite"),
         ("integrator", {"dt": float("nan")},
          "$.integrator: ValueError: dt must be finite"),
+        ("graph", {"vertices": float("inf"), "edges": [[0, 1]]},
+         "$.graph.vertices: inf is not an integer"),
+        ("graph", {"vertices": 2, "edges": [[0, float("inf")]]},
+         "$.graph.edges[0]: inf is not an integer"),
+        ("integrator", {"horizon": 1e308, "dt": 0.01},
+         "$.integrator: ValueError: horizon 1e+308 holds too many steps"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):

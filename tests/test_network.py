@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -59,6 +60,61 @@ def _relation_agent(u_of_y, s_range=(-3.0, 3.0), n=4001):
     """Stable agent whose declared steady-state relation is u = u_of_y(y)."""
     rel = PlanarRelation.from_param_curve(u_of_y, lambda s: s, s_range, n)
     return AgentODE(f=lambda x, u: -x, h=lambda x, u: x, relation=rel)
+
+
+def _counting_gradient(calls, x, u):
+    calls.append(np.shape(x))
+    return -x + u
+
+
+def _counting_output(calls, x, u):
+    calls.append(np.shape(x))
+    return x
+
+
+class TestAgentGroups:
+    """Vertices whose callables are equal by value share one array call."""
+
+    @staticmethod
+    def members(agents, name="f"):
+        return [np.ravel(sel).tolist()
+                for _, sel in network_module._agent_groups(agents, name)]
+
+    def test_separately_built_equal_agents_form_one_group(self):
+        agents = [pendulum_gradient_agent() for _ in range(3)]
+        assert self.members(agents, "f") == self.members(agents, "h") == [[0, 1, 2]]
+
+    def test_different_parameter_splits_the_group(self):
+        agents = [pendulum_gradient_agent(), pendulum_gradient_agent(r2=0.2),
+                  pendulum_gradient_agent()]
+        assert self.members(agents) == [[0, 2], [1]]
+
+    def test_signed_zeros_stay_apart(self):
+        agents = [pendulum_gradient_agent(r1=0.0), pendulum_gradient_agent(r1=-0.0)]
+        assert self.members(agents) == [[0], [1]]
+
+    def test_equal_transforms_form_one_transformed_group(self):
+        agents = [transform_agent(pendulum_gradient_agent(),
+                                  Transform2(1.0, 2.5, 0.0, 1.0)) for _ in range(2)]
+        assert agents[0] is not agents[1]
+        assert self.members(agents, "f") == self.members(agents, "h") == [[0, 1]]
+
+    def test_replaced_callable_leaves_the_group(self):
+        agent = pendulum_gradient_agent()
+        other = replace(pendulum_gradient_agent(), f=lambda x, u: agent.f(x, u))
+        assert self.members([agent, other, pendulum_gradient_agent()]) == [[0, 2], [1]]
+
+    def test_one_array_call_per_evaluation(self):
+        # 50 separately built agents: each right-hand side evaluation calls h
+        # and then f once on all 50 states, and the stored rows call h once more
+        f_calls, h_calls = [], []
+        agents = tuple(AgentODE(f=partial(_counting_gradient, f_calls),
+                                h=partial(_counting_output, h_calls))
+                       for _ in range(50))
+        simulate(NetworkSpec(Graph.path(50), agents, (ControllerSpec(gain=1.0),) * 49,
+                             np.linspace(-1.0, 1.0, 50), IntegratorConfig(horizon=2.0)))
+        assert f_calls and set(f_calls) == {(50,)}
+        assert len(h_calls) == len(f_calls) + 1
 
 
 class TestGraph:
@@ -134,25 +190,33 @@ class TestSimulate:
     @pytest.mark.parametrize("layout", ["per-vertex", "alternating"])
     @pytest.mark.parametrize("transformed", [False, True])
     def test_shared_agent_matches_scalar_evaluation(self, layout, transformed):
-        # one shared agent object is evaluated with one array call per stage;
-        # the reference gives each vertex its own object (scalar calls), or
-        # alternates two objects (index-array groups)
+        # one group of equal agents is evaluated with one array call per
+        # stage; the reference wraps each agent's f and h in closures of its
+        # own, so that each vertex is a group of its own (scalar calls), or
+        # two groups alternate (index-array calls)
+        def own(agent):
+            return replace(agent, f=lambda x, u: agent.f(x, u),
+                           h=lambda x, u: agent.h(x, u))
+
         shared = pendulum_network(integrator=IntegratorConfig(horizon=6.0))
         if layout == "per-vertex":
-            agents = tuple(pendulum_gradient_agent() for _ in range(5))
+            agents = tuple(own(pendulum_gradient_agent()) for _ in range(5))
         else:
-            pair = (pendulum_gradient_agent(), pendulum_gradient_agent())
+            pair = (own(pendulum_gradient_agent()), own(pendulum_gradient_agent()))
             agents = tuple(pair[i % 2] for i in range(5))
         reference = replace(shared, agents=agents)
         if transformed:
             T = Transform2(1.0, 2.5, 0.0, 1.0)
             shared = apply_network_transform(shared, [T] * 5)
             reference = apply_network_transform(reference, [T] * 5)
-        assert len({id(a) for a in shared.agents}) == 1
+        for name in ("f", "h"):
+            assert len(network_module._agent_groups(shared.agents, name)) == 1
+            assert len(network_module._agent_groups(reference.agents, name)) == (
+                5 if layout == "per-vertex" else 2)
         a, b = simulate(shared), simulate(reference)
         assert a.converged == b.converged
-        assert a.t[-1] == b.t[-1]
-        np.testing.assert_allclose(a.y, b.y, rtol=0.0, atol=1e-9)
+        for got, want in ((a.t, b.t), (a.x, b.x), (a.y, b.y)):
+            assert np.array_equal(got, want)
 
     def test_odd_cubic_path_converges(self):
         # consensus y = 1 on the steady-state relation u = y^3 - y (u = 0)
@@ -659,6 +723,21 @@ class TestJsonIngest:
         (lambda d: d["controllers"][0].update(gain=-1.0),
          r"^\$\.controllers\[0\]: .*positive"),
         (lambda d: d["integrator"].update(step=0.1), r"^\$\.integrator: .*'step'"),
+        (lambda d: d["graph"].update(vertices=math.inf),
+         r"^\$\.graph\.vertices: inf is not an integer$"),
+        (lambda d: d["graph"].update(vertices=2.5),
+         r"^\$\.graph\.vertices: 2\.5 is not an integer$"),
+        (lambda d: d["graph"].update(vertices=-1),
+         r"^\$\.graph: vertex count -1 must be a non-negative integer$"),
+        # a count must match the initial states before it sizes any list
+        (lambda d: d.update(agents=d["agents"][0], graph={"vertices": 1e308, "edges": []}),
+         r"^\$\.x0: 2 initial states for \$\.graph\.vertices = 1e\+308$"),
+        (lambda d: d["graph"]["edges"][0].__setitem__(1, math.inf),
+         r"^\$\.graph\.edges\[0\]: inf is not an integer$"),
+        (lambda d: d["graph"]["edges"][0].__setitem__(0, 0.5),
+         r"^\$\.graph\.edges\[0\]: 0\.5 is not an integer$"),
+        (lambda d: d["integrator"].update(horizon=1e308, dt=0.01),
+         r"^\$\.integrator: .*horizon 1e\+308 holds too many steps of dt 0\.01"),
     ])
     def test_malformed_spec_names_json_path(self, mutate, where):
         doc = {
@@ -764,9 +843,21 @@ def _bare_spec():
     (lambda: ControllerSpec(gain=np.inf), ValueError, "positive and finite: inf"),
     (lambda: Graph(2, ((0, 1.5),)), InvalidSpec,
      r"^edge \(0,1.5\): vertex indices must be integers"),
+    (lambda: Graph(math.inf, ()), InvalidSpec,
+     r"^vertex count inf must be a non-negative integer"),
+    (lambda: IntegratorConfig(horizon=-5.0), ValueError,
+     "^horizon must not be negative, got -5.0$"),
+    (lambda: IntegratorConfig(convergence_window=-1.0), ValueError,
+     "^convergence_window must not be negative, got -1.0$"),
+    (lambda: IntegratorConfig(tol_conv=-1.0), ValueError,
+     "^tol_conv must not be negative, got -1.0$"),
+    (lambda: IntegratorConfig(dt=0.01, horizon=1e308), ValueError,
+     r"^horizon 1e\+308 holds too many steps of dt 0.01$"),
 ], ids=["controller_count", "x0_length", "dt", "store_stride", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
-        "infinite_gain", "fractional_vertex"])
+        "infinite_gain", "fractional_vertex", "infinite_vertex_count",
+        "negative_horizon", "negative_window", "negative_tol_conv",
+        "horizon_overflows_step_count"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
