@@ -639,25 +639,33 @@ def _conjugate(model):
     moves the slope past the solver's residual bound.  A run's value error
     then shifts every node beyond it, so the values are integrated from an
     exact node: the median node of strict slope increase (else the first).
+
+    Where every lifted step starts a node, d has no dip and no run, so the
+    merge is skipped: each node is its own run and the middle one anchors.
+    The nodes are then d and x + 0.0, the bits the merge's sums give (a
+    sum turns −0.0 into 0.0).
     """
     x, d, m = model
     lifted = np.maximum.accumulate(d)
     step = np.diff(lifted, prepend=-np.inf)
     new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
-    dip = lifted > d
-    if dip.any():
-        small = step <= 1e-9 * np.abs(d).max()
-        stretch = np.cumsum(~small)
-        new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
-    d = lifted
-    run = np.cumsum(new) - 1
-    count = np.bincount(run)
-    single = np.flatnonzero(count == 1)
-    anchor = single[len(single) // 2] if len(single) else 0
-    k = np.searchsorted(run, anchor)
-    dc, xc = d[new], np.bincount(run, x) / count
+    if new.all():
+        dc, xc = lifted, x + 0.0
+        k = anchor = len(x) // 2
+    else:
+        dip = lifted > d
+        if dip.any():
+            small = step <= 1e-9 * np.abs(d).max()
+            stretch = np.cumsum(~small)
+            new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
+        run = np.cumsum(new) - 1
+        count = np.bincount(run)
+        single = np.flatnonzero(count == 1)
+        anchor = single[len(single) // 2] if len(single) else 0
+        k = np.searchsorted(run, anchor)
+        dc, xc = lifted[new], np.bincount(run, x) / count
     mc = _trapezoid(dc, xc, 0.0)
-    return dc, xc, mc + (x[k] * d[k] - m[k] - mc[anchor])
+    return dc, xc, mc + (x[k] * lifted[k] - m[k] - mc[anchor])
 
 
 # Safety cap on the trust-region iterations of _minimize_convex.
@@ -902,6 +910,19 @@ def _json_integer(value, path: str) -> int:
     raise InvalidSpec(f"{path}: {value!r} is not an integer")
 
 
+def _json_edge(edge, n: int, path: str) -> tuple:
+    """A JSON edge as its vertex indices, each an integer below ``n``.
+
+    An index out of range raises InvalidSpec with the value as the JSON gave
+    it.  A negative count fits no index; Graph refuses that count by name.
+    """
+    ends = tuple(_json_integer(v, path) for v in edge)
+    for v, i in zip(edge, ends):
+        if n >= 0 and not 0 <= i < n:
+            raise InvalidSpec(f"{path}: vertex index {v!r} out of range for {n} vertices")
+    return ends
+
+
 @contextmanager
 def _located(path: str):
     """Report a malformed JSON entry as InvalidSpec naming its path."""
@@ -911,7 +932,7 @@ def _located(path: str):
         if str(exc).startswith("$"):
             raise
         raise InvalidSpec(f"{path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, DimensionMismatch) as exc:
         reason = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
                   else f"{type(exc).__name__}: {exc}")
         raise InvalidSpec(f"{path}: {reason}") from exc
@@ -946,9 +967,8 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     with _located("$.graph"):
         raw_n = g["vertices"]
         n = _json_integer(raw_n, "$.graph.vertices")
-        graph = Graph(n, tuple(
-            tuple(_json_integer(v, f"$.graph.edges[{e}]") for v in edge)
-            for e, edge in enumerate(g["edges"])))
+        graph = Graph(n, tuple(_json_edge(edge, n, f"$.graph.edges[{e}]")
+                               for e, edge in enumerate(g["edges"])))
     with _located("$.x0"):
         x0 = np.asarray(raw_x0, dtype=float)
     # the vertex count sizes every list below, so it must match the states given

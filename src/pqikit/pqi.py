@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRays, SingularTransform, TrivialPQI
+from .errors import DegenerateRays, NonFiniteValue, SingularTransform, TrivialPQI
 
 # Relative tolerance for the discriminant zero test, see also `is_nontrivial`.
 DISC_RTOL = 1e-12
@@ -55,16 +55,24 @@ class PQI:
 
 @dataclass(frozen=True)
 class PassivityIndices:
-    """Output index rho and input index nu, with rho*nu < 1/4."""
+    """Output index rho and input index nu, finite, with rho*nu < 1/4 and a
+    finite discriminant 1 - 4*rho*nu."""
 
     rho: float
     nu: float
 
     def __post_init__(self):
+        for name in ("rho", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteValue(
+                    f"passivity index {name}={getattr(self, name)} must be finite")
         if not self.rho * self.nu < 0.25:
             raise TrivialPQI(
                 f"indices rho={self.rho}, nu={self.nu} give rho*nu >= 1/4"
             )
+        if not math.isfinite(discriminant(self.pqi())):
+            raise NonFiniteValue(f"indices rho={self.rho}, nu={self.nu} overflow "
+                                 "the discriminant 1 - 4*rho*nu")
 
     def pqi(self) -> PQI:
         """The induced increment inequality -nu*xi^2 + xi*chi - rho*chi^2 >= 0."""

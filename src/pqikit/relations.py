@@ -244,6 +244,12 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     direction: runs of abscissae each within ``TIE_RTOL`` (relative) of the
     previous one are merged into their first sample, genuine folds raise.
     Values are anchored to zero at the left end of the grid.
+
+    Two steps are skipped where they are identities.  Samples whose
+    abscissa strictly increases are their own stable sort order, so they
+    are not sorted; samples with no tie keep every sample and cannot fold,
+    so the tie and fold scan does not run.  The result is the same bits
+    either way, and the grid is a copy, never the relation's own array.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -251,28 +257,34 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         x, v = rel.y, rel.u
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    dx = np.diff(x)
+    scale = float(np.abs(x).max())
     if rel.sigma is not None:
         # a curve is single-valued in this direction iff the abscissa is
         # monotone along the parameter
-        dx = np.diff(x)
-        slack = TIE_RTOL * float(np.abs(x).max())
+        slack = TIE_RTOL * scale
         if not (np.all(dx >= -slack) or np.all(dx <= slack)):
             raise MultiValued("curve abscissa is not monotone in the parameter")
-    order = np.argsort(x, kind="stable")
-    x, v = x[order], v[order]
-    scale = float(np.abs(x).max())
-    keep = np.concatenate(([True], np.diff(x) > TIE_RTOL * scale))
-    # each sample is compared with the first sample of its tie run
-    first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
-    vf = v[first]
-    band = 1e-8 * (np.abs(v) + np.abs(vf) + float(np.abs(v).max()))
-    fold = ~keep & (np.abs(v - vf) > band)
-    if fold.any():
-        i = int(np.argmax(fold))
-        raise MultiValued(
-            f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
-        )
-    gx, gv = x[keep], v[keep]
+    if not np.all(dx > 0):
+        order = np.argsort(x, kind="stable")
+        x, v = x[order], v[order]
+        dx = np.diff(x)
+    keep = dx > TIE_RTOL * scale
+    if keep.all():
+        gx, gv = x.copy(), v
+    else:
+        keep = np.concatenate(([True], keep))
+        # each sample is compared with the first sample of its tie run
+        first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
+        vf = v[first]
+        band = 1e-8 * (np.abs(v) + np.abs(vf) + float(np.abs(v).max()))
+        fold = ~keep & (np.abs(v - vf) > band)
+        if fold.any():
+            i = int(np.argmax(fold))
+            raise MultiValued(
+                f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
+            )
+        gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
     return IntegralFunction(gx, _trapezoid(gx, gv, 0.0))

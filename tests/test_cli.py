@@ -46,6 +46,20 @@ class TestPassivize:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--rho=-inf", "--nu=0.1"], "passivity index rho=-inf must be finite"),
+        (["--rho=0", "--nu=nan"], "passivity index nu=nan must be finite"),
+        (["--rho=0", "--nu=0", "--rho-target=inf"], "passivity index rho=inf"),
+        (["--rho=1e308", "--nu=-1e308"],
+         "indices rho=1e+308, nu=-1e+308 overflow the discriminant"),
+        (["--rho=0", "--nu=1e308"], "indices rho=0.0, nu=1e+308 overflow"),
+    ])
+    def test_unrepresentable_index_named(self, capsys, flags, named):
+        rc = main(["passivize", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: NonFiniteValue: ") and named in err
+
 
 class TestAnalyzeLTI:
     def test_reference_plant_report(self, capsys):
@@ -118,6 +132,10 @@ class TestSimulate:
          "$.graph.vertices: inf is not an integer"),
         ("graph", {"vertices": 2, "edges": [[0, float("inf")]]},
          "$.graph.edges[0]: inf is not an integer"),
+        ("graph", {"vertices": 2, "edges": [[0, 1], [0, -1]]},
+         "$.graph.edges[1]: vertex index -1 out of range for 2 vertices"),
+        ("graph", {"vertices": 2, "edges": [[0, 1e308]]},
+         "$.graph.edges[0]: vertex index 1e+308 out of range for 2 vertices"),
         ("integrator", {"horizon": 1e308, "dt": 0.01},
          "$.integrator: ValueError: horizon 1e+308 holds too many steps"),
     ])

@@ -72,6 +72,27 @@ def _counting_output(calls, x, u):
     return x
 
 
+def merged_conjugate(model):
+    """network._conjugate's general path alone: always merge runs."""
+    x, d, m = model
+    lifted = np.maximum.accumulate(d)
+    step = np.diff(lifted, prepend=-np.inf)
+    new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
+    dip = lifted > d
+    if dip.any():
+        small = step <= 1e-9 * np.abs(d).max()
+        stretch = np.cumsum(~small)
+        new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
+    run = np.cumsum(new) - 1
+    count = np.bincount(run)
+    single = np.flatnonzero(count == 1)
+    anchor = single[len(single) // 2] if len(single) else 0
+    k = np.searchsorted(run, anchor)
+    dc, xc = lifted[new], np.bincount(run, x) / count
+    mc = relations_module._trapezoid(dc, xc, 0.0)
+    return dc, xc, mc + (x[k] * lifted[k] - m[k] - mc[anchor])
+
+
 class TestAgentGroups:
     """Vertices whose callables are equal by value share one array call."""
 
@@ -614,6 +635,26 @@ class TestSolvers:
         assert abs(opp.objective + ofp.objective
                    - (clean_opp.objective + clean_ofp.objective)) <= 1e-9
 
+    @pytest.mark.parametrize("x, d", [
+        # strictly increasing slopes, with a -0.0 abscissa at the anchor
+        ([-2.0, -1.0, -0.0, 1.0, 2.5], [-3.0, -1.0, 0.5, 2.0, 4.0]),
+        # one flat run of the slopes
+        ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
+    ], ids=["increasing", "flat-run"])
+    def test_conjugate_matches_merged_runs(self, x, d):
+        # skipping the run merge where no run exists changes no bit
+        x, d = np.array(x), np.array(d)
+        model = (x, d, relations_module._trapezoid(x, d, 0.5))
+        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_conjugate_of_an_agent_model_matches_merged_runs(self):
+        F = relations_module.integral_function(quadratic_agent(1.0).relation,
+                                               relations_module.OF_K_INVERSE)
+        model = network_module._c1_models([F])[0]
+        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_nonconvex_supplied_potential_rejected(self, solver):
         spec = quadratic_network(centers=(0.0, 0.0, 0.0))
@@ -736,6 +777,12 @@ class TestJsonIngest:
          r"^\$\.graph\.edges\[0\]: inf is not an integer$"),
         (lambda d: d["graph"]["edges"][0].__setitem__(0, 0.5),
          r"^\$\.graph\.edges\[0\]: 0\.5 is not an integer$"),
+        (lambda d: d["graph"]["edges"][0].__setitem__(1, -1),
+         r"^\$\.graph\.edges\[0\]: vertex index -1 out of range for 2 vertices$"),
+        (lambda d: d["graph"]["edges"][0].__setitem__(0, 2.0),
+         r"^\$\.graph\.edges\[0\]: vertex index 2\.0 out of range for 2 vertices$"),
+        (lambda d: d["graph"]["edges"][0].__setitem__(1, 0),
+         r"^\$\.graph: DimensionMismatch: self-loop at vertex 0$"),
         (lambda d: d["integrator"].update(horizon=1e308, dt=0.01),
          r"^\$\.integrator: .*horizon 1e\+308 holds too many steps of dt 0\.01"),
     ])

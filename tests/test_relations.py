@@ -36,8 +36,8 @@ from pqikit.errors import (
     NonFiniteValue,
     WrongRepresentation,
 )
-from pqikit.relations import (OF_K, OF_K_INVERSE, _no_near_self_intersection,
-                               _write_csv)
+from pqikit.relations import (OF_K, OF_K_INVERSE, TIE_RTOL, _no_near_self_intersection,
+                               _trapezoid, _write_csv)
 from pqikit.systems import (
     nonmonotone_demo_agent,
     odd_cubic_agent,
@@ -115,7 +115,88 @@ class TestComposeViaStages:
                                    atol=1e-10 * scale)
 
 
+def sorted_scanned_integral(rel, direction):
+    """integral_function's general path alone: always sort, always scan ties.
+
+    The (grid, values) it builds, or the MultiValued message it raises.
+    """
+    x, v = (rel.u, rel.y) if direction == OF_K else (rel.y, rel.u)
+    if rel.sigma is not None:
+        dx = np.diff(x)
+        slack = TIE_RTOL * float(np.abs(x).max())
+        if not (np.all(dx >= -slack) or np.all(dx <= slack)):
+            return "curve abscissa is not monotone in the parameter"
+    order = np.argsort(x, kind="stable")
+    x, v = x[order], v[order]
+    keep = np.concatenate(([True], np.diff(x) > TIE_RTOL * float(np.abs(x).max())))
+    first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
+    vf = v[first]
+    band = 1e-8 * (np.abs(v) + np.abs(vf) + float(np.abs(v).max()))
+    fold = ~keep & (np.abs(v - vf) > band)
+    if fold.any():
+        i = int(np.argmax(fold))
+        return f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
+    gx, gv = x[keep], v[keep]
+    if len(gx) < 2:
+        return "relation reduces to a single abscissa"
+    return gx, _trapezoid(gx, gv, 0.0)
+
+
+@st.composite
+def tied_samples(draw):
+    """Abscissae with values, some repeated within TIE_RTOL of a sample (the
+    value kept, nudged within the fold band, or moved into a fold), in
+    ascending, descending or shuffled order."""
+    n = draw(st.integers(2, 25))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-50.0, 50.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    v = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    ties = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.sampled_from([0.0, 0.3, 0.9]),
+                                   st.sampled_from([0.0, 1e-12, 1e-3])), max_size=4))
+    scale = float(np.abs(x).max())
+    for i, gap, nudge in ties:
+        x = np.append(x, x[i] + gap * TIE_RTOL * scale)
+        v = np.append(v, v[i] + nudge)
+    order = np.argsort(x, kind="stable")
+    x, v = x[order], v[order]
+    arrangement = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if arrangement == "descending":
+        x, v = x[::-1], v[::-1]
+    elif arrangement == "shuffled":
+        perm = np.array(draw(st.permutations(range(len(x)))))
+        x, v = x[perm], v[perm]
+    return x, v
+
+
 class TestIntegralFunction:
+    @given(tied_samples(), st.sampled_from([OF_K, OF_K_INVERSE]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_scanned_path(self, samples, direction, curve):
+        # skipping the sort and the tie scan where they are identities
+        # changes no bit of the potential and no fold message
+        x, v = samples
+        u, y = (x, v) if direction == OF_K else (v, x)
+        rel = PlanarRelation(u, y, np.arange(len(x), dtype=float) if curve else None)
+        want = sorted_scanned_integral(rel, direction)
+        if isinstance(want, str):
+            with pytest.raises(MultiValued) as err:
+                integral_function(rel, direction)
+            assert str(err.value) == want
+        else:
+            F = integral_function(rel, direction)
+            for got, ref in zip((F.grid, F.values), want):
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("direction", [OF_K, OF_K_INVERSE])
+    def test_grid_is_not_the_relation_array(self, direction):
+        rel = PlanarRelation.from_closed_form(lambda s: s**3 + s)
+        u, y = rel.u.copy(), rel.y.copy()
+        F = integral_function(rel, direction)
+        F.grid[:] = 0.0
+        np.testing.assert_array_equal(rel.u, u)
+        np.testing.assert_array_equal(rel.y, y)
+
     def test_cubic_inverse_potential(self):
         rel = odd_cubic_agent().relation
         F = integral_function(rel, OF_K_INVERSE)
