@@ -174,7 +174,7 @@ def _check(name, ok, detail, source) -> dict:
 
 
 def _case_study_lti(outdir: str):
-    G = unstable_plant_tf(0.75)
+    G = unstable_plant_tf()
     lam = 4.0
     mu, idx, T, Gt, strict_oracle = _lti_pipeline(G, lam)
     displayed = RationalTF.make([3.0, 2.0, 1.0], [2.0, 2.0, 1.0])

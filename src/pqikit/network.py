@@ -30,6 +30,7 @@ from .errors import (
     NoConvergence,
     NonConvexCertificate,
     NonFiniteState,
+    NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
 )
@@ -222,20 +223,18 @@ class IntegratorConfig:
     """Settings of :func:`simulate`.
 
     ``dt`` is the step floor: steps adapt between it and half the
-    ``convergence_window``.  Rows are stored every ``store_stride·dt`` of
-    time.  The run is converged once the max state-derivative norm has
-    stayed below ``tol_conv`` for ``convergence_window``, and then stops if
-    ``stop_on_convergence``; otherwise it ends at ``horizon``.  A bad setting
+    ``convergence_window``.  Rows are stored every 10·dt of time.  The run
+    is converged, and stops, once the max state-derivative norm has stayed
+    below ``tol_conv`` for ``convergence_window``; otherwise it ends at
+    ``horizon``, so ``tol_conv = 0`` runs to the horizon.  A bad setting
     raises ValueError naming it: a non-finite or negative float, dt = 0, a
-    horizon of more steps of dt than a float can count, store_stride < 1.
+    horizon of more steps of dt than a float can count.
     """
 
     dt: float = 1e-3
     horizon: float = 100.0
     convergence_window: float = 1.0
     tol_conv: float = 1e-6
-    store_stride: int = 10
-    stop_on_convergence: bool = True
 
     def __post_init__(self):
         for name in ("dt", "horizon", "convergence_window", "tol_conv"):
@@ -248,8 +247,6 @@ class IntegratorConfig:
             raise ValueError("integrator step must be positive")
         if not math.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon {self.horizon} holds too many steps of dt {self.dt}")
-        if self.store_stride < 1:
-            raise ValueError("store_stride must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -270,8 +267,12 @@ class NetworkSpec:
                 f"{len(self.controllers)} controllers for "
                 f"{self.graph.edge_count} edges"
             )
-        if len(np.atleast_1d(self.x0)) != self.graph.vertex_count:
+        x0 = np.atleast_1d(self.x0)
+        if len(x0) != self.graph.vertex_count:
             raise DimensionMismatch("initial state length != vertex count")
+        bad = np.flatnonzero(~np.isfinite(x0))
+        if bad.size:
+            raise NonFiniteValue(f"x0[{bad[0]}] = {x0[bad[0]]} is not finite")
 
 
 @dataclass
@@ -309,16 +310,14 @@ def _value_key(obj):
     """Hashable key under which equal callables, and their bound values, agree.
 
     A ``functools.partial`` keys on its function and the keys of its bound
-    arguments, taken recursively; a number on its type and exact bits (so
-    0.0 and -0.0 differ); anything else on its identity.
+    arguments, taken recursively; a float on its exact bits (so 0.0 and
+    -0.0 differ); anything else, ints and bools too, on its identity.
     """
     if isinstance(obj, partial):
         return (_value_key(obj.func), tuple(map(_value_key, obj.args)),
                 tuple((k, _value_key(v)) for k, v in sorted(obj.keywords.items())))
     if isinstance(obj, float):
         return type(obj), obj.hex()
-    if isinstance(obj, numbers.Integral):
-        return type(obj), int(obj)
     return (id(obj),)
 
 
@@ -446,7 +445,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
     :func:`dormand_prince` steps it between the floor ``dt`` and half the
     convergence window up to ``horizon`` rounded to a multiple of ``dt``, so
     no run takes more steps than fixed steps of ``dt``.  Rows are stored at
-    multiples of ``store_stride·dt``, plus a final row at the stop time.
+    multiples of 10·dt, plus a final row at the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
     the stored signals satisfy them exactly.  With constant feedthrough D
@@ -454,7 +453,10 @@ def simulate(spec: NetworkSpec) -> SimResult:
     an inverse computed once.  The convergence flag is set, at an accepted
     step, once the last step end with max state-derivative norm not below
     ``tol_conv`` lies at least ``convergence_window`` back, less dt/100 so
-    that rounding cannot decide a tie; by default integration stops there.
+    that rounding cannot decide a tie; integration stops there.  Overflow is
+    not warned of: a non-finite trial step is retried or raised by
+    :func:`dormand_prince`, and a stored row whose x, u, y, ζ or μ is not
+    finite raises :class:`NonFiniteState` naming its time.
     """
     cfg = spec.integrator
     n = spec.graph.vertex_count
@@ -488,24 +490,24 @@ def simulate(spec: NetworkSpec) -> SimResult:
     stored_t, stored_x = [], []
     last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
-    for t, x, x_dot, row_t, row_x in dormand_prince(
-            xdot, x, 0.0, int(round(cfg.horizon / dt)) * dt, dt,
-            max(0.5 * window, dt), cfg.store_stride):
-        stored_t.append(row_t)
-        stored_x.append(row_x)
-        if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
-            last_moving = t
-        if t - last_moving >= window - 0.01 * dt:
-            converged = True
-            if cfg.stop_on_convergence:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, x, x_dot, row_t, row_x in dormand_prince(
+                xdot, x, 0.0, int(round(cfg.horizon / dt)) * dt, dt,
+                max(0.5 * window, dt), 10):
+            stored_t.append(row_t)
+            stored_x.append(row_x)
+            if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
+                last_moving = t
+            if t - last_moving >= window - 0.01 * dt:
+                converged = True
                 break
-
-    stored_t.append([t])
-    stored_x.append(x[None])
-    xs = np.concatenate(stored_x)
-    u, y, zeta, mu = (a.T for a in signals(xs.T, np.zeros(xs.T.shape)))
-    return SimResult(t=np.concatenate(stored_t), x=xs, u=u, y=y, zeta=zeta,
-                     mu=mu, converged=converged, steady_state=y[-1])
+        ts, xs = np.concatenate(stored_t + [[t]]), np.concatenate(stored_x + [x[None]])
+        u, y, zeta, mu = (a.T for a in signals(xs.T, np.zeros(xs.T.shape)))
+    finite = np.isfinite(np.hstack((xs, u, y, zeta, mu))).all(axis=1)
+    if not finite.all():
+        raise NonFiniteState(f"signals not finite at t = {ts[np.argmin(finite)]:.3f}")
+    return SimResult(t=ts, x=xs, u=u, y=y, zeta=zeta, mu=mu,
+                     converged=converged, steady_state=y[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +957,8 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     agent object, and the simulator evaluates vertices whose agents were
     built with equal parameters in one array call (see :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
-    must match the length of ``x0``.  A missing or malformed entry raises
-    :class:`InvalidSpec` naming its JSON path.
+    must match the length of ``x0``, whose entries must be finite.  A missing
+    or malformed entry raises :class:`InvalidSpec` naming its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -1003,4 +1005,5 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
 
     with _located("$.integrator"):
         integ = IntegratorConfig(**doc.get("integrator", {}))
-    return NetworkSpec(graph, tuple(agents), tuple(controllers), x0, integ)
+    with _located("$"):
+        return NetworkSpec(graph, tuple(agents), tuple(controllers), x0, integ)

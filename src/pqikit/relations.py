@@ -85,9 +85,11 @@ class PlanarRelation:
 
     @classmethod
     def _curve(cls, sigma, u_of_sigma: Callable, y_of_sigma: Callable):
+        # unwarned: the constructor names the first sample a map made non-finite
         sigma = np.asarray(sigma, dtype=float)
-        u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
-                for f in (u_of_sigma, y_of_sigma))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
+                    for f in (u_of_sigma, y_of_sigma))
         return cls(u, y, sigma)
 
     @classmethod

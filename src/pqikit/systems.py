@@ -69,10 +69,11 @@ def _quadratic_f(center, x, u):
     return -x + u + center
 
 
-def odd_cubic_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
-    """dx/dt = -x + cbrt(x) + u, y = cbrt(x); inverse relation u = y^3 - y."""
+def odd_cubic_agent() -> AgentODE:
+    """dx/dt = -x + cbrt(x) + u, y = cbrt(x); inverse relation u = y^3 - y,
+    sampled at ``DEFAULT_GRID_POINTS`` values of y in [-3, 3]."""
     relation = PlanarRelation.from_param_curve(
-        lambda s: s**3 - s, lambda s: s, sigma_range, n
+        lambda s: s**3 - s, lambda s: s, (-3.0, 3.0)
     )
     return AgentODE(
         f=_odd_cubic_f,
@@ -83,14 +84,15 @@ def odd_cubic_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
     )
 
 
-def nonmonotone_demo_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
+def nonmonotone_demo_agent() -> AgentODE:
     """dx/dt = -cbrt(x) + x/2 + u/2, y = x/2 - u/2.
 
     Steady states trace (u, y) = (2s - s^3, s^3 - s) with s the cube root of
-    the equilibrium state: non-monotone in both directions, but cursive.
+    the equilibrium state: non-monotone in both directions, but cursive.  The
+    relation is sampled at ``DEFAULT_GRID_POINTS`` values of s in [-3, 3].
     """
     relation = PlanarRelation.from_param_curve(
-        lambda s: 2.0 * s - s**3, lambda s: s**3 - s, sigma_range, n
+        lambda s: 2.0 * s - s**3, lambda s: s**3 - s, (-3.0, 3.0)
     )
     return AgentODE(
         f=_demo_f,
@@ -102,19 +104,15 @@ def nonmonotone_demo_agent(sigma_range=(-3.0, 3.0), n: int = 4001) -> AgentODE:
     )
 
 
-def pendulum_gradient_agent(
-    r1: float = 2.5,
-    r2: float = 0.1,
-    sigma_range=(-40.0, 40.0),
-    n: int = 4001,
-) -> AgentODE:
+def pendulum_gradient_agent(r1: float = 2.5, r2: float = 0.1) -> AgentODE:
     """Gradient flow of U(x) = -r1*cos(x) + r2*x^2/2 driven by u, with y = x.
 
-    The steady-state relation u = r1*sin(y) + r2*y is cursive but
+    The steady-state relation u = r1*sin(y) + r2*y, sampled at
+    ``DEFAULT_GRID_POINTS`` values of y in [-40, 40], is cursive but
     non-monotone whenever r1 > r2.
     """
     relation = PlanarRelation.from_param_curve(
-        lambda s: r1 * np.sin(s) + r2 * s, lambda s: s, sigma_range, n
+        lambda s: r1 * np.sin(s) + r2 * s, lambda s: s, (-40.0, 40.0)
     )
     return AgentODE(
         f=partial(_pendulum_f, r1, r2),
@@ -131,7 +129,7 @@ def quadratic_agent(center: float = 0.0) -> AgentODE:
     potential (y - center)^2 / 2.
     """
     relation = PlanarRelation.from_param_curve(
-        lambda s: s - center, lambda s: s, (-20.0, 20.0), 4001
+        lambda s: s - center, lambda s: s, (-20.0, 20.0)
     )
     return AgentODE(
         f=partial(_quadratic_f, center),
@@ -141,32 +139,27 @@ def quadratic_agent(center: float = 0.0) -> AgentODE:
     )
 
 
-def unstable_plant_tf(gain: float = 0.75) -> RationalTF:
-    """gain / (s^2 + 2s - 2): stable pole plus one unstable pole."""
-    return RationalTF.make([gain], [-2.0, 2.0, 1.0])
+def unstable_plant_tf() -> RationalTF:
+    """0.75 / (s^2 + 2s - 2): stable pole plus one unstable pole."""
+    return RationalTF.make([0.75], [-2.0, 2.0, 1.0])
 
 
 def pendulum_network(
     n_agents: int = 5,
-    gain: float = 1.0,
-    r1: float = 2.5,
-    r2: float = 0.1,
-    seed: int = 4,
-    x0_range=(-20.0, 20.0),
     integrator: IntegratorConfig | None = None,
 ) -> NetworkSpec:
-    """Path-graph network of gradient-pendulum agents with static gains.
+    """Path graph of default gradient-pendulum agents with unit edge gains.
 
-    Initial states are drawn uniformly from ``x0_range`` with a fixed seed so
-    runs are reproducible.  The default seed and range are chosen so the
-    untransformed network settles into several output clusters while the
-    transformed network still reaches consensus at zero.
+    Initial states are drawn uniformly from [-20, 20] with seed 4 so runs
+    are reproducible.  With five agents the untransformed network settles
+    into several output clusters while the transformed network still
+    reaches consensus at zero.
     """
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(x0_range[0], x0_range[1], size=n_agents)
+    rng = np.random.default_rng(4)
+    x0 = rng.uniform(-20.0, 20.0, size=n_agents)
     graph = Graph.path(n_agents)
-    agents = (pendulum_gradient_agent(r1, r2),) * n_agents
-    controllers = tuple(ControllerSpec(gain=gain) for _ in range(graph.edge_count))
+    agents = (pendulum_gradient_agent(),) * n_agents
+    controllers = tuple(ControllerSpec(gain=1.0) for _ in range(graph.edge_count))
     return NetworkSpec(graph, agents, controllers, x0,
                        integrator or IntegratorConfig())
 

@@ -105,7 +105,7 @@ def test_criterion_2_fold_curve_regression():
 
 def test_criterion_3_lti_regression():
     t0 = time.perf_counter()
-    G = unstable_plant_tf(0.75)
+    G = unstable_plant_tf()
     lam = 4.0
     mu = loop_mu(G, lam)
     idx = eips_indices(G, lam)

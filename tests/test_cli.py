@@ -138,6 +138,21 @@ class TestSimulate:
          "$.graph.edges[0]: vertex index 1e+308 out of range for 2 vertices"),
         ("integrator", {"horizon": 1e308, "dt": 0.01},
          "$.integrator: ValueError: horizon 1e+308 holds too many steps"),
+        ("x0", [float("inf"), 0.0], "$: NonFiniteValue: x0[0] = inf is not finite"),
+        ("x0", [0.0, float("nan")], "$: NonFiniteValue: x0[1] = nan is not finite"),
+        # the built-in agents' grids and the integrator's row stride and
+        # stop rule are constants, so a spec cannot set them
+        ("agents", {"kind": "pendulum-gradient", "params": {"n": 0}},
+         "$.agents[0].params: TypeError: pendulum_gradient_agent() got an "
+         "unexpected keyword argument 'n'"),
+        ("agents", {"kind": "odd-cubic", "params": {"sigma_range": [-1, 1]}},
+         "$.agents[0].params: TypeError: odd_cubic_agent() got an "
+         "unexpected keyword argument 'sigma_range'"),
+        ("integrator", {"store_stride": 5}, "$.integrator: TypeError: "),
+        ("integrator", {"stop_on_convergence": False}, "$.integrator: TypeError: "),
+        ("agents", {"kind": "pendulum-gradient", "params": {"r1": float("inf")}},
+         "$.agents[0].params: NonFiniteValue: relation samples must be finite, "
+         "not sample 0 (-inf, -40.0) at parameter -40.0"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):
@@ -153,6 +168,33 @@ class TestSimulate:
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ") and located in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d["agents"][0]["params"].update(center=1e308),
+        lambda d: d.update(x0=[1e308, -0.2, 0.3]),
+        lambda d: d.update(controllers={"gain": 1e308}),
+    ], ids=["center", "x0", "gain"])
+    def test_trajectory_leaving_float_range_is_refused(self, tmp_path, capsys,
+                                                       change):
+        doc = {
+            "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+            "agents": [{"kind": "quadratic", "params": {"center": 1.0}},
+                       {"kind": "pendulum-gradient", "params": {}},
+                       {"kind": "odd-cubic"}],
+            "controllers": {"gain": 1.0},
+            "x0": [0.1, -0.2, 0.3],
+            "integrator": {"dt": 0.01, "horizon": 2.0},
+        }
+        change(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "run"
+        # tier-1 turns RuntimeWarnings into errors, so none may escape either
+        rc = main(["simulate", "--spec", str(path), "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: NonFiniteState: ") and "at t = " in err
+        assert not (outdir / "trajectories.csv").exists()
 
     def test_missing_spec_is_error(self, tmp_path, capsys):
         rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),

@@ -120,7 +120,7 @@ class TestLinfNorm:
 
 class TestEipsIndices:
     def test_reference_plant(self):
-        G = unstable_plant_tf(0.75)
+        G = unstable_plant_tf()
         assert abs(loop_mu(G, 4.0) - 1.0) <= 1e-6
         idx = eips_indices(G, 4.0)
         assert abs(idx.rho + 20.0 / 9.0) <= 1e-6
@@ -181,7 +181,7 @@ class TestLambdaSearch:
     def test_reference_plant_grid_minimizer(self):
         # mu decreases monotonically with the shift here, so the largest
         # admissible grid value wins
-        assert lambda_search(unstable_plant_tf(0.75), np.arange(11.0)) == 10.0
+        assert lambda_search(unstable_plant_tf(), np.arange(11.0)) == 10.0
 
     def test_stable_plant_admits_zero(self):
         G = RationalTF.make([1.0], [1.0, 1.0])
@@ -321,7 +321,7 @@ class TestTransformedTF:
         np.testing.assert_allclose(Gt.den.coeffs, (2.0, 2.0, 1.0), atol=1e-12)
 
     def test_reference_numerator_variant(self):
-        Gt = transformed_tf(unstable_plant_tf(0.75), Transform2(1.0, 4.0, 1.0, 5.0))
+        Gt = transformed_tf(unstable_plant_tf(), Transform2(1.0, 4.0, 1.0, 5.0))
         np.testing.assert_allclose(Gt.num.coeffs, (1.75, 2.0, 1.0), atol=1e-12)
         np.testing.assert_allclose(Gt.den.coeffs, (1.0, 2.0, 1.0), atol=1e-12)
 
@@ -589,7 +589,7 @@ class TestGainScaleInvariance:
 
 class TestCrossModuleConsistency:
     def test_index_pipeline_reaches_strict_passivity(self):
-        G = unstable_plant_tf(0.75)
+        G = unstable_plant_tf()
         T = passivize(eips_indices(G, 4.0), PassivityIndices(0.0, 0.0))
         np.testing.assert_allclose(T.matrix(), [[1.0, 4.0], [1.0, 5.0]],
                                    atol=1e-12)

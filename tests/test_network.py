@@ -53,7 +53,7 @@ from pqikit.systems import (
     quadratic_network,
 )
 
-FAST = IntegratorConfig(horizon=30.0, store_stride=10)
+FAST = IntegratorConfig(horizon=30.0)
 
 
 def _relation_agent(u_of_y, s_range=(-3.0, 3.0), n=4001):
@@ -161,7 +161,7 @@ class TestSimulate:
     def test_isolated_agent_follows_autonomous_flow(self):
         spec = NetworkSpec(
             Graph(1, ()), (quadratic_agent(0.0),), (), np.array([1.0]),
-            IntegratorConfig(horizon=5.0, stop_on_convergence=False),
+            IntegratorConfig(horizon=5.0, tol_conv=0.0),
         )
         sim = simulate(spec)
         np.testing.assert_allclose(sim.y[:, 0], np.exp(-sim.t), atol=1e-8)
@@ -200,7 +200,7 @@ class TestSimulate:
             Graph(1, ()), (AgentODE(f=flow, h=lambda x, u: x),), (),
             np.array([1.0]),
             IntegratorConfig(horizon=60.0, convergence_window=10.0,
-                             stop_on_convergence=False))
+                             tol_conv=0.0))
         with np.errstate(invalid="ignore"):
             sim = simulate(spec)
         assert any(nan_calls)
@@ -870,8 +870,6 @@ def _bare_spec():
      DimensionMismatch, "initial state length"),
     (lambda: simulate(quadratic_network(integrator=IntegratorConfig(dt=0.0))),
      ValueError, "step must be positive"),
-    (lambda: simulate(quadratic_network(integrator=IntegratorConfig(store_stride=0))),
-     ValueError, "store_stride"),
     (lambda: transform_agent(replace(quadratic_agent(0.0), feedthrough=1.0),
                              Transform2(1.0, -1.0, 0.0, 1.0)),
      SingularTransform, r"a \+ b\*feedthrough vanished"),
@@ -900,7 +898,7 @@ def _bare_spec():
      "^tol_conv must not be negative, got -1.0$"),
     (lambda: IntegratorConfig(dt=0.01, horizon=1e308), ValueError,
      r"^horizon 1e\+308 holds too many steps of dt 0.01$"),
-], ids=["controller_count", "x0_length", "dt", "store_stride", "feedthrough",
+], ids=["controller_count", "x0_length", "dt", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count",
         "negative_horizon", "negative_window", "negative_tol_conv",

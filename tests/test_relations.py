@@ -39,7 +39,6 @@ from pqikit.errors import (
 from pqikit.relations import (OF_K, OF_K_INVERSE, TIE_RTOL, _no_near_self_intersection,
                                _trapezoid, _write_csv)
 from pqikit.systems import (
-    nonmonotone_demo_agent,
     odd_cubic_agent,
     pendulum_gradient_agent,
 )
@@ -47,7 +46,8 @@ from pqikit.systems import (
 
 def cubic_fold_curve(n=4001):
     """(2s - s^3, s^3 - s): non-monotone in both coordinates."""
-    return nonmonotone_demo_agent(n=n).relation
+    return PlanarRelation.from_param_curve(
+        lambda s: 2.0 * s - s**3, lambda s: s**3 - s, (-3.0, 3.0), n)
 
 
 def assert_csv_cells(path, columns):

@@ -280,6 +280,14 @@ class TestBracketRoots:
         assert roots.tolist() == [-1.0, -0.5, 0.0, 0.5]
         assert calls == [5]
 
+    def test_round_cap_ends_a_bracket_beside_a_grid_zero(self):
+        # the root 1e-300 sits next to the grid point 0, so each round
+        # halves the bracket and 80 rounds leave it about 5e-32 wide
+        f, calls = counted(lambda x, u: x - 1e-300)
+        roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 2)
+        assert len(calls) <= 81
+        assert len(roots) == 1 and abs(roots[0] - 1e-300) <= 1e-30
+
     @pytest.mark.parametrize("agent, most", [
         (pendulum_gradient_agent(), 15), (odd_cubic_agent(), 20),
         (nonmonotone_demo_agent(), 20),
