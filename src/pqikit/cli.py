@@ -3,9 +3,10 @@
 Subcommands: ``passivize`` (index pair to transform + decomposition),
 ``analyze-lti`` (transfer-function index pipeline), ``simulate`` (network
 integration from a JSON spec), ``optimize`` (steady-state prediction via the
-dual problems), and ``case-study`` (end-to-end regression runs with pass/fail
-summaries).  All outputs are plain CSV/JSON; every run writes a manifest with
-a digest of its inputs so reruns are verifiably identical.
+dual problems), and ``case-study`` (the worked examples as end-to-end
+regression runs with pass/fail summaries).  All outputs are plain CSV/JSON;
+every run that writes files writes a manifest with a digest of its inputs so
+reruns are verifiably identical.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,27 +32,9 @@ from .lti import (
 )
 from .network import apply_network_transform, simulate, solve_ofp, solve_opp, spec_from_json
 from .pqi import PassivityIndices
-from .relations import OF_K_INVERSE, integral_function
-from .systems import pendulum_network, unstable_plant_tf
-from .transforms import STAGE_REALIZATIONS, Transform2, decompose, passivize
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record: inputs in, files out, nothing time-dependent."""
-
-    command: str
-    input_digest: str
-    version: str = __version__
-    seed: int | None = None
-    outputs: list[str] = field(default_factory=list)
-
-    @staticmethod
-    def digest(payload: str) -> str:
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def write(self, outdir: str) -> str:
-        return _write_json(os.path.join(outdir, "manifest.json"), self.__dict__)
+from .relations import OF_K_INVERSE, IntegralFunction, integral_function, legendre
+from .systems import pendulum_network, quadratic_network, unstable_plant_tf
+from .transforms import STAGE_REALIZATIONS, decompose, passivize
 
 
 def _write_json(path: str, obj) -> str:
@@ -61,18 +44,41 @@ def _write_json(path: str, obj) -> str:
     return path
 
 
+def _write_manifest(outdir: str, command: str, payload: str, outputs, seed):
+    """Reproducibility record: inputs in, files out, nothing time-dependent."""
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "command": command,
+        "input_digest": hashlib.sha256(payload.encode()).hexdigest(),
+        "version": __version__,
+        "seed": seed,
+        "outputs": outputs,
+    })
+
+
 def _outdir(args) -> str:
     d = args.outdir or "."
     os.makedirs(d, exist_ok=True)
     return d
 
 
-def _parse_poly(text: str):
-    return [float(v) for v in text.split(",")]
+def _finite_floats(text: str) -> list[float]:
+    """A comma-separated list of finite floats: the ``type`` of a list flag,
+    so argparse names the flag of a malformed list."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"entry {i} = {v} is not finite")
+    return values
 
 
-def _matrix_list(T: Transform2):
-    return [[T.a, T.b], [T.c, T.d]]
+def _read_spec(path: str):
+    """The spec file's text and the NetworkSpec it describes."""
+    with open(path) as fh:
+        doc = fh.read()
+    return doc, spec_from_json(doc)
 
 
 def _lti_pipeline(G: RationalTF, lam: float):
@@ -105,11 +111,11 @@ def cmd_passivize(args) -> int:
 
 
 def cmd_analyze_lti(args) -> int:
-    G = RationalTF.make(_parse_poly(args.num), _parse_poly(args.den))
+    G = RationalTF.make(args.num, args.den)
     if args.lam is not None:
         lam = args.lam
     else:
-        grid = (np.asarray(_parse_poly(args.lambda_grid))
+        grid = (np.asarray(args.lambda_grid)
                 if args.lambda_grid else np.arange(0.0, 11.0))
         lam = lambda_search(G, grid)
     mu, idx, T, Gt, strict = _lti_pipeline(G, lam)
@@ -118,7 +124,7 @@ def cmd_analyze_lti(args) -> int:
         "mu": mu,
         "rho": idx.rho,
         "nu": idx.nu,
-        "transform": _matrix_list(T),
+        "transform": T.matrix().tolist(),
         "transformed_tf": Gt.to_json_dict(),
         "strict_indices": {"rho": strict.rho, "nu": strict.nu},
     }
@@ -127,26 +133,20 @@ def cmd_analyze_lti(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
-        doc = fh.read()
-    spec = spec_from_json(doc)
+    doc, spec = _read_spec(args.spec)
     result = simulate(spec)
     outdir = _outdir(args)
     traj = os.path.join(outdir, "trajectories.csv")
     result.to_csv(traj)
     summary_path = _write_json(os.path.join(outdir, "summary.json"),
                                result.summary_dict())
-    manifest = RunManifest("simulate", RunManifest.digest(doc),
-                           outputs=[traj, summary_path])
-    manifest.write(outdir)
+    _write_manifest(outdir, "simulate", doc, [traj, summary_path], None)
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    with open(args.spec) as fh:
-        doc = fh.read()
-    spec = spec_from_json(doc)
+    doc, spec = _read_spec(args.spec)
     solver = solve_opp if args.problem == "opp" else solve_ofp
     result = solver(spec)
     report = {
@@ -160,10 +160,7 @@ def cmd_optimize(args) -> int:
     outdir = _outdir(args)
     out_path = _write_json(os.path.join(outdir, f"optimize_{args.problem}.json"),
                            report)
-    manifest = RunManifest("optimize",
-                           RunManifest.digest(doc + args.problem),
-                           outputs=[out_path])
-    manifest.write(outdir)
+    _write_manifest(outdir, "optimize", doc + args.problem, [out_path], None)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -189,7 +186,7 @@ def _case_study_lti(outdir: str):
                {"got": idx.nu, "want": -1.0 / 9.0}, "pinned-reference-value"),
         _check("transform",
                np.allclose(T.matrix(), [[1.0, 4.0], [1.0, 5.0]], atol=1e-9),
-               {"got": _matrix_list(T), "want": [[1, 4], [1, 5]]},
+               {"got": T.matrix().tolist(), "want": [[1, 4], [1, 5]]},
                "pinned-reference-value"),
         _check(
             "transformed_tf",
@@ -214,7 +211,7 @@ def _case_study_lti(outdir: str):
     ]
     report = {
         "lambda": lam,
-        "transform": _matrix_list(T),
+        "transform": T.matrix().tolist(),
         "transformed_tf": Gt.to_json_dict(),
         "checks": checks,
     }
@@ -241,8 +238,8 @@ def _case_study_gradient_network(outdir: str):
 
     checks = [
         _check("transform",
-               _matrix_list(T) == [[1.0, 2.5], [0.0, 1.0]],
-               {"got": _matrix_list(T)}, "pinned-reference-value"),
+               T.matrix().tolist() == [[1.0, 2.5], [0.0, 1.0]],
+               {"got": T.matrix().tolist()}, "pinned-reference-value"),
         _check("transformed_consensus_at_zero",
                sim_t.converged
                and float(np.max(np.abs(sim_t.steady_state))) <= 1e-3,
@@ -274,21 +271,53 @@ def _case_study_gradient_network(outdir: str):
     return checks, files
 
 
+def _case_study_duality(outdir: str):
+    """Both dual problems of the two-agent quadratic network, on node
+    potentials sampled at 200001 points of [-5, 5] and their Legendre duals."""
+    spec = quadratic_network()
+    fine = np.linspace(-5.0, 5.0, 200001)
+    pots = [IntegralFunction.from_function(lambda y: 0.5 * (y - c) ** 2, fine)
+            for c in (1.0, 3.0)]
+    opp = solve_opp(spec, node_potentials=pots)
+    ofp = solve_ofp(spec, node_potentials=[legendre(p, fine) for p in pots])
+    sim = simulate(spec)
+    gap = abs(opp.objective + ofp.objective)
+    error = float(np.max(np.abs(opp.primal - sim.steady_state)))
+    report = {
+        "grid_points": len(fine),
+        "opp_objective": opp.objective,
+        "ofp_objective": ofp.objective,
+        "duality_gap": gap,
+        "opp_primal": [float(v) for v in opp.primal],
+        "ofp_coupling": [float(v) for v in ofp.coupling],
+        "simulated_steady_state": [float(v) for v in sim.steady_state],
+        "prediction_error": error,
+    }
+    checks = [
+        _check("duality_gap", gap <= 1e-10, {"gap": gap}, "independent-oracle"),
+        _check("prediction_agreement", error <= 1e-5, {"error": error},
+               "independent-oracle"),
+    ]
+    return checks, [_write_json(os.path.join(outdir, "duality_report.json"), report)]
+
+
+# name: (study, seed of its fixture or None)
+CASE_STUDIES = {
+    "lti": (_case_study_lti, None),
+    "gradient-network": (_case_study_gradient_network, 4),
+    "duality": (_case_study_duality, None),
+}
+
+
 def cmd_case_study(args) -> int:
     outdir = _outdir(args)
-    if args.name == "lti":
-        checks, files = _case_study_lti(outdir)
-        seed = None
-    else:
-        checks, files = _case_study_gradient_network(outdir)
-        seed = 4
+    study, seed = CASE_STUDIES[args.name]
+    checks, files = study(outdir)
     all_pass = all(c["passed"] for c in checks)
     summary = {"case_study": args.name, "passed": all_pass, "checks": checks}
     files.append(_write_json(os.path.join(outdir, "case_study_summary.json"),
                              summary))
-    manifest = RunManifest("case-study", RunManifest.digest(args.name),
-                           seed=seed, outputs=files)
-    manifest.write(outdir)
+    _write_manifest(outdir, "case-study", args.name, files, seed)
     for c in checks:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
     return 0 if all_pass else 1
@@ -314,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-lti",
                        help="index pipeline for a rational transfer function")
-    p.add_argument("--num", required=True,
+    p.add_argument("--num", type=_finite_floats, required=True,
                    help="ascending comma-separated coefficients")
-    p.add_argument("--den", required=True,
+    p.add_argument("--den", type=_finite_floats, required=True,
                    help="ascending comma-separated coefficients")
     p.add_argument("--lam", type=float, default=None,
                    help="loop gain (searched over a grid when omitted)")
-    p.add_argument("--lambda-grid", default=None,
+    p.add_argument("--lambda-grid", type=_finite_floats, default=None,
                    help="comma-separated candidate loop gains")
     p.set_defaults(fn=cmd_analyze_lti)
 
@@ -336,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=cmd_optimize)
 
-    p = sub.add_parser("case-study", help="end-to-end regression runs")
-    p.add_argument("name", choices=("lti", "gradient-network"))
+    p = sub.add_parser("case-study", help="the worked examples, end to end")
+    p.add_argument("name", choices=tuple(CASE_STUDIES))
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=cmd_case_study)
 

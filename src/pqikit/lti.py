@@ -37,6 +37,7 @@ from .errors import (
     NonFiniteValue,
     NonpositiveGain,
     SingularDenominator1p2lm,
+    ToolkitError,
     UnstableDenominator,
 )
 from .pqi import PassivityIndices
@@ -418,7 +419,8 @@ def _shift_rows(G: RationalTF, lams) -> np.ndarray:
 
 
 def loop_mu(G: RationalTF, lam: float) -> float:
-    """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4."""
+    """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4; a peak past
+    the float range raises NonFiniteValue."""
     shifted = RealPolynomial.make(_shift_rows(G, lam)[0])
     if shifted.is_zero:
         raise DegreeDrop(f"q + {lam}*p vanishes identically")
@@ -427,10 +429,14 @@ def loop_mu(G: RationalTF, lam: float) -> float:
             f"q + {lam}*p drops degree from {G.den.degree} to {shifted.degree}"
         )
     try:
-        return linf_norm(RationalTF(G.num, shifted)) + 0.25
+        mu = linf_norm(RationalTF(G.num, shifted)) + 0.25
     except UnstableDenominator:
         raise DestabilizingLambda(
             f"q + {lam}*p is not a stable polynomial") from None
+    if not math.isfinite(mu):
+        raise NonFiniteValue(f"mu = {mu} at lambda = {lam}: the peak gain of "
+                             "p/(q + lambda*p) leaves the float range")
+    return mu
 
 
 def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
@@ -446,7 +452,10 @@ def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
         raise SingularDenominator1p2lm("1 + 2*lambda*mu vanished")
     rho = -lam * (1.0 + lam * mu) / denom
     nu = -mu / denom
-    return PassivityIndices(rho, nu)
+    try:
+        return PassivityIndices(rho, nu)
+    except ToolkitError as exc:
+        raise type(exc)(f"lambda = {lam}, mu = {mu}: {exc}") from exc
 
 
 def _grid_mu(G: RationalTF, grid) -> np.ndarray:

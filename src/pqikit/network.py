@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
+    ToolkitError,
 )
 from .relations import (
     OF_K_INVERSE,
@@ -729,9 +730,10 @@ def _minimize_convex(models, B, Q):
     cannot move z ends the iteration, as does the cap of _TRUST_ITERATIONS;
     either way the residual still above its bound raises NoConvergence.
     Returns the minimizer, the objective, the iteration count and the
-    residual.
+    residual; with no variables, the empty z with objective 0 and no
+    iteration.
     """
-    floor = 1e-12 * max(max(-d.min(), d.max()) for _, d, _ in models)
+    floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
 
     def pieces(w):
         """Value, slope and curvature of each model at the matching w."""
@@ -759,7 +761,7 @@ def _minimize_convex(models, B, Q):
             curv=curv)
 
     z, iterations = np.zeros(B.shape[1]), 0
-    radius = max(float(x[-1] - x[0]) for x, _, _ in models)
+    radius = max((float(x[-1] - x[0]) for x, _, _ in models), default=0.0)
     now = at(z)
     while (now.residual > now.bound and np.isfinite(now.f)
            and iterations < _TRUST_ITERATIONS):
@@ -793,10 +795,19 @@ def _minimize_convex(models, B, Q):
     return z, float(now.f), iterations, now.residual
 
 
-def _agent_kstar(agent: AgentODE) -> IntegralFunction:
-    if agent.relation is None:
-        raise PreconditionFailed("agent lacks a steady-state relation")
-    return integral_function(agent.relation, OF_K_INVERSE)
+def _kstars(agents) -> list:
+    """The potential K*ᵢ of each agent, built once per agent object; an
+    agent whose K* cannot be built is named by its first vertex."""
+    def kstar(pair):
+        i, agent = pair
+        if agent.relation is None:
+            raise PreconditionFailed(f"vertex {i}: agent lacks a steady-state relation")
+        try:
+            return integral_function(agent.relation, OF_K_INVERSE)
+        except ToolkitError as exc:
+            raise type(exc)(f"vertex {i}: {exc}") from exc
+
+    return _once_per_object(list(enumerate(agents)), kstar, key=lambda pair: id(pair[1]))
 
 
 def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
@@ -812,7 +823,7 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     problem uses it.
     """
     if node_potentials is None:
-        node_potentials = _once_per_object(spec.agents, _agent_kstar)
+        node_potentials = _kstars(spec.agents)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     y, fval, iters, residual = _minimize_convex(
@@ -833,7 +844,7 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     """
     if node_potentials is None:
         models = _once_per_object(
-            _c1_models(_once_per_object(spec.agents, _agent_kstar)), _conjugate)
+            _c1_models(_kstars(spec.agents)), _conjugate)
     else:
         models = _c1_models(node_potentials)
     E = spec.graph.incidence_matrix()
@@ -925,6 +936,19 @@ def _json_edge(edge, n: int, path: str) -> tuple:
     return ends
 
 
+def _refuse_booleans(node, path: str) -> None:
+    """InvalidSpec naming the first JSON true or false: no spec entry takes
+    one, and Python would read it as the number 1 or 0."""
+    if isinstance(node, bool):
+        raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _refuse_booleans(child, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            _refuse_booleans(child, f"{path}[{i}]")
+
+
 @contextmanager
 def _located(path: str):
     """Report a malformed JSON entry as InvalidSpec naming its path."""
@@ -957,11 +981,13 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     agent object, and the simulator evaluates vertices whose agents were
     built with equal parameters in one array call (see :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
-    must match the length of ``x0``, whose entries must be finite.  A missing
-    or malformed entry raises :class:`InvalidSpec` naming its JSON path.
+    must match the length of ``x0``, a flat list of finite numbers.  A missing
+    or malformed entry, a JSON ``true`` or ``false`` included, raises
+    :class:`InvalidSpec` naming its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    _refuse_booleans(doc, "$")
     from .systems import AGENT_REGISTRY
     with _located("$"):
         g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
@@ -973,9 +999,11 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
                                for e, edge in enumerate(g["edges"])))
     with _located("$.x0"):
         x0 = np.asarray(raw_x0, dtype=float)
+    if x0.ndim != 1:
+        raise InvalidSpec(f"$.x0: must be one flat list of numbers, not of shape {x0.shape}")
     # the vertex count sizes every list below, so it must match the states given
-    if len(np.atleast_1d(x0)) != graph.vertex_count:
-        raise InvalidSpec(f"$.x0: {len(np.atleast_1d(x0))} initial states for "
+    if len(x0) != graph.vertex_count:
+        raise InvalidSpec(f"$.x0: {len(x0)} initial states for "
                           f"$.graph.vertices = {raw_n!r}")
 
     if isinstance(raw_agents, dict):

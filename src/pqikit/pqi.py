@@ -55,8 +55,8 @@ class PQI:
 
 @dataclass(frozen=True)
 class PassivityIndices:
-    """Output index rho and input index nu, finite, with rho*nu < 1/4 and a
-    finite discriminant 1 - 4*rho*nu."""
+    """Output index rho and input index nu, finite, with rho*nu < 1/4, a
+    finite discriminant 1 - 4*rho*nu and a non-trivial induced PQI."""
 
     rho: float
     nu: float
@@ -70,9 +70,15 @@ class PassivityIndices:
             raise TrivialPQI(
                 f"indices rho={self.rho}, nu={self.nu} give rho*nu >= 1/4"
             )
-        if not math.isfinite(discriminant(self.pqi())):
+        p = self.pqi()
+        disc = discriminant(p)
+        if not math.isfinite(disc):
             raise NonFiniteValue(f"indices rho={self.rho}, nu={self.nu} overflow "
                                  "the discriminant 1 - 4*rho*nu")
+        if not is_nontrivial(p):
+            raise TrivialPQI(f"indices rho={self.rho}, nu={self.nu} give a trivial PQI: "
+                             f"1 - 4*rho*nu = {disc} is not above {DISC_RTOL} of "
+                             "rho^2 + 1 + nu^2")
 
     def pqi(self) -> PQI:
         """The induced increment inequality -nu*xi^2 + xi*chi - rho*chi^2 >= 0."""
@@ -113,10 +119,23 @@ def discriminant(p: PQI) -> float:
     return p.b * p.b - 4.0 * p.a * p.c
 
 
+def _scaled(p: PQI) -> tuple[float, float, float]:
+    """The coefficients over the power of two of the largest |coefficient|.
+
+    Scaling by a power of two is exact, so normal-range coefficients keep
+    their verdicts and rays bit for bit, and no unit of the PQI makes
+    b^2 - 4ac of the scaled triple overflow or underflow: only coefficients
+    far apart from each other can.
+    """
+    e = math.frexp(max(abs(p.a), abs(p.b), abs(p.c)))[1]
+    return tuple(math.ldexp(v, -e) for v in (p.a, p.b, p.c))
+
+
 def is_nontrivial(p: PQI) -> bool:
-    """True iff b^2 - 4ac > 0, with a relative zero band of DISC_RTOL."""
-    scale = p.a * p.a + p.b * p.b + p.c * p.c
-    return discriminant(p) > DISC_RTOL * scale
+    """True iff b^2 - 4ac > 0, with a relative zero band of DISC_RTOL,
+    decided on the scaled coefficients of `_scaled`."""
+    a, b, c = _scaled(p)
+    return b * b - 4.0 * a * c > DISC_RTOL * (a * a + b * b + c * c)
 
 
 def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +149,7 @@ def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
     """
     if not is_nontrivial(p):
         raise TrivialPQI(f"discriminant {discriminant(p)} is not positive")
-    # Scaling by a power of two is exact, so normal-range coefficients give
-    # the same rays bit for bit, and b^2 - 4ac never becomes subnormal.
-    e = math.frexp(max(abs(p.a), abs(p.b), abs(p.c)))[1]
-    a, b, c = (math.ldexp(v, -e) for v in (p.a, p.b, p.c))
+    a, b, c = _scaled(p)
     scale = math.sqrt(a * a + b * b + c * c)
     sqrt_d = math.sqrt(b * b - 4.0 * a * c)
     # The paired-root formulas are cancellation-free for any nonzero a, so

@@ -289,7 +289,10 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    return IntegralFunction(gx, _trapezoid(gx, gv, 0.0))
+    # unwarned: the constructor names the first value past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _trapezoid(gx, gv, 0.0)
+    return IntegralFunction(gx, values)
 
 
 def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:

@@ -1,9 +1,16 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqikit.cli import main
 
@@ -19,11 +26,30 @@ QUAD_SPEC = {
 }
 
 
+# a 3-vertex path of a quadratic, a pendulum-gradient and an odd-cubic agent
+PATH3_SPEC = {
+    "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+    "agents": [{"kind": "quadratic", "params": {"center": 1.0}},
+               {"kind": "pendulum-gradient", "params": {"r1": 2.5, "r2": 0.1}},
+               {"kind": "odd-cubic"}],
+    "controllers": {"gain": 1.5},
+    "x0": [0.1, -0.2, 0.3],
+    "integrator": {"dt": 0.01, "horizon": 2.0},
+}
+
+EMPTY_SPEC = {"graph": {"vertices": 0, "edges": []}, "agents": [],
+              "controllers": [], "x0": []}
+
+
+def _spec_path(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.fixture
 def quad_spec_path(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(QUAD_SPEC))
-    return str(path)
+    return _spec_path(tmp_path, QUAD_SPEC)
 
 
 class TestPassivize:
@@ -87,20 +113,25 @@ class TestAnalyzeLTI:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_malformed_coefficients_is_error(self, capsys):
-        rc = main(["analyze-lti", "--num", "abc", "--den", "1,1"])
-        assert rc == 2
-
     @pytest.mark.parametrize("flag, value, named", [
-        ("--lambda-grid", "0,nan", "lambda entry 1 "),
-        ("--lambda-grid", "inf", "lambda entry 0 "),
-        ("--den", "1,nan", "coefficient 1 ")])
-    def test_non_finite_input_is_named(self, capsys, flag, value, named):
+        ("--num", "abc", "could not convert string to float: 'abc'"),
+        ("--den", "1,,", "could not convert string to float: ''"),
+        ("--lambda-grid", "0,nan", "entry 1 = nan is not finite"),
+        ("--lambda-grid", "inf", "entry 0 = inf is not finite"),
+        ("--den", "1,nan", "entry 1 = nan is not finite")])
+    def test_malformed_list_names_its_flag(self, capsys, flag, value, named):
         args = {"--num": "0.75", "--den": "-2,2,1", flag: value}
-        rc = main(["analyze-lti"] + [f"{k}={v}" for k, v in args.items()])
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-lti"] + [f"{k}={v}" for k, v in args.items()])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: {named}\n" in capsys.readouterr().err
+
+    def test_peak_gain_past_float_range_is_named(self, capsys):
+        # the loop's peak gain is about 1e310, so mu is inf
+        rc = main(["analyze-lti", "--num", "1e300", "--den=1e-10,1", "--lam", "0"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "NonFiniteValue" in err and named in err
+        assert err.startswith("error: NonFiniteValue: mu = inf at lambda = 0.0: ")
 
 
 class TestSimulate:
@@ -149,10 +180,17 @@ class TestSimulate:
          "$.agents[0].params: TypeError: odd_cubic_agent() got an "
          "unexpected keyword argument 'sigma_range'"),
         ("integrator", {"store_stride": 5}, "$.integrator: TypeError: "),
-        ("integrator", {"stop_on_convergence": False}, "$.integrator: TypeError: "),
+        ("integrator", {"stop_on_convergence": False},
+         "$.integrator.stop_on_convergence: false is not a number"),
         ("agents", {"kind": "pendulum-gradient", "params": {"r1": float("inf")}},
          "$.agents[0].params: NonFiniteValue: relation samples must be finite, "
          "not sample 0 (-inf, -40.0) at parameter -40.0"),
+        ("x0", [[0.0], [0.0]],
+         "$.x0: must be one flat list of numbers, not of shape (2, 1)"),
+        # python reads true as 1, which would make this the edge (0, 1)
+        ("graph", {"vertices": 2, "edges": [[0, True]]},
+         "$.graph.edges[0][1]: true is not a number"),
+        ("x0", [0.0, False], "$.x0[1]: false is not a number"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):
@@ -237,6 +275,36 @@ class TestOptimize:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("problem", ["opp", "ofp"])
+    def test_overflowing_potential_names_its_vertex(self, tmp_path, capsys,
+                                                    problem):
+        doc = copy.deepcopy(PATH3_SPEC)
+        doc["agents"][1]["params"]["r1"] = 1e308
+        # tier-1 turns RuntimeWarnings into errors, so none may escape either
+        rc = main(["optimize", "--spec", _spec_path(tmp_path, doc),
+                   "--problem", problem, "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: NonFiniteValue: vertex 1: integral-function "
+                              "samples must be finite, not value -inf at sample 15")
+
+    @pytest.mark.parametrize("argv", [["simulate"],
+                                      ["optimize", "--problem", "opp"],
+                                      ["optimize", "--problem", "ofp"]],
+                             ids=["simulate", "opp", "ofp"])
+    def test_empty_network_solves(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--spec", _spec_path(tmp_path, EMPTY_SPEC),
+                          "--outdir", str(tmp_path)])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        if argv[0] == "simulate":
+            assert report["steady_state_y"] == [] and report["converged"]
+        else:
+            assert report["primal"] == report["coupling"] == []
+            assert report["objective"] == report["residual"] == 0.0
+            assert report["iterations"] == 0
+
+
 class TestCaseStudy:
     def test_lti_passes_and_lists_checks(self, tmp_path, capsys):
         rc = main(["case-study", "lti", "--outdir", str(tmp_path)])
@@ -270,6 +338,22 @@ class TestCaseStudy:
         assert len(checks) == 4 and all(c["passed"] for c in checks.values())
         assert checks["untransformed_clustering"]["detail"]["clusters"] >= 2
 
+    def test_duality_passes_within_its_bounds(self, tmp_path, capsys):
+        rc = main(["case-study", "duality", "--outdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out == "[PASS] duality_gap\n[PASS] prediction_agreement\n"
+        report = json.loads((tmp_path / "duality_report.json").read_text())
+        assert report["grid_points"] == 200001
+        assert report["duality_gap"] <= 1e-10
+        assert report["prediction_error"] <= 1e-5
+        np.testing.assert_allclose(report["opp_primal"], [5.0 / 3.0, 7.0 / 3.0],
+                                   atol=1e-5)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert [p.rsplit("/", 1)[-1] for p in manifest["outputs"]] == [
+            "duality_report.json", "case_study_summary.json"]
+
     def test_unknown_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["case-study", "bogus"])
@@ -281,3 +365,83 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _leaves(node, path=()):
+    """Key paths of the scalar leaves of a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _run(argv):
+    """Exit code of main(argv), argparse's included, and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue().splitlines()
+
+
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e308, -1e308, "a", None,
+               [], {}, True, 2.5, 1e6]
+FUZZ_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "a",
+                    "null", "[]", "{}", "true", "2.5", "1e6", "", "1,,2"]
+# the valid flags each fuzzed flag is added to
+FLAG_BASE = {"passivize": {"--rho": "-0.667", "--nu": "-0.333"},
+             "analyze-lti": {"--num": "0.75", "--den": "-2,2,1"}}
+FUZZ_FLAGS = [("passivize", f) for f in ("--rho", "--nu", "--rho-target", "--nu-target")] + [
+    ("analyze-lti", f) for f in ("--num", "--den", "--lam", "--lambda-grid")]
+# what an error line must name: the JSON path, the vertex or the time of a
+# spec fault; the index, or the loop gain or polynomial, of a flag's fault
+LOCATOR = {"spec": r"\$|vertex \d+: |at t = ", "passivize": r"\b(rho|nu)\b",
+           "analyze-lti": r"lambda|numerator|denominator|coefficient"}
+
+
+def _assert_named(rc, lines, locator, flag=None):
+    """Exit 0; argparse's exit 2 naming the flag; or exit 2 with one
+    ``error:`` line that names where the fault is (tier-1 turns a
+    RuntimeWarning into an exception, which fails the test)."""
+    if rc == 0:
+        return
+    assert rc == 2, lines
+    if flag is not None and lines[-1].startswith("pqikit "):
+        assert f": error: argument {flag}: " in lines[-1], lines
+        return
+    assert len(lines) == 1 and re.match(r"error: \w+: ", lines[0]), lines
+    assert re.search(locator, lines[0], re.IGNORECASE), lines
+
+
+class TestFuzz:
+    """Each leaf of a spec, and each numeric flag, set in turn to a bad
+    value: one command per example, no count or length made large."""
+
+    @given(leaf=st.sampled_from(list(_leaves(PATH3_SPEC))),
+           value=st.sampled_from(FUZZ_VALUES),
+           command=st.sampled_from([["simulate"], ["optimize", "--problem", "opp"],
+                                    ["optimize", "--problem", "ofp"]]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_spec_leaf(self, tmp_path, leaf, value, command):
+        doc = copy.deepcopy(PATH3_SPEC)
+        node = doc
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        rc, lines = _run(command + ["--spec", _spec_path(tmp_path, doc),
+                                    "--outdir", str(tmp_path / "out")])
+        _assert_named(rc, lines, LOCATOR["spec"])
+
+    @given(flag=st.sampled_from(FUZZ_FLAGS), value=st.sampled_from(FUZZ_FLAG_VALUES))
+    @settings(max_examples=250, deadline=None)
+    def test_flag(self, flag, value):
+        command, name = flag
+        args = dict(FLAG_BASE[command], **{name: value})
+        rc, lines = _run([command] + [f"{k}={v}" for k, v in args.items()])
+        _assert_named(rc, lines, LOCATOR[command], flag=name)

@@ -35,6 +35,7 @@ from pqikit.errors import (
     NonpositiveGain,
     SingularDenominator1p2lm,
     ToolkitError,
+    TrivialPQI,
     UnstableDenominator,
 )
 from pqikit.systems import unstable_plant_tf
@@ -231,6 +232,18 @@ class TestLambdaSearch:
     def test_non_finite_shift_rejected(self):
         with pytest.raises(NonFiniteValue):
             loop_mu(unstable_plant_tf(), math.nan)
+
+    def test_peak_gain_past_float_range_is_named(self):
+        # the peak gain 1e300/1e-10 at omega = 0 is past the float range
+        G = RationalTF.make([1e300], [1e-10, 1.0])
+        for call in (loop_mu, eips_indices):
+            with pytest.raises(NonFiniteValue, match=r"^mu = inf at lambda = 0.0: "):
+                call(G, 0.0)
+
+    def test_trivial_indices_name_the_loop_gain(self):
+        # 1 - 4*rho*nu = 1/(1 + 2*lam*mu)^2 is below 1e-12 of rho^2 at this lam
+        with pytest.raises(TrivialPQI, match=r"^lambda = 1000000.0, mu = "):
+            eips_indices(RationalTF.make([0.75], [-2.0, 2.0, 1.0]), 1e6)
 
 
 @st.composite

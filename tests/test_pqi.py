@@ -1,5 +1,7 @@
 """Quadratic-inequality algebra and double-cone geometry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -49,6 +51,21 @@ class TestNontriviality:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             PQI(0.0, 0.0, 0.0)
+
+    unit_coeff = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+    @given(st.tuples(unit_coeff, unit_coeff, unit_coeff), st.integers(-1000, 1000))
+    @settings(max_examples=200, deadline=None)
+    @example((1.0, 3.0, 1.0), -600)  # b^2 - 4ac underflowed to 0.0
+    @example((1.0, 3.0, 1.0), 600)   # ... and overflowed to nan
+    def test_verdict_and_rays_do_not_depend_on_the_unit(self, coeffs, k):
+        # every scaled coefficient stays normal, so the scaling is exact
+        assume(any(coeffs))
+        p, q = PQI(*coeffs), PQI(*(math.ldexp(v, k) for v in coeffs))
+        assert is_nontrivial(q) == is_nontrivial(p)
+        if is_nontrivial(p):
+            for r, s in zip(boundary_rays(q), boundary_rays(p)):
+                assert r.tolist() == s.tolist()
 
 
 class TestBoundaryRays:
@@ -190,6 +207,12 @@ class TestPassivityIndices:
     def test_product_bound_enforced(self):
         with pytest.raises(TrivialPQI):
             PassivityIndices(1.0, 1.0)
+
+    def test_trivial_induced_pqi_rejected(self):
+        # rho*nu < 1/4, but 1 - 4*rho*nu is far below 1e-12 of rho^2
+        with pytest.raises(TrivialPQI, match=r"^indices rho=1e\+308, nu=-0.333 give "
+                                             "a trivial PQI: 1 - 4\\*rho\\*nu = "):
+            PassivityIndices(1e308, -0.333)
 
     def test_passive_pair_allowed(self):
         assert PassivityIndices(0.0, 0.0).pqi().coeffs.tolist() == [0.0, 1.0, 0.0]
