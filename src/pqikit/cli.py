@@ -96,7 +96,10 @@ def _lti_pipeline(G: RationalTF, lam: float):
 
 def cmd_passivize(args) -> int:
     source = PassivityIndices(args.rho, args.nu)
-    target = PassivityIndices(args.rho_target, args.nu_target)
+    try:
+        target = PassivityIndices(args.rho_target, args.nu_target)
+    except ToolkitError as exc:
+        raise type(exc)(f"target (--rho-target, --nu-target): {exc}") from exc
     T = passivize(source, target)
     dec = decompose(T)
     print("transform:")

@@ -139,10 +139,6 @@ class RationalTF:
     def to_json_dict(self) -> dict:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RationalTF":
-        return cls.make(d["num"], d["den"])
-
 
 def _lengths(c: np.ndarray) -> np.ndarray:
     """Per row, one past the last nonzero coefficient (0 for a zero row)."""

@@ -211,10 +211,10 @@ class AgentODE:
 class ControllerSpec:
     """Static edge controller μ = gain·ζ with potential gain/2·ζ²."""
 
-    gain: float | None = None
+    gain: float
 
     def __post_init__(self):
-        if self.gain is None or not 0.0 < self.gain < math.inf:
+        if not 0.0 < self.gain < math.inf:
             raise ValueError(f"controller gain must be positive and finite: "
                              f"{self.gain}")
 
@@ -927,11 +927,11 @@ def _json_edge(edge, n: int, path: str) -> tuple:
     """A JSON edge as its vertex indices, each an integer below ``n``.
 
     An index out of range raises InvalidSpec with the value as the JSON gave
-    it.  A negative count fits no index; Graph refuses that count by name.
+    it.
     """
     ends = tuple(_json_integer(v, path) for v in edge)
     for v, i in zip(edge, ends):
-        if n >= 0 and not 0 <= i < n:
+        if not 0 <= i < n:
             raise InvalidSpec(f"{path}: vertex index {v!r} out of range for {n} vertices")
     return ends
 
@@ -951,14 +951,13 @@ def _refuse_booleans(node, path: str) -> None:
 
 @contextmanager
 def _located(path: str):
-    """Report a malformed JSON entry as InvalidSpec naming its path."""
+    """Report a malformed JSON entry as InvalidSpec naming its path; an
+    InvalidSpec that names a path already passes unchanged."""
     try:
         yield
-    except InvalidSpec as exc:
-        if str(exc).startswith("$"):
-            raise
-        raise InvalidSpec(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, DimensionMismatch) as exc:
+        if isinstance(exc, InvalidSpec) and str(exc).startswith("$"):
+            raise
         reason = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
                   else f"{type(exc).__name__}: {exc}")
         raise InvalidSpec(f"{path}: {reason}") from exc
@@ -995,6 +994,8 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     with _located("$.graph"):
         raw_n = g["vertices"]
         n = _json_integer(raw_n, "$.graph.vertices")
+        if n < 0:
+            raise InvalidSpec(f"$.graph.vertices: {raw_n!r} must be a non-negative integer")
         graph = Graph(n, tuple(_json_edge(edge, n, f"$.graph.edges[{e}]")
                                for e, edge in enumerate(g["edges"])))
     with _located("$.x0"):

@@ -1,8 +1,7 @@
 """Steady-state I/O relations: transport, integral functions, duals, checks.
 
 A planar relation is a set of (u, y) pairs a system can hold at equilibrium,
-stored as samples plus, for a curve, the parameter of each sample (a
-closed-form map is the curve parameterized by its own grid).
+stored as samples plus, for a curve, the parameter of each sample.
 Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for the
@@ -84,15 +83,6 @@ class PlanarRelation:
                                  f"{i} ({self.u[i]}, {self.y[i]}){at}")
 
     @classmethod
-    def _curve(cls, sigma, u_of_sigma: Callable, y_of_sigma: Callable):
-        # unwarned: the constructor names the first sample a map made non-finite
-        sigma = np.asarray(sigma, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
-                    for f in (u_of_sigma, y_of_sigma))
-        return cls(u, y, sigma)
-
-    @classmethod
     def from_param_curve(
         cls,
         u_of_sigma: Callable,
@@ -101,27 +91,16 @@ class PlanarRelation:
         n: int = DEFAULT_GRID_POINTS,
     ) -> "PlanarRelation":
         sigma = np.linspace(sigma_range[0], sigma_range[1], n)
-        return cls._curve(sigma, u_of_sigma, y_of_sigma)
+        # unwarned: the constructor names the first sample a map made non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
+                    for f in (u_of_sigma, y_of_sigma))
+        return cls(u, y, sigma)
 
     @classmethod
     def from_points(cls, u, y) -> "PlanarRelation":
         pts = np.unique(np.column_stack([u, y]).astype(float), axis=0)
         return cls(pts[:, 0], pts[:, 1])
-
-    @classmethod
-    def from_closed_form(
-        cls,
-        func: Callable,
-        direction: str = "u_to_y",
-        grid: np.ndarray | None = None,
-    ) -> "PlanarRelation":
-        """The graph of ``func``, a curve parameterized by its own grid."""
-        if direction not in ("u_to_y", "y_to_u"):
-            raise ValueError(f"unknown direction {direction!r}")
-        if grid is None:
-            grid = np.linspace(-3.0, 3.0, DEFAULT_GRID_POINTS)
-        maps = (lambda s: s, func)
-        return cls._curve(grid, *(maps if direction == "u_to_y" else maps[::-1]))
 
     @property
     def points(self) -> np.ndarray:
@@ -137,16 +116,6 @@ class PlanarRelation:
         """Columns sigma, u, y; a point list's sigma is the sample index."""
         sig = self.sigma if self.sigma is not None else np.arange(len(self.u))
         _write_csv(path, ["sigma", "u", "y"], [sig, self.u, self.y])
-
-    def to_json_dict(self) -> dict:
-        d = {"u": self.u.tolist(), "y": self.y.tolist()}
-        if self.sigma is not None:
-            d["sigma"] = self.sigma.tolist()
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PlanarRelation":
-        return cls(d["u"], d["y"], d.get("sigma"))
 
 
 @dataclass(frozen=True)
@@ -295,28 +264,22 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     return IntegralFunction(gx, values)
 
 
-def legendre(F: IntegralFunction, dual_grid=None) -> IntegralFunction:
-    """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)) of a convex F.
+def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
+    """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)) of a convex F,
+    at each y of ``dual_grid``.
 
     F must carry the convexity certificate, else NonConvexCertificate.  The
     term y*x_i - F(x_i) rises from sample i to i + 1 exactly when y exceeds
     cell slope i, so it rises up to the first sample whose running maximum
     slope reaches y and falls from the first whose running minimum of the
     slopes onward does; the best sample between is the maximizer (more than
-    one sample only for a y inside the slope band of a dip).  The default
-    dual grid spans the first cell slope to the largest in len(x) points,
-    widened by 1 either side if they would fall within the certificate's band.
+    one sample only for a y inside the slope band of a dip).
     """
     if not F.convexity_certificate:
         raise NonConvexCertificate(
             "legendre: potential failed the convexity certificate")
     x, v = F.grid, F.values
     slopes = np.diff(v) / np.diff(x)
-    if dual_grid is None:
-        a, b = (slopes[0], slopes.max()) if len(slopes) else (0.0, 0.0)
-        if b - a <= 1e-9 * (len(x) - 1) * max(abs(a), abs(b)):
-            a, b = a - 1.0, b + 1.0
-        dual_grid = np.linspace(a, b, len(x))
     ys = np.asarray(dual_grid, dtype=float)
     lo = np.searchsorted(np.maximum.accumulate(slopes), ys)
     vals = ys * x[lo] - v[lo]
@@ -361,7 +324,7 @@ class CursivityReport:
     continuous: bool
     diverges: bool
     no_self_intersection: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...]
 
     @property
     def cursive(self) -> bool:

@@ -10,7 +10,7 @@ transformed system satisfies the requested inequality along trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class ElementaryDecomposition:
     delta_B: float
     delta_C: float
     delta_D: float
-    column_swapped: bool = False
+    column_swapped: bool
 
     def factors(self) -> list[np.ndarray]:
         """The four elementary matrices, in application order L_A..L_D."""
@@ -163,6 +163,8 @@ def decompose(transform: Transform2) -> ElementaryDecomposition:
 # Numeric dissipation certificate
 
 U_RANGE = (-2.0, 2.0)  # inputs of the sampled equilibria and of the trials
+X0_RANGE = (-3.0, 3.0)  # initial states of the trials
+SEGMENTS = 10  # a trial's input is constant over each of these unit time spans
 
 
 @dataclass
@@ -172,7 +174,7 @@ class PassivationReport:
     max_violation: float
     tolerance: float
     trials: int
-    equilibria: list = field(default_factory=list)
+    equilibria: list
 
     @property
     def passed(self) -> bool:
@@ -205,20 +207,19 @@ def verify_passivation(
     transform: Transform2,
     indices_target: PassivityIndices,
     trials: int = 100,
-    x0_range=(-3.0, 3.0),
-    horizon: float = 10.0,
     seed: int = 0,
 ) -> PassivationReport:
     """Simulate random trajectories and check the transformed inequality.
 
-    Inputs in U_RANGE are piecewise constant over 10 segments; all trials
-    of a segment step together with :func:`~pqikit.network.dormand_prince`
-    (floor 1e-3, cap the segment), which calls the system's ``f`` on the
-    trial arrays.  Every 0.02 time units the storage rate (numeric
-    directional derivative of the supplied storage candidate) is compared
-    against the transformed supply rate shifted by each sampled
-    equilibrium, at most 20 of the forced equilibria at 20 inputs in
-    U_RANGE; the report passes when no violation exceeds 1e-6.
+    Trials start in X0_RANGE, and their inputs in U_RANGE are constant over
+    each of SEGMENTS unit time spans; all trials of a segment step together
+    with :func:`~pqikit.network.dormand_prince` (floor 1e-3, cap the
+    segment), which calls the system's ``f`` on the trial arrays.  Every
+    0.02 time units the storage rate (numeric directional derivative of the
+    supplied storage candidate) is compared against the transformed supply
+    rate shifted by each sampled equilibrium, at most 20 of the forced
+    equilibria at 20 inputs in U_RANGE; the report passes when no violation
+    exceeds 1e-6.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
@@ -231,20 +232,17 @@ def verify_passivation(
         idx = rng.choice(len(eqs), size=20, replace=False)
         eqs = [eqs[i] for i in sorted(idx)]
 
-    dt, stride, n_segments = 1e-3, 20, 10
-    n_steps = int(round(horizon / dt))
-    seg_len = max(1, n_steps // n_segments)
-    u_levels = rng.uniform(*U_RANGE, size=(n_segments + 1, trials))
-    x = rng.uniform(x0_range[0], x0_range[1], size=trials)
-    # segment k holds u_levels[k]; the last level covers any remainder
-    ends = [min(k * seg_len, n_steps) for k in range(1, n_segments + 1)] + [n_steps]
+    dt, stride = 1e-3, 20
+    # one row more than the segments use: the starts are the draws after
+    # it, so each seed's trials, and every report, keep their bits
+    u_levels = rng.uniform(*U_RANGE, size=(SEGMENTS + 1, trials))
+    x = rng.uniform(*X0_RANGE, size=trials)
 
     f, h = system.f, system.h
     xs, us = [], []
-    for u, start, end in zip(u_levels, [0] + ends, ends):
+    for k, u in enumerate(u_levels[:SEGMENTS]):
         for _, x, _, _, row_x in dormand_prince(
-                lambda x, u=u: f(x, u), x, start * dt, end * dt, dt,
-                (end - start) * dt, stride):
+                lambda x, u=u: f(x, u), x, float(k), k + 1.0, dt, 1.0, stride):
             xs.append(row_x)
             us.append(np.broadcast_to(u, row_x.shape))
 

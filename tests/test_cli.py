@@ -3,14 +3,14 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from pqikit.cli import main
 
@@ -36,6 +36,23 @@ PATH3_SPEC = {
     "x0": [0.1, -0.2, 0.3],
     "integrator": {"dt": 0.01, "horizon": 2.0},
 }
+
+# the same path in the spec's other forms: one agent object for every vertex,
+# a list of controllers, and every integrator setting
+PATH3_FORMS_SPEC = {
+    "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+    "agents": {"kind": "pendulum-gradient", "params": {"r1": 2.5, "r2": 0.1}},
+    "controllers": [{"gain": 1.5}, {"gain": 0.5}],
+    "x0": [0.1, -0.2, 0.3],
+    "integrator": {"dt": 0.01, "horizon": 2.0, "convergence_window": 1.0,
+                   "tol_conv": 1e-6},
+}
+
+# the network.json spec of README's "Command line" section
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "README.md")) as _fh:
+    README_SPEC = json.loads(re.search(r"^```json\n(.*?)^```$", _fh.read(),
+                                       re.DOTALL | re.MULTILINE).group(1))
 
 EMPTY_SPEC = {"graph": {"vertices": 0, "edges": []}, "agents": [],
               "controllers": [], "x0": []}
@@ -86,6 +103,17 @@ class TestPassivize:
         assert rc == 2
         assert err.startswith("error: NonFiniteValue: ") and named in err
 
+    @pytest.mark.parametrize("flags, error, named", [
+        (["--rho-target=inf"], "NonFiniteValue", "passivity index rho=inf must be finite"),
+        (["--rho-target=1", "--nu-target=1"], "TrivialPQI",
+         "indices rho=1.0, nu=1.0 give rho*nu >= 1/4"),
+    ])
+    def test_refused_target_is_named_as_the_target(self, capsys, flags, error, named):
+        rc = main(["passivize", "--rho=-0.667", "--nu=-0.333", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {error}: target (--rho-target, --nu-target): {named}\n")
+
 
 class TestAnalyzeLTI:
     def test_reference_plant_report(self, capsys):
@@ -112,6 +140,16 @@ class TestAnalyzeLTI:
                    "--lambda-grid", "0,1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_time_scaled_plants_agree(self, capsys):
+        # 1/(s² + 0.5s + 1) with s scaled by 1, 1e-8 and 1e8
+        reports = []
+        for den in ("1,0.5,1", "1,0.5e-8,1e-16", "1,0.5e8,1e16"):
+            assert main(["analyze-lti", "--num", "1", f"--den={den}", "--lam", "0"]) == 0
+            r = json.loads(capsys.readouterr().out)
+            reports.append([r["mu"], r["strict_indices"]["rho"], r["strict_indices"]["nu"]])
+        assert all(abs(a - b) <= 1e-9 * abs(b) for w in reports for a, b in zip(w, reports[0])), \
+            reports
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--num", "abc", "could not convert string to float: 'abc'"),
@@ -240,7 +278,31 @@ class TestSimulate:
         assert rc == 2
 
 
+def _optimize(tmp_path, doc, problem) -> dict:
+    """The report ``optimize`` writes for the spec ``doc``."""
+    outdir = tmp_path / problem
+    assert main(["optimize", "--spec", _spec_path(tmp_path, doc), "--problem", problem,
+                 "--outdir", str(outdir)]) == 0
+    return json.loads((outdir / f"optimize_{problem}.json").read_text())
+
+
 class TestOptimize:
+    def test_readme_spec_objectives_sum_to_zero(self, tmp_path, capsys):
+        opp, ofp = (_optimize(tmp_path, README_SPEC, p)["objective"] for p in ("opp", "ofp"))
+        assert abs(opp + ofp) <= 1e-9, (opp, ofp)
+
+    @pytest.mark.parametrize("problem", ["opp", "ofp"])
+    def test_readme_spec_scales_with_its_centres(self, tmp_path, capsys, problem):
+        # every centre x 1e-8 scales each solution by 1e-8; the relations
+        # stay sampled on [-20, 20] in steps of 0.01
+        small = copy.deepcopy(README_SPEC)
+        for agent in small["agents"]:
+            agent["params"]["center"] *= 1e-8
+        p = [1e-8 * v for v in _optimize(tmp_path, README_SPEC, problem)["primal"]]
+        q = _optimize(tmp_path, small, problem)["primal"]
+        m = max(map(abs, p))
+        assert len(p) == len(q) and all(abs(a - b) <= 1e-3 * m for a, b in zip(p, q)), (p, q)
+
     def test_opp_matches_simulation(self, tmp_path, quad_spec_path, capsys):
         rc = main(["optimize", "--spec", quad_spec_path, "--problem", "opp",
                    "--outdir", str(tmp_path / "opp")])
@@ -393,6 +455,13 @@ FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e308, -1e308, "a", None,
                [], {}, True, 2.5, 1e6]
 FUZZ_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "a",
                     "null", "[]", "{}", "true", "2.5", "1e6", "", "1,,2"]
+SPEC_COMMANDS = [["simulate"], ["optimize", "--problem", "opp"],
+                 ["optimize", "--problem", "ofp"]]
+# every leaf of the 3-vertex spec, and the leaves of its other forms that
+# the first has no counterpart of
+SPEC_LEAVES = [(PATH3_SPEC, list(_leaves(PATH3_SPEC))),
+               (PATH3_FORMS_SPEC, [leaf for leaf in _leaves(PATH3_FORMS_SPEC)
+                                   if leaf not in set(_leaves(PATH3_SPEC))])]
 # the valid flags each fuzzed flag is added to
 FLAG_BASE = {"passivize": {"--rho": "-0.667", "--nu": "-0.333"},
              "analyze-lti": {"--num": "0.75", "--den": "-2,2,1"}}
@@ -404,44 +473,41 @@ LOCATOR = {"spec": r"\$|vertex \d+: |at t = ", "passivize": r"\b(rho|nu)\b",
            "analyze-lti": r"lambda|numerator|denominator|coefficient"}
 
 
-def _assert_named(rc, lines, locator, flag=None):
+def _assert_named(rc, lines, locator, case, flag=None):
     """Exit 0; argparse's exit 2 naming the flag; or exit 2 with one
     ``error:`` line that names where the fault is (tier-1 turns a
-    RuntimeWarning into an exception, which fails the test)."""
+    RuntimeWarning into an exception, which fails the test).  ``case``
+    names the input in a failure."""
     if rc == 0:
         return
-    assert rc == 2, lines
+    assert rc == 2, (case, lines)
     if flag is not None and lines[-1].startswith("pqikit "):
-        assert f": error: argument {flag}: " in lines[-1], lines
+        assert f": error: argument {flag}: " in lines[-1], (case, lines)
         return
-    assert len(lines) == 1 and re.match(r"error: \w+: ", lines[0]), lines
-    assert re.search(locator, lines[0], re.IGNORECASE), lines
+    assert len(lines) == 1 and re.match(r"error: \w+: ", lines[0]), (case, lines)
+    assert re.search(locator, lines[0], re.IGNORECASE), (case, lines)
 
 
 class TestFuzz:
-    """Each leaf of a spec, and each numeric flag, set in turn to a bad
-    value: one command per example, no count or length made large."""
+    """Each leaf of a spec, and each numeric flag, set in turn to each bad
+    value, every case on every run; no count or length is made large."""
 
-    @given(leaf=st.sampled_from(list(_leaves(PATH3_SPEC))),
-           value=st.sampled_from(FUZZ_VALUES),
-           command=st.sampled_from([["simulate"], ["optimize", "--problem", "opp"],
-                                    ["optimize", "--problem", "ofp"]]))
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_spec_leaf(self, tmp_path, leaf, value, command):
-        doc = copy.deepcopy(PATH3_SPEC)
-        node = doc
-        for key in leaf[:-1]:
-            node = node[key]
-        node[leaf[-1]] = value
-        rc, lines = _run(command + ["--spec", _spec_path(tmp_path, doc),
-                                    "--outdir", str(tmp_path / "out")])
-        _assert_named(rc, lines, LOCATOR["spec"])
+    @pytest.mark.parametrize("command", SPEC_COMMANDS, ids=["simulate", "opp", "ofp"])
+    @pytest.mark.parametrize("doc, leaves", SPEC_LEAVES, ids=["path3", "forms"])
+    def test_spec_leaf(self, tmp_path, doc, leaves, command):
+        for leaf, value in itertools.product(leaves, FUZZ_VALUES):
+            bad = copy.deepcopy(doc)
+            node = bad
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            rc, lines = _run(command + ["--spec", _spec_path(tmp_path, bad),
+                                        "--outdir", str(tmp_path / "out")])
+            _assert_named(rc, lines, LOCATOR["spec"], (leaf, value))
 
-    @given(flag=st.sampled_from(FUZZ_FLAGS), value=st.sampled_from(FUZZ_FLAG_VALUES))
-    @settings(max_examples=250, deadline=None)
-    def test_flag(self, flag, value):
-        command, name = flag
-        args = dict(FLAG_BASE[command], **{name: value})
-        rc, lines = _run([command] + [f"{k}={v}" for k, v in args.items()])
-        _assert_named(rc, lines, LOCATOR[command], flag=name)
+    @pytest.mark.parametrize("command, name", FUZZ_FLAGS)
+    def test_flag(self, command, name):
+        for value in FUZZ_FLAG_VALUES:
+            args = dict(FLAG_BASE[command], **{name: value})
+            rc, lines = _run([command] + [f"{k}={v}" for k, v in args.items()])
+            _assert_named(rc, lines, LOCATOR[command], value, flag=name)

@@ -24,11 +24,12 @@ opp, ofp = solve_opp(spec), solve_ofp(spec)
 assert abs(opp.objective + ofp.objective) <= 1e-9
 grid = np.linspace(-2.0, 2.0, 401)
 F = IntegralFunction.from_function(lambda y: 0.5 * y * y, grid)
-Fs = legendre(F)
+Fs = legendre(F, grid)
 want = np.max(Fs.grid[:, None] * grid - F.values, axis=1)
 assert np.max(np.abs(Fs.values - want)) <= 1e-12 * (1.0 + np.abs(want).max())
 try:
-    legendre(IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2, grid))
+    legendre(IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2, grid),
+             grid)
 except NonConvexCertificate:
     pass
 else:

@@ -1,5 +1,6 @@
 """Transfer-function stability, peak gains, and passivity indices."""
 
+import json
 import math
 import warnings
 
@@ -611,11 +612,10 @@ class TestCrossModuleConsistency:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        G = unstable_plant_tf()
-        back = RationalTF.from_json_dict(G.to_json_dict())
-        assert back.num.coeffs == G.num.coeffs
-        assert back.den.coeffs == G.den.coeffs
+    def test_json_dict_lists_the_coefficients(self):
+        # the form the CLI writes: ascending coefficients, plain JSON numbers
+        d = json.loads(json.dumps(unstable_plant_tf().to_json_dict()))
+        assert d == {"num": [0.75], "den": [-2.0, 2.0, 1.0]}
 
     def test_improper_rejected(self):
         with pytest.raises(ValueError):

@@ -768,8 +768,11 @@ class TestJsonIngest:
          r"^\$\.graph\.vertices: inf is not an integer$"),
         (lambda d: d["graph"].update(vertices=2.5),
          r"^\$\.graph\.vertices: 2\.5 is not an integer$"),
+        # a negative count is named as the JSON gave it, where it is read
         (lambda d: d["graph"].update(vertices=-1),
-         r"^\$\.graph: vertex count -1 must be a non-negative integer$"),
+         r"^\$\.graph\.vertices: -1 must be a non-negative integer$"),
+        (lambda d: d["graph"].update(vertices=-1e308),
+         r"^\$\.graph\.vertices: -1e\+308 must be a non-negative integer$"),
         # a count must match the initial states before it sizes any list
         (lambda d: d.update(agents=d["agents"][0], graph={"vertices": 1e308, "edges": []}),
          r"^\$\.x0: 2 initial states for \$\.graph\.vertices = 1e\+308$"),
@@ -839,6 +842,8 @@ class TestAgentDeclarations:
         with pytest.raises(ValueError):
             ControllerSpec(gain=-1.0)
         with pytest.raises(ValueError):
+            ControllerSpec(gain=math.nan)
+        with pytest.raises(TypeError):
             ControllerSpec()
 
 

@@ -1,7 +1,6 @@
 """Relation transport, integral functions, Legendre duals, shape checks."""
 
 import csv
-import json
 import time
 
 import numpy as np
@@ -190,7 +189,8 @@ class TestIntegralFunction:
 
     @pytest.mark.parametrize("direction", [OF_K, OF_K_INVERSE])
     def test_grid_is_not_the_relation_array(self, direction):
-        rel = PlanarRelation.from_closed_form(lambda s: s**3 + s)
+        rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: s**3 + s,
+                                              (-3.0, 3.0))
         u, y = rel.u.copy(), rel.y.copy()
         F = integral_function(rel, direction)
         F.grid[:] = 0.0
@@ -239,7 +239,7 @@ class TestIntegralFunction:
             assert F.convexity_certificate, seed
             bent = IntegralFunction(u, F.values - 1e-3 * u * u)
             assert not bent.convexity_certificate, seed
-        legendre(F)
+        legendre(F, np.linspace(0.5, 2.5, n))
 
     def test_fold_rejected(self):
         rel = cubic_fold_curve()
@@ -331,7 +331,7 @@ class TestLegendre:
         F = IntegralFunction.from_function(
             lambda u: 0.5 * curv * u * u + lin * u, g
         )
-        back = legendre(legendre(F), g)
+        back = legendre(legendre(F, slope_grid(F)), g)
         interior = (np.abs(g) <= 3.0)
         err = np.abs(back.values - F.values)[interior]
         assert np.max(err) <= 5.0 * h * h * max(curv, 1.0)
@@ -348,10 +348,15 @@ class TestLegendre:
         ys = np.sort(rng.uniform(slopes[0] - 5.0, slopes[-1] + 5.0, 500))
         j = np.searchsorted(slopes, ys)
         np.testing.assert_array_equal(legendre(F, ys).values, ys * x[j] - F.values[j])
-        Fs = legendre(F)
-        np.testing.assert_array_equal(Fs.grid, np.linspace(slopes[0], slopes[-1], len(x)))
+        Fs = legendre(F, slope_grid(F))
         j = np.searchsorted(slopes, Fs.grid)
         np.testing.assert_array_equal(Fs.values, Fs.grid * x[j] - F.values[j])
+
+
+def slope_grid(F):
+    """len(F.grid) dual points from the first cell slope of F to the largest."""
+    slopes = np.diff(F.values) / np.diff(F.grid)
+    return np.linspace(slopes[0], slopes.max(), len(F.grid))
 
 
 def brute_force_conjugate(F, ys):
@@ -359,7 +364,7 @@ def brute_force_conjugate(F, ys):
     return np.max(ys[:, None] * F.grid[None, :] - F.values[None, :], axis=1)
 
 
-def assert_conjugate_exact(F, ys=None):
+def assert_conjugate_exact(F, ys):
     Fs = legendre(F, ys)
     want = brute_force_conjugate(F, Fs.grid)
     scale = (np.abs(Fs.grid).max() * np.abs(F.grid).max()
@@ -402,7 +407,7 @@ def random_walk_function(seed, n):
     return IntegralFunction(grid, np.cumsum(rng.normal(size=n)))
 
 
-def assert_refused(F, ys=None):
+def assert_refused(F, ys):
     """An uncertified F has no conjugate: legendre raises NonConvexCertificate."""
     assert not F.convexity_certificate
     with pytest.raises(NonConvexCertificate, match="convexity certificate$"):
@@ -416,7 +421,6 @@ class TestLegendreAgainstBruteForce:
     def test_double_well(self):
         F = IntegralFunction.from_function(lambda y: 0.25 * y**4 - 0.5 * y**2,
                                            np.linspace(-2.0, 2.0, 4001))
-        assert_refused(F)
         assert_refused(F, np.linspace(-20.0, 20.0, 801))
 
     @pytest.mark.parametrize("seed, n", [(0, 3), (1, 17), (2, 400), (3, 3000)])
@@ -429,10 +433,9 @@ class TestLegendreAgainstBruteForce:
         lo, hi = np.diff(F.values).min(), np.diff(F.values).max()
         wide = np.linspace(-2.0 * hi + lo, 2.0 * hi - lo, 501)
         if convex:
-            assert_conjugate_exact(F)
+            assert_conjugate_exact(F, slope_grid(F))
             assert_conjugate_exact(F, wide)
         else:
-            assert_refused(F)
             assert_refused(F, wide)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -448,12 +451,11 @@ class TestLegendreAgainstBruteForce:
         v[[3, 15]] += (2.0, 1.0)
         F = IntegralFunction(x, v)
         assert_refused(F, np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
-        assert_refused(F)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_default_grid_ends_nonconvex(self, seed):
+    def test_slope_grid_ends_nonconvex(self, seed):
         for F in (integer_walk_function(seed, 500), random_walk_function(seed, 500)):
-            assert_refused(F)
+            assert_refused(F, slope_grid(F))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_convex_integer_walk_at_minorant_slopes(self, seed):
@@ -480,25 +482,24 @@ class TestLegendreAgainstBruteForce:
         slopes = np.diff(F.values) / np.diff(x)
         assert F.convexity_certificate
         assert 800 < np.count_nonzero(np.diff(slopes) < 0.0) < 1200
-        # the default grid ends on the arms' slope bands
-        Fs = assert_conjugate_exact(F)
+        # a grid from the first cell slope to the largest ends on the arms'
+        # slope bands
+        Fs = assert_conjugate_exact(F, slope_grid(F))
         np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, Fs.grid))
         # every cell slope, and points off the two bands
         ys = np.unique(np.r_[slopes, np.linspace(-3.0, 3.0, 601)])
         Fs = assert_conjugate_exact(F, ys)
         np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, ys))
 
-    def test_noisy_line_default_grid(self):
+    def test_noisy_line(self):
         # a line with 1e-12 noise: its cell slopes spread 1e-10 to 1e-9,
-        # inside the certificate's band, so the default dual grid is widened
-        # around the slope as for an exact line
+        # inside the certificate's band, so it is conjugated as a line
         rng = np.random.default_rng(6)
         x = np.linspace(-10.0, 10.0, 4001)
         F = IntegralFunction(x, 1.5 * x + 1e-12 * rng.uniform(-1.0, 1.0, len(x)))
         slopes = np.diff(F.values) / np.diff(x)
         assert F.convexity_certificate and 1e-10 < np.ptp(slopes) < 1e-9
-        Fs = assert_conjugate_exact(F)
-        np.testing.assert_allclose(Fs.grid[[0, -1]], [0.5, 2.5], rtol=0.0, atol=1e-9)
+        Fs = assert_conjugate_exact(F, np.linspace(0.5, 2.5, len(x)))
         np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, Fs.grid))
 
     def test_certificate_read_off_the_samples(self):
@@ -512,28 +513,23 @@ class TestLegendreAgainstBruteForce:
     def test_two_points(self):
         F = IntegralFunction(np.array([-1.0, 2.0]), np.array([3.0, -1.5]))
         Fs = assert_conjugate_exact(F, np.linspace(-5.0, 5.0, 11))
-        assert assert_conjugate_exact(F).grid[[0, -1]].tolist() == [-2.5, -0.5]
         np.testing.assert_array_equal(Fs.values, np.maximum(
             -Fs.grid - 3.0, 2.0 * Fs.grid + 1.5))
 
     def test_samples_given_as_lists(self):
         F = IntegralFunction([-1, 2], [3, -1.5])
         assert F.grid.dtype == F.values.dtype == float
-        np.testing.assert_array_equal(legendre(F).values, [-0.5, 0.5])
+        np.testing.assert_array_equal(legendre(F, [-2, 1]).values, [-1.0, 3.5])
 
     def test_one_point(self):
-        # no slope to span: the default dual grid is the single point -1
+        # no slope: the one sample maximizes at every dual point
         F = IntegralFunction(np.array([2.0]), np.array([3.0]))
-        Fs = assert_conjugate_exact(F)
-        assert Fs.grid.tolist() == [-1.0] and Fs.values.tolist() == [-5.0]
+        Fs = assert_conjugate_exact(F, np.array([-1.0, 0.0, 2.0]))
+        assert Fs.values.tolist() == [-5.0, -3.0, 1.0]
 
     def test_affine(self):
         F = IntegralFunction.from_function(lambda y: 3.0 * y + 1.0,
                                            np.linspace(-2.0, 2.0, 4001))
-        Fs = assert_conjugate_exact(F)
-        # one slope: the default dual grid is widened by one on each side
-        assert Fs.grid[0] == pytest.approx(2.0, abs=1e-12)
-        assert Fs.grid[-1] == pytest.approx(4.0, abs=1e-12)
         assert_conjugate_exact(F, np.linspace(-10.0, 10.0, 201))
 
 
@@ -923,13 +919,13 @@ class TestRepresentations:
         rel = PlanarRelation.from_points([0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
         assert len(rel.u) == 2
 
-    def test_closed_form_directions(self):
-        fwd = PlanarRelation.from_closed_form(lambda u: u**3, "u_to_y")
-        bwd = PlanarRelation.from_closed_form(lambda y: y**3, "y_to_u")
+    def test_graph_directions(self):
+        fwd = PlanarRelation.from_param_curve(lambda s: s, lambda u: u**3, (-3.0, 3.0))
+        bwd = PlanarRelation.from_param_curve(lambda y: y**3, lambda s: s, (-3.0, 3.0))
         np.testing.assert_allclose(fwd.y, fwd.u**3)
         np.testing.assert_allclose(bwd.u, bwd.y**3)
 
-    def test_csv_and_json_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path):
         rel = cubic_fold_curve(n=101)
         path = tmp_path / "rel.csv"
         rel.to_csv(path)
@@ -937,12 +933,6 @@ class TestRepresentations:
         assert rows[0] == "sigma,u,y"
         assert len(rows) == 102
         assert_csv_cells(path, [rel.sigma, rel.u, rel.y])
-        back = PlanarRelation.from_json_dict(
-            json.loads(json.dumps(rel.to_json_dict()))
-        )
-        np.testing.assert_array_equal(back.u, rel.u)
-        np.testing.assert_array_equal(back.y, rel.y)
-        np.testing.assert_array_equal(back.sigma, rel.sigma)
 
     def test_integral_function_csv(self, tmp_path):
         F = integral_function(odd_cubic_agent().relation, OF_K_INVERSE)
@@ -975,10 +965,11 @@ class TestRepresentations:
 
 
 class TestOneRepresentation:
-    """A closed form is a curve over its grid; verdicts follow the samples."""
+    """The graph of a map is a curve over its grid; verdicts follow the samples."""
 
-    def test_folded_closed_form_is_multivalued(self):
-        rel = PlanarRelation.from_closed_form(lambda u: u**3 - u)
+    def test_folded_graph_is_multivalued(self):
+        rel = PlanarRelation.from_param_curve(lambda s: s, lambda u: u**3 - u,
+                                              (-3.0, 3.0))
         F = integral_function(rel, OF_K)
         assert F.grid[0] == -3.0 and F.grid[-1] == 3.0
         with pytest.raises(MultiValued):
@@ -986,28 +977,21 @@ class TestOneRepresentation:
         with pytest.raises(MultiValued):
             integral_function(rel.inverse(), OF_K)
 
-    def test_closed_form_must_be_finite(self):
+    def test_graph_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"), \
                 np.errstate(invalid="ignore"):
-            PlanarRelation.from_closed_form(np.sqrt)
+            PlanarRelation.from_param_curve(lambda s: s, np.sqrt, (-3.0, 3.0))
 
     @pytest.mark.parametrize("direction", ["u_to_y", "y_to_u"])
     def test_transports_keep_the_grid_as_parameter(self, direction):
-        rel = PlanarRelation.from_closed_form(lambda x: x**3, direction,
-                                              np.linspace(-2.0, 2.0, 401))
+        maps = (lambda s: s, lambda x: x**3)
+        rel = PlanarRelation.from_param_curve(
+            *(maps if direction == "u_to_y" else maps[::-1]), (-2.0, 2.0), 401)
         T = Transform2(1.0, 1.0, 1.0, 2.0)
         direct = transform_relation(rel, T)
         staged = compose_via_stages(rel, decompose(T))
         np.testing.assert_array_equal(direct.sigma, np.linspace(-2.0, 2.0, 401))
         np.testing.assert_array_equal(staged.sigma, direct.sigma)
-
-    def test_maximality_does_not_depend_on_the_constructor(self):
-        closed = PlanarRelation.from_closed_form(lambda u: u**3)
-        curve = PlanarRelation.from_param_curve(lambda s: s, lambda s: s**3,
-                                                (-3.0, 3.0))
-        np.testing.assert_array_equal(closed.points, curve.points)
-        assert is_cursive(closed) == is_cursive(curve)
-        assert is_maximal_monotone(closed) == is_maximal_monotone(curve) is True
 
 
 def test_cursive_report_names_a_jump():
@@ -1018,8 +1002,6 @@ def test_cursive_report_names_a_jump():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: PlanarRelation.from_closed_form(np.tanh, "both"), ValueError,
-     "unknown direction"),
     (lambda: IntegralFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3)),
      ValueError, "strictly increasing"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.zeros(2)),
@@ -1055,9 +1037,8 @@ def test_cursive_report_names_a_jump():
      NonFiniteValue, r"not sample 1 \(1\.0, inf\)$"),
     (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
      .contains((1.0, 1.0)), DegenerateRays, "colinear"),
-], ids=["closed_form_direction", "potential_grid", "potential_lengths",
-        "potential_nan", "potential_inf", "relation_lengths", "relation_sigma_length",
-        "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
+], ids=["potential_grid", "potential_lengths", "potential_nan", "potential_inf",
+        "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
         "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
         "monotone_inf", "cone_colinear_rays"])
 def test_bad_input_raises(call, error, match):
