@@ -91,7 +91,8 @@ class NoConvergence(ToolkitError):
 
 
 class PreconditionFailed(ToolkitError):
-    """A condition required for steady-state prediction does not hold."""
+    """A condition required for steady-state prediction, or for a dissipation
+    certificate (a forced equilibrium to check against), does not hold."""
 
 
 class NonFiniteValue(ToolkitError, ValueError):

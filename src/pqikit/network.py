@@ -9,7 +9,7 @@ predicts steady states by minimizing the two dual network objectives
 (potentials over outputs, flows over edge variables) with one trust-region
 Newton–CG solver, in numpy alone, on C¹ models of the sampled potentials
 and their exact conjugates.  The stepper and the root bracketer are shared
-with the dissipation certificate and the equilibrium search.
+with the dissipation certificate's reach bound and the equilibrium search.
 """
 
 from __future__ import annotations
@@ -370,7 +370,8 @@ _DP_STAGES = tuple(np.array(row) for row in (
 # 5th- minus 4th-order weights: h·(_DP_ERROR @ K) estimates the local error
 _DP_ERROR = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
                       -22 / 525, 1 / 40])
-# 4th-order dense output: x(t + σh) = x + h·([σ, σ², σ³, σ⁴] @ _DP_DENSE @ K)
+# 4th-order dense output: x(t + σh) = x + h·(([σ, σ², σ³, σ⁴] @ _DP_DENSE) @ K);
+# the weights are formed first, so at σ = 0 they are zero and the row is x
 _DP_DENSE = np.array([
     [1, 0, 0, 0, 0, 0, 0],
     [-8048581381 / 2820520608, 0, 131558114200 / 32700410799,
@@ -387,11 +388,10 @@ _DP_DENSE = np.array([
 SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
 
 
-def dormand_prince(f, x, t: float, t_end: float, dt: float, h_max: float,
-                   stride: int):
+def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
     """Accepted steps of an adaptive Dormand–Prince 5(4) pair for dx/dt = f(x).
 
-    Steps from (t, x) to ``t_end``, with steps between the floor ``dt`` and
+    Steps from (0, x) to ``t_end``, with steps between the floor ``dt`` and
     ``h_max`` that meet ``SIM_RTOL`` and ``SIM_ATOL`` (RMS over x).  A step at
     the floor is accepted whatever its error; a non-finite step above the
     floor is retried smaller, one at the floor raises :class:`NonFiniteState`.
@@ -403,10 +403,7 @@ def dormand_prince(f, x, t: float, t_end: float, dt: float, h_max: float,
     no_rows = (np.empty(0), np.empty((0,) + x.shape))
     K = np.empty((7,) + x.shape)  # stages of the current step
     K[0] = f(x)
-    next_row = max(int(t / (stride * dt)) - 1, 0)  # first row at or after t
-    while next_row * stride * dt < t:
-        next_row += 1
-    h = dt
+    t, next_row, h = 0.0, 0, dt
     while t < t_end:
         h = min(max(h, dt), h_max)
         at_floor = h <= dt or t_end - t <= dt
@@ -432,7 +429,7 @@ def dormand_prince(f, x, t: float, t_end: float, dt: float, h_max: float,
         if rows_end > next_row:
             row_t = np.arange(next_row, rows_end) * stride * dt
             sigma = (row_t - t) / h
-            rows = row_t, x + h * (sigma[:, None] ** np.arange(1, 5) @ (_DP_DENSE @ K))
+            rows = row_t, x + h * ((sigma[:, None] ** np.arange(1, 5) @ _DP_DENSE) @ K)
             next_row = rows_end
         t, x = t_new, x_new
         K[0] = K[6]
@@ -493,7 +490,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for t, x, x_dot, row_t, row_x in dormand_prince(
-                xdot, x, 0.0, int(round(cfg.horizon / dt)) * dt, dt,
+                xdot, x, int(round(cfg.horizon / dt)) * dt, dt,
                 max(0.5 * window, dt), 10):
             stored_t.append(row_t)
             stored_x.append(row_x)

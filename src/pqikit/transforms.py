@@ -5,7 +5,7 @@ solution cone onto the other is assembled from the boundary rays; a sign test
 on the ray sums picks the correct one of the two candidates.  The map is then
 factored into four realizable stages (output feedback, post-gain, input
 feedthrough, pre-gain), and a numeric dissipation certificate checks that the
-transformed system satisfies the requested inequality along trajectories.
+transformed system satisfies the requested inequality on a state–input grid.
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoStorageFunction, NonFiniteValue, SingularTransform
+from .errors import (
+    NoStorageFunction,
+    NonFiniteValue,
+    PreconditionFailed,
+    SingularTransform,
+)
 from .network import agent_call, bracket_roots, dormand_prince
 from .pqi import PQI, PassivityIndices, _inverse, boundary_rays, is_singular
 
@@ -162,9 +167,9 @@ def decompose(transform: Transform2) -> ElementaryDecomposition:
 # ---------------------------------------------------------------------------
 # Numeric dissipation certificate
 
-U_RANGE = (-2.0, 2.0)  # inputs of the sampled equilibria and of the trials
-X0_RANGE = (-3.0, 3.0)  # initial states of the trials
-SEGMENTS = 10  # a trial's input is constant over each of these unit time spans
+U_RANGE = (-2.0, 2.0)  # inputs of the sampled equilibria and of the grid
+X0_RANGE = (-3.0, 3.0)  # start states whose reach the grid covers
+HORIZON = 10.0  # time over which the grid covers that reach
 
 
 @dataclass
@@ -194,12 +199,43 @@ def find_equilibria(system, u_values):
     return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]
 
 
-def _storage_rate(storage, x, x_eq, xdot):
-    """Directional numeric derivative of S along the vector field."""
-    step = 1e-6 * (1.0 + np.abs(x))
-    # dS/dt = S'(x) * xdot, via central difference in the state.
-    return ((agent_call(storage, x + step, x_eq) - agent_call(storage, x - step, x_eq))
-            / (2.0 * step) * xdot)
+def _reach(f, us):
+    """An interval holding every state reachable within HORIZON from X0_RANGE.
+
+    By the comparison principle for scalar ODEs, a trajectory from the box
+    under any inputs among ``us`` stays between x⁻ and x⁺, where
+    x⁺' = max_j f(x⁺, u_j) starts at the top of the box and
+    x⁻' = min_j f(x⁻, u_j) at the bottom.  Both are integrated as one
+    2-vector by :func:`~pqikit.network.dormand_prince` (floor 1e-3, steps of
+    at most 1); each is monotone in time, so its end state and its start
+    bound it.  A bound that blows up raises NonFiniteState with its time.
+    """
+    U = np.tile(np.asarray(us, dtype=float), (2, 1))
+    U.flags.writeable = False
+    out = np.empty(2)
+
+    def bounds(x):
+        v = f(x[:, None], U)
+        if np.shape(v) != U.shape:  # broadcast_to costs more than f here
+            v = np.broadcast_to(v, U.shape)
+        out[0], out[1] = v[0].min(), v[1].max()
+        return out
+
+    x = np.array(X0_RANGE)
+    # a stride of HORIZON/1e-3 leaves one interpolated row, at t = 0, unread
+    for _, x, _, _, _ in dormand_prince(bounds, x, HORIZON, 1e-3, 1.0, 10**4):
+        pass
+    return min(x[0], X0_RANGE[0]), max(x[1], X0_RANGE[1])
+
+
+def _refuse_non_finite(name, values, xs, us):
+    """NonFiniteValue naming the first grid point (xs[i], us[j]) where
+    values[i, j] is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteValue(f"{name} is not finite at (x, u) = "
+                             f"({xs[i]:.6g}, {us[j]:.6g})")
 
 
 def verify_passivation(
@@ -209,57 +245,61 @@ def verify_passivation(
     trials: int = 100,
     seed: int = 0,
 ) -> PassivationReport:
-    """Simulate random trajectories and check the transformed inequality.
+    """Check the transformed dissipation inequality on a state–input grid.
 
-    Trials start in X0_RANGE, and their inputs in U_RANGE are constant over
-    each of SEGMENTS unit time spans; all trials of a segment step together
-    with :func:`~pqikit.network.dormand_prince` (floor 1e-3, cap the
-    segment), which calls the system's ``f`` on the trial arrays.  Every
-    0.02 time units the storage rate (numeric directional derivative of the
-    supplied storage candidate) is compared against the transformed supply
-    rate shifted by each sampled equilibrium, at most 20 of the forced
-    equilibria at 20 inputs in U_RANGE; the report passes when no violation
-    exceeds 1e-6.
+    The storage rate (numeric directional derivative of the supplied storage
+    candidate along ``f``) is compared against the transformed supply rate
+    shifted by each sampled equilibrium: at most 20 of the forced equilibria
+    at 20 inputs in U_RANGE, chosen by ``seed`` when there are more.  The
+    grid has ``20·trials + 1`` states and ``4·trials + 1`` inputs in
+    U_RANGE, so ``trials`` sets its resolution; the states span X0_RANGE,
+    every equilibrium and every state that a trajectory from X0_RANGE can
+    reach within HORIZON (see :func:`_reach`).  The report passes when no
+    violation exceeds 1e-6.  A system with no equilibrium to check against
+    raises PreconditionFailed, a grid point where f, h, the storage rate or
+    the supply is not finite NonFiniteValue.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
 
     eqs = find_equilibria(system, np.linspace(*U_RANGE, 20))
+    if not eqs:
+        raise PreconditionFailed(
+            f"no forced equilibrium: f(x, u) has no root for x in [-10, 10] at "
+            f"20 inputs u in U_RANGE {list(U_RANGE)}, so there is nothing to "
+            "check the dissipation inequality against")
     if len(eqs) > 20:
-        idx = rng.choice(len(eqs), size=20, replace=False)
+        idx = np.random.default_rng(seed).choice(len(eqs), size=20, replace=False)
         eqs = [eqs[i] for i in sorted(idx)]
 
-    dt, stride = 1e-3, 20
-    # one row more than the segments use: the starts are the draws after
-    # it, so each seed's trials, and every report, keep their bits
-    u_levels = rng.uniform(*U_RANGE, size=(SEGMENTS + 1, trials))
-    x = rng.uniform(*X0_RANGE, size=trials)
-
     f, h = system.f, system.h
-    xs, us = [], []
-    for k, u in enumerate(u_levels[:SEGMENTS]):
-        for _, x, _, _, row_x in dormand_prince(
-                lambda x, u=u: f(x, u), x, float(k), k + 1.0, dt, 1.0, stride):
-            xs.append(row_x)
-            us.append(np.broadcast_to(u, row_x.shape))
-
-    xs = np.concatenate(xs)  # (times, trials)
-    us = np.concatenate(us)
-    ys = h(xs, us)
-    xdots = f(xs, us)
-    ut, yt = transform(us, ys)
+    u_grid = np.linspace(*U_RANGE, 4 * trials + 1)
+    lo, hi = _reach(f, u_grid)
+    x_eqs = [x_eq for x_eq, _, _ in eqs]
+    x_grid = np.linspace(min(lo, *x_eqs), max(hi, *x_eqs), 20 * trials + 1)
+    X, U = np.meshgrid(x_grid, u_grid, indexing="ij")
+    xdots = agent_call(f, X, U)
+    _refuse_non_finite("f", xdots, x_grid, u_grid)
+    ys = agent_call(h, X, U)
+    _refuse_non_finite("h", ys, x_grid, u_grid)
+    ut, yt = transform(U, ys)
 
     rho_t, nu_t = indices_target.rho, indices_target.nu
+    step = 1e-6 * (1.0 + np.abs(x_grid))
     worst = -np.inf
     for x_eq, u_eq, y_eq in eqs:
         ue_t, ye_t = transform(u_eq, y_eq)
-        sdot = _storage_rate(system.storage, xs, x_eq, xdots)
+        # dS/dt = S'(x) * xdot, via central difference in the state
+        slope = ((agent_call(system.storage, x_grid + step, x_eq)
+                  - agent_call(system.storage, x_grid - step, x_eq)) / (2.0 * step))
+        sdot = slope[:, None] * xdots
+        _refuse_non_finite("storage rate", sdot, x_grid, u_grid)
         du = ut - ue_t
         dy = yt - ye_t
         supply = -rho_t * dy * dy - nu_t * du * du + dy * du
+        _refuse_non_finite("supply", supply, x_grid, u_grid)
         worst = max(worst, float(np.max(sdot - supply)))
     return PassivationReport(
         max_violation=worst,

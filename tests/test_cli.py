@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import itertools
 import json
@@ -245,14 +246,9 @@ class TestSimulate:
         assert err.startswith("error: InvalidSpec: ") and located in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("change", [
-        lambda d: d["agents"][0]["params"].update(center=1e308),
-        lambda d: d.update(x0=[1e308, -0.2, 0.3]),
-        lambda d: d.update(controllers={"gain": 1e308}),
-    ], ids=["center", "x0", "gain"])
-    def test_trajectory_leaving_float_range_is_refused(self, tmp_path, capsys,
-                                                       change):
-        doc = {
+    @staticmethod
+    def mixed_path_doc():
+        return {
             "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
             "agents": [{"kind": "quadratic", "params": {"center": 1.0}},
                        {"kind": "pendulum-gradient", "params": {}},
@@ -261,6 +257,14 @@ class TestSimulate:
             "x0": [0.1, -0.2, 0.3],
             "integrator": {"dt": 0.01, "horizon": 2.0},
         }
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d.update(x0=[1e308, -0.2, 0.3]),
+        lambda d: d.update(controllers={"gain": 1e308}),
+    ], ids=["x0", "gain"])
+    def test_trajectory_leaving_float_range_is_refused(self, tmp_path, capsys,
+                                                       change):
+        doc = self.mixed_path_doc()
         change(doc)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -271,6 +275,24 @@ class TestSimulate:
         assert rc == 2
         assert err.startswith("error: NonFiniteState: ") and "at t = " in err
         assert not (outdir / "trajectories.csv").exists()
+
+    def test_trajectory_near_float_range_is_written(self, tmp_path, capsys):
+        # a centre of 1e308 drives y0 to about 6e307 by t = 2 and every
+        # stored row stays finite, the one at t = 0 included
+        doc = self.mixed_path_doc()
+        doc["agents"][0]["params"]["center"] = 1e308
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "run"
+        rc = main(["simulate", "--spec", str(path), "--outdir", str(outdir)])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert 5e307 < summary["steady_state_y"][0] < 1e308
+        with open(outdir / "trajectories.csv") as fh:
+            rows = list(csv.reader(fh))
+        values = np.array(rows[1:], dtype=float)
+        assert np.isfinite(values).all()
+        assert values[0, 1:4].tolist() == [0.1, -0.2, 0.3]
 
     def test_missing_spec_is_error(self, tmp_path, capsys):
         rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),

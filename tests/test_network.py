@@ -186,6 +186,27 @@ class TestSimulate:
         with pytest.raises(NonFiniteState), np.errstate(over="ignore"):
             simulate(spec)
 
+    def test_rows_at_a_step_start_keep_the_state_near_float_range(self):
+        # stage derivatives near 1e308 overflow the dense-output weights
+        # times K when K is combined first: 0·inf made the t = 0 row nan
+        spec = NetworkSpec(Graph.path(3), (quadratic_agent(1e308),) * 3,
+                           (ControllerSpec(gain=1.0),) * 2,
+                           np.array([0.1, 0.0, 0.0]), FAST)
+        sim = simulate(spec)
+        assert sim.t[0] == 0.0 and sim.x[0].tolist() == [0.1, 0.0, 0.0]
+        assert np.isfinite(sim.x).all() and np.isfinite(sim.y).all()
+
+    def test_non_finite_output_names_its_row_time(self):
+        # the state e^-t stays finite; the output is infinite once it falls
+        # below 1/2, first at the row t = 0.70 (ln 2 = 0.693)
+        agent = AgentODE(f=lambda x, u: -x,
+                         h=lambda x, u: np.where(x < 0.5, np.inf, x))
+        spec = NetworkSpec(Graph(1, ()), (agent,), (), np.array([1.0]),
+                           IntegratorConfig(horizon=2.0))
+        with pytest.raises(NonFiniteState,
+                           match=r"^signals not finite at t = 0\.700$"):
+            simulate(spec)
+
     def test_non_finite_trial_step_is_retried(self):
         # sqrt(x) is NaN below zero: once x is tiny, steps of a few time
         # units put some stages there, and those steps are retried smaller

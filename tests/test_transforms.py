@@ -25,16 +25,19 @@ from pqikit import (
 from pqikit.errors import (
     InvalidSpec,
     NonFiniteState,
+    NonFiniteValue,
     NoStorageFunction,
+    PreconditionFailed,
     SingularTransform,
 )
-from pqikit.network import AgentODE, bracket_roots
+from pqikit.network import AgentODE, bracket_roots, dormand_prince
 from pqikit.systems import (
     nonmonotone_demo_agent,
     odd_cubic_agent,
     pendulum_gradient_agent,
     quadratic_agent,
 )
+from pqikit.transforms import U_RANGE, X0_RANGE, _reach
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -390,21 +393,20 @@ class TestVerifyPassivation:
         assert report.passed
 
     def test_blow_up_names_the_trajectory_time(self):
-        # x' = x² + 10⁴ from x0 leaves every bound at
-        # t = (π/2 - atan(x0/100))/100, between 0.01541 and 0.01601 for
-        # every start in [-3, 3], in the first of the ten input segments
-        runaway = AgentODE(f=lambda x, u: x * x + 1e4, h=lambda x, u: x,
+        # x' = x² - 1 has equilibria at ±1, and from the top of the start box
+        # x(t) = coth(ln(2)/2 - t) leaves every bound at t = ln(2)/2 = 0.3466
+        runaway = AgentODE(f=lambda x, u: x * x - 1.0, h=lambda x, u: x,
                            storage=lambda x, xe: 0.5 * (x - xe) ** 2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteState, match=r"t = \d") as err:
             verify_passivation(runaway, Transform2.identity(),
                                PassivityIndices(0.0, 0.0), trials=3)
         t = float(re.search(r"t = ([0-9.]+)", str(err.value)).group(1))
-        assert 0.01541 - 0.01 <= t <= 0.01601 + 0.01
+        assert abs(t - 0.5 * math.log(2.0)) <= 0.01
 
     def test_pendulum_certificate_work(self):
-        # the adaptive stepper takes long steps on the smooth pendulum
-        # trajectories; fixed steps of the 1e-3 floor would need 40 000 calls
+        # the grid is one call; the root search makes about a dozen and the
+        # reach's adaptive steps the rest (584 here, about 95 steps of 6)
         calls = []
         agent = pendulum_gradient_agent()
 
@@ -416,7 +418,60 @@ class TestVerifyPassivation:
                                     Transform2(1.0, 2.5, 0.0, 1.0),
                                     PassivityIndices(0.0, 0.0), trials=10)
         assert report.passed
-        assert len(calls) <= 10_000
+        assert len(calls) <= 800
+
+    def test_no_equilibrium_is_refused(self):
+        # the only equilibria, x = u + 50, lie outside the root window
+        agent = AgentODE(f=lambda x, u: -x + u + 50.0, h=lambda x, u: -5.0 * x,
+                         storage=lambda x, xe: 0.5 * (x - xe) ** 2)
+        with pytest.raises(PreconditionFailed,
+                           match=r"no forced equilibrium.*\[-10, 10\].*"
+                                 r"U_RANGE \[-2.0, 2.0\]"):
+            verify_passivation(agent, Transform2.identity(),
+                               PassivityIndices(0.0, 0.0), trials=3)
+
+    def test_nan_output_is_named(self):
+        # the grid's states step by 0.06 from -3, so 1.02 is the first above 1
+        agent = AgentODE(f=lambda x, u: -x + u,
+                         h=lambda x, u: np.where(x > 1.0, np.nan, x),
+                         storage=lambda x, xe: 0.5 * (x - xe) ** 2)
+        with pytest.raises(NonFiniteValue,
+                           match=r"^h is not finite at \(x, u\) = \(1\.02, -2\)$"):
+            verify_passivation(agent, Transform2.identity(),
+                               PassivityIndices(0.0, 0.0), trials=5)
+
+    def test_thin_band_violation_is_caught(self):
+        # passive but for an output jump of 50 on x in [2.95, 3], where
+        # -(x - xe)² - 50·(u - ue) > 0 for inputs well below ue; the grid
+        # holds x = 3, while ten random trajectories from [-3, 3] (seed 0)
+        # never enter the band, since f points away from it
+        agent = AgentODE(
+            f=lambda x, u: -x + u,
+            h=lambda x, u: np.where((x >= 2.95) & (x <= 3.0), x + 50.0, x),
+            storage=lambda x, xe: 0.5 * (x - xe) ** 2)
+        report = verify_passivation(agent, Transform2.identity(),
+                                    PassivityIndices(0.0, 0.0), trials=10)
+        assert not report.passed and report.max_violation > 1.0
+
+    @pytest.mark.parametrize("agent", [
+        nonmonotone_demo_agent(), pendulum_gradient_agent(), odd_cubic_agent(),
+        quadratic_agent(),
+    ], ids=["demo", "pendulum", "odd-cubic", "quadratic"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_reach_holds_the_trials(self, agent, seed):
+        # ten random trajectories: starts in X0_RANGE, inputs in U_RANGE
+        # held over ten unit spans, stored every 0.02 and at each step end
+        rng = np.random.default_rng(seed)
+        u_levels = rng.uniform(*U_RANGE, size=(11, 10))
+        x = rng.uniform(*X0_RANGE, size=10)
+        states = [x]
+        for u in u_levels[:10]:
+            for _, x, _, _, rows in dormand_prince(
+                    lambda x, u=u: agent.f(x, u), x, 1.0, 1e-3, 1.0, 20):
+                states += [x, rows.ravel()]
+        states = np.concatenate(states)
+        lo, hi = _reach(agent.f, np.linspace(*U_RANGE, 41))
+        assert lo <= states.min() and states.max() <= hi
 
     def test_non_broadcasting_storage_is_located(self):
         agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x,
