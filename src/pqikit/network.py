@@ -114,8 +114,12 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
     point moves toward its bracket's midpoint by 0.1·w²/c, w the bracket's
     width and c the cell's, and by at least one ulp, so that it lands past a
     root it has nearly found; then it is drawn toward the midpoint just far
-    enough that after n rounds no bracket is wider than 2^(2-n)·c.  A
-    bracket leaves the loop once its ends are adjacent floats (it yields
+    enough that after n rounds no bracket is wider than 2^(2-n)·c.  The
+    false-position point itself, where it lies inside the bracket, is
+    evaluated in the same array call: an exact zero there closes the bracket
+    at once, and a sign change between it and the ITP point leaves the
+    bracket between the two, so a linear ``f`` needs no truncation rounds.
+    A bracket leaves the loop once its ends are adjacent floats (it yields
     their midpoint) or it hits an exact zero (it yields that point), so each
     round calls ``f`` only on the brackets still open; 80 rounds at most.
     Returns the roots and, for each, the index of its input level, ordered
@@ -151,14 +155,27 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
         step = np.maximum(0.1 / width * w * w, np.abs(np.spacing(xf)))
         reach = np.maximum(width * 2.0 ** (1 - j) - 0.5 * w, 0.0)
         x = m - np.copysign(np.minimum(np.fmax(np.abs(gap) - step, 0.0), reach), gap)
-        fx = agent_call(f, x, u)
+        xf = np.where(np.abs(gap) < 0.5 * w, xf, x)
+        probes = np.stack([x, xf])
+        fx, ff = agent_call(f, probes, np.broadcast_to(u, probes.shape))
         flip = np.sign(fx) != np.sign(f1)
         x0, g0 = np.where(flip, x1, x0), np.where(flip, f1, g0 * (0.5 if j else 1.0))
         x1, f1 = x, fx
         x0 = np.where(fx == 0.0, x, x0)
+        # xf lies between x and the end on its side of the midpoint; inside
+        # the new bracket it splits that bracket again
+        held = np.sign(xf - x0) * np.sign(xf - x1) < 0.0
+        cross = held & (np.sign(ff) != np.sign(fx))
+        x0, g0 = np.where(cross, x, x0), np.where(cross, fx, g0)
+        x1, f1 = np.where(held, xf, x1), np.where(held, ff, f1)
+        x0 = np.where(held & (ff == 0.0), xf, x0)
     else:
         roots[k] = 0.5 * (x0 + x1)
     return roots, level
+
+
+def _output_gap(h, x, t):
+    return h(x, 0.0) - t
 
 
 @dataclass(frozen=True)
@@ -169,14 +186,15 @@ class AgentODE:
     equal shape (and on scalars): the simulator calls ``f`` once for all
     vertices whose ``f`` is equal by value, and ``h`` likewise (the same
     object, or partials of one function bound to equal values; see
-    :func:`_agent_groups`), and the certificate and relation checks call
-    them on whole grids of states and inputs.  Those grid arrays are
-    read-only: an ``f`` that writes into its input raises InvalidSpec.
+    :func:`_agent_groups`), and the certificate calls them on whole grids of
+    states and inputs.  Those grid arrays are read-only: an ``f`` that
+    writes into its input raises InvalidSpec.
 
     The output may include a constant feedthrough term: h(x,u) must equal
     h(x,0) + feedthrough*u.  Optional extras carry a storage-function
     candidate S(x, x_eq), declared passivity indices, and the steady-state
-    relation used by the optimization path.
+    relation used by the optimization path; an agent with a relation must
+    have h(x,0) strictly monotone in x, which :meth:`check_relation` checks.
     """
 
     f: Callable[[float, float], float]
@@ -189,22 +207,46 @@ class AgentODE:
     def check_relation(self) -> bool:
         """Declared relation consistent with the dynamics at 50 of its samples.
 
-        Each sampled (u, y), evenly spaced in index, must sit at a forced
-        equilibrium: a root of f(., u) on [-50, 50] whose output is within
-        1e-8·(Y + |y|) of y, Y the relation's largest |y|.  The root is
-        certified by its sign-change bracket rather than by |f|, which is
-        unbounded below for infinite-slope dynamics like cube roots.
+        Each sampled (u, y), evenly spaced in index, must have a forced
+        equilibrium in its window: the states x in [-50, 50] whose output
+        h(x, u) is within tol = 1e-8·(Y + |y|) of y, Y the relation's largest
+        |y|.  As h(x, u) = h(x, 0) + feedthrough·u with h(., 0) strictly
+        monotone, the window is one interval, and its ends are where h(., 0)
+        crosses y - feedthrough·u ∓ tol, or ±50 where h(±50, 0) already lies
+        in that band; one :func:`bracket_roots` call finds all of them.  The
+        root is certified by one call of ``f`` at all window ends: an exact
+        zero or a sign change of f(., u) across the window, rather than a
+        small |f|, which is unbounded below for infinite-slope dynamics like
+        cube roots.  An h(., 0) that is not strictly monotone on a 2001-point
+        grid of [-50, 50] raises PreconditionFailed.
         """
         if self.relation is None:
             return True
+        xs = np.linspace(-50.0, 50.0, 2001)
+        h0 = agent_call(self.h, xs, np.zeros_like(xs))
+        rise = np.diff(h0)
+        if not (np.all(rise > 0.0) or np.all(rise < 0.0)):
+            raise PreconditionFailed("relation check: h(x, 0) is not strictly "
+                                     "monotone in x on [-50, 50]")
         idx = np.linspace(0, len(self.relation.u) - 1, 50).astype(int)
         us, ys = self.relation.u[idx], self.relation.y[idx]
-        roots, level = bracket_roots(self.f, us, -50.0, 50.0, 2000)
-        err = np.abs(agent_call(self.h, roots, us[level]) - ys[level])
-        best = np.full(len(us), np.inf)
-        np.minimum.at(best, level, err)
-        scale = float(np.abs(self.relation.y).max())
-        return bool(np.all(best <= 1e-8 * (scale + np.abs(ys))))
+        tol = 1e-8 * (np.abs(self.relation.y).max() + np.abs(ys))
+        t = ys - self.feedthrough * us
+        roots, level = bracket_roots(partial(_output_gap, self.h),
+                                     np.concatenate([t - tol, t + tol]), -50.0, 50.0, 1)
+        crossing = np.full(2 * len(t), np.nan)
+        crossing[level] = roots
+        crossing = crossing.reshape(2, -1)
+        left = np.where(np.abs(h0[0] - t) <= tol, -50.0, np.fmin(*crossing))
+        right = np.where(np.abs(h0[-1] - t) <= tol, 50.0, np.fmax(*crossing))
+        # a band edge that h(., 0) meets exactly at 50 is no bracketed root,
+        # and that window is the one point 50
+        ends = np.stack([np.fmin(left, right), np.fmax(left, right)])
+        found = ~np.isnan(ends[0])
+        fa, fb = agent_call(self.f, np.where(found, ends, 0.0),
+                            np.broadcast_to(us, ends.shape))
+        certified = (fa == 0.0) | (fb == 0.0) | (np.sign(fa) * np.sign(fb) < 0.0)
+        return bool(np.all(found & certified))
 
 
 @dataclass(frozen=True)
@@ -960,6 +1002,25 @@ def _located(path: str):
         raise InvalidSpec(f"{path}: {reason}") from exc
 
 
+def _json_entries(raw, count: int, path: str, build) -> list:
+    """build(entry, entry_path) for each entry of a JSON list, or ``count``
+    times the value of one object that stands for every entry; equal list
+    entries share one value.  A fault names the entry's JSON path: ``path``
+    itself for the one object, ``path[i]`` for a list entry."""
+    if isinstance(raw, dict):
+        with _located(path):
+            return [build(raw, path)] * count
+    built, values = {}, []
+    with _located(path):
+        for i, entry in enumerate(raw):
+            with _located(f"{path}[{i}]"):
+                key = json.dumps(entry, sort_keys=True, default=repr)
+                if key not in built:
+                    built[key] = build(entry, f"{path}[{i}]")
+            values.append(built[key])
+    return values
+
+
 def spec_from_json(doc: str | dict) -> NetworkSpec:
     """Build a NetworkSpec from a JSON document.
 
@@ -972,10 +1033,13 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
          "integrator": {"dt": 1e-3, "horizon": 100.0}}
 
     ``agents`` may be a single object applied to every vertex, and so may
-    ``controllers``.  Agent kinds resolve through the built-in fixtures of
-    :data:`pqikit.systems.AGENT_REGISTRY`; equal agent entries share one
-    agent object, and the simulator evaluates vertices whose agents were
-    built with equal parameters in one array call (see :func:`_agent_groups`).
+    ``controllers``; a fault in such an object is named at its own path
+    (``$.agents.kind``), one in a list entry at the entry's
+    (``$.agents[0].kind``).  Agent kinds resolve through the built-in
+    fixtures of :data:`pqikit.systems.AGENT_REGISTRY`; equal agent entries
+    share one agent object, and the simulator evaluates vertices whose agents
+    were built with equal parameters in one array call (see
+    :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
     must match the length of ``x0``, a flat list of finite numbers.  A missing
     or malformed entry, a JSON ``true`` or ``false`` included, raises
@@ -1004,30 +1068,16 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
         raise InvalidSpec(f"$.x0: {len(x0)} initial states for "
                           f"$.graph.vertices = {raw_n!r}")
 
-    if isinstance(raw_agents, dict):
-        raw_agents = [raw_agents] * graph.vertex_count
-    built = {}
-    agents = []
-    with _located("$.agents"):
-        for i, entry in enumerate(raw_agents):
-            with _located(f"$.agents[{i}]"):
-                key = json.dumps(entry, sort_keys=True, default=repr)
-                if key not in built:
-                    kind = entry["kind"]
-                    if kind not in AGENT_REGISTRY:
-                        raise InvalidSpec(
-                            f"$.agents[{i}].kind: unknown agent kind {kind!r}")
-                    with _located(f"$.agents[{i}].params"):
-                        built[key] = AGENT_REGISTRY[kind](**entry.get("params", {}))
-                agents.append(built[key])
+    def agent(entry, path):
+        kind = entry["kind"]
+        if kind not in AGENT_REGISTRY:
+            raise InvalidSpec(f"{path}.kind: unknown agent kind {kind!r}")
+        with _located(f"{path}.params"):
+            return AGENT_REGISTRY[kind](**entry.get("params", {}))
 
-    if isinstance(raw_ctrl, dict):
-        raw_ctrl = [raw_ctrl] * graph.edge_count
-    controllers = []
-    with _located("$.controllers"):
-        for e, c in enumerate(raw_ctrl):
-            with _located(f"$.controllers[{e}]"):
-                controllers.append(ControllerSpec(gain=float(c["gain"])))
+    agents = _json_entries(raw_agents, graph.vertex_count, "$.agents", agent)
+    controllers = _json_entries(raw_ctrl, graph.edge_count, "$.controllers",
+                                lambda c, path: ControllerSpec(gain=float(c["gain"])))
 
     with _located("$.integrator"):
         integ = IntegratorConfig(**doc.get("integrator", {}))

@@ -192,7 +192,7 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value, located", [
         ("x0", None, "$: missing key 'x0'"),
         ("agents", {"kind": "quadratic", "params": {"centre": 1.0}},
-         "$.agents[0].params"),
+         "$.agents.params"),
         # written as Infinity and NaN, which json reads back
         ("integrator", {"horizon": float("inf")},
          "$.integrator: ValueError: horizon must be finite"),
@@ -213,16 +213,16 @@ class TestSimulate:
         # the built-in agents' grids and the integrator's row stride and
         # stop rule are constants, so a spec cannot set them
         ("agents", {"kind": "pendulum-gradient", "params": {"n": 0}},
-         "$.agents[0].params: TypeError: pendulum_gradient_agent() got an "
+         "$.agents.params: TypeError: pendulum_gradient_agent() got an "
          "unexpected keyword argument 'n'"),
         ("agents", {"kind": "odd-cubic", "params": {"sigma_range": [-1, 1]}},
-         "$.agents[0].params: TypeError: odd_cubic_agent() got an "
+         "$.agents.params: TypeError: odd_cubic_agent() got an "
          "unexpected keyword argument 'sigma_range'"),
         ("integrator", {"store_stride": 5}, "$.integrator: TypeError: "),
         ("integrator", {"stop_on_convergence": False},
          "$.integrator.stop_on_convergence: false is not a number"),
         ("agents", {"kind": "pendulum-gradient", "params": {"r1": float("inf")}},
-         "$.agents[0].params: NonFiniteValue: relation samples must be finite, "
+         "$.agents.params: NonFiniteValue: relation samples must be finite, "
          "not sample 0 (-inf, -40.0) at parameter -40.0"),
         ("x0", [[0.0], [0.0]],
          "$.x0: must be one flat list of numbers, not of shape (2, 1)"),
@@ -510,6 +510,21 @@ def _assert_named(rc, lines, locator, case, flag=None):
     assert re.search(locator, lines[0], re.IGNORECASE), (case, lines)
 
 
+def _names_a_path_of(doc, line) -> bool:
+    """Whether the first JSON path in ``line``, if there is one, leads to
+    an entry that ``doc`` has."""
+    found = re.search(r"\$((?:\.\w+|\[\d+\])*)", line)
+    node = doc
+    for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", found.group(1) if found else ""):
+        if key and isinstance(node, dict) and key in node:
+            node = node[key]
+        elif index and isinstance(node, list) and int(index) < len(node):
+            node = node[int(index)]
+        else:
+            return False
+    return True
+
+
 class TestFuzz:
     """Each leaf of a spec, and each numeric flag, set in turn to each bad
     value, every case on every run; no count or length is made large."""
@@ -526,6 +541,7 @@ class TestFuzz:
             rc, lines = _run(command + ["--spec", _spec_path(tmp_path, bad),
                                         "--outdir", str(tmp_path / "out")])
             _assert_named(rc, lines, LOCATOR["spec"], (leaf, value))
+            assert rc == 0 or _names_a_path_of(bad, lines[0]), (leaf, value, lines)
 
     @pytest.mark.parametrize("command, name", FUZZ_FLAGS)
     def test_flag(self, command, name):

@@ -784,6 +784,16 @@ class TestJsonIngest:
          r"^\$\.controllers\[0\]: missing key 'gain'"),
         (lambda d: d["controllers"][0].update(gain=-1.0),
          r"^\$\.controllers\[0\]: .*positive"),
+        (lambda d: d["agents"][1].update(kind="nope"),
+         r"^\$\.agents\[1\]\.kind: unknown agent kind 'nope'$"),
+        # one object for every entry is named at its own path, not at [0]
+        (lambda d: d.update(agents={"kind": "nope"}),
+         r"^\$\.agents\.kind: unknown agent kind 'nope'$"),
+        (lambda d: d.update(agents={"params": {}}), r"^\$\.agents: missing key 'kind'$"),
+        (lambda d: d.update(agents={"kind": "quadratic", "params": {"centre": 2.0}}),
+         r"^\$\.agents\.params: .*'centre'"),
+        (lambda d: d.update(controllers={}), r"^\$\.controllers: missing key 'gain'$"),
+        (lambda d: d.update(controllers={"gain": -1.0}), r"^\$\.controllers: .*positive"),
         (lambda d: d["integrator"].update(step=0.1), r"^\$\.integrator: .*'step'"),
         (lambda d: d["graph"].update(vertices=math.inf),
          r"^\$\.graph\.vertices: inf is not an integer$"),
@@ -855,6 +865,45 @@ class TestAgentDeclarations:
         for agent in (quadratic_agent(2.0), pendulum_gradient_agent(),
                       nonmonotone_demo_agent()):
             assert agent.check_relation()
+
+    def test_transformed_relation_matches_dynamics(self):
+        # h~(x, 0) = det T/(a + b·D)·h(x, 0) stays strictly monotone
+        agent = transform_agent(nonmonotone_demo_agent(), Transform2(1.0, 1.0, 1.0, 2.0))
+        assert agent.check_relation()
+
+    def test_pendulum_draws_match_their_relations(self):
+        # 30 of these draws put two roots in one cell of the 0.05 grid that
+        # the check once bracketed roots on, and read False
+        rng = np.random.default_rng(0)
+        draws = [(rng.uniform(0.5, 10.0), rng.uniform(0.01, 1.0)) for _ in range(100)]
+        assert all(pendulum_gradient_agent(r1, r2).check_relation() for r1, r2 in draws)
+
+    @pytest.mark.parametrize("make", [pendulum_gradient_agent, odd_cubic_agent,
+                                      nonmonotone_demo_agent])
+    def test_relation_shifted_in_y_fails(self, make):
+        agent = make()
+        rel = agent.relation
+        shifted = PlanarRelation(rel.u, rel.y + 1e-6 * np.abs(rel.y).max(), rel.sigma)
+        assert not replace(agent, relation=shifted).check_relation()
+
+    def test_output_not_strictly_monotone_is_refused(self):
+        rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: s, (0.0, 3.0))
+        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: np.abs(x), relation=rel)
+        with pytest.raises(PreconditionFailed, match="h\\(x, 0\\) is not strictly monotone"):
+            agent.check_relation()
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_window_at_the_interval_end(self, slope):
+        # the samples y = ±50 have their equilibria at x = ±50, where h(., 0)
+        # is already inside the band; beyond ±50 a window is empty
+        def agent(end):
+            rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: slope * s,
+                                                  (-end, end))
+            return AgentODE(f=lambda x, u: -x + u, h=lambda x, u: slope * x,
+                            relation=rel)
+
+        assert agent(50.0).check_relation()
+        assert not agent(60.0).check_relation()
 
     def test_agent_without_relation_passes_the_check(self):
         assert AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x).check_relation()

@@ -84,13 +84,18 @@ class TestMappingTransform:
         np.testing.assert_allclose(T.matrix(), np.eye(2), atol=1e-14)
 
     @given(nontrivial_pqis(), nontrivial_pqis())
+    @example(PQI(0.0, 0.375, 1.0), PQI(1e-6, 5.0, 0.0))  # cond(T) = 4.1e7
     @settings(max_examples=300, deadline=None)
     def test_pullback_hits_target_up_to_positive_scalar(self, source, target):
         T = mapping_transform(source, target)
         got = pullback(source, T).normalized().coeffs
         want = target.normalized().coeffs
         assert np.dot(got, want) > 0  # positive, not negative, multiple
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        # T comes from rounded rays and their inverse, so the pullback is off
+        # by about cond(T)·eps; 20 000 random draws stayed below 5 cond(T)·eps
+        # and a 20 000-example search maximizing the error below 8
+        tol = 16.0 * np.linalg.cond(T.matrix()) * np.finfo(float).eps
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
     @given(nontrivial_pqis(), nontrivial_pqis(), st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -291,15 +296,26 @@ class TestBracketRoots:
         assert len(calls) <= 81
         assert len(roots) == 1 and abs(roots[0] - 1e-300) <= 1e-30
 
-    @pytest.mark.parametrize("agent, most", [
-        (pendulum_gradient_agent(), 15), (odd_cubic_agent(), 20),
-        (nonmonotone_demo_agent(), 20),
+    @pytest.mark.parametrize("agent", [
+        pendulum_gradient_agent(), odd_cubic_agent(), nonmonotone_demo_agent(),
     ])
-    def test_relation_check_call_count(self, agent, most):
-        # bisection took 54, 62 and 69 array calls of f here
+    def test_relation_check_call_count(self, agent):
+        # bisection took 54, 62 and 69 array calls of f here, and bracketing
+        # every root on a 2001-point grid 12, 13 and 15; the window test
+        # evaluates f once, at both ends of the 50 samples' windows
         f, calls = counted(agent.f)
         assert replace(agent, f=f).check_relation()
-        assert len(calls) <= most
+        assert calls == [100]
+
+    def test_linear_f_closes_without_truncation_rounds(self):
+        # the false-position point lands within rounding of each root, and
+        # one more round closes the bracket; ITP alone took 12 array calls
+        levels = np.random.default_rng(0).uniform(-50.0, 50.0, 100)
+        f, calls = counted(lambda x, t: x - t)
+        roots, level = bracket_roots(f, levels, -50.0, 50.0, 1)
+        np.testing.assert_array_equal(roots, levels[level])
+        assert level.tolist() == list(range(100))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("shape", HARD_SHAPES)
     def test_hard_shapes_match_bisection_in_fewer_calls(self, shape):
