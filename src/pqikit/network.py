@@ -91,14 +91,14 @@ def _agent_error(fn, where: str, exc: Exception) -> InvalidSpec:
     name = getattr(fn, "__qualname__", repr(fn))
     return InvalidSpec(
         f"{where}: {name} failed on array input ({type(exc).__name__}: {exc}); "
-        "agent f, h and storage must evaluate elementwise on numpy arrays"
+        "agent f(x, u), h(x) and storage(x, x_eq) must evaluate elementwise on numpy arrays"
     )
 
 
-def agent_call(fn, x, u):
-    """fn(x, u) on equal-shape arrays; InvalidSpec if fn cannot do that."""
+def agent_call(fn, x, *u):
+    """fn(x, *u) on equal-shape arrays; InvalidSpec if fn cannot do that."""
     try:
-        return np.broadcast_to(fn(x, u), np.shape(x))
+        return np.broadcast_to(fn(x, *u), np.shape(x))
     except (TypeError, ValueError) as exc:
         raise _agent_error(fn, "agent", exc) from exc
 
@@ -175,30 +175,26 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
 
 
 def _output_gap(h, x, t):
-    return h(x, 0.0) - t
+    return h(x) - t
 
 
 @dataclass(frozen=True)
 class AgentODE:
-    """Scalar-state agent dx/dt = f(x,u), y = h(x,u).
+    """Scalar-state agent dx/dt = f(x, u), y = h(x) + feedthrough·u.
 
-    ``f``, ``h`` and ``storage`` must evaluate elementwise on numpy arrays of
-    equal shape (and on scalars): the simulator calls ``f`` once for all
-    vertices whose ``f`` is equal by value, and ``h`` likewise (the same
-    object, or partials of one function bound to equal values; see
-    :func:`_agent_groups`), and the certificate calls them on whole grids of
-    states and inputs.  Those grid arrays are read-only: an ``f`` that
-    writes into its input raises InvalidSpec.
-
-    The output may include a constant feedthrough term: h(x,u) must equal
-    h(x,0) + feedthrough*u.  Optional extras carry a storage-function
-    candidate S(x, x_eq), declared passivity indices, and the steady-state
-    relation used by the optimization path; an agent with a relation must
-    have h(x,0) strictly monotone in x, which :meth:`check_relation` checks.
+    ``feedthrough`` is the one place where the output depends on the input.
+    ``f(x, u)``, ``h(x)`` and ``storage(x, x_eq)`` must evaluate elementwise
+    on numpy arrays of equal shape (and on scalars): the simulator calls
+    ``f`` once for all vertices whose ``f`` is equal by value, and ``h``
+    likewise (see :func:`_agent_groups`), and the certificate calls them on
+    read-only grids, so an ``f`` that writes into its input raises
+    InvalidSpec.  Optional extras carry a storage candidate S(x, x_eq),
+    declared passivity indices, and the steady-state relation of the
+    optimization path, which needs h strictly monotone (:meth:`check_relation`).
     """
 
     f: Callable[[float, float], float]
-    h: Callable[[float, float], float]
+    h: Callable[[float], float]
     feedthrough: float = 0.0
     storage: Callable[[float, float], float] | None = None
     indices: object | None = None
@@ -209,24 +205,23 @@ class AgentODE:
 
         Each sampled (u, y), evenly spaced in index, must have a forced
         equilibrium in its window: the states x in [-50, 50] whose output
-        h(x, u) is within tol = 1e-8·(Y + |y|) of y, Y the relation's largest
-        |y|.  As h(x, u) = h(x, 0) + feedthrough·u with h(., 0) strictly
-        monotone, the window is one interval, and its ends are where h(., 0)
-        crosses y - feedthrough·u ∓ tol, or ±50 where h(±50, 0) already lies
-        in that band; one :func:`bracket_roots` call finds all of them.  The
-        root is certified by one call of ``f`` at all window ends: an exact
-        zero or a sign change of f(., u) across the window, rather than a
-        small |f|, which is unbounded below for infinite-slope dynamics like
-        cube roots.  An h(., 0) that is not strictly monotone on a 2001-point
-        grid of [-50, 50] raises PreconditionFailed.
+        h(x) + feedthrough·u is within tol = 1e-8·(Y + |y|) of y, Y the
+        relation's largest |y|.  As h is strictly monotone, the window is one
+        interval, and its ends are where h crosses y - feedthrough·u ∓ tol,
+        or ±50 where h(±50) already lies in that band; one
+        :func:`bracket_roots` call finds all of them.  The root is certified
+        by one call of ``f`` at all window ends: an exact zero or a sign
+        change of f(., u) across the window, rather than a small |f|, which
+        is unbounded below for infinite-slope dynamics like cube roots.  An
+        h not strictly monotone on a 2001-point grid of [-50, 50], or a
+        sample whose window is empty, raises PreconditionFailed.
         """
         if self.relation is None:
             return True
-        xs = np.linspace(-50.0, 50.0, 2001)
-        h0 = agent_call(self.h, xs, np.zeros_like(xs))
+        h0 = agent_call(self.h, np.linspace(-50.0, 50.0, 2001))
         rise = np.diff(h0)
         if not (np.all(rise > 0.0) or np.all(rise < 0.0)):
-            raise PreconditionFailed("relation check: h(x, 0) is not strictly "
+            raise PreconditionFailed("relation check: h(x) is not strictly "
                                      "monotone in x on [-50, 50]")
         idx = np.linspace(0, len(self.relation.u) - 1, 50).astype(int)
         us, ys = self.relation.u[idx], self.relation.y[idx]
@@ -239,14 +234,17 @@ class AgentODE:
         crossing = crossing.reshape(2, -1)
         left = np.where(np.abs(h0[0] - t) <= tol, -50.0, np.fmin(*crossing))
         right = np.where(np.abs(h0[-1] - t) <= tol, 50.0, np.fmax(*crossing))
-        # a band edge that h(., 0) meets exactly at 50 is no bracketed root,
-        # and that window is the one point 50
+        # a band edge that h meets exactly at 50 is no bracketed root, and
+        # that window is the one point 50
         ends = np.stack([np.fmin(left, right), np.fmax(left, right)])
-        found = ~np.isnan(ends[0])
-        fa, fb = agent_call(self.f, np.where(found, ends, 0.0),
-                            np.broadcast_to(us, ends.shape))
+        if np.isnan(ends[0]).any():
+            k = np.argmax(np.isnan(ends[0]))
+            raise PreconditionFailed(
+                f"relation check: sample {idx[k]}, (u, y) = ({us[k]:.6g}, {ys[k]:.6g}): "
+                "y - feedthrough·u is outside the range of h on [-50, 50]")
+        fa, fb = agent_call(self.f, ends, np.broadcast_to(us, ends.shape))
         certified = (fa == 0.0) | (fb == 0.0) | (np.sign(fa) * np.sign(fb) < 0.0)
-        return bool(np.all(found & certified))
+        return bool(np.all(certified))
 
 
 @dataclass(frozen=True)
@@ -382,16 +380,13 @@ def _agent_groups(agents, name: str):
             for fn, ix in members.values()]
 
 
-def _evaluate(groups, x, u):
-    """Per-vertex values of each group's callable at (x, u).
-
-    Vertices run along the first axis; a trailing axis evaluates many
-    states at once.
-    """
+def _evaluate(groups, x, *u):
+    """Per-vertex values of each group's callable at x, and at u if given;
+    vertices run along the first axis, a trailing axis holds many states."""
     out = np.empty(x.shape)
     try:
         for fn, sel in groups:
-            out[sel] = fn(x[sel], u[sel])
+            out[sel] = fn(x[sel], *[v[sel] for v in u])
     except (TypeError, ValueError) as exc:
         vertex = np.arange(len(x))[sel].tolist()
         raise _agent_error(fn, f"agent at vertex {vertex}", exc) from exc
@@ -488,13 +483,13 @@ def simulate(spec: NetworkSpec) -> SimResult:
     multiples of 10·dt, plus a final row at the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
-    the stored signals satisfy them exactly.  With constant feedthrough D
-    the loop y = h(x,0) + D u, u = -E G Eᵀ y is linear in y and solved with
-    an inverse computed once.  The convergence flag is set, at an accepted
-    step, once the last step end with max state-derivative norm not below
-    ``tol_conv`` lies at least ``convergence_window`` back, less dt/100 so
-    that rounding cannot decide a tie; integration stops there.  Overflow is
-    not warned of: a non-finite trial step is retried or raised by
+    the stored signals satisfy them exactly.  With feedthrough D the loop
+    y = h(x) + D·u, u = -E G Eᵀ y is linear in y and solved with an inverse
+    computed once.  The convergence flag is set, at an accepted step, once
+    the last step end with max state-derivative norm not below ``tol_conv``
+    lies at least ``convergence_window`` back, less dt/100 so that rounding
+    cannot decide a tie; integration stops there.  Overflow is not warned
+    of: a non-finite trial step is retried or raised by
     :func:`dormand_prince`, and a stored row whose x, u, y, ζ or μ is not
     finite raises :class:`NonFiniteState` naming its time.
     """
@@ -512,9 +507,9 @@ def simulate(spec: NetworkSpec) -> SimResult:
     f_groups = _agent_groups(spec.agents, "f")
     h_groups = _agent_groups(spec.agents, "h")
 
-    def signals(x, u0=np.zeros(n)):
+    def signals(x):
         """u, y, ζ, μ at x; a trailing axis of x holds many states."""
-        y = _evaluate(h_groups, x, u0)
+        y = _evaluate(h_groups, x)
         if loop_inv is not None:
             y = loop_inv @ y
         zeta = Et @ y
@@ -542,7 +537,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
                 converged = True
                 break
         ts, xs = np.concatenate(stored_t + [[t]]), np.concatenate(stored_x + [x[None]])
-        u, y, zeta, mu = (a.T for a in signals(xs.T, np.zeros(xs.T.shape)))
+        u, y, zeta, mu = (a.T for a in signals(xs.T))
     finite = np.isfinite(np.hstack((xs, u, y, zeta, mu))).all(axis=1)
     if not finite.all():
         raise NonFiniteState(f"signals not finite at t = {ts[np.argmin(finite)]:.3f}")
@@ -554,28 +549,23 @@ def simulate(spec: NetworkSpec) -> SimResult:
 # Per-agent I/O transforms
 
 
-def _transformed_input(h, b, denom, x, ut):
-    return (ut - b * h(x, 0.0)) / denom
-
-
 def _transformed_f(f, h, b, denom, x, ut):
-    return f(x, _transformed_input(h, b, denom, x, ut))
+    return f(x, (ut - b * h(x)) / denom)
 
 
-def _transformed_h(h, b, c, d, denom, x, ut):
-    u = _transformed_input(h, b, denom, x, ut)
-    return c * u + d * h(x, u)
+def _scaled_h(h, k, x):
+    return k * h(x)
 
 
 def transform_agent(agent: AgentODE, transform) -> AgentODE:
     """Closed-form agent realizing the transformed I/O pair.
 
-    With (u~, y~) = T(u, y) and constant feedthrough D, the original input
-    solves u = (u~ - b*h(x, 0)) / (a + b*D) and the new output is
-    y~ = c*u + d*h(x, u); the new feedthrough is (c + d*D)/(a + b*D).  The
-    new f and h are module-level kernels bound with ``functools.partial`` to
-    the agent's f and h and to these numbers, so equal agents under equal
-    transforms get equal callables (see :func:`_agent_groups`).
+    With (u~, y~) = T(u, y), T = [[a, b], [c, d]], and y = h(x) + D·u:
+    h~(x) = (det T/(a + b·D))·h(x), D~ = (c + d·D)/(a + b·D) and
+    f~(x, u~) = f(x, (u~ - b·h(x))/(a + b·D)).  The new f and h are
+    module-level kernels bound with ``functools.partial`` to the agent's f
+    and h and to these numbers, so equal agents under equal transforms get
+    equal callables (see :func:`_agent_groups`).
     """
     a, b, c, d = transform.a, transform.b, transform.c, transform.d
     D = agent.feedthrough
@@ -589,7 +579,7 @@ def transform_agent(agent: AgentODE, transform) -> AgentODE:
     return replace(
         agent,
         f=partial(_transformed_f, agent.f, agent.h, b, denom),
-        h=partial(_transformed_h, agent.h, b, c, d, denom),
+        h=partial(_scaled_h, agent.h, transform.det / denom),
         feedthrough=(c + d * D) / denom,
         relation=relation,
         indices=None,

@@ -273,7 +273,9 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     cell slope i, so it rises up to the first sample whose running maximum
     slope reaches y and falls from the first whose running minimum of the
     slopes onward does; the best sample between is the maximizer (more than
-    one sample only for a y inside the slope band of a dip).
+    one sample only for a y inside the slope band of a dip).  Windows are
+    maximized in batches, so that they take O(len(grid) + len(dual_grid))
+    memory however much they overlap.
     """
     if not F.convexity_certificate:
         raise NonConvexCertificate(
@@ -287,9 +289,13 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
     w = np.flatnonzero(falling[lo] < ys)
     lo, width = lo[w], np.searchsorted(falling, ys[w]) - lo[w] + 1
-    start = np.cumsum(width) - width
-    j = np.arange(width.sum()) - np.repeat(start - lo, width)
-    vals[w] = np.maximum.reduceat(np.repeat(ys[w], width) * x[j] - v[j], start)
+    # batches of whole windows, each ending where the summed width passes k·2**20
+    end = np.cumsum(width)
+    cuts = np.searchsorted(end, np.arange(2**20, end[-1:].sum(), 2**20)) + 1
+    for b in map(slice, np.r_[0, cuts], np.r_[cuts, len(w)]):
+        start = np.cumsum(width[b]) - width[b]
+        j = np.arange(width[b].sum()) - np.repeat(start - lo[b], width[b])
+        vals[w[b]] = np.maximum.reduceat(np.repeat(ys[w[b]], width[b]) * x[j] - v[j], start)
     return IntegralFunction(ys, vals)
 
 

@@ -32,12 +32,13 @@ from .network import (
 from .pqi import PassivityIndices
 from .relations import PlanarRelation
 
-# Agent kernels.  A factory binds its parameters, if it has any, in front of
-# (x, u) with functools.partial, so agents built with equal parameters have
-# equal callables and the simulator evaluates their vertices in one array call.
+# Agent kernels: f(x, u) and h(x).  A factory binds its parameters, if it has
+# any, in front of them with functools.partial, so agents built with equal
+# parameters have equal callables and the simulator evaluates their vertices in
+# one array call.
 
 
-def _state_output(x, u):
+def _state_output(x):
     return x
 
 
@@ -49,7 +50,7 @@ def _odd_cubic_f(x, u):
     return -x + np.cbrt(x) + u
 
 
-def _odd_cubic_h(x, u):
+def _odd_cubic_h(x):
     return np.cbrt(x)
 
 
@@ -57,8 +58,8 @@ def _demo_f(x, u):
     return -np.cbrt(x) + 0.5 * x + 0.5 * u
 
 
-def _demo_h(x, u):
-    return 0.5 * x - 0.5 * u
+def _demo_h(x):
+    return 0.5 * x
 
 
 def _pendulum_f(r1, r2, x, u):

@@ -195,7 +195,7 @@ def find_equilibria(system, u_values):
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
     roots, level = bracket_roots(system.f, us, -10.0, 10.0, 400)
-    ys = agent_call(system.h, roots, us[level])
+    ys = agent_call(system.h, roots) + system.feedthrough * us[level]
     return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]
 
 
@@ -254,10 +254,11 @@ def verify_passivation(
     grid has ``20·trials + 1`` states and ``4·trials + 1`` inputs in
     U_RANGE, so ``trials`` sets its resolution; the states span X0_RANGE,
     every equilibrium and every state that a trajectory from X0_RANGE can
-    reach within HORIZON (see :func:`_reach`).  The report passes when no
-    violation exceeds 1e-6.  A system with no equilibrium to check against
-    raises PreconditionFailed, a grid point where f, h, the storage rate or
-    the supply is not finite NonFiniteValue.
+    reach within HORIZON (see :func:`_reach`); ``h`` is called once, on the
+    states.  The report passes when no violation exceeds 1e-6.  A system
+    with no equilibrium to check against raises PreconditionFailed, a grid
+    point where f, the output, the storage rate or the supply is not finite
+    NonFiniteValue.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
@@ -282,7 +283,7 @@ def verify_passivation(
     X, U = np.meshgrid(x_grid, u_grid, indexing="ij")
     xdots = agent_call(f, X, U)
     _refuse_non_finite("f", xdots, x_grid, u_grid)
-    ys = agent_call(h, X, U)
+    ys = agent_call(h, x_grid)[:, None] + system.feedthrough * U
     _refuse_non_finite("h", ys, x_grid, u_grid)
     ut, yt = transform(U, ys)
 

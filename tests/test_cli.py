@@ -473,10 +473,13 @@ def _run(argv):
     return rc, err.getvalue().splitlines()
 
 
+# the edge values are the least subnormal, the largest float and the least
+# integer that a float cannot hold
 FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e308, -1e308, "a", None,
-               [], {}, True, 2.5, 1e6]
+               [], {}, True, 2.5, 1e6, 5e-324, 1.7976931348623157e308, 2**53 + 1]
 FUZZ_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "a",
-                    "null", "[]", "{}", "true", "2.5", "1e6", "", "1,,2"]
+                    "null", "[]", "{}", "true", "2.5", "1e6", "5e-324",
+                    "1.7976931348623157e308", "9007199254740993", "", "1,,2"]
 SPEC_COMMANDS = [["simulate"], ["optimize", "--problem", "opp"],
                  ["optimize", "--problem", "ofp"]]
 # every leaf of the 3-vertex spec, and the leaves of its other forms that

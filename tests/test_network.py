@@ -59,7 +59,7 @@ FAST = IntegratorConfig(horizon=30.0)
 def _relation_agent(u_of_y, s_range=(-3.0, 3.0), n=4001):
     """Stable agent whose declared steady-state relation is u = u_of_y(y)."""
     rel = PlanarRelation.from_param_curve(u_of_y, lambda s: s, s_range, n)
-    return AgentODE(f=lambda x, u: -x, h=lambda x, u: x, relation=rel)
+    return AgentODE(f=lambda x, u: -x, h=lambda x: x, relation=rel)
 
 
 def _counting_gradient(calls, x, u):
@@ -67,7 +67,7 @@ def _counting_gradient(calls, x, u):
     return -x + u
 
 
-def _counting_output(calls, x, u):
+def _counting_output(calls, x):
     calls.append(np.shape(x))
     return x
 
@@ -127,7 +127,8 @@ class TestAgentGroups:
 
     def test_one_array_call_per_evaluation(self):
         # 50 separately built agents: each right-hand side evaluation calls h
-        # and then f once on all 50 states, and the stored rows call h once more
+        # and then f once on all 50 states, and the stored rows call h once
+        # more; h takes the states alone, so no call passes it an input
         f_calls, h_calls = [], []
         agents = tuple(AgentODE(f=partial(_counting_gradient, f_calls),
                                 h=partial(_counting_output, h_calls))
@@ -180,7 +181,7 @@ class TestSimulate:
                                    atol=1e-4)
 
     def test_blow_up_detected(self):
-        runaway = AgentODE(f=lambda x, u: x * x, h=lambda x, u: x)
+        runaway = AgentODE(f=lambda x, u: x * x, h=lambda x: x)
         spec = NetworkSpec(Graph(1, ()), (runaway,), (), np.array([5.0]),
                            IntegratorConfig(horizon=2.0))
         with pytest.raises(NonFiniteState), np.errstate(over="ignore"):
@@ -200,7 +201,7 @@ class TestSimulate:
         # the state e^-t stays finite; the output is infinite once it falls
         # below 1/2, first at the row t = 0.70 (ln 2 = 0.693)
         agent = AgentODE(f=lambda x, u: -x,
-                         h=lambda x, u: np.where(x < 0.5, np.inf, x))
+                         h=lambda x: np.where(x < 0.5, np.inf, x))
         spec = NetworkSpec(Graph(1, ()), (agent,), (), np.array([1.0]),
                            IntegratorConfig(horizon=2.0))
         with pytest.raises(NonFiniteState,
@@ -218,7 +219,7 @@ class TestSimulate:
             return dx
 
         spec = NetworkSpec(
-            Graph(1, ()), (AgentODE(f=flow, h=lambda x, u: x),), (),
+            Graph(1, ()), (AgentODE(f=flow, h=lambda x: x),), (),
             np.array([1.0]),
             IntegratorConfig(horizon=60.0, convergence_window=10.0,
                              tol_conv=0.0))
@@ -238,7 +239,7 @@ class TestSimulate:
         # two groups alternate (index-array calls)
         def own(agent):
             return replace(agent, f=lambda x, u: agent.f(x, u),
-                           h=lambda x, u: agent.h(x, u))
+                           h=lambda x: agent.h(x))
 
         shared = pendulum_network(integrator=IntegratorConfig(horizon=6.0))
         if layout == "per-vertex":
@@ -332,12 +333,21 @@ class TestSimulate:
         def math_sine_flow(x, u):
             return -math.sin(x) + u
 
-        agent = AgentODE(f=math_sine_flow, h=lambda x, u: x)
+        agent = AgentODE(f=math_sine_flow, h=lambda x: x)
         spec = NetworkSpec(Graph.path(3), (agent,) * 3,
                            (ControllerSpec(gain=1.0),) * 2, np.zeros(3),
                            IntegratorConfig(horizon=1.0))
         with pytest.raises(InvalidSpec,
                            match=r"vertex \[0, 1, 2\].*math_sine_flow"):
+            simulate(spec)
+
+    def test_output_map_of_state_and_input_is_refused(self):
+        # h takes the state alone; an input-dependent output is declared by
+        # the feedthrough, so a two-argument h is refused by its signature
+        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x + 5.0 * u)
+        spec = NetworkSpec(Graph.path(2), (agent,) * 2, (ControllerSpec(gain=1.0),),
+                           np.zeros(2), IntegratorConfig(horizon=1.0))
+        with pytest.raises(InvalidSpec, match=r"vertex \[0, 1\].*h\(x\)"):
             simulate(spec)
 
     def test_singular_feedthrough_loop_rejected(self):
@@ -354,7 +364,7 @@ class TestSimulate:
         # u = -E G Eᵀ y, so y* = (I + (1 + D)·E G Eᵀ)⁻¹ c
         D, gain, centers = 0.5, 1.5, np.array([1.0, -2.0, 0.5, 3.0])
         agents = tuple(AgentODE(f=lambda x, u, c=c: -x + u + c,
-                                h=lambda x, u: x + D * u, feedthrough=D)
+                                h=lambda x: x, feedthrough=D)
                        for c in centers)
         n = len(centers)
         spec = NetworkSpec(Graph.path(n), agents,
@@ -374,6 +384,11 @@ class TestSimulate:
                         (ControllerSpec(gain=1.0),), np.zeros(2))
 
 
+def _output(agent, x, u):
+    """The agent's output y = h(x) + feedthrough·u."""
+    return agent.h(x) + agent.feedthrough * u
+
+
 class TestTransformAgent:
     def test_feedthrough_agent_loses_feedthrough(self):
         agent = nonmonotone_demo_agent()
@@ -383,7 +398,7 @@ class TestTransformAgent:
         for x in xs:
             for ut in (-1.0, 0.0, 2.0):
                 assert abs(out.f(x, ut) - (-np.cbrt(x) + ut)) <= 1e-12
-                assert abs(out.h(x, ut) - x) <= 1e-12
+                assert abs(_output(out, x, ut) - x) <= 1e-12
 
     def test_feedback_shear_on_gradient_agent(self):
         r1, r2 = 2.5, 0.1
@@ -392,14 +407,14 @@ class TestTransformAgent:
         for x in np.linspace(-5.0, 5.0, 21):
             want = -r1 * np.sin(x) - (r1 + r2) * x + 1.5
             assert abs(out.f(x, 1.5) - want) <= 1e-12
-            assert abs(out.h(x, 1.5) - x) <= 1e-12
+            assert abs(_output(out, x, 1.5) - x) <= 1e-12
 
     def test_identity_preserves_fields(self):
         agent = pendulum_gradient_agent()
         out = transform_agent(agent, Transform2.identity())
         for x in np.linspace(-3.0, 3.0, 11):
             assert out.f(x, 0.7) == agent.f(x, 0.7)
-            assert out.h(x, 0.7) == agent.h(x, 0.7)
+            assert _output(out, x, 0.7) == _output(agent, x, 0.7)
 
     def test_round_trip_restores_vector_field(self):
         agent = nonmonotone_demo_agent()
@@ -408,7 +423,30 @@ class TestTransformAgent:
         for x in np.linspace(-3.0, 3.0, 31):
             for u in (-1.0, 0.3, 2.0):
                 assert abs(back.f(x, u) - agent.f(x, u)) <= 1e-12
-                assert abs(back.h(x, u) - agent.h(x, u)) <= 1e-12
+                assert abs(_output(back, x, u) - _output(agent, x, u)) <= 1e-12
+
+    def test_transformed_output_is_the_transformed_pair(self):
+        # y~ = c·u + d·y at the input u that the new input u~ stands for
+        agent = nonmonotone_demo_agent()
+        T = Transform2(1.5, -0.5, 2.0, 3.0)
+        out = transform_agent(agent, T)
+        x, ut = np.linspace(-3.0, 3.0, 31)[:, None], np.array([-1.0, 0.3, 2.0])
+        u = (ut - T.b * agent.h(x)) / (T.a + T.b * agent.feedthrough)
+        np.testing.assert_allclose(out.f(x, ut), agent.f(x, u), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(_output(out, x, ut),
+                                   T.c * u + T.d * _output(agent, x, u),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_one_call_of_h_per_evaluation(self):
+        calls = []
+        agent = AgentODE(f=lambda x, u: -x + u, h=partial(_counting_output, calls),
+                         feedthrough=0.25)
+        out = transform_agent(agent, Transform2(1.0, 2.0, 0.5, 1.5))
+        xs = np.linspace(-1.0, 1.0, 7)
+        out.h(xs)
+        assert calls == [(7,)]
+        out.f(xs, xs)
+        assert calls == [(7,), (7,)]
 
     def test_network_transform_counts(self):
         spec = pendulum_network(n_agents=3)
@@ -736,7 +774,7 @@ class TestPredictAndVerify:
             predict_and_verify(spec, [Transform2.identity()] * 3)
 
     def test_agent_without_relation_rejected(self):
-        bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
+        bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
         spec = NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
                            (ControllerSpec(gain=1.0),), np.zeros(2), FAST)
         with pytest.raises(PreconditionFailed,
@@ -867,7 +905,7 @@ class TestAgentDeclarations:
             assert agent.check_relation()
 
     def test_transformed_relation_matches_dynamics(self):
-        # h~(x, 0) = det T/(a + b·D)·h(x, 0) stays strictly monotone
+        # h~(x) = det T/(a + b·D)·h(x) stays strictly monotone
         agent = transform_agent(nonmonotone_demo_agent(), Transform2(1.0, 1.0, 1.0, 2.0))
         assert agent.check_relation()
 
@@ -888,25 +926,29 @@ class TestAgentDeclarations:
 
     def test_output_not_strictly_monotone_is_refused(self):
         rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: s, (0.0, 3.0))
-        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: np.abs(x), relation=rel)
-        with pytest.raises(PreconditionFailed, match="h\\(x, 0\\) is not strictly monotone"):
+        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x: np.abs(x), relation=rel)
+        with pytest.raises(PreconditionFailed, match="h\\(x\\) is not strictly monotone"):
             agent.check_relation()
 
     @pytest.mark.parametrize("slope", [1.0, -1.0])
     def test_window_at_the_interval_end(self, slope):
-        # the samples y = ±50 have their equilibria at x = ±50, where h(., 0)
-        # is already inside the band; beyond ±50 a window is empty
+        # the samples y = ±50 have their equilibria at x = ±50, where h is
+        # already inside the band; beyond ±50 a window is empty, which is
+        # refused by name rather than read as a wrong relation
         def agent(end):
             rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: slope * s,
                                                   (-end, end))
-            return AgentODE(f=lambda x, u: -x + u, h=lambda x, u: slope * x,
+            return AgentODE(f=lambda x, u: -x + u, h=lambda x: slope * x,
                             relation=rel)
 
         assert agent(50.0).check_relation()
-        assert not agent(60.0).check_relation()
+        with pytest.raises(PreconditionFailed, match=(
+                rf"sample 0, \(u, y\) = \(-60, {-60 * slope:g}\): y - feedthrough·u is "
+                r"outside the range of h on \[-50, 50\]")):
+            agent(60.0).check_relation()
 
     def test_agent_without_relation_passes_the_check(self):
-        assert AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x).check_relation()
+        assert AgentODE(f=lambda x, u: -x + u, h=lambda x: x).check_relation()
 
     def test_static_controller_gain_positive(self):
         with pytest.raises(ValueError):
@@ -927,11 +969,11 @@ def _kinked_agent():
     u = np.where(s < 1.0, np.minimum(s, 0.0), s - 1.0)
     y = np.where(s < 1.0, s, np.maximum(s - 1.0, 1.0))
     rel = PlanarRelation(u, y, s)
-    return AgentODE(f=lambda x, u: -x, h=lambda x, u: x, relation=rel)
+    return AgentODE(f=lambda x, u: -x, h=lambda x: x, relation=rel)
 
 
 def _bare_spec():
-    bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
+    bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
     return NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
                        (ControllerSpec(gain=1.0),), np.zeros(2), FAST)
 

@@ -1,6 +1,9 @@
 """Relation transport, integral functions, Legendre duals, shape checks."""
 
 import csv
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pqikit
 from pqikit import (
     PQI,
     IntegralFunction,
@@ -359,6 +363,28 @@ def slope_grid(F):
     return np.linspace(slopes[0], slopes.max(), len(F.grid))
 
 
+def noisy_line(n):
+    """The integral of the constant relation 1.5 on n sorted uniform draws in
+    [-1, 1]: a line whose cell slopes dip by their rounding."""
+    u = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, n))
+    return integral_function(PlanarRelation(u, np.full(n, 1.5)))
+
+
+BOUNDED_LEGENDRE = """
+import resource, sys
+import numpy as np
+from pqikit import PlanarRelation, integral_function, legendre
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 512 * 2**20
+resource.setrlimit(resource.RLIMIT_AS,
+                   (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+u = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, 8001))
+F = integral_function(PlanarRelation(u, np.full(8001, 1.5)))
+slopes = np.diff(F.values) / np.diff(F.grid)
+sys.stdout.buffer.write(legendre(F, np.linspace(slopes[0], slopes.max(), 8001)).values.tobytes())
+"""
+
+
 def brute_force_conjugate(F, ys):
     """max_i (y*x_i - F(x_i)) by direct enumeration."""
     return np.max(ys[:, None] * F.grid[None, :] - F.values[None, :], axis=1)
@@ -531,6 +557,24 @@ class TestLegendreAgainstBruteForce:
         F = IntegralFunction.from_function(lambda y: 3.0 * y + 1.0,
                                            np.linspace(-2.0, 2.0, 4001))
         assert_conjugate_exact(F, np.linspace(-10.0, 10.0, 201))
+
+    def test_overlapping_windows_in_bounded_memory(self):
+        # the constant relation's 8001-sample line on an uneven grid: at its
+        # slope grid the maximizer windows sum to about 33 million samples,
+        # 265 MB as one index array; a process capped at 512 MiB of address
+        # space must still conjugate it, to the brute-force maxima bit for bit
+        child = subprocess.run(
+            [sys.executable, "-c", BOUNDED_LEGENDRE],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+                pqikit.__file__)), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1"),
+            capture_output=True, timeout=120)
+        assert child.returncode == 0, child.stderr.decode()[-400:]
+        F = noisy_line(8001)
+        ys = slope_grid(F)
+        want = np.concatenate([brute_force_conjugate(F, part)
+                               for part in np.array_split(ys, 16)])
+        np.testing.assert_array_equal(np.frombuffer(child.stdout), want)
 
 
 class TestShapeChecks:

@@ -378,7 +378,7 @@ class TestVerifyPassivation:
         def math_sine_flow(x, u):
             return -math.sin(x) + u
 
-        agent = AgentODE(f=math_sine_flow, h=lambda x, u: x)
+        agent = AgentODE(f=math_sine_flow, h=lambda x: x)
         with pytest.raises(InvalidSpec,
                            match="^agent: .*math_sine_flow failed on array input"):
             find_equilibria(agent, [0.0])
@@ -411,7 +411,7 @@ class TestVerifyPassivation:
     def test_blow_up_names_the_trajectory_time(self):
         # x' = x² - 1 has equilibria at ±1, and from the top of the start box
         # x(t) = coth(ln(2)/2 - t) leaves every bound at t = ln(2)/2 = 0.3466
-        runaway = AgentODE(f=lambda x, u: x * x - 1.0, h=lambda x, u: x,
+        runaway = AgentODE(f=lambda x, u: x * x - 1.0, h=lambda x: x,
                            storage=lambda x, xe: 0.5 * (x - xe) ** 2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteState, match=r"t = \d") as err:
@@ -436,9 +436,26 @@ class TestVerifyPassivation:
         assert report.passed
         assert len(calls) <= 800
 
+    def test_output_map_called_once_on_the_states(self):
+        # h takes states alone: one call on the equilibria, one on the 201
+        # grid states, never on the 201 x 41 state-input grid
+        shapes = []
+        agent = pendulum_gradient_agent()
+
+        def counted_h(x):
+            shapes.append(np.shape(x))
+            return agent.h(x)
+
+        report = verify_passivation(replace(agent, h=counted_h),
+                                    Transform2(1.0, 2.5, 0.0, 1.0),
+                                    PassivityIndices(0.0, 0.0), trials=10)
+        assert report.passed
+        assert len(shapes) == 2 and shapes[1] == (201,)
+        assert shapes[0] == (len(find_equilibria(agent, np.linspace(-2.0, 2.0, 20))),)
+
     def test_no_equilibrium_is_refused(self):
         # the only equilibria, x = u + 50, lie outside the root window
-        agent = AgentODE(f=lambda x, u: -x + u + 50.0, h=lambda x, u: -5.0 * x,
+        agent = AgentODE(f=lambda x, u: -x + u + 50.0, h=lambda x: -5.0 * x,
                          storage=lambda x, xe: 0.5 * (x - xe) ** 2)
         with pytest.raises(PreconditionFailed,
                            match=r"no forced equilibrium.*\[-10, 10\].*"
@@ -449,7 +466,7 @@ class TestVerifyPassivation:
     def test_nan_output_is_named(self):
         # the grid's states step by 0.06 from -3, so 1.02 is the first above 1
         agent = AgentODE(f=lambda x, u: -x + u,
-                         h=lambda x, u: np.where(x > 1.0, np.nan, x),
+                         h=lambda x: np.where(x > 1.0, np.nan, x),
                          storage=lambda x, xe: 0.5 * (x - xe) ** 2)
         with pytest.raises(NonFiniteValue,
                            match=r"^h is not finite at \(x, u\) = \(1\.02, -2\)$"):
@@ -463,7 +480,7 @@ class TestVerifyPassivation:
         # never enter the band, since f points away from it
         agent = AgentODE(
             f=lambda x, u: -x + u,
-            h=lambda x, u: np.where((x >= 2.95) & (x <= 3.0), x + 50.0, x),
+            h=lambda x: np.where((x >= 2.95) & (x <= 3.0), x + 50.0, x),
             storage=lambda x, xe: 0.5 * (x - xe) ** 2)
         report = verify_passivation(agent, Transform2.identity(),
                                     PassivityIndices(0.0, 0.0), trials=10)
@@ -490,7 +507,7 @@ class TestVerifyPassivation:
         assert lo <= states.min() and states.max() <= hi
 
     def test_non_broadcasting_storage_is_located(self):
-        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x,
+        agent = AgentODE(f=lambda x, u: -x + u, h=lambda x: x,
                          storage=lambda x, xe: 0.5 * float(x - xe) ** 2)
         with pytest.raises(InvalidSpec,
                            match="^agent: .* failed on array input.*storage"):
@@ -503,7 +520,7 @@ class TestVerifyPassivation:
                                PassivityIndices(0.0, 0.0), trials=0)
 
     def test_missing_storage_rejected(self):
-        bare = AgentODE(f=lambda x, u: -x + u, h=lambda x, u: x)
+        bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
         with pytest.raises(NoStorageFunction):
             verify_passivation(bare, Transform2.identity(),
                                PassivityIndices(0.0, 0.0), trials=1)
