@@ -363,13 +363,6 @@ def slope_grid(F):
     return np.linspace(slopes[0], slopes.max(), len(F.grid))
 
 
-def noisy_line(n):
-    """The integral of the constant relation 1.5 on n sorted uniform draws in
-    [-1, 1]: a line whose cell slopes dip by their rounding."""
-    u = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, n))
-    return integral_function(PlanarRelation(u, np.full(n, 1.5)))
-
-
 BOUNDED_LEGENDRE = """
 import resource, sys
 import numpy as np
@@ -570,7 +563,8 @@ class TestLegendreAgainstBruteForce:
                 MKL_NUM_THREADS="1"),
             capture_output=True, timeout=120)
         assert child.returncode == 0, child.stderr.decode()[-400:]
-        F = noisy_line(8001)
+        u = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, 8001))
+        F = integral_function(PlanarRelation(u, np.full(8001, 1.5)))
         ys = slope_grid(F)
         want = np.concatenate([brute_force_conjugate(F, part)
                                for part in np.array_split(ys, 16)])
