@@ -639,21 +639,29 @@ def _c1_models(funs) -> list:
     averages of adjacent cell slopes, and at each end the second-order
     one-sided slope of the two end cells, so it is nondecreasing whenever
     the cell slopes are; the end cells' quadratics extend it past the grid.
-    It reproduces a quadratic sampled on a uniform grid exactly.
+    It reproduces a quadratic sampled on a uniform grid exactly.  Each Fᵢ
+    needs two or more samples.
     """
     for i, F in enumerate(funs):
+        if len(F.grid) < 2:
+            raise DimensionMismatch(
+                f"vertex {i}: potential needs 2 or more samples, not {len(F.grid)}")
         if not F.convexity_certificate:
             raise NonConvexCertificate(
                 f"vertex {i}: potential failed the convexity certificate")
 
     def model(F: IntegralFunction):
         x = F.grid
-        s = np.diff(F.values) / np.diff(x)
-        d = np.concatenate((s[:1], 0.5 * (s[:-1] + s[1:]), s[-1:]))
+        h = np.diff(x)
+        s = np.diff(F.values) / h
+        d = np.empty(len(x))
+        np.add(s[:-1], s[1:], out=d[1:-1])
+        d[1:-1] *= 0.5
         k = min(2, len(s))  # one cell: its slope at both ends
-        d[0] += (s[0] - s[k - 1]) * (x[1] - x[0]) / (x[k] - x[0])
-        d[-1] += (s[-1] - s[-k]) * (x[-1] - x[-2]) / (x[-1] - x[-1 - k])
-        return x, d, _trapezoid(x, d, F.values[0])
+        d[0] = s[0] + (s[0] - s[k - 1]) * h[0] / (x[k] - x[0])
+        d[-1] = s[-1] + (s[-1] - s[-k]) * h[-1] / (x[-1] - x[-1 - k])
+        del s  # the cell slopes are not held while the values are summed
+        return x, d, _trapezoid(x, d, F.values[0], h)
 
     return _once_per_object(funs, model)
 
@@ -672,17 +680,19 @@ def _conjugate(model):
     then shifts every node beyond it, so the values are integrated from an
     exact node: the median node of strict slope increase (else the first).
 
-    Where every lifted step starts a node, d has no dip and no run, so the
-    merge is skipped: each node is its own run and the middle one anchors.
-    The nodes are then d and x + 0.0, the bits the merge's sums give (a
-    sum turns −0.0 into 0.0).
+    A d that never decreases is its own running maximum (numpy keeps the
+    later of equal values), which is then not taken.  Where every lifted
+    step starts a node, d has no dip and no run, so the merge is skipped:
+    each node is its own run and the middle one anchors.  The nodes are
+    then d and x + 0.0, the bits the merge's sums give (a sum turns −0.0
+    into 0.0), and the steps are their slope differences.
     """
     x, d, m = model
-    lifted = np.maximum.accumulate(d)
+    lifted = d if np.all(d[1:] >= d[:-1]) else np.maximum.accumulate(d)
     step = np.diff(lifted, prepend=-np.inf)
     new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
     if new.all():
-        dc, xc = lifted, x + 0.0
+        dc, xc, dx = lifted, x + 0.0, step[1:]
         k = anchor = len(x) // 2
     else:
         dip = lifted > d
@@ -695,9 +705,10 @@ def _conjugate(model):
         single = np.flatnonzero(count == 1)
         anchor = single[len(single) // 2] if len(single) else 0
         k = np.searchsorted(run, anchor)
-        dc, xc = lifted[new], np.bincount(run, x) / count
-    mc = _trapezoid(dc, xc, 0.0)
-    return dc, xc, mc + (x[k] * lifted[k] - m[k] - mc[anchor])
+        dc, xc, dx = lifted[new], np.bincount(run, x) / count, None
+    mc = _trapezoid(dc, xc, 0.0, dx)
+    mc += x[k] * lifted[k] - m[k] - mc[anchor]
+    return dc, xc, mc
 
 
 # Safety cap on the trust-region iterations of _minimize_convex.

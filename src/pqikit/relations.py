@@ -49,10 +49,15 @@ def _write_csv(path, header, columns) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _trapezoid(x, v, first: float) -> np.ndarray:
-    """Trapezoid-rule integral of the samples v over x, from ``first`` at x[0]."""
-    return np.concatenate(
-        ([first], first + np.cumsum(0.5 * np.diff(x) * (v[:-1] + v[1:]))))
+def _trapezoid(x, v, first: float, dx=None) -> np.ndarray:
+    """Trapezoid-rule integral of the samples v over x, from ``first`` at x[0],
+    summed in place in the result; ``dx`` is np.diff(x) where the caller has it."""
+    out = np.empty(len(x))
+    out[0], tail = first, out[1:]
+    np.multiply(0.5, np.diff(x) if dx is None else dx, out=tail)
+    tail *= v[:-1] + v[1:]
+    np.add(np.cumsum(tail, out=tail), first, out=tail)
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,10 @@ class IntegralFunction:
             i = int(np.argmax(bad))
             raise NonFiniteValue(f"integral-function samples must be finite, not "
                                  f"value {v[i]} at sample {i}, abscissa {x[i]}")
-        if not np.all(np.diff(x) > 0):
+        h = np.diff(x)
+        if not np.all(h > 0):
             raise ValueError("integral-function grid must be strictly increasing")
-        object.__setattr__(self, "convexity_certificate", _convex_certificate(x, v))
+        object.__setattr__(self, "convexity_certificate", _convex_certificate(h, v))
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
@@ -155,17 +161,16 @@ class IntegralFunction:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
 
 
-def _convex_certificate(grid: np.ndarray, values: np.ndarray) -> bool:
-    """Nonnegative discrete second differences, with a band relative to the slopes.
+def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
+    """Nonnegative second differences over cells of widths h, band relative to the slopes.
 
     The band is 1e-9 of the largest cell slope, plus, where that alone
     fails, the rounding of the two cell slopes involved: 4 ulps of the
     largest value per cell width, so a line summed by trapezoids passes
     on any grid.
     """
-    if len(grid) < 3:
+    if len(h) < 2:
         return True
-    h = np.diff(grid)
     slopes = np.diff(values) / h
     second, band = np.diff(slopes), 1e-9 * np.abs(slopes).max()
     if np.all(second >= -band):
@@ -216,11 +221,11 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     previous one are merged into their first sample, genuine folds raise.
     Values are anchored to zero at the left end of the grid.
 
-    Two steps are skipped where they are identities.  Samples whose
-    abscissa strictly increases are their own stable sort order, so they
-    are not sorted; samples with no tie keep every sample and cannot fold,
-    so the tie and fold scan does not run.  The result is the same bits
-    either way, and the grid is a copy, never the relation's own array.
+    Steps are skipped where they are identities.  Abscissae that step up
+    past the tie gap are a monotone curve with no tie and no fold, so
+    neither check runs; strictly increasing ones are their own stable sort
+    order, so they are not sorted.  The result is the same bits either
+    way, and the grid is a copy, never the relation's own array.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -229,21 +234,22 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     else:
         raise ValueError(f"unknown direction {direction!r}")
     dx = np.diff(x)
-    scale = float(np.abs(x).max())
-    if rel.sigma is not None:
+    slack = TIE_RTOL * float(np.abs(x).max())
+    keep = dx > slack
+    if not keep.all():
         # a curve is single-valued in this direction iff the abscissa is
         # monotone along the parameter
-        slack = TIE_RTOL * scale
-        if not (np.all(dx >= -slack) or np.all(dx <= slack)):
+        if rel.sigma is not None and not (np.all(dx >= -slack) or np.all(dx <= slack)):
             raise MultiValued("curve abscissa is not monotone in the parameter")
-    if not np.all(dx > 0):
-        order = np.argsort(x, kind="stable")
-        x, v = x[order], v[order]
-        dx = np.diff(x)
-    keep = dx > TIE_RTOL * scale
+        if not np.all(dx > 0):
+            order = np.argsort(x, kind="stable")
+            x, v = x[order], v[order]
+            dx = np.diff(x)
+            keep = dx > slack
     if keep.all():
         gx, gv = x.copy(), v
     else:
+        dx = None
         keep = np.concatenate(([True], keep))
         # each sample is compared with the first sample of its tie run
         first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
@@ -260,7 +266,7 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         raise MultiValued("relation reduces to a single abscissa")
     # unwarned: the constructor names the first value past the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _trapezoid(gx, gv, 0.0)
+        values = _trapezoid(gx, gv, 0.0, dx)
     return IntegralFunction(gx, values)
 
 
@@ -275,16 +281,23 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     slopes onward does; the best sample between is the maximizer (more than
     one sample only for a y inside the slope band of a dip).  Windows are
     maximized in batches, so that they take O(len(grid) + len(dual_grid))
-    memory however much they overlap.
+    memory however much they overlap.  Cell slopes that never decrease are
+    their own running maximum (numpy keeps the later of equal values) and
+    every window is the one sample lo, so neither extremum is taken.
     """
     if not F.convexity_certificate:
         raise NonConvexCertificate(
             "legendre: potential failed the convexity certificate")
+    ys = np.asarray(dual_grid, dtype=float)
+    if ys.ndim != 1:
+        raise DimensionMismatch(f"legendre: dual grid must be 1-D, not of shape {ys.shape}")
     x, v = F.grid, F.values
     slopes = np.diff(v) / np.diff(x)
-    ys = np.asarray(dual_grid, dtype=float)
-    lo = np.searchsorted(np.maximum.accumulate(slopes), ys)
+    rising = np.all(slopes[1:] >= slopes[:-1])
+    lo = np.searchsorted(slopes if rising else np.maximum.accumulate(slopes), ys)
     vals = ys * x[lo] - v[lo]
+    if rising:  # the least slope from lo on is slope lo, never below y
+        return IntegralFunction(ys, vals)
     # a window is wider than one sample where the least slope from lo on is below y
     falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
     w = np.flatnonzero(falling[lo] < ys)

@@ -93,6 +93,34 @@ def merged_conjugate(model):
     return dc, xc, mc + (x[k] * lifted[k] - m[k] - mc[anchor])
 
 
+class _CountedUfunc:
+    """A numpy ufunc whose accumulate calls append its name to ``calls``."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def accumulate(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__)
+        return self.ufunc.accumulate(*args, **kwargs)
+
+
+class _CountingNumpy:
+    """numpy, with the accumulate calls of maximum and minimum counted."""
+
+    def __init__(self, calls):
+        self.maximum, self.minimum = (_CountedUfunc(f, calls)
+                                      for f in (np.maximum, np.minimum))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestAgentGroups:
     """Vertices whose callables are equal by value share one array call."""
 
@@ -699,13 +727,59 @@ class TestSolvers:
         ([-2.0, -1.0, -0.0, 1.0, 2.5], [-3.0, -1.0, 0.5, 2.0, 4.0]),
         # one flat run of the slopes
         ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
-    ], ids=["increasing", "flat-run"])
+        # a dip lifted into a run
+        ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.5, 0.4, 0.6, 1.0, 2.0]),
+        # a -0.0 node slope, and a flat run of signed zeros
+        ([-2.0, -1.0, 0.0, 1.0], [-1.0, -0.0, 1.0, 2.0]),
+        ([-1.0, -0.0, 1.0, 2.0], [-0.0, 0.0, -0.0, 0.0]),
+    ], ids=["increasing", "flat-run", "dip", "signed-zero", "signed-zero-run"])
     def test_conjugate_matches_merged_runs(self, x, d):
-        # skipping the run merge where no run exists changes no bit
+        # skipping the running maximum where d rises, and the run merge
+        # where no run exists, changes no bit
         x, d = np.array(x), np.array(d)
         model = (x, d, relations_module._trapezoid(x, d, 0.5))
         for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.lists(st.tuples(st.floats(0.05, 3.0),
+                              st.sampled_from([-1.0, -0.0, 0.0, 2.0]) | st.floats(-10.0, 10.0)),
+                    min_size=2, max_size=25), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_conjugate_matches_merged_runs_on_drawn_slopes(self, nodes, rising):
+        widths, d = (np.array(c) for c in zip(*nodes))
+        d = np.sort(d) if rising else d
+        x = np.cumsum(widths) - widths.sum() / 2.0
+        model = (x, d, relations_module._trapezoid(x, d, 0.5))
+        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("relation, want", [
+        (quadratic_agent(1.0).relation, []),
+        (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1e-11
+                         * np.random.default_rng(0).standard_normal(y.shape)).relation,
+         ["maximum", "maximum", "minimum"]),
+    ], ids=["rising", "noisy-flat-run"])
+    def test_running_extrema_taken_only_where_slopes_dip(self, relation, want, monkeypatch):
+        # the conjugate model takes a running maximum of the nodal slopes,
+        # legendre one of the cell slopes and a running minimum after it
+        F = relations_module.integral_function(relation, relations_module.OF_K_INVERSE)
+        ys = np.linspace(-2.0, 2.0, 101)
+        calls = []
+        for module in (network_module, relations_module):
+            monkeypatch.setattr(module, "np", _CountingNumpy(calls))
+        network_module._conjugate(network_module._c1_models([F])[0])
+        legendre(F, ys)
+        assert calls == want
+
+    @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_potential_of_fewer_than_two_samples_refused(self, solver, n):
+        convex = IntegralFunction.from_function(lambda y: 0.5 * y * y,
+                                                np.linspace(-5.0, 5.0, 101))
+        short = IntegralFunction(np.zeros(n), np.zeros(n))
+        with pytest.raises(DimensionMismatch) as err:
+            solver(quadratic_network((1.0, 3.0)), node_potentials=[convex, short])
+        assert str(err.value) == f"vertex 1: potential needs 2 or more samples, not {n}"
 
     def test_conjugate_of_an_agent_model_matches_merged_runs(self):
         F = relations_module.integral_function(quadratic_agent(1.0).relation,

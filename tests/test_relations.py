@@ -571,6 +571,119 @@ class TestLegendreAgainstBruteForce:
         np.testing.assert_array_equal(np.frombuffer(child.stdout), want)
 
 
+def concatenated_trapezoid(x, v, first):
+    """_trapezoid as one expression: the running sum concatenated behind ``first``."""
+    return np.concatenate(
+        ([first], first + np.cumsum(0.5 * np.diff(x) * (v[:-1] + v[1:]))))
+
+
+def accumulated_legendre(F, ys):
+    """legendre's general path alone: both running extrema always taken."""
+    x, v = F.grid, F.values
+    slopes = np.diff(v) / np.diff(x)
+    lo = np.searchsorted(np.maximum.accumulate(slopes), ys)
+    vals = ys * x[lo] - v[lo]
+    falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
+    w = np.flatnonzero(falling[lo] < ys)
+    lo, width = lo[w], np.searchsorted(falling, ys[w]) - lo[w] + 1
+    end = np.cumsum(width)
+    cuts = np.searchsorted(end, np.arange(2**20, end[-1:].sum(), 2**20)) + 1
+    for b in map(slice, np.r_[0, cuts], np.r_[cuts, len(w)]):
+        start = np.cumsum(width[b]) - width[b]
+        j = np.arange(width[b].sum()) - np.repeat(start - lo[b], width[b])
+        vals[w[b]] = np.maximum.reduceat(np.repeat(ys[w[b]], width[b]) * x[j] - v[j], start)
+    return vals
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
+def dual_points(F):
+    """Zero, every cell slope and a grid past the slope range, ascending, once
+    with +0.0 and once with -0.0."""
+    slopes = np.diff(F.values) / np.diff(F.grid)
+    ys = np.unique(np.r_[0.0, slopes, np.linspace(slopes.min() - 1.0,
+                                                   slopes.max() + 1.0, 41)])
+    return [np.where(ys == 0.0, zero, ys) for zero in (0.0, -0.0)]
+
+
+def noisy(values, seed):
+    return values + 1e-12 * np.random.default_rng(seed).uniform(-1.0, 1.0, len(values))
+
+
+SIGNED_ZERO_GRID = np.array([-2.0, -1.0, -0.0, 1.0, 2.0])
+# (F, whether its cell slopes never decrease)
+SKIPPED_PASS_CASES = {
+    "rising": (IntegralFunction.from_function(
+        lambda y: np.exp(0.3 * y) + y * y, np.linspace(-3.0, 3.0, 61)), True),
+    "flat": (IntegralFunction(np.arange(-5.0, 6.0), 2.0 * np.arange(-5.0, 6.0)), True),
+    "signed-zeros": (IntegralFunction(SIGNED_ZERO_GRID,
+                                      np.array([0.0, -0.0, 0.0, -0.0, 0.0])), True),
+    "signed-zero-slope": (IntegralFunction(SIGNED_ZERO_GRID,
+                                           np.array([1.0, -0.0, -0.0, 0.0, 1.0])), True),
+    "dipping-line": (IntegralFunction(np.linspace(-10.0, 10.0, 401),
+                                      noisy(1.5 * np.linspace(-10.0, 10.0, 401), 6)), False),
+    "dipping-kink": (IntegralFunction(np.linspace(-10.0, 10.0, 401),
+                                      noisy(np.abs(np.linspace(-10.0, 10.0, 401)), 5)), False),
+}
+
+
+class TestSkippedPasses:
+    """Passes skipped where they are identities change no bit."""
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=30),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example([(-0.0, -0.0), (0.0, -0.0), (1.0, 0.0)], -0.0)
+    @example([(0.0, 1e308), (2.0, 1e308), (4.0, -1e308)], 1e308)
+    @example([(-1e308, 1.0), (1e308, 1.0), (1.5e308, np.inf)], 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_trapezoid_matches_concatenated_form(self, samples, first):
+        x, v = np.array(samples).T
+        # overflow to inf, and inf - inf, happen in both forms alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = concatenated_trapezoid(x, v, first)
+            assert_same_bits(_trapezoid(x, v, first), want)
+            assert_same_bits(_trapezoid(x, v, first, np.diff(x)), want)
+
+    @pytest.mark.parametrize("case", SKIPPED_PASS_CASES)
+    def test_legendre_matches_accumulated_path(self, case):
+        F, rising = SKIPPED_PASS_CASES[case]
+        slopes = np.diff(F.values) / np.diff(F.grid)
+        assert F.convexity_certificate
+        assert bool(np.all(slopes[1:] >= slopes[:-1])) == rising
+        for ys in dual_points(F):
+            assert_same_bits(legendre(F, ys).values, accumulated_legendre(F, ys))
+
+    @given(st.lists(st.tuples(st.floats(0.05, 3.0),
+                              st.sampled_from([-1.0, -0.0, 0.0, 0.5]) | st.floats(-5.0, 5.0)),
+                    min_size=1, max_size=20),
+           st.sampled_from([0.0, 1e-13, 1e-12]), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_legendre_matches_accumulated_path_on_drawn_slopes(self, cells, noise, seed):
+        # sorted cell slopes, ties and signed zeros among them, under noise
+        # small enough that the certificate may still hold across the dips
+        widths, slopes = (np.array(c) for c in zip(*cells))
+        slopes = np.sort(slopes)
+        x = np.r_[0.0, np.cumsum(widths)] - 1.0
+        v = np.r_[0.0, np.cumsum(slopes * widths)]
+        F = IntegralFunction(x, v + noise * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, len(v)))
+        if F.convexity_certificate:
+            for ys in dual_points(F):
+                assert_same_bits(legendre(F, ys).values, accumulated_legendre(F, ys))
+
+    @pytest.mark.parametrize("ys, shape", [([[0.1, 0.2]], "(1, 2)"), (0.5, "()"),
+                                           (np.zeros((2, 0)), "(2, 0)")])
+    def test_legendre_refuses_a_dual_grid_not_1d(self, ys, shape):
+        F = IntegralFunction.from_function(lambda y: 0.5 * y * y, np.linspace(-1.0, 1.0, 5))
+        with pytest.raises(DimensionMismatch) as err:
+            legendre(F, ys)
+        assert str(err.value) == f"legendre: dual grid must be 1-D, not of shape {shape}"
+
+
 class TestShapeChecks:
     def test_cubic_curve_monotone(self):
         rel = PlanarRelation.from_param_curve(
