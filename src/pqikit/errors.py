@@ -61,6 +61,11 @@ class DegenerateTransformedTF(ToolkitError):
     """Loop-transformed transfer function degenerated (a*q + b*p == 0)."""
 
 
+class ImproperTF(ToolkitError, ValueError):
+    """A transfer function's denominator is zero or of lower degree than its
+    numerator; the message gives the degrees."""
+
+
 class NoStabilizingLambda(ToolkitError):
     """No grid value of lambda stabilizes q + lambda*p."""
 
@@ -93,6 +98,12 @@ class NoConvergence(ToolkitError):
 class PreconditionFailed(ToolkitError):
     """A condition required for steady-state prediction, or for a dissipation
     certificate (a forced equilibrium to check against), does not hold."""
+
+
+class InvalidSamples(ToolkitError, ValueError):
+    """A relation or potential has no samples, or a potential's grid does not
+    strictly increase; the message names which, and the first sample that
+    steps back."""
 
 
 class NonFiniteValue(ToolkitError, ValueError):

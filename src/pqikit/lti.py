@@ -13,7 +13,10 @@ and scored at once, and a single transfer function is the one-row case.
 The kernel's numpy-call count does not grow with its row count, so one
 row costs about what two do: the strict indices nu and rho of a transfer
 function are one two-row problem, and a numerator and denominator of equal
-degree share one root solve.
+degree share one root solve.  Degree-1 rows need no eigenvalue solve: a 1x1
+companion matrix is its own eigenvalue, so the peak gain of a constant over
+a quadratic, whose slope polynomial has degree 1, costs no solve beyond the
+denominator's stability screen.
 The index formulas turn a stabilized loop gain into an
 equilibrium-independent passivity-index pair, and a loop transformation
 maps a transfer function through a 2x2 I/O change of coordinates.
@@ -33,6 +36,7 @@ from .errors import (
     DegenerateTransformedTF,
     DestabilizingLambda,
     DegreeDrop,
+    ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
     NonpositiveGain,
@@ -78,8 +82,10 @@ class RealPolynomial:
             i = int(np.argmin(np.isfinite(c)))
             raise NonFiniteValue(
                 f"coefficient {i} (of s^{i}) of {c.tolist()} is {c[i]}")
-        nz = np.flatnonzero(c)
-        return cls(tuple(c[:nz[-1] + 1].tolist()) if nz.size else (0.0,))
+        coeffs = c.tolist()
+        while coeffs and coeffs[-1] == 0.0:
+            coeffs.pop()
+        return cls(tuple(coeffs) or (0.0,))
 
     @property
     def degree(self) -> int:
@@ -105,9 +111,10 @@ class RationalTF:
         n = num if isinstance(num, RealPolynomial) else RealPolynomial.make(num)
         d = den if isinstance(den, RealPolynomial) else RealPolynomial.make(den)
         if d.is_zero:
-            raise ValueError("denominator must be nonzero")
+            raise ImproperTF("denominator must be nonzero")
         if n.degree > d.degree:
-            raise ValueError("transfer function must be proper (deg num <= deg den)")
+            raise ImproperTF(f"transfer function must be proper: numerator degree "
+                             f"{n.degree} exceeds denominator degree {d.degree}")
         return cls(n, d)._cancel_common_roots()
 
     def _cancel_common_roots(self) -> "RationalTF":
@@ -117,8 +124,9 @@ class RationalTF:
         # one stacked solve when the degrees agree
         nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
                   else (_roots(n[None])[0], _roots(d[None])[0]))
-        nr, kept_d = list(nr), []
-        for r in dr:
+        # Python numbers: the same arithmetic as numpy scalars, at less cost
+        nr, kept_d = nr.tolist(), []
+        for r in dr.tolist():
             hit = [i for i, z in enumerate(nr)
                    if abs(z - r) <= COMMON_ROOT_TOL * max(abs(z), abs(r))]
             if hit:
@@ -159,17 +167,23 @@ def _roots(c: np.ndarray) -> np.ndarray:
     """Roots of each row of c (ascending, equal lengths, nonzero tops).
 
     One stacked eigenvalue solve of the companion matrices that
-    numpy.polynomial's polyroots builds.  A row whose companion matrix
+    numpy.polynomial's polyroots builds, so one row still costs about what
+    two do.  Degree-1 rows need no solve: a 1x1 companion matrix is its own
+    eigenvalue, so the root is the column -c_0/c_1, which is also what the
+    solve returns wherever LAPACK does not rescale the matrix (roots of
+    magnitude about 1e-138 to 1e138, or 0).  A row whose companion matrix
     overflows raises NonFiniteValue naming that row.
     """
     n = c.shape[1] - 1
     col = _companion_column(c)
-    bad = ~np.isfinite(col).all(axis=1)
-    if bad.any():
+    if not np.isfinite(col).all():
+        bad = ~np.isfinite(col).all(axis=1)
         raise NonFiniteValue(f"polynomial {c[np.argmax(bad)].tolist()} has a "
                              "root beyond float range")
+    if n == 1:
+        return col
     A = np.zeros((len(c), n, n))
-    A[:, 1:, :-1] = np.eye(n - 1)
+    A.reshape(len(c), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
     A[:, :, -1] = col
     return np.linalg.eigvals(A)
 
@@ -183,7 +197,7 @@ def _stable(q: np.ndarray) -> np.ndarray:
     if q.shape[1] < 2:
         return np.ones(len(q), dtype=bool)
     r = _roots(q)
-    return (q[:, 0] != 0.0) & np.all(r.real < -STABILITY_MARGIN * np.abs(r), axis=1)
+    return (q[:, 0] != 0.0) & (r.real < -STABILITY_MARGIN * np.abs(r)).all(axis=1)
 
 
 def is_stable(q: RealPolynomial) -> bool:
@@ -199,10 +213,16 @@ def is_stable(q: RealPolynomial) -> bool:
 
 def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise product of polynomials (ascending coefficients)."""
+    if x.shape[1] == 1:  # the loop's 0 + x_0 y, which turns -0.0 into 0.0
+        return x * y + 0.0
     out = np.zeros((max(len(x), len(y)), x.shape[1] + y.shape[1] - 1))
     for k in range(x.shape[1]):
         out[:, k:k + y.shape[1]] += x[:, k:k + 1] * y
     return out
+
+
+# (-1)^floor(k/2) for the coefficients k of rows up to degree 63
+_SIGNS = (-1.0) ** (np.arange(64) // 2)
 
 
 def _real_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -212,7 +232,8 @@ def _real_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     odd coefficients with alternating signs, so the product is
     ue we + x uo wo.  Coefficient k carries the sign (-1)^floor(k/2).
     """
-    sign = (-1.0) ** (np.arange(max(u.shape[1], w.shape[1])) // 2)
+    n = max(u.shape[1], w.shape[1])
+    sign = _SIGNS[:n] if n <= _SIGNS.size else (-1.0) ** (np.arange(n) // 2)
     su = u * sign[:u.shape[1]]
     sw = su if w is u else w * sign[:w.shape[1]]
     out = np.zeros((max(len(u), len(w)), (u.shape[1] + w.shape[1]) // 2))
@@ -230,13 +251,41 @@ def _ratio_limits(a, b, la, lb) -> np.ndarray:
     Near each end a/b behaves as (a_i/b_k) x^(i - k) for the lowest or the
     highest nonzero coefficients; la, lb are the rows' trimmed lengths.
     """
-    ia = np.array([np.argmax(a != 0.0, axis=1), la - 1]).T
-    ib = np.array([np.argmax(b != 0.0, axis=1), lb - 1]).T
+    ia = np.array([(a != 0.0).argmax(axis=1), la - 1]).T
+    ib = np.array([(b != 0.0).argmax(axis=1), lb - 1]).T
     rows = np.arange(len(a))[:, None]
     ea, eb = a[rows, ia], b[rows, ib]
     grows = (ia < ib) == np.array([True, False])
     return np.where(ia == ib, ea / eb,
                     np.where(grows, np.copysign(np.inf, ea * eb), 0.0))
+
+
+def _polyval_rows(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each row of the coefficient array c at the points in the same row of s.
+
+    Horner's rule with numpy.polynomial's polyval operations in its order,
+    so the values are those of P.polyval(s.T, c.T, tensor=False).T.
+    """
+    out = c[:, -1:] + s * 0
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = c[:, k:k + 1] + out * s
+    return out
+
+
+def _real_roots(c: np.ndarray) -> np.ndarray:
+    """Real parts of each row's roots, nan-padded to one fewer than c's width.
+
+    Rows are grouped by trimmed length, one stacked solve per group; a row
+    of trimmed length 0 or 1 has no roots, and when every row has one
+    trimmed length the group is all of c, with no row selection.
+    """
+    ls = _lengths(c)
+    lengths = set(ls.tolist())
+    x = np.full((len(c), max(c.shape[1] - 1, 0)), np.nan)
+    for n in sorted(lengths - {0, 1}):
+        rows = slice(None) if len(lengths) == 1 else np.flatnonzero(ls == n)
+        x[rows, :n - 1] = _roots(c[rows, :n]).real
+    return x
 
 
 def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
@@ -245,8 +294,8 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
     One problem per row of the coefficient arrays u, w, v (a single row
     broadcasts).  Candidates as in the module docstring; the two ends are
     limits of a/b and may be infinite; an end coefficient of a that is a
-    rounding residue is zeroed first.  The slope polynomials are grouped by
-    trimmed length, one stacked eigenvalue solve per group.  Every candidate
+    rounding residue is zeroed first.  The slope polynomials' roots come
+    from _real_roots, one stacked solve per trimmed length.  Every candidate
     lies on the axis, so a spurious or inexact root of a'b - ab' can only
     lose, never overshoot.
     """
@@ -255,7 +304,7 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
         # an end a_k within 8 ulps of the sum of its terms' magnitudes
         # |u_i w_(2k-i)| is the residue of terms that cancel
         size = _polymul(np.abs(u), np.abs(w))[:, ::2]
-        ends = np.array([np.argmax(a != 0.0, axis=1), _lengths(a) - 1]).T
+        ends = np.array([(a != 0.0).argmax(axis=1), _lengths(a) - 1]).T
         rows = np.arange(len(a))[:, None]
         a[rows, ends] *= (np.abs(a[rows, ends])
                           > 8.0 * np.finfo(float).eps * size[rows, ends])
@@ -266,21 +315,16 @@ def _axis_extremum(u, w, v, maximize: bool) -> np.ndarray:
              - _polymul(a, b[:, 1:] * np.arange(1, b.shape[1])))
     keep = la + lb - 2 - (la == lb)
     slope[np.arange(slope.shape[1]) >= keep[:, None]] = 0.0
-    ls = _lengths(slope)
-    x = np.full((len(a), max(slope.shape[1] - 1, 0)), np.nan)
-    for n in sorted(set(ls[ls > 1].tolist())):
-        rows = np.flatnonzero(ls == n)
-        x[rows, :n - 1] = _roots(slope[rows, :n]).real
+    x = _real_roots(slope)
     on_axis = x > 0.0
     jw = 1j * np.sqrt(np.where(on_axis, x, 0.0))
     # every caller passes one array twice, which is evaluated once
-    # each row of a coefficient array at the points in the same row of jw
-    uj = P.polyval(jw.T, u.T, tensor=False).T
-    wj = uj if w is u else P.polyval(jw.T, w.T, tensor=False).T
-    vj = wj if v is w else P.polyval(jw.T, v.T, tensor=False).T
+    uj = _polyval_rows(u, jw)
+    wj = uj if w is u else _polyval_rows(w, jw)
+    vj = wj if v is w else _polyval_rows(v, jw)
     fill = -np.inf if maximize else np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.real(uj * np.conj(wj)) / np.abs(vj) ** 2
+        vals = (uj * np.conj(wj)).real / np.abs(vj) ** 2
         vals = np.where(on_axis & np.isfinite(vals), vals, fill)
         vals = np.concatenate([vals, _ratio_limits(a, b, la, lb)], axis=1)
     ext = vals.max(axis=1) if maximize else vals.min(axis=1)
@@ -352,7 +396,8 @@ def _unit_frequency(p: np.ndarray, q: np.ndarray):
     w_s = np.abs(q[:, :1] / q[:, -1:]) ** (1.0 / max(q.shape[1] - 1, 1))
     powers = w_s ** np.arange(q.shape[1])  # p is never wider than q
     p, q = p * powers[:, :p.shape[1]], q * powers
-    ep, eq = (np.frexp(np.abs(c).max(axis=1, keepdims=True))[1] for c in (p, q))
+    ep = np.frexp(np.abs(p).max(axis=1, keepdims=True))[1]
+    eq = np.frexp(np.abs(q).max(axis=1, keepdims=True))[1]
     return np.ldexp(p, -ep), np.ldexp(q, -eq), (ep - eq)[:, 0]
 
 
@@ -407,8 +452,8 @@ def _shift_rows(G: RationalTF, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float).ravel()
     with np.errstate(invalid="ignore", over="ignore"):
         rows = np.asarray(G.den.coeffs) + lams[:, None] * _padded_num(G)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
+    if not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         raise NonFiniteValue(f"lambda entry {bad[0]} ({lams[bad[0]]}) gives "
                              "q + lambda*p a non-finite coefficient")
     return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -983,7 +984,10 @@ def _refuse_booleans(node, path: str) -> None:
         raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
     if isinstance(node, dict):
         for key, child in node.items():
-            _refuse_booleans(child, f"{path}.{key}")
+            # a key that is not one word is quoted, as in $.x["a b"]
+            step = (f".{key}" if re.fullmatch(r"\w+", str(key))
+                    else f"[{json.dumps(str(key))}]")
+            _refuse_booleans(child, path + step)
     elif isinstance(node, list):
         for i, child in enumerate(node):
             _refuse_booleans(child, f"{path}[{i}]")

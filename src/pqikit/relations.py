@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MultiValued, NonConvexCertificate,
-                     NonFiniteValue, WrongRepresentation)
+from .errors import (DimensionMismatch, InvalidSamples, MultiValued,
+                     NonConvexCertificate, NonFiniteValue, WrongRepresentation)
 
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
@@ -146,7 +146,9 @@ class IntegralFunction:
                                  f"value {v[i]} at sample {i}, abscissa {x[i]}")
         h = np.diff(x)
         if not np.all(h > 0):
-            raise ValueError("integral-function grid must be strictly increasing")
+            i = int(np.argmin(h > 0)) + 1
+            raise InvalidSamples(f"integral-function grid must be strictly increasing, "
+                                 f"not abscissa {x[i]} at sample {i} after {x[i - 1]}")
         object.__setattr__(self, "convexity_certificate", _convex_certificate(h, v))
 
     def __call__(self, x):
@@ -233,6 +235,8 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         x, v = rel.y, rel.u
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    if not len(x):
+        raise InvalidSamples(f"integral_function ({direction}): the relation has no samples")
     dx = np.diff(x)
     slack = TIE_RTOL * float(np.abs(x).max())
     keep = dx > slack
@@ -285,6 +289,8 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     their own running maximum (numpy keeps the later of equal values) and
     every window is the one sample lo, so neither extremum is taken.
     """
+    if not len(F.grid):
+        raise InvalidSamples("legendre: the potential has no samples")
     if not F.convexity_certificate:
         raise NonConvexCertificate(
             "legendre: potential failed the convexity certificate")

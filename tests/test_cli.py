@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pqikit.cli import main
 
@@ -513,13 +515,19 @@ def _assert_named(rc, lines, locator, case, flag=None):
     assert re.search(locator, lines[0], re.IGNORECASE), (case, lines)
 
 
+# the steps of a JSON path: .key, [index] or ["a quoted key"]
+PATH_STEP = r'\.(\w+)|\[(\d+)\]|\[("(?:[^"\\]|\\.)*")\]'
+
+
 def _names_a_path_of(doc, line) -> bool:
     """Whether the first JSON path in ``line``, if there is one, leads to
     an entry that ``doc`` has."""
-    found = re.search(r"\$((?:\.\w+|\[\d+\])*)", line)
+    found = re.search(r'\$((?:\.\w+|\[\d+\]|\["(?:[^"\\]|\\.)*"\])*)', line)
     node = doc
-    for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", found.group(1) if found else ""):
-        if key and isinstance(node, dict) and key in node:
+    for key, index, quoted in re.findall(PATH_STEP, found.group(1) if found else ""):
+        if quoted:
+            key = json.loads(quoted)
+        if (key or quoted) and isinstance(node, dict) and key in node:
             node = node[key]
         elif index and isinstance(node, list) and int(index) < len(node):
             node = node[int(index)]
@@ -528,27 +536,71 @@ def _names_a_path_of(doc, line) -> bool:
     return True
 
 
+def _fuzz_spec(tmp_path, command, doc, leaf, value):
+    """Run ``command`` on ``doc`` with the entry at ``leaf`` set to ``value``."""
+    bad = copy.deepcopy(doc)
+    node = bad
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    rc, lines = _run(command + ["--spec", _spec_path(tmp_path, bad),
+                                "--outdir", str(tmp_path / "out")])
+    _assert_named(rc, lines, LOCATOR["spec"], (leaf, value))
+    assert rc == 0 or _names_a_path_of(bad, lines[0]), (leaf, value, lines)
+
+
+def _fuzz_flag(command, name, value):
+    """Run ``command`` on its valid flags with ``name`` set to ``value``."""
+    args = dict(FLAG_BASE[command], **{name: value})
+    rc, lines = _run([command] + [f"{k}={v}" for k, v in args.items()])
+    _assert_named(rc, lines, LOCATOR[command], value, flag=name)
+
+
+# any JSON value, nested a little, with no count or length made large
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-2**64, 2**64)
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# flag text: numbers as Python prints them, short text, and comma lists of both
+FLAG_TEXT = (st.floats().map(repr) | st.integers(-2**70, 2**70).map(str)
+             | st.text(max_size=6)
+             | st.lists(st.floats().map(repr) | st.text(max_size=3), max_size=4)
+             .map(",".join))
+
+
 class TestFuzz:
     """Each leaf of a spec, and each numeric flag, set in turn to each bad
-    value, every case on every run; no count or length is made large."""
+    value, every case on every run; no count or length is made large.
+    Generated values come on top of the enumeration."""
 
     @pytest.mark.parametrize("command", SPEC_COMMANDS, ids=["simulate", "opp", "ofp"])
     @pytest.mark.parametrize("doc, leaves", SPEC_LEAVES, ids=["path3", "forms"])
     def test_spec_leaf(self, tmp_path, doc, leaves, command):
         for leaf, value in itertools.product(leaves, FUZZ_VALUES):
-            bad = copy.deepcopy(doc)
-            node = bad
-            for key in leaf[:-1]:
-                node = node[key]
-            node[leaf[-1]] = value
-            rc, lines = _run(command + ["--spec", _spec_path(tmp_path, bad),
-                                        "--outdir", str(tmp_path / "out")])
-            _assert_named(rc, lines, LOCATOR["spec"], (leaf, value))
-            assert rc == 0 or _names_a_path_of(bad, lines[0]), (leaf, value, lines)
+            _fuzz_spec(tmp_path, command, doc, leaf, value)
 
     @pytest.mark.parametrize("command, name", FUZZ_FLAGS)
     def test_flag(self, command, name):
         for value in FUZZ_FLAG_VALUES:
-            args = dict(FLAG_BASE[command], **{name: value})
-            rc, lines = _run([command] + [f"{k}={v}" for k, v in args.items()])
-            _assert_named(rc, lines, LOCATOR[command], value, flag=name)
+            _fuzz_flag(command, name, value)
+
+    # a dict key that is not one word once gave an unquoted path, $.a.0:
+    @given(st.sampled_from(SPEC_COMMANDS),
+           st.sampled_from([(doc, leaf) for doc, leaves in SPEC_LEAVES for leaf in leaves]),
+           JSON_VALUES)
+    @example(["simulate"], (PATH3_SPEC, ("graph", "vertices")), {"0:": False})
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_generated_spec_leaf(self, tmp_path, command, case, value):
+        _fuzz_spec(tmp_path, command, *case, value)
+
+    # a numerator longer than the denominator was once a bare ValueError
+    # that named neither
+    @given(st.sampled_from(FUZZ_FLAGS), FLAG_TEXT)
+    @example(("analyze-lti", "--num"), "0.0,0.0,0.0,1.0")
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:cancelling near-common")
+    def test_generated_flag(self, flag, value):
+        _fuzz_flag(*flag, value)

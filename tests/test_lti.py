@@ -477,6 +477,140 @@ class TestStackedIndicesOracle:
         assert (got.rho, got.nu) == (rho, nu)
 
 
+def _same_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes, so that -0.0 and nan count."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# Each kernel below was trimmed of numpy calls; the expression it replaced
+# stays here as its reference and must give the same bits.
+
+def _companion_eigvals(c):
+    n = c.shape[1] - 1
+    A = np.zeros((len(c), n, n))
+    A[:, 1:, :-1] = np.eye(n - 1)
+    A[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    return np.linalg.eigvals(A)
+
+
+def _polyval_tensor(c, s):
+    return P.polyval(s.T, c.T, tensor=False).T
+
+
+def _real_product_sign_power(u, w):
+    sign = (-1.0) ** (np.arange(max(u.shape[1], w.shape[1])) // 2)
+    su, sw = u * sign[:u.shape[1]], w * sign[:w.shape[1]]
+    out = np.zeros((max(len(u), len(w)), (u.shape[1] + w.shape[1]) // 2))
+    even = lti._polymul(su[:, ::2], sw[:, ::2])
+    out[:, :even.shape[1]] = even
+    if u.shape[1] > 1 and w.shape[1] > 1:
+        odd = lti._polymul(su[:, 1::2], sw[:, 1::2])
+        out[:, 1:1 + odd.shape[1]] += odd
+    return out
+
+
+def _real_roots_per_length(c):
+    ls = lti._lengths(c)
+    x = np.full((len(c), max(c.shape[1] - 1, 0)), np.nan)
+    for n in sorted(set(ls[ls > 1].tolist())):
+        rows = np.flatnonzero(ls == n)
+        x[rows, :n - 1] = lti._roots(c[rows, :n]).real
+    return x
+
+
+def _polymul_accumulated(x, y):
+    out = np.zeros((max(len(x), len(y)), x.shape[1] + y.shape[1] - 1))
+    for k in range(x.shape[1]):
+        out[:, k:k + y.shape[1]] += x[:, k:k + 1] * y
+    return out
+
+
+# magnitudes 1e-30 to 1e30, so that the root of a degree-1 row lies where
+# LAPACK solves a 1x1 matrix without rescaling it
+_MAGNITUDES = st.floats(1e-30, 1e30)
+_NONZERO = _MAGNITUDES | _MAGNITUDES.map(lambda m: -m)
+_COEFFICIENTS = st.just(0.0) | st.just(-0.0) | _NONZERO
+
+
+@st.composite
+def coefficient_rows(draw, count=None, min_width=1, max_width=6, top=False):
+    """Rows of one width: no rows at all, zero rows, degree-1 rows and mixed
+    trimmed lengths included; with ``top`` every row's last entry is nonzero."""
+    count = draw(st.integers(0, 4)) if count is None else count
+    width = draw(st.integers(min_width, max_width))
+    rows = []
+    for _ in range(count):
+        length = width if top else draw(st.integers(0, width))
+        row = draw(st.lists(_COEFFICIENTS, min_size=length, max_size=length))
+        if length:
+            row[-1] = draw(_NONZERO)
+        rows.append(row + [0.0] * (width - length))
+    return np.array(rows, dtype=float).reshape(count, width)
+
+
+@st.composite
+def row_pairs(draw, max_width=6):
+    """Two coefficient arrays of one row count, of any widths."""
+    count = draw(st.integers(0, 4))
+    return tuple(draw(coefficient_rows(count, max_width=max_width)) for _ in range(2))
+
+
+class TestKernelReferences:
+    @given(coefficient_rows(min_width=2, top=True))
+    @example(np.array([[2.0, -0.5], [0.0, 3.0], [-0.0, -1.0]]))
+    @example(np.zeros((0, 2)))
+    @example(np.zeros((0, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_roots_match_the_companion_solve(self, c):
+        assert _same_bits(lti._roots(c), _companion_eigvals(c))
+
+    def test_degree_one_root_is_the_rounded_ratio(self):
+        # beyond about 1e±138 LAPACK rescales the 1x1 matrix and rounds the
+        # root it returns; the column is -c_0/c_1 rounded once
+        c = np.array([[1e-200, 3.0], [7e150, -0.3]])
+        assert _same_bits(lti._roots(c), -c[:, :1] / c[:, 1:])
+
+    @given(coefficient_rows(count=3), st.lists(st.complex_numbers(max_magnitude=1e3),
+                                               min_size=6, max_size=6))
+    @example(np.zeros((0, 3)), [0j] * 6)
+    @settings(max_examples=200, deadline=None)
+    def test_polyval_rows_match_polyval(self, c, points):
+        s = np.array(points).reshape(2, 3).T[:len(c)]
+        assert _same_bits(lti._polyval_rows(c, s), _polyval_tensor(c, s))
+
+    @given(row_pairs(), st.booleans())
+    # as wide as the sign table, and wider
+    @example((np.arange(1.0, 65.0)[None], np.arange(1.0, 65.0)[None]), False)
+    @example((np.ones((1, 66)), np.ones((1, 3))), False)
+    @settings(max_examples=200, deadline=None)
+    def test_real_product_matches_the_sign_power(self, rows, square):
+        u, w = (rows[0], rows[0]) if square else rows
+        assert _same_bits(lti._real_product(u, w), _real_product_sign_power(u, w))
+
+    @given(coefficient_rows())
+    # _grid_mu with no admissible lambda: no slope rows, each of width 2
+    @example(np.zeros((0, 2)))
+    @example(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, -1.0, 1.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_real_roots_match_the_per_length_loop(self, c):
+        assert _same_bits(lti._real_roots(c), _real_roots_per_length(c))
+
+    @given(row_pairs(max_width=4))
+    @settings(max_examples=200, deadline=None)
+    def test_polymul_matches_the_accumulating_loop(self, rows):
+        x, y = rows
+        assert _same_bits(lti._polymul(x, y), _polymul_accumulated(x, y))
+
+    @given(st.lists(_COEFFICIENTS, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_make_trims_as_flatnonzero(self, coeffs):
+        c = np.asarray(coeffs, dtype=float)
+        nz = np.flatnonzero(c)
+        want = tuple(c[:nz[-1] + 1].tolist()) if nz.size else (0.0,)
+        assert repr(RealPolynomial.make(coeffs).coeffs) == repr(want)
+
+
 class TestWorkCounts:
     @pytest.mark.parametrize("alpha", [1.0, 1e4])
     def test_design_pipeline_calls(self, monkeypatch, alpha):
@@ -499,10 +633,11 @@ class TestWorkCounts:
         T = passivize(eips_indices(G, lam), PassivityIndices(0.0, 0.0))
         strict = tf_passivity_indices(transformed_tf(G, T))
         assert strict.rho >= 0.0 and strict.nu >= 0.0
-        # lambda_search: screen and peak; loop_mu twice: stability and
-        # peak; transformed_tf: one stacked cancellation solve;
+        # lambda_search: the screen (the peak's slope is of degree 1, and a
+        # degree-1 row needs no solve); loop_mu twice: stability (the peak
+        # again needs none); transformed_tf: one stacked cancellation solve;
         # tf_passivity_indices: stability, axis zeros and both indices
-        assert counts == {"eigvals": 10, "extremum": 4}
+        assert counts == {"eigvals": 7, "extremum": 4}
 
 
 def _pipeline(G):

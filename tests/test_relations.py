@@ -34,6 +34,7 @@ from pqikit import (
 from pqikit.errors import (
     DegenerateRays,
     DimensionMismatch,
+    InvalidSamples,
     MultiValued,
     NonConvexCertificate,
     NonFiniteValue,
@@ -1155,6 +1156,12 @@ def test_cursive_report_names_a_jump():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: IntegralFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3)),
      ValueError, "strictly increasing"),
+    (lambda: IntegralFunction([1.0, 0.0], [0.0, 0.0]), InvalidSamples,
+     r"strictly increasing, not abscissa 0\.0 at sample 1 after 1\.0$"),
+    (lambda: integral_function(PlanarRelation([], [])), InvalidSamples,
+     r"integral_function \(of_k\): the relation has no samples$"),
+    (lambda: legendre(IntegralFunction([], []), [0.0]), InvalidSamples,
+     "legendre: the potential has no samples$"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.zeros(2)),
      DimensionMismatch, r"not \(3,\) and \(2,\)$"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
@@ -1188,13 +1195,20 @@ def test_cursive_report_names_a_jump():
      NonFiniteValue, r"not sample 1 \(1\.0, inf\)$"),
     (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
      .contains((1.0, 1.0)), DegenerateRays, "colinear"),
-], ids=["potential_grid", "potential_lengths", "potential_nan", "potential_inf",
+], ids=["potential_grid", "potential_steps_back", "integral_empty", "legendre_empty",
+        "potential_lengths", "potential_nan", "potential_inf",
         "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
         "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
         "monotone_inf", "cone_colinear_rays"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_sample_faults_are_toolkit_and_value_errors():
+    # a caller that catches either family catches a bad grid or an empty input
+    assert issubclass(InvalidSamples, ToolkitError)
+    assert issubclass(InvalidSamples, ValueError)
 
 
 def test_strict_monotonicity_rejects_a_flat_step():
