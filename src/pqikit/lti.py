@@ -36,6 +36,7 @@ from .errors import (
     DegenerateTransformedTF,
     DestabilizingLambda,
     DegreeDrop,
+    DimensionMismatch,
     ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
@@ -78,6 +79,9 @@ class RealPolynomial:
     @classmethod
     def make(cls, coeffs) -> "RealPolynomial":
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        if c.ndim != 1:
+            raise DimensionMismatch(
+                f"polynomial coefficients must be 1-D, not of shape {c.shape}")
         if not np.isfinite(c).all():
             i = int(np.argmin(np.isfinite(c)))
             raise NonFiniteValue(
@@ -122,8 +126,13 @@ class RationalTF:
             return self
         n, d = np.asarray(self.num.coeffs), np.asarray(self.den.coeffs)
         # one stacked solve when the degrees agree
-        nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
-                  else (_roots(n[None])[0], _roots(d[None])[0]))
+        try:
+            nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
+                      else (_roots(n[None])[0], _roots(d[None])[0]))
+        except NonFiniteValue as exc:
+            part = ("numerator" if not np.isfinite(_companion_column(n[None])).all()
+                    else "denominator")
+            raise NonFiniteValue(f"{part} {exc}") from None
         # Python numbers: the same arithmetic as numpy scalars, at less cost
         nr, kept_d = nr.tolist(), []
         for r in dr.tolist():
@@ -163,40 +172,56 @@ def _companion_column(c: np.ndarray) -> np.ndarray:
         return -c[:, :-1] / c[:, -1:]
 
 
+def _finite_column(c: np.ndarray) -> np.ndarray:
+    """_companion_column of c; a row where it is not finite, a root beyond
+    float range, raises NonFiniteValue naming that row."""
+    col = _companion_column(c)
+    if not np.isfinite(col).all():
+        bad = ~np.isfinite(col).all(axis=1)
+        raise NonFiniteValue(f"polynomial {c[np.argmax(bad)].tolist()} has a "
+                             "root beyond float range")
+    return col
+
+
 def _roots(c: np.ndarray) -> np.ndarray:
     """Roots of each row of c (ascending, equal lengths, nonzero tops).
+
+    A row whose companion matrix overflows raises NonFiniteValue naming
+    that row (_finite_column).
+    """
+    return _companion_roots(_finite_column(c))
+
+
+def _companion_roots(col: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices whose last columns are the
+    rows of col, every entry finite.
 
     One stacked eigenvalue solve of the companion matrices that
     numpy.polynomial's polyroots builds, so one row still costs about what
     two do.  Degree-1 rows need no solve: a 1x1 companion matrix is its own
     eigenvalue, so the root is the column -c_0/c_1, which is also what the
     solve returns wherever LAPACK does not rescale the matrix (roots of
-    magnitude about 1e-138 to 1e138, or 0).  A row whose companion matrix
-    overflows raises NonFiniteValue naming that row.
+    magnitude about 1e-138 to 1e138, or 0).
     """
-    n = c.shape[1] - 1
-    col = _companion_column(c)
-    if not np.isfinite(col).all():
-        bad = ~np.isfinite(col).all(axis=1)
-        raise NonFiniteValue(f"polynomial {c[np.argmax(bad)].tolist()} has a "
-                             "root beyond float range")
+    n = col.shape[1]
     if n == 1:
         return col
-    A = np.zeros((len(c), n, n))
-    A.reshape(len(c), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
+    A = np.zeros((len(col), n, n))
+    A.reshape(len(col), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
     A[:, :, -1] = col
     return np.linalg.eigvals(A)
 
 
-def _stable(q: np.ndarray) -> np.ndarray:
+def _stable(q: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Per row of q: every root r satisfies Re r < -STABILITY_MARGIN * |r|.
 
-    Rows share a length and have nonzero tops; constants count as stable.
+    Rows share a length and have nonzero tops, and col is their finite
+    companion column (_finite_column); constants count as stable.
     A zero constant term is a root at 0.
     """
     if q.shape[1] < 2:
         return np.ones(len(q), dtype=bool)
-    r = _roots(q)
+    r = _companion_roots(col)
     return (q[:, 0] != 0.0) & (r.real < -STABILITY_MARGIN * np.abs(r)).all(axis=1)
 
 
@@ -208,7 +233,8 @@ def is_stable(q: RealPolynomial) -> bool:
     """
     if q.degree < 1:
         raise DegenerateDegree("stability is undefined for constant polynomials")
-    return bool(_stable(np.asarray(q.coeffs)[None])[0])
+    c = np.asarray(q.coeffs)[None]
+    return bool(_stable(c, _finite_column(c))[0])
 
 
 def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -404,7 +430,7 @@ def _unit_frequency(p: np.ndarray, q: np.ndarray):
 def _stable_den(G: RationalTF, what: str) -> np.ndarray:
     """The coefficient row of G's denominator, which must be stable."""
     q = np.asarray(G.den.coeffs)[None]
-    if not _stable(q)[0]:
+    if not _stable(q, _finite_column(q))[0]:
         raise UnstableDenominator(f"{what} requires a stable denominator")
     return q
 
@@ -508,9 +534,9 @@ def _grid_mu(G: RationalTF, grid) -> np.ndarray:
     entries get mu = inf.
     """
     rows = _shift_rows(G, grid)
-    admissible = ((rows[:, -1] != 0.0)
-                  & np.isfinite(_companion_column(rows)).all(axis=1))
-    admissible[admissible] = _stable(rows[admissible])
+    col = _companion_column(rows)
+    admissible = (rows[:, -1] != 0.0) & np.isfinite(col).all(axis=1)
+    admissible[admissible] = _stable(rows[admissible], col[admissible])
     mu = np.full(len(rows), np.inf)
     p = np.asarray(G.num.coeffs)[None]
     mu[admissible] = _peak_gain(p, rows[admissible]) + 0.25

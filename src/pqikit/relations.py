@@ -17,7 +17,9 @@ samples into square grid cells, small enough that a crowded cell proves
 one by pigeonhole; otherwise only pairs of neighbour cells are measured.
 Every tolerance is relative to the size of its own operands (an axis's
 largest magnitude, a curve's median sample norm), never an absolute floor,
-so rescaling u and y by positive factors changes no verdict.
+so rescaling u and y by one positive factor changes no verdict.  A factor
+per axis changes none of the monotonicity and potential verdicts, but
+cursivity measures Euclidean lengths, which it changes.
 Everything here is numpy alone.
 """
 
@@ -325,13 +327,17 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
 def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
     """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs.
 
-    Sorting by input reduces the pairwise check to adjacent comparisons.
+    Sorting by input reduces the pairwise check to adjacent comparisons;
+    a strictly increasing u is its own sort order, so it is not sorted.
     Strict mode additionally requires a positive product whenever the inputs
     differ.
     """
-    order = np.lexsort((rel.y, rel.u))
-    u, y = rel.u[order], rel.y[order]
+    u, y = rel.u, rel.y
     du = np.diff(u)
+    if not np.all(du > 0.0):
+        order = np.lexsort((y, u))
+        u, y = u[order], y[order]
+        du = np.diff(u)
     dy = np.diff(y)
     if not np.all(dy >= -1e-9 * float(np.abs(y).max())):
         return False
@@ -365,6 +371,24 @@ def _ends_grow(norms: np.ndarray) -> bool:
     return bool(np.all(np.diff(checkpoints) >= -slack))
 
 
+def _norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors (a, b), sqrt(a*a + b*b): of two columns,
+    np.linalg.norm(..., axis=1) sums the squares in one add, so these are
+    its bits."""
+    return np.sqrt(a * a + b * b)
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of x, which holds neither nan nor -0.0, as no length does:
+    the middle order statistic, or the mean (lo + hi)/2 of the two middle
+    ones, from one partition."""
+    k = len(x) // 2
+    if len(x) % 2:
+        return float(np.partition(x, k)[k])
+    lo, hi = np.partition(x, (k - 1, k))[k - 1:k + 1]
+    return float((lo + hi) / 2.0)
+
+
 def is_cursive(rel: PlanarRelation) -> CursivityReport:
     """Numeric surrogate for the cursive property of a parameterized curve.
 
@@ -378,6 +402,8 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     sort into grid cells; see :func:`_no_near_self_intersection`).  Both
     segment scales are floored at 1e-6 of the median sample norm (of the
     largest if the median is zero).
+    Lengths and medians are taken on the u and y columns, with the bits of
+    np.linalg.norm and np.median (:func:`_norm`, :func:`_median`).
     These support but cannot prove the limit properties; the report says
     which passed.
     """
@@ -386,15 +412,16 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     if len(rel.u) < 2:
         raise WrongRepresentation(
             f"cursivity check needs a curve of 2 or more samples, not {len(rel.u)}")
-    pts = rel.points
+    u, y = rel.u, rel.y
     notes: list[str] = []
-    norms = np.linalg.norm(pts, axis=1)
-    med = float(np.median(norms))
+    norms = _norm(u, y)
+    med = _median(norms)
     # of the segment scales, from the curve's own size: its median norm, or
     # its largest where more than half the samples sit at the origin
     floor = 1e-6 * (med or float(norms.max()))
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    med_seg = float(np.median(seg))
+    du, dy = np.diff(u), np.diff(y)
+    seg = _norm(du, dy)
+    med_seg = _median(seg)
     continuous = bool(seg.max() <= max(10.0 * med_seg, floor))
     if not continuous:
         notes.append("jump: a grid segment exceeds 10x the median segment length")
@@ -413,7 +440,7 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
         )
 
     no_self_intersection = _no_near_self_intersection(
-        pts, max(med_seg, floor), 20)
+        u, y, du, dy, max(med_seg, floor), 20)
     if not no_self_intersection:
         notes.append("near self-intersection: parameter-distant samples coincide")
 
@@ -421,11 +448,13 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
                            tuple(notes))
 
 
-def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool:
-    """No two samples more than ``gap`` steps apart lie within ``radius``.
+def _no_near_self_intersection(u: np.ndarray, y: np.ndarray, du: np.ndarray,
+                               dy: np.ndarray, radius: float, gap: int) -> bool:
+    """No two samples (u, y) more than ``gap`` steps apart lie within ``radius``.
 
-    A chain, whose every axis is monotone along the index, takes an exact
-    O(n) pass.  For i < j < k on a chain |x_k - x_i| >= |x_j - x_i| in each
+    ``du`` and ``dy`` are the steps np.diff(u) and np.diff(y).  A chain,
+    whose every axis is monotone along the index, takes an exact O(n)
+    pass.  For i < j < k on a chain |x_k - x_i| >= |x_j - x_i| in each
     axis, and rounding keeps that order: a rounded difference, square, sum
     and square root never decrease as their operands grow.  So the measured
     distance from sample i never decreases along the chain, and the pair
@@ -441,11 +470,10 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
     of the cells after its own within ``reach`` cells in both directions,
     so the candidate count stays linear in the samples.
     """
-    step = np.diff(pts, axis=0)
-    if np.all((step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)):
-        d = pts[gap + 1:] - pts[:-gap - 1]
-        return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-                               < radius))
+    if ((np.all(du >= 0.0) or np.all(du <= 0.0))
+            and (np.all(dy >= 0.0) or np.all(dy <= 0.0))):
+        d = _norm(u[gap + 1:] - u[:-gap - 1], y[gap + 1:] - y[:-gap - 1])
+        return not bool(np.any(d < radius))
     m, e = np.frexp(radius)
     side = np.ldexp(1.0, int(e) - (1 if m >= 0.75 else 2))  # radius/side in [1.5, 3)
     # a margin over the radius, so that no pair whose rounded distance
@@ -453,7 +481,7 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
     reach = int(radius * (1.0 + 1e-6) / side) + 1
     # cell coordinates with gaps wider than the reach closed up to it,
     # which keeps every neighbourhood and bounds the key below n^2 * 16
-    col, row = (_close_gaps(c, reach) for c in np.floor(pts / side).T)
+    col, row = (_close_gaps(np.floor(c / side), reach) for c in (u, y))
     width = int(row.max()) + 2 * reach + 1
     key = col * width + row + reach
     order = np.argsort(key, kind="stable")  # indices ascend within a cell
@@ -472,8 +500,8 @@ def _no_near_self_intersection(pts: np.ndarray, radius: float, gap: int) -> bool
     i = order[np.repeat(np.tile(np.arange(len(key)), reach + 1), count)]
     j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
     far = np.abs(i - j) > gap
-    d = pts[i[far]] - pts[j[far]]  # measured as np.linalg.norm rounds it
-    return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < radius))
+    i, j = i[far], j[far]
+    return not bool(np.any(_norm(u[i] - u[j], y[i] - y[j]) < radius))
 
 
 def _close_gaps(c: np.ndarray, reach: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from pqikit.errors import (
     DegenerateTransformedTF,
     DegreeDrop,
     DestabilizingLambda,
+    DimensionMismatch,
     NoStabilizingLambda,
     NonFiniteValue,
     NonpositiveGain,
@@ -760,6 +761,23 @@ class TestSerialization:
         ([1.0], [1.0, math.nan], "coefficient 1 "),
         ([math.inf, 1.0], [1.0, 1.0], "coefficient 0 ")])
     def test_non_finite_coefficient_named(self, num, den, named):
+        with pytest.raises(NonFiniteValue, match=named):
+            RationalTF.make(num, den)
+
+    @pytest.mark.parametrize("num, den, shape", [
+        ([[1.0, 2.0]], [1.0, 1.0], "(1, 2)"),
+        ([1.0], [[1.0], [1.0]], "(2, 1)"),
+        ([1.0], np.ones((1, 1, 2)), "(1, 1, 2)")])
+    def test_coefficients_not_1d_named(self, num, den, shape):
+        with pytest.raises(DimensionMismatch) as err:
+            RationalTF.make(num, den)
+        assert str(err.value) == f"polynomial coefficients must be 1-D, not of shape {shape}"
+
+    @pytest.mark.parametrize("num, den, named", [
+        ([1.0, 5e-324], [-2.0, 2.0, 1.0], r"^numerator polynomial \[1\.0, 5e-324\] "),
+        ([1.0, 1.0], [1.0, 1e-310], r"^denominator polynomial \[1\.0, 1e-310\] "),
+        ([1.0, 1e-310], [1.0, 1e-310], r"^numerator ")])
+    def test_root_beyond_float_range_names_its_polynomial(self, num, den, named):
         with pytest.raises(NonFiniteValue, match=named):
             RationalTF.make(num, den)
 

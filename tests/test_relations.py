@@ -40,7 +40,8 @@ from pqikit.errors import (
     NonFiniteValue,
     WrongRepresentation,
 )
-from pqikit.relations import (OF_K, OF_K_INVERSE, TIE_RTOL, _no_near_self_intersection,
+from pqikit.relations import (OF_K, OF_K_INVERSE, TIE_RTOL, CursivityReport, _close_gaps,
+                               _ends_grow, _median, _no_near_self_intersection, _norm,
                                _trapezoid, _write_csv)
 from pqikit.systems import (
     odd_cubic_agent,
@@ -1010,7 +1011,8 @@ class TestSelfIntersectionAgainstBruteForce:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_pair_check(self, name, gap):
         rel = self.CASES[name]
-        got = _no_near_self_intersection(rel.points, cursive_radius(rel.points), gap)
+        got = _no_near_self_intersection(rel.u, rel.y, np.diff(rel.u), np.diff(rel.y),
+                                         cursive_radius(rel.points), gap)
         assert got == brute_force_no_self_intersection(rel, gap)
         if gap == 20:  # is_cursive's own gap
             assert is_cursive(rel).no_self_intersection == got
@@ -1058,6 +1060,188 @@ class TestSelfIntersectionAgainstBruteForce:
         report = is_cursive(rel)
         assert time.perf_counter() - start <= 1.0
         assert not report.no_self_intersection
+
+
+def point_array_no_near_self_intersection(pts, radius, gap):
+    """_no_near_self_intersection on the (n, 2) sample array, as it was
+    written before it took the u and y columns: the chain test on the
+    array's axis 0, and differences of sample rows."""
+    step = np.diff(pts, axis=0)
+    if np.all((step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)):
+        d = pts[gap + 1:] - pts[:-gap - 1]
+        return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+                               < radius))
+    m, e = np.frexp(radius)
+    side = np.ldexp(1.0, int(e) - (1 if m >= 0.75 else 2))
+    reach = int(radius * (1.0 + 1e-6) / side) + 1
+    col, row = (_close_gaps(c, reach) for c in np.floor(pts / side).T)
+    width = int(row.max()) + 2 * reach + 1
+    key = col * width + row + reach
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    end = np.r_[start[1:], len(key)]
+    if np.any(order[end - 1] - order[start] > gap):
+        return False
+    lo = np.concatenate([np.searchsorted(key, key + a * width - (reach if a else -1))
+                         for a in range(reach + 1)])
+    hi = np.concatenate([np.searchsorted(key, key + a * width + reach, "right")
+                         for a in range(reach + 1)])
+    count = hi - lo
+    i = order[np.repeat(np.tile(np.arange(len(key)), reach + 1), count)]
+    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    far = np.abs(i - j) > gap
+    d = pts[i[far]] - pts[j[far]]
+    return not bool(np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < radius))
+
+
+def point_array_cursive(rel):
+    """is_cursive on the (n, 2) sample array, with np.linalg.norm and np.median."""
+    pts = rel.points
+    notes = []
+    norms = np.linalg.norm(pts, axis=1)
+    med = float(np.median(norms))
+    floor = 1e-6 * (med or float(norms.max()))
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    med_seg = float(np.median(seg))
+    continuous = bool(seg.max() <= max(10.0 * med_seg, floor))
+    if not continuous:
+        notes.append("jump: a grid segment exceeds 10x the median segment length")
+    threshold = 1.5 * med
+    diverges = (norms[0] > threshold and norms[-1] > threshold
+                and _ends_grow(norms) and _ends_grow(norms[::-1]))
+    if not diverges:
+        notes.append(f"divergence surrogate failed: end norms ({norms[0]:.3g}, "
+                     f"{norms[-1]:.3g}) vs threshold {threshold:.3g}")
+    clear = point_array_no_near_self_intersection(pts, max(med_seg, floor), 20)
+    if not clear:
+        notes.append("near self-intersection: parameter-distant samples coincide")
+    return CursivityReport(continuous, bool(diverges), clear, tuple(notes))
+
+
+def lexsorted_is_monotone(rel, strict):
+    """is_monotone with the samples always sorted by (u, y)."""
+    order = np.lexsort((rel.y, rel.u))
+    u, y = rel.u[order], rel.y[order]
+    du, dy = np.diff(u), np.diff(y)
+    if not np.all(dy >= -1e-9 * float(np.abs(y).max())):
+        return False
+    if strict:
+        distinct = du > 1e-12 * float(np.abs(u).max())
+        if np.any(dy[distinct] <= 0.0):
+            return False
+    return True
+
+
+def _result(call):
+    """What the call returns, or the name of the toolkit or arithmetic error
+    it raises (a radius past the float range overflows the cell count)."""
+    try:
+        return call()
+    except (ToolkitError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def drawn_curves(draw):
+    """Walks of 2 to 60 drawn steps, a chain when each axis keeps one sign,
+    from the origin or through it midway; repeated values give ties in u,
+    scales of 1e160 and 1e300 give norms that overflow to inf, and more
+    than half of the samples may be moved to the origin, as the first ones
+    (a chain can stay one) or anywhere."""
+    n = draw(st.integers(2, 60))
+    step = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-4.0, 4.0)
+    du, dy = (np.array(draw(st.lists(step, min_size=n, max_size=n))) for _ in "uy")
+    if draw(st.booleans()):
+        du, dy = (np.abs(d) * draw(st.sampled_from([1.0, -1.0])) for d in (du, dy))
+    u, y = np.cumsum(du), np.cumsum(dy)
+    if draw(st.booleans()):  # through the origin midway, so the ends may diverge
+        u, y = u - u[n // 2], y - y[n // 2]
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-160, 1e160, 1e300]))
+    u, y = scale * u, scale * y
+    at_origin = draw(st.sampled_from(["none", "first", "anywhere"]))
+    if at_origin != "none":
+        at = (np.arange(n) if at_origin == "first" else
+              np.random.default_rng(draw(st.integers(0, 2**16))).permutation(n))[:n // 2 + 1]
+        u[at] = y[at] = 0.0
+    return param_relation(u, y)
+
+
+@st.composite
+def drawn_relations(draw):
+    """Samples with u as drawn (ties, no order), sorted, or strictly
+    increasing, and y as drawn or sorted (monotone where u is sorted)."""
+    value = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
+             | st.floats(-1e300, 1e300) | st.floats(allow_nan=False, allow_infinity=False))
+    u = np.array(draw(st.lists(value, min_size=1, max_size=40)))
+    u = {"drawn": u, "sorted": np.sort(u), "increasing": np.unique(u)}[
+        draw(st.sampled_from(["drawn", "sorted", "increasing"]))]
+    y = np.array(draw(st.lists(value, min_size=len(u), max_size=len(u))))
+    return PlanarRelation(u, np.sort(y) if draw(st.booleans()) else y)
+
+
+class TestColumnForms:
+    """The maximality checks on the u and y columns give the bits of the
+    point-array forms they replace."""
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=30))
+    @example([(1e200, 1e200), (1e-200, 0.0), (0.0, -0.0), (-3.0, 4.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_norm_matches_linalg_norm(self, pairs):
+        a, b = np.array(pairs).T
+        with np.errstate(over="ignore"):  # squares past the float range are inf alike
+            assert_same_bits(_norm(a, b), np.linalg.norm(np.column_stack([a, b]), axis=1))
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, np.inf]) | st.floats(0.0), min_size=1,
+                    max_size=41))
+    @example([0.0, 0.0, 0.0, 1.0])
+    @example([np.inf, np.inf, 2.0, 0.0, 0.0])
+    @example([1.7e308, 1.7e308])
+    @example([5e-324, 5e-324, 0.0, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_median_matches_np_median(self, lengths):
+        x = np.array(lengths)
+        with np.errstate(over="ignore"):  # the two middle values may sum past the range
+            assert_same_bits(_median(x), float(np.median(x)))
+
+    @given(drawn_curves())
+    # chains of even and odd length, one through the origin; ties in u and
+    # u not monotone; more than half at the origin, first and anywhere;
+    # norms past the float range on a chain and off one
+    @example(param_relation(np.arange(6.0), np.arange(6.0) ** 2))
+    @example(param_relation(np.linspace(-3.0, 3.0, 41), -np.linspace(-3.0, 3.0, 41)))
+    @example(param_relation([0.0, 2.0, 1.0, 3.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]))
+    @example(param_relation(np.r_[np.zeros(16), np.arange(1.0, 15.0)], np.arange(30.0)))
+    @example(param_relation(np.r_[np.zeros(9), 1.0, -1.0, 2.0],
+                            np.r_[np.zeros(9), 1.0, 1.0, 2.0]))
+    @example(param_relation(1e300 * np.linspace(-1.0, 1.0, 41),
+                            1e300 * np.linspace(-1.0, 1.0, 41)))
+    @example(param_relation(1e200 * np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.zeros(6)))
+    @settings(max_examples=200, deadline=None)
+    def test_cursive_report_matches_the_point_array_form(self, rel):
+        # overflow, and the errors a radius past the range raises, alike in both
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert _result(lambda: is_cursive(rel)) == _result(
+                lambda: point_array_cursive(rel))
+
+    @given(drawn_curves(), st.sampled_from([0, 1, 3, 20]), st.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_self_intersection_matches_the_point_array_form(self, rel, gap, factor):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            radius = factor * cursive_radius(rel.points)
+            got = _result(lambda: _no_near_self_intersection(
+                rel.u, rel.y, np.diff(rel.u), np.diff(rel.y), radius, gap))
+            assert got == _result(lambda: point_array_no_near_self_intersection(
+                rel.points, radius, gap))
+
+    @given(drawn_relations(), st.booleans())
+    @example(PlanarRelation([-0.0, 0.0, 1.0], [1.0, 0.0, 2.0]), False)
+    @example(PlanarRelation([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]), True)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_matches_the_lexsorted_form(self, rel, strict):
+        with np.errstate(over="ignore", invalid="ignore"):  # steps past the range
+            assert is_monotone(rel, strict) == lexsorted_is_monotone(rel, strict)
 
 
 class TestRepresentations:
