@@ -10,6 +10,9 @@ carries bytecode (``co_lines``) in ``src/pqikit``.  The body of an
 ``if __name__ == "__main__":`` guard is exempt, since only a fresh
 interpreter runs it.  Prints each unreached line as ``path:line: source``
 and exits 1 if there is any; exits with pytest's status if a test fails.
+Ends with two size counts of ``src/pqikit``: its lines (as the benchmark's
+``src_pqikit_lines`` counts them) and its settable values (see
+:func:`settable_values`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,22 @@ def executable_lines(path: str) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines - main_guard_lines(ast.parse(source))
+
+
+def settable_values(tree: ast.Module) -> int:
+    """Defaulted function arguments plus defaulted dataclass fields; a
+    ``field(init=False)`` is not counted."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         and "init=False" not in ast.unparse(s.value)
+                         for s in node.body)
+    return count
 
 
 def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
@@ -83,17 +102,22 @@ def main(argv=None) -> int:
         ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", *args])
     if status:
         return status
-    missed = 0
+    missed = length = settable = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, name)
         with open(path) as fh:
-            source = fh.read().splitlines()
+            text = fh.read()
+        source = text.splitlines()
+        length += len(source)
+        settable += settable_values(ast.parse(text))
         for line in sorted(executable_lines(path) - reached.get(path, set())):
             print(f"{os.path.relpath(path, ROOT)}:{line}: {source[line - 1].strip()}")
             missed += 1
-    print(f"{missed} unreached line(s) in {os.path.relpath(PACKAGE, ROOT)}")
+    package = os.path.relpath(PACKAGE, ROOT)
+    print(f"{missed} unreached line(s) in {package}")
+    print(f"{package}: {length} lines, {settable} settable values")
     return 1 if missed else 0
 
 

@@ -105,20 +105,26 @@ class RealPolynomial:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Proper rational transfer function num/den with real coefficients."""
+    """Proper rational transfer function num/den with real coefficients; a
+    zero or lower-degree denominator raises ImproperTF when built."""
 
     num: RealPolynomial
     den: RealPolynomial
 
+    def __post_init__(self):
+        if self.den.is_zero:
+            raise ImproperTF("denominator must be nonzero")
+        if self.num.degree > self.den.degree:
+            raise ImproperTF(f"transfer function must be proper: numerator degree "
+                             f"{self.num.degree} exceeds denominator degree "
+                             f"{self.den.degree}")
+
     @classmethod
     def make(cls, num, den) -> "RationalTF":
+        """num/den from coefficient lists or polynomials, with near-common
+        roots cancelled."""
         n = num if isinstance(num, RealPolynomial) else RealPolynomial.make(num)
         d = den if isinstance(den, RealPolynomial) else RealPolynomial.make(den)
-        if d.is_zero:
-            raise ImproperTF("denominator must be nonzero")
-        if n.degree > d.degree:
-            raise ImproperTF(f"transfer function must be proper: numerator degree "
-                             f"{n.degree} exceeds denominator degree {d.degree}")
         return cls(n, d)._cancel_common_roots()
 
     def _cancel_common_roots(self) -> "RationalTF":

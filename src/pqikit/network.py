@@ -772,8 +772,11 @@ def _minimize_convex(models, B, Q):
     either way the residual still above its bound raises NoConvergence.
     Returns the minimizer, the objective, the iteration count and the
     residual; with no variables, the empty z with objective 0 and no
-    iteration.
+    iteration.  One model per row of B (per vertex), else DimensionMismatch.
     """
+    if len(models) != B.shape[0]:
+        raise DimensionMismatch(
+            f"{len(models)} node potentials for {B.shape[0]} vertices")
     floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
 
     def pieces(w):
@@ -901,15 +904,19 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
 
 @dataclass
 class PredictionReport:
-    y_predicted: np.ndarray
-    y_simulated: np.ndarray
+    """What :func:`predict_and_verify` computed: the transformed network, the
+    potential problem's solution, the transformed network's simulation, and
+    the largest gap between their steady states with the bound it must meet."""
+
+    spec: NetworkSpec
+    prediction: OptimizationResult
+    simulation: SimResult
     gap: float
     tolerance: float
-    converged: bool
 
     @property
     def passed(self) -> bool:
-        return self.converged and self.gap <= self.tolerance
+        return self.simulation.converged and self.gap <= self.tolerance
 
 
 def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
@@ -942,14 +949,8 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
 
     opt = solve_opp(tspec)
     sim = simulate(tspec)
-    gap = float(np.max(np.abs(sim.steady_state - opt.primal)))
-    return PredictionReport(
-        y_predicted=opt.primal,
-        y_simulated=sim.steady_state,
-        gap=gap,
-        tolerance=1e-2,
-        converged=sim.converged,
-    )
+    gap = float(np.max(np.abs(sim.steady_state - opt.primal), initial=0.0))
+    return PredictionReport(tspec, opt, sim, gap, 1e-2)
 
 
 # ---------------------------------------------------------------------------

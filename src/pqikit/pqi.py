@@ -192,10 +192,10 @@ def solution_set(p: PQI) -> SymmetricDoubleCone:
     return SymmetricDoubleCone(u1, u2, (float(probe[0]), float(probe[1])))
 
 
-def contains(p: PQI, point, rtol: float = MEMBER_RTOL) -> bool:
-    """Direct evaluation with a relative tolerance band."""
+def contains(p: PQI, point) -> bool:
+    """Direct evaluation with the relative tolerance band MEMBER_RTOL."""
     xi, chi = float(point[0]), float(point[1])
-    band = rtol * float(np.linalg.norm(p.coeffs)) * (xi * xi + chi * chi)
+    band = MEMBER_RTOL * float(np.linalg.norm(p.coeffs)) * (xi * xi + chi * chi)
     return p(xi, chi) >= -band
 
 

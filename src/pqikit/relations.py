@@ -26,6 +26,7 @@ Everything here is numpy alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -403,7 +404,12 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     segment scales are floored at 1e-6 of the median sample norm (of the
     largest if the median is zero).
     Lengths and medians are taken on the u and y columns, with the bits of
-    np.linalg.norm and np.median (:func:`_norm`, :func:`_median`).
+    np.linalg.norm and np.median (:func:`_norm`, :func:`_median`), over the
+    power of two of their largest magnitude.  The division is exact, so a
+    curve whose squared coordinates and steps stay in the float range keeps
+    its report bit for bit, and no curve's norms or cells leave that range
+    (a nonzero norm is at least sqrt(5e-324), so the radius and the cell
+    side are 0 or normal).  The notes give lengths in the curve's own units.
     These support but cannot prove the limit properties; the report says
     which passed.
     """
@@ -412,7 +418,8 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     if len(rel.u) < 2:
         raise WrongRepresentation(
             f"cursivity check needs a curve of 2 or more samples, not {len(rel.u)}")
-    u, y = rel.u, rel.y
+    e = math.frexp(max(np.abs(rel.u).max(), np.abs(rel.y).max()))[1]
+    u, y = np.ldexp(rel.u, -e), np.ldexp(rel.y, -e)
     notes: list[str] = []
     norms = _norm(u, y)
     med = _median(norms)
@@ -434,9 +441,11 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
         and _ends_grow(norms[::-1])
     )
     if not diverges:
+        with np.errstate(over="ignore"):  # a length past the float range is inf
+            first, last, bound = np.ldexp([norms[0], norms[-1], threshold], e)
         notes.append(
-            f"divergence surrogate failed: end norms ({norms[0]:.3g}, "
-            f"{norms[-1]:.3g}) vs threshold {threshold:.3g}"
+            f"divergence surrogate failed: end norms ({first:.3g}, "
+            f"{last:.3g}) vs threshold {bound:.3g}"
         )
 
     no_self_intersection = _no_near_self_intersection(

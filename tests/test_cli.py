@@ -15,7 +15,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pqikit import (
+    PassivityIndices,
+    apply_network_transform,
+    integral_function,
+    passivize,
+    simulate,
+    solve_opp,
+)
 from pqikit.cli import main
+from pqikit.relations import OF_K_INVERSE
+from pqikit.systems import pendulum_network
 
 QUAD_SPEC = {
     "graph": {"vertices": 2, "edges": [[0, 1]]},
@@ -423,6 +433,34 @@ class TestCaseStudy:
         checks = {c["name"]: c for c in summary["checks"]}
         assert len(checks) == 4 and all(c["passed"] for c in checks.values())
         assert checks["untransformed_clustering"]["detail"]["clusters"] >= 2
+
+    def test_gradient_network_matches_the_inline_pipeline(self, tmp_path, capsys):
+        # the reference: transform, simulate, solve the potential problem and
+        # take the gap, each step written out here
+        spec = pendulum_network()
+        T = passivize(PassivityIndices(-2.5, 0.0), PassivityIndices(0.0, 0.0))
+        tspec = apply_network_transform(spec, [T] * spec.graph.vertex_count)
+        sim_t, opt = simulate(tspec), solve_opp(tspec)
+        gap = float(np.max(np.abs(sim_t.steady_state - opt.primal)))
+        want = tmp_path / "want"
+        want.mkdir()
+        tspec.agents[0].relation.to_csv(want / "transformed_relation.csv")
+        integral_function(tspec.agents[0].relation, OF_K_INVERSE).to_csv(
+            want / "transformed_potential.csv")
+        sim_t.to_csv(want / "trajectories_transformed.csv")
+
+        got = tmp_path / "got"
+        assert main(["case-study", "gradient-network", "--outdir", str(got)]) == 0
+        capsys.readouterr()
+        summary = json.loads((got / "case_study_summary.json").read_text())
+        detail = {c["name"]: c["detail"] for c in summary["checks"]}
+        assert detail["prediction_agreement"] == {
+            "gap": gap, "predicted": [float(v) for v in opt.primal]}
+        assert detail["transformed_consensus_at_zero"] == {
+            "terminal_y": [float(v) for v in sim_t.steady_state],
+            "converged": bool(sim_t.converged)}
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_duality_passes_within_its_bounds(self, tmp_path, capsys):
         rc = main(["case-study", "duality", "--outdir", str(tmp_path)])

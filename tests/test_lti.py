@@ -32,6 +32,7 @@ from pqikit.errors import (
     DegreeDrop,
     DestabilizingLambda,
     DimensionMismatch,
+    ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
     NonpositiveGain,
@@ -805,6 +806,12 @@ class TestSerialization:
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: RationalTF.make([1.0], [0.0]), ValueError, "denominator must be nonzero"),
+    # built directly, without make's parsing, the same two refusals
+    (lambda: RationalTF(RealPolynomial((1.0,)), RealPolynomial((0.0,))), ImproperTF,
+     "^denominator must be nonzero$"),
+    (lambda: RationalTF(RealPolynomial((1.0, 2.0, 3.0)), RealPolynomial((1.0,))),
+     ImproperTF, "^transfer function must be proper: numerator degree 2 exceeds "
+     "denominator degree 0$"),
     (lambda: transformed_tf(RationalTF.make([1.0], [1.0]),
                             Transform2(1.0, -1.0, 0.0, 1.0)),
      DegenerateTransformedTF, "vanished identically"),
@@ -814,7 +821,8 @@ class TestSerialization:
     # mu = 1 + 1/4, so 1 + 2*lam*mu rounds to -4.4e-16 at this root
     (lambda: eips_indices(RationalTF.make([1.0], [1.0]), (-7 + math.sqrt(41)) / 2),
      SingularDenominator1p2lm, "vanished"),
-], ids=["zero_denominator", "transformed_denominator_vanishes",
+], ids=["zero_denominator", "direct_zero_denominator", "direct_improper",
+        "transformed_denominator_vanishes",
         "transformed_improper", "eips_denominator_vanishes"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):

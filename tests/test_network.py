@@ -840,7 +840,13 @@ class TestPredictAndVerify:
         )
         report = predict_and_verify(spec, [Transform2.identity()])
         assert report.passed
-        np.testing.assert_allclose(report.y_predicted, [0.0], atol=1e-6)
+        np.testing.assert_allclose(report.prediction.primal, [0.0], atol=1e-6)
+
+    def test_network_without_vertices_passes_with_zero_gap(self):
+        spec = NetworkSpec(Graph(0, ()), (), (), np.zeros(0), FAST)
+        report = predict_and_verify(spec, [])
+        assert report.passed and report.gap == 0.0
+        assert report.prediction.primal.shape == report.simulation.steady_state.shape == (0,)
 
     def test_nonmonotone_agents_rejected(self):
         spec = pendulum_network(n_agents=3, integrator=FAST)
@@ -1052,6 +1058,13 @@ def _bare_spec():
                        (ControllerSpec(gain=1.0),), np.zeros(2), FAST)
 
 
+def _bowls(count):
+    """``count`` convex node potentials 0.5 (y - c)^2, centres 1, 2, ..."""
+    grid = np.linspace(-5.0, 5.0, 101)
+    return [IntegralFunction.from_function(lambda y, c=c: 0.5 * (y - c) ** 2, grid)
+            for c in range(1, count + 1)]
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(0.0),) * 2, (),
                          np.zeros(2)),
@@ -1076,6 +1089,10 @@ def _bare_spec():
                                        np.linspace(-5.0, 5.0, 101))
         for c in (1.0, 3.0)]),
      NoConvergence, "non-finite objective"),
+    (lambda: solve_opp(quadratic_network(), node_potentials=_bowls(1)),
+     DimensionMismatch, "^1 node potentials for 2 vertices$"),
+    (lambda: solve_ofp(quadratic_network(), node_potentials=_bowls(3)),
+     DimensionMismatch, "^3 node potentials for 2 vertices$"),
     (lambda: ControllerSpec(gain=np.inf), ValueError, "positive and finite: inf"),
     (lambda: Graph(2, ((0, 1.5),)), InvalidSpec,
      r"^edge \(0,1.5\): vertex indices must be integers"),
@@ -1091,6 +1108,7 @@ def _bare_spec():
      r"^horizon 1e\+308 holds too many steps of dt 0.01$"),
 ], ids=["controller_count", "x0_length", "dt", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
+        "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count",
         "negative_horizon", "negative_window", "negative_tol_conv",
         "horizon_overflows_step_count"])

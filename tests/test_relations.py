@@ -1133,6 +1133,21 @@ def lexsorted_is_monotone(rel, strict):
     return True
 
 
+def squares_in_range(rel):
+    """Every nonzero coordinate and step of the curve, as given and over the
+    power of two of its largest coordinate, squares to a normal float."""
+    e = np.frexp(max(np.abs(rel.u).max(), np.abs(rel.y).max()))[1]
+    with np.errstate(over="ignore"):  # a step past the range is inf
+        v = np.abs(np.r_[rel.u, rel.y, np.diff(rel.u), np.diff(rel.y)])
+    v = v[v != 0.0]
+    return bool(np.all((v >= 2.0**-511) & (v < 2.0**511)
+                       & (np.ldexp(v, -e) >= 2.0**-511)))
+
+
+def flags(report):
+    return report.continuous, report.diverges, report.no_self_intersection
+
+
 def _result(call):
     """What the call returns, or the name of the toolkit or arithmetic error
     it raises (a radius past the float range overflows the cell count)."""
@@ -1207,23 +1222,46 @@ class TestColumnForms:
 
     @given(drawn_curves())
     # chains of even and odd length, one through the origin; ties in u and
-    # u not monotone; more than half at the origin, first and anywhere;
-    # norms past the float range on a chain and off one
+    # u not monotone; more than half at the origin, first and anywhere
     @example(param_relation(np.arange(6.0), np.arange(6.0) ** 2))
     @example(param_relation(np.linspace(-3.0, 3.0, 41), -np.linspace(-3.0, 3.0, 41)))
     @example(param_relation([0.0, 2.0, 1.0, 3.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]))
     @example(param_relation(np.r_[np.zeros(16), np.arange(1.0, 15.0)], np.arange(30.0)))
     @example(param_relation(np.r_[np.zeros(9), 1.0, -1.0, 2.0],
                             np.r_[np.zeros(9), 1.0, 1.0, 2.0]))
-    @example(param_relation(1e300 * np.linspace(-1.0, 1.0, 41),
-                            1e300 * np.linspace(-1.0, 1.0, 41)))
-    @example(param_relation(1e200 * np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.zeros(6)))
     @settings(max_examples=200, deadline=None)
     def test_cursive_report_matches_the_point_array_form(self, rel):
-        # overflow, and the errors a radius past the range raises, alike in both
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            assert _result(lambda: is_cursive(rel)) == _result(
-                lambda: point_array_cursive(rel))
+        if squares_in_range(rel):
+            assert is_cursive(rel) == point_array_cursive(rel)
+            return
+        # a curve whose squares leave the float range is measured over the
+        # power of two of its largest coordinate, and raises nothing
+        e = np.frexp(max(np.abs(rel.u).max(), np.abs(rel.y).max()))[1]
+        want = point_array_cursive(param_relation(np.ldexp(rel.u, -e), np.ldexp(rel.y, -e)))
+        assert flags(is_cursive(rel)) == flags(want)
+
+    @pytest.mark.parametrize("rel, notes", [
+        # a chain whose steps square past the float range, and a zigzag whose
+        # norms do (it raised OverflowError when the cell count overflowed)
+        (param_relation(1e300 * np.linspace(-1.0, 1.0, 41),
+                        1e300 * np.linspace(-1.0, 1.0, 41)), ()),
+        (param_relation(1e200 * np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.zeros(6)),
+         ("divergence surrogate failed: end norms (1e+200, 0) vs threshold 7.5e+199",)),
+    ], ids=["chain", "zigzag"])
+    def test_overflowing_curve_reports_in_its_own_units(self, rel, notes):
+        report = is_cursive(rel)
+        assert report.continuous and report.no_self_intersection
+        assert report.notes == notes
+
+    @pytest.mark.parametrize("power", [-1060, -560, 560, 1020])
+    def test_power_of_two_units_change_no_flag(self, power):
+        # past 2^+-512 the squares leave the float range; 2^-1060 makes the
+        # steps subnormal, which a line's flags survive
+        line = np.linspace(-1.0, 1.0, 41)
+        for rel in (param_relation(line, line ** 3),
+                    param_relation(np.r_[line, line[::-1]], np.r_[line, line])):
+            scaled = param_relation(np.ldexp(rel.u, power), np.ldexp(rel.y, power))
+            assert flags(is_cursive(scaled)) == flags(is_cursive(rel))
 
     @given(drawn_curves(), st.sampled_from([0, 1, 3, 20]), st.sampled_from([0.5, 1.0, 3.0]))
     @settings(max_examples=200, deadline=None)
