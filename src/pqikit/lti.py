@@ -76,9 +76,8 @@ class RealPolynomial:
 
     coeffs: tuple[float, ...]
 
-    @classmethod
-    def make(cls, coeffs) -> "RealPolynomial":
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1:
             raise DimensionMismatch(
                 f"polynomial coefficients must be 1-D, not of shape {c.shape}")
@@ -89,7 +88,7 @@ class RealPolynomial:
         coeffs = c.tolist()
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
-        return cls(tuple(coeffs) or (0.0,))
+        object.__setattr__(self, "coeffs", tuple(coeffs) or (0.0,))
 
     @property
     def degree(self) -> int:
@@ -105,13 +104,16 @@ class RealPolynomial:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Proper rational transfer function num/den with real coefficients; a
-    zero or lower-degree denominator raises ImproperTF when built."""
+    """Proper rational transfer function num/den, each a RealPolynomial or
+    its coefficients; a zero or lower-degree denominator raises ImproperTF."""
 
     num: RealPolynomial
     den: RealPolynomial
 
     def __post_init__(self):
+        for part in ("num", "den"):
+            if not isinstance(getattr(self, part), RealPolynomial):
+                object.__setattr__(self, part, RealPolynomial(getattr(self, part)))
         if self.den.is_zero:
             raise ImproperTF("denominator must be nonzero")
         if self.num.degree > self.den.degree:
@@ -121,16 +123,11 @@ class RationalTF:
 
     @classmethod
     def make(cls, num, den) -> "RationalTF":
-        """num/den from coefficient lists or polynomials, with near-common
-        roots cancelled."""
-        n = num if isinstance(num, RealPolynomial) else RealPolynomial.make(num)
-        d = den if isinstance(den, RealPolynomial) else RealPolynomial.make(den)
-        return cls(n, d)._cancel_common_roots()
-
-    def _cancel_common_roots(self) -> "RationalTF":
-        if self.num.degree < 1 or self.den.degree < 1:
-            return self
-        n, d = np.asarray(self.num.coeffs), np.asarray(self.den.coeffs)
+        """cls(num, den) with near-common roots cancelled."""
+        G = cls(num, den)
+        if G.num.degree < 1 or G.den.degree < 1:
+            return G
+        n, d = np.asarray(G.num.coeffs), np.asarray(G.den.coeffs)
         # one stacked solve when the degrees agree
         try:
             nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
@@ -148,13 +145,12 @@ class RationalTF:
                 nr.pop(hit[0])
             else:
                 kept_d.append(r)
-        if len(kept_d) == self.den.degree:
-            return self
+        if len(kept_d) == G.den.degree:
+            return G
         warnings.warn("cancelling near-common numerator/denominator roots",
-                      stacklevel=3)
-        return RationalTF(
-            RealPolynomial.make(P.polyfromroots(nr).real * self.num.coeffs[-1]),
-            RealPolynomial.make(P.polyfromroots(kept_d).real * self.den.coeffs[-1]))
+                      stacklevel=2)
+        return cls(P.polyfromroots(nr).real * G.num.coeffs[-1],
+                   P.polyfromroots(kept_d).real * G.den.coeffs[-1])
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
@@ -435,10 +431,9 @@ def _unit_frequency(p: np.ndarray, q: np.ndarray):
 
 def _stable_den(G: RationalTF, what: str) -> np.ndarray:
     """The coefficient row of G's denominator, which must be stable."""
-    q = np.asarray(G.den.coeffs)[None]
-    if not _stable(q, _finite_column(q))[0]:
+    if G.den.degree and not is_stable(G.den):
         raise UnstableDenominator(f"{what} requires a stable denominator")
-    return q
+    return np.asarray(G.den.coeffs)[None]
 
 
 def _padded_num(G: RationalTF) -> np.ndarray:
@@ -494,7 +489,7 @@ def _shift_rows(G: RationalTF, lams) -> np.ndarray:
 def loop_mu(G: RationalTF, lam: float) -> float:
     """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4; a peak past
     the float range raises NonFiniteValue."""
-    shifted = RealPolynomial.make(_shift_rows(G, lam)[0])
+    shifted = RealPolynomial(_shift_rows(G, lam)[0])
     if shifted.is_zero:
         raise DegreeDrop(f"q + {lam}*p vanishes identically")
     if shifted.degree != G.den.degree:
@@ -572,8 +567,8 @@ def transformed_tf(G: RationalTF, transform) -> RationalTF:
     a warning.
     """
     q, p = np.asarray(G.den.coeffs), _padded_num(G)
-    den = RealPolynomial.make(transform.a * q + transform.b * p)
-    num = RealPolynomial.make(transform.c * q + transform.d * p)
+    den = RealPolynomial(transform.a * q + transform.b * p)
+    num = RealPolynomial(transform.c * q + transform.d * p)
     if den.is_zero:
         raise DegenerateTransformedTF("a*q + b*p vanished identically")
     if num.degree > den.degree:

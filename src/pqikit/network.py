@@ -309,12 +309,15 @@ class NetworkSpec:
                 f"{len(self.controllers)} controllers for "
                 f"{self.graph.edge_count} edges"
             )
-        x0 = np.atleast_1d(self.x0)
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.ndim != 1:
+            raise DimensionMismatch(f"initial state must be 1-D, not of shape {x0.shape}")
         if len(x0) != self.graph.vertex_count:
             raise DimensionMismatch("initial state length != vertex count")
         bad = np.flatnonzero(~np.isfinite(x0))
         if bad.size:
             raise NonFiniteValue(f"x0[{bad[0]}] = {x0[bad[0]]} is not finite")
+        object.__setattr__(self, "x0", x0)
 
 
 @dataclass
@@ -522,7 +525,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
 
     dt = cfg.dt
     window = max(cfg.convergence_window, dt)
-    t, x = 0.0, np.atleast_1d(np.asarray(spec.x0, dtype=float))
+    t, x = 0.0, spec.x0
     stored_t, stored_x = [], []
     last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
@@ -929,21 +932,20 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
     construction (a static positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
-    failures = []
-    for i, agent in enumerate(tspec.agents):
+
+    def fault(agent):
+        """The precondition the agent breaks, or None; one call per agent object."""
         if agent.relation is None:
-            failures.append(f"agent {i}: no steady-state relation declared")
-            continue
+            return "no steady-state relation declared"
         if not is_maximal_monotone(agent.relation):
-            failures.append(
-                f"agent {i}: transformed relation is not maximally monotone"
-            )
-        elif not (is_monotone(agent.relation, strict=True)
-                  or is_monotone(agent.relation.inverse(), strict=True)):
-            failures.append(
-                f"agent {i}: neither the relation nor its inverse is strictly "
-                "monotone"
-            )
+            return "transformed relation is not maximally monotone"
+        if not (is_monotone(agent.relation, strict=True)
+                or is_monotone(agent.relation.inverse(), strict=True)):
+            return "neither the relation nor its inverse is strictly monotone"
+        return None
+
+    failures = [f"agent {i}: {why}"
+                for i, why in enumerate(_once_per_object(tspec.agents, fault)) if why]
     if failures:
         raise PreconditionFailed("; ".join(failures))
 

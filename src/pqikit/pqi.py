@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRays, NonFiniteValue, SingularTransform, TrivialPQI
+from .errors import (DegenerateRays, DimensionMismatch, NonFiniteValue, SingularTransform,
+                     TrivialPQI)
 
 # Relative tolerance for the discriminant zero test, see also `is_nontrivial`.
 DISC_RTOL = 1e-12
@@ -24,13 +25,17 @@ MEMBER_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PQI:
-    """Coefficient triple of ``a*xi**2 + b*xi*chi + c*chi**2 >= 0``."""
+    """Coefficient triple of ``a*xi**2 + b*xi*chi + c*chi**2 >= 0``, finite."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteValue(
+                    f"PQI coefficient {name}={getattr(self, name)} must be finite")
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise ValueError("PQI coefficients must not all be zero")
 
@@ -212,25 +217,35 @@ def is_singular(t) -> bool:
     return not math.isfinite(det) or det == 0.0 or abs(det) <= 1e-12 * min(cols, rows)
 
 
+def _map_array(m) -> np.ndarray:
+    """m as a float array; a map that is not 2x2 raises DimensionMismatch."""
+    t = np.asarray(m, dtype=float)
+    if t.shape != (2, 2):
+        raise DimensionMismatch(f"map must be 2x2, not of shape {t.shape}")
+    return t
+
+
 def _inverse(t: np.ndarray) -> np.ndarray:
-    """Adjugate over determinant of the 2x2 array t."""
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    return np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]]) / det
+    """Adjugate over determinant of the 2x2 array t, on Python floats, so an
+    entry past float range is inf without a RuntimeWarning."""
+    (a, b), (c, d) = t.tolist()
+    det = a * d - b * c
+    return np.array([[d / det, -b / det], [-c / det, a / det]])
 
 
 def pullback(p: PQI, transform) -> PQI:
     """The PQI q with q(z) = p(T^{-1} z) for an invertible 2x2 map T.
 
-    Accepts a 2x2 array or anything exposing ``.matrix()``.
+    Accepts a 2x2 array or anything exposing ``.matrix()``.  The arithmetic
+    is on Python floats, so coefficients past float range reach PQI's
+    NonFiniteValue without a RuntimeWarning.
     """
-    t = transform.matrix() if hasattr(transform, "matrix") else np.asarray(
-        transform, dtype=float
-    )
+    t = transform.matrix() if hasattr(transform, "matrix") else _map_array(transform)
     if is_singular(t):
         raise SingularTransform(f"map {t.tolist()}: |det T| below tolerance")
     # T^{-1} = [[al, be], [ga, de]]; substitute xi = al*xi' + be*chi', etc.
-    (al, be), (ga, de) = _inverse(t)
-    a, b, c = p.a, p.b, p.c
+    (al, be), (ga, de) = _inverse(t).tolist()
+    a, b, c = float(p.a), float(p.b), float(p.c)
     qa = a * al * al + b * al * ga + c * ga * ga
     qb = 2.0 * a * al * be + b * (al * de + be * ga) + 2.0 * c * ga * de
     qc = a * be * be + b * be * de + c * de * de

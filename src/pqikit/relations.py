@@ -172,16 +172,21 @@ def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
     The band is 1e-9 of the largest cell slope, plus, where that alone
     fails, the rounding of the two cell slopes involved: 4 ulps of the
     largest value per cell width, so a line summed by trapezoids passes
-    on any grid.
+    on any grid.  A cell slope past float range leaves the potential
+    uncertified; a second difference or a band past it is the infinity it
+    rounds to, so a bound that overflows on a subnormal cell certifies.
     """
     if len(h) < 2:
         return True
-    slopes = np.diff(values) / h
-    second, band = np.diff(slopes), 1e-9 * np.abs(slopes).max()
-    if np.all(second >= -band):
-        return True
-    rounding = 4.0 * np.finfo(float).eps * np.abs(values).max() / h
-    return bool(np.all(second >= -(band + rounding[:-1] + rounding[1:])))
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values) / h
+        if not np.isfinite(slopes).all():
+            return False
+        second, band = np.diff(slopes), 1e-9 * np.abs(slopes).max()
+        if np.all(second >= -band):
+            return True
+        rounding = 4.0 * np.finfo(float).eps * np.abs(values).max() / h
+        return bool(np.all(second >= -(band + rounding[:-1] + rounding[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +345,10 @@ def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
         u, y = u[order], y[order]
         du = np.diff(u)
     dy = np.diff(y)
-    if not np.all(dy >= -1e-9 * float(np.abs(y).max())):
+    if not np.all(dy >= -1e-9 * float(np.abs(y).max(initial=0.0))):
         return False
     if strict:
-        distinct = du > 1e-12 * float(np.abs(u).max())
+        distinct = du > 1e-12 * float(np.abs(u).max(initial=0.0))
         if np.any(dy[distinct] <= 0.0):
             return False
     return True

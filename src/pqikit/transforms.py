@@ -15,19 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     NoStorageFunction,
     NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
 )
 from .network import agent_call, bracket_roots, dormand_prince
-from .pqi import PQI, PassivityIndices, _inverse, boundary_rays, is_singular
+from .pqi import PQI, PassivityIndices, _inverse, _map_array, boundary_rays, is_singular
 
 
 @dataclass(frozen=True)
 class Transform2:
     """Invertible map [[a, b], [c, d]] acting on stacked (u, y) pairs; building a
-    non-finite one raises NonFiniteValue, a singular one SingularTransform."""
+    non-finite one raises NonFiniteValue, a singular one SingularTransform, and
+    from_matrix of an array that is not 2x2 DimensionMismatch."""
 
     a: float
     b: float
@@ -43,7 +45,7 @@ class Transform2:
 
     @classmethod
     def from_matrix(cls, m) -> "Transform2":
-        m = np.asarray(m, dtype=float)
+        m = _map_array(m)
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
     @classmethod
@@ -192,8 +194,14 @@ def find_equilibria(system, u_values):
     The roots come from :func:`~pqikit.network.bracket_roots`.  Returns a
     list of (x_eq, u_eq, y_eq) triples; one entry per sign change of f over
     the cell grid (or exact zero at a cell's left end), for each input level.
+    Input levels that are not a finite 1-D sequence are refused by name.
     """
     us = np.atleast_1d(np.asarray(u_values, dtype=float))
+    if us.ndim != 1:
+        raise DimensionMismatch(f"input levels must be 1-D, not of shape {us.shape}")
+    if not np.isfinite(us).all():
+        i = int(np.argmin(np.isfinite(us)))
+        raise NonFiniteValue(f"input level {i} is {us[i]}")
     roots, level = bracket_roots(system.f, us, -10.0, 10.0, 400)
     ys = agent_call(system.h, roots) + system.feedthrough * us[level]
     return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]

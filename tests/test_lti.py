@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -47,26 +48,35 @@ from pqikit.systems import unstable_plant_tf
 class TestStability:
     def test_double_negative_pole(self):
         a = 2.0
-        assert is_stable(RealPolynomial.make([0.25 * a * a, a, 1.0]))
+        assert is_stable(RealPolynomial([0.25 * a * a, a, 1.0]))
 
     def test_one_positive_root(self):
-        assert not is_stable(RealPolynomial.make([-2.0, 2.0, 1.0]))
+        assert not is_stable(RealPolynomial([-2.0, 2.0, 1.0]))
 
     def test_first_order(self):
-        assert is_stable(RealPolynomial.make([1.0, 1.0]))
+        assert is_stable(RealPolynomial([1.0, 1.0]))
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateDegree):
-            is_stable(RealPolynomial.make([1.0]))
+            is_stable(RealPolynomial([1.0]))
 
     def test_slow_lightly_damped_poles_are_stable(self):
         # poles -1e-9 +- 1e-6j: the margin is relative to each pole's size
-        assert is_stable(RealPolynomial.make([1e-12, 2e-9, 1.0]))
-        assert not is_stable(RealPolynomial.make([1e-12, -2e-9, 1.0]))
+        assert is_stable(RealPolynomial([1e-12, 2e-9, 1.0]))
+        assert not is_stable(RealPolynomial([1e-12, -2e-9, 1.0]))
 
     def test_small_leading_coefficient_is_kept(self):
-        assert RealPolynomial.make([1e16, 1e7, 1.0]).degree == 2
-        assert RealPolynomial.make([1.0, 2.0, 0.0, 0.0]).coeffs == (1.0, 2.0)
+        assert RealPolynomial([1e16, 1e7, 1.0]).degree == 2
+        assert RealPolynomial([1.0, 2.0, 0.0, 0.0]).coeffs == (1.0, 2.0)
+
+    def test_constructor_is_the_only_path_and_checks_its_input(self):
+        assert not hasattr(RealPolynomial, "make")
+        assert RealPolynomial((0.0, 0.0)) == RealPolynomial((0.0,))
+        assert RealPolynomial((1.0, 2.0, 0.0)).degree == 1
+        with pytest.raises(NonFiniteValue, match=r"^coefficient 0 \(of s\^0\) of \[nan\] is nan$"):
+            RealPolynomial((math.nan,))
+        with pytest.raises(DimensionMismatch, match=r"not of shape \(1, 2\)$"):
+            RealPolynomial([[1.0, 2.0]])
 
 
 class TestLinfNorm:
@@ -106,7 +116,7 @@ class TestLinfNorm:
     def test_two_resonances_match_sampled_gain(self):
         # poles at 1 and 3 rad/s, zeta = 0.1 and 0.05; the sampled maximum
         # is a lower bound that a 5e-5 rad/s grid meets to about 1e-7
-        den = RealPolynomial.make([1.0, 0.2, 1.0]).coeffs
+        den = RealPolynomial([1.0, 0.2, 1.0]).coeffs
         den = np.polynomial.polynomial.polymul(den, [9.0, 0.3, 1.0])
         G = RationalTF.make([9.0, 1.0], den)
         sampled = float(np.max(np.abs(G(1j * np.linspace(0.0, 10.0, 200001)))))
@@ -172,9 +182,9 @@ class TestEipsIndices:
     @settings(max_examples=200, deadline=None)
     def test_index_product_below_quarter(self, p0, p1, gain, lam):
         # stable second-order plants: indices always define a usable pair
-        den = RealPolynomial.make([p0 * p1, p0 + p1, 1.0])
+        den = RealPolynomial([p0 * p1, p0 + p1, 1.0])
         G = RationalTF.make([gain], den.coeffs)
-        shifted = RealPolynomial.make(P.polyadd(den.coeffs, lam * np.asarray(G.num.coeffs)))
+        shifted = RealPolynomial(P.polyadd(den.coeffs, lam * np.asarray(G.num.coeffs)))
         if shifted.degree != den.degree or not is_stable(shifted):
             return
         idx = eips_indices(G, lam)  # constructor enforces rho*nu < 1/4
@@ -610,7 +620,7 @@ class TestKernelReferences:
         c = np.asarray(coeffs, dtype=float)
         nz = np.flatnonzero(c)
         want = tuple(c[:nz[-1] + 1].tolist()) if nz.size else (0.0,)
-        assert repr(RealPolynomial.make(coeffs).coeffs) == repr(want)
+        assert repr(RealPolynomial(coeffs).coeffs) == repr(want)
 
 
 class TestWorkCounts:
@@ -782,6 +792,22 @@ class TestSerialization:
         with pytest.raises(NonFiniteValue, match=named):
             RationalTF.make(num, den)
 
+    @given(st.lists(_COEFFICIENTS, min_size=1, max_size=4),
+           st.lists(_COEFFICIENTS, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_direct_build_equals_make_when_nothing_cancels(self, num, den):
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                made = RationalTF.make(num, den)
+        except ToolkitError as exc:  # make's ImproperTF is the constructor's
+            if isinstance(exc, ImproperTF):
+                with pytest.raises(ImproperTF, match=f"^{re.escape(str(exc))}$"):
+                    RationalTF(num, den)
+            return
+        if not caught:
+            assert RationalTF(num, den) == made
+
     def test_common_root_cancelled_with_warning(self):
         with pytest.warns(UserWarning):
             G = RationalTF.make([1.0, 1.0], [1.0, 2.0, 1.0])  # (s+1)/(s+1)^2
@@ -806,9 +832,12 @@ class TestSerialization:
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: RationalTF.make([1.0], [0.0]), ValueError, "denominator must be nonzero"),
-    # built directly, without make's parsing, the same two refusals
+    # built directly, without make's cancellation, the same refusals
     (lambda: RationalTF(RealPolynomial((1.0,)), RealPolynomial((0.0,))), ImproperTF,
      "^denominator must be nonzero$"),
+    (lambda: RationalTF(RealPolynomial((1.0,)), RealPolynomial((0.0, 0.0))), ImproperTF,
+     "^denominator must be nonzero$"),
+    (lambda: RationalTF([1.0], [math.nan]), NonFiniteValue, "^coefficient 0 "),
     (lambda: RationalTF(RealPolynomial((1.0, 2.0, 3.0)), RealPolynomial((1.0,))),
      ImproperTF, "^transfer function must be proper: numerator degree 2 exceeds "
      "denominator degree 0$"),
@@ -821,7 +850,8 @@ class TestSerialization:
     # mu = 1 + 1/4, so 1 + 2*lam*mu rounds to -4.4e-16 at this root
     (lambda: eips_indices(RationalTF.make([1.0], [1.0]), (-7 + math.sqrt(41)) / 2),
      SingularDenominator1p2lm, "vanished"),
-], ids=["zero_denominator", "direct_zero_denominator", "direct_improper",
+], ids=["zero_denominator", "direct_zero_denominator",
+        "direct_trailing_zero_denominator", "direct_nan_list", "direct_improper",
         "transformed_denominator_vanishes",
         "transformed_improper", "eips_denominator_vanishes"])
 def test_bad_input_raises(call, error, match):

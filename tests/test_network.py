@@ -26,6 +26,7 @@ from pqikit import (
     PlanarRelation,
     Transform2,
     apply_network_transform,
+    find_equilibria,
     legendre,
     passivize,
     predict_and_verify,
@@ -41,6 +42,7 @@ from pqikit.errors import (
     NoConvergence,
     NonConvexCertificate,
     NonFiniteState,
+    NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
 )
@@ -861,6 +863,27 @@ class TestPredictAndVerify:
                            match="^agent 1: no steady-state relation declared$"):
             predict_and_verify(spec, [Transform2.identity()] * 2)
 
+    def test_each_distinct_agent_checked_once(self, monkeypatch):
+        calls = {"is_maximal_monotone": 0, "is_monotone": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(network_module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(network_module, name, counted)
+        shared, other = quadratic_agent(1.0), quadratic_agent(2.0)
+        spec = NetworkSpec(Graph.path(4), (shared, shared, other, shared),
+                           (ControllerSpec(gain=1.0),) * 3, np.zeros(4), FAST)
+        assert predict_and_verify(spec, [Transform2.identity()] * 4).passed
+        # two transformed agents, each strictly monotone on its first side
+        assert calls == {"is_maximal_monotone": 2, "is_monotone": 2}
+
+    def test_shared_failing_agent_named_at_every_vertex(self):
+        spec = NetworkSpec(Graph.path(3), (_kinked_agent(),) * 3,
+                           (ControllerSpec(gain=1.0),) * 2, np.zeros(3), FAST)
+        with pytest.raises(PreconditionFailed, match="^agent 0: neither .*; agent 1: "
+                           "neither .*; agent 2: neither the relation"):
+            predict_and_verify(spec, [Transform2.identity()] * 3)
+
 
 class TestJsonIngest:
     def test_round_trip_and_simulation(self):
@@ -1072,6 +1095,13 @@ def _bowls(count):
     (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(0.0),) * 2,
                          (ControllerSpec(gain=1.0),), np.zeros(3)),
      DimensionMismatch, "initial state length"),
+    (lambda: NetworkSpec(Graph(2, ((0, 1),)), (quadratic_agent(),) * 2,
+                         (ControllerSpec(1.0),), np.zeros((2, 1))),
+     DimensionMismatch, r"^initial state must be 1-D, not of shape \(2, 1\)$"),
+    (lambda: find_equilibria(quadratic_agent(), [[0.0, 1.0]]), DimensionMismatch,
+     r"^input levels must be 1-D, not of shape \(1, 2\)$"),
+    (lambda: find_equilibria(quadratic_agent(), [0.0, float("nan")]), NonFiniteValue,
+     "^input level 1 is nan$"),
     (lambda: simulate(quadratic_network(integrator=IntegratorConfig(dt=0.0))),
      ValueError, "step must be positive"),
     (lambda: transform_agent(replace(quadratic_agent(0.0), feedthrough=1.0),
@@ -1106,7 +1136,8 @@ def _bowls(count):
      "^tol_conv must not be negative, got -1.0$"),
     (lambda: IntegratorConfig(dt=0.01, horizon=1e308), ValueError,
      r"^horizon 1e\+308 holds too many steps of dt 0.01$"),
-], ids=["controller_count", "x0_length", "dt", "feedthrough",
+], ids=["controller_count", "x0_length", "x0_2d", "equilibria_levels_2d",
+        "equilibria_level_nan", "dt", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count",

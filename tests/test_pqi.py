@@ -18,7 +18,7 @@ from pqikit import (
     pullback,
     solution_set,
 )
-from pqikit.errors import NonFiniteValue, SingularTransform, TrivialPQI
+from pqikit.errors import DimensionMismatch, NonFiniteValue, SingularTransform, TrivialPQI
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -47,6 +47,13 @@ class TestNontriviality:
 
     def test_sum_of_squares_is_trivial(self):
         assert not is_nontrivial(PQI(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("coeffs, named", [
+        ((math.nan, 1.0, 0.0), "a=nan"), ((1.0, math.inf, 0.0), "b=inf"),
+        ((1.0, 0.0, -math.inf), "c=-inf")])
+    def test_non_finite_coefficient_rejected(self, coeffs, named):
+        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} must be finite$"):
+            PQI(*coeffs)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -161,6 +168,29 @@ class TestPullback:
     def test_non_finite_transform_rejected_when_built(self, entry):
         with pytest.raises(NonFiniteValue, match="has a non-finite entry"):
             Transform2(entry, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda: Transform2.from_matrix(np.eye(3)), "(3, 3)"),
+        (lambda: Transform2.from_matrix([[1.0, 2.0]]), "(1, 2)"),
+        (lambda: pullback(PQI(1.0, 0.0, -1.0), np.eye(3)), "(3, 3)")],
+        ids=["from_matrix_3x3", "from_matrix_1x2", "pullback_3x3"])
+    def test_map_not_2x2_rejected(self, call, shape):
+        with pytest.raises(DimensionMismatch) as err:
+            call()
+        assert str(err.value) == f"map must be 2x2, not of shape {shape}"
+
+    # the inverse's 1e200 squared overflows qa; the inverse of 5e-324 is
+    # inf, and inf * 0 is nan
+    @pytest.mark.parametrize("p, t, named", [
+        (PQI(1e308, 1.0, -1e308), [[1e-200, 0.0], [0.0, 1.0]], "a=inf"),
+        (PQI(1.0, 0.0, -1.0), [[5e-324, 0.0], [0.0, 1.0]], "a=nan")])
+    def test_overflowing_pullback_named_without_warning(self, p, t, named):
+        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} must be finite$"):
+            pullback(p, t)
+
+    def test_overflowing_inverse_named_without_warning(self):
+        with pytest.raises(NonFiniteValue, match=r"^map \[\[inf, -0\.0\], \[-0\.0, 1\.0\]\] has a "):
+            Transform2(5e-324, 0.0, 0.0, 1.0).inverse()
 
     def test_diagonal_scaling(self):
         q = pullback(PQI(0.0, 1.0, 0.0), np.array([[2.0, 0.0], [0.0, 3.0]]))

@@ -528,6 +528,11 @@ class TestLegendreAgainstBruteForce:
         assert IntegralFunction(x, x * x).convexity_certificate
         assert not IntegralFunction(x, -x * x).convexity_certificate
         assert not IntegralFunction(x, np.cos(3.0 * x)).convexity_certificate
+        # a jump over a subnormal step, whose slope overflows, is refused as
+        # one over a normal step is
+        for step in (5e-324, 1e-300):
+            F = IntegralFunction([-1.0, 0.0, step, 1.0], [1.0, 0.0, 1e-3, 1.0])
+            assert not F.convexity_certificate, step
         with pytest.raises(TypeError):
             IntegralFunction(x, -x * x, True)
 
@@ -664,6 +669,9 @@ class TestSkippedPasses:
                     min_size=1, max_size=20),
            st.sampled_from([0.0, 1e-13, 1e-12]), st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
+    # the conjugate's cell from slope 0.0 to -5e-324 is subnormal, so its
+    # certificate's rounding bound overflows
+    @example(cells=[(1.5, -5e-324)], noise=0.0, seed=0)
     def test_legendre_matches_accumulated_path_on_drawn_slopes(self, cells, noise, seed):
         # sorted cell slopes, ties and signed zeros among them, under noise
         # small enough that the certificate may still hold across the dips
@@ -701,6 +709,10 @@ class TestShapeChecks:
 
     def test_single_point_monotone(self):
         assert is_monotone(PlanarRelation.from_points([1.0], [2.0]))
+
+    def test_no_samples_monotone(self):
+        assert is_monotone(PlanarRelation([], []))
+        assert is_monotone(PlanarRelation([], []), strict=True)
 
     def test_samples_given_as_lists(self):
         rel = PlanarRelation([0.0, 1.0, 2.0], [0, 1, 3], [0, 1, 2])
