@@ -36,7 +36,6 @@ from .errors import (
     DegenerateTransformedTF,
     DestabilizingLambda,
     DegreeDrop,
-    DimensionMismatch,
     ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
@@ -44,6 +43,7 @@ from .errors import (
     SingularDenominator1p2lm,
     ToolkitError,
     UnstableDenominator,
+    _floats,
 )
 from .pqi import PassivityIndices
 
@@ -77,15 +77,7 @@ class RealPolynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1:
-            raise DimensionMismatch(
-                f"polynomial coefficients must be 1-D, not of shape {c.shape}")
-        if not np.isfinite(c).all():
-            i = int(np.argmin(np.isfinite(c)))
-            raise NonFiniteValue(
-                f"coefficient {i} (of s^{i}) of {c.tolist()} is {c[i]}")
-        coeffs = c.tolist()
+        coeffs = _floats(self.coeffs, "polynomial coefficients", (None,)).tolist()
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs) or (0.0,))
@@ -470,13 +462,12 @@ def l2gain_to_input_index(beta: float) -> float:
     return -(beta * beta + 0.25)
 
 
-def _shift_rows(G: RationalTF, lams) -> np.ndarray:
-    """Coefficient rows of q + lam*p, one per lam.
+def _shift_rows(G: RationalTF, lams: np.ndarray) -> np.ndarray:
+    """Coefficient rows of q + lam*p, one per entry of the float vector lams.
 
     A nan or infinite coefficient raises NonFiniteValue, naming the first
     such lam, before any root is taken.
     """
-    lams = np.asarray(lams, dtype=float).ravel()
     with np.errstate(invalid="ignore", over="ignore"):
         rows = np.asarray(G.den.coeffs) + lams[:, None] * _padded_num(G)
     if not np.isfinite(rows).all():
@@ -489,7 +480,8 @@ def _shift_rows(G: RationalTF, lams) -> np.ndarray:
 def loop_mu(G: RationalTF, lam: float) -> float:
     """mu = peak of the stabilized loop p/(q + lam*p) plus 1/4; a peak past
     the float range raises NonFiniteValue."""
-    shifted = RealPolynomial(_shift_rows(G, lam)[0])
+    lam = _floats(lam, "lambda", ())
+    shifted = RealPolynomial(_shift_rows(G, np.array([lam]))[0])
     if shifted.is_zero:
         raise DegreeDrop(f"q + {lam}*p vanishes identically")
     if shifted.degree != G.den.degree:
@@ -526,8 +518,8 @@ def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
         raise type(exc)(f"lambda = {lam}, mu = {mu}: {exc}") from exc
 
 
-def _grid_mu(G: RationalTF, grid) -> np.ndarray:
-    """loop_mu for every lambda of a grid in one stacked solve.
+def _grid_mu(G: RationalTF, grid: np.ndarray) -> np.ndarray:
+    """loop_mu for every lambda of a float vector in one stacked solve.
 
     Rows q + lambda*p that drop degree or have a root beyond float range
     are masked out, one stacked root solve screens the rest for stability,
@@ -549,14 +541,15 @@ def lambda_search(G: RationalTF, grid) -> float:
 
     Admissible means q + lambda*p keeps the denominator degree and is stable.
     The whole grid is scored in one stacked solve (_grid_mu), and ties go
-    to the first grid value.
+    to the first grid value.  The grid must be a finite 1-D sequence.
     """
+    grid = _floats(grid, "lambda grid", (None,))
     mu = _grid_mu(G, grid)
     scored = mu < np.inf  # nan never wins
     if not scored.any():
         raise NoStabilizingLambda("no grid value stabilizes q + lambda*p")
     best = np.argmin(np.where(scored, mu, np.inf))
-    return float(np.asarray(grid, dtype=float).ravel()[best])
+    return float(grid[best])
 
 
 def transformed_tf(G: RationalTF, transform) -> RationalTF:

@@ -31,10 +31,10 @@ from .errors import (
     NoConvergence,
     NonConvexCertificate,
     NonFiniteState,
-    NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
     ToolkitError,
+    _floats,
 )
 from .relations import (
     OF_K_INVERSE,
@@ -255,9 +255,10 @@ class ControllerSpec:
     gain: float
 
     def __post_init__(self):
-        if not 0.0 < self.gain < math.inf:
-            raise ValueError(f"controller gain must be positive and finite: "
-                             f"{self.gain}")
+        gain = _floats(self.gain, "controller gain", ())
+        if not gain > 0.0:
+            raise InvalidSpec(f"controller gain must be positive, got {gain}")
+        object.__setattr__(self, "gain", gain)
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,10 @@ class IntegratorConfig:
     ``convergence_window``.  Rows are stored every 10·dt of time.  The run
     is converged, and stops, once the max state-derivative norm has stayed
     below ``tol_conv`` for ``convergence_window``; otherwise it ends at
-    ``horizon``, so ``tol_conv = 0`` runs to the horizon.  A bad setting
-    raises ValueError naming it: a non-finite or negative float, dt = 0, a
-    horizon of more steps of dt than a float can count.
+    ``horizon``, so ``tol_conv = 0`` runs to the horizon.  A setting that
+    is not a finite number raises NonFiniteValue naming it; a negative one,
+    dt = 0 or a horizon of more steps of dt than a float can count raises
+    InvalidSpec.  Both are ValueErrors.
     """
 
     dt: float = 1e-3
@@ -280,15 +282,14 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("dt", "horizon", "convergence_window", "tol_conv"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            value = _floats(getattr(self, name), name, ())
             if value < 0.0:
-                raise ValueError(f"{name} must not be negative, got {value}")
+                raise InvalidSpec(f"{name} must not be negative, got {value}")
+            object.__setattr__(self, name, value)
         if self.dt <= 0.0:
-            raise ValueError("integrator step must be positive")
+            raise InvalidSpec("integrator step must be positive")
         if not math.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon {self.horizon} holds too many steps of dt {self.dt}")
+            raise InvalidSpec(f"horizon {self.horizon} holds too many steps of dt {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -309,14 +310,9 @@ class NetworkSpec:
                 f"{len(self.controllers)} controllers for "
                 f"{self.graph.edge_count} edges"
             )
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if x0.ndim != 1:
-            raise DimensionMismatch(f"initial state must be 1-D, not of shape {x0.shape}")
+        x0 = _floats(self.x0, "x0", (None,))
         if len(x0) != self.graph.vertex_count:
             raise DimensionMismatch("initial state length != vertex count")
-        bad = np.flatnonzero(~np.isfinite(x0))
-        if bad.size:
-            raise NonFiniteValue(f"x0[{bad[0]}] = {x0[bad[0]]} is not finite")
         object.__setattr__(self, "x0", x0)
 
 
@@ -1068,9 +1064,7 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
         graph = Graph(n, tuple(_json_edge(edge, n, f"$.graph.edges[{e}]")
                                for e, edge in enumerate(g["edges"])))
     with _located("$.x0"):
-        x0 = np.asarray(raw_x0, dtype=float)
-    if x0.ndim != 1:
-        raise InvalidSpec(f"$.x0: must be one flat list of numbers, not of shape {x0.shape}")
+        x0 = _floats(raw_x0, "x0", (None,))
     # the vertex count sizes every list below, so it must match the states given
     if len(x0) != graph.vertex_count:
         raise InvalidSpec(f"$.x0: {len(x0)} initial states for "
@@ -1085,7 +1079,7 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
 
     agents = _json_entries(raw_agents, graph.vertex_count, "$.agents", agent)
     controllers = _json_entries(raw_ctrl, graph.edge_count, "$.controllers",
-                                lambda c, path: ControllerSpec(gain=float(c["gain"])))
+                                lambda c, path: ControllerSpec(gain=c["gain"]))
 
     with _located("$.integrator"):
         integ = IntegratorConfig(**doc.get("integrator", {}))

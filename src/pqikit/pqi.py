@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateRays, DimensionMismatch, NonFiniteValue, SingularTransform,
-                     TrivialPQI)
+from .errors import (DegenerateRays, InvalidSpec, NonFiniteValue, SingularTransform,
+                     TrivialPQI, _floats)
 
 # Relative tolerance for the discriminant zero test, see also `is_nontrivial`.
 DISC_RTOL = 1e-12
@@ -33,11 +33,10 @@ class PQI:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteValue(
-                    f"PQI coefficient {name}={getattr(self, name)} must be finite")
+            object.__setattr__(self, name,
+                               _floats(getattr(self, name), f"PQI coefficient {name}", ()))
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
-            raise ValueError("PQI coefficients must not all be zero")
+            raise InvalidSpec("PQI coefficients must not all be zero")
 
     def __call__(self, xi, chi):
         return self.a * xi * xi + self.b * xi * chi + self.c * chi * chi
@@ -68,9 +67,8 @@ class PassivityIndices:
 
     def __post_init__(self):
         for name in ("rho", "nu"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteValue(
-                    f"passivity index {name}={getattr(self, name)} must be finite")
+            object.__setattr__(self, name,
+                               _floats(getattr(self, name), f"passivity index {name}", ()))
         if not self.rho * self.nu < 0.25:
             raise TrivialPQI(
                 f"indices rho={self.rho}, nu={self.nu} give rho*nu >= 1/4"
@@ -217,14 +215,6 @@ def is_singular(t) -> bool:
     return not math.isfinite(det) or det == 0.0 or abs(det) <= 1e-12 * min(cols, rows)
 
 
-def _map_array(m) -> np.ndarray:
-    """m as a float array; a map that is not 2x2 raises DimensionMismatch."""
-    t = np.asarray(m, dtype=float)
-    if t.shape != (2, 2):
-        raise DimensionMismatch(f"map must be 2x2, not of shape {t.shape}")
-    return t
-
-
 def _inverse(t: np.ndarray) -> np.ndarray:
     """Adjugate over determinant of the 2x2 array t, on Python floats, so an
     entry past float range is inf without a RuntimeWarning."""
@@ -240,7 +230,7 @@ def pullback(p: PQI, transform) -> PQI:
     is on Python floats, so coefficients past float range reach PQI's
     NonFiniteValue without a RuntimeWarning.
     """
-    t = transform.matrix() if hasattr(transform, "matrix") else _map_array(transform)
+    t = transform.matrix() if hasattr(transform, "matrix") else _floats(transform, "map", (2, 2))
     if is_singular(t):
         raise SingularTransform(f"map {t.tolist()}: |det T| below tolerance")
     # T^{-1} = [[al, be], [ga, de]]; substitute xi = al*xi' + be*chi', etc.

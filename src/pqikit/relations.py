@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidSamples, MultiValued,
-                     NonConvexCertificate, NonFiniteValue, WrongRepresentation)
+from .errors import (DimensionMismatch, InvalidSamples, InvalidSpec, MultiValued,
+                     NonConvexCertificate, WrongRepresentation, _floats)
 
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
@@ -76,19 +76,14 @@ class PlanarRelation:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("u", "y") + (() if self.sigma is None else ("sigma",)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        shapes = [np.shape(a) for a in (self.u, self.y, self.sigma) if a is not None]
-        if any(len(sh) != 1 for sh in shapes) or len(set(shapes)) > 1:
-            names = "u, y" + ("" if self.sigma is None else ", sigma")
-            raise DimensionMismatch(f"relation {names} must be 1-D of one length, "
-                                    f"not of shapes {', '.join(map(str, shapes))}")
-        bad = ~(np.isfinite(self.u) & np.isfinite(self.y))
-        if bad.any():
-            i = int(np.argmax(bad))
-            at = "" if self.sigma is None else f" at parameter {self.sigma[i]}"
-            raise NonFiniteValue(f"relation samples must be finite, not sample "
-                                 f"{i} ({self.u[i]}, {self.y[i]}){at}")
+        names = ("u", "y") + (() if self.sigma is None else ("sigma",))
+        for name in names:
+            object.__setattr__(self, name, _floats(getattr(self, name),
+                                                   f"relation {name}", (None,)))
+        shapes = [getattr(self, name).shape for name in names]
+        if len(set(shapes)) > 1:
+            raise DimensionMismatch(f"relation {', '.join(names)} must be 1-D of one "
+                                    f"length, not of shapes {', '.join(map(str, shapes))}")
 
     @classmethod
     def from_param_curve(
@@ -107,7 +102,7 @@ class PlanarRelation:
 
     @classmethod
     def from_points(cls, u, y) -> "PlanarRelation":
-        pts = np.unique(np.column_stack([u, y]).astype(float), axis=0)
+        pts = np.unique(cls(u, y).points, axis=0)
         return cls(pts[:, 0], pts[:, 1])
 
     @property
@@ -136,17 +131,13 @@ class IntegralFunction:
     convexity_certificate: bool = field(init=False)
 
     def __post_init__(self):
-        x, v = np.asarray(self.grid, dtype=float), np.asarray(self.values, dtype=float)
+        x = _floats(self.grid, "integral-function grid", (None,))
+        v = _floats(self.values, "integral-function values", (None,))
         object.__setattr__(self, "grid", x)
         object.__setattr__(self, "values", v)
-        if np.ndim(x) != 1 or np.shape(x) != np.shape(v):
+        if x.shape != v.shape:
             raise DimensionMismatch(f"integral-function grid and values must be 1-D of "
-                                    f"one length, not {np.shape(x)} and {np.shape(v)}")
-        bad = ~(np.isfinite(x) & np.isfinite(v))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteValue(f"integral-function samples must be finite, not "
-                                 f"value {v[i]} at sample {i}, abscissa {x[i]}")
+                                    f"one length, not {x.shape} and {v.shape}")
         h = np.diff(x)
         if not np.all(h > 0):
             i = int(np.argmin(h > 0)) + 1
@@ -159,7 +150,7 @@ class IntegralFunction:
 
     @classmethod
     def from_function(cls, f: Callable, grid) -> "IntegralFunction":
-        grid = np.asarray(grid, dtype=float)
+        grid = _floats(grid, "integral-function grid", (None,))
         return cls(grid, np.asarray(f(grid), dtype=float) * np.ones_like(grid))
 
     def to_csv(self, path) -> None:
@@ -242,7 +233,7 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     elif direction == OF_K_INVERSE:
         x, v = rel.y, rel.u
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        raise InvalidSpec(f"unknown direction {direction!r}")
     if not len(x):
         raise InvalidSamples(f"integral_function ({direction}): the relation has no samples")
     dx = np.diff(x)
@@ -302,9 +293,7 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     if not F.convexity_certificate:
         raise NonConvexCertificate(
             "legendre: potential failed the convexity certificate")
-    ys = np.asarray(dual_grid, dtype=float)
-    if ys.ndim != 1:
-        raise DimensionMismatch(f"legendre: dual grid must be 1-D, not of shape {ys.shape}")
+    ys = _floats(dual_grid, "legendre: dual grid", (None,))
     x, v = F.grid, F.values
     slopes = np.diff(v) / np.diff(x)
     rising = np.all(slopes[1:] >= slopes[:-1])

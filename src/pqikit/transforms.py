@@ -15,21 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
+    InvalidSpec,
     NoStorageFunction,
     NonFiniteValue,
     PreconditionFailed,
     SingularTransform,
+    _floats,
 )
 from .network import agent_call, bracket_roots, dormand_prince
-from .pqi import PQI, PassivityIndices, _inverse, _map_array, boundary_rays, is_singular
+from .pqi import PQI, PassivityIndices, _inverse, boundary_rays, is_singular
 
 
 @dataclass(frozen=True)
 class Transform2:
-    """Invertible map [[a, b], [c, d]] acting on stacked (u, y) pairs; building a
-    non-finite one raises NonFiniteValue, a singular one SingularTransform, and
-    from_matrix of an array that is not 2x2 DimensionMismatch."""
+    """Invertible map [[a, b], [c, d]] of floats on stacked (u, y) pairs; building
+    a non-finite one raises NonFiniteValue, a singular one SingularTransform,
+    and from_matrix of an array that is not 2x2 DimensionMismatch."""
 
     a: float
     b: float
@@ -37,16 +38,16 @@ class Transform2:
     d: float
 
     def __post_init__(self):
-        if is_singular(((self.a, self.b), (self.c, self.d))):  # so is a non-finite map
-            m = self.matrix()
-            if not np.isfinite(m).all():
-                raise NonFiniteValue(f"map {m.tolist()} has a non-finite entry")
-            raise SingularTransform(f"map {m.tolist()}: det below tolerance")
+        m = _floats(((self.a, self.b), (self.c, self.d)), "map", (2, 2)).tolist()
+        for name, value in zip("abcd", m[0] + m[1]):
+            object.__setattr__(self, name, value)
+        if is_singular(m):
+            raise SingularTransform(f"map {m}: det below tolerance")
 
     @classmethod
     def from_matrix(cls, m) -> "Transform2":
-        m = _map_array(m)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        (a, b), (c, d) = _floats(m, "map", (2, 2)).tolist()
+        return cls(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "Transform2":
@@ -196,12 +197,7 @@ def find_equilibria(system, u_values):
     the cell grid (or exact zero at a cell's left end), for each input level.
     Input levels that are not a finite 1-D sequence are refused by name.
     """
-    us = np.atleast_1d(np.asarray(u_values, dtype=float))
-    if us.ndim != 1:
-        raise DimensionMismatch(f"input levels must be 1-D, not of shape {us.shape}")
-    if not np.isfinite(us).all():
-        i = int(np.argmin(np.isfinite(us)))
-        raise NonFiniteValue(f"input level {i} is {us[i]}")
+    us = _floats(u_values, "input levels", (None,))
     roots, level = bracket_roots(system.f, us, -10.0, 10.0, 400)
     ys = agent_call(system.h, roots) + system.feedthrough * us[level]
     return [(float(x), float(u), float(y)) for x, u, y in zip(roots, us[level], ys)]
@@ -270,8 +266,8 @@ def verify_passivation(
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidSpec(f"trials must be an integer of at least 1, got {trials!r}")
 
     eqs = find_equilibria(system, np.linspace(*U_RANGE, 20))
     if not eqs:

@@ -103,9 +103,9 @@ class TestPassivize:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
-        (["--rho=-inf", "--nu=0.1"], "passivity index rho=-inf must be finite"),
-        (["--rho=0", "--nu=nan"], "passivity index nu=nan must be finite"),
-        (["--rho=0", "--nu=0", "--rho-target=inf"], "passivity index rho=inf"),
+        (["--rho=-inf", "--nu=0.1"], "passivity index rho = -inf is not finite"),
+        (["--rho=0", "--nu=nan"], "passivity index nu = nan is not finite"),
+        (["--rho=0", "--nu=0", "--rho-target=inf"], "passivity index rho = inf"),
         (["--rho=1e308", "--nu=-1e308"],
          "indices rho=1e+308, nu=-1e+308 overflow the discriminant"),
         (["--rho=0", "--nu=1e308"], "indices rho=0.0, nu=1e+308 overflow"),
@@ -117,7 +117,7 @@ class TestPassivize:
         assert err.startswith("error: NonFiniteValue: ") and named in err
 
     @pytest.mark.parametrize("flags, error, named", [
-        (["--rho-target=inf"], "NonFiniteValue", "passivity index rho=inf must be finite"),
+        (["--rho-target=inf"], "NonFiniteValue", "passivity index rho = inf is not finite"),
         (["--rho-target=1", "--nu-target=1"], "TrivialPQI",
          "indices rho=1.0, nu=1.0 give rho*nu >= 1/4"),
     ])
@@ -207,9 +207,9 @@ class TestSimulate:
          "$.agents.params"),
         # written as Infinity and NaN, which json reads back
         ("integrator", {"horizon": float("inf")},
-         "$.integrator: ValueError: horizon must be finite"),
+         "$.integrator: NonFiniteValue: horizon = inf is not finite"),
         ("integrator", {"dt": float("nan")},
-         "$.integrator: ValueError: dt must be finite"),
+         "$.integrator: NonFiniteValue: dt = nan is not finite"),
         ("graph", {"vertices": float("inf"), "edges": [[0, 1]]},
          "$.graph.vertices: inf is not an integer"),
         ("graph", {"vertices": 2, "edges": [[0, float("inf")]]},
@@ -219,9 +219,9 @@ class TestSimulate:
         ("graph", {"vertices": 2, "edges": [[0, 1e308]]},
          "$.graph.edges[0]: vertex index 1e+308 out of range for 2 vertices"),
         ("integrator", {"horizon": 1e308, "dt": 0.01},
-         "$.integrator: ValueError: horizon 1e+308 holds too many steps"),
-        ("x0", [float("inf"), 0.0], "$: NonFiniteValue: x0[0] = inf is not finite"),
-        ("x0", [0.0, float("nan")], "$: NonFiniteValue: x0[1] = nan is not finite"),
+         "$.integrator: InvalidSpec: horizon 1e+308 holds too many steps"),
+        ("x0", [float("inf"), 0.0], "$.x0: NonFiniteValue: x0[0] = inf is not finite"),
+        ("x0", [0.0, float("nan")], "$.x0: NonFiniteValue: x0[1] = nan is not finite"),
         # the built-in agents' grids and the integrator's row stride and
         # stop rule are constants, so a spec cannot set them
         ("agents", {"kind": "pendulum-gradient", "params": {"n": 0}},
@@ -234,10 +234,9 @@ class TestSimulate:
         ("integrator", {"stop_on_convergence": False},
          "$.integrator.stop_on_convergence: false is not a number"),
         ("agents", {"kind": "pendulum-gradient", "params": {"r1": float("inf")}},
-         "$.agents.params: NonFiniteValue: relation samples must be finite, "
-         "not sample 0 (-inf, -40.0) at parameter -40.0"),
+         "$.agents.params: NonFiniteValue: relation u[0] = -inf is not finite"),
         ("x0", [[0.0], [0.0]],
-         "$.x0: must be one flat list of numbers, not of shape (2, 1)"),
+         "$.x0: DimensionMismatch: x0 must be 1-D, not of shape (2, 1)"),
         # python reads true as 1, which would make this the edge (0, 1)
         ("graph", {"vertices": 2, "edges": [[0, True]]},
          "$.graph.edges[0][1]: true is not a number"),
@@ -382,7 +381,7 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: NonFiniteValue: vertex 1: integral-function "
-                              "samples must be finite, not value -inf at sample 15")
+                              "values[15] = -inf is not finite")
 
     @pytest.mark.parametrize("argv", [["simulate"],
                                       ["optimize", "--problem", "opp"],

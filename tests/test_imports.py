@@ -1,5 +1,10 @@
-"""The package runs on numpy alone: no scipy module on its import path."""
+"""The package runs on numpy alone: no scipy module on its import path.
+And it raises only its own errors, so bad input is named, never a bare
+Python exception."""
 
+import ast
+import builtins
+import glob
 import os
 import subprocess
 import sys
@@ -55,3 +60,33 @@ def test_import_loads_no_scipy_module():
     loaded = _run("import sys, pqikit, pqikit.cli, pqikit.systems\n"
                   "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert loaded.split() == []
+
+
+# the one foreign raise: argparse names the flag of a malformed list itself
+FOREIGN_RAISES = {("cli.py", "_finite_floats", "argparse.ArgumentTypeError")}
+
+
+def _raised(node, where=""):
+    """(innermost enclosing function, raised class) for each raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield where, exc
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _raised(child, child.name if is_def else where)
+
+
+def test_only_toolkit_errors_are_raised():
+    # a raise of a builtin exception class (ValueError, TypeError, ...) or of
+    # another module's class (a dotted name) escapes the ToolkitError family
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "pqikit", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for where, exc in _raised(tree):
+            name = ast.unparse(exc)
+            builtin = getattr(builtins, name, None)
+            if isinstance(exc, ast.Attribute) or (
+                    isinstance(builtin, type) and issubclass(builtin, BaseException)):
+                found.add((os.path.basename(path), where, name))
+    assert found - FOREIGN_RAISES == set()

@@ -44,6 +44,9 @@ from pqikit.errors import (
 )
 from pqikit.systems import unstable_plant_tf
 
+RAGGED = "cannot be read as floats: setting an array element with a sequence"
+WORD = "cannot be read as floats: could not convert string to float: 'a'$"
+
 
 class TestStability:
     def test_double_negative_pole(self):
@@ -73,7 +76,8 @@ class TestStability:
         assert not hasattr(RealPolynomial, "make")
         assert RealPolynomial((0.0, 0.0)) == RealPolynomial((0.0,))
         assert RealPolynomial((1.0, 2.0, 0.0)).degree == 1
-        with pytest.raises(NonFiniteValue, match=r"^coefficient 0 \(of s\^0\) of \[nan\] is nan$"):
+        with pytest.raises(NonFiniteValue,
+                           match=r"^polynomial coefficients\[0\] = nan is not finite$"):
             RealPolynomial((math.nan,))
         with pytest.raises(DimensionMismatch, match=r"not of shape \(1, 2\)$"):
             RealPolynomial([[1.0, 2.0]])
@@ -221,7 +225,7 @@ class TestLambdaSearch:
             raise AssertionError("eigenvalue solve on a non-finite grid")
 
         monkeypatch.setattr(np.linalg, "eigvals", no_roots)
-        with pytest.raises(NonFiniteValue, match=f"lambda entry {entry} "):
+        with pytest.raises(NonFiniteValue, match=rf"^lambda grid\[{entry}\] = "):
             lambda_search(G, grid)
 
     def test_pole_beyond_float_range_screened(self):
@@ -769,8 +773,8 @@ class TestSerialization:
             RationalTF.make([0.0, 0.0, 1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("num, den, named", [
-        ([1.0], [1.0, math.nan], "coefficient 1 "),
-        ([math.inf, 1.0], [1.0, 1.0], "coefficient 0 ")])
+        ([1.0], [1.0, math.nan], r"coefficients\[1\] = nan "),
+        ([math.inf, 1.0], [1.0, 1.0], r"coefficients\[0\] = inf ")])
     def test_non_finite_coefficient_named(self, num, den, named):
         with pytest.raises(NonFiniteValue, match=named):
             RationalTF.make(num, den)
@@ -837,7 +841,8 @@ class TestSerialization:
      "^denominator must be nonzero$"),
     (lambda: RationalTF(RealPolynomial((1.0,)), RealPolynomial((0.0, 0.0))), ImproperTF,
      "^denominator must be nonzero$"),
-    (lambda: RationalTF([1.0], [math.nan]), NonFiniteValue, "^coefficient 0 "),
+    (lambda: RationalTF([1.0], [math.nan]), NonFiniteValue,
+     r"^polynomial coefficients\[0\] = nan is not finite$"),
     (lambda: RationalTF(RealPolynomial((1.0, 2.0, 3.0)), RealPolynomial((1.0,))),
      ImproperTF, "^transfer function must be proper: numerator degree 2 exceeds "
      "denominator degree 0$"),
@@ -850,10 +855,29 @@ class TestSerialization:
     # mu = 1 + 1/4, so 1 + 2*lam*mu rounds to -4.4e-16 at this root
     (lambda: eips_indices(RationalTF.make([1.0], [1.0]), (-7 + math.sqrt(41)) / 2),
      SingularDenominator1p2lm, "vanished"),
+    (lambda: RealPolynomial([1.0, [2.0]]), NonFiniteValue,
+     "^polynomial coefficients " + RAGGED),
+    (lambda: RealPolynomial("a"), NonFiniteValue, "^polynomial coefficients " + WORD),
+    (lambda: RationalTF([1.0], [1.0, [2.0]]), NonFiniteValue,
+     "^polynomial coefficients " + RAGGED),
+    (lambda: RationalTF(["a"], [1.0]), NonFiniteValue, "^polynomial coefficients " + WORD),
+    (lambda: lambda_search(unstable_plant_tf(), [0.0, [1.0]]), NonFiniteValue,
+     "^lambda grid " + RAGGED),
+    (lambda: lambda_search(unstable_plant_tf(), "a"), NonFiniteValue, "^lambda grid " + WORD),
+    # a 2-D grid was once raveled, and this one answered 0.0
+    (lambda: lambda_search(unstable_plant_tf(), np.zeros((2, 2))), DimensionMismatch,
+     r"^lambda grid must be 1-D, not of shape \(2, 2\)$"),
+    (lambda: loop_mu(unstable_plant_tf(), [0.0, [1.0]]), NonFiniteValue, "^lambda " + RAGGED),
+    (lambda: loop_mu(unstable_plant_tf(), "a"), NonFiniteValue, "^lambda " + WORD),
+    # a list was once cut to its first entry
+    (lambda: loop_mu(unstable_plant_tf(), [5.0, 6.0]), DimensionMismatch,
+     r"^lambda must be a number, not of shape \(2,\)$"),
 ], ids=["zero_denominator", "direct_zero_denominator",
         "direct_trailing_zero_denominator", "direct_nan_list", "direct_improper",
         "transformed_denominator_vanishes",
-        "transformed_improper", "eips_denominator_vanishes"])
+        "transformed_improper", "eips_denominator_vanishes", "polynomial_ragged",
+        "polynomial_word", "tf_ragged", "tf_word", "lambda_grid_ragged", "lambda_grid_word",
+        "lambda_grid_2d", "lambda_ragged", "lambda_word", "lambda_list"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

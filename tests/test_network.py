@@ -35,6 +35,7 @@ from pqikit import (
     solve_opp,
     spec_from_json,
     transform_agent,
+    verify_passivation,
 )
 from pqikit.errors import (
     DimensionMismatch,
@@ -56,6 +57,8 @@ from pqikit.systems import (
 )
 
 FAST = IntegratorConfig(horizon=30.0)
+RAGGED = "cannot be read as floats: setting an array element with a sequence"
+WORD = "cannot be read as floats: could not convert string to float: 'a'$"
 
 
 def _relation_agent(u_of_y, s_range=(-3.0, 3.0), n=4001):
@@ -1097,13 +1100,13 @@ def _bowls(count):
      DimensionMismatch, "initial state length"),
     (lambda: NetworkSpec(Graph(2, ((0, 1),)), (quadratic_agent(),) * 2,
                          (ControllerSpec(1.0),), np.zeros((2, 1))),
-     DimensionMismatch, r"^initial state must be 1-D, not of shape \(2, 1\)$"),
+     DimensionMismatch, r"^x0 must be 1-D, not of shape \(2, 1\)$"),
     (lambda: find_equilibria(quadratic_agent(), [[0.0, 1.0]]), DimensionMismatch,
      r"^input levels must be 1-D, not of shape \(1, 2\)$"),
     (lambda: find_equilibria(quadratic_agent(), [0.0, float("nan")]), NonFiniteValue,
-     "^input level 1 is nan$"),
+     r"^input levels\[1\] = nan is not finite$"),
     (lambda: simulate(quadratic_network(integrator=IntegratorConfig(dt=0.0))),
-     ValueError, "step must be positive"),
+     InvalidSpec, "^integrator step must be positive$"),
     (lambda: transform_agent(replace(quadratic_agent(0.0), feedthrough=1.0),
                              Transform2(1.0, -1.0, 0.0, 1.0)),
      SingularTransform, r"a \+ b\*feedthrough vanished"),
@@ -1123,26 +1126,46 @@ def _bowls(count):
      DimensionMismatch, "^1 node potentials for 2 vertices$"),
     (lambda: solve_ofp(quadratic_network(), node_potentials=_bowls(3)),
      DimensionMismatch, "^3 node potentials for 2 vertices$"),
-    (lambda: ControllerSpec(gain=np.inf), ValueError, "positive and finite: inf"),
+    (lambda: ControllerSpec(gain=np.inf), NonFiniteValue,
+     "^controller gain = inf is not finite$"),
     (lambda: Graph(2, ((0, 1.5),)), InvalidSpec,
      r"^edge \(0,1.5\): vertex indices must be integers"),
     (lambda: Graph(math.inf, ()), InvalidSpec,
      r"^vertex count inf must be a non-negative integer"),
-    (lambda: IntegratorConfig(horizon=-5.0), ValueError,
+    (lambda: IntegratorConfig(horizon=-5.0), InvalidSpec,
      "^horizon must not be negative, got -5.0$"),
-    (lambda: IntegratorConfig(convergence_window=-1.0), ValueError,
+    (lambda: IntegratorConfig(convergence_window=-1.0), InvalidSpec,
      "^convergence_window must not be negative, got -1.0$"),
-    (lambda: IntegratorConfig(tol_conv=-1.0), ValueError,
+    (lambda: IntegratorConfig(tol_conv=-1.0), InvalidSpec,
      "^tol_conv must not be negative, got -1.0$"),
-    (lambda: IntegratorConfig(dt=0.01, horizon=1e308), ValueError,
+    (lambda: IntegratorConfig(dt=0.01, horizon=1e308), InvalidSpec,
      r"^horizon 1e\+308 holds too many steps of dt 0.01$"),
+    (lambda: IntegratorConfig(dt="a"), NonFiniteValue, "^dt " + WORD),
+    (lambda: IntegratorConfig(horizon=[1.0, [2.0]]), NonFiniteValue, "^horizon " + RAGGED),
+    (lambda: ControllerSpec(gain=-1.0), InvalidSpec,
+     "^controller gain must be positive, got -1.0$"),
+    (lambda: ControllerSpec("a"), NonFiniteValue, "^controller gain " + WORD),
+    (lambda: ControllerSpec([1.0, [2.0]]), NonFiniteValue, "^controller gain " + RAGGED),
+    (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(),) * 2, (ControllerSpec(1.0),),
+                         [0.0, [1.0]]), NonFiniteValue, "^x0 " + RAGGED),
+    (lambda: NetworkSpec(Graph.path(2), (quadratic_agent(),) * 2, (ControllerSpec(1.0),),
+                         ["a", 1.0]), NonFiniteValue, "^x0 " + WORD),
+    (lambda: find_equilibria(quadratic_agent(), [[0.0], [1.0, 2.0]]), NonFiniteValue,
+     "^input levels " + RAGGED),
+    (lambda: find_equilibria(quadratic_agent(), "a"), NonFiniteValue,
+     "^input levels " + WORD),
+    (lambda: verify_passivation(nonmonotone_demo_agent(), Transform2.identity(),
+                                PassivityIndices(0.0, 0.0), trials="a"),
+     InvalidSpec, "^trials must be an integer of at least 1, got 'a'$"),
 ], ids=["controller_count", "x0_length", "x0_2d", "equilibria_levels_2d",
         "equilibria_level_nan", "dt", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count",
         "negative_horizon", "negative_window", "negative_tol_conv",
-        "horizon_overflows_step_count"])
+        "horizon_overflows_step_count", "dt_word", "horizon_ragged", "negative_gain",
+        "gain_word", "gain_ragged", "x0_ragged", "x0_word", "equilibria_levels_ragged",
+        "equilibria_levels_word", "trials_word"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -18,7 +18,8 @@ from pqikit import (
     pullback,
     solution_set,
 )
-from pqikit.errors import DimensionMismatch, NonFiniteValue, SingularTransform, TrivialPQI
+from pqikit.errors import (DimensionMismatch, InvalidSpec, NonFiniteValue, SingularTransform,
+                           TrivialPQI)
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -49,10 +50,10 @@ class TestNontriviality:
         assert not is_nontrivial(PQI(1.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("coeffs, named", [
-        ((math.nan, 1.0, 0.0), "a=nan"), ((1.0, math.inf, 0.0), "b=inf"),
-        ((1.0, 0.0, -math.inf), "c=-inf")])
+        ((math.nan, 1.0, 0.0), "a = nan"), ((1.0, math.inf, 0.0), "b = inf"),
+        ((1.0, 0.0, -math.inf), "c = -inf")])
     def test_non_finite_coefficient_rejected(self, coeffs, named):
-        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} must be finite$"):
+        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} is not finite$"):
             PQI(*coeffs)
 
     def test_all_zero_rejected(self):
@@ -157,16 +158,16 @@ class TestPullback:
         q = pullback(p, Transform2.identity())
         np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
 
-    # a nan map has a nan determinant, which counts as singular
-    @pytest.mark.parametrize("t", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]],
-                                   [[np.nan, 0.0], [0.0, 1.0]]])
+    # a nan map is refused as not finite before its determinant is taken
+    # (row pullback_nan_map of test_bad_input_raises)
+    @pytest.mark.parametrize("t", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]]])
     def test_singular_map_rejected(self, t):
         with pytest.raises(SingularTransform, match="below tolerance"):
             pullback(PQI(1.0, 0.0, 1.0), np.array(t))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_transform_rejected_when_built(self, entry):
-        with pytest.raises(NonFiniteValue, match="has a non-finite entry"):
+        with pytest.raises(NonFiniteValue, match=rf"^map\[0, 0\] = {entry} is not finite$"):
             Transform2(entry, 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("call, shape", [
@@ -182,14 +183,14 @@ class TestPullback:
     # the inverse's 1e200 squared overflows qa; the inverse of 5e-324 is
     # inf, and inf * 0 is nan
     @pytest.mark.parametrize("p, t, named", [
-        (PQI(1e308, 1.0, -1e308), [[1e-200, 0.0], [0.0, 1.0]], "a=inf"),
-        (PQI(1.0, 0.0, -1.0), [[5e-324, 0.0], [0.0, 1.0]], "a=nan")])
+        (PQI(1e308, 1.0, -1e308), [[1e-200, 0.0], [0.0, 1.0]], "a = inf"),
+        (PQI(1.0, 0.0, -1.0), [[5e-324, 0.0], [0.0, 1.0]], "a = nan")])
     def test_overflowing_pullback_named_without_warning(self, p, t, named):
-        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} must be finite$"):
+        with pytest.raises(NonFiniteValue, match=f"^PQI coefficient {named} is not finite$"):
             pullback(p, t)
 
     def test_overflowing_inverse_named_without_warning(self):
-        with pytest.raises(NonFiniteValue, match=r"^map \[\[inf, -0\.0\], \[-0\.0, 1\.0\]\] has a "):
+        with pytest.raises(NonFiniteValue, match=r"^map\[0, 0\] = inf is not finite$"):
             Transform2(5e-324, 0.0, 0.0, 1.0).inverse()
 
     def test_diagonal_scaling(self):
@@ -246,3 +247,32 @@ class TestPassivityIndices:
 
     def test_passive_pair_allowed(self):
         assert PassivityIndices(0.0, 0.0).pqi().coeffs.tolist() == [0.0, 1.0, 0.0]
+
+
+RAGGED = "cannot be read as floats: setting an array element with a sequence"
+WORD = "cannot be read as floats: could not convert string to float: 'a'$"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PQI("a", 0.0, 1.0), NonFiniteValue, "^PQI coefficient a " + WORD),
+    (lambda: PQI(1.0, [0.0, [1.0]], 1.0), NonFiniteValue, "^PQI coefficient b " + RAGGED),
+    (lambda: PQI(0.0, 0.0, 0.0), InvalidSpec, "^PQI coefficients must not all be zero$"),
+    (lambda: PassivityIndices("a", 0.0), NonFiniteValue, "^passivity index rho " + WORD),
+    (lambda: PassivityIndices(0.0, [0.0, [1.0]]), NonFiniteValue,
+     "^passivity index nu " + RAGGED),
+    (lambda: Transform2("a", 0.0, 0.0, 1.0), NonFiniteValue, "^map " + WORD),
+    (lambda: Transform2(1.0, 0.0, [0.0, [1.0]], 1.0), NonFiniteValue, "^map " + RAGGED),
+    (lambda: Transform2.from_matrix([[1.0, 2.0], [3.0]]), NonFiniteValue, "^map " + RAGGED),
+    (lambda: Transform2.from_matrix([["a", 2.0], [3.0, 4.0]]), NonFiniteValue,
+     "^map " + WORD),
+    (lambda: pullback(PQI(1.0, 0.0, -1.0), [[1.0, 2.0], [3.0]]), NonFiniteValue,
+     "^map " + RAGGED),
+    (lambda: pullback(PQI(1.0, 0.0, -1.0), "a"), NonFiniteValue, "^map " + WORD),
+    (lambda: pullback(PQI(1.0, 0.0, 1.0), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+     NonFiniteValue, r"^map\[0, 0\] = nan is not finite$"),
+], ids=["pqi_word", "pqi_ragged", "pqi_zero", "indices_word", "indices_ragged",
+        "transform_word", "transform_ragged", "from_matrix_ragged", "from_matrix_word",
+        "pullback_ragged", "pullback_word", "pullback_nan_map"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -35,6 +35,7 @@ from pqikit.errors import (
     DegenerateRays,
     DimensionMismatch,
     InvalidSamples,
+    InvalidSpec,
     MultiValued,
     NonConvexCertificate,
     NonFiniteValue,
@@ -48,11 +49,19 @@ from pqikit.systems import (
     pendulum_gradient_agent,
 )
 
+RAGGED = "cannot be read as floats: setting an array element with a sequence"
+WORD = "cannot be read as floats: could not convert string to float: 'a'$"
+
 
 def cubic_fold_curve(n=4001):
     """(2s - s^3, s^3 - s): non-monotone in both coordinates."""
     return PlanarRelation.from_param_curve(
         lambda s: 2.0 * s - s**3, lambda s: s**3 - s, (-3.0, 3.0), n)
+
+
+def _bowl():
+    """The convex potential y²/2 on five samples of [-1, 1]."""
+    return IntegralFunction.from_function(lambda y: 0.5 * y * y, np.linspace(-1.0, 1.0, 5))
 
 
 def assert_csv_cells(path, columns):
@@ -685,13 +694,17 @@ class TestSkippedPasses:
             for ys in dual_points(F):
                 assert_same_bits(legendre(F, ys).values, accumulated_legendre(F, ys))
 
-    @pytest.mark.parametrize("ys, shape", [([[0.1, 0.2]], "(1, 2)"), (0.5, "()"),
+    @pytest.mark.parametrize("ys, shape", [([[0.1, 0.2]], "(1, 2)"),
+                                           (np.zeros((1, 1, 1)), "(1, 1, 1)"),
                                            (np.zeros((2, 0)), "(2, 0)")])
     def test_legendre_refuses_a_dual_grid_not_1d(self, ys, shape):
-        F = IntegralFunction.from_function(lambda y: 0.5 * y * y, np.linspace(-1.0, 1.0, 5))
         with pytest.raises(DimensionMismatch) as err:
-            legendre(F, ys)
+            legendre(_bowl(), ys)
         assert str(err.value) == f"legendre: dual grid must be 1-D, not of shape {shape}"
+
+    def test_legendre_reads_a_number_as_one_dual_point(self):
+        # every vector input reads a number as a one-entry vector
+        assert_same_bits(legendre(_bowl(), 0.5).values, legendre(_bowl(), [0.5]).values)
 
 
 class TestShapeChecks:
@@ -1399,41 +1412,69 @@ def test_cursive_report_names_a_jump():
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.zeros(2)),
      DimensionMismatch, r"not \(3,\) and \(2,\)$"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
-     NonFiniteValue, r"not value nan at sample 1, abscissa 1\.0$"),
+     NonFiniteValue, r"^integral-function values\[1\] = nan is not finite$"),
     (lambda: IntegralFunction.from_function(lambda y: np.where(y < 0.0, -np.inf, y),
                                             np.linspace(-1.0, 1.0, 5)),
-     NonFiniteValue, r"not value -inf at sample 0, abscissa -1\.0$"),
+     NonFiniteValue, r"^integral-function values\[0\] = -inf is not finite$"),
     (lambda: PlanarRelation(np.array([1.0, 2.0]), np.array([1.0])), DimensionMismatch,
      r"relation u, y must be 1-D of one length, not of shapes \(2,\), \(1,\)$"),
     (lambda: PlanarRelation(np.zeros(3), np.zeros(3), np.zeros(2)), DimensionMismatch,
      r"u, y, sigma must be .* \(3,\), \(3,\), \(2,\)$"),
     (lambda: PlanarRelation(np.zeros((2, 2)), np.zeros((2, 2))), DimensionMismatch,
-     r"not of shapes \(2, 2\), \(2, 2\)$"),
+     r"^relation u must be 1-D, not of shape \(2, 2\)$"),
     (lambda: is_cursive(param_relation([1.0], [2.0])), WrongRepresentation,
      "2 or more samples, not 1$"),
     (lambda: is_cursive(param_relation([], [])), WrongRepresentation,
      "2 or more samples, not 0$"),
-    (lambda: integral_function(cubic_fold_curve(n=11), "of_y"), ValueError,
-     "unknown direction"),
+    (lambda: integral_function(cubic_fold_curve(n=11), "of_y"), InvalidSpec,
+     "^unknown direction 'of_y'$"),
     (lambda: integral_function(PlanarRelation.from_points([1.0, 1.0], [2.0, 2.0]),
                                OF_K), MultiValued, "single abscissa"),
     (lambda: is_cursive(param_relation([0.0, 1.0, np.inf], [0.0, 1.0, 2.0])),
-     NonFiniteValue, r"not sample 2 \(inf, 2\.0\)"),
+     NonFiniteValue, r"^relation u\[2\] = inf is not finite$"),
     (lambda: is_cursive(param_relation([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])),
-     NonFiniteValue, r"not sample 1 \(1\.0, nan\)"),
+     NonFiniteValue, r"^relation y\[1\] = nan is not finite$"),
     (lambda: integral_function(param_relation([0.0, 1.0, np.nan], [0.0, 1.0, 2.0]),
                                OF_K_INVERSE),
-     NonFiniteValue, r"not sample 2 \(nan, 2\.0\) at parameter 2\.0$"),
+     NonFiniteValue, r"^relation u\[2\] = nan is not finite$"),
     (lambda: is_monotone(PlanarRelation(np.array([0.0, 1.0, 2.0]),
                                         np.array([0.0, np.inf, 2.0]))),
-     NonFiniteValue, r"not sample 1 \(1\.0, inf\)$"),
+     NonFiniteValue, r"^relation y\[1\] = inf is not finite$"),
     (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
      .contains((1.0, 1.0)), DegenerateRays, "colinear"),
+    (lambda: PlanarRelation([0.0, [1.0]], [0.0, 1.0]), NonFiniteValue,
+     "^relation u " + RAGGED),
+    (lambda: PlanarRelation([0.0, 1.0], ["a", 1.0]), NonFiniteValue, "^relation y " + WORD),
+    (lambda: PlanarRelation([0.0, 1.0], [0.0, 1.0], [0.0, [1.0]]), NonFiniteValue,
+     "^relation sigma " + RAGGED),
+    # the curve parameter was once left unchecked
+    (lambda: PlanarRelation([0.0, 1.0], [0.0, 1.0], [0.0, np.nan]), NonFiniteValue,
+     r"^relation sigma\[1\] = nan is not finite$"),
+    (lambda: PlanarRelation.from_points([0.0, [1.0]], [0.0, 1.0]), NonFiniteValue,
+     "^relation u " + RAGGED),
+    (lambda: PlanarRelation.from_points([0.0, 1.0], "a"), NonFiniteValue,
+     "^relation y " + WORD),
+    (lambda: IntegralFunction([0.0, [1.0]], [0.0, 1.0]), NonFiniteValue,
+     "^integral-function grid " + RAGGED),
+    (lambda: IntegralFunction([0.0, 1.0], ["a", 1.0]), NonFiniteValue,
+     "^integral-function values " + WORD),
+    (lambda: IntegralFunction.from_function(np.abs, [0.0, [1.0]]), NonFiniteValue,
+     "^integral-function grid " + RAGGED),
+    (lambda: IntegralFunction.from_function(np.abs, "a"), NonFiniteValue,
+     "^integral-function grid " + WORD),
+    (lambda: legendre(_bowl(), [0.0, [1.0]]), NonFiniteValue,
+     "^legendre: dual grid " + RAGGED),
+    (lambda: legendre(_bowl(), "a"), NonFiniteValue, "^legendre: dual grid " + WORD),
+    (lambda: legendre(_bowl(), [0.0, np.inf]), NonFiniteValue,
+     r"^legendre: dual grid\[1\] = inf is not finite$"),
 ], ids=["potential_grid", "potential_steps_back", "integral_empty", "legendre_empty",
         "potential_lengths", "potential_nan", "potential_inf",
         "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
         "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
-        "monotone_inf", "cone_colinear_rays"])
+        "monotone_inf", "cone_colinear_rays", "relation_ragged", "relation_word",
+        "sigma_ragged", "sigma_nan", "from_points_ragged", "from_points_word",
+        "potential_ragged", "potential_word", "from_function_ragged", "from_function_word",
+        "dual_grid_ragged", "dual_grid_word", "dual_grid_inf"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

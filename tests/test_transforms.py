@@ -515,7 +515,7 @@ class TestVerifyPassivation:
                                PassivityIndices(0.0, 0.0), trials=3)
 
     def test_no_trials_rejected(self):
-        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="^trials must be an integer of at least 1, got 0$"):
             verify_passivation(nonmonotone_demo_agent(), Transform2.identity(),
                                PassivityIndices(0.0, 0.0), trials=0)
 
