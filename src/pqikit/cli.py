@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ToolkitError
+from .errors import ToolkitError, _floats
 from .lti import (
     RationalTF,
     eips_indices,
@@ -61,17 +60,13 @@ def _outdir(args) -> str:
     return d
 
 
-def _finite_floats(text: str) -> list[float]:
-    """A comma-separated list of finite floats: the ``type`` of a list flag,
-    so argparse names the flag of a malformed list."""
+def _float_list(text: str) -> np.ndarray:
+    """The ``type`` of a list flag: comma-separated finite floats, refused as
+    ArgumentTypeError so argparse names the flag of a malformed list."""
     try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError as exc:
+        return _floats(text.split(","), "list", (None,))
+    except ToolkitError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise argparse.ArgumentTypeError(f"entry {i} = {v} is not finite")
-    return values
 
 
 def _read_spec(path: str):
@@ -115,12 +110,7 @@ def cmd_passivize(args) -> int:
 
 def cmd_analyze_lti(args) -> int:
     G = RationalTF.make(args.num, args.den)
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        grid = (np.asarray(args.lambda_grid)
-                if args.lambda_grid else np.arange(0.0, 11.0))
-        lam = lambda_search(G, grid)
+    lam = args.lam if args.lam is not None else lambda_search(G, args.lambda_grid)
     mu, idx, T, Gt, strict = _lti_pipeline(G, lam)
     report = {
         "lambda": lam,
@@ -337,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-lti",
                        help="index pipeline for a rational transfer function")
-    p.add_argument("--num", type=_finite_floats, required=True,
+    p.add_argument("--num", type=_float_list, required=True,
                    help="ascending comma-separated coefficients")
-    p.add_argument("--den", type=_finite_floats, required=True,
+    p.add_argument("--den", type=_float_list, required=True,
                    help="ascending comma-separated coefficients")
     p.add_argument("--lam", type=float, default=None,
                    help="loop gain (searched over a grid when omitted)")
-    p.add_argument("--lambda-grid", type=_finite_floats, default=None,
-                   help="comma-separated candidate loop gains")
+    p.add_argument("--lambda-grid", type=_float_list, default=np.arange(0.0, 11.0),
+                   help="comma-separated candidate loop gains (default 0, 1, ..., 10)")
     p.set_defaults(fn=cmd_analyze_lti)
 
     p = sub.add_parser("simulate", help="integrate a network from a JSON spec")

@@ -118,15 +118,15 @@ class NonFiniteValue(ToolkitError, ValueError):
     not a number at all); the message says which."""
 
 
-def _floats(value, what: str, shape: tuple) -> np.ndarray | float:
+def _floats(value, what: str, shape: tuple | None) -> np.ndarray | float:
     """``value`` read as finite floats of ``shape``: a float for ``()``, else
     an array; ``(None,)`` is a vector of any length (a number is one entry),
-    ``(2, 2)`` a map.  A value numpy cannot read as floats (a ragged list, a
-    word) raises NonFiniteValue with numpy's reason, another shape
-    DimensionMismatch, and a nan or infinite entry NonFiniteValue naming the
-    first one's index and value; each message starts with ``what``.
+    ``None`` any shape (a float stays a float).  A value numpy cannot read (a
+    ragged list, a word) raises NonFiniteValue with numpy's reason, another
+    shape DimensionMismatch, and a nan or infinite entry NonFiniteValue naming
+    the first one's index and value; each message starts with ``what``.
     """
-    if shape == () and isinstance(value, float) and math.isfinite(value):
+    if shape in ((), None) and isinstance(value, float) and math.isfinite(value):
         return float(value)  # a float skips numpy, about 2 µs a call
     try:
         a = np.asarray(value, dtype=float)
@@ -135,12 +135,12 @@ def _floats(value, what: str, shape: tuple) -> np.ndarray | float:
     vector = shape == (None,)
     if vector:
         a = np.atleast_1d(a)
-    if a.shape != (a.shape[:1] if vector else shape):
-        want = "1-D" if vector else "x".join(map(str, shape)) or "a number"
+    if shape is not None and a.shape != (a.shape[:1] if vector else shape):
+        want = {(None,): "1-D", (): "a number", (2,): "a pair", (2, 2): "2x2"}[shape]
         raise DimensionMismatch(f"{what} must be {want}, not of shape {a.shape}")
     finite = np.isfinite(a).ravel()
     if np.count_nonzero(finite) < finite.size:  # cheaper than finite.all()
         i = np.unravel_index(np.argmin(finite), a.shape)
         at = f"[{', '.join(map(str, i))}]" if i else ""
         raise NonFiniteValue(f"{what}{at} = {a[i]} is not finite")
-    return a if shape else float(a)
+    return float(a) if shape == () else a

@@ -457,7 +457,8 @@ def linf_norm(G: RationalTF) -> float:
 
 def l2gain_to_input_index(beta: float) -> float:
     """Input-index bound -(beta^2 + 1/4) guaranteed by a finite L2 gain."""
-    if not beta > 0.0:
+    beta = _floats(beta, "L2 gain", ())
+    if beta <= 0.0:
         raise NonpositiveGain(f"L2 gain must be positive, got {beta}")
     return -(beta * beta + 0.25)
 

@@ -60,7 +60,11 @@ class Graph:
         if not (isinstance(self.vertex_count, numbers.Integral) and self.vertex_count >= 0):
             raise InvalidSpec(f"vertex count {self.vertex_count!r} must be a "
                               "non-negative integer")
-        for h, t in self.edges:
+        for e, edge in enumerate(self.edges):
+            try:
+                h, t = edge
+            except (TypeError, ValueError):
+                raise DimensionMismatch(f"edge {e} = {edge!r} is not a vertex pair") from None
             if not all(isinstance(v, numbers.Integral) for v in (h, t)):
                 raise InvalidSpec(f"edge ({h},{t}): vertex indices must be integers")
             if not (0 <= h < self.vertex_count and 0 <= t < self.vertex_count):
@@ -966,9 +970,11 @@ def _json_integer(value, path: str) -> int:
 def _json_edge(edge, n: int, path: str) -> tuple:
     """A JSON edge as its vertex indices, each an integer below ``n``.
 
-    An index out of range raises InvalidSpec with the value as the JSON gave
-    it.
+    An entry that is not a pair, or an index out of range, raises InvalidSpec
+    with the value as the JSON gave it.
     """
+    if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+        raise InvalidSpec(f"{path}: {json.dumps(edge)} is not a vertex pair")
     ends = tuple(_json_integer(v, path) for v in edge)
     for v, i in zip(edge, ends):
         if not 0 <= i < n:
@@ -976,20 +982,22 @@ def _json_edge(edge, n: int, path: str) -> tuple:
     return ends
 
 
-def _refuse_booleans(node, path: str) -> None:
-    """InvalidSpec naming the first JSON true or false: no spec entry takes
-    one, and Python would read it as the number 1 or 0."""
-    if isinstance(node, bool):
-        raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
-    if isinstance(node, dict):
+def _refuse_non_numbers(node, path: str) -> None:
+    """InvalidSpec naming the first JSON string, null, true or false but an
+    agent's kind: every other entry is a number, and Python would read true
+    and false as 1 and 0, numpy the string "1" as 1.0."""
+    if isinstance(node, (str, bool)) or node is None:
+        if not re.fullmatch(r"\$\.agents(\[\d+\])?\.kind", path):
+            raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
+    elif isinstance(node, dict):
         for key, child in node.items():
             # a key that is not one word is quoted, as in $.x["a b"]
             step = (f".{key}" if re.fullmatch(r"\w+", str(key))
                     else f"[{json.dumps(str(key))}]")
-            _refuse_booleans(child, path + step)
+            _refuse_non_numbers(child, path + step)
     elif isinstance(node, list):
         for i, child in enumerate(node):
-            _refuse_booleans(child, f"{path}[{i}]")
+            _refuse_non_numbers(child, f"{path}[{i}]")
 
 
 @contextmanager
@@ -1045,15 +1053,14 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     were built with equal parameters in one array call (see
     :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
-    must match the length of ``x0``, a flat list of finite numbers.  A missing
-    or malformed entry, a JSON ``true`` or ``false`` included, raises
-    :class:`InvalidSpec` naming its JSON path.
+    must match the length of ``x0``, a flat list of finite numbers.  Text that
+    is not JSON and a missing or malformed entry (a string but an agent's
+    kind, a null, a true or a false) raise :class:`InvalidSpec` at its path.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    _refuse_booleans(doc, "$")
     from .systems import AGENT_REGISTRY
     with _located("$"):
+        doc = json.loads(doc) if isinstance(doc, str) else doc
+        _refuse_non_numbers(doc, "$")
         g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
         raw_x0 = doc["x0"]
     with _located("$.graph"):

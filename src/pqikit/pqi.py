@@ -110,7 +110,7 @@ class SymmetricDoubleCone:
         """Geometric membership: same sector pair as the interior probe, with a
         boundary band of 1e-12·|w|², w the point in ray coordinates."""
         inv = self._basis_inverse()
-        w = inv @ np.asarray(point, dtype=float)
+        w = inv @ _floats(point, "point", (2,))
         wp = inv @ np.asarray(self.interior_probe, dtype=float)
         band = 1e-12 * float(w @ w)
         if wp[0] * wp[1] > 0:
@@ -197,7 +197,7 @@ def solution_set(p: PQI) -> SymmetricDoubleCone:
 
 def contains(p: PQI, point) -> bool:
     """Direct evaluation with the relative tolerance band MEMBER_RTOL."""
-    xi, chi = float(point[0]), float(point[1])
+    xi, chi = _floats(point, "point", (2,)).tolist()
     band = MEMBER_RTOL * float(np.linalg.norm(p.coeffs)) * (xi * xi + chi * chi)
     return p(xi, chi) >= -band
 

@@ -63,6 +63,16 @@ def _trapezoid(x, v, first: float, dx=None) -> np.ndarray:
     return out
 
 
+def _map_samples(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
+    """f(x) read as finite floats, a number standing for every sample of x;
+    unwarned, so the reader names the first sample a map made non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _floats(f(x), what, (None,))
+    if len(v) not in (1, len(x)):
+        raise DimensionMismatch(f"{what} must be 1 or {len(x)} numbers, not {len(v)}")
+    return v * np.ones_like(x)
+
+
 @dataclass(frozen=True)
 class PlanarRelation:
     """Planar relation: samples (u, y), a curve exactly when ``sigma`` is set.
@@ -94,11 +104,8 @@ class PlanarRelation:
         n: int = DEFAULT_GRID_POINTS,
     ) -> "PlanarRelation":
         sigma = np.linspace(sigma_range[0], sigma_range[1], n)
-        # unwarned: the constructor names the first sample a map made non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, y = (np.asarray(f(sigma), dtype=float) * np.ones_like(sigma)
-                    for f in (u_of_sigma, y_of_sigma))
-        return cls(u, y, sigma)
+        return cls(_map_samples(u_of_sigma, sigma, "relation u"),
+                   _map_samples(y_of_sigma, sigma, "relation y"), sigma)
 
     @classmethod
     def from_points(cls, u, y) -> "PlanarRelation":
@@ -151,7 +158,7 @@ class IntegralFunction:
     @classmethod
     def from_function(cls, f: Callable, grid) -> "IntegralFunction":
         grid = _floats(grid, "integral-function grid", (None,))
-        return cls(grid, np.asarray(f(grid), dtype=float) * np.ones_like(grid))
+        return cls(grid, _map_samples(f, grid, "integral-function values"))
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "value"], [self.grid, self.values])

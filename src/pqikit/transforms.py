@@ -64,9 +64,8 @@ class Transform2:
         return Transform2.from_matrix(_inverse(self.matrix()))
 
     def __call__(self, u, y):
-        """Map input/output samples (scalars or arrays) to the new pair."""
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Map input/output samples (finite numbers or arrays) to the new pair."""
+        u, y = _floats(u, "transform input u", None), _floats(y, "transform input y", None)
         return self.a * u + self.b * y, self.c * u + self.d * y
 
 

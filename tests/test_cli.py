@@ -165,11 +165,13 @@ class TestAnalyzeLTI:
             reports
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--num", "abc", "could not convert string to float: 'abc'"),
-        ("--den", "1,,", "could not convert string to float: ''"),
-        ("--lambda-grid", "0,nan", "entry 1 = nan is not finite"),
-        ("--lambda-grid", "inf", "entry 0 = inf is not finite"),
-        ("--den", "1,nan", "entry 1 = nan is not finite")])
+        ("--num", "abc",
+         "list cannot be read as floats: could not convert string to float: 'abc'"),
+        ("--den", "1,,",
+         "list cannot be read as floats: could not convert string to float: ''"),
+        ("--lambda-grid", "0,nan", "list[1] = nan is not finite"),
+        ("--lambda-grid", "inf", "list[0] = inf is not finite"),
+        ("--den", "1,nan", "list[1] = nan is not finite")])
     def test_malformed_list_names_its_flag(self, capsys, flag, value, named):
         args = {"--num": "0.75", "--den": "-2,2,1", flag: value}
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +243,17 @@ class TestSimulate:
         ("graph", {"vertices": 2, "edges": [[0, True]]},
          "$.graph.edges[0][1]: true is not a number"),
         ("x0", [0.0, False], "$.x0[1]: false is not a number"),
+        # numpy would read the string "1" as 1.0
+        ("x0", ["1", 0.0], '$.x0[0]: "1" is not a number'),
+        ("controllers", {"gain": "2"}, '$.controllers.gain: "2" is not a number'),
+        ("integrator", {"dt": "0.01"}, '$.integrator.dt: "0.01" is not a number'),
+        ("integrator", {"horizon": None}, "$.integrator.horizon: null is not a number"),
+        ("agents", {"kind": "quadratic", "params": {"center": "3"}},
+         '$.agents.params.center: "3" is not a number'),
+        ("graph", {"vertices": 2, "edges": [[0]]},
+         "$.graph.edges[0]: [0] is not a vertex pair"),
+        ("graph", {"vertices": 2, "edges": [[0, 1, 1]]},
+         "$.graph.edges[0]: [0, 1, 1] is not a vertex pair"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):

@@ -63,7 +63,7 @@ def test_import_loads_no_scipy_module():
 
 
 # the one foreign raise: argparse names the flag of a malformed list itself
-FOREIGN_RAISES = {("cli.py", "_finite_floats", "argparse.ArgumentTypeError")}
+FOREIGN_RAISES = {("cli.py", "_float_list", "argparse.ArgumentTypeError")}
 
 
 def _raised(node, where=""):

@@ -872,12 +872,18 @@ class TestSerialization:
     # a list was once cut to its first entry
     (lambda: loop_mu(unstable_plant_tf(), [5.0, 6.0]), DimensionMismatch,
      r"^lambda must be a number, not of shape \(2,\)$"),
+    (lambda: l2gain_to_input_index("a"), NonFiniteValue, "^L2 gain " + WORD),
+    (lambda: l2gain_to_input_index([1.0, [2.0]]), NonFiniteValue, "^L2 gain " + RAGGED),
+    # an infinite gain once gave the bound -inf
+    (lambda: l2gain_to_input_index(math.inf), NonFiniteValue,
+     "^L2 gain = inf is not finite$"),
 ], ids=["zero_denominator", "direct_zero_denominator",
         "direct_trailing_zero_denominator", "direct_nan_list", "direct_improper",
         "transformed_denominator_vanishes",
         "transformed_improper", "eips_denominator_vanishes", "polynomial_ragged",
         "polynomial_word", "tf_ragged", "tf_word", "lambda_grid_ragged", "lambda_grid_word",
-        "lambda_grid_2d", "lambda_ragged", "lambda_word", "lambda_list"])
+        "lambda_grid_2d", "lambda_ragged", "lambda_word", "lambda_list",
+        "l2gain_word", "l2gain_ragged", "l2gain_inf"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1132,6 +1132,12 @@ def _bowls(count):
      r"^edge \(0,1.5\): vertex indices must be integers"),
     (lambda: Graph(math.inf, ()), InvalidSpec,
      r"^vertex count inf must be a non-negative integer"),
+    (lambda: Graph(2, ((0, 1), (0,))), DimensionMismatch,
+     r"^edge 1 = \(0,\) is not a vertex pair$"),
+    (lambda: Graph(2, ((0, 1, 1),)), DimensionMismatch,
+     r"^edge 0 = \(0, 1, 1\) is not a vertex pair$"),
+    (lambda: spec_from_json("{"), InvalidSpec,
+     r"^\$: JSONDecodeError: Expecting property name .*\(char 1\)$"),
     (lambda: IntegratorConfig(horizon=-5.0), InvalidSpec,
      "^horizon must not be negative, got -5.0$"),
     (lambda: IntegratorConfig(convergence_window=-1.0), InvalidSpec,
@@ -1161,7 +1167,8 @@ def _bowls(count):
         "equilibria_level_nan", "dt", "feedthrough",
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
-        "infinite_gain", "fractional_vertex", "infinite_vertex_count",
+        "infinite_gain", "fractional_vertex", "infinite_vertex_count", "edge_single",
+        "edge_triple", "spec_not_json",
         "negative_horizon", "negative_window", "negative_tol_conv",
         "horizon_overflows_step_count", "dt_word", "horizon_ragged", "negative_gain",
         "gain_word", "gain_ragged", "x0_ragged", "x0_word", "equilibria_levels_ragged",

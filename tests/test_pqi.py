@@ -270,9 +270,30 @@ WORD = "cannot be read as floats: could not convert string to float: 'a'$"
     (lambda: pullback(PQI(1.0, 0.0, -1.0), "a"), NonFiniteValue, "^map " + WORD),
     (lambda: pullback(PQI(1.0, 0.0, 1.0), np.array([[np.nan, 0.0], [0.0, 1.0]])),
      NonFiniteValue, r"^map\[0, 0\] = nan is not finite$"),
+    (lambda: Transform2.identity()("a", 0.0), NonFiniteValue, "^transform input u " + WORD),
+    (lambda: Transform2.identity()(0.0, [0.0, [1.0]]), NonFiniteValue,
+     "^transform input y " + RAGGED),
+    (lambda: Transform2.identity()(np.zeros((2, 2)), np.array([[0.0, 1.0], [np.inf, 0.0]])),
+     NonFiniteValue, r"^transform input y\[1, 0\] = inf is not finite$"),
+    (lambda: contains(PQI(1.0, 0.0, -1.0), "a"), NonFiniteValue, "^point " + WORD),
+    (lambda: contains(PQI(1.0, 0.0, -1.0), [0.0, [1.0]]), NonFiniteValue, "^point " + RAGGED),
+    (lambda: contains(PQI(1.0, 0.0, -1.0), [1.0, np.nan]), NonFiniteValue,
+     r"^point\[1\] = nan is not finite$"),
+    # a third entry was once ignored
+    (lambda: contains(PQI(1.0, 0.0, -1.0), [1.0, 0.0, 5.0]), DimensionMismatch,
+     r"^point must be a pair, not of shape \(3,\)$"),
+    (lambda: solution_set(PQI(1.0, 0.0, -1.0)).contains("a"), NonFiniteValue,
+     "^point " + WORD),
+    (lambda: solution_set(PQI(1.0, 0.0, -1.0)).contains([0.0, [1.0]]), NonFiniteValue,
+     "^point " + RAGGED),
+    (lambda: solution_set(PQI(1.0, 0.0, -1.0)).contains([np.inf, 0.0]), NonFiniteValue,
+     r"^point\[0\] = inf is not finite$"),
 ], ids=["pqi_word", "pqi_ragged", "pqi_zero", "indices_word", "indices_ragged",
         "transform_word", "transform_ragged", "from_matrix_ragged", "from_matrix_word",
-        "pullback_ragged", "pullback_word", "pullback_nan_map"])
+        "pullback_ragged", "pullback_word", "pullback_nan_map", "transform_call_word",
+        "transform_call_ragged", "transform_call_inf", "contains_word", "contains_ragged",
+        "contains_nan", "contains_three", "cone_contains_word", "cone_contains_ragged",
+        "cone_contains_inf"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1467,6 +1467,22 @@ def test_cursive_report_names_a_jump():
     (lambda: legendre(_bowl(), "a"), NonFiniteValue, "^legendre: dual grid " + WORD),
     (lambda: legendre(_bowl(), [0.0, np.inf]), NonFiniteValue,
      r"^legendre: dual grid\[1\] = inf is not finite$"),
+    (lambda: PlanarRelation.from_param_curve(lambda s: "a", lambda s: s, (0.0, 1.0), 5),
+     NonFiniteValue, "^relation u " + WORD),
+    (lambda: PlanarRelation.from_param_curve(lambda s: s, lambda s: [0.0, [1.0]],
+                                             (0.0, 1.0), 5),
+     NonFiniteValue, "^relation y " + RAGGED),
+    (lambda: PlanarRelation.from_param_curve(lambda s: s, lambda s: s[:3], (0.0, 1.0), 5),
+     DimensionMismatch, "^relation y must be 1 or 5 numbers, not 3$"),
+    (lambda: IntegralFunction.from_function(lambda y: "a", np.linspace(0.0, 1.0, 5)),
+     NonFiniteValue, "^integral-function values " + WORD),
+    (lambda: IntegralFunction.from_function(lambda y: [0.0, [1.0]], np.linspace(0.0, 1.0, 5)),
+     NonFiniteValue, "^integral-function values " + RAGGED),
+    (lambda: IntegralFunction.from_function(lambda y: y[1:], np.linspace(0.0, 1.0, 5)),
+     DimensionMismatch, "^integral-function values must be 1 or 5 numbers, not 4$"),
+    # a map that overflows is named by the reader, not warned about
+    (lambda: IntegralFunction.from_function(lambda y: np.exp(1e3 * y), np.linspace(0.0, 1.0, 5)),
+     NonFiniteValue, r"^integral-function values\[3\] = inf is not finite$"),
 ], ids=["potential_grid", "potential_steps_back", "integral_empty", "legendre_empty",
         "potential_lengths", "potential_nan", "potential_inf",
         "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
@@ -1474,7 +1490,9 @@ def test_cursive_report_names_a_jump():
         "monotone_inf", "cone_colinear_rays", "relation_ragged", "relation_word",
         "sigma_ragged", "sigma_nan", "from_points_ragged", "from_points_word",
         "potential_ragged", "potential_word", "from_function_ragged", "from_function_word",
-        "dual_grid_ragged", "dual_grid_word", "dual_grid_inf"])
+        "dual_grid_ragged", "dual_grid_word", "dual_grid_inf", "param_curve_word",
+        "param_curve_ragged", "param_curve_length", "map_output_word", "map_output_ragged",
+        "map_output_length", "map_output_overflow"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
