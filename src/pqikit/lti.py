@@ -371,8 +371,8 @@ def _re_ratio_unbounded(u, v) -> bool:
     to single roots: a merged verdict adds the -inf of a multiple zero and
     never takes away that of a simple one, so simple zeros too close to
     tell from a double zero keep their own verdicts.  A zero counts as on
-    the axis, a residue as not real and a derivative of a as zero at 1e-9
-    relative (to |a|'s).
+    the axis within STABILITY_MARGIN, where :func:`_stable` refuses it, a
+    residue as not real and a derivative of a as zero at 1e-9 (of |a|'s).
     """
     if len(v) < 2:
         return False
@@ -386,7 +386,7 @@ def _re_ratio_unbounded(u, v) -> bool:
     while zeros:
         zero = zeros.pop()
         mean, m = zero.mean(), len(zero)
-        on_axis = abs(mean.real) <= 1e-9 * abs(mean)
+        on_axis = abs(mean.real) <= STABILITY_MARGIN * abs(mean)
         if m == 1:
             r = P.polyval(mean, u) / P.polyval(mean, P.polyder(v))
             if on_axis and abs(r.imag) > 1e-9 * abs(r):

@@ -37,7 +37,9 @@ from .errors import (
     _floats,
 )
 from .relations import (
+    DECREASE_RTOL,
     OF_K_INVERSE,
+    SLOPE_EPS,
     IntegralFunction,
     PlanarRelation,
     _trapezoid,
@@ -60,6 +62,10 @@ class Graph:
         if not (isinstance(self.vertex_count, numbers.Integral) and self.vertex_count >= 0):
             raise InvalidSpec(f"vertex count {self.vertex_count!r} must be a "
                               "non-negative integer")
+        try:
+            object.__setattr__(self, "edges", tuple(self.edges))
+        except TypeError:
+            raise DimensionMismatch(f"edges {self.edges!r} are not a sequence") from None
         for e, edge in enumerate(self.edges):
             try:
                 h, t = edge
@@ -74,6 +80,7 @@ class Graph:
 
     @classmethod
     def path(cls, n: int) -> "Graph":
+        cls(n, ())  # the vertex count is checked before range(n - 1) reads it
         return cls(n, tuple((i, i + 1) for i in range(n - 1)))
 
     @property
@@ -427,6 +434,8 @@ _DP_DENSE = np.array([
 ])
 # step acceptance: RMS over components of error / (ATOL + RTOL·|x|) at most 1
 SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
+# a gap in time below TIME_TIE·dt is rounding: a step lands on t_end, a window ties
+TIME_TIE = 0.01
 
 
 def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
@@ -448,7 +457,7 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
     while t < t_end:
         h = min(max(h, dt), h_max)
         at_floor = h <= dt or t_end - t <= dt
-        if t_end - t - h < 0.01 * dt:  # land on t_end
+        if t_end - t - h < TIME_TIE * dt:  # land on t_end
             h = t_end - t
         for s, weights in enumerate(_DP_STAGES, start=1):
             x_new = x + (h * weights) @ K[:s]
@@ -491,8 +500,8 @@ def simulate(spec: NetworkSpec) -> SimResult:
     y = h(x) + D·u, u = -E G Eᵀ y is linear in y and solved with an inverse
     computed once.  The convergence flag is set, at an accepted step, once
     the last step end with max state-derivative norm not below ``tol_conv``
-    lies at least ``convergence_window`` back, less dt/100 so that rounding
-    cannot decide a tie; integration stops there.  Overflow is not warned
+    lies at least ``convergence_window`` back, less ``TIME_TIE``·dt so that
+    rounding cannot decide a tie; integration stops there.  Overflow is not warned
     of: a non-finite trial step is retried or raised by
     :func:`dormand_prince`, and a stored row whose x, u, y, ζ or μ is not
     finite raises :class:`NonFiniteState` naming its time.
@@ -537,7 +546,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
             stored_x.append(row_x)
             if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
                 last_moving = t
-            if t - last_moving >= window - 0.01 * dt:
+            if t - last_moving >= window - TIME_TIE * dt:
                 converged = True
                 break
         ts, xs = np.concatenate(stored_t + [[t]]), np.concatenate(stored_x + [x[None]])
@@ -675,10 +684,10 @@ def _conjugate(model):
 
     Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
     the convexity certificate tolerates are lifted, a run of d flat to within
-    4 ulps of the values per cell width (a kink of the conjugate) becomes one
-    node at its mean abscissa.  So does a stretch of lifted steps, each
-    within the certificate's band of 1e-9 of the largest |d|, that holds a
-    dip: on a noisy flat run the record highs would otherwise be nodes
+    SLOPE_EPS of the values per cell width (a kink of the conjugate) becomes
+    one node at its mean abscissa.  So does a stretch of lifted steps, each
+    within the certificate's band (DECREASE_RTOL of the largest |d|), that
+    holds a dip: on a noisy flat run the record highs would otherwise be nodes
     1e-11 apart in d and cells apart in x, where an ulp of the argument
     moves the slope past the solver's residual bound.  A run's value error
     then shifts every node beyond it, so the values are integrated from an
@@ -694,14 +703,14 @@ def _conjugate(model):
     x, d, m = model
     lifted = d if np.all(d[1:] >= d[:-1]) else np.maximum.accumulate(d)
     step = np.diff(lifted, prepend=-np.inf)
-    new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
+    new = step > SLOPE_EPS * np.abs(m).max() / np.diff(x).min()
     if new.all():
         dc, xc, dx = lifted, x + 0.0, step[1:]
         k = anchor = len(x) // 2
     else:
         dip = lifted > d
         if dip.any():
-            small = step <= 1e-9 * np.abs(d).max()
+            small = step <= DECREASE_RTOL * np.abs(d).max()
             stretch = np.cumsum(~small)
             new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
         run = np.cumsum(new) - 1
@@ -810,13 +819,13 @@ def _minimize_convex(models, B, Q):
     z, iterations = np.zeros(B.shape[1]), 0
     radius = max((float(x[-1] - x[0]) for x, _, _ in models), default=0.0)
     now = at(z)
+
+    def hv(v):  # the Hessian at the current iterate ``now``, times v
+        return B.T @ (now.curv * (B @ v)) + Q @ v
+
     while (now.residual > now.bound and np.isfinite(now.f)
            and iterations < _TRUST_ITERATIONS):
         iterations += 1
-
-        def hv(v, curv=now.curv):
-            return B.T @ (curv * (B @ v)) + Q @ v
-
         p, on_edge = _steihaug(now.grad, hv, radius)
         moved = z + p
         if not np.isfinite(p).all() or (moved == z).all():
@@ -982,22 +991,33 @@ def _json_edge(edge, n: int, path: str) -> tuple:
     return ends
 
 
-def _refuse_non_numbers(node, path: str) -> None:
-    """InvalidSpec naming the first JSON string, null, true or false but an
-    agent's kind: every other entry is a number, and Python would read true
-    and false as 1 and 0, numpy the string "1" as 1.0."""
+# the keys of a JSON object by its path; others refuse theirs where they are read
+_JSON_KEYS = {r"\$": ("graph", "agents", "controllers", "x0", "integrator"),
+              r"\$\.graph": ("vertices", "edges"), r"\$\.agents(\[\d+\])?": ("kind", "params"),
+              r"\$\.controllers(\[\d+\])?": ("gain",)}
+
+
+def _refuse_malformed(node, path: str) -> None:
+    """InvalidSpec naming the first fault of the document's shape: not an
+    object, a key unknown at its path, or a string, null, true or false but
+    an agent's kind (Python reads true as 1, numpy the string "1" as 1.0)."""
+    if path == "$" and not isinstance(node, dict):
+        raise InvalidSpec("$: the document is not a JSON object")
     if isinstance(node, (str, bool)) or node is None:
         if not re.fullmatch(r"\$\.agents(\[\d+\])?\.kind", path):
             raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
     elif isinstance(node, dict):
+        known = next((k for at, k in _JSON_KEYS.items() if re.fullmatch(at, path)), node)
         for key, child in node.items():
+            if key not in known:
+                raise InvalidSpec(f"{path}: unknown key {key!r}, not one of {', '.join(known)}")
             # a key that is not one word is quoted, as in $.x["a b"]
             step = (f".{key}" if re.fullmatch(r"\w+", str(key))
                     else f"[{json.dumps(str(key))}]")
-            _refuse_non_numbers(child, path + step)
+            _refuse_malformed(child, path + step)
     elif isinstance(node, list):
         for i, child in enumerate(node):
-            _refuse_non_numbers(child, f"{path}[{i}]")
+            _refuse_malformed(child, f"{path}[{i}]")
 
 
 @contextmanager
@@ -1039,7 +1059,7 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     Expected shape::
 
         {"graph": {"vertices": 5, "edges": [[0,1], ...]},
-         "agents": [{"kind": "gradient", "params": {...}}, ...],
+         "agents": [{"kind": "pendulum-gradient", "params": {...}}, ...],
          "controllers": [{"gain": 1.0}, ...],
          "x0": [...],
          "integrator": {"dt": 1e-3, "horizon": 100.0}}
@@ -1054,13 +1074,15 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
     must match the length of ``x0``, a flat list of finite numbers.  Text that
-    is not JSON and a missing or malformed entry (a string but an agent's
-    kind, a null, a true or a false) raise :class:`InvalidSpec` at its path.
+    is not JSON, a document that is not an object, a key not shown above (or
+    not a parameter of the agent kind or of :class:`IntegratorConfig`) and a
+    missing or malformed entry (a string but an agent's kind, a null, a true
+    or a false) raise :class:`InvalidSpec` at its path.
     """
     from .systems import AGENT_REGISTRY
     with _located("$"):
         doc = json.loads(doc) if isinstance(doc, str) else doc
-        _refuse_non_numbers(doc, "$")
+        _refuse_malformed(doc, "$")
         g, raw_agents, raw_ctrl = doc["graph"], doc["agents"], doc["controllers"]
         raw_x0 = doc["x0"]
     with _located("$.graph"):

@@ -93,12 +93,17 @@ class SymmetricDoubleCone:
     """Double cone stored as two unit boundary rays plus an interior probe.
 
     Each ray is identified with its antipode; the probe pins down which pair
-    of opposite sectors the cone occupies.
+    of opposite sectors the cone occupies; each is a pair of finite floats.
     """
 
     ray1: tuple[float, float]
     ray2: tuple[float, float]
     interior_probe: tuple[float, float]
+
+    def __post_init__(self):
+        for name in ("ray1", "ray2", "interior_probe"):
+            pair = _floats(getattr(self, name), f"cone {name}", (2,))
+            object.__setattr__(self, name, tuple(pair.tolist()))
 
     def _basis_inverse(self) -> np.ndarray:
         r = np.column_stack([self.ray1, self.ray2])

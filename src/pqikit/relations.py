@@ -38,6 +38,10 @@ from .errors import (DimensionMismatch, InvalidSamples, InvalidSpec, MultiValued
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
 TIE_RTOL = 1e-12
+# A decrease within this share of its operands' largest magnitude is rounding.
+DECREASE_RTOL = 1e-9
+# Rounding of a cell slope, per largest |value| over the cell width: 4 ulps.
+SLOPE_EPS = 4.0 * np.finfo(float).eps
 
 
 def _write_csv(path, header, columns) -> None:
@@ -167,9 +171,9 @@ class IntegralFunction:
 def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
     """Nonnegative second differences over cells of widths h, band relative to the slopes.
 
-    The band is 1e-9 of the largest cell slope, plus, where that alone
-    fails, the rounding of the two cell slopes involved: 4 ulps of the
-    largest value per cell width, so a line summed by trapezoids passes
+    The band is DECREASE_RTOL of the largest cell slope, plus, where that
+    alone fails, the rounding of the two cell slopes involved: SLOPE_EPS of
+    the largest value per cell width, so a line summed by trapezoids passes
     on any grid.  A cell slope past float range leaves the potential
     uncertified; a second difference or a band past it is the infinity it
     rounds to, so a bound that overflows on a subnormal cell certifies.
@@ -180,10 +184,10 @@ def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
         slopes = np.diff(values) / h
         if not np.isfinite(slopes).all():
             return False
-        second, band = np.diff(slopes), 1e-9 * np.abs(slopes).max()
+        second, band = np.diff(slopes), DECREASE_RTOL * np.abs(slopes).max()
         if np.all(second >= -band):
             return True
-        rounding = 4.0 * np.finfo(float).eps * np.abs(values).max() / h
+        rounding = SLOPE_EPS * np.abs(values).max() / h
         return bool(np.all(second >= -(band + rounding[:-1] + rounding[1:])))
 
 
@@ -330,9 +334,9 @@ def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
     """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs.
 
     Sorting by input reduces the pairwise check to adjacent comparisons;
-    a strictly increasing u is its own sort order, so it is not sorted.
-    Strict mode additionally requires a positive product whenever the inputs
-    differ.
+    a strictly increasing u is its own sort order, so it is not sorted.  A
+    fall of y within DECREASE_RTOL of its largest |y| is rounding.  Strict
+    mode also requires a rise of y where u rises past a tie (``TIE_RTOL``).
     """
     u, y = rel.u, rel.y
     du = np.diff(u)
@@ -341,10 +345,10 @@ def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
         u, y = u[order], y[order]
         du = np.diff(u)
     dy = np.diff(y)
-    if not np.all(dy >= -1e-9 * float(np.abs(y).max(initial=0.0))):
+    if not np.all(dy >= -DECREASE_RTOL * float(np.abs(y).max(initial=0.0))):
         return False
     if strict:
-        distinct = du > 1e-12 * float(np.abs(u).max(initial=0.0))
+        distinct = du > TIE_RTOL * float(np.abs(u).max(initial=0.0))
         if np.any(dy[distinct] <= 0.0):
             return False
     return True
@@ -369,7 +373,7 @@ def _ends_grow(norms: np.ndarray) -> bool:
     n = len(norms)
     dec = norms[max(0, n - max(2, n // 10)):]
     checkpoints = dec[np.linspace(0, len(dec) - 1, min(10, len(dec))).astype(int)]
-    slack = 1e-9 * float(checkpoints.max())
+    slack = DECREASE_RTOL * float(checkpoints.max())
     return bool(np.all(np.diff(checkpoints) >= -slack))
 
 

@@ -26,7 +26,6 @@ from .network import (
     AgentODE,
     ControllerSpec,
     Graph,
-    IntegratorConfig,
     NetworkSpec,
 )
 from .pqi import PassivityIndices
@@ -145,38 +144,27 @@ def unstable_plant_tf() -> RationalTF:
     return RationalTF.make([0.75], [-2.0, 2.0, 1.0])
 
 
-def pendulum_network(
-    n_agents: int = 5,
-    integrator: IntegratorConfig | None = None,
-) -> NetworkSpec:
-    """Path graph of default gradient-pendulum agents with unit edge gains.
+def pendulum_network() -> NetworkSpec:
+    """Path graph of five default gradient-pendulum agents with unit edge
+    gains and the default integrator.
 
     Initial states are drawn uniformly from [-20, 20] with seed 4 so runs
-    are reproducible.  With five agents the untransformed network settles
-    into several output clusters while the transformed network still
-    reaches consensus at zero.
+    are reproducible.  The untransformed network settles into several
+    output clusters while the transformed network still reaches consensus
+    at zero.
     """
-    rng = np.random.default_rng(4)
-    x0 = rng.uniform(-20.0, 20.0, size=n_agents)
-    graph = Graph.path(n_agents)
-    agents = (pendulum_gradient_agent(),) * n_agents
-    controllers = tuple(ControllerSpec(gain=1.0) for _ in range(graph.edge_count))
-    return NetworkSpec(graph, agents, controllers, x0,
-                       integrator or IntegratorConfig())
+    x0 = np.random.default_rng(4).uniform(-20.0, 20.0, size=5)
+    controllers = tuple(ControllerSpec(gain=1.0) for _ in range(4))
+    return NetworkSpec(Graph.path(5), (pendulum_gradient_agent(),) * 5, controllers, x0)
 
 
-def quadratic_network(
-    centers=(1.0, 3.0),
-    gain: float = 1.0,
-    integrator: IntegratorConfig | None = None,
-) -> NetworkSpec:
-    """Chain of quadratic agents; closed-form optimum makes it the duality fixture."""
+def quadratic_network(centers=(1.0, 3.0)) -> NetworkSpec:
+    """Chain of quadratic agents with unit edge gains and the default
+    integrator; closed-form optimum makes it the duality fixture."""
     n = len(centers)
-    graph = Graph.path(n)
-    agents = tuple(quadratic_agent(c) for c in centers)
-    controllers = tuple(ControllerSpec(gain=gain) for _ in range(graph.edge_count))
-    return NetworkSpec(graph, agents, controllers, np.zeros(n),
-                       integrator or IntegratorConfig())
+    controllers = tuple(ControllerSpec(gain=1.0) for _ in range(n - 1))
+    return NetworkSpec(Graph.path(n), tuple(quadratic_agent(c) for c in centers),
+                       controllers, np.zeros(n))
 
 
 AGENT_REGISTRY = {

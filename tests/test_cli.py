@@ -254,6 +254,14 @@ class TestSimulate:
          "$.graph.edges[0]: [0] is not a vertex pair"),
         ("graph", {"vertices": 2, "edges": [[0, 1, 1]]},
          "$.graph.edges[0]: [0, 1, 1] is not a vertex pair"),
+        # an unknown key is refused, never dropped
+        ("integrater", {"horizon": 5.0}, "$: unknown key 'integrater'"),
+        ("agents", {"kind": "quadratic", "param": {"center": 3.0}},
+         "$.agents: unknown key 'param', not one of kind, params"),
+        ("graph", {"vertices": 2, "edges": [[0, 1]], "edge": []},
+         "$.graph: unknown key 'edge', not one of vertices, edges"),
+        ("controllers", [{"gain": 1.0, "gian": 2.0}],
+         "$.controllers[0]: unknown key 'gian', not one of gain"),
     ])
     def test_malformed_spec_is_located_error(self, tmp_path, capsys, key, value,
                                              located):

@@ -201,14 +201,14 @@ class TestSimulate:
         np.testing.assert_allclose(sim.y[:, 0], np.exp(-sim.t), atol=1e-8)
 
     def test_coupling_identities_exact(self):
-        spec = quadratic_network(integrator=FAST)
+        spec = replace(quadratic_network(), integrator=FAST)
         sim = simulate(spec)
         E = spec.graph.incidence_matrix()
         np.testing.assert_array_equal(sim.zeta, sim.y @ E)
         np.testing.assert_array_equal(sim.u, -(sim.mu @ E.T))
 
     def test_quadratic_pair_reaches_known_steady_state(self):
-        sim = simulate(quadratic_network(integrator=FAST))
+        sim = simulate(replace(quadratic_network(), integrator=FAST))
         assert sim.converged
         np.testing.assert_allclose(sim.steady_state, [5.0 / 3.0, 7.0 / 3.0],
                                    atol=1e-4)
@@ -274,7 +274,7 @@ class TestSimulate:
             return replace(agent, f=lambda x, u: agent.f(x, u),
                            h=lambda x: agent.h(x))
 
-        shared = pendulum_network(integrator=IntegratorConfig(horizon=6.0))
+        shared = replace(pendulum_network(), integrator=IntegratorConfig(horizon=6.0))
         if layout == "per-vertex":
             agents = tuple(own(pendulum_gradient_agent()) for _ in range(5))
         else:
@@ -482,7 +482,7 @@ class TestTransformAgent:
         assert calls == [(7,), (7,)]
 
     def test_network_transform_counts(self):
-        spec = pendulum_network(n_agents=3)
+        spec = pendulum_network()
         with pytest.raises(DimensionMismatch):
             apply_network_transform(spec, [Transform2.identity()])
 
@@ -526,7 +526,7 @@ class TestSolvers:
         assert len(iterations) == 1, iterations
 
     def test_strong_coupling_drives_consensus_to_mean(self):
-        spec = quadratic_network(centers=(1.0, 3.0), gain=500.0)
+        spec = replace(quadratic_network(), controllers=(ControllerSpec(gain=500.0),))
         res = solve_opp(spec)
         np.testing.assert_allclose(res.primal, [2.0, 2.0], atol=2e-2)
 
@@ -614,7 +614,8 @@ class TestSolvers:
     def test_quadratic_network_matches_closed_form(self, n, shape, seed):
         if seed is None:
             centers = np.array([1.0, 3.0])
-            spec = quadratic_network(centers=tuple(centers), gain=500.0)
+            spec = replace(quadratic_network(tuple(centers)),
+                           controllers=(ControllerSpec(gain=500.0),))
         else:
             spec, centers = self._seeded_quadratic_network(n, shape, seed)
         E = spec.graph.incidence_matrix()
@@ -854,9 +855,9 @@ class TestPredictAndVerify:
         assert report.prediction.primal.shape == report.simulation.steady_state.shape == (0,)
 
     def test_nonmonotone_agents_rejected(self):
-        spec = pendulum_network(n_agents=3, integrator=FAST)
+        spec = replace(pendulum_network(), integrator=FAST)
         with pytest.raises(PreconditionFailed):
-            predict_and_verify(spec, [Transform2.identity()] * 3)
+            predict_and_verify(spec, [Transform2.identity()] * 5)
 
     def test_agent_without_relation_rejected(self):
         bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
@@ -963,6 +964,19 @@ class TestJsonIngest:
          r"^\$\.graph: DimensionMismatch: self-loop at vertex 0$"),
         (lambda d: d["integrator"].update(horizon=1e308, dt=0.01),
          r"^\$\.integrator: .*horizon 1e\+308 holds too many steps of dt 0\.01"),
+        # a misspelt key would leave its default (a centre of 0, a horizon of 100)
+        (lambda d: d["agents"][1].update(param=d["agents"][1].pop("params")),
+         r"^\$\.agents\[1\]: unknown key 'param', not one of kind, params$"),
+        (lambda d: d.update(integrater=d.pop("integrator")),
+         r"^\$: unknown key 'integrater', not one of graph, agents, controllers, x0, "
+         r"integrator$"),
+        (lambda d: d["graph"].update(vertex=2), r"^\$\.graph: unknown key 'vertex'"),
+        (lambda d: d["controllers"][0].update(gains=2.0),
+         r"^\$\.controllers\[0\]: unknown key 'gains', not one of gain$"),
+        (lambda d: d.update(agents={"kind": "quadratic", "center": 2.0}),
+         r"^\$\.agents: unknown key 'center'"),
+        (lambda d: d.update(controllers={"gain": 1.0, "k": 2.0}),
+         r"^\$\.controllers: unknown key 'k'"),
     ])
     def test_malformed_spec_names_json_path(self, mutate, where):
         doc = {
@@ -992,7 +1006,7 @@ class TestJsonIngest:
         assert len({id(a) for a in spec_from_json(doc).agents}) == 1
 
     def test_csv_export(self, tmp_path):
-        sim = simulate(quadratic_network(integrator=FAST))
+        sim = simulate(replace(quadratic_network(), integrator=FAST))
         path = tmp_path / "sim.csv"
         sim.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -1105,7 +1119,7 @@ def _bowls(count):
      r"^input levels must be 1-D, not of shape \(1, 2\)$"),
     (lambda: find_equilibria(quadratic_agent(), [0.0, float("nan")]), NonFiniteValue,
      r"^input levels\[1\] = nan is not finite$"),
-    (lambda: simulate(quadratic_network(integrator=IntegratorConfig(dt=0.0))),
+    (lambda: simulate(replace(quadratic_network(), integrator=IntegratorConfig(dt=0.0))),
      InvalidSpec, "^integrator step must be positive$"),
     (lambda: transform_agent(replace(quadratic_agent(0.0), feedthrough=1.0),
                              Transform2(1.0, -1.0, 0.0, 1.0)),
@@ -1136,8 +1150,17 @@ def _bowls(count):
      r"^edge 1 = \(0,\) is not a vertex pair$"),
     (lambda: Graph(2, ((0, 1, 1),)), DimensionMismatch,
      r"^edge 0 = \(0, 1, 1\) is not a vertex pair$"),
+    # Graph checks the count and the edges before range() or a loop reads them
+    (lambda: Graph.path(1.5), InvalidSpec,
+     r"^vertex count 1\.5 must be a non-negative integer$"),
+    (lambda: Graph.path("a"), InvalidSpec,
+     r"^vertex count 'a' must be a non-negative integer$"),
+    (lambda: Graph(2, 5), DimensionMismatch, r"^edges 5 are not a sequence$"),
     (lambda: spec_from_json("{"), InvalidSpec,
      r"^\$: JSONDecodeError: Expecting property name .*\(char 1\)$"),
+    # the document's shape is named before any entry is read
+    (lambda: spec_from_json('"abc"'), InvalidSpec, r"^\$: the document is not a JSON object$"),
+    (lambda: spec_from_json("[]"), InvalidSpec, r"^\$: the document is not a JSON object$"),
     (lambda: IntegratorConfig(horizon=-5.0), InvalidSpec,
      "^horizon must not be negative, got -5.0$"),
     (lambda: IntegratorConfig(convergence_window=-1.0), InvalidSpec,
@@ -1168,7 +1191,8 @@ def _bowls(count):
         "opp_without_relation", "not_strictly_monotone", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count", "edge_single",
-        "edge_triple", "spec_not_json",
+        "edge_triple", "path_fractional", "path_word", "edges_not_sequence",
+        "spec_not_json", "spec_string", "spec_list",
         "negative_horizon", "negative_window", "negative_tol_conv",
         "horizon_overflows_step_count", "dt_word", "horizon_ragged", "negative_gain",
         "gain_word", "gain_ragged", "x0_ragged", "x0_word", "equilibria_levels_ragged",

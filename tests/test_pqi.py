@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pqikit import (
     PQI,
     PassivityIndices,
+    SymmetricDoubleCone,
     Transform2,
     boundary_rays,
     contains,
@@ -288,12 +289,22 @@ WORD = "cannot be read as floats: could not convert string to float: 'a'$"
      "^point " + RAGGED),
     (lambda: solution_set(PQI(1.0, 0.0, -1.0)).contains([np.inf, 0.0]), NonFiniteValue,
      r"^point\[0\] = inf is not finite$"),
+    # the cone reads its own fields; a nan probe would answer False to every point
+    (lambda: SymmetricDoubleCone(("a", 0.0), (0.0, 1.0), (1.0, 1.0)), NonFiniteValue,
+     "^cone ray1 " + WORD),
+    (lambda: SymmetricDoubleCone((1.0, 0.0), (0.0, [1.0]), (1.0, 1.0)), NonFiniteValue,
+     "^cone ray2 " + RAGGED),
+    (lambda: SymmetricDoubleCone((1.0, 0.0), (0.0, 1.0), (np.nan, 1.0)), NonFiniteValue,
+     r"^cone interior_probe\[0\] = nan is not finite$"),
+    (lambda: SymmetricDoubleCone((1.0, 0.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
+     DimensionMismatch, r"^cone ray1 must be a pair, not of shape \(3,\)$"),
 ], ids=["pqi_word", "pqi_ragged", "pqi_zero", "indices_word", "indices_ragged",
         "transform_word", "transform_ragged", "from_matrix_ragged", "from_matrix_word",
         "pullback_ragged", "pullback_word", "pullback_nan_map", "transform_call_word",
         "transform_call_ragged", "transform_call_inf", "contains_word", "contains_ragged",
         "contains_nan", "contains_three", "cone_contains_word", "cone_contains_ragged",
-        "cone_contains_inf"])
+        "cone_contains_inf", "cone_ray_word", "cone_ray_ragged", "cone_probe_nan",
+        "cone_ray_three"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
