@@ -501,8 +501,8 @@ def simulate(spec: NetworkSpec) -> SimResult:
     computed once.  The convergence flag is set, at an accepted step, once
     the last step end with max state-derivative norm not below ``tol_conv``
     lies at least ``convergence_window`` back, less ``TIME_TIE``·dt so that
-    rounding cannot decide a tie; integration stops there.  Overflow is not warned
-    of: a non-finite trial step is retried or raised by
+    rounding cannot decide a tie; integration stops there.  Overflow is not
+    warned of: a non-finite trial step is retried or raised by
     :func:`dormand_prince`, and a stored row whose x, u, y, ζ or μ is not
     finite raises :class:`NonFiniteState` naming its time.
     """
