@@ -53,15 +53,16 @@ from .relations import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Directed graph given by a vertex count and (head, tail) edge pairs."""
+    """Directed graph given by a vertex count and (head, tail) edge pairs;
+    a bool is refused as a count or an index, though Python counts it as one."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not (isinstance(self.vertex_count, numbers.Integral) and self.vertex_count >= 0):
-            raise InvalidSpec(f"vertex count {self.vertex_count!r} must be a "
-                              "non-negative integer")
+        n = self.vertex_count
+        if type(n) is bool or not (isinstance(n, numbers.Integral) and n >= 0):
+            raise InvalidSpec(f"vertex count {n!r} must be a non-negative integer")
         try:
             object.__setattr__(self, "edges", tuple(self.edges))
         except TypeError:
@@ -71,9 +72,9 @@ class Graph:
                 h, t = edge
             except (TypeError, ValueError):
                 raise DimensionMismatch(f"edge {e} = {edge!r} is not a vertex pair") from None
-            if not all(isinstance(v, numbers.Integral) for v in (h, t)):
+            if not all(isinstance(v, numbers.Integral) and type(v) is not bool for v in (h, t)):
                 raise InvalidSpec(f"edge ({h},{t}): vertex indices must be integers")
-            if not (0 <= h < self.vertex_count and 0 <= t < self.vertex_count):
+            if not (0 <= h < n and 0 <= t < n):
                 raise DimensionMismatch(f"edge ({h},{t}) out of vertex range")
             if h == t:
                 raise DimensionMismatch(f"self-loop at vertex {h}")
@@ -277,10 +278,10 @@ class IntegratorConfig:
     """Settings of :func:`simulate`.
 
     ``dt`` is the step floor: steps adapt between it and half the
-    ``convergence_window``.  Rows are stored every 10·dt of time.  The run
-    is converged, and stops, once the max state-derivative norm has stayed
-    below ``tol_conv`` for ``convergence_window``; otherwise it ends at
-    ``horizon``, so ``tol_conv = 0`` runs to the horizon.  A setting that
+    ``convergence_window``; a run stores its start and every accepted step.
+    The run is converged, and stops, once the max state-derivative norm has
+    stayed below ``tol_conv`` for ``convergence_window``; otherwise it ends
+    at ``horizon``, so ``tol_conv = 0`` runs to the horizon.  A setting that
     is not a finite number raises NonFiniteValue naming it; a negative one,
     dt = 0 or a horizon of more steps of dt than a float can count raises
     InvalidSpec.  Both are ValueErrors.
@@ -418,27 +419,13 @@ _DP_STAGES = tuple(np.array(row) for row in (
 # 5th- minus 4th-order weights: h·(_DP_ERROR @ K) estimates the local error
 _DP_ERROR = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
                       -22 / 525, 1 / 40])
-# 4th-order dense output: x(t + σh) = x + h·(([σ, σ², σ³, σ⁴] @ _DP_DENSE) @ K);
-# the weights are formed first, so at σ = 0 they are zero and the row is x
-_DP_DENSE = np.array([
-    [1, 0, 0, 0, 0, 0, 0],
-    [-8048581381 / 2820520608, 0, 131558114200 / 32700410799,
-     -1754552775 / 470086768, 127303824393 / 49829197408,
-     -282668133 / 205662961, 40617522 / 29380423],
-    [8663915743 / 2820520608, 0, -68118460800 / 10900136933,
-     14199869525 / 1410260304, -318862633887 / 49829197408,
-     2019193451 / 616988883, -110615467 / 29380423],
-    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
-     -10690763975 / 1880347072, 701980252875 / 199316789632,
-     -1453857185 / 822651844, 69997945 / 29380423],
-])
 # step acceptance: RMS over components of error / (ATOL + RTOL·|x|) at most 1
 SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
 # a gap in time below TIME_TIE·dt is rounding: a step lands on t_end, a window ties
 TIME_TIE = 0.01
 
 
-def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
+def dormand_prince(f, x, t_end: float, dt: float, h_max: float):
     """Accepted steps of an adaptive Dormand–Prince 5(4) pair for dx/dt = f(x).
 
     Steps from (0, x) to ``t_end``, with steps between the floor ``dt`` and
@@ -446,14 +433,12 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
     the floor is accepted whatever its error; a non-finite step above the
     floor is retried smaller, one at the floor raises :class:`NonFiniteState`.
     Yields each accepted step's end time, state and derivative (overwritten
-    by the next step), and the 4th-order interpolant's rows (times, states)
-    at the multiples of ``stride·dt`` in [step start, step end).
+    by the next step); the last step ends at ``t_end``.
     """
     rms = 1.0 / np.sqrt(max(x.size, 1))
-    no_rows = (np.empty(0), np.empty((0,) + x.shape))
     K = np.empty((7,) + x.shape)  # stages of the current step
     K[0] = f(x)
-    t, next_row, h = 0.0, 0, dt
+    t, h = 0.0, dt
     while t < t_end:
         h = min(max(h, dt), h_max)
         at_floor = h <= dt or t_end - t <= dt
@@ -471,19 +456,9 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float, stride: int):
             continue
         if not finite:
             raise NonFiniteState(f"state blew up at t = {t:.3f}")
-        t_new = t_end if t_end - t <= h else t + h
-        rows_end = next_row
-        while rows_end * stride * dt < t_new:
-            rows_end += 1
-        rows = no_rows
-        if rows_end > next_row:
-            row_t = np.arange(next_row, rows_end) * stride * dt
-            sigma = (row_t - t) / h
-            rows = row_t, x + h * ((sigma[:, None] ** np.arange(1, 5) @ _DP_DENSE) @ K)
-            next_row = rows_end
-        t, x = t_new, x_new
+        t, x = (t_end if t_end - t <= h else t + h), x_new
         K[0] = K[6]
-        yield (t, x, K[0], *rows)
+        yield t, x, K[0]
         h *= factor
 
 
@@ -493,7 +468,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
     :func:`dormand_prince` steps it between the floor ``dt`` and half the
     convergence window up to ``horizon`` rounded to a multiple of ``dt``, so
     no run takes more steps than fixed steps of ``dt``.  Rows are stored at
-    multiples of 10·dt, plus a final row at the stop time.
+    t = 0 and at every accepted step, the last of which ends at the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
     the stored signals satisfy them exactly.  With feedthrough D the loop
@@ -534,22 +509,20 @@ def simulate(spec: NetworkSpec) -> SimResult:
 
     dt = cfg.dt
     window = max(cfg.convergence_window, dt)
-    t, x = 0.0, spec.x0
-    stored_t, stored_x = [], []
+    stored_t, stored_x = [0.0], [spec.x0]
     last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, x, x_dot, row_t, row_x in dormand_prince(
-                xdot, x, int(round(cfg.horizon / dt)) * dt, dt,
-                max(0.5 * window, dt), 10):
-            stored_t.append(row_t)
-            stored_x.append(row_x)
+        for t, x, x_dot in dormand_prince(xdot, spec.x0, int(round(cfg.horizon / dt)) * dt,
+                                          dt, max(0.5 * window, dt)):
+            stored_t.append(t)
+            stored_x.append(x)
             if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
                 last_moving = t
             if t - last_moving >= window - TIME_TIE * dt:
                 converged = True
                 break
-        ts, xs = np.concatenate(stored_t + [[t]]), np.concatenate(stored_x + [x[None]])
+        ts, xs = np.array(stored_t), np.array(stored_x)
         u, y, zeta, mu = (a.T for a in signals(xs.T))
     finite = np.isfinite(np.hstack((xs, u, y, zeta, mu))).all(axis=1)
     if not finite.all():
@@ -936,9 +909,9 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
 
     The report passes when the run converges to within 1e-2 of the prediction.
     Preconditions checked and reported on failure: every transformed agent
-    relation is (numerically) maximally monotone, and at least one side of
-    each relation is strictly monotone.  Every controller is MEIP by
-    construction (a static positive gain).
+    relation is (numerically) maximally monotone and strictly monotone: the
+    potential integrates u over y, so y must rise wherever u rises.  Every
+    controller is MEIP by construction (a static positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
 
@@ -948,9 +921,8 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
             return "no steady-state relation declared"
         if not is_maximal_monotone(agent.relation):
             return "transformed relation is not maximally monotone"
-        if not (is_monotone(agent.relation, strict=True)
-                or is_monotone(agent.relation.inverse(), strict=True)):
-            return "neither the relation nor its inverse is strictly monotone"
+        if not is_monotone(agent.relation, strict=True):
+            return "relation is not strictly monotone"
         return None
 
     failures = [f"agent {i}: {why}"
@@ -991,23 +963,30 @@ def _json_edge(edge, n: int, path: str) -> tuple:
     return ends
 
 
-# the keys of a JSON object by its path; others refuse theirs where they are read
+# the keys of a JSON object by its path, or None where its reader refuses unknown ones
 _JSON_KEYS = {r"\$": ("graph", "agents", "controllers", "x0", "integrator"),
               r"\$\.graph": ("vertices", "edges"), r"\$\.agents(\[\d+\])?": ("kind", "params"),
-              r"\$\.controllers(\[\d+\])?": ("gain",)}
+              r"\$\.controllers(\[\d+\])?": ("gain",), r"\$\.agents(\[\d+\])?\.params": None,
+              r"\$\.integrator": None}
 
 
 def _refuse_malformed(node, path: str) -> None:
     """InvalidSpec naming the first fault of the document's shape: not an
-    object, a key unknown at its path, or a string, null, true or false but
-    an agent's kind (Python reads true as 1, numpy the string "1" as 1.0)."""
+    object at an object's path (a list may stand at $.agents and $.controllers),
+    a key unknown at its path, or a string, null, true or false but an
+    agent's kind (Python reads true as 1, numpy the string "1" as 1.0)."""
     if path == "$" and not isinstance(node, dict):
         raise InvalidSpec("$: the document is not a JSON object")
+    shape = [keys for at, keys in _JSON_KEYS.items() if re.fullmatch(at, path)]
+    listed = path in ("$.agents", "$.controllers")
+    if shape and not (isinstance(node, dict) or listed and isinstance(node, list)):
+        raise InvalidSpec(f"{path}: {json.dumps(node, default=repr)} is not an object"
+                          + (" or a list" if listed else ""))
     if isinstance(node, (str, bool)) or node is None:
         if not re.fullmatch(r"\$\.agents(\[\d+\])?\.kind", path):
             raise InvalidSpec(f"{path}: {json.dumps(node)} is not a number")
     elif isinstance(node, dict):
-        known = next((k for at, k in _JSON_KEYS.items() if re.fullmatch(at, path)), node)
+        known = next(iter(shape), None) or node
         for key, child in node.items():
             if key not in known:
                 raise InvalidSpec(f"{path}: unknown key {key!r}, not one of {', '.join(known)}")
@@ -1076,8 +1055,8 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     must match the length of ``x0``, a flat list of finite numbers.  Text that
     is not JSON, a document that is not an object, a key not shown above (or
     not a parameter of the agent kind or of :class:`IntegratorConfig`) and a
-    missing or malformed entry (a string but an agent's kind, a null, a true
-    or a false) raise :class:`InvalidSpec` at its path.
+    missing or malformed entry (not an object where one is expected; a string
+    but an agent's kind, a null, a true or a false) raise InvalidSpec at its path.
     """
     from .systems import AGENT_REGISTRY
     with _located("$"):

@@ -225,8 +225,7 @@ def _reach(f, us):
         return out
 
     x = np.array(X0_RANGE)
-    # a stride of HORIZON/1e-3 leaves one interpolated row, at t = 0, unread
-    for _, x, _, _, _ in dormand_prince(bounds, x, HORIZON, 1e-3, 1.0, 10**4):
+    for _, x, _ in dormand_prince(bounds, x, HORIZON, 1e-3, 1.0):
         pass
     return min(x[0], X0_RANGE[0]), max(x[1], X0_RANGE[1])
 

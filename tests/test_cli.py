@@ -224,8 +224,8 @@ class TestSimulate:
          "$.integrator: InvalidSpec: horizon 1e+308 holds too many steps"),
         ("x0", [float("inf"), 0.0], "$.x0: NonFiniteValue: x0[0] = inf is not finite"),
         ("x0", [0.0, float("nan")], "$.x0: NonFiniteValue: x0[1] = nan is not finite"),
-        # the built-in agents' grids and the integrator's row stride and
-        # stop rule are constants, so a spec cannot set them
+        # the built-in agents' grids, the integrator's stored rows and its
+        # stop rule are fixed, so a spec cannot set them
         ("agents", {"kind": "pendulum-gradient", "params": {"n": 0}},
          "$.agents.params: TypeError: pendulum_gradient_agent() got an "
          "unexpected keyword argument 'n'"),

@@ -221,8 +221,6 @@ class TestSimulate:
             simulate(spec)
 
     def test_rows_at_a_step_start_keep_the_state_near_float_range(self):
-        # stage derivatives near 1e308 overflow the dense-output weights
-        # times K when K is combined first: 0·inf made the t = 0 row nan
         spec = NetworkSpec(Graph.path(3), (quadratic_agent(1e308),) * 3,
                            (ControllerSpec(gain=1.0),) * 2,
                            np.array([0.1, 0.0, 0.0]), FAST)
@@ -232,14 +230,46 @@ class TestSimulate:
 
     def test_non_finite_output_names_its_row_time(self):
         # the state e^-t stays finite; the output is infinite once it falls
-        # below 1/2, first at the row t = 0.70 (ln 2 = 0.693)
+        # below 1/2, first at the step that ends at t = 0.719 (ln 2 = 0.693)
         agent = AgentODE(f=lambda x, u: -x,
                          h=lambda x: np.where(x < 0.5, np.inf, x))
         spec = NetworkSpec(Graph(1, ()), (agent,), (), np.array([1.0]),
                            IntegratorConfig(horizon=2.0))
         with pytest.raises(NonFiniteState,
-                           match=r"^signals not finite at t = 0\.700$"):
+                           match=r"^signals not finite at t = 0\.719$"):
             simulate(spec)
+
+    def test_rows_are_the_steps(self, monkeypatch):
+        real, steps = network_module.dormand_prince, []
+
+        def counted(*args):
+            for step in real(*args):
+                steps.append(step[0])
+                yield step
+
+        monkeypatch.setattr(network_module, "dormand_prince", counted)
+        sim = simulate(replace(quadratic_network(), integrator=FAST))
+        assert len(sim.t) == 1 + len(steps) and sim.t[0] == 0.0
+        assert sim.t[1:].tolist() == steps and np.all(np.diff(sim.t) > 0.0)
+        assert sim.converged and sim.t[-1] < FAST.horizon
+        sim = simulate(replace(quadratic_network(),
+                               integrator=IntegratorConfig(horizon=3.0, tol_conv=0.0)))
+        assert sim.t[-1] == 3.0 and np.all(np.diff(sim.t) > 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_path_rows_match_the_exponential(self, seed):
+        # quadratic agents on a path with unit gains: x' = -(I + E·Eᵀ)x + c,
+        # so every stored row is x* + V·e^(-Λt)·Vᵀ(x0 - x*) for the
+        # eigenpairs (Λ, V) of I + E·Eᵀ
+        centres = np.random.default_rng(seed).uniform(-3.0, 3.0, 5)
+        spec = replace(quadratic_network(centres),
+                       integrator=IntegratorConfig(horizon=20.0, tol_conv=0.0))
+        sim = simulate(spec)
+        E = spec.graph.incidence_matrix()
+        lam, V = np.linalg.eigh(np.eye(5) + E @ E.T)
+        x_star = V @ ((V.T @ centres) / lam)
+        exact = x_star + (np.exp(-np.outer(sim.t, lam)) * (V.T @ (spec.x0 - x_star))) @ V.T
+        assert np.abs(sim.x - exact).max() <= 1e-9 * np.abs(x_star).max()
 
     def test_non_finite_trial_step_is_retried(self):
         # sqrt(x) is NaN below zero: once x is tiny, steps of a few time
@@ -878,14 +908,14 @@ class TestPredictAndVerify:
         spec = NetworkSpec(Graph.path(4), (shared, shared, other, shared),
                            (ControllerSpec(gain=1.0),) * 3, np.zeros(4), FAST)
         assert predict_and_verify(spec, [Transform2.identity()] * 4).passed
-        # two transformed agents, each strictly monotone on its first side
+        # two transformed agents, one strictness check each
         assert calls == {"is_maximal_monotone": 2, "is_monotone": 2}
 
     def test_shared_failing_agent_named_at_every_vertex(self):
         spec = NetworkSpec(Graph.path(3), (_kinked_agent(),) * 3,
                            (ControllerSpec(gain=1.0),) * 2, np.zeros(3), FAST)
-        with pytest.raises(PreconditionFailed, match="^agent 0: neither .*; agent 1: "
-                           "neither .*; agent 2: neither the relation"):
+        named = "; ".join(f"agent {i}: relation is not strictly monotone" for i in range(3))
+        with pytest.raises(PreconditionFailed, match=f"^{named}$"):
             predict_and_verify(spec, [Transform2.identity()] * 3)
 
 
@@ -977,6 +1007,16 @@ class TestJsonIngest:
          r"^\$\.agents: unknown key 'center'"),
         (lambda d: d.update(controllers={"gain": 1.0, "k": 2.0}),
          r"^\$\.controllers: unknown key 'k'"),
+        # an object's path holds an object, so nothing reads a list or a number as one
+        (lambda d: d["agents"][1].update(params=None),
+         r"^\$\.agents\[1\]\.params: null is not an object$"),
+        (lambda d: d["agents"][1].update(params=[1.0]),
+         r"^\$\.agents\[1\]\.params: \[1\.0\] is not an object$"),
+        (lambda d: d.update(integrator=[1.0]), r"^\$\.integrator: \[1\.0\] is not an object$"),
+        (lambda d: d.update(graph=[2]), r"^\$\.graph: \[2\] is not an object$"),
+        (lambda d: d.update(agents=3), r"^\$\.agents: 3 is not an object or a list$"),
+        (lambda d: d.update(controllers=[1.0]),
+         r"^\$\.controllers\[0\]: 1\.0 is not an object$"),
     ])
     def test_malformed_spec_names_json_path(self, mutate, where):
         doc = {
@@ -1092,6 +1132,13 @@ def _kinked_agent():
     return AgentODE(f=lambda x, u: -x, h=lambda x: x, relation=rel)
 
 
+def _saturated_agent():
+    """Saturation y = clip(u, -1, 1), maximally monotone with two flat runs."""
+    s = np.linspace(-3.0, 3.0, 601)
+    return AgentODE(f=lambda x, u: -x + u, h=lambda x: np.clip(x, -1.0, 1.0),
+                    relation=PlanarRelation(s, np.clip(s, -1.0, 1.0), s))
+
+
 def _bare_spec():
     bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
     return NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
@@ -1129,7 +1176,13 @@ def _bowls(count):
     (lambda: predict_and_verify(
         NetworkSpec(Graph(1, ()), (_kinked_agent(),), (), np.zeros(1), FAST),
         [Transform2.identity()]),
-     PreconditionFailed, "^agent 0: neither the relation nor its inverse"),
+     PreconditionFailed, "^agent 0: relation is not strictly monotone$"),
+    # y = clip(u, -1, 1) rises nowhere on its flat runs: only its inverse is
+    # strictly monotone, and the potential integrates u over y
+    (lambda: predict_and_verify(
+        NetworkSpec(Graph(1, ()), (_saturated_agent(),), (), np.zeros(1), FAST),
+        [Transform2.identity()]),
+     PreconditionFailed, "^agent 0: relation is not strictly monotone$"),
     # each potential is flat at 1e308 in float, so their sum overflows
     (lambda: solve_opp(quadratic_network(), node_potentials=[
         IntegralFunction.from_function(lambda y, c=c: 1e308 + (y - c) ** 2,
@@ -1156,6 +1209,13 @@ def _bowls(count):
     (lambda: Graph.path("a"), InvalidSpec,
      r"^vertex count 'a' must be a non-negative integer$"),
     (lambda: Graph(2, 5), DimensionMismatch, r"^edges 5 are not a sequence$"),
+    # Python counts a bool as an integer, so True would be one vertex
+    (lambda: Graph(True, ()), InvalidSpec,
+     r"^vertex count True must be a non-negative integer$"),
+    (lambda: Graph.path(True), InvalidSpec,
+     r"^vertex count True must be a non-negative integer$"),
+    (lambda: Graph(2, ((True, False),)), InvalidSpec,
+     r"^edge \(True,False\): vertex indices must be integers$"),
     (lambda: spec_from_json("{"), InvalidSpec,
      r"^\$: JSONDecodeError: Expecting property name .*\(char 1\)$"),
     # the document's shape is named before any entry is read
@@ -1188,10 +1248,11 @@ def _bowls(count):
      InvalidSpec, "^trials must be an integer of at least 1, got 'a'$"),
 ], ids=["controller_count", "x0_length", "x0_2d", "equilibria_levels_2d",
         "equilibria_level_nan", "dt", "feedthrough",
-        "opp_without_relation", "not_strictly_monotone", "opp_overflow",
+        "opp_without_relation", "not_strictly_monotone", "saturation", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count", "edge_single",
         "edge_triple", "path_fractional", "path_word", "edges_not_sequence",
+        "bool_vertex_count", "path_bool", "bool_vertex_index",
         "spec_not_json", "spec_string", "spec_list",
         "negative_horizon", "negative_window", "negative_tol_conv",
         "horizon_overflows_step_count", "dt_word", "horizon_ragged", "negative_gain",
