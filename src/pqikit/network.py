@@ -419,8 +419,9 @@ _DP_STAGES = tuple(np.array(row) for row in (
 # 5th- minus 4th-order weights: h·(_DP_ERROR @ K) estimates the local error
 _DP_ERROR = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
                       -22 / 525, 1 / 40])
-# step acceptance: RMS over components of error / (ATOL + RTOL·|x|) at most 1
-SIM_RTOL, SIM_ATOL = 1e-9, 1e-12
+# step acceptance: RMS over components of the error at most SIM_RTOL times
+# the largest |x| the run has reached
+SIM_RTOL = 1e-9
 # a gap in time below TIME_TIE·dt is rounding: a step lands on t_end, a window ties
 TIME_TIE = 0.01
 
@@ -429,13 +430,20 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float):
     """Accepted steps of an adaptive Dormand–Prince 5(4) pair for dx/dt = f(x).
 
     Steps from (0, x) to ``t_end``, with steps between the floor ``dt`` and
-    ``h_max`` that meet ``SIM_RTOL`` and ``SIM_ATOL`` (RMS over x).  A step at
-    the floor is accepted whatever its error; a non-finite step above the
-    floor is retried smaller, one at the floor raises :class:`NonFiniteState`.
+    ``h_max`` whose error estimate (RMS over x) is at most ``SIM_RTOL`` times
+    the peak: the largest |x| among x, the accepted states and the trial
+    state.  The error is thus measured in the run's own units: when
+    f(2^k·x) = 2^k·f(x), starting from 2^k·x scales every accepted state by
+    2^k and leaves the step times as they are, short of overflow and
+    underflow.  A step whose peak is 0 meets the bound only with an error
+    estimate of 0, as in a network at rest.  A step at the floor is
+    accepted whatever its error; a non-finite step above the floor is
+    retried smaller, one at the floor raises :class:`NonFiniteState`.
     Yields each accepted step's end time, state and derivative (overwritten
     by the next step); the last step ends at ``t_end``.
     """
     rms = 1.0 / np.sqrt(max(x.size, 1))
+    peak = float(abs(x).max(initial=0.0))
     K = np.empty((7,) + x.shape)  # stages of the current step
     K[0] = f(x)
     t, h = 0.0, dt
@@ -448,18 +456,33 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float):
             x_new = x + (h * weights) @ K[:s]
             K[s] = f(x_new)
         finite = bool(np.isfinite(x_new).all())
-        scale = SIM_ATOL + SIM_RTOL * np.maximum(abs(x), abs(x_new))
-        err = rms * float(np.linalg.norm(h * (_DP_ERROR @ K) / scale)) if finite else np.inf
+        err = np.inf
+        if finite:
+            trial_peak = max(peak, float(abs(x_new).max(initial=0.0)))
+            local = h * (_DP_ERROR @ K)
+            if trial_peak:  # divided before the norm, which would overflow near 1e308
+                err = rms * float(np.linalg.norm(local / trial_peak)) / SIM_RTOL
+            elif not local.any():
+                err = 0.0
         factor = min(10.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
         if not (err <= 1.0 or at_floor):
             h *= factor
             continue
         if not finite:
             raise NonFiniteState(f"state blew up at t = {t:.3f}")
-        t, x = (t_end if t_end - t <= h else t + h), x_new
+        t, x, peak = (t_end if t_end - t <= h else t + h), x_new, trial_peak
         K[0] = K[6]
         yield t, x, K[0]
         h *= factor
+
+
+def _ordered_matmul(M, v):
+    """M @ v with each entry summed over M's columns in index order, so a
+    column of the result does not depend on how many columns v has."""
+    out = np.zeros((M.shape[0],) + v.shape[1:])
+    for j in range(M.shape[1]):
+        out += M[:, j, None] * v[j]
+    return out
 
 
 def simulate(spec: NetworkSpec) -> SimResult:
@@ -467,11 +490,15 @@ def simulate(spec: NetworkSpec) -> SimResult:
 
     :func:`dormand_prince` steps it between the floor ``dt`` and half the
     convergence window up to ``horizon`` rounded to a multiple of ``dt``, so
-    no run takes more steps than fixed steps of ``dt``.  Rows are stored at
-    t = 0 and at every accepted step, the last of which ends at the stop time.
+    no run takes more steps than fixed steps of ``dt``; each step's error is
+    bounded relative to the largest |x| the run has reached.  Rows are
+    stored at t = 0 and at every accepted step, the last of which ends at
+    the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
-    the stored signals satisfy them exactly.  With feedthrough D the loop
+    the stored signals satisfy them exactly.  Their products are summed in
+    a fixed order, so a stored row's signals do not depend on how many rows
+    a run stores.  With feedthrough D the loop
     y = h(x) + D·u, u = -E G Eᵀ y is linear in y and solved with an inverse
     computed once.  The convergence flag is set, at an accepted step, once
     the last step end with max state-derivative norm not below ``tol_conv``
@@ -495,17 +522,18 @@ def simulate(spec: NetworkSpec) -> SimResult:
     f_groups = _agent_groups(spec.agents, "f")
     h_groups = _agent_groups(spec.agents, "h")
 
-    def signals(x):
-        """u, y, ζ, μ at x; a trailing axis of x holds many states."""
+    def signals(x, matmul):
+        """u, y, ζ, μ at x, with matrix products by ``matmul``; a trailing
+        axis of x holds many states."""
         y = _evaluate(h_groups, x)
         if loop_inv is not None:
-            y = loop_inv @ y
-        zeta = Et @ y
+            y = matmul(loop_inv, y)
+        zeta = matmul(Et, y)
         mu = (gains * zeta.T).T
-        return negE @ mu, y, zeta, mu
+        return matmul(negE, mu), y, zeta, mu
 
     def xdot(x):
-        return _evaluate(f_groups, x, signals(x)[0])
+        return _evaluate(f_groups, x, signals(x, np.matmul)[0])
 
     dt = cfg.dt
     window = max(cfg.convergence_window, dt)
@@ -523,7 +551,7 @@ def simulate(spec: NetworkSpec) -> SimResult:
                 converged = True
                 break
         ts, xs = np.array(stored_t), np.array(stored_x)
-        u, y, zeta, mu = (a.T for a in signals(xs.T))
+        u, y, zeta, mu = (a.T for a in signals(xs.T, _ordered_matmul))
     finite = np.isfinite(np.hstack((xs, u, y, zeta, mu))).all(axis=1)
     if not finite.all():
         raise NonFiniteState(f"signals not finite at t = {ts[np.argmin(finite)]:.3f}")

@@ -135,9 +135,8 @@ LEDGER = {
     ("network.py", "IntegratorConfig", 1e-3): ("the default step floor dt: the time unit",),
     ("network.py", "IntegratorConfig", 1e-6): (
         "tol_conv on the state derivative, " + ABSOLUTE.format(28),),
-    ("network.py", "SIM_RTOL", 1e-9): ("step error, of the state's |x|",),
-    ("network.py", "SIM_ATOL", 1e-12): (
-        "step error floor, " + ABSOLUTE.format(28),),
+    ("network.py", "SIM_RTOL", 1e-9): (
+        "step error, of the largest |x| the run has reached",),
     ("network.py", "TIME_TIE", 0.01): ("a gap in time that is rounding, of dt",),
     ("network.py", "dormand_prince", 1e-10): (
         "error floor of the step factor: the error is already of its tolerance",),

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -230,14 +231,55 @@ class TestSimulate:
 
     def test_non_finite_output_names_its_row_time(self):
         # the state e^-t stays finite; the output is infinite once it falls
-        # below 1/2, first at the step that ends at t = 0.719 (ln 2 = 0.693)
-        agent = AgentODE(f=lambda x, u: -x,
-                         h=lambda x: np.where(x < 0.5, np.inf, x))
-        spec = NetworkSpec(Graph(1, ()), (agent,), (), np.array([1.0]),
+        # below 1/2, first at the first step that ends past ln 2, read from
+        # the same run with a finite output
+        finite = AgentODE(f=lambda x, u: -x, h=lambda x: x)
+        spec = NetworkSpec(Graph(1, ()), (finite,), (), np.array([1.0]),
                            IntegratorConfig(horizon=2.0))
-        with pytest.raises(NonFiniteState,
-                           match=r"^signals not finite at t = 0\.719$"):
-            simulate(spec)
+        t = simulate(spec).t
+        message = f"signals not finite at t = {t[np.argmax(t > math.log(2.0))]:.3f}"
+        agent = replace(finite, h=lambda x: np.where(x < 0.5, np.inf, x))
+        with pytest.raises(NonFiniteState, match=f"^{re.escape(message)}$"):
+            simulate(replace(spec, agents=(agent,)))
+
+    def test_network_at_rest_steps_at_the_cap(self):
+        # x0 = 0 and f(0, 0) = 0: the peak |x| stays 0 and so does every
+        # error estimate, which must let the steps grow from the floor to
+        # h_max (x10 a step) with no nan and no warning
+        spec = replace(quadratic_network((0.0, 0.0, 0.0)),
+                       integrator=IntegratorConfig(horizon=20.0, tol_conv=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = simulate(spec)
+            with np.errstate(all="raise"):
+                steps = [t for t, _, _ in network_module.dormand_prince(
+                    lambda x: np.zeros_like(x), np.zeros(3), 20.0, 1e-3, 5.0)]
+        assert sim.t[-1] == 20.0 and not np.any(sim.x) and not np.any(sim.u)
+        assert len(sim.t) - 1 == 3 + math.ceil((20.0 - 0.111) / 0.5)
+        assert steps[:4] == [0.001, 0.011, 0.111, 1.111] and steps[-1] == 20.0
+        assert len(steps) == 4 + math.ceil((20.0 - 1.111) / 5.0)
+
+    def test_stored_signals_do_not_depend_on_the_row_count(self):
+        # rows that two runs share carry equal signals, whatever the number
+        # of rows each run stores; a small window caps the steps at 0.005,
+        # so the runs store about 200 and 1600 rows
+        rng = np.random.default_rng(7)
+        n = 20
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+        edges += [(i, j) for i, j in rng.integers(n, size=(15, 2)).tolist() if i < j]
+        spec = NetworkSpec(
+            Graph(n, tuple(edges)), (pendulum_gradient_agent(),) * n,
+            tuple(ControllerSpec(gain=g) for g in rng.uniform(0.5, 2.0, len(edges))),
+            rng.uniform(-20.0, 20.0, n))
+        spec = apply_network_transform(spec, [Transform2(1.0, 2.5, 0.0, 1.0)] * n)
+        short, long = (simulate(replace(spec, integrator=IntegratorConfig(
+            horizon=horizon, convergence_window=0.01, tol_conv=0.0)))
+            for horizon in (1.0, 8.0))
+        shared = len(short.t) - 1
+        assert np.array_equal(short.t[:shared], long.t[:shared])
+        for name in ("x", "u", "y", "zeta", "mu"):
+            assert np.array_equal(getattr(short, name)[:shared],
+                                  getattr(long, name)[:shared]), name
 
     def test_rows_are_the_steps(self, monkeypatch):
         real, steps = network_module.dormand_prince, []
@@ -256,20 +298,43 @@ class TestSimulate:
                                integrator=IntegratorConfig(horizon=3.0, tol_conv=0.0)))
         assert sim.t[-1] == 3.0 and np.all(np.diff(sim.t) > 0.0)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_linear_path_rows_match_the_exponential(self, seed):
-        # quadratic agents on a path with unit gains: x' = -(I + E·Eᵀ)x + c,
-        # so every stored row is x* + V·e^(-Λt)·Vᵀ(x0 - x*) for the
-        # eigenpairs (Λ, V) of I + E·Eᵀ
-        centres = np.random.default_rng(seed).uniform(-3.0, 3.0, 5)
-        spec = replace(quadratic_network(centres),
+    @staticmethod
+    def _linear_path_error(centres, x0):
+        """Largest distance of a stored x from the exact trajectory, of
+        max|x*|, on a 5-vertex path of quadratic agents (tol_conv 0,
+        horizon 20); and the run.
+
+        With unit gains x' = -(I + E·Eᵀ)x + c, so every stored row is
+        x* + V·e^(-Λt)·Vᵀ(x0 - x*) for the eigenpairs (Λ, V) of I + E·Eᵀ.
+        """
+        spec = replace(quadratic_network(centres), x0=x0,
                        integrator=IntegratorConfig(horizon=20.0, tol_conv=0.0))
         sim = simulate(spec)
         E = spec.graph.incidence_matrix()
         lam, V = np.linalg.eigh(np.eye(5) + E @ E.T)
         x_star = V @ ((V.T @ centres) / lam)
-        exact = x_star + (np.exp(-np.outer(sim.t, lam)) * (V.T @ (spec.x0 - x_star))) @ V.T
-        assert np.abs(sim.x - exact).max() <= 1e-9 * np.abs(x_star).max()
+        exact = x_star + (np.exp(-np.outer(sim.t, lam)) * (V.T @ (x0 - x_star))) @ V.T
+        return np.abs(sim.x - exact).max() / np.abs(x_star).max(), sim
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_path_rows_match_the_exponential(self, seed):
+        centres = np.random.default_rng(seed).uniform(-3.0, 3.0, 5)
+        assert self._linear_path_error(centres, np.zeros(5))[0] <= 1e-9
+
+    def test_linear_path_rows_scale_with_the_units(self):
+        # x0 and centres scaled by 2^k scale every stored row by 2^k, with
+        # the same step times, and each scale meets the exponential's bound
+        rng = np.random.default_rng(5)
+        centres, x0 = rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5)
+        error, base = self._linear_path_error(centres, x0)
+        assert error <= 1e-9
+        for k in (-30, -20, -10, 10, 20, 30):
+            error, sim = self._linear_path_error(2.0 ** k * centres, 2.0 ** k * x0)
+            assert error <= 1e-9, k
+            assert np.array_equal(sim.t, base.t), k
+            for name in ("x", "u", "y", "zeta", "mu"):
+                assert np.array_equal(getattr(sim, name),
+                                      2.0 ** k * getattr(base, name)), (k, name)
 
     def test_non_finite_trial_step_is_retried(self):
         # sqrt(x) is NaN below zero: once x is tiny, steps of a few time
