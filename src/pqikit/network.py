@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidSamples,
     InvalidSpec,
     NoConvergence,
     NonConvexCertificate,
@@ -34,6 +35,7 @@ from .errors import (
     PreconditionFailed,
     SingularTransform,
     ToolkitError,
+    WrongRepresentation,
     _floats,
 )
 from .relations import (
@@ -226,11 +228,13 @@ class AgentODE:
         by one call of ``f`` at all window ends: an exact zero or a sign
         change of f(., u) across the window, rather than a small |f|, which
         is unbounded below for infinite-slope dynamics like cube roots.  An
-        h not strictly monotone on a 2001-point grid of [-50, 50], or a
-        sample whose window is empty, raises PreconditionFailed.
+        h not strictly monotone on a 2001-point grid of [-50, 50], or a sample
+        whose window is empty, raises PreconditionFailed; no sample, InvalidSamples.
         """
         if self.relation is None:
             return True
+        if not len(self.relation.u):
+            raise InvalidSamples("relation check: the relation has no samples")
         h0 = agent_call(self.h, np.linspace(-50.0, 50.0, 2001))
         rise = np.diff(h0)
         if not (np.all(rise > 0.0) or np.all(rise < 0.0)):
@@ -331,10 +335,10 @@ class NetworkSpec:
 @dataclass
 class SimResult:
     t: np.ndarray
-    x: np.ndarray        # (steps, vertices)
+    x: np.ndarray        # (rows, vertices)
     u: np.ndarray
     y: np.ndarray
-    zeta: np.ndarray     # (steps, edges)
+    zeta: np.ndarray     # (rows, edges)
     mu: np.ndarray
     converged: bool
     steady_state: np.ndarray  # terminal y estimate
@@ -393,8 +397,7 @@ def _agent_groups(agents, name: str):
 
 
 def _evaluate(groups, x, *u):
-    """Per-vertex values of each group's callable at x, and at u if given;
-    vertices run along the first axis, a trailing axis holds many states."""
+    """Per-vertex values of each group's callable at x, and at u if given."""
     out = np.empty(x.shape)
     try:
         for fn, sel in groups:
@@ -440,7 +443,8 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float):
     accepted whatever its error; a non-finite step above the floor is
     retried smaller, one at the floor raises :class:`NonFiniteState`.
     Yields each accepted step's end time, state and derivative (overwritten
-    by the next step); the last step ends at ``t_end``.
+    by the next step), the last ending at ``t_end``; :func:`simulate` relies
+    on the last call of ``f`` before each yield being at the yielded state.
     """
     rms = 1.0 / np.sqrt(max(x.size, 1))
     peak = float(abs(x).max(initial=0.0))
@@ -476,15 +480,6 @@ def dormand_prince(f, x, t_end: float, dt: float, h_max: float):
         h *= factor
 
 
-def _ordered_matmul(M, v):
-    """M @ v with each entry summed over M's columns in index order, so a
-    column of the result does not depend on how many columns v has."""
-    out = np.zeros((M.shape[0],) + v.shape[1:])
-    for j in range(M.shape[1]):
-        out += M[:, j, None] * v[j]
-    return out
-
-
 def simulate(spec: NetworkSpec) -> SimResult:
     """Adaptive Dormand–Prince 5(4) integration of the diffusively-coupled loop.
 
@@ -496,9 +491,9 @@ def simulate(spec: NetworkSpec) -> SimResult:
     the stop time.
 
     The couplings ζ = Eᵀy and u = -Eμ are evaluated, never integrated, so
-    the stored signals satisfy them exactly.  Their products are summed in
-    a fixed order, so a stored row's signals do not depend on how many rows
-    a run stores.  With feedthrough D the loop
+    the stored signals satisfy them exactly.  A stored row's u, y, ζ and μ
+    are the ones the right-hand side computed at its state, so the agents
+    were driven by the stored u.  With feedthrough D the loop
     y = h(x) + D·u, u = -E G Eᵀ y is linear in y and solved with an inverse
     computed once.  The convergence flag is set, at an accepted step, once
     the last step end with max state-derivative norm not below ``tol_conv``
@@ -522,36 +517,36 @@ def simulate(spec: NetworkSpec) -> SimResult:
     f_groups = _agent_groups(spec.agents, "f")
     h_groups = _agent_groups(spec.agents, "h")
 
-    def signals(x, matmul):
-        """u, y, ζ, μ at x, with matrix products by ``matmul``; a trailing
-        axis of x holds many states."""
+    def signals(x):
+        """u, y, ζ, μ at x."""
         y = _evaluate(h_groups, x)
         if loop_inv is not None:
-            y = matmul(loop_inv, y)
-        zeta = matmul(Et, y)
-        mu = (gains * zeta.T).T
-        return matmul(negE, mu), y, zeta, mu
+            y = loop_inv @ y
+        zeta = Et @ y
+        mu = gains * zeta
+        return negE @ mu, y, zeta, mu
 
     def xdot(x):
-        return _evaluate(f_groups, x, signals(x, np.matmul)[0])
+        nonlocal latest  # the signals of the last evaluation, stored with its row
+        latest = signals(x)
+        return _evaluate(f_groups, x, latest[0])
 
     dt = cfg.dt
     window = max(cfg.convergence_window, dt)
-    stored_t, stored_x = [0.0], [spec.x0]
     last_moving = 0.0  # last step end whose derivative norm was not below tol_conv
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
+        latest = signals(spec.x0)
+        rows = [(0.0, spec.x0, *latest)]
         for t, x, x_dot in dormand_prince(xdot, spec.x0, int(round(cfg.horizon / dt)) * dt,
                                           dt, max(0.5 * window, dt)):
-            stored_t.append(t)
-            stored_x.append(x)
+            rows.append((t, x, *latest))
             if not float(np.abs(x_dot).max(initial=0.0)) < cfg.tol_conv:
                 last_moving = t
             if t - last_moving >= window - TIME_TIE * dt:
                 converged = True
                 break
-        ts, xs = np.array(stored_t), np.array(stored_x)
-        u, y, zeta, mu = (a.T for a in signals(xs.T, _ordered_matmul))
+    ts, xs, u, y, zeta, mu = map(np.array, zip(*rows))
     finite = np.isfinite(np.hstack((xs, u, y, zeta, mu))).all(axis=1)
     if not finite.all():
         raise NonFiniteState(f"signals not finite at t = {ts[np.argmin(finite)]:.3f}")
@@ -937,9 +932,10 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
 
     The report passes when the run converges to within 1e-2 of the prediction.
     Preconditions checked and reported on failure: every transformed agent
-    relation is (numerically) maximally monotone and strictly monotone: the
-    potential integrates u over y, so y must rise wherever u rises.  Every
-    controller is MEIP by construction (a static positive gain).
+    relation is a parameterized curve, (numerically) maximally monotone and
+    strictly monotone: the potential integrates u over y, so y must rise
+    wherever u rises.  Every controller is MEIP by construction (a static
+    positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
 
@@ -947,8 +943,11 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
         """The precondition the agent breaks, or None; one call per agent object."""
         if agent.relation is None:
             return "no steady-state relation declared"
-        if not is_maximal_monotone(agent.relation):
-            return "transformed relation is not maximally monotone"
+        try:
+            if not is_maximal_monotone(agent.relation):
+                return "transformed relation is not maximally monotone"
+        except WrongRepresentation as exc:  # a point list, or a curve of one sample
+            return str(exc)
         if not is_monotone(agent.relation, strict=True):
             return "relation is not strictly monotone"
         return None

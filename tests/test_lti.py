@@ -4,10 +4,11 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -750,6 +751,95 @@ class TestGainScaleInvariance:
         for got, want in ((linf_norm(kG), k * linf_norm(G)),
                           (scaled.rho, strict.rho / k), (scaled.nu, k * strict.nu)):
             assert got == want or abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+EPS = np.finfo(float).eps
+
+
+def _powers_of_two(draw, zero=False):
+    """±2^U(-8, 8), or 0 when ``zero`` and the draw says so."""
+    if zero and draw(st.booleans()):
+        return 0.0
+    return draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.floats(-8.0, 8.0))
+
+
+@st.composite
+def first_order_plants(draw):
+    """(a, d, n0, j): G = d + k/(s + a) = (d·s + n0)/(s + a), time-scaled by 2^j.
+
+    a = 2^U(-8, 8), d is 0 or ±2^U(-8, 8) and k = cb is ±2^U(-8, 8), or
+    -da + 2^-30·k, which puts a zero of G next to its pole.  The plant
+    is built from n0 = fl(da + k), so its own k is n0 - da, exactly, and a
+    closed form in Fractions carries no rounding of the test's.
+    """
+    a = 2.0 ** draw(st.floats(-8.0, 8.0))
+    d, k = _powers_of_two(draw, zero=True), _powers_of_two(draw)
+    if draw(st.booleans()):
+        k = -d * a + 2.0 ** -30 * k
+    n0 = d * a + k
+    assume(n0 != 0.0)  # G(0) = 0: Re 1/G is then 1/d, off the closed form
+    return a, d, n0, draw(st.integers(-20, 20))
+
+
+def _first_order(a, d, n0, j):
+    """G(2^j s) for G = (d·s + n0)/(s + a); the scaling is exact."""
+    return RationalTF([n0, d * 2.0 ** j], [a, 2.0 ** j])
+
+
+class TestFirstOrderClosedForms:
+    """G = d + k/(s + a), k = cb, against its closed forms (ROADMAP item 29).
+
+    Re G(jω) = (n0·a + dω²)/(a² + ω²) and Re 1/G(jω) = (n0·a + dω²)/(n0² +
+    d²ω²), and |G(jω)|² likewise, are ratios of two linear functions of ω²,
+    so each extremum is an end value, at ω = 0 or ω → ∞.  The library reads
+    each end off the exact coefficients a, 1, n0, d, scaled by the pole
+    magnitude a (one rounding, in d·a) and by powers of two: one quotient of
+    products and squares, at most four roundings of eps/2, and a square
+    root that halves them.  Hence 2 eps relative, and the tests allow 4 eps.
+    A time scaling s -> 2^j s scales the coefficients exactly and leaves
+    every value bit for bit as it was.
+    """
+
+    @given(first_order_plants())
+    @settings(max_examples=300, deadline=None)
+    def test_peak_gain_and_strict_indices(self, plant):
+        a, d, n0, j = plant
+        G, scaled = _first_order(a, d, n0, 0), _first_order(a, d, n0, j)
+        A, D = Fraction(a), Fraction(d)
+        k = Fraction(n0) - D * A
+        G0 = D + k / A
+        strict = tf_passivity_indices(G)
+        for got, want in ((linf_norm(G), max(abs(G0), abs(D))),
+                          (strict.nu, min(D, G0)),
+                          (strict.rho, min(A / (D * A + k), 1 / D) if d else A / k)):
+            assert abs(Fraction(got) - want) <= 4 * EPS * abs(want), (got, float(want))
+        assert linf_norm(scaled) == linf_norm(G)
+        assert tf_passivity_indices(scaled) == strict
+
+    @given(first_order_plants(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_loop_mu(self, plant, data):
+        # q + λp = (a + λ·n0) + (1 + λd)s, stable and of degree 1 when its
+        # two coefficients share a sign; the loop G/(1 + λG) then peaks at
+        # an end, |G0/(1 + λG0)| or |d/(1 + λd)|.  Forming a coefficient
+        # c = x + λy rounds it by eps·κ relative, κ = (|x| + |λy|)/|c|,
+        # so each end is within eps·κ + 2 eps, and 4 eps·κ allows both and
+        # the rounding of + 1/4.  A κ past 2^40 could flip the verdict.
+        a, d, n0, j = plant
+        lam = _powers_of_two(data.draw, zero=True)
+        if data.draw(st.booleans()):  # next to the stability boundary
+            lam = -a / n0 * (1.0 + 2.0 ** -20 * _powers_of_two(data.draw))
+        A, D, L = Fraction(a), Fraction(d), Fraction(lam)
+        G0 = Fraction(n0) / A
+        c0, c1 = A + L * Fraction(n0), 1 + L * D
+        assume(c0 * c1 > 0)
+        k0, k1 = (A + abs(L * Fraction(n0))) / abs(c0), (1 + abs(L * D)) / abs(c1)
+        assume(max(k0, k1) <= 2 ** 40)
+        peak = max(abs(G0 / (1 + L * G0)), abs(D / (1 + L * D)))
+        mu = loop_mu(_first_order(a, d, n0, 0), lam)
+        assert (abs(Fraction(mu) - peak - Fraction(1, 4))
+                <= 4 * EPS * ((k0 + k1) * peak + Fraction(1, 4))), (mu, float(peak))
+        assert loop_mu(_first_order(a, d, n0, j), lam) == mu
 
 
 class TestCrossModuleConsistency:

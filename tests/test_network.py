@@ -40,6 +40,7 @@ from pqikit import (
 )
 from pqikit.errors import (
     DimensionMismatch,
+    InvalidSamples,
     InvalidSpec,
     NoConvergence,
     NonConvexCertificate,
@@ -161,8 +162,9 @@ class TestAgentGroups:
 
     def test_one_array_call_per_evaluation(self):
         # 50 separately built agents: each right-hand side evaluation calls h
-        # and then f once on all 50 states, and the stored rows call h once
-        # more; h takes the states alone, so no call passes it an input
+        # and then f once on all 50 states, and the rows keep the signals it
+        # computed, so only the row at x0 calls h once more; h takes the
+        # states alone, so no call passes it an input
         f_calls, h_calls = [], []
         agents = tuple(AgentODE(f=partial(_counting_gradient, f_calls),
                                 h=partial(_counting_output, h_calls))
@@ -280,6 +282,46 @@ class TestSimulate:
         for name in ("x", "u", "y", "zeta", "mu"):
             assert np.array_equal(getattr(short, name)[:shared],
                                   getattr(long, name)[:shared]), name
+
+    def test_stored_u_is_the_u_the_agents_got(self):
+        # every stored row's u is, bit for bit, the u that f received at that
+        # row's state, on a random graph where some u sums three or more
+        # edge terms; all vertices share f, so f sees the whole state
+        rng = np.random.default_rng(7)
+        n = 20
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+        edges += [(i, j) for i, j in rng.integers(n, size=(15, 2)).tolist() if i < j]
+        graph = Graph(n, tuple(edges))
+        assert np.abs(graph.incidence_matrix()).sum(axis=1).max() >= 3
+        base, received = pendulum_gradient_agent(), {}
+
+        def f(x, u):
+            received[x.tobytes()] = u.copy()
+            return base.f(x, u)
+
+        sim = simulate(NetworkSpec(
+            graph, (replace(base, f=f),) * n,
+            tuple(ControllerSpec(gain=g) for g in rng.uniform(0.5, 2.0, len(edges))),
+            rng.uniform(-20.0, 20.0, n), IntegratorConfig(horizon=8.0)))
+        assert len(sim.t) > 100
+        for x, u in zip(sim.x, sim.u):
+            assert np.array_equal(received[x.tobytes()], u)
+
+    @pytest.mark.parametrize("horizon", [0.0, 4e-4])
+    def test_run_without_a_step_stores_its_start(self, horizon):
+        # a horizon that rounds to no step of dt stores the row t = 0 alone,
+        # with the signals at x0, and does not converge
+        spec = replace(quadratic_network((1.0, 2.0, 4.0)), x0=[0.5, -1.0, 2.0],
+                       integrator=IntegratorConfig(dt=1e-3, horizon=horizon))
+        sim = simulate(spec)
+        E = spec.graph.incidence_matrix()
+        assert sim.t.tolist() == [0.0] and not sim.converged
+        np.testing.assert_array_equal(sim.x, [spec.x0])
+        np.testing.assert_array_equal(sim.y, [spec.x0])
+        np.testing.assert_array_equal(sim.zeta, [spec.x0 @ E])
+        np.testing.assert_array_equal(sim.mu, [spec.x0 @ E])
+        np.testing.assert_array_equal(sim.u, [-(spec.x0 @ E) @ E.T])
+        np.testing.assert_array_equal(sim.steady_state, spec.x0)
 
     def test_rows_are_the_steps(self, monkeypatch):
         real, steps = network_module.dormand_prince, []
@@ -1204,6 +1246,12 @@ def _saturated_agent():
                     relation=PlanarRelation(s, np.clip(s, -1.0, 1.0), s))
 
 
+def _point_list_agent():
+    """quadratic_agent() with its relation's samples as a point list (no sigma)."""
+    agent = quadratic_agent()
+    return replace(agent, relation=PlanarRelation(agent.relation.u, agent.relation.y))
+
+
 def _bare_spec():
     bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
     return NetworkSpec(Graph.path(2), (quadratic_agent(0.0), bare),
@@ -1242,6 +1290,14 @@ def _bowls(count):
         NetworkSpec(Graph(1, ()), (_kinked_agent(),), (), np.zeros(1), FAST),
         [Transform2.identity()]),
      PreconditionFailed, "^agent 0: relation is not strictly monotone$"),
+    # solve_opp takes a point list; the cursivity check needs the curve
+    (lambda: predict_and_verify(
+        NetworkSpec(Graph.path(3), (quadratic_agent(), _point_list_agent(), quadratic_agent()),
+                    (ControllerSpec(gain=1.0),) * 2, np.zeros(3), FAST),
+        [Transform2.identity()] * 3),
+     PreconditionFailed, "^agent 1: cursivity check needs a parameterized curve$"),
+    (lambda: replace(quadratic_agent(), relation=PlanarRelation([], [])).check_relation(),
+     InvalidSamples, "^relation check: the relation has no samples$"),
     # y = clip(u, -1, 1) rises nowhere on its flat runs: only its inverse is
     # strictly monotone, and the potential integrates u over y
     (lambda: predict_and_verify(
@@ -1313,7 +1369,8 @@ def _bowls(count):
      InvalidSpec, "^trials must be an integer of at least 1, got 'a'$"),
 ], ids=["controller_count", "x0_length", "x0_2d", "equilibria_levels_2d",
         "equilibria_level_nan", "dt", "feedthrough",
-        "opp_without_relation", "not_strictly_monotone", "saturation", "opp_overflow",
+        "opp_without_relation", "not_strictly_monotone", "point_list_relation",
+        "empty_relation", "saturation", "opp_overflow",
         "opp_one_potential_short", "ofp_one_potential_over",
         "infinite_gain", "fractional_vertex", "infinite_vertex_count", "edge_single",
         "edge_triple", "path_fractional", "path_word", "edges_not_sequence",
