@@ -932,10 +932,10 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
 
     The report passes when the run converges to within 1e-2 of the prediction.
     Preconditions checked and reported on failure: every transformed agent
-    relation is a parameterized curve, (numerically) maximally monotone and
-    strictly monotone: the potential integrates u over y, so y must rise
-    wherever u rises.  Every controller is MEIP by construction (a static
-    positive gain).
+    relation is a parameterized curve, maximally monotone (by Minty's
+    theorem, a complete nondecreasing curve) and strictly monotone: the
+    potential integrates u over y, so y must rise wherever u rises.  Every
+    controller is MEIP by construction (a static positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
 

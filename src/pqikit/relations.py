@@ -4,22 +4,16 @@ A planar relation is a set of (u, y) pairs a system can hold at equilibrium,
 stored as samples plus, for a curve, the parameter of each sample.
 Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
-by a discrete Legendre transform, and tested for monotonicity and for the
-numeric surrogate of cursivity that underpins the maximality check.
+by a discrete Legendre transform, and tested for monotonicity and for
+maximality, which by Minty's theorem (1962) one pass over a curve decides.
 Integration merges ties in the abscissa with an array mask.  Only a
 potential whose own samples earn the convexity certificate is conjugated,
 exactly: binary searches over the running maximum and minimum of its cell
 slopes bracket each maximizer, one sample wherever the slopes never dip.
-Near self-intersections of a chain, a curve whose every axis is monotone
-along the parameter, are decided by the pairs just beyond the parameter
-gap, one pass.  On any other curve they are found by one sort of the
-samples into square grid cells, small enough that a crowded cell proves
-one by pigeonhole; otherwise only pairs of neighbour cells are measured.
-Every tolerance is relative to the size of its own operands (an axis's
-largest magnitude, a curve's median sample norm), never an absolute floor,
-so rescaling u and y by one positive factor changes no verdict.  A factor
-per axis changes none of the monotonicity and potential verdicts, but
-cursivity measures Euclidean lengths, which it changes.
+Every tolerance is relative to its own operands (an axis's largest
+magnitude or range, a curve's nearby steps), never an absolute floor: a
+factor per axis changes no verdict of monotonicity or of a potential, and
+a shift or a power of two per axis none of maximality.
 Everything here is numpy alone.
 """
 
@@ -356,175 +350,81 @@ def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class CursivityReport:
-    """Outcome of the numeric cursivity surrogate, one flag per condition."""
+    """Outcome of the one-pass cursivity check, one flag per condition."""
 
     continuous: bool
     diverges: bool
-    no_self_intersection: bool
+    chain: bool
     notes: tuple[str, ...]
 
     @property
     def cursive(self) -> bool:
-        return self.continuous and self.diverges and self.no_self_intersection
+        return self.continuous and self.diverges and self.chain
 
 
-def _ends_grow(norms: np.ndarray) -> bool:
-    """Norms trend upward over the final decile of the parameter range."""
-    n = len(norms)
-    dec = norms[max(0, n - max(2, n // 10)):]
-    checkpoints = dec[np.linspace(0, len(dec) - 1, min(10, len(dec))).astype(int)]
-    slack = DECREASE_RTOL * float(checkpoints.max())
-    return bool(np.all(np.diff(checkpoints) >= -slack))
-
-
-def _norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lengths of the vectors (a, b), sqrt(a*a + b*b): of two columns,
-    np.linalg.norm(..., axis=1) sums the squares in one add, so these are
-    its bits."""
-    return np.sqrt(a * a + b * b)
-
-
-def _median(x: np.ndarray) -> float:
-    """np.median of x, which holds neither nan nor -0.0, as no length does:
-    the middle order statistic, or the mean (lo + hi)/2 of the two middle
-    ones, from one partition."""
-    k = len(x) // 2
-    if len(x) % 2:
-        return float(np.partition(x, k)[k])
-    lo, hi = np.partition(x, (k - 1, k))[k - 1:k + 1]
-    return float((lo + hi) / 2.0)
+def _over_range(x: np.ndarray) -> np.ndarray:
+    """x over the power of two at or above its range (1 if x is constant)."""
+    with np.errstate(over="ignore"):  # a range past the float range is inf
+        spread = float(x.max() - x.min())
+    return np.ldexp(x, -math.frexp(spread)[1] if math.isfinite(spread) else -1025)
 
 
 def is_cursive(rel: PlanarRelation) -> CursivityReport:
-    """Numeric surrogate for the cursive property of a parameterized curve.
+    """Whether a parameterized curve is a complete nondecreasing chain, in
+    one pass over its samples in parameter order.
 
-    Checks three finite-grid stand-ins: adjacent images stay within a
-    Lipschitz-consistent bound (continuity), the point norm escapes past a
-    multiple of its median at both parameter ends with monotone growth over
-    the end decile (divergence), and no two parameter-distant samples nearly
-    coincide within the median segment length, more than 20 samples apart
-    (self-intersection measure: on a chain, whose every axis is monotone
-    along the parameter, one pass over the pairs 21 apart, otherwise one
-    sort into grid cells; see :func:`_no_near_self_intersection`).  Both
-    segment scales are floored at 1e-6 of the median sample norm (of the
-    largest if the median is zero).
-    Lengths and medians are taken on the u and y columns, with the bits of
-    np.linalg.norm and np.median (:func:`_norm`, :func:`_median`), over the
-    power of two of their largest magnitude.  The division is exact, so a
-    curve whose squared coordinates and steps stay in the float range keeps
-    its report bit for bit, and no curve's norms or cells leave that range
-    (a nonzero norm is at least sqrt(5e-324), so the radius and the cell
-    side are 0 or normal).  The notes give lengths in the curve's own units.
-    These support but cannot prove the limit properties; the report says
-    which passed.
+    By Minty's theorem (Duke Math. J. 1962) a monotone relation on the real
+    line is maximal exactly when I + R is onto: when its graph is an
+    unbroken nondecreasing curve, unbounded at both ends.  Each axis is
+    taken over the power of two at or above its range (so a shift keeps its
+    weight and a power of two per axis every flag), and a step's length is
+    |du| + |dy|.  Oriented so that s = u + y rises from end to end, the
+    curve is a chain when u and y never fall (beyond ``DECREASE_RTOL`` of
+    their largest magnitude, as in :func:`is_monotone`) and s strictly
+    rises; a chain cannot meet itself, and any other curve is not decided.
+    It is continuous when no run of one or two steps holds a step over 10
+    times each step on both sides of the run (it may steepen at any rate,
+    but not leap and settle back), and diverges when each end decile's mean
+    step is positive and at least 0.1 of the median.  Each note names the
+    first sample where its condition fails, in the curve's own units.
     """
     if rel.sigma is None:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
-    if len(rel.u) < 2:
+    n = len(rel.u)
+    if n < 2:
         raise WrongRepresentation(
-            f"cursivity check needs a curve of 2 or more samples, not {len(rel.u)}")
-    e = math.frexp(max(np.abs(rel.u).max(), np.abs(rel.y).max()))[1]
-    u, y = np.ldexp(rel.u, -e), np.ldexp(rel.y, -e)
-    notes: list[str] = []
-    norms = _norm(u, y)
-    med = _median(norms)
-    # of the segment scales, from the curve's own size: its median norm, or
-    # its largest where more than half the samples sit at the origin
-    floor = 1e-6 * (med or float(norms.max()))
+            f"cursivity check needs a curve of 2 or more samples, not {n}")
+    u, y = _over_range(rel.u), _over_range(rel.y)
     du, dy = np.diff(u), np.diff(y)
-    seg = _norm(du, dy)
-    med_seg = _median(seg)
-    continuous = bool(seg.max() <= max(10.0 * med_seg, floor))
-    if not continuous:
-        notes.append("jump: a grid segment exceeds 10x the median segment length")
+    if u[-1] - u[0] + (y[-1] - y[0]) < 0.0:  # s = u + y falls from end to end
+        du, dy = -du, -dy
+    step = np.abs(du) + np.abs(dy)
+    # the steps 2 and 1 before and 1 and 2 after each; past an end, unbounded
+    pad = np.concatenate(([np.inf, np.inf], step, [np.inf, np.inf]))
+    b2, b1, a1, a2 = pad[:-4], pad[1:-3], pad[3:-1], pad[4:]
+    # the larger flank of the least flanked run of 1 or 2 steps holding each
+    flank = np.minimum(np.minimum(np.maximum(b1, a1), np.maximum(b2, a1)), np.maximum(b1, a2))
+    k, mid = max(1, len(step) // 10), len(step) // 2
+    ends = np.array([step[:k].mean(), step[-k:].mean()])
+    stalls = np.zeros(n, dtype=bool)
+    stalls[[0, -1]] = (ends == 0.0) | (ends < 0.1 * np.partition(step, mid)[mid])
+    notes: list[str] = []
 
-    threshold = 1.5 * med
-    diverges = (
-        norms[0] > threshold
-        and norms[-1] > threshold
-        and _ends_grow(norms)
-        and _ends_grow(norms[::-1])
-    )
-    if not diverges:
-        with np.errstate(over="ignore"):  # a length past the float range is inf
-            first, last, bound = np.ldexp([norms[0], norms[-1], threshold], e)
-        notes.append(
-            f"divergence surrogate failed: end norms ({first:.3g}, "
-            f"{last:.3g}) vs threshold {bound:.3g}"
-        )
+    def holds(fails, what):
+        if fails.any():
+            i = int(fails.argmax())
+            notes.append(f"{what} at sample {i}, (u, y) = ({rel.u[i]:.6g}, {rel.y[i]:.6g})")
+        return not fails.any()
 
-    no_self_intersection = _no_near_self_intersection(
-        u, y, du, dy, max(med_seg, floor), 20)
-    if not no_self_intersection:
-        notes.append("near self-intersection: parameter-distant samples coincide")
-
-    return CursivityReport(continuous, bool(diverges), no_self_intersection,
-                           tuple(notes))
-
-
-def _no_near_self_intersection(u: np.ndarray, y: np.ndarray, du: np.ndarray,
-                               dy: np.ndarray, radius: float, gap: int) -> bool:
-    """No two samples (u, y) more than ``gap`` steps apart lie within ``radius``.
-
-    ``du`` and ``dy`` are the steps np.diff(u) and np.diff(y).  A chain,
-    whose every axis is monotone along the index, takes an exact O(n)
-    pass.  For i < j < k on a chain |x_k - x_i| >= |x_j - x_i| in each
-    axis, and rounding keeps that order: a rounded difference, square, sum
-    and square root never decrease as their operands grow.  So the measured
-    distance from sample i never decreases along the chain, and the pair
-    (i, i + gap + 1) is the nearest of i's distant pairs.
-
-    Any other curve is sorted by the square cell of the plane its samples
-    fall in.  The side is a power of two, so a cell's bounds are exact, and
-    below radius/1.5: any two samples of one cell lie within the radius, and
-    the cell proves an intersection as soon as its sample indices span more
-    than ``gap`` (one holding more than gap + 1 samples always does; an
-    exact repeat shares its cell).  Otherwise each cell holds at most
-    gap + 1 samples, and each sample is measured only against the samples
-    of the cells after its own within ``reach`` cells in both directions,
-    so the candidate count stays linear in the samples.
-    """
-    if ((np.all(du >= 0.0) or np.all(du <= 0.0))
-            and (np.all(dy >= 0.0) or np.all(dy <= 0.0))):
-        d = _norm(u[gap + 1:] - u[:-gap - 1], y[gap + 1:] - y[:-gap - 1])
-        return not bool(np.any(d < radius))
-    m, e = np.frexp(radius)
-    side = np.ldexp(1.0, int(e) - (1 if m >= 0.75 else 2))  # radius/side in [1.5, 3)
-    # a margin over the radius, so that no pair whose rounded distance
-    # falls below it lies out of reach
-    reach = int(radius * (1.0 + 1e-6) / side) + 1
-    # cell coordinates with gaps wider than the reach closed up to it,
-    # which keeps every neighbourhood and bounds the key below n^2 * 16
-    col, row = (_close_gaps(np.floor(c / side), reach) for c in (u, y))
-    width = int(row.max()) + 2 * reach + 1
-    key = col * width + row + reach
-    order = np.argsort(key, kind="stable")  # indices ascend within a cell
-    key = key[order]
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    end = np.r_[start[1:], len(key)]
-    if np.any(order[end - 1] - order[start] > gap):
-        return False
-    # the cells after a sample's own, column by column: rows above it in
-    # its own column, rows within the reach in the next ``reach`` columns
-    lo = np.concatenate([np.searchsorted(key, key + a * width - (reach if a else -1))
-                         for a in range(reach + 1)])
-    hi = np.concatenate([np.searchsorted(key, key + a * width + reach, "right")
-                         for a in range(reach + 1)])
-    count = hi - lo
-    i = order[np.repeat(np.tile(np.arange(len(key)), reach + 1), count)]
-    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
-    far = np.abs(i - j) > gap
-    i, j = i[far], j[far]
-    return not bool(np.any(_norm(u[i] - u[j], y[i] - y[j]) < radius))
-
-
-def _close_gaps(c: np.ndarray, reach: int) -> np.ndarray:
-    """Integer ranks of c with every gap between distinct values cut to reach + 1."""
-    values, inverse = np.unique(c, return_inverse=True)
-    steps = np.minimum(np.diff(values), reach + 1).astype(np.int64)
-    return np.r_[0, np.cumsum(steps)][inverse]
+    breaks = ((du < -DECREASE_RTOL * float(np.abs(u).max()))
+              | (dy < -DECREASE_RTOL * float(np.abs(y).max())) | (du + dy <= 0.0))
+    chain = holds(breaks, "not a chain: the curve turns back or stands still")
+    continuous = holds(step > 10.0 * flank, "jump: a step over 10x the steps around it starts")
+    diverges = holds(stalls, "stalls: an end decile moves under 0.1 of the median step, the end")
+    return CursivityReport(continuous, diverges, chain, tuple(notes))
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:
-    """Monotone and (numerically) cursive; the operational maximality test."""
+    """Monotone, and a complete nondecreasing curve (:func:`is_cursive`):
+    maximal by Minty's theorem, since I + R is then onto."""
     return is_monotone(rel) and is_cursive(rel).cursive

@@ -160,9 +160,6 @@ LEDGER = {
         "a decrease that is rounding, of the operands' largest magnitude",),
     ("relations.py", "integral_function", 1e-8): (
         "a fold's values, of their sizes and the largest |value|",),
-    ("relations.py", "is_cursive", 1e-6): ("segment floor, of the median sample norm",),
-    ("relations.py", "_no_near_self_intersection", 1e-6): (
-        "reach margin, of the radius",),
     ("transforms.py", "decompose", 0.01): ("a small a, of the largest entry",),
     ("transforms.py", "_reach", 1e-3): (
         "the reach bound's step floor, " + ABSOLUTE.format(25),),

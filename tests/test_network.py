@@ -991,6 +991,14 @@ class TestPredictAndVerify:
         assert report.passed and report.gap == 0.0
         assert report.prediction.primal.shape == report.simulation.steady_state.shape == (0,)
 
+    def test_shifted_quadratics_pass(self):
+        # the lines u = y - 100 and u = y - 101 are maximal: a check that
+        # measured from the origin once refused both agents
+        spec = NetworkSpec(Graph.path(2), (quadratic_agent(100.0), quadratic_agent(101.0)),
+                           (ControllerSpec(gain=1.0),), np.zeros(2),
+                           IntegratorConfig(horizon=30.0))
+        assert predict_and_verify(spec, [Transform2.identity()] * 2).passed
+
     def test_nonmonotone_agents_rejected(self):
         spec = replace(pendulum_network(), integrator=FAST)
         with pytest.raises(PreconditionFailed):
