@@ -41,7 +41,14 @@ from pqikit.errors import (
     NonFiniteValue,
     WrongRepresentation,
 )
-from pqikit.relations import OF_K, OF_K_INVERSE, TIE_RTOL, _trapezoid, _write_csv
+from pqikit.relations import (
+    DECREASE_RTOL,
+    OF_K,
+    OF_K_INVERSE,
+    TIE_RTOL,
+    _trapezoid,
+    _write_csv,
+)
 from pqikit.systems import (
     AGENT_REGISTRY,
     nonmonotone_demo_agent,
@@ -984,6 +991,168 @@ class TestUnitInvariance:
         cone = solution_set(PassivityIndices(*indices).pqi())
         z = np.array([np.cos(angle), np.sin(angle)])
         assert cone.contains(10.0**log_k * z) == cone.contains(z)
+
+
+def curve_cases():
+    """Curves that meet themselves, touch, pause, turn back or run as
+    chains, at sizes from 2 to 1500 samples."""
+    cases = {}
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 1500))
+        cases[f"walk{seed}"] = param_relation(np.cumsum(rng.normal(size=n)),
+                                              np.cumsum(rng.normal(size=n)))
+        t = np.linspace(-3.0, 3.0, n)
+        cases[f"curve{seed}"] = param_relation(
+            t**3 + rng.uniform(-1, 1) * t, np.sin(rng.uniform(1, 4) * t) + t)
+    t = np.linspace(0.0, 2.0 * np.pi, 1201)
+    cases["figure_eight"] = param_relation(np.sin(t), np.sin(t) * np.cos(t))
+    t = np.linspace(0.0, 4.0 * np.pi, 1201)
+    cases["cycloid_loops"] = param_relation(t - 3.0 * np.sin(t), -3.0 * np.cos(t))
+    # the spiral r = theta over five turns, its arms 0.96 and 1.05 median
+    # steps apart
+    for name, n in (("spiral_touching", 105), ("spiral_clear", 116)):
+        theta = np.linspace(2.0 * np.pi, 12.0 * np.pi, n)
+        cases[name] = param_relation(theta * np.cos(theta), theta * np.sin(theta))
+    # exact repeats: a parabola that pauses on one sample for 12 or 25
+    # samples, and a unit-step square that returns onto its first sample
+    t = np.linspace(0.0, 1.0, 200)
+    for name, held in (("pause_short", 12), ("pause_long", 25)):
+        counts = np.ones(200, dtype=int)
+        counts[50] = held
+        cases[name] = param_relation(np.repeat(t, counts), np.repeat(t * t, counts))
+    side = np.arange(10.0)
+    cases["square_closing"] = param_relation(
+        np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(11)],
+        np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(11.0)])
+    # unit steps round three sides and back down the fourth, stopping short
+    # of the start
+    sq = param_relation(np.r_[side, np.full(10, 10.0), 10.0 - side, np.zeros(9)],
+                        np.r_[np.zeros(10), side, np.full(10, 10.0), 10.0 - np.arange(9.0)])
+    cases["square_equal_steps"] = sq
+    for scale in (0.7, 3.0):
+        cases[f"square_steps_x{scale}"] = param_relation(scale * sq.u + 0.1,
+                                                         scale * sq.y - 0.3)
+    cases["square_steps_x1e-8"] = param_relation(1e-8 * sq.u, 1e-8 * sq.y)
+    # steps of 5 down, right, up, left and then diagonally by (-3, -4) back
+    # to (3, 4), 5 from the first sample, and the same nudged closer
+    path = np.array([(0.0, -5.0 * k) for k in range(7)]
+                    + [(5.0 * k, -30.0) for k in range(1, 9)]
+                    + [(40.0, -30.0 + 5.0 * k) for k in range(1, 15)]
+                    + [(40.0 - 5.0 * k, 40.0) for k in range(1, 3)]
+                    + [(30.0 - 3.0 * k, 40.0 - 4.0 * k) for k in range(1, 10)])
+    cases["return_at_step"] = param_relation(*path.T.copy())
+    path[-1, 1] -= 2.0**-40
+    cases["return_inside_step"] = param_relation(*path.T)
+    # 16 samples at the origin, then a parabola in steps of 1e-3
+    k = np.r_[np.zeros(16), np.arange(1.0, 15.0)]
+    cases["rest_at_origin"] = param_relation(1e-3 * k, 1e-3 * k * k)
+    # a diagonal line whose last sixth runs out to 6e17 in both axes
+    t = np.linspace(-3.0, 3.0, 1001)
+    cases["runaway"] = param_relation(t + np.exp(40.0 * (t - 2.0)),
+                                      2.0 * t + np.exp(41.0 * (t - 2.0)))
+    # samples jittering within 0.01 midway along a walk of unit steps
+    rng = np.random.default_rng(11)
+    for name, held in (("dense_cluster", 300), ("small_cluster", 15)):
+        jitter = 0.01 * rng.uniform(-1.0, 1.0, (held, 2))
+        u = np.r_[np.arange(500.0), 500.0 + jitter[:, 0], np.arange(501.0, 1000.0)]
+        y = np.r_[np.zeros(500), jitter[:, 1], np.zeros(499)]
+        cases[name] = param_relation(u, y)
+    # unit steps alternating right and up, as they come, backwards, and
+    # with a pause of 3 or 25 zero steps
+    steps = np.tile([[1.0, 0.0], [0.0, 1.0]], (60, 1))
+    stairs = np.cumsum(steps, axis=0)
+    cases["stairs"] = param_relation(*stairs.T.copy())
+    cases["stairs_down"] = param_relation(*stairs[::-1].T.copy())
+    for pause in (3, 25):
+        run = np.r_[steps[:50], np.zeros((pause, 2)), steps[50:]]
+        cases[f"stairs_pause_{pause}"] = param_relation(*np.cumsum(run, axis=0).T)
+    # steps of very uneven lengths, rising in both axes or falling in y
+    walk = np.random.default_rng(12).exponential(size=(400, 2)) ** 3
+    cases["chain_up"] = param_relation(np.cumsum(walk[:, 0]), np.cumsum(walk[:, 1]))
+    cases["chain_down"] = param_relation(np.cumsum(walk[:, 0]), -np.cumsum(walk[:, 1]))
+    for n in (2, 4, 21):
+        cases[f"chain_of_{n}"] = param_relation(np.arange(float(n)), np.zeros(n))
+    # 30 unit steps right, one step back to (0.5, 0.5) and on up
+    cases["chain_broken_once"] = param_relation(
+        np.r_[np.arange(31.0), np.full(30, 0.5)],
+        np.r_[np.zeros(31), 0.5 + np.arange(30.0)])
+    # u falls once by half or by twice DECREASE_RTOL of its largest |u|, 49
+    for name, dip in (("dip_within_rounding", 0.5), ("dip_past_rounding", 2.0)):
+        u = np.arange(50.0)
+        cases[name] = param_relation(
+            np.r_[u[:25], 24.0 - dip * DECREASE_RTOL * 49.0, u[25:]], np.arange(51.0))
+    return cases
+
+
+def pairwise_chain(rel):
+    """Whether, in one of the two directions, every later sample lies at or
+    up and to the right of every earlier one (within DECREASE_RTOL of each
+    axis's largest magnitude) and no two coincide: O(n^2)."""
+    for u, y in ((rel.u, rel.y), (rel.u[::-1], rel.y[::-1])):
+        du, dy = u[None, :] - u[:, None], y[None, :] - y[:, None]
+        ordered = ((du >= -DECREASE_RTOL * np.abs(u).max())
+                   & (dy >= -DECREASE_RTOL * np.abs(y).max()) & ((du != 0.0) | (dy != 0.0)))
+        if np.all(ordered[np.triu_indices(len(u), 1)]):
+            return True
+    return False
+
+
+def meets_itself(rel):
+    """Whether two segments of the curve that share no sample touch or
+    cross: O(n^2) orientation tests."""
+    p = rel.points
+    a, b, c, d = p[:-1, None], p[1:, None], p[None, :-1], p[None, 1:]
+
+    def turn(p, q, r):
+        return np.sign((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                       - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    boxes = np.all((np.minimum(a, b) <= np.maximum(c, d))
+                   & (np.minimum(c, d) <= np.maximum(a, b)), axis=-1)
+    touch = ((turn(a, b, c) * turn(a, b, d) <= 0) & (turn(c, d, a) * turn(c, d, b) <= 0)
+             & boxes)
+    return bool(np.any(np.triu(touch, 2)))
+
+
+class TestCurvesAgainstBruteForce:
+    """is_cursive's one pass against pairwise checks of what it claims."""
+
+    CASES = curve_cases()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_chain_matches_the_pairwise_order(self, name):
+        rel = self.CASES[name]
+        assert is_cursive(rel).chain == pairwise_chain(rel)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_chain_never_meets_itself(self, name):
+        rel = self.CASES[name]
+        assert not (is_cursive(rel).chain and meets_itself(rel))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_reversed_curve_keeps_its_flags(self, name):
+        rel = self.CASES[name]
+        back = param_relation(rel.u[::-1], rel.y[::-1])
+        assert flags(is_cursive(back)) == flags(is_cursive(rel))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_powers_of_two_per_axis_keep_the_flags(self, name):
+        # u scaled by 2^-30 and y by 2^30, each sample bit-exact
+        rel = self.CASES[name]
+        scaled = param_relation(np.ldexp(rel.u, -30), np.ldexp(rel.y, 30))
+        assert flags(is_cursive(scaled)) == flags(is_cursive(rel))
+
+    def test_cases_cover_every_outcome(self):
+        verdicts = {name: (flags(is_cursive(rel)), meets_itself(rel))
+                    for name, rel in self.CASES.items()}
+        chains = {name for name, (f, _) in verdicts.items() if f[2]}
+        assert chains == {"chain_of_2", "chain_of_4", "chain_of_21", "chain_up",
+                          "dip_within_rounding", "runaway", "stairs", "stairs_down"}
+        for name in ("cycloid_loops", "square_closing", "walk0", "stairs_pause_3",
+                     "dense_cluster", "rest_at_origin"):
+            assert verdicts[name][1], name
+        assert not verdicts["walk2"][0][0] and not verdicts["rest_at_origin"][0][1]
 
 
 def lexsorted_is_monotone(rel, strict):
