@@ -6,7 +6,7 @@ and G the diagonal of edge gains.  The module integrates the closed loop with
 an adaptive Dormand–Prince 5(4) stepper whose step never falls below the
 configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
 predicts steady states by minimizing the two dual network objectives
-(potentials over outputs, flows over edge variables) with one trust-region
+(potentials over outputs, flows over edge variables) with one finite
 Newton–CG solver, in numpy alone, on C¹ models of the sampled potentials
 and their exact conjugates.  The stepper and the root bracketer are shared
 with the dissipation certificate's reach bound and the equilibrium search.
@@ -629,9 +629,9 @@ class OptimizationResult:
     """Solution of one dual steady-state problem.
 
     ``residual`` is the max-norm of the model objective's gradient at the
-    minimizer; ``iterations`` counts the trust-region Newton–CG iterations
-    (0 when the problem has no variables or the first point meets the
-    residual bound; see :func:`_minimize_convex`).
+    minimizer; ``iterations`` counts the Newton steps, the last of them the
+    one that kept every model cell (0 when the problem has no variables or
+    the gradient at the start is zero; see :func:`_minimize_convex`).
     """
 
     objective: float
@@ -720,130 +720,125 @@ def _conjugate(model):
     return dc, xc, mc
 
 
-# Safety cap on the trust-region iterations of _minimize_convex.
-_TRUST_ITERATIONS = 500
+# Safety cap on the Newton iterations of _minimize_convex, and the share of
+# its first-order decrease a line-search step must achieve (Armijo).
+_NEWTON_ITERATIONS = 500
+_ARMIJO = 1e-4
 
 
 class _Iterate(NamedTuple):
-    """A point of _minimize_convex: objective, its rounding, the gradient,
-    its max-norm residual and the residual's bound, the model curvatures."""
+    """A point of _minimize_convex: objective, gradient, its max-norm
+    residual and the residual's bound, and each model's cell and curvature."""
 
     f: float
-    rounding: float
     grad: np.ndarray
     residual: float
     bound: float
+    cell: list
     curv: np.ndarray
 
 
-def _steihaug(g, hv, radius):
-    """Step p minimizing g·p + ½ pᵀHp over |p| ≤ radius; True if on the edge.
+def _newton_step(g, hv):
+    """Newton step p from Hp = -g by conjugate gradients, and whether it is
+    solved: to a residual 1e-10 times |g| within 2n + 2 directions.
 
-    Conjugate gradients on Hp = -g from p = 0, cut where a direction leaves
-    the region or has no positive curvature (Steihaug 1983; Nocedal &
-    Wright, Alg. 7.2).  The iteration runs to a residual 1e-10 times |g|,
-    so an interior step is the Newton step.
+    A direction with no positive curvature ends the iteration unsolved, with
+    the step so far, or with -g if there is none (Nocedal & Wright, Alg. 7.1).
     """
-    p, r = np.zeros_like(g), g.copy()
-    d, rr = -r, r @ r
-    for _ in range(2 * len(g) + 2):
+    p, r, d, rr = np.zeros_like(g), g, -g, g @ g
+    tol = 1e-20 * rr
+    for j in range(2 * len(g) + 2):
         Hd = hv(d)
         dHd = d @ Hd
-        if dHd > 0.0:
-            alpha = rr / dHd
-            if np.linalg.norm(p + alpha * d) < radius:
-                p, r = p + alpha * d, r + alpha * Hd
-                rr, rr_old = r @ r, rr
-                if rr <= 1e-20 * (g @ g):
-                    break
-                d = -r + (rr / rr_old) * d
-                continue
-        # the edge point p + τd, τ > 0, of the current direction
-        a, b, c = d @ d, p @ d, p @ p - radius**2
-        return p + (-c / (b + np.sqrt(b * b - a * c))) * d, True
-    return p, False
+        if not dHd > 0.0:
+            return (p if j else d), False
+        alpha = rr / dHd
+        p, r = p + alpha * d, r + alpha * Hd
+        rr, rr_old = r @ r, rr
+        if rr <= tol:
+            break
+        d = -r + (rr / rr_old) * d
+    return p, rr <= tol
 
 
 def _minimize_convex(models, B, Q):
-    """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by trust-region Newton–CG.
+    """Minimize Σᵢ Fᵢ((Bz)ᵢ) + ½ zᵀQz over z by Newton's method, finitely.
 
-    Each Fᵢ is a convex C¹ piecewise-quadratic model (x, d, m), so value,
-    gradient and the Hessian product Bᵀ(curv·(Bv)) + Qv are exact; steps
-    come from :func:`_steihaug`, in a region whose radius starts at the
-    widest model grid.  The iteration stops when the max-norm gradient
-    residual is at most 1e-6 of the larger of its two parts plus 1e-12 of
-    the largest nodal slope, so a change of units scales z and nothing else.
-    A step is taken when it achieves at least 0.15 of its predicted
-    decrease, or, where that decrease is below the rounding of the
-    objective, when it lowers the residual.  A step that is not finite or
-    cannot move z ends the iteration, as does the cap of _TRUST_ITERATIONS;
-    either way the residual still above its bound raises NoConvergence.
-    Returns the minimizer, the objective, the iteration count and the
-    residual; with no variables, the empty z with objective 0 and no
-    iteration.  One model per row of B (per vertex), else DimensionMismatch.
+    Each Fᵢ is a convex C¹ piecewise-quadratic model (x, d, m), so with the
+    cell of each (Bz)ᵢ fixed the objective is one quadratic, whose value,
+    gradient and Hessian product Bᵀ(curv·(Bv)) + Qv are exact.  A step of
+    :func:`_newton_step` that is solved and keeps every cell lands on that
+    quadratic's minimizer, which is then the objective's own, and ends the
+    iteration (the finite Newton method: Sun & Han, SIAM J. Optim. 1997;
+    Mangasarian, Optim. Methods Softw. 2002); so does a zero gradient.  Any
+    other step is halved until it lowers the objective by _ARMIJO of its
+    first-order decrease.  A step that cannot move z, a non-finite objective
+    or the cap of _NEWTON_ITERATIONS ends the iteration early.  Whatever
+    ended it, a max-norm gradient residual above 1e-6 of the larger of its
+    two parts plus 1e-12 of the largest nodal slope raises NoConvergence
+    naming the reason; the bound scales with the units, like z.  Returns the
+    minimizer, the objective, the iteration count and the residual; with no
+    variables, the empty z with objective 0 and no iteration.  One model per
+    row of B (per vertex), else DimensionMismatch.
     """
     if len(models) != B.shape[0]:
         raise DimensionMismatch(
             f"{len(models)} node potentials for {B.shape[0]} vertices")
     floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
 
-    def pieces(w):
-        """Value, slope and curvature of each model at the matching w."""
-        out = np.empty((3, len(w)))
+    def at(z) -> _Iterate:
+        w, cell = B @ z, []
+        val, slope, curv = np.empty((3, len(w)))
         for i, ((x, d, m), wi) in enumerate(zip(models, w)):
             j = min(max(int(np.searchsorted(x, wi)) - 1, 0), len(x) - 2)
             t, c = wi - x[j], (d[j + 1] - d[j]) / (x[j + 1] - x[j])
-            out[:, i] = m[j] + t * (d[j] + 0.5 * c * t), d[j] + c * t, c
-        return out
-
-    def at(z) -> _Iterate:
-        val, slope, curv = pieces(B @ z)
+            val[i], slope[i], curv[i] = m[j] + t * (d[j] + 0.5 * c * t), d[j] + c * t, c
+            cell.append(j)
         node, Qz = B.T @ slope, Q @ z
-        edge = 0.5 * z @ Qz
         # a sum past the float range is inf, which ends the iteration
         with np.errstate(over="ignore"):
-            f, size = val.sum() + edge, np.abs(val).sum() + abs(edge)
+            f = val.sum() + 0.5 * z @ Qz
         return _Iterate(
             f=f,
-            rounding=1e-14 * size,
             grad=node + Qz,
             residual=float(np.abs(node + Qz).max(initial=0.0)),
             bound=floor + 1e-6 * max(np.abs(node).max(initial=0.0),
                                      np.abs(Qz).max(initial=0.0)),
+            cell=cell,
             curv=curv)
 
     z, iterations = np.zeros(B.shape[1]), 0
-    radius = max((float(x[-1] - x[0]) for x, _, _ in models), default=0.0)
-    now = at(z)
+    now, why = at(z), "at a Newton step that keeps every cell"
 
     def hv(v):  # the Hessian at the current iterate ``now``, times v
         return B.T @ (now.curv * (B @ v)) + Q @ v
 
-    while (now.residual > now.bound and np.isfinite(now.f)
-           and iterations < _TRUST_ITERATIONS):
-        iterations += 1
-        p, on_edge = _steihaug(now.grad, hv, radius)
-        moved = z + p
-        if not np.isfinite(p).all() or (moved == z).all():
+    while now.grad.any() and np.isfinite(now.f):
+        if iterations == _NEWTON_ITERATIONS:
+            why = f"at the iteration cap of {iterations}"
             break
-        trial = at(moved)
-        predicted = -(now.grad @ p + 0.5 * p @ hv(p))
-        if predicted <= max(now.rounding, trial.rounding):
-            rho = 1.0 if trial.residual < now.residual else 0.0
+        iterations += 1
+        p, solved = _newton_step(now.grad, hv)
+        t, drop, moved = 1.0, _ARMIJO * (now.grad @ p), z + p
+        while np.isfinite(moved).all() and (moved != z).any():
+            trial = at(moved)
+            exact = solved and t == 1.0 and trial.cell == now.cell
+            if exact or trial.f <= now.f + t * drop:
+                break
+            t *= 0.5
+            moved = z + t * p
         else:
-            rho = (now.f - trial.f) / predicted
-        if rho < 0.25:
-            radius = 0.25 * np.linalg.norm(p)
-        elif rho > 0.75 and on_edge:
-            radius *= 2.0
-        if rho > 0.15:
-            z, now = moved, trial
+            why = "at a step that cannot move z"
+            break
+        z, now = moved, trial
+        if exact:
+            break
     if not np.isfinite(now.f):
-        raise NoConvergence("steady-state problem has a non-finite objective")
-    if now.residual > now.bound:
+        why = "at a non-finite objective"
+    if not (np.isfinite(now.f) and now.residual <= now.bound):
         raise NoConvergence(
             f"steady-state problem stopped with gradient residual "
-            f"{now.residual:.3e} > {now.bound:.3e}")
+            f"{now.residual:.3e} (bound {now.bound:.3e}) {why}")
     return z, float(now.f), iterations, now.residual
 
 

@@ -256,9 +256,9 @@ def test_criterion_8_duality():
 
     _report(
         "criterion-8 steady-state duality",
-        gap <= 1e-6 and kkt_primal <= 1e-3 and kkt_dual <= 1e-3,
+        gap <= 1e-6 and kkt_primal <= 1e-11 and kkt_dual <= 1e-11,
         f"duality gap {gap:.3e} (<=1e-6), primal stationarity "
-        f"{kkt_primal:.2e}, dual consistency {kkt_dual:.2e}",
+        f"{kkt_primal:.2e} (<=1e-11), dual consistency {kkt_dual:.2e} (<=1e-11)",
     )
 
 

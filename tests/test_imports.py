@@ -141,13 +141,13 @@ LEDGER = {
     ("network.py", "dormand_prince", 1e-10): (
         "error floor of the step factor: the error is already of its tolerance",),
     ("network.py", "transform_agent", 1e-12): ("a + b*D vanishing, of |a| + |b*D|",),
-    ("network.py", "_steihaug", 1e-20): ("CG residual squared, of |g|^2",),
+    ("network.py", "_ARMIJO", 1e-4): (
+        "a line-search step's decrease, of its first-order decrease",),
+    ("network.py", "_newton_step", 1e-20): ("CG residual squared, of |g|^2",),
     ("network.py", "_minimize_convex", 1e-12): (
-        "residual bound's floor, of the largest nodal slope",),
-    ("network.py", "at", 1e-14): ("rounding of the objective, of its summed terms",),
+        "residual guard's floor, of the largest nodal slope",),
     ("network.py", "at", 1e-6): (
-        "residual bound, of the gradient's larger part; " + ABSOLUTE.format(22)
-        + " at rounding",),
+        "residual guard, of the gradient's larger part; an exact step ends far below it",),
     ("network.py", "predict_and_verify", 0.01): (
         "the prediction's gap, " + ABSOLUTE.format(28),),
     ("pqi.py", "DISC_RTOL", 1e-12): ("the discriminant, of the squared coefficients",),

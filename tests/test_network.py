@@ -675,7 +675,7 @@ class TestSolvers:
         np.testing.assert_array_equal(res.primal, [0.0])
 
     def test_non_quadratic_flow_problem_converges(self):
-        # not one Newton step: the solver must iterate to the residual bound
+        # not one quadratic: the solver must iterate until a step keeps its cells
         opp, ofp = (solver(self._sinh_spec()) for solver in (solve_opp, solve_ofp))
         assert opp.residual <= 1e-6 and ofp.residual <= 1e-6
         y = opp.primal
@@ -698,32 +698,70 @@ class TestSolvers:
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_residual_above_bound_raises_when_iterations_run_out(
             self, solver, monkeypatch):
-        # with no trust-region iteration left the solve stops at zero
-        monkeypatch.setattr(network_module, "_TRUST_ITERATIONS", 0)
-        with pytest.raises(NoConvergence, match="stopped with gradient residual"):
+        # with no Newton iteration left the solve stops at zero
+        monkeypatch.setattr(network_module, "_NEWTON_ITERATIONS", 0)
+        with pytest.raises(NoConvergence, match=r"stopped with gradient residual "
+                           r".* at the iteration cap of 0$"):
             solver(self._sinh_spec())
 
-    def test_step_that_cannot_move_ends_the_solve(self, monkeypatch):
-        # a supplied potential whose slope rises by 1 across one cell 1e-12
-        # wide, where the minimizer lies: an ulp of y moves the gradient by
-        # about 2e-4, past the residual bound, so the region shrinks until a
-        # step no longer moves y, and the solve stops there
-        g = np.sort(np.r_[np.linspace(-5.0, 5.0, 1001), 1.0 + 1e-12])
+    @staticmethod
+    def _kinked_solve(width, calls, monkeypatch):
+        """solve_opp beside a supplied potential whose slope rises by 1
+        across one cell ``width`` wide, where the minimizer lies, with a 1
+        in ``calls`` per Newton step; an ulp of y moves the gradient by
+        about 2e-16 / width, past the residual bound."""
+        g = np.sort(np.r_[np.linspace(-5.0, 5.0, 1001), 1.0 + width])
         kink = IntegralFunction(g, 0.5 * g * g + np.maximum(g - 1.0, 0.0))
         bowl = IntegralFunction(g, 0.5 * (g - 4.0) ** 2)
-        calls = []
 
-        def counted(*args, _real=network_module._steihaug):
+        def counted(*args, _real=network_module._newton_step):
             calls.append(1)
             return _real(*args)
 
-        monkeypatch.setattr(network_module, "_steihaug", counted)
-        with (warnings.catch_warnings(),
-              pytest.raises(NoConvergence, match="stopped with gradient residual")):
+        monkeypatch.setattr(network_module, "_newton_step", counted)
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             solve_opp(quadratic_network(centers=(0.0, 0.0)),
                       node_potentials=[kink, bowl])
-        assert len(calls) < network_module._TRUST_ITERATIONS
+
+    def test_step_that_cannot_move_ends_the_solve(self, monkeypatch):
+        # a cell 1e-15 wide is a few ulps of y: the steps jump across it
+        # until one no longer moves y, and the solve stops there
+        calls = []
+        with pytest.raises(NoConvergence, match=r"stopped with gradient residual "
+                           r".* at a step that cannot move z$"):
+            self._kinked_solve(1e-15, calls, monkeypatch)
+        assert len(calls) < network_module._NEWTON_ITERATIONS
+
+    def test_exact_step_rounding_past_the_bound_raises(self, monkeypatch):
+        # a cell 1e-12 wide: the Newton step lands in it and keeps every
+        # cell, so it is exact, but the rounding of y leaves the gradient
+        # residual above its bound, and the guard raises
+        with pytest.raises(NoConvergence, match=r"stopped with gradient residual "
+                           r".* at a Newton step that keeps every cell$"):
+            self._kinked_solve(1e-12, [], monkeypatch)
+
+    def test_unbounded_potential_problem_raises(self, monkeypatch):
+        # u = clip(y, -1, 1) + 1.5 is at least 0.5, so no outputs make the
+        # inputs sum to 0 and no steady state exists.  Once both agents
+        # saturate, the gradient lies where the Hessian vanishes: conjugate
+        # gradients find no positive curvature and step along -g, and the
+        # potential falls without end until the iteration cap
+        solved = []
+
+        def recorded(*args, _real=network_module._newton_step):
+            p, done = _real(*args)
+            solved.append(done)
+            return p, done
+
+        monkeypatch.setattr(network_module, "_newton_step", recorded)
+        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1.5),) * 2
+        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.0),),
+                           np.zeros(2))
+        with pytest.raises(NoConvergence, match=r"stopped with gradient residual "
+                           r"5\.000e-01 .* at the iteration cap of 500$"):
+            solve_opp(spec)
+        assert solved.count(False) == network_module._NEWTON_ITERATIONS - 1
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):
@@ -759,9 +797,12 @@ class TestSolvers:
         G = np.diag([c.gain for c in spec.controllers])
         # steady state y = u + c with u = -E G Eᵀ y
         y = np.linalg.solve(np.eye(n) + E @ G @ E.T, centers)
+        # the second Newton step keeps every cell, so both solutions are
+        # exact to rounding: within 1.1e-12 on these networks
         opp, ofp = solve_opp(spec), solve_ofp(spec)
-        np.testing.assert_allclose(opp.primal, y, rtol=0.0, atol=1e-6)
-        np.testing.assert_allclose(ofp.primal, y - centers, rtol=0.0, atol=1e-6)
+        atol = 1e-11 * np.abs(y).max()
+        np.testing.assert_allclose(opp.primal, y, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(ofp.primal, y - centers, rtol=0.0, atol=atol)
         assert abs(opp.objective + ofp.objective) <= 1e-3
 
     @staticmethod
@@ -797,9 +838,9 @@ class TestSolvers:
 
     @pytest.mark.parametrize("n", [10, 40, 80])
     def test_cubic_pendulum_path_duals_agree(self, n):
-        # the potential objective is about -1000 n, so at n = 40 the trust
-        # region's predicted decrease drowns in rounding before the gradient
-        # bound is met
+        # the potential objective is about -1000 n, so at n = 40 a last
+        # step's decrease drowns in its rounding: the step that keeps every
+        # cell is taken without comparing objectives
         opp, ofp, u = self._duals(self._cubic_pendulum_path(n))
         assert abs(opp.objective + ofp.objective) <= 1e-9
         np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-6)
