@@ -772,14 +772,15 @@ def _minimize_convex(models, B, Q):
     iteration (the finite Newton method: Sun & Han, SIAM J. Optim. 1997;
     Mangasarian, Optim. Methods Softw. 2002); so does a zero gradient.  Any
     other step is halved until it lowers the objective by _ARMIJO of its
-    first-order decrease.  A step that cannot move z, a non-finite objective
-    or the cap of _NEWTON_ITERATIONS ends the iteration early.  Whatever
-    ended it, a max-norm gradient residual above 1e-6 of the larger of its
-    two parts plus 1e-12 of the largest nodal slope raises NoConvergence
-    naming the reason; the bound scales with the units, like z.  Returns the
-    minimizer, the objective, the iteration count and the residual; with no
-    variables, the empty z with objective 0 and no iteration.  One model per
-    row of B (per vertex), else DimensionMismatch.
+    first-order decrease, from at most the widest model grid's length, and
+    from that length if it is unsolved.  A step that cannot move z, a
+    non-finite objective or the cap of _NEWTON_ITERATIONS ends the iteration
+    early.  Whatever ended it, a max-norm gradient residual above 1e-6 of
+    the larger of its two parts plus 1e-12 of the largest nodal slope raises
+    NoConvergence naming the reason; the bound scales with the units, like
+    z.  Returns the minimizer, the objective, the iteration count and the
+    residual; with no variables, the empty z with objective 0 and no
+    iteration.  One model per row of B (per vertex), else DimensionMismatch.
     """
     if len(models) != B.shape[0]:
         raise DimensionMismatch(
@@ -809,6 +810,7 @@ def _minimize_convex(models, B, Q):
 
     z, iterations = np.zeros(B.shape[1]), 0
     now, why = at(z), "at a Newton step that keeps every cell"
+    width = max((float(x[-1] - x[0]) for x, _, _ in models), default=0.0)
 
     def hv(v):  # the Hessian at the current iterate ``now``, times v
         return B.T @ (now.curv * (B @ v)) + Q @ v
@@ -819,7 +821,9 @@ def _minimize_convex(models, B, Q):
             break
         iterations += 1
         p, solved = _newton_step(now.grad, hv)
-        t, drop, moved = 1.0, _ARMIJO * (now.grad @ p), z + p
+        length = np.linalg.norm(p)
+        t = 1.0 if solved and length <= width else width / length
+        drop, moved = _ARMIJO * (now.grad @ p), z + t * p
         while np.isfinite(moved).all() and (moved != z).any():
             trial = at(moved)
             exact = solved and t == 1.0 and trial.cell == now.cell
