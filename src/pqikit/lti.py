@@ -115,7 +115,7 @@ class RationalTF:
 
     @classmethod
     def make(cls, num, den) -> "RationalTF":
-        """cls(num, den) with near-common roots cancelled."""
+        """cls(num, den) with near-common roots cancelled until none is left."""
         G = cls(num, den)
         if G.num.degree < 1 or G.den.degree < 1:
             return G
@@ -141,8 +141,8 @@ class RationalTF:
             return G
         warnings.warn("cancelling near-common numerator/denominator roots",
                       stacklevel=2)
-        return cls(P.polyfromroots(nr).real * G.num.coeffs[-1],
-                   P.polyfromroots(kept_d).real * G.den.coeffs[-1])
+        return cls.make(P.polyfromroots(nr).real * G.num.coeffs[-1],
+                        P.polyfromroots(kept_d).real * G.den.coeffs[-1])
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
@@ -554,11 +554,11 @@ def lambda_search(G: RationalTF, grid) -> float:
 
 
 def transformed_tf(G: RationalTF, transform) -> RationalTF:
-    """Loop-transformed transfer function (c*q + d*p)/(a*q + b*p).
+    """Loop-transformed transfer function (c*q + d*p)/(a*q + b*p), exact.
 
-    Follows from u-tilde = (a + b*G)u and y-tilde = (c + d*G)u in the
-    frequency domain; near-common roots of the two combinations cancel with
-    a warning.
+    Follows from u-tilde = (a + b*G)u and y-tilde = (c + d*G)u.  An
+    invertible transform adds no common root, so nothing is cancelled: a
+    stable common factor of G changes no peak gain or index.
     """
     q, p = np.asarray(G.den.coeffs), _padded_num(G)
     den = RealPolynomial(transform.a * q + transform.b * p)
@@ -569,7 +569,7 @@ def transformed_tf(G: RationalTF, transform) -> RationalTF:
         raise DegenerateTransformedTF(
             "transformed numerator degree exceeds denominator degree"
         )
-    return RationalTF.make(num, den)
+    return RationalTF(num, den)
 
 
 def tf_passivity_indices(G: RationalTF) -> FrequencyIndices:

@@ -773,7 +773,10 @@ def _minimize_convex(models, B, Q):
     Mangasarian, Optim. Methods Softw. 2002); so does a zero gradient.  Any
     other step is halved until it lowers the objective by _ARMIJO of its
     first-order decrease, from at most the widest model grid's length, and
-    from that length if it is unsolved.  A step that cannot move z, a
+    from that length if it is unsolved.  An unsolved step with no curvature
+    that takes every model it moves outward from an end cell, whose
+    quadratic extends the model for ever, shows that the objective has no
+    minimizer and raises NoConvergence.  A step that cannot move z, a
     non-finite objective or the cap of _NEWTON_ITERATIONS ends the iteration
     early.  Whatever ended it, a max-norm gradient residual above 1e-6 of
     the larger of its two parts plus 1e-12 of the largest nodal slope raises
@@ -821,6 +824,14 @@ def _minimize_convex(models, B, Q):
             break
         iterations += 1
         p, solved = _newton_step(now.grad, hv)
+        # no curvature along p, and each model p moves sits in an end cell
+        # that p leaves outward: the objective falls along p without bound
+        if not solved and p @ hv(p) <= 0.0 and all(
+                j == (len(x) - 2 if s > 0.0 else 0)
+                for (x, _, _), j, s in zip(models, now.cell, B @ p) if s):
+            raise NoConvergence(
+                f"steady-state problem has no minimizer: the objective falls without "
+                f"bound along a step with no curvature (residual {now.residual:.3e})")
         length = np.linalg.norm(p)
         t = 1.0 if solved and length <= width else width / length
         drop, moved = _ARMIJO * (now.grad @ p), z + t * p

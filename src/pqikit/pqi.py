@@ -164,16 +164,16 @@ def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
     # the chi = 0 fallback is reserved for leading coefficients so small the
     # exact root q/a (bounded by scale/|a|) would overflow useful range.
     if abs(a) > 1e-30 * scale:
-        # cancellation-free root pairing: one root via (-b -/+ sqrt_d)/2a,
-        # the other via c divided by the same quantity
+        # cancellation-free root pairing: one root via (-b -/+ sqrt_d)/2a, the
+        # other via c over that quantity, nonzero since b^2 - 4ac > 0 here
         if b >= 0.0:
             q = -0.5 * (b + sqrt_d)
             s_minus = q / a
-            s_plus = c / q if q != 0.0 else (-b + sqrt_d) / (2.0 * a)
+            s_plus = c / q
         else:
             q = -0.5 * (b - sqrt_d)
             s_plus = q / a
-            s_minus = c / q if q != 0.0 else (-b - sqrt_d) / (2.0 * a)
+            s_minus = c / q
         return np.array([-s_minus, -1.0]), np.array([s_plus, 1.0])
     # a == 0: one boundary line is chi = 0, the other b*xi + c*chi = 0
     # (b != 0 since the discriminant is b^2); scale by b for invariance.

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 
 from pqikit import (
     PassivityIndices,
+    RationalTF,
     apply_network_transform,
     integral_function,
     passivize,
     simulate,
     solve_opp,
 )
+import pqikit.cli as cli_module
 from pqikit.cli import main
 from pqikit.relations import OF_K_INVERSE
 from pqikit.systems import pendulum_network
@@ -431,6 +433,27 @@ class TestCaseStudy:
         assert summary["passed"]
         assert {c["expected_from"] for c in summary["checks"]} <= {
             "pinned-reference-value", "independent-oracle"}
+
+    def test_failed_check_is_listed_and_exits_one(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # twice the reference plant's gain misses the pinned values, while
+        # the strict indices of the plant it transforms stay positive
+        monkeypatch.setattr(cli_module, "unstable_plant_tf",
+                            lambda: RationalTF([1.5], [-2.0, 2.0, 1.0]))
+        rc = main(["case-study", "lti", "--outdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] mu" in out and "[PASS] strict_indices_positive" in out
+        summary = json.loads((tmp_path / "case_study_summary.json").read_text())
+        assert not summary["passed"]
+
+    def test_outputs_go_to_the_working_directory_by_default(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["case-study", "lti"]) == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(tmp_path)) == [
+            "case_study_summary.json", "lti_report.json", "manifest.json"]
 
     def test_lti_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

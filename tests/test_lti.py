@@ -344,6 +344,42 @@ class TestL2GainBound:
             l2gain_to_input_index(0.0)
 
 
+def _zero_or_unit_size(bound):
+    """Floats in [-bound, bound] that are 0 or at least 1e-3 in magnitude: a
+    root or a transform entry far below the others' scale puts a root of
+    the transformed plant out of float range or into the subnormals."""
+    return st.floats(-bound, bound).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@st.composite
+def separated_plants(draw):
+    """A made plant k·Π(s - z)/Π(s - r) of order 1-4 whose roots, zeros and
+    poles together, lie more than 1e-4 of the largest one's magnitude apart.
+
+    Real parts lie in [-3, 3], and half of the root sets of two or more hold
+    one complex pair, as in stable_plants.
+    """
+
+    def roots(count):
+        r = [complex(x) for x in draw(st.lists(_zero_or_unit_size(3.0),
+                                               min_size=count, max_size=count))]
+        if count >= 2 and draw(st.booleans()):
+            im = draw(st.floats(0.1, 3.0))
+            r[:2] = [complex(r[0].real, im), complex(r[0].real, -im)]
+        return r
+
+    n = draw(st.integers(1, 4))
+    zeros, poles = roots(draw(st.integers(0, n))), roots(n)
+    every = zeros + poles
+    size = max(abs(z) for z in every)
+    assume(all(abs(x - y) > 1e-4 * size for i, x in enumerate(every) for y in every[:i]))
+    k = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return RationalTF.make(P.polyfromroots(zeros).real * k,
+                               P.polyfromroots(poles).real)
+
+
 class TestTransformedTF:
     def test_unit_numerator_variant(self):
         G = RationalTF.make([1.0], [-2.0, 2.0, 1.0])
@@ -367,6 +403,41 @@ class TestTransformedTF:
         Gt = transformed_tf(G, Transform2(1.0, 4.0, 1.0, 5.0))
         assert max(Gt.num.degree, Gt.den.degree) <= max(G.num.degree,
                                                         G.den.degree)
+
+    @given(separated_plants(), st.lists(_zero_or_unit_size(2.0), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_made_plant_has_nothing_to_cancel(self, G, entries):
+        # (c q + d p)/(a q + b p) share a root only where p and q do, so the
+        # exact transform is what make of the two combinations returns
+        sv = np.linalg.svd(np.reshape(entries, (2, 2)), compute_uv=False)
+        assume(sv[1] > 0.1 * sv[0])  # condition number below 10
+        T = Transform2(*entries)
+        q, p = np.asarray(G.den.coeffs), lti._padded_num(G)
+        top = T.a * q[-1] + T.b * p[-1]
+        assume(abs(top) > 0.1 * (abs(T.a * q[-1]) + abs(T.b * p[-1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transformed_tf(G, T) == RationalTF.make(T.c * q + T.d * p,
+                                                           T.a * q + T.b * p)
+
+    def test_stable_common_factor_keeps_gain_and_indices(self):
+        # 0.75(s + 2)/((s + 2)(s^2 + 2s - 2)) built directly keeps its factor
+        # through the transform, and |s + 2|^2 divides out of every ratio on
+        # the axis
+        num, den = [1.5, 0.75], P.polymul([2.0, 1.0], [-2.0, 2.0, 1.0])
+        with pytest.warns(UserWarning, match="cancelling near-common"):
+            made = RationalTF.make(num, den)
+        T = Transform2(1.0, 4.0, 1.0, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = transformed_tf(RationalTF(num, den), T)
+        assert kept.den.degree == 3
+        want, got = (tf_passivity_indices(transformed_tf(made, T)),
+                     tf_passivity_indices(kept))
+        np.testing.assert_allclose([got.rho, got.nu, linf_norm(kept)],
+                                   [want.rho, want.nu,
+                                    linf_norm(transformed_tf(made, T))],
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestTFPassivityIndices:
@@ -652,9 +723,9 @@ class TestWorkCounts:
         assert strict.rho >= 0.0 and strict.nu >= 0.0
         # lambda_search: the screen (the peak's slope is of degree 1, and a
         # degree-1 row needs no solve); loop_mu twice: stability (the peak
-        # again needs none); transformed_tf: one stacked cancellation solve;
-        # tf_passivity_indices: stability, axis zeros and both indices
-        assert counts == {"eigvals": 7, "extremum": 4}
+        # again needs none); tf_passivity_indices: stability, axis zeros and
+        # both indices; transformed_tf solves nothing
+        assert counts == {"eigvals": 6, "extremum": 4}
 
 
 def _pipeline(G):
@@ -907,6 +978,20 @@ class TestSerialization:
             G = RationalTF.make([1.0, 1.0], [1.0, 2.0, 1.0])  # (s+1)/(s+1)^2
         assert G.num.degree == 0
         assert G.den.degree == 1
+
+    def test_making_a_made_plant_returns_it(self):
+        # G·(s + 3.6)/(s + 3.6) for a plant G that stable_plants once drew:
+        # once s + 3.6 is cancelled, G's zero at -0.1 and the pole beside it
+        # read as near-common, and make cancels them too rather than leave
+        # them to a second make
+        num = (0.10000000000000009, 1.0)
+        den = (0.0007409042333197303, 0.0170055846663946, 0.11784042333197299, 0.21875)
+        with pytest.warns(UserWarning, match="cancelling near-common"):
+            made = RationalTF.make(P.polymul(num, [3.6, 1.0]), P.polymul(den, [3.6, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RationalTF.make(made.num, made.den) == made
+        assert (made.num.degree, made.den.degree) == (0, 2)
 
     def test_slow_distinct_roots_kept(self):
         # (1 + 1e8 s)/(2 + 1e8 s): roots -1e-8 and -2e-8 are not common

@@ -625,6 +625,15 @@ class TestTransformAgent:
 
 
 class TestSolvers:
+    def test_newton_step_stops_unsolved_at_no_curvature(self):
+        # H = diag(1, 0), g = (1, 1): the first CG step is exact along (1, 1),
+        # and the next direction (0, -2) has no curvature, so the step so far
+        # comes back unsolved
+        p, solved = network_module._newton_step(
+            np.array([1.0, 1.0]), lambda v: np.array([v[0], 0.0]))
+        np.testing.assert_array_equal(p, [-2.0, -2.0])
+        assert not solved
+
     def test_single_agent_unconstrained_minimum(self):
         spec = NetworkSpec(Graph(1, ()), (quadratic_agent(3.0),), (),
                            np.zeros(1))
@@ -759,12 +768,14 @@ class TestSolvers:
             iterations.add(res.iterations)
         assert len(iterations) == 1 and iterations.pop() <= 3
 
-    def test_unbounded_potential_problem_raises(self, monkeypatch):
-        # u = clip(y, -1, 1) + 1.5 is at least 0.5, so no outputs make the
-        # inputs sum to 0 and no steady state exists.  Once both agents
-        # saturate, the gradient lies where the Hessian vanishes: conjugate
-        # gradients find no positive curvature and step along -g, and the
-        # potential falls without end until the iteration cap
+    @pytest.mark.parametrize("offset", [1.5, -1.5])
+    def test_unbounded_potential_problem_raises(self, monkeypatch, offset):
+        # u = clip(y, -1, 1) ± 1.5 is at least 0.5 in magnitude, of one sign,
+        # so no outputs make the inputs sum to 0 and no steady state exists.
+        # Once both agents saturate, the gradient lies where the Hessian
+        # vanishes: conjugate gradients find no positive curvature, and the
+        # step along -g leaves both end cells outward, where the potential
+        # falls without end
         solved = []
 
         def recorded(*args, _real=network_module._newton_step):
@@ -773,13 +784,14 @@ class TestSolvers:
             return p, done
 
         monkeypatch.setattr(network_module, "_newton_step", recorded)
-        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1.5),) * 2
+        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + offset),) * 2
         spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.0),),
                            np.zeros(2))
-        with pytest.raises(NoConvergence, match=r"stopped with gradient residual "
-                           r"5\.000e-01 .* at the iteration cap of 500$"):
+        with pytest.raises(NoConvergence, match=r"^steady-state problem has no "
+                           r"minimizer: the objective falls without bound along a "
+                           r"step with no curvature \(residual 5\.000e-01\)$"):
             solve_opp(spec)
-        assert False in solved
+        assert False in solved and len(solved) <= 3
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):

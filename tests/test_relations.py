@@ -125,6 +125,14 @@ class TestComposeViaStages:
         out = compose_via_stages(rel, decompose(Transform2.identity()))
         np.testing.assert_allclose(out.points, rel.points, atol=1e-14)
 
+    def test_point_list_goes_through_as_a_point_list(self):
+        rel = PlanarRelation.from_points([0.0, 1.0, 2.0], [1.0, -1.0, 3.0])
+        T = Transform2(1.0, 1.0, 1.0, 2.0)
+        out = compose_via_stages(rel, decompose(T))
+        assert out.sigma is None
+        np.testing.assert_allclose(out.points, transform_relation(rel, T).points,
+                                   atol=1e-14)
+
     def test_pure_feedback_on_cubic_inverse(self):
         rel = odd_cubic_agent().relation  # u = y^3 - y
         out = compose_via_stages(rel, decompose(Transform2(1.0, 1.0, 0.0, 1.0)))
@@ -1223,6 +1231,12 @@ class TestRepresentations:
         back = rel.inverse().inverse()
         np.testing.assert_array_equal(back.u, rel.u)
         np.testing.assert_array_equal(back.y, rel.y)
+
+    def test_inverse_of_a_point_list_is_a_point_list(self):
+        rel = PlanarRelation.from_points([0.0, 1.0], [2.0, 3.0])
+        inv = rel.inverse()
+        assert inv.sigma is None
+        np.testing.assert_array_equal(inv.points, [[2.0, 0.0], [3.0, 1.0]])
 
     def test_sampled_deduplicates(self):
         rel = PlanarRelation.from_points([0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
