@@ -30,7 +30,7 @@ from .lti import (
     transformed_tf,
 )
 from .network import predict_and_verify, simulate, solve_ofp, solve_opp, spec_from_json
-from .pqi import PassivityIndices
+from .pqi import PassivityIndices, pullback
 from .relations import OF_K_INVERSE, IntegralFunction, integral_function, legendre
 from .systems import pendulum_network, quadratic_network, unstable_plant_tf
 from .transforms import STAGE_REALIZATIONS, decompose, passivize
@@ -169,6 +169,9 @@ def _case_study_lti(outdir: str):
     mu, idx, T, Gt, strict_oracle = _lti_pipeline(G, lam)
     displayed = RationalTF.make([3.0, 2.0, 1.0], [2.0, 2.0, 1.0])
     strict_disp = tf_passivity_indices(displayed)
+    # T carries the plant's PQI onto the passivity PQI, up to a positive factor
+    carried = pullback(idx.pqi(), T).normalized().coeffs
+    passive = PassivityIndices(0.0, 0.0).pqi().normalized().coeffs
 
     checks = [
         _check("mu", abs(mu - 1.0) <= 1e-6, {"got": mu, "want": 1.0},
@@ -188,6 +191,10 @@ def _case_study_lti(outdir: str):
             {"num": list(Gt.num.coeffs), "den": list(Gt.den.coeffs)},
             "independent-oracle",
         ),
+        _check("pullback_onto_target",
+               float(np.abs(carried - passive).max()) <= 1e-9,
+               {"got": carried.tolist(), "want": passive.tolist()},
+               "independent-oracle"),
         _check(
             "strict_indices_displayed_variant",
             abs(strict_disp.nu - 0.9) <= 0.02

@@ -120,10 +120,8 @@ class RationalTF:
         if G.num.degree < 1 or G.den.degree < 1:
             return G
         n, d = np.asarray(G.num.coeffs), np.asarray(G.den.coeffs)
-        # one stacked solve when the degrees agree
         try:
-            nr, dr = (_roots(np.stack([n, d])) if len(n) == len(d)
-                      else (_roots(n[None])[0], _roots(d[None])[0]))
+            nr, dr = _roots(n[None])[0], _roots(d[None])[0]
         except NonFiniteValue as exc:
             part = ("numerator" if not np.isfinite(_companion_column(n[None])).all()
                     else "denominator")

@@ -127,10 +127,11 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
     ITP steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on Illinois false
     position (Dowell & Jarratt, BIT 11, 1971).  Each round the interpolated
     point moves toward its bracket's midpoint by 0.1·w²/c, w the bracket's
-    width and c the cell's, and by at least one ulp, so that it lands past a
-    root it has nearly found; then it is drawn toward the midpoint just far
-    enough that after n rounds no bracket is wider than 2^(2-n)·c.  The
-    false-position point itself, where it lies inside the bracket, is
+    width and c the cell's, and by at least one ulp (or onto the midpoint,
+    if that is nearer), so that it lands past a root it has nearly found,
+    however close to the bracket's end; then it is drawn toward the midpoint
+    just far enough that after n rounds no bracket is wider than 2^(2-n)·c.
+    The false-position point itself, where it lies inside the bracket, is
     evaluated in the same array call: an exact zero there closes the bracket
     at once, and a sign change between it and the ITP point leaves the
     bracket between the two, so a linear ``f`` needs no truncation rounds.
@@ -169,7 +170,10 @@ def bracket_roots(f, u_values, lo: float, hi: float, cells: int):
         gap = m - xf
         step = np.maximum(0.1 / width * w * w, np.abs(np.spacing(xf)))
         reach = np.maximum(width * 2.0 ** (1 - j) - 0.5 * w, 0.0)
-        x = m - np.copysign(np.minimum(np.fmax(np.abs(gap) - step, 0.0), reach), gap)
+        # measured from xf, so a step below an ulp of m still moves it; m
+        # itself once the step reaches it, or for a nan xf
+        x = np.where(step < np.abs(gap), xf + np.copysign(step, gap), m)
+        x = np.clip(x, m - reach, m + reach)
         xf = np.where(np.abs(gap) < 0.5 * w, xf, x)
         probes = np.stack([x, xf])
         fx, ff = agent_call(f, probes, np.broadcast_to(u, probes.shape))

@@ -164,16 +164,12 @@ def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
     # the chi = 0 fallback is reserved for leading coefficients so small the
     # exact root q/a (bounded by scale/|a|) would overflow useful range.
     if abs(a) > 1e-30 * scale:
-        # cancellation-free root pairing: one root via (-b -/+ sqrt_d)/2a, the
-        # other via c over that quantity, nonzero since b^2 - 4ac > 0 here
-        if b >= 0.0:
-            q = -0.5 * (b + sqrt_d)
-            s_minus = q / a
-            s_plus = c / q
-        else:
-            q = -0.5 * (b - sqrt_d)
-            s_plus = q / a
-            s_minus = c / q
+        # cancellation-free root pairing: q = -(b + sign(b)·sqrt_d)/2 gives one
+        # root as q/a and the other as c/q (q != 0 since b^2 - 4ac > 0 here);
+        # the sign of b, -0.0 counting as positive, says which is s_minus
+        up = b >= 0.0
+        q = -0.5 * (b + (sqrt_d if up else -sqrt_d))
+        s_minus, s_plus = (q / a, c / q) if up else (c / q, q / a)
         return np.array([-s_minus, -1.0]), np.array([s_plus, 1.0])
     # a == 0: one boundary line is chi = 0, the other b*xi + c*chi = 0
     # (b != 0 since the discriminant is b^2); scale by b for invariance.

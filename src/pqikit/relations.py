@@ -12,8 +12,9 @@ exactly: binary searches over the running maximum and minimum of its cell
 slopes bracket each maximizer, one sample wherever the slopes never dip.
 Every tolerance is relative to its own operands (an axis's largest
 magnitude or range, a curve's nearby steps), never an absolute floor: a
-factor per axis changes no verdict of monotonicity or of a potential, and
-a shift or a power of two per axis none of maximality.
+power of two per axis changes no verdict, and a factor per axis none of
+monotonicity or of a potential.  A shift of an axis moves its largest
+magnitude, so it can change a verdict.
 Everything here is numpy alone.
 """
 
@@ -172,13 +173,11 @@ def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
     uncertified; a second difference or a band past it is the infinity it
     rounds to, so a bound that overflows on a subnormal cell certifies.
     """
-    if len(h) < 2:
-        return True
     with np.errstate(over="ignore"):
         slopes = np.diff(values) / h
         if not np.isfinite(slopes).all():
             return False
-        second, band = np.diff(slopes), DECREASE_RTOL * np.abs(slopes).max()
+        second, band = np.diff(slopes), DECREASE_RTOL * np.abs(slopes).max(initial=0.0)
         if np.all(second >= -band):
             return True
         rounding = SLOPE_EPS * np.abs(values).max() / h
@@ -202,13 +201,10 @@ def compose_via_stages(rel: PlanarRelation, dec) -> PlanarRelation:
     (after an optional column swap); the composite must agree with the direct
     single-map transport, which the test suite uses as a consistency oracle.
     """
-    z = rel.points.T.copy()
-    if dec.column_swapped:
-        z = z[::-1]
+    z = np.array([rel.y, rel.u] if dec.column_swapped else [rel.u, rel.y])
     for factor in dec.factors():
         z = factor @ z
-    return PlanarRelation(z[0], z[1],
-                          sigma=None if rel.sigma is None else rel.sigma.copy())
+    return PlanarRelation(z[0], z[1], rel.sigma)
 
 
 # ---------------------------------------------------------------------------

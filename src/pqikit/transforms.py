@@ -2,7 +2,7 @@
 
 Given a source and a target quadratic inequality, a 2x2 map sending one
 solution cone onto the other is assembled from the boundary rays; a sign test
-on the ray sums picks the correct one of the two candidates.  The map is then
+on the ray sums picks the sign of the second target ray.  The map is then
 factored into four realizable stages (output feedback, post-gain, input
 feedthrough, pre-gain), and a numeric dissipation certificate checks that the
 transformed system satisfies the requested inequality on a state–input grid.
@@ -112,21 +112,18 @@ def mapping_transform(source: PQI, target: PQI) -> Transform2:
     """A map carrying the source cone onto the target cone.
 
     The transformed inequality equals the target up to a positive scalar.
-    Two candidates send boundary onto boundary; evaluating each inequality on
-    the sum of its own rays tells which candidate maps interior to interior:
-    matching signs select the plain candidate, opposite signs the one with the
-    second target ray negated.
+    A map sending the source rays onto the target rays, the second one
+    possibly negated, sends boundary onto boundary; evaluating each
+    inequality on the sum of its own rays tells which sign maps interior to
+    interior: matching signs keep the second target ray, opposite signs
+    negate it.
     """
     rs = np.column_stack(boundary_rays(source))
     rt = np.column_stack(boundary_rays(target))
     alpha1 = source(rs[0, 0] + rs[0, 1], rs[1, 0] + rs[1, 1])
     alpha2 = target(rt[0, 0] + rt[0, 1], rt[1, 0] + rt[1, 1])
-    rs_inv = np.linalg.inv(rs)
-    if alpha1 * alpha2 >= 0.0:
-        m = rt @ rs_inv
-    else:
-        m = (rt * np.array([[1.0, -1.0], [1.0, -1.0]])) @ rs_inv
-    return Transform2.from_matrix(m)
+    sign = 1.0 if alpha1 * alpha2 >= 0.0 else -1.0
+    return Transform2.from_matrix((rt * np.array([1.0, sign])) @ np.linalg.inv(rs))
 
 
 def passivize(

@@ -110,7 +110,8 @@ LEDGER = {
     ("cli.py", "_case_study_lti", 1e-9): (
         "transform entries against their pinned integers 1 to 5",
         "transformed numerator against its pinned coefficients 1 to 2",
-        "transformed denominator against its pinned coefficients 1 to 2"),
+        "transformed denominator against its pinned coefficients 1 to 2",
+        "the pulled-back PQI against the passivity PQI, both of unit norm"),
     ("cli.py", "_case_study_lti", 0.02): (
         "nu against the paper's 0.9, printed to two digits",
         "rho against the paper's 2/3, printed to two digits"),

@@ -16,11 +16,13 @@ from pqikit import (
     contains,
     discriminant,
     is_nontrivial,
+    mapping_transform,
     pullback,
     solution_set,
 )
 from pqikit.errors import (DimensionMismatch, InvalidSpec, NonFiniteValue, SingularTransform,
                            TrivialPQI)
+from pqikit.pqi import _scaled
 
 coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -104,6 +106,96 @@ class TestBoundaryRays:
         for ray in boundary_rays(p):
             ray = ray / np.linalg.norm(ray)
             assert abs(p(ray[0], ray[1])) <= 1e-12 * np.linalg.norm(p.coeffs)
+
+
+def two_branch_boundary_rays(p):
+    """boundary_rays as it was written with one branch per sign of b."""
+    a, b, c = _scaled(p)
+    scale = math.sqrt(a * a + b * b + c * c)
+    sqrt_d = math.sqrt(b * b - 4.0 * a * c)
+    if abs(a) > 1e-30 * scale:
+        if b >= 0.0:
+            q = -0.5 * (b + sqrt_d)
+            s_minus = q / a
+            s_plus = c / q
+        else:
+            q = -0.5 * (b - sqrt_d)
+            s_plus = q / a
+            s_minus = c / q
+        return np.array([-s_minus, -1.0]), np.array([s_plus, 1.0])
+    return np.array([1.0, 0.0]), np.array([-c / b, 1.0])
+
+
+def two_candidate_mapping_transform(source, target):
+    """mapping_transform as it was written with one branch per candidate map."""
+    rs = np.column_stack(boundary_rays(source))
+    rt = np.column_stack(boundary_rays(target))
+    alpha1 = source(rs[0, 0] + rs[0, 1], rs[1, 0] + rs[1, 1])
+    alpha2 = target(rt[0, 0] + rt[0, 1], rt[1, 0] + rt[1, 1])
+    rs_inv = np.linalg.inv(rs)
+    if alpha1 * alpha2 >= 0.0:
+        m = rt @ rs_inv
+    else:
+        m = (rt * np.array([[1.0, -1.0], [1.0, -1.0]])) @ rs_inv
+    return Transform2.from_matrix(m), alpha1 * alpha2 >= 0.0
+
+
+def fork_corpus():
+    """Non-trivial PQIs with magnitudes over six decades, exact zeros, b = +0.0
+    and -0.0, and leading coefficients about the 1e-30 of the norm below
+    which boundary_rays takes chi = 0 as a boundary line."""
+    rng = np.random.default_rng(44)
+    n = 4000
+    a, b, c = (np.where(rng.random(n) < 0.1, 0.0,
+                        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n))
+               for _ in range(3))
+    b[:300], b[300:600] = 0.0, -0.0
+    near = slice(0, 1200, 2)
+    a[near] = (rng.choice([-1.0, 1.0], 600) * np.hypot(b[near], c[near]) * 1e-30
+               * rng.choice([0.25, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0, 4.0], 600))
+    return [p for p in (PQI(*t) for t in zip(a.tolist(), b.tolist(), c.tolist())
+                        if any(t)) if is_nontrivial(p)]
+
+
+class TestMergedForks:
+    """The merged root pairing of boundary_rays and the one candidate map of
+    mapping_transform return the bits of the two-branch forms they replace."""
+
+    corpus = fork_corpus()
+
+    def test_corpus_reaches_every_arm(self):
+        scaled = [_scaled(p) for p in self.corpus]
+        fallback = [abs(a) <= 1e-30 * math.sqrt(a * a + b * b + c * c)
+                    for a, b, c in scaled]
+        paired = [(a, b) for (a, b, c), fb in zip(scaled, fallback) if not fb]
+        assert sum(a != 0.0 for (a, _, _), fb in zip(scaled, fallback) if fb) >= 50
+        assert sum(abs(a) <= 1e-29 * math.sqrt(a * a + b * b + c * c)
+                   for (a, b, c), fb in zip(scaled, fallback) if not fb) >= 50
+        signs = [math.copysign(1.0, b) for _, b in paired]
+        assert signs.count(1.0) >= 100 and signs.count(-1.0) >= 100
+        assert sum(b == 0.0 and s < 0.0 for (_, b), s in zip(paired, signs)) >= 40
+        assert sum(b == 0.0 and s > 0.0 for (_, b), s in zip(paired, signs)) >= 40
+
+    def test_boundary_rays_match_the_two_branch_form(self):
+        for p in self.corpus:
+            got, want = boundary_rays(p), two_branch_boundary_rays(p)
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in want], p
+
+    def test_mapping_transform_matches_the_two_candidate_form(self):
+        kept = {True: 0, False: 0}
+        corpus = self.corpus
+        for i, source in enumerate(corpus[:2000]):
+            target = corpus[(7 * i + 3) % len(corpus)]
+            try:
+                want, plain = two_candidate_mapping_transform(source, target)
+            except SingularTransform:
+                with pytest.raises(SingularTransform):
+                    mapping_transform(source, target)
+                continue
+            kept[plain] += 1
+            got = mapping_transform(source, target)
+            assert got.matrix().tobytes() == want.matrix().tobytes(), (source, target)
+        assert min(kept.values()) >= 500
 
 
 class TestSolutionSet:

@@ -289,12 +289,23 @@ class TestBracketRoots:
         assert calls == [5]
 
     def test_round_cap_ends_a_bracket_beside_a_grid_zero(self):
-        # the root 1e-300 sits next to the grid point 0, so each round
-        # halves the bracket and 80 rounds leave it about 5e-32 wide
+        # the root 1e-300 sits next to the grid point 0; once the offset
+        # 0.1·w² is below one ulp of the midpoint's distance, it is still
+        # added to the false-position point, so the bracket closes
+        # quadratically instead of halving for 80 rounds
         f, calls = counted(lambda x, u: x - 1e-300)
         roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 2)
-        assert len(calls) <= 81
-        assert len(roots) == 1 and abs(roots[0] - 1e-300) <= 1e-30
+        assert len(calls) <= 12
+        assert roots.tolist() == [1e-300]
+
+    def test_round_cap_yields_the_midpoint_of_an_open_bracket(self):
+        # values on either side of a jump say nothing about where it is, and
+        # the ulps at 1e-200 are far below the width 80 rounds reach from a
+        # cell of width 1, so the cap ends the loop with the bracket open
+        f, calls = counted(lambda x, u: np.where(x < 1e-200, -1.0, 1.0))
+        roots, _ = bracket_roots(f, [0.0], -1.0, 1.0, 2)
+        assert len(calls) == 81
+        assert roots[0] != 1e-200 and abs(roots[0] - 1e-200) <= 2.0 ** -78
 
     @pytest.mark.parametrize("agent", [
         pendulum_gradient_agent(), odd_cubic_agent(), nonmonotone_demo_agent(),
