@@ -20,9 +20,10 @@ exempt, since only a fresh interpreter runs it.
 By default the code run is pytest on the tier-1 suite.  The script prints
 each unreached line as ``path:line: source`` and each untaken arm as
 ``path:line:col: arm source``, and exits 1 if there is any; exits with
-pytest's status if a test fails.  It ends with two size counts of
+pytest's status if a test fails.  It ends with three size counts of
 ``src/pqikit``: its lines (as the benchmark's ``src_pqikit_lines`` counts
-them) and its settable values (see :func:`settable_values`).
+them), its code lines (see :func:`code_lines`) and its settable values
+(see :func:`settable_values`).
 
 ``--system`` runs what the system runs instead (see :func:`run_system`):
 every job of the three benchmark workloads at seed 1 and the README's
@@ -110,6 +111,18 @@ def by_line(positions) -> dict[int, list]:
         if None not in p:
             spans.setdefault(p[0], []).append(p)
     return spans
+
+
+def code_lines(source: list[str], tree: ast.Module) -> int:
+    """Lines that are not blank, not a comment alone and not inside the
+    docstring of the module, a class or a function."""
+    docs = {line for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+            for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+    return sum(bool(text.strip()) and not text.strip().startswith("#") and i not in docs
+               for i, text in enumerate(source, 1))
 
 
 def settable_values(tree: ast.Module) -> int:
@@ -274,15 +287,16 @@ def main(argv=None) -> int:
         ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", *args]))
     if status:
         return int(status)
-    missed = untaken = length = settable = 0
+    missed = untaken = length = code = settable = 0
     for _, source, tree, lines, arms_left in unrun(ran, main_guard_lines):
         print("".join(f"{entry}\n" for entry in lines + arms_left), end="")
         missed += len(lines)
         untaken += len(arms_left)
         length += len(source)
+        code += code_lines(source, tree)
         settable += settable_values(tree)
     print(f"{missed} unreached line(s) and {untaken} untaken arm(s) in {package}")
-    print(f"{package}: {length} lines, {settable} settable values")
+    print(f"{package}: {length} lines, {code} code lines, {settable} settable values")
     return 1 if missed or untaken else 0
 
 

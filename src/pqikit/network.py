@@ -897,6 +897,28 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     return OptimizationResult(fval, y, E.T @ y, iters, residual)
 
 
+def _refuse_flows_past_flat_ends(kstar_models, models, flows) -> None:
+    """NoConvergence naming the first vertex whose flow lies past a flat end
+    of its relation by more than the conjugate model's end cell.
+
+    Where a K*ᵢ model ends in a run of slopes that :func:`_conjugate` merges
+    (its end node is then not the model's end sample), the relation's u
+    stops there and Kᵢ is +∞ beyond it, although the conjugate model's end
+    quadratic extends it.  One cell allows for the C¹ model's smoothing of
+    the kink before a flat run; a quadratic end extends the relation, so a
+    flow past it stands.  Only a flow outside its grid is tested further.
+    """
+    for i, ((x, _, _), (dc, xc, _), w) in enumerate(zip(kstar_models, models, flows)):
+        if dc[0] <= w <= dc[-1]:
+            continue
+        end, inner, flat = ((0, 1, xc[0] != x[0]) if w < dc[0]
+                            else (-1, -2, xc[-1] != x[-1]))
+        if flat and abs(w - dc[end]) > abs(dc[end] - dc[inner]):
+            raise NoConvergence(
+                f"vertex {i}: steady-state flow {w:.6g} lies past the end "
+                f"{dc[end]:.6g} of the relation's u, where it is flat: no steady state")
+
+
 def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
     """Steady-state flows from the optimal flow problem over edge variables.
 
@@ -905,19 +927,23 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     :func:`solve_opp`, unless ``node_potentials`` supplies Kᵢ; the K*ᵢ, or
     the supplied Kᵢ, must carry the convexity certificate.  Solved and
     reported like the potential problem, so at the optimum the two
-    objectives sum to zero.  ``grid`` is accepted for symmetry with
-    :func:`solve_opp`; neither problem uses it.
+    objectives sum to zero.  A flow past a flat end of its relation is
+    refused (:func:`_refuse_flows_past_flat_ends`).  ``grid`` is accepted
+    for symmetry with :func:`solve_opp`; neither problem uses it.
     """
     if node_potentials is None:
-        models = _once_per_object(
-            _c1_models(_kstars(spec.agents)), _conjugate)
+        kstar_models = _c1_models(_kstars(spec.agents))
+        models = _once_per_object(kstar_models, _conjugate)
     else:
         models = _c1_models(node_potentials)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     mu, fval, iters, residual = _minimize_convex(
         models, -E, np.diag(1.0 / gains))
-    return OptimizationResult(fval, -E @ mu, mu, iters, residual)
+    flows = -E @ mu
+    if node_potentials is None:
+        _refuse_flows_past_flat_ends(kstar_models, models, flows)
+    return OptimizationResult(fval, flows, mu, iters, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ stored as samples plus, for a curve, the parameter of each sample.
 Relations are transported under 2x2 maps (directly or stage by stage through
 an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for
-maximality, which by Minty's theorem (1962) one pass over a curve decides.
-Integration merges ties in the abscissa with an array mask.  Only a
-potential whose own samples earn the convexity certificate is conjugated,
-exactly: binary searches over the running maximum and minimum of its cell
-slopes bracket each maximizer, one sample wherever the slopes never dip.
+maximality, which by Minty's theorem (1962) one pass over a curve decides:
+the curve must be a chain in the pairwise order, every later sample at or
+up and to the right of every earlier one, so one scan against each axis's
+running maximum is the whole maximality check.  Inversion, reversal and a
+power of two per axis change none of its flags.  Integration merges ties
+in the abscissa with an array mask.  Only a potential whose own samples
+earn the convexity certificate is conjugated, exactly: binary searches
+over the running maximum and minimum of its cell slopes bracket each
+maximizer, one sample wherever the slopes never dip.
 Every tolerance is relative to its own operands (an axis's largest
 magnitude or range, a curve's nearby steps), never an absolute floor: a
 power of two per axis changes no verdict, and a factor per axis none of
@@ -214,6 +218,7 @@ OF_K = "of_k"
 OF_K_INVERSE = "of_k_inverse"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFunction:
     """Cumulative-trapezoid potential of the relation in one direction.
 
@@ -227,7 +232,8 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     past the tie gap are a monotone curve with no tie and no fold, so
     neither check runs; strictly increasing ones are their own stable sort
     order, so they are not sorted.  The result is the same bits either
-    way, and the grid is a copy, never the relation's own array.
+    way, and the grid is a copy, never the relation's own array.  Nothing
+    is warned: a value past the float range is named by the constructor.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -258,7 +264,9 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         # each sample is compared with the first sample of its tie run
         first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
         vf = v[first]
-        band = 1e-8 * (np.abs(v) + np.abs(vf) + float(np.abs(v).max()))
+        # each term scaled before the sum, so the band is finite wherever v is
+        band = 1e-8 * np.abs(v)
+        band += band[first] + band.max()
         fold = ~keep & (np.abs(v - vf) > band)
         if fold.any():
             i = int(np.argmax(fold))
@@ -268,12 +276,10 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         gx, gv = x[keep], v[keep]
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    # unwarned: the constructor names the first value past the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _trapezoid(gx, gv, 0.0, dx)
-    return IntegralFunction(gx, values)
+    return IntegralFunction(gx, _trapezoid(gx, gv, 0.0, dx))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     """Discrete Legendre transform F*(y) = max_i (y*x_i - F(x_i)) of a convex F,
     at each y of ``dual_grid``.
@@ -287,7 +293,8 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     maximized in batches, so that they take O(len(grid) + len(dual_grid))
     memory however much they overlap.  Cell slopes that never decrease are
     their own running maximum (numpy keeps the later of equal values) and
-    every window is the one sample lo, so neither extremum is taken.
+    every window is the one sample lo, so neither extremum is taken.  As in
+    :func:`integral_function`, a value past the float range is named, not warned.
     """
     if not len(F.grid):
         raise InvalidSamples("legendre: the potential has no samples")
@@ -375,9 +382,12 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     taken over the power of two at or above its range (so a shift keeps its
     weight and a power of two per axis every flag), and a step's length is
     |du| + |dy|.  Oriented so that s = u + y rises from end to end, the
-    curve is a chain when u and y never fall (beyond ``DECREASE_RTOL`` of
-    their largest magnitude, as in :func:`is_monotone`) and s strictly
-    rises; a chain cannot meet itself, and any other curve is not decided.
+    curve is a chain when s strictly rises and every later sample lies at
+    or up and to the right of every earlier one, within ``DECREASE_RTOL``
+    of each axis's largest magnitude: no sample falls that far below its
+    axis's running maximum.  A chain is monotone over every pair of its
+    samples, and cannot meet itself; any other curve is not decided.
+    Swapping the axes or reversing the samples changes no flag.
     It is continuous when no run of one or two steps holds a step over 10
     times each step on both sides of the run (it may steepen at any rate,
     but not leap and settle back), and diverges when each end decile's mean
@@ -391,9 +401,9 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
         raise WrongRepresentation(
             f"cursivity check needs a curve of 2 or more samples, not {n}")
     u, y = _over_range(rel.u), _over_range(rel.y)
-    du, dy = np.diff(u), np.diff(y)
     if u[-1] - u[0] + (y[-1] - y[0]) < 0.0:  # s = u + y falls from end to end
-        du, dy = -du, -dy
+        u, y = -u, -y
+    du, dy = np.diff(u), np.diff(y)
     step = np.abs(du) + np.abs(dy)
     # the steps 2 and 1 before and 1 and 2 after each; past an end, unbounded
     pad = np.concatenate(([np.inf, np.inf], step, [np.inf, np.inf]))
@@ -412,8 +422,11 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
             notes.append(f"{what} at sample {i}, (u, y) = ({rel.u[i]:.6g}, {rel.y[i]:.6g})")
         return not fails.any()
 
-    breaks = ((du < -DECREASE_RTOL * float(np.abs(u).max()))
-              | (dy < -DECREASE_RTOL * float(np.abs(y).max())) | (du + dy <= 0.0))
+    # step i breaks where s does not rise or sample i + 1 falls below an
+    # earlier sample on either axis: below that axis's running maximum
+    breaks = du + dy <= 0.0
+    for z in (u, y):
+        breaks |= z[1:] - np.maximum.accumulate(z)[:-1] < -DECREASE_RTOL * float(np.abs(z).max())
     chain = holds(breaks, "not a chain: the curve turns back or stands still")
     continuous = holds(step > 10.0 * flank, "jump: a step over 10x the steps around it starts")
     diverges = holds(stalls, "stalls: an end decile moves under 0.1 of the median step, the end")
@@ -421,6 +434,9 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:
-    """Monotone, and a complete nondecreasing curve (:func:`is_cursive`):
-    maximal by Minty's theorem, since I + R is then onto."""
-    return is_monotone(rel) and is_cursive(rel).cursive
+    """Whether the curve is cursive (:func:`is_cursive`): its chain is
+    monotone over every pair of samples, so by Minty's theorem it is
+    maximal, I + R being onto.  That one scan is the whole check, and it
+    reads the same on the relation, its inverse and its reversal; a point
+    list raises WrongRepresentation."""
+    return is_cursive(rel).cursive

@@ -793,6 +793,33 @@ class TestSolvers:
             solve_opp(spec)
         assert False in solved and len(solved) <= 3
 
+    @pytest.mark.parametrize("offset, end", [(1.5, "0.5"), (-1.5, "-0.5")])
+    def test_flow_past_a_saturation_raises(self, offset, end):
+        # the same network has no steady flow either: the flow potential is
+        # +inf past the saturated ends of u, which the conjugate model's end
+        # quadratics extend; u = 0 lies 0.5 past them
+        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + offset),) * 2
+        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.0),),
+                           np.zeros(2))
+        with pytest.raises(NoConvergence, match=rf"^vertex 0: steady-state flow 0 lies "
+                           rf"past the end {end} of the relation's u, where it "
+                           rf"is flat: no steady state$"):
+            solve_ofp(spec)
+
+    @pytest.mark.parametrize("centers", [(30.0, -45.0), (30.0, -60.0)])
+    def test_quadratic_flows_past_the_grid_stand(self, centers):
+        # u = y - c sampled for y in [-20, 20]: the steady state puts the
+        # second agent at the end of its grid or 10 past it, where the
+        # model's end quadratic is the relation itself
+        spec = NetworkSpec(Graph.path(2), tuple(map(quadratic_agent, centers)),
+                           (ControllerSpec(gain=1.0),), np.zeros(2))
+        gap = (centers[0] - centers[1]) / 3.0
+        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        np.testing.assert_allclose(opp.primal, [centers[0] - gap, centers[1] + gap],
+                                   rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(ofp.primal, [-gap, gap], rtol=0.0, atol=1e-11)
+        assert abs(opp.objective + ofp.objective) <= 1e-11
+
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):
         """Quadratic agents on a path or a random connected graph."""

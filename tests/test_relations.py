@@ -73,6 +73,16 @@ def param_relation(u, y):
                           sigma=np.arange(len(u), dtype=float))
 
 
+def _line_near_the_float_range():
+    """A certified line from 0 to within 1e-10 of the float range, whose
+    slope c rises by 4e-10 of itself over its third of four cells, and a
+    slope inside that dip's band, so legendre takes its window path."""
+    x = np.linspace(0.0, 1e308, 5)
+    c = np.finfo(float).max * (1.0 - 1.5e-10) / 1e308
+    values = np.r_[0.0, np.cumsum(c * np.array([1.0, 1.0, 1.0 + 4e-10, 1.0]) * np.diff(x))]
+    return IntegralFunction(x, values), c * (1.0 + 2e-10)
+
+
 def _bowl():
     """The convex potential y²/2 on five samples of [-1, 1]."""
     return IntegralFunction.from_function(lambda y: 0.5 * y * y, np.linspace(-1.0, 1.0, 5))
@@ -812,8 +822,11 @@ class TestShapeChecks:
         assert not report.chain
 
     def test_sampled_representation_rejected(self):
-        with pytest.raises(WrongRepresentation):
-            is_cursive(PlanarRelation.from_points([0.0, 1.0], [0.0, 1.0]))
+        # whatever its samples: a falling point list is not read as False
+        for y in ([0.0, 1.0], [1.0, 0.0]):
+            for check in (is_cursive, is_maximal_monotone):
+                with pytest.raises(WrongRepresentation):
+                    check(PlanarRelation.from_points([0.0, 1.0], y))
 
     def test_cubic_curve_maximal_monotone(self):
         rel = PlanarRelation.from_param_curve(
@@ -1090,6 +1103,14 @@ def curve_cases():
         u = np.arange(50.0)
         cases[name] = param_relation(
             np.r_[u[:25], 24.0 - dip * DECREASE_RTOL * 49.0, u[25:]], np.arange(51.0))
+    # y rises with u but falls 5e-10 a step over samples 300 to 900: each
+    # step half the band (DECREASE_RTOL of its largest |y|, 1), the whole
+    # fall 300 times it
+    k = np.arange(1201)
+    cases["slow_drift"] = param_relation(
+        np.linspace(-1.0, 1.0, 1201),
+        (np.minimum(k, 300) + np.maximum(k - 900, 0)) / 300.0 - 1.0
+        - 5e-10 * np.clip(k - 300, 0, 600))
     return cases
 
 
@@ -1127,11 +1148,20 @@ class TestCurvesAgainstBruteForce:
     """is_cursive's one pass against pairwise checks of what it claims."""
 
     CASES = curve_cases()
+    RELATIONS = {**CASES, **_agent_relations()}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_chain_matches_the_pairwise_order(self, name):
         rel = self.CASES[name]
         assert is_cursive(rel).chain == pairwise_chain(rel)
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    def test_maximality_survives_inversion_and_reversal(self, name):
+        # every curve, and each agent's relation plain and passivized
+        rel = self.RELATIONS[name]
+        back = PlanarRelation(rel.u[::-1], rel.y[::-1], rel.sigma)
+        assert (is_maximal_monotone(rel.inverse()) == is_maximal_monotone(back)
+                == is_maximal_monotone(rel)), name
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_chain_never_meets_itself(self, name):
@@ -1417,6 +1447,19 @@ def test_cursive_report_names_a_stalled_end():
     # a map that overflows is named by the reader, not warned about
     (lambda: IntegralFunction.from_function(lambda y: np.exp(1e3 * y), np.linspace(0.0, 1.0, 5)),
      NonFiniteValue, r"^integral-function values\[3\] = inf is not finite$"),
+    # neither do a tie's fold band, legendre's y·x on either path, nor a
+    # fold between values near the float range
+    (lambda: integral_function(param_relation([0.0, 1.0, 1.0, 2.0],
+                                              [1e308, 1.5e308, 1.5e308, 1.7e308])),
+     NonFiniteValue, r"^integral-function values\[1\] = inf is not finite$"),
+    (lambda: legendre(IntegralFunction.from_function(
+        lambda x: 0.5 * x * x, np.linspace(-20.0, 20.0, 41)), [0.0, 1e308]),
+     NonFiniteValue, r"^integral-function values\[1\] = inf is not finite$"),
+    (lambda: legendre(*_line_near_the_float_range()), NonFiniteValue,
+     r"^integral-function values\[0\] = inf is not finite$"),
+    (lambda: integral_function(param_relation([0.0, 1.0, 1.0, 2.0],
+                                              [1e308, -1e308, 1e308, 1e308])),
+     MultiValued, r"^relation folds near abscissa 1\.0: values -1e\+308 and 1e\+308$"),
 ], ids=["potential_grid", "potential_steps_back", "integral_empty", "legendre_empty",
         "potential_lengths", "potential_nan", "potential_inf",
         "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
@@ -1426,7 +1469,8 @@ def test_cursive_report_names_a_stalled_end():
         "potential_ragged", "potential_word", "from_function_ragged", "from_function_word",
         "dual_grid_ragged", "dual_grid_word", "dual_grid_inf", "param_curve_word",
         "param_curve_ragged", "param_curve_length", "map_output_word", "map_output_ragged",
-        "map_output_length", "map_output_overflow"])
+        "map_output_length", "map_output_overflow", "tie_band_overflow",
+        "legendre_overflow", "legendre_window_overflow", "tie_fold_overflow"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
