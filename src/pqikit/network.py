@@ -44,11 +44,11 @@ from .relations import (
     SLOPE_EPS,
     IntegralFunction,
     PlanarRelation,
+    _running_max,
     _trapezoid,
     _write_csv,
     integral_function,
-    is_maximal_monotone,
-    is_monotone,
+    is_cursive,
     transform_relation,
 )
 
@@ -701,7 +701,7 @@ def _conjugate(model):
     into 0.0), and the steps are their slope differences.
     """
     x, d, m = model
-    lifted = d if np.all(d[1:] >= d[:-1]) else np.maximum.accumulate(d)
+    lifted = _running_max(d)
     step = np.diff(lifted, prepend=-np.inf)
     new = step > SLOPE_EPS * np.abs(m).max() / np.diff(x).min()
     if new.all():
@@ -927,13 +927,18 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     :func:`solve_opp`, unless ``node_potentials`` supplies Kᵢ; the K*ᵢ, or
     the supplied Kᵢ, must carry the convexity certificate.  Solved and
     reported like the potential problem, so at the optimum the two
-    objectives sum to zero.  A flow past a flat end of its relation is
-    refused (:func:`_refuse_flows_past_flat_ends`).  ``grid`` is accepted
+    objectives sum to zero.  A relation whose u is one constant, whose
+    conjugate model is one node, is refused before any Newton step
+    (PreconditionFailed), and a flow past a flat end of its relation after
+    the solve (:func:`_refuse_flows_past_flat_ends`).  ``grid`` is accepted
     for symmetry with :func:`solve_opp`; neither problem uses it.
     """
     if node_potentials is None:
         kstar_models = _c1_models(_kstars(spec.agents))
         models = _once_per_object(kstar_models, _conjugate)
+        for i, (dc, _, _) in enumerate(models):
+            if len(dc) < 2:
+                raise PreconditionFailed(f"vertex {i}: relation u is constant at {dc[0]:.6g}")
     else:
         models = _c1_models(node_potentials)
     E = spec.graph.incidence_matrix()
@@ -974,8 +979,10 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
     Preconditions checked and reported on failure: every transformed agent
     relation is a parameterized curve, maximally monotone (by Minty's
     theorem, a complete nondecreasing curve) and strictly monotone: the
-    potential integrates u over y, so y must rise wherever u rises.  Every
-    controller is MEIP by construction (a static positive gain).
+    potential integrates u over y, so y must rise wherever u rises.  One
+    :func:`is_cursive` scan per agent object reads both, its ``cursive`` and
+    ``strict`` flags.  Every controller is MEIP by construction (a static
+    positive gain).
     """
     tspec = apply_network_transform(spec, transforms)
 
@@ -984,13 +991,12 @@ def predict_and_verify(spec: NetworkSpec, transforms) -> PredictionReport:
         if agent.relation is None:
             return "no steady-state relation declared"
         try:
-            if not is_maximal_monotone(agent.relation):
-                return "transformed relation is not maximally monotone"
+            report = is_cursive(agent.relation)
         except WrongRepresentation as exc:  # a point list, or a curve of one sample
             return str(exc)
-        if not is_monotone(agent.relation, strict=True):
-            return "relation is not strictly monotone"
-        return None
+        if not report.cursive:
+            return "transformed relation is not maximally monotone"
+        return None if report.strict else "relation is not strictly monotone"
 
     failures = [f"agent {i}: {why}"
                 for i, why in enumerate(_once_per_object(tspec.agents, fault)) if why]

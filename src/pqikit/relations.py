@@ -7,18 +7,22 @@ an elementary decomposition), integrated into convex potentials, conjugated
 by a discrete Legendre transform, and tested for monotonicity and for
 maximality, which by Minty's theorem (1962) one pass over a curve decides:
 the curve must be a chain in the pairwise order, every later sample at or
-up and to the right of every earlier one, so one scan against each axis's
-running maximum is the whole maximality check.  Inversion, reversal and a
-power of two per axis change none of its flags.  Integration merges ties
-in the abscissa with an array mask.  Only a potential whose own samples
-earn the convexity certificate is conjugated, exactly: binary searches
-over the running maximum and minimum of its cell slopes bracket each
-maximizer, one sample wherever the slopes never dip.
-Every tolerance is relative to its own operands (an axis's largest
-magnitude or range, a curve's nearby steps), never an absolute floor: a
-power of two per axis changes no verdict, and a factor per axis none of
-monotonicity or of a potential.  A shift of an axis moves its largest
-magnitude, so it can change a verdict.
+up and to the right of every earlier one.  One test decides "rises, within
+a band" everywhere: no sample falls more than the band below the running
+maximum of those before it (:func:`_falls`).  It reads a chain and its
+strictness on both axes of a curve, a monotone relation on both axes
+sorted by u + y in units of their bands, and a convex potential on its
+cell slopes.  Inversion, reversal and a power of two per axis change none
+of its flags.  Integration merges ties in the abscissa with an array mask.  Only a
+potential whose own samples earn the convexity certificate is conjugated,
+exactly: binary searches over the running maximum and minimum of its cell
+slopes bracket each maximizer, one sample wherever the slopes never dip.
+Every tolerance is relative to its own operands (an axis's range and the
+rounding of its values, a potential's slopes and values, a curve's nearby
+steps), never an absolute floor: a power of two per axis changes no
+verdict, and a factor per axis none of monotonicity or of a potential.
+The monotone, strict and chain bands are an axis's range plus its
+rounding, so a shift of the axis moves them by rounding only.
 Everything here is numpy alone.
 """
 
@@ -37,7 +41,8 @@ from .errors import (DimensionMismatch, InvalidSamples, InvalidSpec, MultiValued
 DEFAULT_GRID_POINTS = 4001
 # Relative gap below which integral_function merges adjacent abscissae.
 TIE_RTOL = 1e-12
-# A decrease within this share of its operands' largest magnitude is rounding.
+# A decrease within this share of an axis's range, or of a potential's largest
+# |cell slope|, is rounding.
 DECREASE_RTOL = 1e-9
 # Rounding of a cell slope, per largest |value| over the cell width: 4 ulps.
 SLOPE_EPS = 4.0 * np.finfo(float).eps
@@ -167,25 +172,45 @@ class IntegralFunction:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
 
 
-def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
-    """Nonnegative second differences over cells of widths h, band relative to the slopes.
+def _running_max(z: np.ndarray) -> np.ndarray:
+    """Running maximum of z; z itself where z never falls, which is the
+    same bits (numpy keeps the later of equal values)."""
+    return z if np.all(z[1:] >= z[:-1]) else np.maximum.accumulate(z)
 
-    The band is DECREASE_RTOL of the largest cell slope, plus, where that
-    alone fails, the rounding of the two cell slopes involved: SLOPE_EPS of
-    the largest value per cell width, so a line summed by trapezoids passes
+
+def _falls(z: np.ndarray, band: float) -> np.ndarray:
+    """Whether each sample after the first lies more than ``band`` below the
+    running maximum of the samples before it: the one test of "z never
+    falls, within a band".  Where z never falls, no sample does, and
+    neither the running maximum nor the falls are taken."""
+    lifted = _running_max(z)
+    return np.zeros_like(z[1:], dtype=bool) if lifted is z else z[1:] - lifted[:-1] < -band
+
+
+def _axis_band(z: np.ndarray) -> float:
+    """Rounding band of an axis: DECREASE_RTOL of its range plus SLOPE_EPS
+    of its largest magnitude, the rounding of its values; a shift of the
+    axis moves it by that rounding only."""
+    return DECREASE_RTOL * float(np.ptp(z)) + SLOPE_EPS * float(np.abs(z).max())
+
+
+def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
+    """Cell slopes over cells of widths h that never fall below their running
+    maximum (:func:`_falls`) by more than a band relative to the slopes.
+
+    The band is DECREASE_RTOL of the largest |cell slope| plus the rounding
+    of the two slopes compared, each at most SLOPE_EPS of the largest |value|
+    over the narrowest cell's width, so a line summed by trapezoids passes
     on any grid.  A cell slope past float range leaves the potential
-    uncertified; a second difference or a band past it is the infinity it
-    rounds to, so a bound that overflows on a subnormal cell certifies.
+    uncertified; a fall or a band past it is the infinity it rounds to, so
+    a bound that overflows on a subnormal cell certifies.
     """
     with np.errstate(over="ignore"):
         slopes = np.diff(values) / h
-        if not np.isfinite(slopes).all():
-            return False
-        second, band = np.diff(slopes), DECREASE_RTOL * np.abs(slopes).max(initial=0.0)
-        if np.all(second >= -band):
-            return True
-        rounding = SLOPE_EPS * np.abs(values).max() / h
-        return bool(np.all(second >= -(band + rounding[:-1] + rounding[1:])))
+        steepest = np.abs(slopes).max(initial=0.0)
+        rounding = SLOPE_EPS * np.abs(values).max(initial=0.0) / h.min(initial=np.inf)
+        band = DECREASE_RTOL * steepest + 2.0 * rounding
+        return math.isfinite(steepest) and not _falls(slopes, band).any()
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +273,8 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     keep = dx > slack
     if not keep.all():
         # a curve is single-valued in this direction iff the abscissa is
-        # monotone along the parameter
-        if rel.sigma is not None and not (np.all(dx >= -slack) or np.all(dx <= slack)):
+        # monotone along the parameter: it never falls, or never rises
+        if rel.sigma is not None and _falls(x, slack).any() and _falls(-x, slack).any():
             raise MultiValued("curve abscissa is not monotone in the parameter")
         if not np.all(dx > 0):
             order = np.argsort(x, kind="stable")
@@ -304,10 +329,10 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     ys = _floats(dual_grid, "legendre: dual grid", (None,))
     x, v = F.grid, F.values
     slopes = np.diff(v) / np.diff(x)
-    rising = np.all(slopes[1:] >= slopes[:-1])
-    lo = np.searchsorted(slopes if rising else np.maximum.accumulate(slopes), ys)
+    lifted = _running_max(slopes)
+    lo = np.searchsorted(lifted, ys)
     vals = ys * x[lo] - v[lo]
-    if rising:  # the least slope from lo on is slope lo, never below y
+    if lifted is slopes:  # rising: the least slope from lo on is slope lo, never below y
         return IntegralFunction(ys, vals)
     # a window is wider than one sample where the least slope from lo on is below y
     falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
@@ -327,37 +352,39 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
 # Monotonicity and cursivity
 
 
-def is_monotone(rel: PlanarRelation, strict: bool = False) -> bool:
-    """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs.
+def is_monotone(rel: PlanarRelation) -> bool:
+    """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs, within
+    each axis's rounding band (:func:`_axis_band`): every pair is ordered
+    one way or the other, each axis rising within its band.
 
-    Sorting by input reduces the pairwise check to adjacent comparisons;
-    a strictly increasing u is its own sort order, so it is not sorted.  A
-    fall of y within DECREASE_RTOL of its largest |y| is rounding.  Strict
-    mode also requires a rise of y where u rises past a tie (``TIE_RTOL``).
+    With each axis over the power of two at or above its range, the samples
+    are sorted by s, the sum of u and y from their least values, each in
+    units of its band (ties in (u, y) order).  A pair that falls past a
+    band in the order of s falls past the other band the other way, so the
+    relation is monotone exactly when, in that order, no sample falls below
+    the running maximum of either axis (:func:`_falls`), the test
+    :func:`is_cursive` applies to a curve.  An axis whose values vary by
+    rounding alone then steers no order.  It reads the same on the
+    relation, its inverse and its samples in any order; a relation of no
+    or one sample holds.
     """
-    u, y = rel.u, rel.y
-    du = np.diff(u)
-    if not np.all(du > 0.0):
-        order = np.lexsort((y, u))
-        u, y = u[order], y[order]
-        du = np.diff(u)
-    dy = np.diff(y)
-    if not np.all(dy >= -DECREASE_RTOL * float(np.abs(y).max(initial=0.0))):
-        return False
-    if strict:
-        distinct = du > TIE_RTOL * float(np.abs(u).max(initial=0.0))
-        if np.any(dy[distinct] <= 0.0):
-            return False
-    return True
+    if not len(rel.u):
+        return True
+    u, y = _over_range(rel.u), _over_range(rel.y)
+    bu, by = _axis_band(u), _axis_band(y)
+    order = np.lexsort((y, u, (u - u.min()) * by + (y - y.min()) * bu))
+    return not (_falls(u[order], bu).any() or _falls(y[order], by).any())
 
 
 @dataclass(frozen=True)
 class CursivityReport:
-    """Outcome of the one-pass cursivity check, one flag per condition."""
+    """Outcome of the one-pass cursivity check, one flag per condition;
+    ``strict`` is one of a chain, and not ``cursive``'s."""
 
     continuous: bool
     diverges: bool
     chain: bool
+    strict: bool
     notes: tuple[str, ...]
 
     @property
@@ -383,11 +410,14 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     weight and a power of two per axis every flag), and a step's length is
     |du| + |dy|.  Oriented so that s = u + y rises from end to end, the
     curve is a chain when s strictly rises and every later sample lies at
-    or up and to the right of every earlier one, within ``DECREASE_RTOL``
-    of each axis's largest magnitude: no sample falls that far below its
-    axis's running maximum.  A chain is monotone over every pair of its
-    samples, and cannot meet itself; any other curve is not decided.
-    Swapping the axes or reversing the samples changes no flag.
+    or up and to the right of every earlier one, within each axis's band
+    (:func:`_axis_band`, ``DECREASE_RTOL`` of its range plus its rounding):
+    no sample falls that far below its axis's running maximum
+    (:func:`_falls`).  A chain is monotone over every pair of its samples,
+    and cannot meet itself; any other curve is not decided.  A chain is
+    strict when y rises wherever u rises past u's band, as a potential of u
+    over y needs.  Reversing the samples changes no flag, and swapping the
+    axes none but ``strict``.
     It is continuous when no run of one or two steps holds a step over 10
     times each step on both sides of the run (it may steepen at any rate,
     but not leap and settle back), and diverges when each end decile's mean
@@ -424,13 +454,13 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
 
     # step i breaks where s does not rise or sample i + 1 falls below an
     # earlier sample on either axis: below that axis's running maximum
-    breaks = du + dy <= 0.0
-    for z in (u, y):
-        breaks |= z[1:] - np.maximum.accumulate(z)[:-1] < -DECREASE_RTOL * float(np.abs(z).max())
+    bu, by = _axis_band(u), _axis_band(y)
+    breaks = (du + dy <= 0.0) | _falls(u, bu) | _falls(y, by)
     chain = holds(breaks, "not a chain: the curve turns back or stands still")
     continuous = holds(step > 10.0 * flank, "jump: a step over 10x the steps around it starts")
     diverges = holds(stalls, "stalls: an end decile moves under 0.1 of the median step, the end")
-    return CursivityReport(continuous, diverges, chain, tuple(notes))
+    strict = chain and holds((du > bu) & (dy <= 0.0), "not strict: y does not rise with u")
+    return CursivityReport(continuous, diverges, chain, strict, tuple(notes))
 
 
 def is_maximal_monotone(rel: PlanarRelation) -> bool:

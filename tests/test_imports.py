@@ -158,7 +158,8 @@ LEDGER = {
     ("pqi.py", "is_singular", 1e-12): ("|det|, of the row and column norm products",),
     ("relations.py", "TIE_RTOL", 1e-12): ("a tie of abscissae, of the largest |x|",),
     ("relations.py", "DECREASE_RTOL", 1e-9): (
-        "a decrease that is rounding, of the operands' largest magnitude",),
+        "a decrease that is rounding, of an axis's range (plus SLOPE_EPS of its "
+        "largest magnitude) or of a potential's largest |cell slope|",),
     ("relations.py", "integral_function", 1e-8): (
         "a fold's values, of their sizes and the largest |value|",),
     ("transforms.py", "decompose", 0.01): ("a small a, of the largest entry",),

@@ -806,6 +806,21 @@ class TestSolvers:
                            rf"is flat: no steady state$"):
             solve_ofp(spec)
 
+    def test_constant_u_refused_by_the_flow_problem(self, monkeypatch):
+        # u = 0.5 whatever y: the flow potential is the indicator of u = 0.5,
+        # a conjugate model of one node, which no Newton step can read; the
+        # potential problem solves the same network
+        spec = NetworkSpec(Graph.path(2), (_relation_agent(lambda y: 0.5 + 0.0 * y),
+                                           quadratic_agent(0.0)),
+                           (ControllerSpec(gain=1.0),), np.zeros(2))
+        np.testing.assert_allclose(solve_opp(spec).primal, [-1.0, -0.5], rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(network_module, "_minimize_convex", None)  # never called
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionFailed,
+                               match=r"^vertex 0: relation u is constant at 0\.5$"):
+                solve_ofp(spec)
+
     @pytest.mark.parametrize("centers", [(30.0, -45.0), (30.0, -60.0)])
     def test_quadratic_flows_past_the_grid_stand(self, centers):
         # u = y - c sampled for y in [-20, 20]: the steady state puts the
@@ -998,11 +1013,13 @@ class TestSolvers:
         (quadratic_agent(1.0).relation, []),
         (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1e-11
                          * np.random.default_rng(0).standard_normal(y.shape)).relation,
-         ["maximum", "maximum", "minimum"]),
+         ["maximum", "maximum", "minimum", "maximum"]),
     ], ids=["rising", "noisy-flat-run"])
     def test_running_extrema_taken_only_where_slopes_dip(self, relation, want, monkeypatch):
         # the conjugate model takes a running maximum of the nodal slopes,
-        # legendre one of the cell slopes and a running minimum after it
+        # legendre one of the cell slopes and a running minimum after it,
+        # and the convexity certificate of legendre's output one of its
+        # cell slopes
         F = relations_module.integral_function(relation, relations_module.OF_K_INVERSE)
         ys = np.linspace(-2.0, 2.0, 101)
         calls = []
@@ -1111,18 +1128,20 @@ class TestPredictAndVerify:
             predict_and_verify(spec, [Transform2.identity()] * 2)
 
     def test_each_distinct_agent_checked_once(self, monkeypatch):
-        calls = {"is_maximal_monotone": 0, "is_monotone": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(network_module, name), _name=name, **kw):
-                calls[_name] += 1
-                return _real(*args, **kw)
-            monkeypatch.setattr(network_module, name, counted)
+        calls = []
+
+        def counted(rel, _real=network_module.is_cursive):
+            calls.append(rel)
+            return _real(rel)
+        monkeypatch.setattr(network_module, "is_cursive", counted)
+        for name in ("is_monotone", "is_maximal_monotone"):
+            monkeypatch.setattr(relations_module, name, None)  # never called
         shared, other = quadratic_agent(1.0), quadratic_agent(2.0)
         spec = NetworkSpec(Graph.path(4), (shared, shared, other, shared),
                            (ControllerSpec(gain=1.0),) * 3, np.zeros(4), FAST)
         assert predict_and_verify(spec, [Transform2.identity()] * 4).passed
-        # two transformed agents, one strictness check each
-        assert calls == {"is_maximal_monotone": 2, "is_monotone": 2}
+        # two transformed agents, one scan each for maximality and strictness
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_shared_failing_agent_named_at_every_vertex(self):
         spec = NetworkSpec(Graph.path(3), (_kinked_agent(),) * 3,

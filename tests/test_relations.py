@@ -1,6 +1,7 @@
 """Relation transport, integral functions, Legendre duals, shape checks."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,7 @@ from pqikit.relations import (
     DECREASE_RTOL,
     OF_K,
     OF_K_INVERSE,
+    SLOPE_EPS,
     TIE_RTOL,
     _trapezoid,
     _write_csv,
@@ -330,6 +332,19 @@ class TestIntegralFunction:
         np.testing.assert_array_equal(integral_function(rel, OF_K).grid,
                                       [0.0, 1.0, 2.0])
 
+    def test_curve_drifting_back_past_the_tie_gap_folds(self):
+        # the abscissa steps back 0.9 of the tie gap (TIE_RTOL of max|u| = 2)
+        # twice: each step is a tie, the two a turn back past the gap
+        def curve(back):
+            t = back * 1e-12 * 2.0
+            return param_relation([0.0, 1.0, 1.0 - t, 1.0 - 2.0 * t, 2.0],
+                                  [0.0, 1.0, 1.0, 1.0, 2.0])
+
+        np.testing.assert_array_equal(integral_function(curve(0.45), OF_K).grid,
+                                      [0.0, 1.0 - 0.9e-12 * 2.0, 2.0])
+        with pytest.raises(MultiValued, match="^curve abscissa is not monotone in the parameter$"):
+            integral_function(curve(0.9), OF_K)
+
     def test_first_tie_fold_names_abscissa_and_values(self):
         rel = PlanarRelation.from_points([0.0, 1.0, 1.0, 2.0, 2.0],
                                          [0.0, 1.0, 1.5, 2.0, 5.0])
@@ -564,6 +579,20 @@ class TestLegendreAgainstBruteForce:
         Fs = assert_conjugate_exact(F, np.linspace(0.5, 2.5, len(x)))
         np.testing.assert_array_equal(Fs.values, brute_force_conjugate(F, Fs.grid))
 
+    def test_slow_drift_loses_the_certificate(self):
+        # cell slopes that fall by half the band a cell over 600 cells (the
+        # band is DECREASE_RTOL of the largest slope, 2, plus rounding): no
+        # step between neighbours leaves the band, the whole fall does
+        k = np.arange(1001)
+        rise = (np.minimum(k, 200) + np.maximum(k - 800, 0)) / 200.0
+        fall = 1e-9 * np.clip(k - 200, 0, 600)
+        x = np.arange(1002.0)
+        F = IntegralFunction(x, np.r_[0.0, np.cumsum(rise - fall)])
+        slopes = np.diff(F.values)
+        assert np.diff(slopes).min() >= -DECREASE_RTOL * np.abs(slopes).max()
+        assert not F.convexity_certificate
+        assert IntegralFunction(x, np.r_[0.0, np.cumsum(rise)]).convexity_certificate
+
     def test_certificate_read_off_the_samples(self):
         x = np.linspace(-1.0, 1.0, 5)
         assert IntegralFunction(x, x * x).convexity_certificate
@@ -745,7 +774,15 @@ class TestShapeChecks:
             lambda s: s, lambda s: s**3, (-3.0, 3.0), 2001
         )
         assert is_monotone(rel)
-        assert is_monotone(rel, strict=True)
+        assert is_cursive(rel).strict
+
+    def test_shifted_dip_stays_a_dip(self):
+        # a fall of 1e-6 in y, against a band of 2e-9 of its range 2, with y
+        # shifted by 1e4 or not
+        for shift in (0.0, 1e4):
+            rel = PlanarRelation([0.0, 1.0, 2.0, 3.0],
+                                 np.array([0.0, 1.0, 1.0 - 1e-6, 2.0]) + shift)
+            assert not is_monotone(rel) and not is_monotone(rel.inverse()), shift
 
     def test_fold_curve_not_monotone(self):
         rel = cubic_fold_curve()
@@ -757,12 +794,11 @@ class TestShapeChecks:
 
     def test_no_samples_monotone(self):
         assert is_monotone(PlanarRelation([], []))
-        assert is_monotone(PlanarRelation([], []), strict=True)
 
     def test_samples_given_as_lists(self):
         rel = PlanarRelation([0.0, 1.0, 2.0], [0, 1, 3], [0, 1, 2])
         assert rel.u.dtype == rel.y.dtype == rel.sigma.dtype == float
-        assert is_monotone(rel, strict=True)
+        assert is_monotone(rel) and is_cursive(rel).strict
         assert not is_monotone(PlanarRelation([0.0, 1.0, 2.0], [0.0, 3.0, 1.0]))
 
     def test_sinusoidal_curve_is_not_decided(self):
@@ -924,11 +960,11 @@ def _agent_relations():
 
 
 def flags(report):
-    return report.continuous, report.diverges, report.chain
+    return report.continuous, report.diverges, report.chain, report.strict
 
 
 def _relation_verdicts(rel):
-    out = [is_monotone(rel), is_monotone(rel, strict=True)]
+    out = [is_monotone(rel)]
     out += [_outcome(lambda d=d: integral_function(rel, d).convexity_certificate)
             for d in (OF_K, OF_K_INVERSE)]
     return out + [flags(is_cursive(rel)), is_maximal_monotone(rel)]
@@ -1098,14 +1134,14 @@ def curve_cases():
     cases["chain_broken_once"] = param_relation(
         np.r_[np.arange(31.0), np.full(30, 0.5)],
         np.r_[np.zeros(31), 0.5 + np.arange(30.0)])
-    # u falls once by half or by twice DECREASE_RTOL of its largest |u|, 49
+    # u falls once by half or by twice DECREASE_RTOL of its range, 49
     for name, dip in (("dip_within_rounding", 0.5), ("dip_past_rounding", 2.0)):
         u = np.arange(50.0)
         cases[name] = param_relation(
             np.r_[u[:25], 24.0 - dip * DECREASE_RTOL * 49.0, u[25:]], np.arange(51.0))
     # y rises with u but falls 5e-10 a step over samples 300 to 900: each
-    # step half the band (DECREASE_RTOL of its largest |y|, 1), the whole
-    # fall 300 times it
+    # step a quarter of the band (DECREASE_RTOL of its range, about 2), the
+    # whole fall 150 times it
     k = np.arange(1201)
     cases["slow_drift"] = param_relation(
         np.linspace(-1.0, 1.0, 1201),
@@ -1114,14 +1150,20 @@ def curve_cases():
     return cases
 
 
+def axis_band(z):
+    """DECREASE_RTOL of the axis's range plus SLOPE_EPS of its largest
+    magnitude: the band within which its values may fall."""
+    return DECREASE_RTOL * np.ptp(z) + SLOPE_EPS * np.abs(z).max()
+
+
 def pairwise_chain(rel):
     """Whether, in one of the two directions, every later sample lies at or
-    up and to the right of every earlier one (within DECREASE_RTOL of each
-    axis's largest magnitude) and no two coincide: O(n^2)."""
+    up and to the right of every earlier one (within each axis's band) and
+    no two coincide: O(n^2)."""
     for u, y in ((rel.u, rel.y), (rel.u[::-1], rel.y[::-1])):
         du, dy = u[None, :] - u[:, None], y[None, :] - y[:, None]
-        ordered = ((du >= -DECREASE_RTOL * np.abs(u).max())
-                   & (dy >= -DECREASE_RTOL * np.abs(y).max()) & ((du != 0.0) | (dy != 0.0)))
+        ordered = ((du >= -axis_band(u)) & (dy >= -axis_band(y))
+                   & ((du != 0.0) | (dy != 0.0)))
         if np.all(ordered[np.triu_indices(len(u), 1)]):
             return True
     return False
@@ -1163,6 +1205,23 @@ class TestCurvesAgainstBruteForce:
         assert (is_maximal_monotone(rel.inverse()) == is_maximal_monotone(back)
                 == is_maximal_monotone(rel)), name
 
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    def test_shifts_keep_the_monotone_strict_and_chain_flags(self, name):
+        # each axis shifted by 0.001 to 1000 of its range; the continuity
+        # flag is left out, since a shift rounds a curve's smallest steps
+        # (runaway's) away
+        rel = self.RELATIONS[name]
+
+        def verdicts(u, y):
+            moved = PlanarRelation(u, y, rel.sigma)
+            report = is_cursive(moved)
+            return is_monotone(moved), report.strict, report.chain
+
+        want = verdicts(rel.u, rel.y)
+        for k in (1e-3, 1.0, 10.0, 1e3):
+            assert verdicts(rel.u + k * np.ptp(rel.u), rel.y) == want, (name, k)
+            assert verdicts(rel.u, rel.y + k * np.ptp(rel.y)) == want, (name, k)
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_chain_never_meets_itself(self, name):
         rel = self.CASES[name]
@@ -1193,18 +1252,15 @@ class TestCurvesAgainstBruteForce:
         assert not verdicts["walk2"][0][0] and not verdicts["rest_at_origin"][0][1]
 
 
-def lexsorted_is_monotone(rel, strict):
-    """is_monotone with the samples always sorted by (u, y)."""
-    order = np.lexsort((rel.y, rel.u))
-    u, y = rel.u[order], rel.y[order]
-    du, dy = np.diff(u), np.diff(y)
-    if not np.all(dy >= -1e-9 * float(np.abs(y).max())):
-        return False
-    if strict:
-        distinct = du > 1e-12 * float(np.abs(u).max())
-        if np.any(dy[distinct] <= 0.0):
-            return False
-    return True
+def pairwise_monotone(rel):
+    """Whether every pair of samples is ordered one way or the other, each
+    axis rising within its band: O(n^2).  Each axis is first taken over the
+    power of two at or above its largest magnitude, so that no difference
+    overflows."""
+    u, y = (np.ldexp(z, -math.frexp(np.abs(z).max())[1]) for z in (rel.u, rel.y))
+    du, dy = u[None, :] - u[:, None], y[None, :] - y[:, None]
+    bu, by = axis_band(u), axis_band(y)
+    return bool(np.all(((du >= -bu) & (dy >= -by)) | ((du <= bu) & (dy <= by))))
 
 
 @st.composite
@@ -1220,9 +1276,14 @@ def drawn_relations(draw):
     return PlanarRelation(u, np.sort(y) if draw(st.booleans()) else y)
 
 
+# y varies by one ulp, within its band: a sort in which y weighs as much as
+# u ordered the samples by that ulp
+ROUNDING_ONLY_Y = PlanarRelation([0.0, 1.0, 2.0], [0.3, 0.1 * 3.0, 0.3])
+
+
 class TestColumnForms:
     """The shape checks on the u and y columns: in range whatever their
-    units, and no sort where u already rises."""
+    units, and the same in any order of the samples."""
 
     @pytest.mark.parametrize("rel, notes", [
         # a chain whose range is past the float range, and a zigzag near it
@@ -1246,13 +1307,24 @@ class TestColumnForms:
             scaled = param_relation(np.ldexp(rel.u, power), np.ldexp(rel.y, power))
             assert flags(is_cursive(scaled)) == flags(is_cursive(rel))
 
-    @given(drawn_relations(), st.booleans())
-    @example(PlanarRelation([-0.0, 0.0, 1.0], [1.0, 0.0, 2.0]), False)
-    @example(PlanarRelation([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]), True)
+    @given(drawn_relations())
+    @example(PlanarRelation([-0.0, 0.0, 1.0], [1.0, 0.0, 2.0]))
+    @example(PlanarRelation([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]))
+    @example(TestCurvesAgainstBruteForce.CASES["dip_within_rounding"])
+    @example(TestCurvesAgainstBruteForce.CASES["slow_drift"])
+    @example(ROUNDING_ONLY_Y)
     @settings(max_examples=200, deadline=None)
-    def test_monotone_matches_the_lexsorted_form(self, rel, strict):
-        with np.errstate(over="ignore", invalid="ignore"):  # steps past the range
-            assert is_monotone(rel, strict) == lexsorted_is_monotone(rel, strict)
+    def test_monotone_matches_the_pairwise_order(self, rel):
+        assert is_monotone(rel) == pairwise_monotone(rel)
+
+    @given(drawn_relations())
+    @example(TestCurvesAgainstBruteForce.CASES["dip_within_rounding"])
+    @example(TestCurvesAgainstBruteForce.CASES["slow_drift"])
+    @example(ROUNDING_ONLY_Y)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_survives_inversion_and_reversal(self, rel):
+        back = PlanarRelation(rel.u[::-1], rel.y[::-1])
+        assert is_monotone(rel.inverse()) == is_monotone(back) == is_monotone(rel)
 
 
 class TestRepresentations:
@@ -1483,5 +1555,7 @@ def test_sample_faults_are_toolkit_and_value_errors():
 
 
 def test_strict_monotonicity_rejects_a_flat_step():
-    rel = PlanarRelation.from_points([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
-    assert is_monotone(rel) and not is_monotone(rel, strict=True)
+    rel = param_relation([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+    report = is_cursive(rel)
+    assert is_monotone(rel) and report.chain and not report.strict
+    assert report.notes[-1] == "not strict: y does not rise with u at sample 1, (u, y) = (1, 1)"
