@@ -9,14 +9,16 @@ maximality, which by Minty's theorem (1962) one pass over a curve decides:
 the curve must be a chain in the pairwise order, every later sample at or
 up and to the right of every earlier one.  One test decides "rises, within
 a band" everywhere: no sample falls more than the band below the running
-maximum of those before it (:func:`_falls`).  It reads a chain and its
-strictness on both axes of a curve, a monotone relation on both axes
-sorted by u + y in units of their bands, and a convex potential on its
-cell slopes.  Inversion, reversal and a power of two per axis change none
-of its flags.  Integration merges ties in the abscissa with an array mask.  Only a
-potential whose own samples earn the convexity certificate is conjugated,
-exactly: binary searches over the running maximum and minimum of its cell
-slopes bracket each maximizer, one sample wherever the slopes never dip.
+maximum of those before it (:func:`_falls`).  It reads a chain on both
+axes of a curve, a monotone relation on both axes sorted by u + y in
+units of their bands, and a convex potential on its cell slopes; a
+chain's strictness is u's rise over each run where y stands still.
+Reversal and a power of two per axis change no flag, and inversion none
+but strictness.  Integration merges ties in the abscissa with an array
+mask.  Only a potential whose own samples earn the convexity certificate
+is conjugated, exactly: binary searches over the running maximum and
+minimum of its cell slopes bracket each maximizer, one sample wherever the
+slopes never dip.
 Every tolerance is relative to its own operands (an axis's range and the
 rounding of its values, a potential's slopes and values, a curve's nearby
 steps), never an absolute floor: a power of two per axis changes no
@@ -178,13 +180,12 @@ def _running_max(z: np.ndarray) -> np.ndarray:
     return z if np.all(z[1:] >= z[:-1]) else np.maximum.accumulate(z)
 
 
-def _falls(z: np.ndarray, band: float) -> np.ndarray:
-    """Whether each sample after the first lies more than ``band`` below the
-    running maximum of the samples before it: the one test of "z never
-    falls, within a band".  Where z never falls, no sample does, and
-    neither the running maximum nor the falls are taken."""
-    lifted = _running_max(z)
-    return np.zeros_like(z[1:], dtype=bool) if lifted is z else z[1:] - lifted[:-1] < -band
+def _falls(z: np.ndarray, band) -> np.ndarray:
+    """Whether each sample after the first lies more than ``band`` (a number,
+    or one per sample after the first) below the running maximum of the
+    samples before it: the one test of "z never falls, within a band".
+    Where z never falls, the running maximum is not taken."""
+    return z[1:] - _running_max(z)[:-1] < -band
 
 
 def _axis_band(z: np.ndarray) -> float:
@@ -195,22 +196,26 @@ def _axis_band(z: np.ndarray) -> float:
 
 
 def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
-    """Cell slopes over cells of widths h that never fall below their running
-    maximum (:func:`_falls`) by more than a band relative to the slopes.
+    """Cell slopes over cells of widths h that never fall below the running
+    maximum of those before them (:func:`_falls`) past a band.
 
-    The band is DECREASE_RTOL of the largest |cell slope| plus the rounding
-    of the two slopes compared, each at most SLOPE_EPS of the largest |value|
-    over the narrowest cell's width, so a line summed by trapezoids passes
-    on any grid.  A cell slope past float range leaves the potential
-    uncertified; a fall or a band past it is the infinity it rounds to, so
-    a bound that overflows on a subnormal cell certifies.
+    The band is DECREASE_RTOL of the largest |cell slope|, plus, where that
+    alone fails, the rounding of the two slopes compared: each SLOPE_EPS of
+    the largest |value| over its own cell's width, so a line summed by
+    trapezoids passes on any grid.  Lowering each slope by its rounding,
+    and widening the band of each later one by twice its own, compares
+    every pair of cells with both of their roundings, so a narrow cell
+    widens only its own comparisons.  A cell slope past float range leaves
+    the potential uncertified; a fall or a band past it is the infinity it
+    rounds to, so a bound that overflows on a subnormal cell certifies.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.diff(values) / h
-        steepest = np.abs(slopes).max(initial=0.0)
-        rounding = SLOPE_EPS * np.abs(values).max(initial=0.0) / h.min(initial=np.inf)
-        band = DECREASE_RTOL * steepest + 2.0 * rounding
-        return math.isfinite(steepest) and not _falls(slopes, band).any()
+        band = DECREASE_RTOL * np.abs(slopes).max(initial=0.0)
+        if not (math.isfinite(band) and _falls(slopes, band).any()):
+            return math.isfinite(band)
+        rounding = SLOPE_EPS * np.abs(values).max() / h
+        return not _falls(slopes - rounding, band + 2.0 * rounding[1:]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +357,27 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
 # Monotonicity and cursivity
 
 
+def _chain_breaks(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each sample after the first falls below an earlier one on
+    either axis: more than that axis's band (:func:`_axis_band`) below its
+    running maximum (:func:`_falls`)."""
+    return _falls(u, _axis_band(u)) | _falls(y, _axis_band(y))
+
+
 def is_monotone(rel: PlanarRelation) -> bool:
     """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs, within
-    each axis's rounding band (:func:`_axis_band`): every pair is ordered
-    one way or the other, each axis rising within its band.
-
-    With each axis over the power of two at or above its range, the samples
-    are sorted by s, the sum of u and y from their least values, each in
-    units of its band (ties in (u, y) order).  A pair that falls past a
-    band in the order of s falls past the other band the other way, so the
-    relation is monotone exactly when, in that order, no sample falls below
-    the running maximum of either axis (:func:`_falls`), the test
-    :func:`is_cursive` applies to a curve.  An axis whose values vary by
-    rounding alone then steers no order.  It reads the same on the
-    relation, its inverse and its samples in any order; a relation of no
-    or one sample holds.
+    each axis's band: the chain scan of :func:`is_cursive` over the samples
+    sorted by u + y, each axis over the power of two at or above its range
+    and measured from its least value in units of its band (ties in (u, y)
+    order).  In that order a pair that falls past one band falls past the
+    other the other way, so the scan is the pairwise test; it reads the
+    same on the relation, its inverse and any order of its samples.
     """
     if not len(rel.u):
         return True
     u, y = _over_range(rel.u), _over_range(rel.y)
-    bu, by = _axis_band(u), _axis_band(y)
-    order = np.lexsort((y, u, (u - u.min()) * by + (y - y.min()) * bu))
-    return not (_falls(u[order], bu).any() or _falls(y[order], by).any())
+    order = np.lexsort((y, u, (u - u.min()) * _axis_band(y) + (y - y.min()) * _axis_band(u)))
+    return not _chain_breaks(u[order], y[order]).any()
 
 
 @dataclass(frozen=True)
@@ -416,8 +420,9 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     (:func:`_falls`).  A chain is monotone over every pair of its samples,
     and cannot meet itself; any other curve is not decided.  A chain is
     strict when y rises wherever u rises past u's band, as a potential of u
-    over y needs.  Reversing the samples changes no flag, and swapping the
-    axes none but ``strict``.
+    over y needs: over each run of steps where y does not rise, u rises by
+    its band at most, from the run's first sample to its last.  Reversing
+    the samples changes no flag, and swapping the axes none but ``strict``.
     It is continuous when no run of one or two steps holds a step over 10
     times each step on both sides of the run (it may steepen at any rate,
     but not leap and settle back), and diverges when each end decile's mean
@@ -428,8 +433,7 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
         raise WrongRepresentation("cursivity check needs a parameterized curve")
     n = len(rel.u)
     if n < 2:
-        raise WrongRepresentation(
-            f"cursivity check needs a curve of 2 or more samples, not {n}")
+        raise WrongRepresentation(f"cursivity check needs a curve of 2 or more samples, not {n}")
     u, y = _over_range(rel.u), _over_range(rel.y)
     if u[-1] - u[0] + (y[-1] - y[0]) < 0.0:  # s = u + y falls from end to end
         u, y = -u, -y
@@ -453,13 +457,18 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
         return not fails.any()
 
     # step i breaks where s does not rise or sample i + 1 falls below an
-    # earlier sample on either axis: below that axis's running maximum
-    bu, by = _axis_band(u), _axis_band(y)
-    breaks = (du + dy <= 0.0) | _falls(u, bu) | _falls(y, by)
-    chain = holds(breaks, "not a chain: the curve turns back or stands still")
+    # earlier sample on either axis
+    chain = holds((du + dy <= 0.0) | _chain_breaks(u, y),
+                  "not a chain: the curve turns back or stands still")
     continuous = holds(step > 10.0 * flank, "jump: a step over 10x the steps around it starts")
     diverges = holds(stalls, "stalls: an end decile moves under 0.1 of the median step, the end")
-    strict = chain and holds((du > bu) & (dy <= 0.0), "not strict: y does not rise with u")
+    # samples joined by steps where y does not rise are one run, which starts
+    # at the first sample or where a rise of y ends and ends where one starts
+    # or at the last sample; u must not rise past its band from a run's first
+    # sample to its last
+    rose = np.r_[True, dy > 0.0, True]
+    past = u - u[_running_max(np.where(rose[:-1], np.arange(n), 0))] > _axis_band(u)
+    strict = chain and holds(rose[1:] & past, "not strict: y does not rise with u")
     return CursivityReport(continuous, diverges, chain, strict, tuple(notes))
 
 

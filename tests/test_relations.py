@@ -593,6 +593,15 @@ class TestLegendreAgainstBruteForce:
         assert not F.convexity_certificate
         assert IntegralFunction(x, np.r_[0.0, np.cumsum(rise)]).convexity_certificate
 
+    def test_narrow_cell_widens_only_its_own_band(self):
+        # a cell of width 1e-9 rounds its slope by about 5e-6; a dip of 1e-6
+        # between two unit cells far from it is past their own rounding
+        x = np.array([0.0, 1e-9, 1.0, 2.0, 3.0])
+        for dip, certified in ((1e-6, False), (0.0, True)):
+            slopes = np.array([1.0, 1.0, 2.0, 2.0 - dip])
+            F = IntegralFunction(x, np.r_[0.0, np.cumsum(slopes * np.diff(x))])
+            assert F.convexity_certificate == certified
+
     def test_certificate_read_off_the_samples(self):
         x = np.linspace(-1.0, 1.0, 5)
         assert IntegralFunction(x, x * x).convexity_certificate
@@ -1554,8 +1563,28 @@ def test_sample_faults_are_toolkit_and_value_errors():
     assert issubclass(InvalidSamples, ValueError)
 
 
+def test_strictness_measured_across_a_flat_run():
+    # y stands still over 250 steps of u, each a fifth of u's band: 50 bands
+    # in all is not strict, read either way along the curve
+    band = axis_band(np.array([0.0, 3.0]))
+    run = 1.0 + 0.2 * band * np.arange(251)
+    rel = param_relation(np.r_[0.0, run, 2.0, 3.0], np.r_[0.0, np.ones(251), 2.0, 3.0])
+    report, back = is_cursive(rel), is_cursive(param_relation(rel.u[::-1], rel.y[::-1]))
+    assert report.chain and not report.strict and not back.strict
+    assert report.notes[-1] == "not strict: y does not rise with u at sample 251, (u, y) = (1, 1)"
+
+
+def test_step_under_the_band_is_strict():
+    # u rises 100 tie gaps (TIE_RTOL of max|u|) where y stands still: under
+    # u's band, so strict, and the y tie merges into one potential sample
+    rel = param_relation([0.0, 1.0, 1.0 + 300.0 * TIE_RTOL, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0, 3.0])
+    assert 300.0 * TIE_RTOL < axis_band(rel.u)
+    assert is_cursive(rel).strict
+    assert len(integral_function(rel, OF_K_INVERSE).grid) == 4
+
+
 def test_strict_monotonicity_rejects_a_flat_step():
     rel = param_relation([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
     report = is_cursive(rel)
     assert is_monotone(rel) and report.chain and not report.strict
-    assert report.notes[-1] == "not strict: y does not rise with u at sample 1, (u, y) = (1, 1)"
+    assert report.notes[-1] == "not strict: y does not rise with u at sample 2, (u, y) = (2, 1)"
