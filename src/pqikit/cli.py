@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ToolkitError, _floats
 from .lti import (
     RationalTF,
-    eips_indices,
+    _indices_from_mu,
     lambda_search,
     loop_mu,
     tf_passivity_indices,
@@ -79,7 +79,7 @@ def _read_spec(path: str):
 def _lti_pipeline(G: RationalTF, lam: float):
     """mu, EIPS indices, passivizing transform, transformed TF, its indices."""
     mu = loop_mu(G, lam)
-    idx = eips_indices(G, lam)
+    idx = _indices_from_mu(lam, mu)
     T = passivize(idx, PassivityIndices(0.0, 0.0))
     Gt = transformed_tf(G, T)
     return mu, idx, T, Gt, tf_passivity_indices(Gt)

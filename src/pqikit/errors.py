@@ -104,7 +104,9 @@ class NoConvergence(ToolkitError):
 
 class PreconditionFailed(ToolkitError):
     """A condition required for steady-state prediction, or for a dissipation
-    certificate (a forced equilibrium to check against), does not hold."""
+    certificate (a forced equilibrium to check against), does not hold; this
+    includes a network with no steady state, refused before any solve with
+    the component of vertices and the sums of its relations' inf u and sup u."""
 
 
 class InvalidSamples(ToolkitError, ValueError):

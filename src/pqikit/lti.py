@@ -505,14 +505,16 @@ def eips_indices(G: RationalTF, lam: float) -> PassivityIndices:
     stabilized loop p/(q + lam*p) plus 1/4 gives mu, and the index pair is
     rho = -lam(1 + lam*mu)/(1 + 2*lam*mu), nu = -mu/(1 + 2*lam*mu).
     """
-    mu = loop_mu(G, lam)
+    return _indices_from_mu(lam, loop_mu(G, lam))
+
+
+def _indices_from_mu(lam: float, mu: float) -> PassivityIndices:
+    """The EIPS index pair of :func:`eips_indices` from lambda and its mu."""
     denom = 1.0 + 2.0 * lam * mu
     if abs(denom) <= 1e-12:
         raise SingularDenominator1p2lm("1 + 2*lambda*mu vanished")
-    rho = -lam * (1.0 + lam * mu) / denom
-    nu = -mu / denom
     try:
-        return PassivityIndices(rho, nu)
+        return PassivityIndices(-lam * (1.0 + lam * mu) / denom, -mu / denom)
     except ToolkitError as exc:
         raise type(exc)(f"lambda = {lam}, mu = {mu}: {exc}") from exc
 

@@ -91,11 +91,13 @@ class Graph:
         return len(self.edges)
 
     def incidence_matrix(self) -> np.ndarray:
-        E = np.zeros((self.vertex_count, len(self.edges)))
-        for e, (h, t) in enumerate(self.edges):
-            E[h, e] = 1.0
-            E[t, e] = -1.0
+        E, (heads, tails) = np.zeros((self.vertex_count, len(self.edges))), self._ends().T
+        E[heads, np.arange(len(heads))], E[tails, np.arange(len(tails))] = 1.0, -1.0
         return E
+
+    def _ends(self) -> np.ndarray:
+        """The edges as an (edge count) x 2 integer array of (head, tail)."""
+        return np.array(self.edges, dtype=int).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +352,9 @@ class SimResult:
     def to_csv(self, path) -> None:
         n = self.y.shape[1]
         m = self.zeta.shape[1]
-        header = (["t"]
-                  + [f"x{i}" for i in range(n)]
-                  + [f"u{i}" for i in range(n)]
-                  + [f"y{i}" for i in range(n)]
-                  + [f"zeta{e}" for e in range(m)]
-                  + [f"mu{e}" for e in range(m)])
+        header = ["t"] + [f"{name}{i}" for name, count in (("x", n), ("u", n), ("y", n),
+                                                            ("zeta", m), ("mu", m))
+                          for i in range(count)]
         _write_csv(path, header, [self.t, self.x, self.u, self.y, self.zeta, self.mu])
 
     def summary_dict(self) -> dict:
@@ -645,8 +644,9 @@ class OptimizationResult:
     residual: float
 
 
-def _c1_models(funs) -> list:
-    """C¹ model (grid, nodal slopes, nodal values) of each certified-convex Fᵢ.
+def _c1_models(funs, vertices: int) -> list:
+    """C¹ model (grid, nodal slopes, nodal values) of each certified-convex Fᵢ,
+    one per vertex (else DimensionMismatch).
 
     A model's derivative is the linear interpolant of the nodal slopes, the
     averages of adjacent cell slopes, and at each end the second-order
@@ -655,6 +655,8 @@ def _c1_models(funs) -> list:
     It reproduces a quadratic sampled on a uniform grid exactly.  Each Fᵢ
     needs two or more samples.
     """
+    if len(funs) != vertices:
+        raise DimensionMismatch(f"{len(funs)} node potentials for {vertices} vertices")
     for i, F in enumerate(funs):
         if len(F.grid) < 2:
             raise DimensionMismatch(
@@ -777,21 +779,17 @@ def _minimize_convex(models, B, Q):
     Mangasarian, Optim. Methods Softw. 2002); so does a zero gradient.  Any
     other step is halved until it lowers the objective by _ARMIJO of its
     first-order decrease, from at most the widest model grid's length, and
-    from that length if it is unsolved.  An unsolved step with no curvature
-    that takes every model it moves outward from an end cell, whose
-    quadratic extends the model for ever, shows that the objective has no
-    minimizer and raises NoConvergence.  A step that cannot move z, a
-    non-finite objective or the cap of _NEWTON_ITERATIONS ends the iteration
-    early.  Whatever ended it, a max-norm gradient residual above 1e-6 of
-    the larger of its two parts plus 1e-12 of the largest nodal slope raises
-    NoConvergence naming the reason; the bound scales with the units, like
-    z.  Returns the minimizer, the objective, the iteration count and the
-    residual; with no variables, the empty z with objective 0 and no
-    iteration.  One model per row of B (per vertex), else DimensionMismatch.
+    from that length if it is unsolved.  A minimizer is assumed to exist:
+    both solvers decide that before calling it (:func:`_u_limits`).  A step
+    that cannot move z, a non-finite objective or the cap of
+    _NEWTON_ITERATIONS ends the iteration early.  Whatever ended it, a
+    max-norm gradient residual above 1e-6 of the larger of its two parts
+    plus 1e-12 of the largest nodal slope raises NoConvergence naming the
+    reason; the bound scales with the units, like z.  Returns the
+    minimizer, the objective, the iteration count and the residual; with no
+    variables, the empty z with objective 0 and no iteration.  One model per
+    row of B (per vertex).
     """
-    if len(models) != B.shape[0]:
-        raise DimensionMismatch(
-            f"{len(models)} node potentials for {B.shape[0]} vertices")
     floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
 
     def at(z) -> _Iterate:
@@ -806,14 +804,9 @@ def _minimize_convex(models, B, Q):
         # a sum past the float range is inf, which ends the iteration
         with np.errstate(over="ignore"):
             f = val.sum() + 0.5 * z @ Qz
-        return _Iterate(
-            f=f,
-            grad=node + Qz,
-            residual=float(np.abs(node + Qz).max(initial=0.0)),
-            bound=floor + 1e-6 * max(np.abs(node).max(initial=0.0),
-                                     np.abs(Qz).max(initial=0.0)),
-            cell=cell,
-            curv=curv)
+        grad = node + Qz
+        bound = floor + 1e-6 * max(np.abs(node).max(initial=0.0), np.abs(Qz).max(initial=0.0))
+        return _Iterate(f, grad, float(np.abs(grad).max(initial=0.0)), bound, cell, curv)
 
     z, iterations = np.zeros(B.shape[1]), 0
     now, why = at(z), "at a Newton step that keeps every cell"
@@ -828,14 +821,6 @@ def _minimize_convex(models, B, Q):
             break
         iterations += 1
         p, solved = _newton_step(now.grad, hv)
-        # no curvature along p, and each model p moves sits in an end cell
-        # that p leaves outward: the objective falls along p without bound
-        if not solved and p @ hv(p) <= 0.0 and all(
-                j == (len(x) - 2 if s > 0.0 else 0)
-                for (x, _, _), j, s in zip(models, now.cell, B @ p) if s):
-            raise NoConvergence(
-                f"steady-state problem has no minimizer: the objective falls without "
-                f"bound along a step with no curvature (residual {now.residual:.3e})")
         length = np.linalg.norm(p)
         t = 1.0 if solved and length <= width else width / length
         drop, moved = _ARMIJO * (now.grad @ p), z + t * p
@@ -876,6 +861,41 @@ def _kstars(agents) -> list:
     return _once_per_object(list(enumerate(agents)), kstar, key=lambda pair: id(pair[1]))
 
 
+def _u_limits(models, graph: Graph) -> np.ndarray:
+    """inf uᵢ and sup uᵢ of each K*ᵢ model (x, d, m), as the rows of a 2 x n
+    array; PreconditionFailed where they show that no steady state exists.
+
+    A model is certified nondecreasing, so its end slopes bound it.  An end
+    cell whose slope rises by no more than the slopes' band, DECREASE_RTOL
+    of d[-1] − d[0] plus SLOPE_EPS of the larger end |d|, is flat, and its
+    slope is the bound; a curved end cell's quadratic extends the model for
+    ever, to −∞ or +∞.  Along y = t·1 on a connected component the coupling
+    vanishes, so a minimizer exists when Σ inf uᵢ < 0 < Σ sup uᵢ there and
+    none when either inequality is reversed (the recession condition:
+    Rockafellar, Convex Analysis, 1970, §27).  The first component that
+    breaks it is named with both sums.  A sum of exactly 0 is admitted:
+    steady states then exist, but not one alone.  The components come from
+    min-label propagation with pointer jumping, a few array rounds.
+    """
+    # the end slopes and the slopes one node in from each end
+    lo, lo1, hi1, hi = np.reshape([(d[0], d[1], d[-2], d[-1]) for _, d, _ in models], (-1, 4)).T
+    band = DECREASE_RTOL * (hi - lo) + SLOPE_EPS * np.maximum(abs(lo), abs(hi))
+    limits = np.where([lo1 - lo <= band, hi - hi1 <= band], [lo, hi], [[-np.inf], [np.inf]])
+    # each vertex takes the least label of its edges' ends, then that label's own;
+    # with no flat end every vertex alone has sums −∞ and +∞, and needs no label
+    label, last, edges = np.arange(len(models)), None, graph._ends()
+    while np.isfinite(limits).any() and not np.array_equal(label, last):
+        last, label = label, label.copy()
+        np.minimum.at(label, edges.ravel(), np.repeat(last[edges].min(axis=1), 2))
+        label = label[label]
+    inf_sum, sup_sum = (np.bincount(label, row, len(label)) for row in limits)
+    for k in np.flatnonzero((inf_sum > 0.0) | (sup_sum < 0.0))[:1]:
+        raise PreconditionFailed(
+            f"no steady state on the component of vertices {np.flatnonzero(label == k).tolist()}"
+            f": Σ inf u = {inf_sum[k]:.6g} and Σ sup u = {sup_sum[k]:.6g} do not enclose 0")
+    return limits
+
+
 def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
     """Steady-state outputs from the optimal potential problem.
 
@@ -885,38 +905,37 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     direction unless ``node_potentials`` supplies it; every K*ᵢ must carry
     the convexity certificate.  The problem is solved, and its objective
     reported, on the C¹ models of the K*ᵢ (see :func:`_minimize_convex`).
+    A network whose models admit no minimizer is refused before any Newton
+    step (PreconditionFailed naming the component, :func:`_u_limits`).
     ``grid`` is accepted for symmetry with :func:`solve_ofp`; neither
     problem uses it.
     """
     if node_potentials is None:
         node_potentials = _kstars(spec.agents)
+    models = _c1_models(node_potentials, spec.graph.vertex_count)
+    _u_limits(models, spec.graph)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     y, fval, iters, residual = _minimize_convex(
-        _c1_models(node_potentials), np.eye(len(E)), E @ (gains[:, None] * E.T))
+        models, np.eye(len(E)), E @ (gains[:, None] * E.T))
     return OptimizationResult(fval, y, E.T @ y, iters, residual)
 
 
-def _refuse_flows_past_flat_ends(kstar_models, models, flows) -> None:
+def _refuse_flows_past_flat_ends(limits, models, flows) -> None:
     """NoConvergence naming the first vertex whose flow lies past a flat end
-    of its relation by more than the conjugate model's end cell.
+    of its relation's u (a finite limit of :func:`_u_limits`) by more than
+    the conjugate model's end cell.
 
-    Where a K*ᵢ model ends in a run of slopes that :func:`_conjugate` merges
-    (its end node is then not the model's end sample), the relation's u
-    stops there and Kᵢ is +∞ beyond it, although the conjugate model's end
-    quadratic extends it.  One cell allows for the C¹ model's smoothing of
-    the kink before a flat run; a quadratic end extends the relation, so a
-    flow past it stands.  Only a flow outside its grid is tested further.
+    The flow potential Kᵢ is +∞ past such an end, but the conjugate model's
+    end quadratic extends it, so a flow there is the model's, not the
+    relation's, although the network has a steady state.  One cell allows
+    for the C¹ model's smoothing of the kink before a flat run.
     """
-    for i, ((x, _, _), (dc, xc, _), w) in enumerate(zip(kstar_models, models, flows)):
-        if dc[0] <= w <= dc[-1]:
-            continue
-        end, inner, flat = ((0, 1, xc[0] != x[0]) if w < dc[0]
-                            else (-1, -2, xc[-1] != x[-1]))
-        if flat and abs(w - dc[end]) > abs(dc[end] - dc[inner]):
-            raise NoConvergence(
-                f"vertex {i}: steady-state flow {w:.6g} lies past the end "
-                f"{dc[end]:.6g} of the relation's u, where it is flat: no steady state")
+    for i, (lo, hi, (dc, _, _), w) in enumerate(zip(*limits, models, flows)):
+        if not lo - (dc[1] - dc[0]) <= w <= hi + (dc[-1] - dc[-2]):
+            raise NoConvergence(f"vertex {i}: steady-state flow {w:.6g} lies past the flat "
+                                f"end {lo if w < lo else hi:.6g} of the relation's u, where the "
+                                f"flow model's end quadratic departs from the relation")
 
 
 def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
@@ -927,27 +946,31 @@ def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     :func:`solve_opp`, unless ``node_potentials`` supplies Kᵢ; the K*ᵢ, or
     the supplied Kᵢ, must carry the convexity certificate.  Solved and
     reported like the potential problem, so at the optimum the two
-    objectives sum to zero.  A relation whose u is one constant, whose
-    conjugate model is one node, is refused before any Newton step
-    (PreconditionFailed), and a flow past a flat end of its relation after
-    the solve (:func:`_refuse_flows_past_flat_ends`).  ``grid`` is accepted
-    for symmetry with :func:`solve_opp`; neither problem uses it.
+    objectives sum to zero.  Before any Newton step, the K*ᵢ models decide
+    whether a steady state exists, as in :func:`solve_opp`, and a relation
+    whose u is one constant (a conjugate model of one node) is refused; both
+    raise PreconditionFailed.  Supplied Kᵢ need no such check, as the μ²/2g
+    term makes that objective coercive.  After the solve, a flow past a flat
+    end of its relation is refused (:func:`_refuse_flows_past_flat_ends`).
+    ``grid`` is accepted for symmetry with :func:`solve_opp`; neither
+    problem uses it.
     """
     if node_potentials is None:
-        kstar_models = _c1_models(_kstars(spec.agents))
+        kstar_models = _c1_models(_kstars(spec.agents), spec.graph.vertex_count)
+        limits = _u_limits(kstar_models, spec.graph)
         models = _once_per_object(kstar_models, _conjugate)
         for i, (dc, _, _) in enumerate(models):
             if len(dc) < 2:
                 raise PreconditionFailed(f"vertex {i}: relation u is constant at {dc[0]:.6g}")
     else:
-        models = _c1_models(node_potentials)
+        models = _c1_models(node_potentials, spec.graph.vertex_count)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
     mu, fval, iters, residual = _minimize_convex(
         models, -E, np.diag(1.0 / gains))
     flows = -E @ mu
     if node_potentials is None:
-        _refuse_flows_past_flat_ends(kstar_models, models, flows)
+        _refuse_flows_past_flat_ends(limits, models, flows)
     return OptimizationResult(fval, flows, mu, iters, residual)
 
 

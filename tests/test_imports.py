@@ -129,7 +129,7 @@ LEDGER = {
     ("lti.py", "_re_ratio_unbounded", 1e-9): (
         "a residue not real: its imaginary part, of its |r|",
         "a derivative of a as zero, of the same derivative of |a|"),
-    ("lti.py", "eips_indices", 1e-12): (
+    ("lti.py", "_indices_from_mu", 1e-12): (
         "1 + 2*lam*mu vanishing: of its terms, near 1 where they cancel",),
     ("network.py", "check_relation", 1e-8): (
         "an output window, of the relation's largest |y| plus the sample's",),

@@ -8,10 +8,11 @@ import re
 import warnings
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pqikit.network as network_module
@@ -59,6 +60,9 @@ from pqikit.systems import (
 )
 
 FAST = IntegratorConfig(horizon=30.0)
+# the solvers' closed-form bound, of the largest |value|: exact to rounding
+# (up to 8e-13 on the first-order networks below)
+TIGHT = 2e-12
 RAGGED = "cannot be read as floats: setting an array element with a sequence"
 WORD = "cannot be read as floats: could not convert string to float: 'a'$"
 
@@ -768,42 +772,100 @@ class TestSolvers:
             iterations.add(res.iterations)
         assert len(iterations) == 1 and iterations.pop() <= 3
 
-    @pytest.mark.parametrize("offset", [1.5, -1.5])
-    def test_unbounded_potential_problem_raises(self, monkeypatch, offset):
+    @staticmethod
+    def _refused(solver, spec, monkeypatch):
+        """The PreconditionFailed ``solver`` raises on ``spec`` with no
+        Newton step run and every warning an error."""
+        monkeypatch.setattr(network_module, "_minimize_convex", None)  # never called
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionFailed) as caught:
+                solver(spec)
+        return str(caught.value)
+
+    @staticmethod
+    def _no_steady_state(vertices, inf_sum, sup_sum):
+        return (f"no steady state on the component of vertices {vertices}: "
+                f"Σ inf u = {inf_sum} and Σ sup u = {sup_sum} do not enclose 0")
+
+    @staticmethod
+    def _clip_pair(offset, noise=0.0):
+        """Two agents u = clip(y, -1, 1) + offset (plus noise) on a 2-path."""
+        def u_of_y(y):
+            return (np.clip(y, -1.0, 1.0) + offset
+                    + noise * np.random.default_rng(0).standard_normal(y.shape))
+        return NetworkSpec(Graph.path(2), (_relation_agent(u_of_y),) * 2,
+                           (ControllerSpec(gain=1.0),), np.zeros(2))
+
+    @pytest.mark.parametrize("offset, sums", [(1.5, ("1", "5")), (-1.5, ("-5", "-1"))])
+    def test_unbounded_potential_problem_raises(self, monkeypatch, offset, sums):
         # u = clip(y, -1, 1) ± 1.5 is at least 0.5 in magnitude, of one sign,
-        # so no outputs make the inputs sum to 0 and no steady state exists.
-        # Once both agents saturate, the gradient lies where the Hessian
-        # vanishes: conjugate gradients find no positive curvature, and the
-        # step along -g leaves both end cells outward, where the potential
-        # falls without end
-        solved = []
+        # so no outputs make the inputs sum to 0 and no steady state exists:
+        # both models end flat, and their end slopes' sums lie on one side
+        # of 0.  The potential problem refuses before any Newton step
+        assert (self._refused(solve_opp, self._clip_pair(offset), monkeypatch)
+                == self._no_steady_state([0, 1], *sums))
 
-        def recorded(*args, _real=network_module._newton_step):
-            p, done = _real(*args)
-            solved.append(done)
-            return p, done
+    @pytest.mark.parametrize("offset, sums", [(1.5, ("1", "5")), (-1.5, ("-5", "-1"))])
+    def test_flow_past_a_saturation_raises(self, monkeypatch, offset, sums):
+        # the same network has no steady flow either, and the flow problem
+        # reads the same K* models, so it refuses alike before any step
+        assert (self._refused(solve_ofp, self._clip_pair(offset), monkeypatch)
+                == self._no_steady_state([0, 1], *sums))
 
-        monkeypatch.setattr(network_module, "_newton_step", recorded)
-        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + offset),) * 2
-        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.0),),
-                           np.zeros(2))
-        with pytest.raises(NoConvergence, match=r"^steady-state problem has no "
-                           r"minimizer: the objective falls without bound along a "
-                           r"step with no curvature \(residual 5\.000e-01\)$"):
-            solve_opp(spec)
-        assert False in solved and len(solved) <= 3
+    @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
+    @pytest.mark.parametrize("case", ["noisy-flat-ends", "isolated-vertex", "two-components"])
+    def test_no_steady_state_named_by_component(self, monkeypatch, solver, case):
+        # noise inside the certificate's band leaves an end flat; a vertex
+        # with no edge, or a component beside a feasible one, is decided on
+        # its own, and only its vertices are named
+        clip = _relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1.5)
+        pair = (quadratic_agent(1.0), quadratic_agent(2.0))
+        spec, vertices, sums = {
+            "noisy-flat-ends": (self._clip_pair(1.5, 1e-10), [0, 1], ("1", "5")),
+            "isolated-vertex": (NetworkSpec(Graph(3, ((0, 1),)), pair + (clip,),
+                                            (ControllerSpec(gain=1.0),), np.zeros(3)),
+                                [2], ("0.5", "2.5")),
+            "two-components": (NetworkSpec(Graph(4, ((0, 1), (3, 2))), pair + (clip,) * 2,
+                                           (ControllerSpec(gain=1.0),) * 2, np.zeros(4)),
+                               [2, 3], ("1", "5")),
+        }[case]
+        assert self._refused(solver, spec, monkeypatch) == self._no_steady_state(vertices, *sums)
 
-    @pytest.mark.parametrize("offset, end", [(1.5, "0.5"), (-1.5, "-0.5")])
-    def test_flow_past_a_saturation_raises(self, offset, end):
-        # the same network has no steady flow either: the flow potential is
-        # +inf past the saturated ends of u, which the conjugate model's end
-        # quadratics extend; u = 0 lies 0.5 past them
-        agents = (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + offset),) * 2
-        spec = NetworkSpec(Graph.path(2), agents, (ControllerSpec(gain=1.0),),
-                           np.zeros(2))
-        with pytest.raises(NoConvergence, match=rf"^vertex 0: steady-state flow 0 lies "
-                           rf"past the end {end} of the relation's u, where it "
-                           rf"is flat: no steady state$"):
+    @pytest.mark.parametrize("offset", [1.0, -1.0])
+    def test_sum_exactly_zero_is_admitted(self, offset):
+        # u = clip(y, -1, 1) ± 1 reaches 0 on a flat end: Σ inf u (or
+        # Σ sup u) is exactly 0, and every y = (t, t) past that end, where
+        # both inputs are 0, is a steady state.  Both problems solve: the
+        # outputs agree and lie on the flat stretch, up to the C¹ model's
+        # smoothing of its kink (two cells of 1.5e-3), and the flows are 0
+        opp, ofp = solve_opp(self._clip_pair(offset)), solve_ofp(self._clip_pair(offset))
+        assert opp.primal[0] == opp.primal[1]
+        assert -offset * opp.primal[0] >= 1.0 - 3e-3
+        np.testing.assert_array_equal(ofp.primal, [0.0, 0.0])
+
+    @pytest.mark.parametrize("center", [10.0, 30.0, 100.0, -10.0, -30.0, -100.0])
+    def test_flow_past_a_flat_end_is_the_model_limit(self, center):
+        # u = clip(y, -1, 1) beside a quadratic agent centred at c has the
+        # steady state y = (c ∓ 2, c ∓ 1) with the first agent saturated, so
+        # its flow is ±1, at a flat end of its u.  The potential problem
+        # finds it to rounding while y lies on the quadratic's grid (±20);
+        # past it the quadratic's end cell extends its model with the
+        # curvature its rounded values give, off by 2.3e-9 at 30 and 1.6e-7
+        # at 100 (sampling the relation's own slopes would mend it, ROADMAP
+        # item 13).  The conjugate model extends the flat end, and the flow
+        # problem's flow lands past it: the guard names the vertex, and does
+        # not deny the steady state
+        spec = NetworkSpec(Graph.path(2), (_relation_agent(lambda y: np.clip(y, -1.0, 1.0)),
+                                           quadratic_agent(center)),
+                           (ControllerSpec(gain=1.0),), np.zeros(2))
+        sign = math.copysign(1.0, center)
+        want = [center - 2.0 * sign, center - sign]
+        atol = 1e-12 if abs(center) < 20.0 else 2e-9 * abs(center)
+        np.testing.assert_allclose(solve_opp(spec).primal, want, rtol=0.0, atol=atol)
+        with pytest.raises(NoConvergence, match=rf"^vertex 0: steady-state flow -?1\.0\d* "
+                           rf"lies past the flat end {sign:g} of the relation's u, where "
+                           rf"the flow model's end quadratic departs from the relation$"):
             solve_ofp(spec)
 
     def test_constant_u_refused_by_the_flow_problem(self, monkeypatch):
@@ -1025,7 +1087,7 @@ class TestSolvers:
         calls = []
         for module in (network_module, relations_module):
             monkeypatch.setattr(module, "np", _CountingNumpy(calls))
-        network_module._conjugate(network_module._c1_models([F])[0])
+        network_module._conjugate(network_module._c1_models([F], 1)[0])
         legendre(F, ys)
         assert calls == want
 
@@ -1042,7 +1104,7 @@ class TestSolvers:
     def test_conjugate_of_an_agent_model_matches_merged_runs(self):
         F = relations_module.integral_function(quadratic_agent(1.0).relation,
                                                relations_module.OF_K_INVERSE)
-        model = network_module._c1_models([F])[0]
+        model = network_module._c1_models([F], 1)[0]
         for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -1149,6 +1211,169 @@ class TestPredictAndVerify:
         named = "; ".join(f"agent {i}: relation is not strictly monotone" for i in range(3))
         with pytest.raises(PreconditionFailed, match=f"^{named}$"):
             predict_and_verify(spec, [Transform2.identity()] * 3)
+
+
+class _Reached(Exception):
+    """Raised in place of the Newton loop: the solver admitted the network."""
+
+
+def _reached(*args):
+    raise _Reached
+
+
+@st.composite
+def mixed_networks(draw):
+    """A path, a random graph (which may leave vertices isolated) or no
+    edges, with agents u = clip(y, -1, 1) + c (an offset c) and quadratic
+    agents u = y - c (None), the offsets chosen so that no component's sum
+    of inf u or of sup u lies within 1e-3 of 0."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["path", "random", "isolated"]))
+    if shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "random":
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = [(h, t) for h, t in draw(st.lists(pairs, max_size=2 * n)) if h != t]
+    else:
+        edges = []
+    offsets = draw(st.lists(st.one_of(st.none(), st.floats(-3.0, 3.0)),
+                            min_size=n, max_size=n))
+    for members in _components(n, edges):
+        clipped = [offsets[i] for i in members]
+        if None not in clipped:
+            sums = (sum(clipped) - len(clipped), sum(clipped) + len(clipped))
+            assume(min(map(abs, sums)) > 1e-3)
+    return n, edges, offsets
+
+
+def _components(n, edges):
+    """Vertex lists of the connected components, by their least vertex."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for h, t in edges:
+        a, b = sorted((find(h), find(t)))
+        root[b] = a
+    return [[v for v in range(n) if find(v) == r] for r in range(n) if find(r) == r]
+
+
+class TestExistenceRule:
+    """Both solvers decide existence by the closed-form rule before any
+    Newton step: a component has no steady state exactly when
+    Σ inf uᵢ > 0 or Σ sup uᵢ < 0 over it (ROADMAP item 36)."""
+
+    @staticmethod
+    def _spec(n, edges, offsets, scale):
+        def agent(c):
+            if c is None:  # a quadratic agent's line, curved at both model ends
+                u_of_s, reach = (lambda s: scale * (s - 0.5)), 20.0
+            else:
+                u_of_s, reach = (lambda s: scale * (np.clip(s, -1.0, 1.0) + c)), 3.0
+            rel = PlanarRelation.from_param_curve(u_of_s, lambda s: scale * s,
+                                                  (-reach, reach), 201)
+            return AgentODE(f=lambda x, u: -x, h=lambda x: x, relation=rel)
+
+        return NetworkSpec(Graph(n, tuple(edges)), tuple(map(agent, offsets)),
+                           (ControllerSpec(gain=1.0),) * len(edges), np.zeros(n))
+
+    @given(mixed_networks())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_is_the_closed_form_rule(self, network):
+        n, edges, offsets = network
+        refused = None
+        for members in _components(n, edges):
+            clipped = [offsets[i] for i in members]
+            if None not in clipped and (sum(clipped) > len(clipped)
+                                        or sum(clipped) < -len(clipped)):
+                refused = members
+                break
+        want = (f"no steady state on the component of vertices {refused}: "
+                if refused else None)
+        with mock.patch.object(network_module, "_minimize_convex", _reached):
+            for k in (-30, 0, 30):
+                spec = self._spec(n, edges, offsets, 2.0 ** k)
+                for solver in (solve_opp, solve_ofp):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            solver(spec)
+                        except _Reached:
+                            got = None
+                        except PreconditionFailed as exc:
+                            got = str(exc)[:str(exc).index(": ") + 2]
+                    assert got == want, (k, solver.__name__)
+
+
+def _first_order_agent(a, b, c, d, e, reach=20.0):
+    """dx/dt = -a·x + b·u + e, y = c·x + d·u with its steady-state line
+    y = g·u + y0, g = cb/a + d and y0 = ce/a, declared for |u| <= reach."""
+    g, y0 = c * b / a + d, c * e / a
+    rel = PlanarRelation.from_param_curve(lambda s: s, lambda s: g * s + y0, (-reach, reach))
+    return AgentODE(f=partial(_first_order_f, a, b, e), h=partial(_linear_output, c),
+                    feedthrough=d, relation=rel), g, y0
+
+
+def _first_order_f(a, b, e, x, u):
+    return -a * x + b * u + e
+
+
+def _linear_output(c, x):
+    return c * x
+
+
+class TestFirstOrderAgents:
+    """Networks of first-order agents with feedthrough against the linear
+    solve (ROADMAP item 29).  Each agent rests on the line y = gᵢ·u + y0ᵢ,
+    and u = -L·y with L = E G Eᵀ, so y = (I + diag(g)·L)⁻¹·y0.  K*ᵢ is a
+    quadratic, which the C¹ models reproduce, so both problems are exact to
+    rounding."""
+
+    @staticmethod
+    def _network(n, shape, seed, shear):
+        """A seeded network, the transformed lines' (g, y0) under the shear
+        (u, y) -> (u, y + shear·u), and one transform per vertex."""
+        rng = np.random.default_rng(seed)
+        base, _ = TestSolvers._seeded_quadratic_network(n, shape, seed)
+        made = [_first_order_agent(*rng.uniform(0.5, 2.0, 3), rng.uniform(0.0, 1.0),
+                                   rng.uniform(-3.0, 3.0)) for _ in range(n)]
+        agents, g, y0 = zip(*made)
+        spec = replace(base, agents=agents, integrator=IntegratorConfig(horizon=200.0))
+        return (spec, np.array(g) + shear, np.array(y0),
+                [Transform2(1.0, 0.0, shear, 1.0)] * n)
+
+    @staticmethod
+    def _linear_solve(spec, g, y0):
+        E = spec.graph.incidence_matrix()
+        L = E @ np.diag([c.gain for c in spec.controllers]) @ E.T
+        y = np.linalg.solve(np.eye(len(g)) + g[:, None] * L, y0)
+        return y, -L @ y
+
+    @pytest.mark.parametrize("n, shape, seed", [
+        (2, "path", 0), (5, "path", 1), (5, "random", 2), (20, "path", 3), (20, "random", 4)])
+    def test_both_problems_match_the_linear_solve(self, n, shape, seed):
+        spec, g, y0, _ = self._network(n, shape, seed, 0.0)
+        y, u = self._linear_solve(spec, g, y0)
+        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        np.testing.assert_allclose(opp.primal, y, rtol=0.0, atol=TIGHT * np.abs(y).max())
+        np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=TIGHT * np.abs(u).max())
+        assert abs(opp.objective + ofp.objective) <= TIGHT * np.abs(y).max() ** 2
+
+    @pytest.mark.parametrize("shear", [0.0, 0.5])
+    @pytest.mark.parametrize("n, shape, seed", [(5, "path", 5), (5, "random", 6)])
+    def test_prediction_matches_the_linear_solve(self, n, shape, seed, shear):
+        # the shear adds shear·u to each output: the same agents with
+        # feedthrough d + shear, whose lines are y = (g + shear)·u + y0
+        spec, g, y0, transforms = self._network(n, shape, seed, shear)
+        y, _ = self._linear_solve(spec, g, y0)
+        report = predict_and_verify(spec, transforms)
+        assert report.passed
+        np.testing.assert_allclose(report.prediction.primal, y, rtol=0.0,
+                                   atol=TIGHT * np.abs(y).max())
+        np.testing.assert_allclose(report.simulation.steady_state, y, rtol=0.0, atol=1e-5)
 
 
 class TestJsonIngest:
