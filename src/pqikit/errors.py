@@ -124,7 +124,8 @@ def _floats(value, what: str, shape: tuple | None) -> np.ndarray | float:
     """``value`` read as finite floats of ``shape``: a float for ``()``, else
     an array; ``(None,)`` is a vector of any length (a number is one entry),
     ``None`` any shape (a float stays a float).  A value numpy cannot read (a
-    ragged list, a word) raises NonFiniteValue with numpy's reason, another
+    ragged list, a word, an integer past the float range) raises
+    NonFiniteValue with numpy's reason, another
     shape DimensionMismatch, and a nan or infinite entry NonFiniteValue naming
     the first one's index and value; each message starts with ``what``.
     """
@@ -132,7 +133,7 @@ def _floats(value, what: str, shape: tuple | None) -> np.ndarray | float:
         return float(value)  # a float skips numpy, about 2 µs a call
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NonFiniteValue(f"{what} cannot be read as floats: {exc}") from None
     vector = shape == (None,)
     if vector:

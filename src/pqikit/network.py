@@ -14,6 +14,7 @@ with the dissipation certificate's reach bound and the equilibrium search.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -1148,7 +1149,9 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
     were built with equal parameters in one array call (see
     :func:`_agent_groups`).
     The vertex count and the edge indices must be integers, and the count
-    must match the length of ``x0``, a flat list of finite numbers.  Text that
+    must match the length of ``x0``, a flat list of finite numbers; each
+    agent parameter is one finite number, named at its own path
+    (``$.agents.params.r1``) where it is not.  Text that
     is not JSON, a document that is not an object, a key not shown above (or
     not a parameter of the agent kind or of :class:`IntegratorConfig`) and a
     missing or malformed entry (not an object where one is expected; a string
@@ -1178,8 +1181,15 @@ def spec_from_json(doc: str | dict) -> NetworkSpec:
         kind = entry["kind"]
         if kind not in AGENT_REGISTRY:
             raise InvalidSpec(f"{path}.kind: unknown agent kind {kind!r}")
+        make, params = AGENT_REGISTRY[kind], dict(entry.get("params", {}))
+        # each parameter the kind takes is one finite number; the call
+        # refuses a name the kind does not take
+        taken = inspect.signature(make).parameters
+        for name in [name for name in params if name in taken]:
+            with _located(f"{path}.params.{name}"):
+                params[name] = _floats(params[name], name, ())
         with _located(f"{path}.params"):
-            return AGENT_REGISTRY[kind](**entry.get("params", {}))
+            return make(**params)
 
     agents = _json_entries(raw_agents, graph.vertex_count, "$.agents", agent)
     controllers = _json_entries(raw_ctrl, graph.edge_count, "$.controllers",

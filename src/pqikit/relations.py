@@ -18,7 +18,10 @@ but strictness.  Integration merges ties in the abscissa with an array
 mask.  Only a potential whose own samples earn the convexity certificate
 is conjugated, exactly: binary searches over the running maximum and
 minimum of its cell slopes bracket each maximizer, one sample wherever the
-slopes never dip.
+slopes never dip.  The conjugate, a pointwise maximum of affine functions,
+is certified by construction, not from its rounded samples.  Each sample
+array is made and checked once: a map's own output is kept, and a grid
+built here from checked samples is not read again.
 Every tolerance is relative to its own operands (an axis's range and the
 rounding of its values, a potential's slopes and values, a curve's nearby
 steps), never an absolute floor: a power of two per axis changes no
@@ -74,13 +77,14 @@ def _trapezoid(x, v, first: float, dx=None) -> np.ndarray:
 
 
 def _map_samples(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
-    """f(x) read as finite floats, a number standing for every sample of x;
-    unwarned, so the reader names the first sample a map made non-finite."""
+    """f(x) read as finite floats and kept as the map gave it, not copied
+    (an identity map returns x itself); a number stands for every sample of
+    x.  Unwarned, so the reader names the first sample a map made non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = _floats(f(x), what, (None,))
     if len(v) not in (1, len(x)):
         raise DimensionMismatch(f"{what} must be 1 or {len(x)} numbers, not {len(v)}")
-    return v * np.ones_like(x)
+    return v if len(v) == len(x) else np.full(len(x), v[0])
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,8 @@ class PlanarRelation:
 @dataclass(frozen=True)
 class IntegralFunction:
     """Sampled potential: strictly increasing grid plus accumulated values,
-    every sample finite; the samples decide ``convexity_certificate``."""
+    every sample finite; the samples decide ``convexity_certificate``, except
+    for a conjugate from :func:`legendre`, certified by construction."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -150,28 +155,46 @@ class IntegralFunction:
     def __post_init__(self):
         x = _floats(self.grid, "integral-function grid", (None,))
         v = _floats(self.values, "integral-function values", (None,))
-        object.__setattr__(self, "grid", x)
-        object.__setattr__(self, "values", v)
         if x.shape != v.shape:
             raise DimensionMismatch(f"integral-function grid and values must be 1-D of "
                                     f"one length, not {x.shape} and {v.shape}")
-        h = np.diff(x)
-        if not np.all(h > 0):
-            i = int(np.argmin(h > 0)) + 1
-            raise InvalidSamples(f"integral-function grid must be strictly increasing, "
-                                 f"not abscissa {x[i]} at sample {i} after {x[i - 1]}")
-        object.__setattr__(self, "convexity_certificate", _convex_certificate(h, v))
+        h = _cell_widths(x)
+        _fill(self, x, v, _convex_certificate(h, v))
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
 
     @classmethod
     def from_function(cls, f: Callable, grid) -> "IntegralFunction":
-        grid = _floats(grid, "integral-function grid", (None,))
-        return cls(grid, _map_samples(f, grid, "integral-function values"))
+        """The samples f(grid), f's own output kept, on a grid read once."""
+        x = _floats(grid, "integral-function grid", (None,))
+        v = _map_samples(f, x, "integral-function values")
+        h = _cell_widths(x)
+        return _fill(object.__new__(cls), x, v, _convex_certificate(h, v))
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
+
+
+def _cell_widths(x: np.ndarray) -> np.ndarray:
+    """np.diff(x), after InvalidSamples naming the first sample of the grid
+    x that does not rise past the one before it."""
+    h = np.diff(x)
+    if not np.all(h > 0):
+        i = int(np.argmin(h > 0)) + 1
+        raise InvalidSamples(f"integral-function grid must be strictly increasing, "
+                             f"not abscissa {x[i]} at sample {i} after {x[i - 1]}")
+    return h
+
+
+def _fill(F: IntegralFunction, x, v, certificate: bool) -> IntegralFunction:
+    """F holding the grid x, the values v and the certificate as they are,
+    nothing read again: its maker has read x and v as finite floats of one
+    shape (a sum can overflow, so built values are read too) and checked
+    that x strictly increases."""
+    for name, value in zip(("grid", "values", "convexity_certificate"), (x, v, certificate)):
+        object.__setattr__(F, name, value)
+    return F
 
 
 def _running_max(z: np.ndarray) -> np.ndarray:
@@ -262,8 +285,11 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     past the tie gap are a monotone curve with no tie and no fold, so
     neither check runs; strictly increasing ones are their own stable sort
     order, so they are not sorted.  The result is the same bits either
-    way, and the grid is a copy, never the relation's own array.  Nothing
-    is warned: a value past the float range is named by the constructor.
+    way, and the grid is a copy, never the relation's own array.  That grid
+    is finite and strictly increasing by construction, so the result is
+    built without reading it again: one np.diff of it serves the sum and
+    the certificate, and only the summed values are read, since a sum can
+    overflow.  Nothing is warned: a value past the float range is named.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -289,7 +315,6 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     if keep.all():
         gx, gv = x.copy(), v
     else:
-        dx = None
         keep = np.concatenate(([True], keep))
         # each sample is compared with the first sample of its tie run
         first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
@@ -304,9 +329,11 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
                 f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
             )
         gx, gv = x[keep], v[keep]
+        dx = np.diff(gx)
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    return IntegralFunction(gx, _trapezoid(gx, gv, 0.0, dx))
+    values = _floats(_trapezoid(gx, gv, 0.0, dx), "integral-function values", (None,))
+    return _fill(object.__new__(IntegralFunction), gx, values, _convex_certificate(dx, values))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -325,6 +352,12 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     their own running maximum (numpy keeps the later of equal values) and
     every window is the one sample lo, so neither extremum is taken.  As in
     :func:`integral_function`, a value past the float range is named, not warned.
+
+    The result is certified by construction, a pointwise maximum of affine
+    functions being convex, so no running maximum of its own cell slopes is
+    taken; it is refused the certificate only where a cell slope passes the
+    float range, as its samples would be.  The dual grid must strictly
+    increase (InvalidSamples naming the first step back).
     """
     if not len(F.grid):
         raise InvalidSamples("legendre: the potential has no samples")
@@ -336,21 +369,35 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     slopes = np.diff(v) / np.diff(x)
     lifted = _running_max(slopes)
     lo = np.searchsorted(lifted, ys)
-    vals = ys * x[lo] - v[lo]
-    if lifted is slopes:  # rising: the least slope from lo on is slope lo, never below y
-        return IntegralFunction(ys, vals)
-    # a window is wider than one sample where the least slope from lo on is below y
+    vals = x[lo] * ys
+    vals -= v[lo]
+    if lifted is not slopes:  # a dip: a window may run past sample lo
+        _window_maxima(x, v, slopes, ys, lo, vals)
+    del slopes, lifted, lo  # not held while the result is built
+    vals = _floats(vals, "integral-function values", (None,))
+    # a maximum of affine functions is convex: only a cell slope past the
+    # float range leaves it uncertified
+    cell = np.diff(vals)
+    cell /= _cell_widths(ys)
+    return _fill(object.__new__(IntegralFunction), ys, vals,
+                 math.isfinite(np.abs(cell, out=cell).max(initial=0.0)))
+
+
+def _window_maxima(x, v, slopes, ys, lo, vals) -> None:
+    """Where the least cell slope from sample lo on is below y, the
+    maximizer's window runs past lo, to the first sample whose running
+    minimum of the slopes onward reaches y: vals there become the window's
+    maximum of y·x_j − v_j, in batches of whole windows, each ending where
+    the summed width passes k·2**20."""
     falling = np.minimum.accumulate(np.r_[slopes, np.inf][::-1])[::-1]
     w = np.flatnonzero(falling[lo] < ys)
     lo, width = lo[w], np.searchsorted(falling, ys[w]) - lo[w] + 1
-    # batches of whole windows, each ending where the summed width passes k·2**20
     end = np.cumsum(width)
     cuts = np.searchsorted(end, np.arange(2**20, end[-1:].sum(), 2**20)) + 1
     for b in map(slice, np.r_[0, cuts], np.r_[cuts, len(w)]):
         start = np.cumsum(width[b]) - width[b]
         j = np.arange(width[b].sum()) - np.repeat(start - lo[b], width[b])
         vals[w[b]] = np.maximum.reduceat(np.repeat(ys[w[b]], width[b]) * x[j] - v[j], start)
-    return IntegralFunction(ys, vals)
 
 
 # ---------------------------------------------------------------------------

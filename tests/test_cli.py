@@ -238,7 +238,7 @@ class TestSimulate:
         ("integrator", {"stop_on_convergence": False},
          "$.integrator.stop_on_convergence: false is not a number"),
         ("agents", {"kind": "pendulum-gradient", "params": {"r1": float("inf")}},
-         "$.agents.params: NonFiniteValue: relation u[0] = -inf is not finite"),
+         "$.agents.params.r1: NonFiniteValue: r1 = inf is not finite"),
         ("x0", [[0.0], [0.0]],
          "$.x0: DimensionMismatch: x0 must be 1-D, not of shape (2, 1)"),
         # python reads true as 1, which would make this the edge (0, 1)
@@ -667,11 +667,14 @@ class TestFuzz:
         for value in FUZZ_FLAG_VALUES:
             _fuzz_flag(command, name, value)
 
-    # a dict key that is not one word once gave an unquoted path, $.a.0:
+    # a dict key that is not one word once gave an unquoted path, $.a.0:, and
+    # a one-entry list as an agent parameter once failed in simulate naming
+    # neither a path nor a vertex
     @given(st.sampled_from(SPEC_COMMANDS),
            st.sampled_from([(doc, leaf) for doc, leaves in SPEC_LEAVES for leaf in leaves]),
            JSON_VALUES)
     @example(["simulate"], (PATH3_SPEC, ("graph", "vertices")), {"0:": False})
+    @example(["simulate"], (PATH3_FORMS_SPEC, ("agents", "params", "r1")), [0.0])
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_generated_spec_leaf(self, tmp_path, command, case, value):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pqikit.errors as errors_module
 import pqikit.network as network_module
 import pqikit.relations as relations_module
 from pqikit import (
@@ -121,12 +122,21 @@ class _CountedUfunc:
         return self.ufunc.accumulate(*args, **kwargs)
 
 
-class _CountingNumpy:
-    """numpy, with the accumulate calls of maximum and minimum counted."""
+def _logged(fn, name, calls, a, *args, **kwargs):
+    """fn(a, ...), with (name, a) appended to ``calls``."""
+    calls.append((name, a))
+    return fn(a, *args, **kwargs)
 
-    def __init__(self, calls):
+
+class _CountingNumpy:
+    """numpy, with the accumulate calls of maximum and minimum counted, and
+    each call of a function named in ``logged`` kept with its first argument."""
+
+    def __init__(self, calls, logged=()):
         self.maximum, self.minimum = (_CountedUfunc(f, calls)
                                       for f in (np.maximum, np.minimum))
+        for name in logged:
+            setattr(self, name, partial(_logged, getattr(np, name), name, calls))
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -1075,13 +1085,13 @@ class TestSolvers:
         (quadratic_agent(1.0).relation, []),
         (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1e-11
                          * np.random.default_rng(0).standard_normal(y.shape)).relation,
-         ["maximum", "maximum", "minimum", "maximum"]),
+         ["maximum", "maximum", "minimum"]),
     ], ids=["rising", "noisy-flat-run"])
     def test_running_extrema_taken_only_where_slopes_dip(self, relation, want, monkeypatch):
         # the conjugate model takes a running maximum of the nodal slopes,
-        # legendre one of the cell slopes and a running minimum after it,
-        # and the convexity certificate of legendre's output one of its
-        # cell slopes
+        # legendre one of the cell slopes and a running minimum after it;
+        # legendre's output is convex by construction, and none of its cell
+        # slopes' running extrema is taken
         F = relations_module.integral_function(relation, relations_module.OF_K_INVERSE)
         ys = np.linspace(-2.0, 2.0, 101)
         calls = []
@@ -1090,6 +1100,28 @@ class TestSolvers:
         network_module._conjugate(network_module._c1_models([F], 1)[0])
         legendre(F, ys)
         assert calls == want
+
+    def test_potentials_read_their_grids_once(self, monkeypatch):
+        # integral_function's grid is a copy of finite samples that step up:
+        # one np.diff of the abscissa serves the sum and the certificate, and
+        # only the summed values are read again (a sum can overflow);
+        # from_function reads the grid it is given once
+        rel = quadratic_agent(1.0).relation
+        grid = np.linspace(-2.0, 2.0, 41)
+        calls = []
+        for module in (relations_module, errors_module):
+            monkeypatch.setattr(module, "np", _CountingNumpy(calls, ("diff", "isfinite")))
+        F = relations_module.integral_function(rel, relations_module.OF_K_INVERSE)
+        G = IntegralFunction.from_function(lambda y: 0.5 * y * y, grid)
+        monkeypatch.undo()
+
+        def passes(name, *arrays):
+            return sum(call[0] == name and any(np.shares_memory(call[1], a) for a in arrays)
+                       for call in calls)
+
+        assert passes("diff", rel.y, F.grid) == passes("diff", G.grid) == 1
+        assert passes("isfinite", rel.y, F.grid) == 0
+        assert passes("isfinite", F.values) == passes("isfinite", G.grid) == 1
 
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     @pytest.mark.parametrize("n", [0, 1])
@@ -1424,6 +1456,20 @@ class TestJsonIngest:
         (lambda d: d.update(agents={"params": {}}), r"^\$\.agents: missing key 'kind'$"),
         (lambda d: d.update(agents={"kind": "quadratic", "params": {"centre": 2.0}}),
          r"^\$\.agents\.params: .*'centre'"),
+        # a parameter is one number, named at its own path
+        (lambda d: d.update(agents={"kind": "pendulum-gradient", "params": {"r1": [0.0]}}),
+         r"^\$\.agents\.params\.r1: DimensionMismatch: r1 must be a number, not of shape \(1,\)$"),
+        (lambda d: d["agents"][1]["params"].update(center=[3.0]),
+         r"^\$\.agents\[1\]\.params\.center: DimensionMismatch: center must be a number"),
+        (lambda d: d["agents"][1]["params"].update(center=math.nan),
+         r"^\$\.agents\[1\]\.params\.center: NonFiniteValue: center = nan is not finite$"),
+        # an integer past the float range was once a bare OverflowError
+        (lambda d: d["agents"][1]["params"].update(center=10**400),
+         r"^\$\.agents\[1\]\.params\.center: NonFiniteValue: center cannot be read as "
+         r"floats: int too large to convert to float$"),
+        (lambda d: d["x0"].__setitem__(0, -10**400),
+         r"^\$\.x0: NonFiniteValue: x0 cannot be read as floats: int too large to convert "
+         r"to float$"),
         (lambda d: d.update(controllers={}), r"^\$\.controllers: missing key 'gain'$"),
         (lambda d: d.update(controllers={"gain": -1.0}), r"^\$\.controllers: .*positive"),
         (lambda d: d["integrator"].update(step=0.1), r"^\$\.integrator: .*'step'"),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from pqikit.relations import (
     OF_K_INVERSE,
     SLOPE_EPS,
     TIE_RTOL,
+    _convex_certificate,
     _trapezoid,
     _write_csv,
 )
@@ -686,6 +688,14 @@ def assert_same_bits(got, want):
                                   np.asarray(want).view(np.int64))
 
 
+def assert_conjugate_of_samples(F, ys):
+    """legendre's values are those of its general path bit for bit, and its
+    certificate by construction is the one its samples earn."""
+    Fs = legendre(F, ys)
+    assert_same_bits(Fs.values, accumulated_legendre(F, ys))
+    assert Fs.convexity_certificate == _convex_certificate(np.diff(ys), Fs.values)
+
+
 def dual_points(F):
     """Zero, every cell slope and a grid past the slope range, ascending, once
     with +0.0 and once with -0.0."""
@@ -741,7 +751,7 @@ class TestSkippedPasses:
         assert F.convexity_certificate
         assert bool(np.all(slopes[1:] >= slopes[:-1])) == rising
         for ys in dual_points(F):
-            assert_same_bits(legendre(F, ys).values, accumulated_legendre(F, ys))
+            assert_conjugate_of_samples(F, ys)
 
     @given(st.lists(st.tuples(st.floats(0.05, 3.0),
                               st.sampled_from([-1.0, -0.0, 0.0, 0.5]) | st.floats(-5.0, 5.0)),
@@ -762,7 +772,7 @@ class TestSkippedPasses:
             -1.0, 1.0, len(v)))
         if F.convexity_certificate:
             for ys in dual_points(F):
-                assert_same_bits(legendre(F, ys).values, accumulated_legendre(F, ys))
+                assert_conjugate_of_samples(F, ys)
 
     @pytest.mark.parametrize("ys, shape", [([[0.1, 0.2]], "(1, 2)"),
                                            (np.zeros((1, 1, 1)), "(1, 1, 1)"),
@@ -775,6 +785,48 @@ class TestSkippedPasses:
     def test_legendre_reads_a_number_as_one_dual_point(self):
         # every vector input reads a number as a one-entry vector
         assert_same_bits(legendre(_bowl(), 0.5).values, legendre(_bowl(), [0.5]).values)
+
+
+class TestSamplesMadeOnce:
+    """A map's output is kept as the map gave it, and legendre certifies
+    its result by construction, holding few arrays of the grid's size."""
+
+    def test_identity_map_keeps_the_parameter(self):
+        for agent in (pendulum_gradient_agent(), quadratic_agent(1.0), odd_cubic_agent()):
+            assert np.shares_memory(agent.relation.y, agent.relation.sigma)
+        grid = np.linspace(-1.0, 1.0, 5)
+        values = grid * grid
+        assert IntegralFunction.from_function(lambda y: values, grid).values is values
+
+    def test_one_number_stands_for_every_sample(self):
+        rel = PlanarRelation.from_param_curve(lambda s: -0.0, lambda s: s, (0.0, 1.0), 5)
+        assert_same_bits(rel.u, np.full(5, -0.0))
+        assert not np.shares_memory(rel.u, rel.sigma)
+        F = IntegralFunction.from_function(lambda y: [2.5], np.linspace(0.0, 1.0, 3))
+        assert F.values.tolist() == [2.5] * 3 and F.convexity_certificate
+
+    def test_legendre_peak_memory(self):
+        # the duality experiment's potential at its default grid: the result
+        # and at most four more arrays of the grid's size at any one time
+        grid = np.linspace(-5.0, 5.0, 200_001)
+        F = IntegralFunction.from_function(lambda y: 0.5 * (y - 1.0) ** 2, grid)
+        tracemalloc.start()
+        try:
+            Fs = legendre(F, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Fs.convexity_certificate
+        assert peak <= 5 * grid.nbytes, peak / grid.nbytes
+
+    def test_slope_past_the_float_range_is_uncertified(self):
+        # a one-sample potential's conjugate is a line, but over a subnormal
+        # cell its rounded values rise by an ulp of 8: a cell slope past the
+        # float range, which the samples do not certify either
+        Fs = legendre(IntegralFunction([1.7e308], [-8.0]), [5e-324, 1e-323])
+        assert np.diff(Fs.values)[0] > 0.0
+        assert not Fs.convexity_certificate
+        assert not _convex_certificate(np.diff(Fs.grid), Fs.values)
 
 
 class TestShapeChecks:
@@ -1454,6 +1506,10 @@ def test_cursive_report_names_a_stalled_end():
      r"integral_function \(of_k\): the relation has no samples$"),
     (lambda: legendre(IntegralFunction([], []), [0.0]), InvalidSamples,
      "legendre: the potential has no samples$"),
+    (lambda: legendre(_bowl(), [0.0, 1.0, 0.5]), InvalidSamples,
+     r"strictly increasing, not abscissa 0\.5 at sample 2 after 1\.0$"),
+    (lambda: IntegralFunction.from_function(np.abs, [0.0, 1.0, 1.0]), InvalidSamples,
+     r"strictly increasing, not abscissa 1\.0 at sample 2 after 1\.0$"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.zeros(2)),
      DimensionMismatch, r"not \(3,\) and \(2,\)$"),
     (lambda: IntegralFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
@@ -1533,6 +1589,8 @@ def test_cursive_report_names_a_stalled_end():
     (lambda: integral_function(param_relation([0.0, 1.0, 1.0, 2.0],
                                               [1e308, 1.5e308, 1.5e308, 1.7e308])),
      NonFiniteValue, r"^integral-function values\[1\] = inf is not finite$"),
+    (lambda: integral_function(param_relation([0.0, 1.0, 2.0], [1e308, 1.5e308, 1.7e308])),
+     NonFiniteValue, r"^integral-function values\[1\] = inf is not finite$"),
     (lambda: legendre(IntegralFunction.from_function(
         lambda x: 0.5 * x * x, np.linspace(-20.0, 20.0, 41)), [0.0, 1e308]),
      NonFiniteValue, r"^integral-function values\[1\] = inf is not finite$"),
@@ -1542,6 +1600,7 @@ def test_cursive_report_names_a_stalled_end():
                                               [1e308, -1e308, 1e308, 1e308])),
      MultiValued, r"^relation folds near abscissa 1\.0: values -1e\+308 and 1e\+308$"),
 ], ids=["potential_grid", "potential_steps_back", "integral_empty", "legendre_empty",
+        "dual_grid_steps_back", "from_function_steps_back",
         "potential_lengths", "potential_nan", "potential_inf",
         "relation_lengths", "relation_sigma_length", "relation_2d", "cursive_one_sample", "cursive_no_sample", "integral_direction",
         "single_abscissa", "cursive_inf", "cursive_nan", "integral_nan",
@@ -1550,7 +1609,7 @@ def test_cursive_report_names_a_stalled_end():
         "potential_ragged", "potential_word", "from_function_ragged", "from_function_word",
         "dual_grid_ragged", "dual_grid_word", "dual_grid_inf", "param_curve_word",
         "param_curve_ragged", "param_curve_length", "map_output_word", "map_output_ragged",
-        "map_output_length", "map_output_overflow", "tie_band_overflow",
+        "map_output_length", "map_output_overflow", "tie_band_overflow", "sum_overflow",
         "legendre_overflow", "legendre_window_overflow", "tie_fold_overflow"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
