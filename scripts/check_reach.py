@@ -25,6 +25,10 @@ pytest's status if a test fails.  It ends with three size counts of
 them), its code lines (see :func:`code_lines`) and its settable values
 (see :func:`settable_values`).
 
+Each source of ``src/pqikit`` is read before the run and mapped as it was
+then; if one changes during the run (an editor saving it), the script names
+it and exits 1 instead of mapping the offsets onto shifted lines.
+
 ``--system`` runs what the system runs instead (see :func:`run_system`):
 every job of the three benchmark workloads at seed 1 and the README's
 command-line and python blocks.  It also exempts the lines of ``raise``
@@ -227,21 +231,38 @@ def run_system() -> None:
             os.chdir(here)
 
 
-def unrun(ran, exempt):
+def sources() -> dict[str, str]:
+    """The text of each module of the package, by path."""
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                found[os.path.join(PACKAGE, name)] = fh.read()
+    return found
+
+
+def changed(before: dict[str, str]) -> int:
+    """1, after naming on stderr each module that differs from ``before``
+    (changed, added or removed), or 0 if none does."""
+    after = sources()
+    names = sorted(os.path.relpath(path, ROOT) for path in before.keys() | after.keys()
+                   if before.get(path) != after.get(path))
+    if names:
+        print(f"error: {', '.join(names)} changed during the run, so its recorded "
+              "offsets no longer map onto its lines; run again", file=sys.stderr)
+    return int(bool(names))
+
+
+def unrun(ran, exempt, texts):
     """For each module of the package: its path, text, tree, unreached lines
-    and untaken arms, given the offsets ``ran`` and a function giving a
-    tree's exempt lines."""
+    and untaken arms, given the offsets ``ran``, a function giving a tree's
+    exempt lines and the module ``texts`` by path, read before the run."""
     taken: dict[str, set] = {}  # positions of the instructions run, by file
     for code, offsets in ran.items():
         positions = list(code.co_positions())  # one per 2-byte code unit
         taken.setdefault(os.path.realpath(code.co_filename), set()).update(
             positions[offset // 2] for offset in offsets)
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        with open(path) as fh:
-            text = fh.read()
+    for path, text in texts.items():
         source, tree = text.splitlines(), ast.parse(text)
         skip = exempt(tree)
         emitted = {p for code in code_objects(compile(text, path, "exec"))
@@ -266,15 +287,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     args = sys.argv[1:] if argv is None else argv
     package = os.path.relpath(PACKAGE, ROOT)
+    texts = sources()
     if args == ["--system"]:
         try:
             _, ran = traced(run_system)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        if changed(texts):
+            return 1
         total = 0
         for rel, _, _, lines, untaken in unrun(
-                ran, lambda tree: main_guard_lines(tree) | error_lines(tree)):
+                ran, lambda tree: main_guard_lines(tree) | error_lines(tree), texts):
             if lines or untaken:
                 print(f"{rel}: {len(lines)} line(s), {len(untaken)} arm(s)")
                 print("".join(f"  {entry}\n" for entry in lines + untaken), end="")
@@ -287,8 +311,10 @@ def main(argv=None) -> int:
         ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", *args]))
     if status:
         return int(status)
+    if changed(texts):
+        return 1
     missed = untaken = length = code = settable = 0
-    for _, source, tree, lines, arms_left in unrun(ran, main_guard_lines):
+    for _, source, tree, lines, arms_left in unrun(ran, main_guard_lines, texts):
         print("".join(f"{entry}\n" for entry in lines + arms_left), end="")
         missed += len(lines)
         untaken += len(arms_left)

@@ -687,14 +687,21 @@ def _conjugate(model):
 
     Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
     the convexity certificate tolerates are lifted, a run of d flat to within
-    SLOPE_EPS of the values per cell width (a kink of the conjugate) becomes
-    one node at its mean abscissa.  So does a stretch of lifted steps, each
-    within the certificate's band (DECREASE_RTOL of the largest |d|), that
-    holds a dip: on a noisy flat run the record highs would otherwise be nodes
-    1e-11 apart in d and cells apart in x, where an ulp of the argument
-    moves the slope past the solver's residual bound.  A run's value error
-    then shifts every node beyond it, so the values are integrated from an
-    exact node: the median node of strict slope increase (else the first).
+    its rounding (a kink of the conjugate) becomes one node at its mean
+    abscissa.  A node's rounding is SLOPE_EPS of the values over the
+    narrower of its own two cells, so one narrow cell merges its own nodes,
+    not every node of the model.  A rise past the rounding of the narrowest
+    cell is past that of its own, so that one bound is tested first, and
+    each node's only where it merges some node: a call that merges none
+    makes no array of per-node bounds.  A stretch
+    of lifted steps, each within the certificate's band (DECREASE_RTOL of
+    the largest |d|), that holds a dip becomes one node too: on a noisy
+    flat run the record highs would otherwise be nodes 1e-11 apart in d and
+    cells apart in x, where an ulp of the argument moves the slope past the
+    solver's residual bound.
+    A run's value error then shifts every node beyond it, so the values are
+    integrated from an exact node: the median node of strict slope increase
+    (else the first).
 
     A d that never decreases is its own running maximum (numpy keeps the
     later of equal values), which is then not taken.  Where every lifted
@@ -706,7 +713,10 @@ def _conjugate(model):
     x, d, m = model
     lifted = _running_max(d)
     step = np.diff(lifted, prepend=-np.inf)
-    new = step > SLOPE_EPS * np.abs(m).max() / np.diff(x).min()
+    rounding, h = SLOPE_EPS * np.abs(m).max(), np.diff(x)
+    new = step > rounding / h.min()
+    if not new.all():  # tested again where merged: each node's narrower cell
+        new |= step > rounding / np.minimum(np.r_[h[0], h], np.r_[h, h[-1]])
     if new.all():
         dc, xc, dx = lifted, x + 0.0, step[1:]
         k = anchor = len(x) // 2

@@ -11,22 +11,27 @@ up and to the right of every earlier one.  One test decides "rises, within
 a band" everywhere: no sample falls more than the band below the running
 maximum of those before it (:func:`_falls`).  It reads a chain on both
 axes of a curve, a monotone relation on both axes sorted by u + y in
-units of their bands, and a convex potential on its cell slopes; a
-chain's strictness is u's rise over each run where y stands still.
+units of their bands, and a convex potential on its cell slopes.  One
+rule decides ties: a sample is a tie when it rises no more than its
+axis's rounding above that running maximum (:func:`_ties`).
+Integration merges each tie in the abscissa into the last sample that is
+not one, reading the samples in their stored order with no sort; and a
+chain is strict when y's tie runs hold no fold, so a strict curve has a
+potential in y by construction.  A curve may pause on a repeated sample.
 Reversal and a power of two per axis change no flag, and inversion none
-but strictness.  Integration merges ties in the abscissa with an array
-mask.  Only a potential whose own samples earn the convexity certificate
-is conjugated, exactly: binary searches over the running maximum and
-minimum of its cell slopes bracket each maximizer, one sample wherever the
-slopes never dip.  The conjugate, a pointwise maximum of affine functions,
-is certified by construction, not from its rounded samples.  Each sample
+but strictness.  Only a potential whose own samples earn the convexity
+certificate is conjugated, exactly: binary searches over the running
+maximum and minimum of its cell slopes bracket each maximizer, one sample
+wherever the slopes never dip.  The conjugate, a pointwise maximum of
+affine functions, is certified by construction, not from its rounded
+samples.  Each sample
 array is made and checked once: a map's own output is kept, and a grid
 built here from checked samples is not read again.
 Every tolerance is relative to its own operands (an axis's range and the
 rounding of its values, a potential's slopes and values, a curve's nearby
 steps), never an absolute floor: a power of two per axis changes no
 verdict, and a factor per axis none of monotonicity or of a potential.
-The monotone, strict and chain bands are an axis's range plus its
+The monotone, strict, chain and fold bands are an axis's range plus its
 rounding, so a shift of the axis moves them by rounding only.
 Everything here is numpy alone.
 """
@@ -44,8 +49,6 @@ from .errors import (DimensionMismatch, InvalidSamples, InvalidSpec, MultiValued
                      NonConvexCertificate, WrongRepresentation, _floats)
 
 DEFAULT_GRID_POINTS = 4001
-# Relative gap below which integral_function merges adjacent abscissae.
-TIE_RTOL = 1e-12
 # A decrease within this share of an axis's range, or of a potential's largest
 # |cell slope|, is rounding.
 DECREASE_RTOL = 1e-9
@@ -92,7 +95,9 @@ class PlanarRelation:
     """Planar relation: samples (u, y), a curve exactly when ``sigma`` is set.
 
     ``sigma`` is the curve parameter of each sample; a point list has none.
-    The samples are stored as 1-D float arrays of one length, every one finite.
+    The samples are stored as 1-D float arrays of one length, every one finite,
+    in the order given: :func:`integral_function` reads them in that order,
+    so a point list belongs in (u, y) order, as :meth:`from_points` sorts it.
     """
 
     u: np.ndarray
@@ -158,7 +163,7 @@ class IntegralFunction:
         if x.shape != v.shape:
             raise DimensionMismatch(f"integral-function grid and values must be 1-D of "
                                     f"one length, not {x.shape} and {v.shape}")
-        h = _cell_widths(x)
+        h = _cell_widths(x, "integral-function grid")
         _fill(self, x, v, _convex_certificate(h, v))
 
     def __call__(self, x):
@@ -169,20 +174,20 @@ class IntegralFunction:
         """The samples f(grid), f's own output kept, on a grid read once."""
         x = _floats(grid, "integral-function grid", (None,))
         v = _map_samples(f, x, "integral-function values")
-        h = _cell_widths(x)
+        h = _cell_widths(x, "integral-function grid")
         return _fill(object.__new__(cls), x, v, _convex_certificate(h, v))
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
 
 
-def _cell_widths(x: np.ndarray) -> np.ndarray:
-    """np.diff(x), after InvalidSamples naming the first sample of the grid
-    x that does not rise past the one before it."""
+def _cell_widths(x: np.ndarray, what: str) -> np.ndarray:
+    """np.diff(x), after InvalidSamples naming the grid ``what`` and its
+    first sample that does not rise past the one before it."""
     h = np.diff(x)
     if not np.all(h > 0):
         i = int(np.argmin(h > 0)) + 1
-        raise InvalidSamples(f"integral-function grid must be strictly increasing, "
+        raise InvalidSamples(f"{what} must be strictly increasing, "
                              f"not abscissa {x[i]} at sample {i} after {x[i - 1]}")
     return h
 
@@ -216,6 +221,31 @@ def _axis_band(z: np.ndarray) -> float:
     of its largest magnitude, the rounding of its values; a shift of the
     axis moves it by that rounding only."""
     return DECREASE_RTOL * float(np.ptp(z)) + SLOPE_EPS * float(np.abs(z).max())
+
+
+def _ties(z: np.ndarray) -> np.ndarray:
+    """Whether each sample after the first is a tie: it rises no more than
+    its axis's rounding, SLOPE_EPS of its largest magnitude, above the
+    running maximum of the samples before it."""
+    return z[1:] - _running_max(z)[:-1] <= SLOPE_EPS * np.abs(z).max()
+
+
+def _tie_runs(x: np.ndarray, v: np.ndarray):
+    """The tie runs of the samples (x, v), read in their order along x: each
+    sample that is not a tie (:func:`_ties`) heads a run, and each tie
+    joins the run of the last sample before it that heads one.  Returns
+    whether each sample heads a run, whether x turns back there past its
+    band (:func:`_falls`), and whether its v lies farther than v's band
+    from its run head's (:func:`_axis_band`); either of the last two is a
+    fold.  Where no sample is a tie, nothing more is read.  Callers pass
+    axes over their ranges (:func:`_over_range`), so each band is finite
+    wherever the samples are.
+    """
+    head = np.r_[True, ~_ties(x)]
+    if head.all():
+        return head, ~head, ~head
+    first = _running_max(np.where(head, np.arange(len(x)), 0))
+    return head, np.r_[False, _falls(x, _axis_band(x))], np.abs(v - v[first]) > _axis_band(v)
 
 
 def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
@@ -276,20 +306,24 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
     """Cumulative-trapezoid potential of the relation in one direction.
 
     ``of_k`` integrates y as a function of u; ``of_k_inverse`` integrates u
-    as a function of y.  The relation must be single-valued in the chosen
-    direction: runs of abscissae each within ``TIE_RTOL`` (relative) of the
-    previous one are merged into their first sample, genuine folds raise.
-    Values are anchored to zero at the left end of the grid.
+    as a function of y.  The samples are read in their stored order (a
+    curve's parameter order, a point list's (u, y) order), reversed once if
+    the abscissa falls from end to end, and never sorted.  Each tie in the
+    abscissa (a sample within its rounding of the running maximum before
+    it) merges into the last sample that is not one.  The relation must be
+    single-valued in the chosen direction, read in that order: an abscissa
+    that turns back past its band raises MultiValued, and so does a fold, a
+    tie whose value lies past the values' band from the one it merges into
+    (:func:`_tie_runs`).  Values are anchored to zero at the left end of
+    the grid.
 
-    Steps are skipped where they are identities.  Abscissae that step up
-    past the tie gap are a monotone curve with no tie and no fold, so
-    neither check runs; strictly increasing ones are their own stable sort
-    order, so they are not sorted.  The result is the same bits either
-    way, and the grid is a copy, never the relation's own array.  That grid
-    is finite and strictly increasing by construction, so the result is
-    built without reading it again: one np.diff of it serves the sum and
-    the certificate, and only the summed values are read, since a sum can
-    overflow.  Nothing is warned: a value past the float range is named.
+    Abscissae that each step up past the rounding hold no tie and no fold,
+    so neither is looked for; the grid is then a copy, never the relation's
+    own array.  It is finite and strictly increasing by construction, so
+    the result is built without reading it again: one np.diff of it serves
+    the sum and the certificate, and only the summed values are read, since
+    a sum can overflow.  Nothing is warned: a value past the float range is
+    named.
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -299,36 +333,19 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         raise InvalidSpec(f"unknown direction {direction!r}")
     if not len(x):
         raise InvalidSamples(f"integral_function ({direction}): the relation has no samples")
+    x, v = (x[::-1], v[::-1]) if x[-1] < x[0] else (x, v)
     dx = np.diff(x)
-    slack = TIE_RTOL * float(np.abs(x).max())
-    keep = dx > slack
-    if not keep.all():
-        # a curve is single-valued in this direction iff the abscissa is
-        # monotone along the parameter: it never falls, or never rises
-        if rel.sigma is not None and _falls(x, slack).any() and _falls(-x, slack).any():
-            raise MultiValued("curve abscissa is not monotone in the parameter")
-        if not np.all(dx > 0):
-            order = np.argsort(x, kind="stable")
-            x, v = x[order], v[order]
-            dx = np.diff(x)
-            keep = dx > slack
-    if keep.all():
+    if np.all(dx > SLOPE_EPS * float(np.abs(x).max())):
         gx, gv = x.copy(), v
     else:
-        keep = np.concatenate(([True], keep))
-        # each sample is compared with the first sample of its tie run
-        first = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))
-        vf = v[first]
-        # each term scaled before the sum, so the band is finite wherever v is
-        band = 1e-8 * np.abs(v)
-        band += band[first] + band.max()
-        fold = ~keep & (np.abs(v - vf) > band)
-        if fold.any():
-            i = int(np.argmax(fold))
-            raise MultiValued(
-                f"relation folds near abscissa {x[i]}: values {vf[i]} and {v[i]}"
-            )
-        gx, gv = x[keep], v[keep]
+        head, back, fold = _tie_runs(_over_range(x), _over_range(v))
+        if (back | fold).any():
+            i = int(np.argmax(back | fold))
+            raise MultiValued(f"relation turns back to abscissa {x[i]} after {x[:i].max()} in "
+                              "its stored order, which for a point list is (u, y) order"
+                              if back[i] else f"relation folds near abscissa {x[i]}: values "
+                              f"{v[np.flatnonzero(head[:i])[-1]]} and {v[i]}")
+        gx, gv = x[head], v[head]
         dx = np.diff(gx)
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
@@ -378,7 +395,7 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     # a maximum of affine functions is convex: only a cell slope past the
     # float range leaves it uncertified
     cell = np.diff(vals)
-    cell /= _cell_widths(ys)
+    cell /= _cell_widths(ys, "legendre: dual grid")
     return _fill(object.__new__(IntegralFunction), ys, vals,
                  math.isfinite(np.abs(cell, out=cell).max(initial=0.0)))
 
@@ -404,13 +421,6 @@ def _window_maxima(x, v, slopes, ys, lo, vals) -> None:
 # Monotonicity and cursivity
 
 
-def _chain_breaks(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether each sample after the first falls below an earlier one on
-    either axis: more than that axis's band (:func:`_axis_band`) below its
-    running maximum (:func:`_falls`)."""
-    return _falls(u, _axis_band(u)) | _falls(y, _axis_band(y))
-
-
 def is_monotone(rel: PlanarRelation) -> bool:
     """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs, within
     each axis's band: the chain scan of :func:`is_cursive` over the samples
@@ -423,8 +433,9 @@ def is_monotone(rel: PlanarRelation) -> bool:
     if not len(rel.u):
         return True
     u, y = _over_range(rel.u), _over_range(rel.y)
-    order = np.lexsort((y, u, (u - u.min()) * _axis_band(y) + (y - y.min()) * _axis_band(u)))
-    return not _chain_breaks(u[order], y[order]).any()
+    bu, by = _axis_band(u), _axis_band(y)
+    order = np.lexsort((y, u, (u - u.min()) * by + (y - y.min()) * bu))
+    return not (_falls(u[order], bu) | _falls(y[order], by)).any()
 
 
 @dataclass(frozen=True)
@@ -459,17 +470,20 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     unbroken nondecreasing curve, unbounded at both ends.  Each axis is
     taken over the power of two at or above its range (so a shift keeps its
     weight and a power of two per axis every flag), and a step's length is
-    |du| + |dy|.  Oriented so that s = u + y rises from end to end, the
-    curve is a chain when s strictly rises and every later sample lies at
-    or up and to the right of every earlier one, within each axis's band
-    (:func:`_axis_band`, ``DECREASE_RTOL`` of its range plus its rounding):
-    no sample falls that far below its axis's running maximum
-    (:func:`_falls`).  A chain is monotone over every pair of its samples,
-    and cannot meet itself; any other curve is not decided.  A chain is
-    strict when y rises wherever u rises past u's band, as a potential of u
-    over y needs: over each run of steps where y does not rise, u rises by
-    its band at most, from the run's first sample to its last.  Reversing
-    the samples changes no flag, and swapping the axes none but ``strict``.
+    |du| + |dy|.  With s = u + y in units of each axis's band
+    (:func:`_axis_band`, ``DECREASE_RTOL`` of its range plus its rounding),
+    oriented to rise from end to end, the curve is a chain when s rises at
+    every step but a pause on a repeated sample (such as the joint of two
+    sampled pieces), and every later sample lies at or up and to the right
+    of every earlier one, within each axis's band: no sample falls that far
+    below its axis's running maximum (:func:`_falls`).  A chain is monotone
+    over every pair of its samples, and cannot meet itself, a pause taken
+    as one sample; any other curve is not decided.  A chain is strict when y's tie
+    runs, read as :func:`integral_function` reads them in the inverse
+    direction (:func:`_tie_runs`), hold no fold and more than one abscissa:
+    y rises wherever u rises past u's band, and a strict curve has a
+    potential of u over y.  Reversing the samples changes no flag, and
+    swapping the axes none but ``strict``.
     It is continuous when no run of one or two steps holds a step over 10
     times each step on both sides of the run (it may steepen at any rate,
     but not leap and settle back), and diverges when each end decile's mean
@@ -481,9 +495,11 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
     n = len(rel.u)
     if n < 2:
         raise WrongRepresentation(f"cursivity check needs a curve of 2 or more samples, not {n}")
-    u, y = _over_range(rel.u), _over_range(rel.y)
-    if u[-1] - u[0] + (y[-1] - y[0]) < 0.0:  # s = u + y falls from end to end
-        u, y = -u, -y
+    u0, y0 = _over_range(rel.u), _over_range(rel.y)
+    # s = u + y in units of each axis's band (1 for an axis of zeros),
+    # oriented to rise from end to end
+    bu, by = (_axis_band(z) or 1.0 for z in (u0, y0))
+    u, y = (u0, y0) if (u0[-1] - u0[0]) * by + (y0[-1] - y0[0]) * bu >= 0.0 else (-u0, -y0)
     du, dy = np.diff(u), np.diff(y)
     step = np.abs(du) + np.abs(dy)
     # the steps 2 and 1 before and 1 and 2 after each; past an end, unbounded
@@ -503,19 +519,19 @@ def is_cursive(rel: PlanarRelation) -> CursivityReport:
             notes.append(f"{what} at sample {i}, (u, y) = ({rel.u[i]:.6g}, {rel.y[i]:.6g})")
         return not fails.any()
 
-    # step i breaks where s does not rise or sample i + 1 falls below an
-    # earlier sample on either axis
-    chain = holds((du + dy <= 0.0) | _chain_breaks(u, y),
+    # step i breaks where s does not rise, unless it has no length (a pause
+    # on a repeated sample), or where sample i + 1 falls below an earlier
+    # sample on either axis
+    chain = holds(((du * by + dy * bu <= 0.0) & (step > 0.0)) | _falls(u, bu) | _falls(y, by),
                   "not a chain: the curve turns back or stands still")
     continuous = holds(step > 10.0 * flank, "jump: a step over 10x the steps around it starts")
     diverges = holds(stalls, "stalls: an end decile moves under 0.1 of the median step, the end")
-    # samples joined by steps where y does not rise are one run, which starts
-    # at the first sample or where a rise of y ends and ends where one starts
-    # or at the last sample; u must not rise past its band from a run's first
-    # sample to its last
-    rose = np.r_[True, dy > 0.0, True]
-    past = u - u[_running_max(np.where(rose[:-1], np.arange(n), 0))] > _axis_band(u)
-    strict = chain and holds(rose[1:] & past, "not strict: y does not rise with u")
+    # y's tie runs, read as integral_function(rel, OF_K_INVERSE) reads them,
+    # must hold no fold and more than one abscissa
+    along = slice(None, None, -1 if rel.y[-1] < rel.y[0] else 1)
+    head, back, fold = _tie_runs(y0[along], u0[along])
+    fold[-1] |= not head[1:].any()
+    strict = chain and holds((back | fold)[along], "not strict: y does not rise with u")
     return CursivityReport(continuous, diverges, chain, strict, tuple(notes))
 
 

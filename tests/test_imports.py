@@ -156,12 +156,9 @@ LEDGER = {
     ("pqi.py", "contains", 1e-12): ("cone membership, of |w|^2 in ray coordinates",),
     ("pqi.py", "boundary_rays", 1e-30): ("a leading coefficient as zero, of |coeffs|",),
     ("pqi.py", "is_singular", 1e-12): ("|det|, of the row and column norm products",),
-    ("relations.py", "TIE_RTOL", 1e-12): ("a tie of abscissae, of the largest |x|",),
     ("relations.py", "DECREASE_RTOL", 1e-9): (
         "a decrease that is rounding, of an axis's range (plus SLOPE_EPS of its "
         "largest magnitude) or of a potential's largest |cell slope|",),
-    ("relations.py", "integral_function", 1e-8): (
-        "a fold's values, of their sizes and the largest |value|",),
     ("transforms.py", "decompose", 0.01): ("a small a, of the largest entry",),
     ("transforms.py", "_reach", 1e-3): (
         "the reach bound's step floor, " + ABSOLUTE.format(25),),

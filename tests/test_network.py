@@ -30,6 +30,7 @@ from pqikit import (
     Transform2,
     apply_network_transform,
     find_equilibria,
+    is_cursive,
     legendre,
     passivize,
     predict_and_verify,
@@ -89,7 +90,9 @@ def merged_conjugate(model):
     x, d, m = model
     lifted = np.maximum.accumulate(d)
     step = np.diff(lifted, prepend=-np.inf)
-    new = step > 4.0 * np.finfo(float).eps * np.abs(m).max() / np.diff(x).min()
+    # a step past the rounding of the narrower of its node's own cells
+    rounding, h = 4.0 * np.finfo(float).eps * np.abs(m).max(), np.diff(x)
+    new = step > rounding / np.minimum(np.r_[h[0], h], np.r_[h, h[-1]])
     dip = lifted > d
     if dip.any():
         small = step <= 1e-9 * np.abs(d).max()
@@ -639,6 +642,23 @@ class TestTransformAgent:
 
 
 class TestSolvers:
+    def test_one_narrow_cell_merges_only_its_own_nodes(self):
+        # vertex 0 holds u = y - 1 on 40 001 samples of [-20, 20] and one
+        # more 3e-11 past a sample: the rounding of that cell (SLOPE_EPS of
+        # the largest |value| over its width) merges the conjugate nodes
+        # beside it, and no other, so both problems keep their closed forms
+        y = np.linspace(-20.0, 20.0, 40001)
+        y = np.insert(y, 13334, y[13333] + 3e-11)
+        base = quadratic_network((1.0, -2.0, 0.5))
+        agent = replace(base.agents[0],
+                        relation=PlanarRelation(y - 1.0, y, np.arange(len(y), dtype=float)))
+        assert is_cursive(agent.relation).strict
+        spec = replace(base, agents=(agent, *base.agents[1:]))
+        np.testing.assert_allclose(solve_opp(spec).primal, [0.1875, -0.625, -0.0625],
+                                   rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(solve_ofp(spec).primal, [-0.8125, 1.375, -0.5625],
+                                   rtol=0.0, atol=1e-11)
+
     def test_newton_step_stops_unsolved_at_no_curvature(self):
         # H = diag(1, 0), g = (1, 1): the first CG step is exact along (1, 1),
         # and the next direction (0, -2) has no curvature, so the step so far
@@ -1070,7 +1090,8 @@ class TestSolvers:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(st.lists(st.tuples(st.floats(0.05, 3.0),
-                              st.sampled_from([-1.0, -0.0, 0.0, 2.0]) | st.floats(-10.0, 10.0)),
+                              st.sampled_from([-1.0, -0.0, 0.0, 2.0, 2.0 + 1e-13])
+                              | st.floats(-10.0, 10.0)),
                     min_size=2, max_size=25), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_conjugate_matches_merged_runs_on_drawn_slopes(self, nodes, rising):
