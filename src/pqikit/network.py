@@ -5,11 +5,12 @@ graph; the coupling is ζ = Eᵀy, μ = Gζ, u = −Eμ with E the incidence mat
 and G the diagonal of edge gains.  The module integrates the closed loop with
 an adaptive Dormand–Prince 5(4) stepper whose step never falls below the
 configured ``dt``, applies per-agent 2x2 I/O transforms in closed form, and
-predicts steady states by minimizing the two dual network objectives
-(potentials over outputs, flows over edge variables) with one finite
-Newton–CG solver, in numpy alone, on C¹ models of the sampled potentials
-and their exact conjugates.  The stepper and the root bracketer are shared
-with the dissipation certificate's reach bound and the equilibrium search.
+predicts steady states by minimizing the potential objective over outputs
+with one finite Newton–CG solver, in numpy alone, on C¹ models of the
+sampled potentials, and reads the edge flows off its minimizer; the same
+solver minimizes the flow objective over edge variables for supplied flow
+potentials.  The stepper and the root bracketer are shared with the
+dissipation certificate's reach bound and the equilibrium search.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .relations import (
     SLOPE_EPS,
     IntegralFunction,
     PlanarRelation,
-    _running_max,
     _trapezoid,
     _write_csv,
     integral_function,
@@ -633,9 +633,12 @@ class OptimizationResult:
     """Solution of one dual steady-state problem.
 
     ``residual`` is the max-norm of the model objective's gradient at the
-    minimizer; ``iterations`` counts the Newton steps, the last of them the
-    one that kept every model cell (0 when the problem has no variables or
-    the gradient at the start is zero; see :func:`_minimize_convex`).
+    minimizer of the problem that was solved; ``iterations`` counts that
+    solve's Newton steps, the last of them the one that kept every model
+    cell (0 when the problem has no variables or the gradient at the start
+    is zero; see :func:`_minimize_convex`).  The flow problem on derived
+    potentials runs the potential problem's solve and reports its
+    iterations and residual (:func:`solve_ofp`).
     """
 
     objective: float
@@ -682,61 +685,6 @@ def _c1_models(funs, vertices: int) -> list:
     return _once_per_object(funs, model)
 
 
-def _conjugate(model):
-    """C¹ model of the convex conjugate of the model (x, d, m).
-
-    Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Once dips
-    the convexity certificate tolerates are lifted, a run of d flat to within
-    its rounding (a kink of the conjugate) becomes one node at its mean
-    abscissa.  A node's rounding is SLOPE_EPS of the values over the
-    narrower of its own two cells, so one narrow cell merges its own nodes,
-    not every node of the model.  A rise past the rounding of the narrowest
-    cell is past that of its own, so that one bound is tested first, and
-    each node's only where it merges some node: a call that merges none
-    makes no array of per-node bounds.  A stretch
-    of lifted steps, each within the certificate's band (DECREASE_RTOL of
-    the largest |d|), that holds a dip becomes one node too: on a noisy
-    flat run the record highs would otherwise be nodes 1e-11 apart in d and
-    cells apart in x, where an ulp of the argument moves the slope past the
-    solver's residual bound.
-    A run's value error then shifts every node beyond it, so the values are
-    integrated from an exact node: the median node of strict slope increase
-    (else the first).
-
-    A d that never decreases is its own running maximum (numpy keeps the
-    later of equal values), which is then not taken.  Where every lifted
-    step starts a node, d has no dip and no run, so the merge is skipped:
-    each node is its own run and the middle one anchors.  The nodes are
-    then d and x + 0.0, the bits the merge's sums give (a sum turns −0.0
-    into 0.0), and the steps are their slope differences.
-    """
-    x, d, m = model
-    lifted = _running_max(d)
-    step = np.diff(lifted, prepend=-np.inf)
-    rounding, h = SLOPE_EPS * np.abs(m).max(), np.diff(x)
-    new = step > rounding / h.min()
-    if not new.all():  # tested again where merged: each node's narrower cell
-        new |= step > rounding / np.minimum(np.r_[h[0], h], np.r_[h, h[-1]])
-    if new.all():
-        dc, xc, dx = lifted, x + 0.0, step[1:]
-        k = anchor = len(x) // 2
-    else:
-        dip = lifted > d
-        if dip.any():
-            small = step <= DECREASE_RTOL * np.abs(d).max()
-            stretch = np.cumsum(~small)
-            new &= ~(small & (np.bincount(stretch, dip) > 0)[stretch])
-        run = np.cumsum(new) - 1
-        count = np.bincount(run)
-        single = np.flatnonzero(count == 1)
-        anchor = single[len(single) // 2] if len(single) else 0
-        k = np.searchsorted(run, anchor)
-        dc, xc, dx = lifted[new], np.bincount(run, x) / count, None
-    mc = _trapezoid(dc, xc, 0.0, dx)
-    mc += x[k] * lifted[k] - m[k] - mc[anchor]
-    return dc, xc, mc
-
-
 # Safety cap on the Newton iterations of _minimize_convex, and the share of
 # its first-order decrease a line-search step must achieve (Armijo).
 _NEWTON_ITERATIONS = 500
@@ -745,12 +693,15 @@ _ARMIJO = 1e-4
 
 class _Iterate(NamedTuple):
     """A point of _minimize_convex: objective, gradient, its max-norm
-    residual and the residual's bound, and each model's cell and curvature."""
+    residual and the residual's bound, and each model's value, slope, cell
+    and curvature at its argument."""
 
     f: float
     grad: np.ndarray
     residual: float
     bound: float
+    val: np.ndarray
+    slope: np.ndarray
     cell: list
     curv: np.ndarray
 
@@ -791,15 +742,18 @@ def _minimize_convex(models, B, Q):
     other step is halved until it lowers the objective by _ARMIJO of its
     first-order decrease, from at most the widest model grid's length, and
     from that length if it is unsolved.  A minimizer is assumed to exist:
-    both solvers decide that before calling it (:func:`_u_limits`).  A step
+    the potential problem decides that before calling it (:func:`_u_limits`),
+    and supplied flow potentials are coercive with their μ²/2g term.  A step
     that cannot move z, a non-finite objective or the cap of
     _NEWTON_ITERATIONS ends the iteration early.  Whatever ended it, a
     max-norm gradient residual above 1e-6 of the larger of its two parts
     plus 1e-12 of the largest nodal slope raises NoConvergence naming the
     reason; the bound scales with the units, like z.  Returns the
-    minimizer, the objective, the iteration count and the residual; with no
+    minimizer, the iteration count and the last iterate, which holds the
+    objective, the residual and each model's value and slope there; with no
     variables, the empty z with objective 0 and no iteration.  One model per
-    row of B (per vertex).
+    row of B (per vertex): B is the identity for the potential problem and
+    −E for supplied flow potentials, the one caller of a general B.
     """
     floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
 
@@ -817,7 +771,8 @@ def _minimize_convex(models, B, Q):
             f = val.sum() + 0.5 * z @ Qz
         grad = node + Qz
         bound = floor + 1e-6 * max(np.abs(node).max(initial=0.0), np.abs(Qz).max(initial=0.0))
-        return _Iterate(f, grad, float(np.abs(grad).max(initial=0.0)), bound, cell, curv)
+        return _Iterate(f, grad, float(np.abs(grad).max(initial=0.0)), bound,
+                        val, slope, cell, curv)
 
     z, iterations = np.zeros(B.shape[1]), 0
     now, why = at(z), "at a Newton step that keeps every cell"
@@ -854,7 +809,7 @@ def _minimize_convex(models, B, Q):
         raise NoConvergence(
             f"steady-state problem stopped with gradient residual "
             f"{now.residual:.3e} (bound {now.bound:.3e}) {why}")
-    return z, float(now.f), iterations, now.residual
+    return z, iterations, now
 
 
 def _kstars(agents) -> list:
@@ -872,19 +827,19 @@ def _kstars(agents) -> list:
     return _once_per_object(list(enumerate(agents)), kstar, key=lambda pair: id(pair[1]))
 
 
-def _u_limits(models, graph: Graph) -> np.ndarray:
-    """inf uᵢ and sup uᵢ of each K*ᵢ model (x, d, m), as the rows of a 2 x n
-    array; PreconditionFailed where they show that no steady state exists.
+def _u_limits(models, graph: Graph) -> None:
+    """PreconditionFailed where the K*ᵢ models (x, d, m) show that no steady
+    state exists; the existence rule of both solvers.
 
-    A model is certified nondecreasing, so its end slopes bound it.  An end
-    cell whose slope rises by no more than the slopes' band, DECREASE_RTOL
-    of d[-1] − d[0] plus SLOPE_EPS of the larger end |d|, is flat, and its
-    slope is the bound; a curved end cell's quadratic extends the model for
-    ever, to −∞ or +∞.  Along y = t·1 on a connected component the coupling
-    vanishes, so a minimizer exists when Σ inf uᵢ < 0 < Σ sup uᵢ there and
-    none when either inequality is reversed (the recession condition:
-    Rockafellar, Convex Analysis, 1970, §27).  The first component that
-    breaks it is named with both sums.  A sum of exactly 0 is admitted:
+    A model is certified nondecreasing, so its end slopes bound its slope,
+    uᵢ.  An end cell whose slope rises by no more than the slopes' band,
+    DECREASE_RTOL of d[-1] − d[0] plus SLOPE_EPS of the larger end |d|, is
+    flat, and its slope is the bound; a curved end cell's quadratic extends
+    the model for ever, to −∞ or +∞.  Along y = t·1 on a connected component
+    the coupling vanishes, so a minimizer exists when Σ inf uᵢ < 0 < Σ sup uᵢ
+    there and none when either inequality is reversed (the recession
+    condition: Rockafellar, Convex Analysis, 1970, §27).  The first component
+    that breaks it is named with both sums.  A sum of exactly 0 is admitted:
     steady states then exist, but not one alone.  The components come from
     min-label propagation with pointer jumping, a few array rounds.
     """
@@ -904,7 +859,19 @@ def _u_limits(models, graph: Graph) -> np.ndarray:
         raise PreconditionFailed(
             f"no steady state on the component of vertices {np.flatnonzero(label == k).tolist()}"
             f": Σ inf u = {inf_sum[k]:.6g} and Σ sup u = {sup_sum[k]:.6g} do not enclose 0")
-    return limits
+
+
+def _solve_potentials(spec: NetworkSpec, node_potentials, E, gains):
+    """The potential problem's minimizer y, Newton iterations and last
+    iterate (see :func:`_minimize_convex`), on the C¹ models of the K*ᵢ:
+    each agent's relation integrated in the inverse direction unless
+    ``node_potentials`` supplies them.  Refused before any Newton step where
+    the models admit no minimizer (:func:`_u_limits`)."""
+    if node_potentials is None:
+        node_potentials = _kstars(spec.agents)
+    models = _c1_models(node_potentials, spec.graph.vertex_count)
+    _u_limits(models, spec.graph)
+    return _minimize_convex(models, np.eye(len(E)), E @ (gains[:, None] * E.T))
 
 
 def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
@@ -921,68 +888,45 @@ def solve_opp(spec: NetworkSpec, grid=None, node_potentials=None) -> Optimizatio
     ``grid`` is accepted for symmetry with :func:`solve_ofp`; neither
     problem uses it.
     """
-    if node_potentials is None:
-        node_potentials = _kstars(spec.agents)
-    models = _c1_models(node_potentials, spec.graph.vertex_count)
-    _u_limits(models, spec.graph)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
-    y, fval, iters, residual = _minimize_convex(
-        models, np.eye(len(E)), E @ (gains[:, None] * E.T))
-    return OptimizationResult(fval, y, E.T @ y, iters, residual)
-
-
-def _refuse_flows_past_flat_ends(limits, models, flows) -> None:
-    """NoConvergence naming the first vertex whose flow lies past a flat end
-    of its relation's u (a finite limit of :func:`_u_limits`) by more than
-    the conjugate model's end cell.
-
-    The flow potential Kᵢ is +∞ past such an end, but the conjugate model's
-    end quadratic extends it, so a flow there is the model's, not the
-    relation's, although the network has a steady state.  One cell allows
-    for the C¹ model's smoothing of the kink before a flat run.
-    """
-    for i, (lo, hi, (dc, _, _), w) in enumerate(zip(*limits, models, flows)):
-        if not lo - (dc[1] - dc[0]) <= w <= hi + (dc[-1] - dc[-2]):
-            raise NoConvergence(f"vertex {i}: steady-state flow {w:.6g} lies past the flat "
-                                f"end {lo if w < lo else hi:.6g} of the relation's u, where the "
-                                f"flow model's end quadratic departs from the relation")
+    y, iters, last = _solve_potentials(spec, node_potentials, E, gains)
+    return OptimizationResult(float(last.f), y, E.T @ y, iters, last.residual)
 
 
 def solve_ofp(spec: NetworkSpec, grid=None, node_potentials=None) -> OptimizationResult:
     """Steady-state flows from the optimal flow problem over edge variables.
 
-    Minimizes Σᵢ Kᵢ((-Eμ)ᵢ) + Σₑ μₑ²/(2gₑ) over the edge flows μ.  Kᵢ is the
-    exact conjugate of the C¹ model of the agent potential K*ᵢ used by
-    :func:`solve_opp`, unless ``node_potentials`` supplies Kᵢ; the K*ᵢ, or
-    the supplied Kᵢ, must carry the convexity certificate.  Solved and
-    reported like the potential problem, so at the optimum the two
-    objectives sum to zero.  Before any Newton step, the K*ᵢ models decide
-    whether a steady state exists, as in :func:`solve_opp`, and a relation
-    whose u is one constant (a conjugate model of one node) is refused; both
-    raise PreconditionFailed.  Supplied Kᵢ need no such check, as the μ²/2g
-    term makes that objective coercive.  After the solve, a flow past a flat
-    end of its relation is refused (:func:`_refuse_flows_past_flat_ends`).
-    ``grid`` is accepted for symmetry with :func:`solve_opp`; neither
-    problem uses it.
+    The problem is to minimize Σᵢ Kᵢ((-Eμ)ᵢ) + Σₑ μₑ²/(2gₑ) over the edge
+    flows μ, the Fenchel dual of :func:`solve_opp`'s problem (Rockafellar,
+    Convex Analysis, 1970, §31; Bürger, Zelazo & Allgöwer, Automatica 50,
+    2014).  Without ``node_potentials`` the potential problem is solved,
+    with its existence rule and on the same C¹ models of the K*ᵢ, and its
+    optimality conditions give the flows: μ = G·Eᵀy and u = −Eμ.  The
+    objective is the flow problem's own, by the Fenchel–Young equality
+    Kᵢ(sᵢ) = yᵢ·sᵢ − K*ᵢ(yᵢ) at the model slopes sᵢ at y, so the two
+    objectives sum to y·∇OPP(y), zero at the optimum; the iterations and the
+    residual are the potential problem's, and the residual is the largest
+    |sᵢ − uᵢ|, the distance of the flows from the relations' u.  A flow on a
+    flat end of a relation, or a relation whose u is constant, is read off
+    like any other.  Supplied ``node_potentials`` are the Kᵢ, which must
+    carry the convexity certificate, and the flow problem itself is solved
+    over μ by :func:`_minimize_convex` and reported like the potential
+    problem; no existence check is needed, as the μ²/2g term makes that
+    objective coercive.  ``grid`` is accepted for symmetry with
+    :func:`solve_opp`; neither problem uses it.
     """
-    if node_potentials is None:
-        kstar_models = _c1_models(_kstars(spec.agents), spec.graph.vertex_count)
-        limits = _u_limits(kstar_models, spec.graph)
-        models = _once_per_object(kstar_models, _conjugate)
-        for i, (dc, _, _) in enumerate(models):
-            if len(dc) < 2:
-                raise PreconditionFailed(f"vertex {i}: relation u is constant at {dc[0]:.6g}")
-    else:
-        models = _c1_models(node_potentials, spec.graph.vertex_count)
     E = spec.graph.incidence_matrix()
     gains = np.array([c.gain for c in spec.controllers], dtype=float)
-    mu, fval, iters, residual = _minimize_convex(
-        models, -E, np.diag(1.0 / gains))
-    flows = -E @ mu
     if node_potentials is None:
-        _refuse_flows_past_flat_ends(limits, models, flows)
-    return OptimizationResult(fval, flows, mu, iters, residual)
+        y, iters, last = _solve_potentials(spec, None, E, gains)
+        mu = gains * (E.T @ y)
+        objective = y @ last.slope - last.val.sum() + mu @ (mu / gains) / 2
+    else:
+        models = _c1_models(node_potentials, spec.graph.vertex_count)
+        mu, iters, last = _minimize_convex(models, -E, np.diag(1.0 / gains))
+        objective = last.f
+    return OptimizationResult(float(objective), -E @ mu, mu, iters, last.residual)
 
 
 # ---------------------------------------------------------------------------

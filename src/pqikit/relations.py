@@ -10,8 +10,7 @@ the curve must be a chain in the pairwise order, every later sample at or
 up and to the right of every earlier one.  One test decides "rises, within
 a band" everywhere: no sample falls more than the band below the running
 maximum of those before it (:func:`_falls`).  It reads a chain on both
-axes of a curve, a monotone relation on both axes sorted by u + y in
-units of their bands, and a convex potential on its cell slopes.  One
+axes of a curve and a convex potential on its cell slopes.  One
 rule decides ties: a sample is a tie when it rises no more than its
 axis's rounding above that running maximum (:func:`_ties`).
 Integration merges each tie in the abscissa into the last sample that is
@@ -31,7 +30,7 @@ Every tolerance is relative to its own operands (an axis's range and the
 rounding of its values, a potential's slopes and values, a curve's nearby
 steps), never an absolute floor: a power of two per axis changes no
 verdict, and a factor per axis none of monotonicity or of a potential.
-The monotone, strict, chain and fold bands are an axis's range plus its
+The strict, chain and fold bands are an axis's range plus its
 rounding, so a shift of the axis moves them by rounding only.
 Everything here is numpy alone.
 """
@@ -419,23 +418,6 @@ def _window_maxima(x, v, slopes, ys, lo, vals) -> None:
 
 # ---------------------------------------------------------------------------
 # Monotonicity and cursivity
-
-
-def is_monotone(rel: PlanarRelation) -> bool:
-    """Increment test (u2-u1)(y2-y1) >= 0 over all sample pairs, within
-    each axis's band: the chain scan of :func:`is_cursive` over the samples
-    sorted by u + y, each axis over the power of two at or above its range
-    and measured from its least value in units of its band (ties in (u, y)
-    order).  In that order a pair that falls past one band falls past the
-    other the other way, so the scan is the pairwise test; it reads the
-    same on the relation, its inverse and any order of its samples.
-    """
-    if not len(rel.u):
-        return True
-    u, y = _over_range(rel.u), _over_range(rel.y)
-    bu, by = _axis_band(u), _axis_band(y)
-    order = np.lexsort((y, u, (u - u.min()) * by + (y - y.min()) * bu))
-    return not (_falls(u[order], bu) | _falls(y[order], by)).any()
 
 
 @dataclass(frozen=True)

@@ -344,8 +344,10 @@ def _optimize(tmp_path, doc, problem) -> dict:
 
 class TestOptimize:
     def test_readme_spec_objectives_sum_to_zero(self, tmp_path, capsys):
+        # the flow objective is the Fenchel–Young conjugate of the potential
+        # objective at its minimizer: they cancel exactly on this spec
         opp, ofp = (_optimize(tmp_path, README_SPEC, p)["objective"] for p in ("opp", "ofp"))
-        assert abs(opp + ofp) <= 1e-9, (opp, ofp)
+        assert abs(opp + ofp) <= 1e-14 * abs(opp), (opp, ofp)
 
     @pytest.mark.parametrize("problem", ["opp", "ofp"])
     def test_readme_spec_scales_with_its_centres(self, tmp_path, capsys, problem):

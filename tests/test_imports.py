@@ -120,7 +120,7 @@ LEDGER = {
     ("cli.py", "_case_study_duality", 1e-10): (
         "duality gap of objectives of order 1 (centres 1 and 3)",),
     ("cli.py", "_case_study_duality", 1e-5): (
-        "prediction against a steady state of order 1; item 22 may tighten it",),
+        "prediction against a steady state of order 1; item 28 may tighten it",),
     ("lti.py", "STABILITY_MARGIN", 1e-9): ("a root's real part, of its |r|",),
     ("lti.py", "COMMON_ROOT_TOL", 1e-8): ("a root pair's distance, of the larger |root|",),
     ("lti.py", "_re_ratio_unbounded", 1e-3): (

@@ -86,7 +86,16 @@ def _counting_output(calls, x):
 
 
 def merged_conjugate(model):
-    """network._conjugate's general path alone: always merge runs."""
+    """C¹ model of the convex conjugate of the model (x, d, m): the reference
+    flow potential of the flow problem's own Newton solve.
+
+    Where the nodal slopes d increase, (d, x, x·d − m) is exact.  Dips are
+    lifted to the running maximum, and a run of slopes flat to within the
+    rounding of each node's narrower cell, or a stretch of lifted steps in
+    the convexity band that holds a dip, becomes one node at its mean
+    abscissa.  The values are integrated from the median node of strict
+    slope increase (else the first), where the conjugate is exact.
+    """
     x, d, m = model
     lifted = np.maximum.accumulate(d)
     step = np.diff(lifted, prepend=-np.inf)
@@ -642,11 +651,11 @@ class TestTransformAgent:
 
 
 class TestSolvers:
-    def test_one_narrow_cell_merges_only_its_own_nodes(self):
+    def test_one_narrow_cell_keeps_the_closed_forms(self):
         # vertex 0 holds u = y - 1 on 40 001 samples of [-20, 20] and one
-        # more 3e-11 past a sample: the rounding of that cell (SLOPE_EPS of
-        # the largest |value| over its width) merges the conjugate nodes
-        # beside it, and no other, so both problems keep their closed forms
+        # more 3e-11 past a sample: the model's slopes beside that cell carry
+        # the rounding of its values over its width, and both problems keep
+        # their closed forms
         y = np.linspace(-20.0, 20.0, 40001)
         y = np.insert(y, 13334, y[13333] + 3e-11)
         base = quadratic_network((1.0, -2.0, 0.5))
@@ -726,7 +735,7 @@ class TestSolvers:
         assert abs(np.sinh(y[0] - 1.0) + flow) <= 1e-3
         assert abs(2.5 * (np.sin(y[1]) + y[1]) + 0.1 * y[1] - 2.0 - flow) <= 1e-3
         np.testing.assert_allclose(ofp.primal, [-flow, flow], atol=1e-3)
-        assert abs(opp.objective + ofp.objective) <= 1e-3
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
 
     @staticmethod
     def _sinh_spec():
@@ -875,17 +884,16 @@ class TestSolvers:
         np.testing.assert_array_equal(ofp.primal, [0.0, 0.0])
 
     @pytest.mark.parametrize("center", [10.0, 30.0, 100.0, -10.0, -30.0, -100.0])
-    def test_flow_past_a_flat_end_is_the_model_limit(self, center):
+    def test_flow_on_a_flat_end_is_its_limit(self, center):
         # u = clip(y, -1, 1) beside a quadratic agent centred at c has the
         # steady state y = (c ∓ 2, c ∓ 1) with the first agent saturated, so
         # its flow is ±1, at a flat end of its u.  The potential problem
-        # finds it to rounding while y lies on the quadratic's grid (±20);
+        # finds y to rounding while it lies on the quadratic's grid (±20);
         # past it the quadratic's end cell extends its model with the
         # curvature its rounded values give, off by 2.3e-9 at 30 and 1.6e-7
         # at 100 (sampling the relation's own slopes would mend it, ROADMAP
-        # item 13).  The conjugate model extends the flat end, and the flow
-        # problem's flow lands past it: the guard names the vertex, and does
-        # not deny the steady state
+        # item 13).  That error moves both outputs alike, so the flows, read
+        # off y, are the limit to rounding
         spec = NetworkSpec(Graph.path(2), (_relation_agent(lambda y: np.clip(y, -1.0, 1.0)),
                                            quadratic_agent(center)),
                            (ControllerSpec(gain=1.0),), np.zeros(2))
@@ -893,25 +901,65 @@ class TestSolvers:
         want = [center - 2.0 * sign, center - sign]
         atol = 1e-12 if abs(center) < 20.0 else 2e-9 * abs(center)
         np.testing.assert_allclose(solve_opp(spec).primal, want, rtol=0.0, atol=atol)
-        with pytest.raises(NoConvergence, match=rf"^vertex 0: steady-state flow -?1\.0\d* "
-                           rf"lies past the flat end {sign:g} of the relation's u, where "
-                           rf"the flow model's end quadratic departs from the relation$"):
-            solve_ofp(spec)
+        np.testing.assert_allclose(solve_ofp(spec).primal, [sign, -sign], rtol=0.0, atol=1e-13)
 
-    def test_constant_u_refused_by_the_flow_problem(self, monkeypatch):
+    def test_constant_u_gives_its_flow(self):
         # u = 0.5 whatever y: the flow potential is the indicator of u = 0.5,
-        # a conjugate model of one node, which no Newton step can read; the
-        # potential problem solves the same network
+        # and the flows read off the potential problem's y are that u
         spec = NetworkSpec(Graph.path(2), (_relation_agent(lambda y: 0.5 + 0.0 * y),
                                            quadratic_agent(0.0)),
                            (ControllerSpec(gain=1.0),), np.zeros(2))
         np.testing.assert_allclose(solve_opp(spec).primal, [-1.0, -0.5], rtol=0.0, atol=1e-12)
-        monkeypatch.setattr(network_module, "_minimize_convex", None)  # never called
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(PreconditionFailed,
-                               match=r"^vertex 0: relation u is constant at 0\.5$"):
-                solve_ofp(spec)
+        np.testing.assert_allclose(solve_ofp(spec).primal, [0.5, -0.5], rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _corpus_network(seed):
+        """A seeded network of 2 to 11 vertices: a path plus random chords,
+        gains in [0.5, 2], and quadratic, tanh(y) + 0.3y + c and
+        y³/20 + y + c agents with centres c in [-3, 3]."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        for _ in range(int(rng.integers(0, n))):
+            h, t = (int(v) for v in rng.choice(n, 2, replace=False))
+            if (h, t) not in edges and (t, h) not in edges:
+                edges.append((h, t))
+        kinds = (quadratic_agent,
+                 lambda c: _relation_agent(lambda y: np.tanh(y) + 0.3 * y + c, (-20.0, 20.0), 2001),
+                 lambda c: _relation_agent(lambda y: y**3 / 20.0 + y + c, (-20.0, 20.0), 2001))
+        agents = tuple(kinds[k](float(c)) for k, c in zip(rng.integers(0, 3, n),
+                                                          rng.uniform(-3.0, 3.0, n)))
+        return NetworkSpec(Graph(n, tuple(edges)), agents,
+                           tuple(ControllerSpec(gain=float(g))
+                                 for g in rng.uniform(0.5, 2.0, len(edges))), np.zeros(n))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_flows_read_off_the_potentials_solve_the_flow_problem(self, seed):
+        # the flow problem solved over μ by Newton's method, on the exact
+        # conjugates of the potential problem's models (merged_conjugate),
+        # has the flows and the objective read off the potential problem's
+        # minimizer; on 200 such networks they agree to 8e-15 and 4e-15 of
+        # their size.  The flow solve reports the potential solve's work
+        spec = self._corpus_network(seed)
+        E = spec.graph.incidence_matrix()
+        gains = np.array([c.gain for c in spec.controllers])
+        kstar_models = network_module._c1_models(network_module._kstars(spec.agents),
+                                                 spec.graph.vertex_count)
+        mu, _, last = network_module._minimize_convex(
+            [merged_conjugate(m) for m in kstar_models], -E, np.diag(1.0 / gains))
+        opp, ofp = solve_opp(spec), solve_ofp(spec)
+        flows = -E @ mu
+        np.testing.assert_allclose(ofp.primal, flows, rtol=0.0, atol=1e-12 * np.abs(flows).max())
+        assert abs(ofp.objective - last.f) <= 1e-12 * abs(last.f)
+        np.testing.assert_array_equal(ofp.coupling, gains * opp.coupling)
+        assert (ofp.iterations, ofp.residual) == (opp.iterations, opp.residual)
+
+    def test_flow_problem_does_not_call_the_potential_solver(self, monkeypatch):
+        # a tracer that wraps the public solve_opp counts only its own
+        # callers, not the flow problem's potential solve
+        monkeypatch.setattr(network_module, "solve_opp", None)
+        ofp = solve_ofp(quadratic_network((1.0, 3.0)))
+        np.testing.assert_allclose(ofp.primal, [2.0 / 3.0, -2.0 / 3.0], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("centers", [(30.0, -45.0), (30.0, -60.0)])
     def test_quadratic_flows_past_the_grid_stand(self, centers):
@@ -925,7 +973,7 @@ class TestSolvers:
         np.testing.assert_allclose(opp.primal, [centers[0] - gap, centers[1] + gap],
                                    rtol=0.0, atol=1e-11)
         np.testing.assert_allclose(ofp.primal, [-gap, gap], rtol=0.0, atol=1e-11)
-        assert abs(opp.objective + ofp.objective) <= 1e-11
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
 
     @staticmethod
     def _seeded_quadratic_network(n, shape, seed):
@@ -967,7 +1015,7 @@ class TestSolvers:
         atol = 1e-11 * np.abs(y).max()
         np.testing.assert_allclose(opp.primal, y, rtol=0.0, atol=atol)
         np.testing.assert_allclose(ofp.primal, y - centers, rtol=0.0, atol=atol)
-        assert abs(opp.objective + ofp.objective) <= 1e-3
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
 
     @staticmethod
     def _duals(spec):
@@ -980,14 +1028,15 @@ class TestSolvers:
     @pytest.mark.parametrize("shape", ["path", "random"])
     @pytest.mark.parametrize("n", [5, 20, 50, 80])
     def test_quadratic_network_duality_gap_closes(self, n, shape):
-        # the flow problem conjugates the potential problem's models
-        # exactly, so the objectives cancel to rounding at every size
+        # the flow problem's objective is the Fenchel–Young conjugate of the
+        # potential problem's at its minimizer, so the objectives cancel to
+        # rounding at every size
         spec, centers = self._seeded_quadratic_network(n, shape, 10 + n)
         E = spec.graph.incidence_matrix()
         G = np.diag([c.gain for c in spec.controllers])
         y = np.linalg.solve(np.eye(n) + E @ G @ E.T, centers)
         opp, ofp, _ = self._duals(spec)
-        assert abs(opp.objective + ofp.objective) <= 1e-9
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
         np.testing.assert_allclose(ofp.primal, y - centers, rtol=0.0, atol=1e-6)
 
     @staticmethod
@@ -1006,7 +1055,7 @@ class TestSolvers:
         # step's decrease drowns in its rounding: the step that keeps every
         # cell is taken without comparing objectives
         opp, ofp, u = self._duals(self._cubic_pendulum_path(n))
-        assert abs(opp.objective + ofp.objective) <= 1e-9
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
         np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-6)
 
     def test_large_flows_match_closed_form(self):
@@ -1021,104 +1070,74 @@ class TestSolvers:
         np.testing.assert_allclose(ofp.primal, [-20.0 * r, 20.0 * r],
                                    rtol=0.0, atol=1e-5)
 
+    @staticmethod
+    def _flat_run_duals(u_of_y, center):
+        """Both solutions for u_of_y beside a quadratic agent centred at
+        ``center`` on a 2-path.  The flow f into vertex 0 solves
+        f = u(c - 2f), as y1 = c - f and y0 = y1 - f; noise that shifts u by
+        at most some amount shifts that root by no more."""
+        spec = NetworkSpec(Graph.path(2), (_relation_agent(u_of_y), quadratic_agent(center)),
+                           (ControllerSpec(gain=1.0),), np.zeros(2))
+        return solve_opp(spec), solve_ofp(spec)
+
     @pytest.mark.parametrize("center", [2.0, 0.3, 3.5, -3.2])
-    @pytest.mark.parametrize("u_of_y", [
-        lambda y: np.sign(y) * np.maximum(np.abs(y) - 1.0, 0.0),
-        lambda y: np.clip(y, -1.0, 1.0),
-        lambda y: np.clip(y, -0.7, 0.7) + 0.1,
-        lambda y: (np.clip(y, -1.0, 1.0)
-                   + 1e-10 * np.random.default_rng(0).standard_normal(y.shape)),
+    @pytest.mark.parametrize("u_of_y, flows, noise", [
+        (lambda y: np.sign(y) * np.maximum(np.abs(y) - 1.0, 0.0),
+         {2.0: 1.0 / 3.0, 0.3: 0.0, 3.5: 5.0 / 6.0, -3.2: -2.2 / 3.0}, 0.0),
+        (lambda y: np.clip(y, -1.0, 1.0), {2.0: 2.0 / 3.0, 0.3: 0.1, 3.5: 1.0, -3.2: -1.0}, 0.0),
+        (lambda y: np.clip(y, -0.7, 0.7) + 0.1,
+         {2.0: 0.7, 0.3: 0.4 / 3.0, 3.5: 0.8, -3.2: -0.6}, 0.0),
+        (lambda y: (np.clip(y, -1.0, 1.0)
+                    + 1e-10 * np.random.default_rng(0).standard_normal(y.shape)),
+         {2.0: 2.0 / 3.0, 0.3: 0.1, 3.5: 1.0, -3.2: -1.0},
+         1e-10 * np.abs(np.random.default_rng(0).standard_normal(4001)).max()),
     ], ids=["dead-zone", "saturation", "offset-saturation", "noisy-saturation"])
-    def test_flat_relation_runs(self, u_of_y, center):
+    def test_flat_relation_runs(self, u_of_y, flows, noise, center):
         # a flat stretch of u(y) is a kink of the flow potential: beside a
         # quadratic agent centred at 0.3 the dead zone settles on it, and
         # at 3.5 and -3.2 the saturations hold the flow at a limit.  The
         # offset levels integrate with rounding, so their nodal slopes
         # wobble around the level by ulps of the potential's values; noise
-        # inside the convexity certificate's band makes them dip further
-        spec = NetworkSpec(Graph.path(2), (_relation_agent(u_of_y),
-                                           quadratic_agent(center)),
-                           (ControllerSpec(gain=1.0),), np.zeros(2))
-        opp, ofp, u = self._duals(spec)
-        np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-3)
-        # where u(y) is not flat at the solution, the flow sits off every
-        # kink of the flow potential, whose model is exact there, so the
-        # objectives cancel; on a kink the model's smoothing remains
-        y = opp.primal[0]
-        if np.ptp(u_of_y(np.array([y - 1e-3, y + 1e-3]))) > 1e-6:
-            assert abs(opp.objective + ofp.objective) <= 1e-9
+        # inside the convexity certificate's band makes them dip further.
+        # The flows are read off the potential problem's outputs, so no
+        # model of the kink stands between them and the closed form
+        opp, ofp = self._flat_run_duals(u_of_y, center)
+        flow = flows[center]
+        np.testing.assert_allclose(ofp.primal, [flow, -flow], rtol=0.0, atol=1e-12 + noise)
+        assert abs(opp.objective + ofp.objective) <= 1e-14 * abs(opp.objective)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("center", [3.5, -3.2])
     def test_noisy_flat_runs_settle_like_clean_ones(self, center, seed):
-        # the running maximum of 1e-11 noise on a saturation's flat run keeps
-        # record highs 1e-11 apart and a cell or more wide; unless they merge
-        # into one kink of the flow potential, an ulp of the flow moves its
-        # gradient past the residual bound.  Merged, the run is the clean
-        # saturation's kink, so the duality gap is the clean one
-        def spec(noise):
-            def u_of_y(y):
-                return (np.clip(y, -1.0, 1.0) + noise
-                        * np.random.default_rng(seed).standard_normal(y.shape))
-            return NetworkSpec(Graph.path(2),
-                               (_relation_agent(u_of_y), quadratic_agent(center)),
-                               (ControllerSpec(gain=1.0),), np.zeros(2))
-
-        opp, ofp, u = self._duals(spec(1e-11))
-        np.testing.assert_allclose(ofp.primal, u, rtol=0.0, atol=1e-3)
-        clean_opp, clean_ofp, _ = self._duals(spec(0.0))
-        assert abs(opp.objective + ofp.objective
-                   - (clean_opp.objective + clean_ofp.objective)) <= 1e-9
-
-    @pytest.mark.parametrize("x, d", [
-        # strictly increasing slopes, with a -0.0 abscissa at the anchor
-        ([-2.0, -1.0, -0.0, 1.0, 2.5], [-3.0, -1.0, 0.5, 2.0, 4.0]),
-        # one flat run of the slopes
-        ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
-        # a dip lifted into a run
-        ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.5, 0.4, 0.6, 1.0, 2.0]),
-        # a -0.0 node slope, and a flat run of signed zeros
-        ([-2.0, -1.0, 0.0, 1.0], [-1.0, -0.0, 1.0, 2.0]),
-        ([-1.0, -0.0, 1.0, 2.0], [-0.0, 0.0, -0.0, 0.0]),
-    ], ids=["increasing", "flat-run", "dip", "signed-zero", "signed-zero-run"])
-    def test_conjugate_matches_merged_runs(self, x, d):
-        # skipping the running maximum where d rises, and the run merge
-        # where no run exists, changes no bit
-        x, d = np.array(x), np.array(d)
-        model = (x, d, relations_module._trapezoid(x, d, 0.5))
-        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-    @given(st.lists(st.tuples(st.floats(0.05, 3.0),
-                              st.sampled_from([-1.0, -0.0, 0.0, 2.0, 2.0 + 1e-13])
-                              | st.floats(-10.0, 10.0)),
-                    min_size=2, max_size=25), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_conjugate_matches_merged_runs_on_drawn_slopes(self, nodes, rising):
-        widths, d = (np.array(c) for c in zip(*nodes))
-        d = np.sort(d) if rising else d
-        x = np.cumsum(widths) - widths.sum() / 2.0
-        model = (x, d, relations_module._trapezoid(x, d, 0.5))
-        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # 1e-11 noise on a saturation's flat run leaves record highs 1e-11
+        # apart in u and a cell or more wide in y, and the model slopes s
+        # there lie within the noise of the limit.  The flows u lie within
+        # the residual max|s - u| of them, and OPP + OFP = y·∇OPP(y) within
+        # |y|₁ times it.  The potential problem lands on an exact step in 39
+        # of these 40 runs; at 3.5 with seed 11 it stops with residual 7e-11
+        noise = 1e-11 * np.random.default_rng(seed).standard_normal(4001)
+        opp, ofp = self._flat_run_duals(lambda y: np.clip(y, -1.0, 1.0) + noise, center)
+        flow = math.copysign(1.0, center)
+        assert ofp.residual <= 1e-10
+        np.testing.assert_allclose(ofp.primal, [flow, -flow], rtol=0.0,
+                                   atol=1e-12 + np.abs(noise).max() + ofp.residual)
+        assert (abs(opp.objective + ofp.objective)
+                <= 1e-14 * abs(opp.objective) + np.abs(opp.primal).sum() * ofp.residual)
 
     @pytest.mark.parametrize("relation, want", [
         (quadratic_agent(1.0).relation, []),
         (_relation_agent(lambda y: np.clip(y, -1.0, 1.0) + 1e-11
                          * np.random.default_rng(0).standard_normal(y.shape)).relation,
-         ["maximum", "maximum", "minimum"]),
+         ["maximum", "minimum"]),
     ], ids=["rising", "noisy-flat-run"])
     def test_running_extrema_taken_only_where_slopes_dip(self, relation, want, monkeypatch):
-        # the conjugate model takes a running maximum of the nodal slopes,
-        # legendre one of the cell slopes and a running minimum after it;
-        # legendre's output is convex by construction, and none of its cell
-        # slopes' running extrema is taken
+        # legendre takes a running maximum of the cell slopes and a running
+        # minimum after it where they dip; its output is convex by
+        # construction, and none of its cell slopes' running extrema is taken
         F = relations_module.integral_function(relation, relations_module.OF_K_INVERSE)
         ys = np.linspace(-2.0, 2.0, 101)
         calls = []
-        for module in (network_module, relations_module):
-            monkeypatch.setattr(module, "np", _CountingNumpy(calls))
-        network_module._conjugate(network_module._c1_models([F], 1)[0])
+        monkeypatch.setattr(relations_module, "np", _CountingNumpy(calls))
         legendre(F, ys)
         assert calls == want
 
@@ -1153,13 +1172,6 @@ class TestSolvers:
         with pytest.raises(DimensionMismatch) as err:
             solver(quadratic_network((1.0, 3.0)), node_potentials=[convex, short])
         assert str(err.value) == f"vertex 1: potential needs 2 or more samples, not {n}"
-
-    def test_conjugate_of_an_agent_model_matches_merged_runs(self):
-        F = relations_module.integral_function(quadratic_agent(1.0).relation,
-                                               relations_module.OF_K_INVERSE)
-        model = network_module._c1_models([F], 1)[0]
-        for got, want in zip(network_module._conjugate(model), merged_conjugate(model)):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("solver", [solve_opp, solve_ofp])
     def test_nonconvex_supplied_potential_rejected(self, solver):
@@ -1249,8 +1261,7 @@ class TestPredictAndVerify:
             calls.append(rel)
             return _real(rel)
         monkeypatch.setattr(network_module, "is_cursive", counted)
-        for name in ("is_monotone", "is_maximal_monotone"):
-            monkeypatch.setattr(relations_module, name, None)  # never called
+        monkeypatch.setattr(relations_module, "is_maximal_monotone", None)  # never called
         shared, other = quadratic_agent(1.0), quadratic_agent(2.0)
         spec = NetworkSpec(Graph.path(4), (shared, shared, other, shared),
                            (ControllerSpec(gain=1.0),) * 3, np.zeros(4), FAST)

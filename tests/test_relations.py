@@ -27,7 +27,6 @@ from pqikit import (
     integral_function,
     is_cursive,
     is_maximal_monotone,
-    is_monotone,
     legendre,
     pullback,
     solution_set,
@@ -889,33 +888,27 @@ class TestShapeChecks:
         rel = PlanarRelation.from_param_curve(
             lambda s: s, lambda s: s**3, (-3.0, 3.0), 2001
         )
-        assert is_monotone(rel)
+        assert is_cursive(rel).chain
         assert is_cursive(rel).strict
 
     def test_shifted_dip_stays_a_dip(self):
         # a fall of 1e-6 in y, against a band of 2e-9 of its range 2, with y
         # shifted by 1e4 or not
         for shift in (0.0, 1e4):
-            rel = PlanarRelation([0.0, 1.0, 2.0, 3.0],
+            rel = param_relation([0.0, 1.0, 2.0, 3.0],
                                  np.array([0.0, 1.0, 1.0 - 1e-6, 2.0]) + shift)
-            assert not is_monotone(rel) and not is_monotone(rel.inverse()), shift
+            assert not is_cursive(rel).chain and not is_cursive(rel.inverse()).chain, shift
 
     def test_fold_curve_not_monotone(self):
         rel = cubic_fold_curve()
-        assert not is_monotone(rel)
-        assert not is_monotone(rel.inverse())
-
-    def test_single_point_monotone(self):
-        assert is_monotone(PlanarRelation.from_points([1.0], [2.0]))
-
-    def test_no_samples_monotone(self):
-        assert is_monotone(PlanarRelation([], []))
+        assert not is_cursive(rel).chain
+        assert not is_cursive(rel.inverse()).chain
 
     def test_samples_given_as_lists(self):
         rel = PlanarRelation([0.0, 1.0, 2.0], [0, 1, 3], [0, 1, 2])
         assert rel.u.dtype == rel.y.dtype == rel.sigma.dtype == float
-        assert is_monotone(rel) and is_cursive(rel).strict
-        assert not is_monotone(PlanarRelation([0.0, 1.0, 2.0], [0.0, 3.0, 1.0]))
+        assert is_cursive(rel).chain and is_cursive(rel).strict
+        assert not is_cursive(param_relation([0.0, 1.0, 2.0], [0.0, 3.0, 1.0])).chain
 
     def test_sinusoidal_curve_is_not_decided(self):
         # u = r1*sin(y) + r2*y turns back in u: not a chain, so not decided,
@@ -1081,9 +1074,8 @@ def flags(report):
 
 
 def _relation_verdicts(rel):
-    out = [is_monotone(rel)]
-    out += [_outcome(lambda d=d: integral_function(rel, d).convexity_certificate)
-            for d in (OF_K, OF_K_INVERSE)]
+    out = [_outcome(lambda d=d: integral_function(rel, d).convexity_certificate)
+           for d in (OF_K, OF_K_INVERSE)]
     return out + [flags(is_cursive(rel)), is_maximal_monotone(rel)]
 
 
@@ -1333,7 +1325,7 @@ class TestCurvesAgainstBruteForce:
                 == is_maximal_monotone(rel)), name
 
     @pytest.mark.parametrize("name", sorted(RELATIONS))
-    def test_shifts_keep_the_monotone_strict_and_chain_flags(self, name):
+    def test_shifts_keep_the_strict_and_chain_flags(self, name):
         # each axis shifted by 0.001 to 1000 of its range; the continuity
         # flag is left out, since a shift rounds a curve's smallest steps
         # (runaway's) away.  At 1000 ranges, a rise of chain_up's y of 6e-13
@@ -1344,14 +1336,13 @@ class TestCurvesAgainstBruteForce:
         def verdicts(u, y):
             moved = PlanarRelation(u, y, rel.sigma)
             report = is_cursive(moved)
-            return is_monotone(moved), report.strict, report.chain
+            return report.strict, report.chain
 
         want = verdicts(rel.u, rel.y)
         for k in (1e-3, 1.0, 10.0, 1e3):
             assert verdicts(rel.u + k * np.ptp(rel.u), rel.y) == want, (name, k)
-            strict = want[1] and (name, k) != ("chain_up", 1e3)
-            assert verdicts(rel.u, rel.y + k * np.ptp(rel.y)) == (want[0], strict, want[2]), (
-                name, k)
+            strict = want[0] and (name, k) != ("chain_up", 1e3)
+            assert verdicts(rel.u, rel.y + k * np.ptp(rel.y)) == (strict, want[1]), (name, k)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_chain_never_meets_itself(self, name):
@@ -1385,35 +1376,6 @@ class TestCurvesAgainstBruteForce:
         assert not verdicts["walk2"][0][0] and not verdicts["rest_at_origin"][0][1]
 
 
-def pairwise_monotone(rel):
-    """Whether every pair of samples is ordered one way or the other, each
-    axis rising within its band: O(n^2).  Each axis is first taken over the
-    power of two at or above its largest magnitude, so that no difference
-    overflows."""
-    u, y = (np.ldexp(z, -math.frexp(np.abs(z).max())[1]) for z in (rel.u, rel.y))
-    du, dy = u[None, :] - u[:, None], y[None, :] - y[:, None]
-    bu, by = axis_band(u), axis_band(y)
-    return bool(np.all(((du >= -bu) & (dy >= -by)) | ((du <= bu) & (dy <= by))))
-
-
-@st.composite
-def drawn_relations(draw):
-    """Samples with u as drawn (ties, no order), sorted, or strictly
-    increasing, and y as drawn or sorted (monotone where u is sorted)."""
-    value = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
-             | st.floats(-1e300, 1e300) | st.floats(allow_nan=False, allow_infinity=False))
-    u = np.array(draw(st.lists(value, min_size=1, max_size=40)))
-    u = {"drawn": u, "sorted": np.sort(u), "increasing": np.unique(u)}[
-        draw(st.sampled_from(["drawn", "sorted", "increasing"]))]
-    y = np.array(draw(st.lists(value, min_size=len(u), max_size=len(u))))
-    return PlanarRelation(u, np.sort(y) if draw(st.booleans()) else y)
-
-
-# y varies by one ulp, within its band: a sort in which y weighs as much as
-# u ordered the samples by that ulp
-ROUNDING_ONLY_Y = PlanarRelation([0.0, 1.0, 2.0], [0.3, 0.1 * 3.0, 0.3])
-
-
 class TestColumnForms:
     """The shape checks on the u and y columns: in range whatever their
     units, and the same in any order of the samples."""
@@ -1439,25 +1401,6 @@ class TestColumnForms:
                     param_relation(np.r_[line, line[::-1]], np.r_[line, line])):
             scaled = param_relation(np.ldexp(rel.u, power), np.ldexp(rel.y, power))
             assert flags(is_cursive(scaled)) == flags(is_cursive(rel))
-
-    @given(drawn_relations())
-    @example(PlanarRelation([-0.0, 0.0, 1.0], [1.0, 0.0, 2.0]))
-    @example(PlanarRelation([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]))
-    @example(TestCurvesAgainstBruteForce.CASES["dip_within_rounding"])
-    @example(TestCurvesAgainstBruteForce.CASES["slow_drift"])
-    @example(ROUNDING_ONLY_Y)
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_matches_the_pairwise_order(self, rel):
-        assert is_monotone(rel) == pairwise_monotone(rel)
-
-    @given(drawn_relations())
-    @example(TestCurvesAgainstBruteForce.CASES["dip_within_rounding"])
-    @example(TestCurvesAgainstBruteForce.CASES["slow_drift"])
-    @example(ROUNDING_ONLY_Y)
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_survives_inversion_and_reversal(self, rel):
-        back = PlanarRelation(rel.u[::-1], rel.y[::-1])
-        assert is_monotone(rel.inverse()) == is_monotone(back) == is_monotone(rel)
 
 
 class TestRepresentations:
@@ -1611,8 +1554,7 @@ def test_cursive_report_names_a_stalled_end():
     (lambda: integral_function(param_relation([0.0, 1.0, np.nan], [0.0, 1.0, 2.0]),
                                OF_K_INVERSE),
      NonFiniteValue, r"^relation u\[2\] = nan is not finite$"),
-    (lambda: is_monotone(PlanarRelation(np.array([0.0, 1.0, 2.0]),
-                                        np.array([0.0, np.inf, 2.0]))),
+    (lambda: PlanarRelation(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.inf, 2.0])),
      NonFiniteValue, r"^relation y\[1\] = inf is not finite$"),
     (lambda: SymmetricDoubleCone((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
      .contains((1.0, 1.0)), DegenerateRays, "colinear"),
@@ -1719,7 +1661,7 @@ def test_step_under_the_band_is_strict():
 def test_strict_monotonicity_rejects_a_flat_step():
     rel = param_relation([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
     report = is_cursive(rel)
-    assert is_monotone(rel) and report.chain and not report.strict
+    assert report.chain and not report.strict
     assert report.notes[-1] == "not strict: y does not rise with u at sample 2, (u, y) = (2, 1)"
 
 
@@ -1761,10 +1703,10 @@ def test_strict_corpus_curve_integrates_in_y(name):
 
 def test_chain_weighs_each_axis_by_its_band():
     # y spans one ulp, within its band: s = u + y in units of each band
-    # rises with u, so the samples are a chain, as they are monotone
-    rel = param_relation(ROUNDING_ONLY_Y.u, ROUNDING_ONLY_Y.y)
+    # rises with u, so the samples are a chain
+    rel = param_relation([0.0, 1.0, 2.0], [0.3, 0.1 * 3.0, 0.3])
     report = is_cursive(rel)
-    assert is_monotone(rel) and report.chain, report.notes
+    assert report.chain, report.notes
 
 
 def test_curve_pauses_on_a_shared_joint():
