@@ -14,7 +14,6 @@ from .lti import (
     RealPolynomial,
     eips_indices,
     is_stable,
-    l2gain_to_input_index,
     lambda_search,
     linf_norm,
     loop_mu,
@@ -39,13 +38,10 @@ from .network import (
 from .pqi import (
     PQI,
     PassivityIndices,
-    SymmetricDoubleCone,
     boundary_rays,
-    contains,
     discriminant,
     is_nontrivial,
     pullback,
-    solution_set,
 )
 from .relations import (
     CursivityReport,
@@ -88,13 +84,11 @@ __all__ = [
     "RationalTF",
     "RealPolynomial",
     "SimResult",
-    "SymmetricDoubleCone",
     "ToolkitError",
     "Transform2",
     "apply_network_transform",
     "boundary_rays",
     "compose_via_stages",
-    "contains",
     "decompose",
     "discriminant",
     "eips_indices",
@@ -104,7 +98,6 @@ __all__ = [
     "is_maximal_monotone",
     "is_nontrivial",
     "is_stable",
-    "l2gain_to_input_index",
     "lambda_search",
     "legendre",
     "linf_norm",
@@ -114,7 +107,6 @@ __all__ = [
     "predict_and_verify",
     "pullback",
     "simulate",
-    "solution_set",
     "solve_ofp",
     "solve_opp",
     "spec_from_json",

@@ -22,10 +22,6 @@ class SingularTransform(ToolkitError):
     """A 2x2 transform is not invertible within tolerance."""
 
 
-class DegenerateRays(ToolkitError):
-    """Boundary ray matrix is singular; cone construction impossible."""
-
-
 class NoStorageFunction(ToolkitError):
     """A dissipation certificate was requested without a storage candidate."""
 
@@ -56,10 +52,6 @@ class DegreeDrop(ToolkitError):
 
 class SingularDenominator1p2lm(ToolkitError):
     """1 + 2*lambda*mu vanished; index formulas undefined."""
-
-
-class NonpositiveGain(ToolkitError):
-    """An L2 gain must be strictly positive."""
 
 
 class DegenerateTransformedTF(ToolkitError):
@@ -139,7 +131,7 @@ def _floats(value, what: str, shape: tuple | None) -> np.ndarray | float:
     if vector:
         a = np.atleast_1d(a)
     if shape is not None and a.shape != (a.shape[:1] if vector else shape):
-        want = {(None,): "1-D", (): "a number", (2,): "a pair", (2, 2): "2x2"}[shape]
+        want = {(None,): "1-D", (): "a number", (2, 2): "2x2"}[shape]
         raise DimensionMismatch(f"{what} must be {want}, not of shape {a.shape}")
     finite = np.isfinite(a).ravel()
     if np.count_nonzero(finite) < finite.size:  # cheaper than finite.all()

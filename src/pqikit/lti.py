@@ -39,7 +39,6 @@ from .errors import (
     ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
-    NonpositiveGain,
     SingularDenominator1p2lm,
     ToolkitError,
     UnstableDenominator,
@@ -451,14 +450,6 @@ def linf_norm(G: RationalTF) -> float:
     """
     return float(_peak_gain(np.asarray(G.num.coeffs)[None],
                             _stable_den(G, "peak gain"))[0])
-
-
-def l2gain_to_input_index(beta: float) -> float:
-    """Input-index bound -(beta^2 + 1/4) guaranteed by a finite L2 gain."""
-    beta = _floats(beta, "L2 gain", ())
-    if beta <= 0.0:
-        raise NonpositiveGain(f"L2 gain must be positive, got {beta}")
-    return -(beta * beta + 0.25)
 
 
 def _shift_rows(G: RationalTF, lams: np.ndarray) -> np.ndarray:

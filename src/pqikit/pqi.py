@@ -3,8 +3,8 @@
 A PQI is the planar inequality ``a*xi**2 + b*xi*chi + c*chi**2 >= 0``.  When
 ``b**2 - 4*a*c > 0`` its solution set is a symmetric double-cone, bounded by
 two rays on which the quadratic form vanishes.  This module provides the
-algebra (non-triviality, membership, pullback under linear maps) and the
-geometry (boundary rays, cone construction with an interior probe).
+algebra (non-triviality, pullback under linear maps) and the geometry
+(boundary rays).
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateRays, InvalidSpec, NonFiniteValue, SingularTransform,
-                     TrivialPQI, _floats)
+from .errors import InvalidSpec, NonFiniteValue, SingularTransform, TrivialPQI, _floats
 
 # Relative tolerance for the discriminant zero test, see also `is_nontrivial`.
 DISC_RTOL = 1e-12
-# Relative band for membership: |value| <= MEMBER_RTOL * |coeffs| * |z|^2.
-MEMBER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,41 +85,6 @@ class PassivityIndices:
         return PQI(-self.nu, 1.0, -self.rho)
 
 
-@dataclass(frozen=True)
-class SymmetricDoubleCone:
-    """Double cone stored as two unit boundary rays plus an interior probe.
-
-    Each ray is identified with its antipode; the probe pins down which pair
-    of opposite sectors the cone occupies; each is a pair of finite floats.
-    """
-
-    ray1: tuple[float, float]
-    ray2: tuple[float, float]
-    interior_probe: tuple[float, float]
-
-    def __post_init__(self):
-        for name in ("ray1", "ray2", "interior_probe"):
-            pair = _floats(getattr(self, name), f"cone {name}", (2,))
-            object.__setattr__(self, name, tuple(pair.tolist()))
-
-    def _basis_inverse(self) -> np.ndarray:
-        r = np.column_stack([self.ray1, self.ray2])
-        if is_singular(r):
-            raise DegenerateRays("boundary rays are colinear")
-        return _inverse(r)
-
-    def contains(self, point) -> bool:
-        """Geometric membership: same sector pair as the interior probe, with a
-        boundary band of 1e-12·|w|², w the point in ray coordinates."""
-        inv = self._basis_inverse()
-        w = inv @ _floats(point, "point", (2,))
-        wp = inv @ np.asarray(self.interior_probe, dtype=float)
-        band = 1e-12 * float(w @ w)
-        if wp[0] * wp[1] > 0:
-            return bool(w[0] * w[1] >= -band)
-        return bool(w[0] * w[1] <= band)
-
-
 def discriminant(p: PQI) -> float:
     return p.b * p.b - 4.0 * p.a * p.c
 
@@ -174,33 +136,6 @@ def boundary_rays(p: PQI) -> tuple[np.ndarray, np.ndarray]:
     # a == 0: one boundary line is chi = 0, the other b*xi + c*chi = 0
     # (b != 0 since the discriminant is b^2); scale by b for invariance.
     return np.array([1.0, 0.0]), np.array([-c / b, 1.0])
-
-
-def _unit(v: np.ndarray) -> tuple[float, float]:
-    n = float(np.linalg.norm(v))
-    return (float(v[0] / n), float(v[1] / n))
-
-
-def solution_set(p: PQI) -> SymmetricDoubleCone:
-    """Build the double cone solving a non-trivial PQI.
-
-    The probe is the bisector of the two unit rays if it satisfies the strict
-    inequality, otherwise its 90-degree rotation (the bisector of the
-    complementary sector pair), which then must lie strictly inside.
-    """
-    r1, r2 = boundary_rays(p)
-    u1, u2 = _unit(r1), _unit(r2)
-    probe = np.array([u1[0] + u2[0], u1[1] + u2[1]])
-    if p(probe[0], probe[1]) <= 0.0:
-        probe = np.array([-probe[1], probe[0]])
-    return SymmetricDoubleCone(u1, u2, (float(probe[0]), float(probe[1])))
-
-
-def contains(p: PQI, point) -> bool:
-    """Direct evaluation with the relative tolerance band MEMBER_RTOL."""
-    xi, chi = _floats(point, "point", (2,)).tolist()
-    band = MEMBER_RTOL * float(np.linalg.norm(p.coeffs)) * (xi * xi + chi * chi)
-    return p(xi, chi) >= -band
 
 
 def is_singular(t) -> bool:

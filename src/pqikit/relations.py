@@ -96,7 +96,7 @@ class PlanarRelation:
     ``sigma`` is the curve parameter of each sample; a point list has none.
     The samples are stored as 1-D float arrays of one length, every one finite,
     in the order given: :func:`integral_function` reads them in that order,
-    so a point list belongs in (u, y) order, as :meth:`from_points` sorts it.
+    so the caller gives a point list in (u, y) order.
     """
 
     u: np.ndarray
@@ -125,19 +125,9 @@ class PlanarRelation:
         return cls(_map_samples(u_of_sigma, sigma, "relation u"),
                    _map_samples(y_of_sigma, sigma, "relation y"), sigma)
 
-    @classmethod
-    def from_points(cls, u, y) -> "PlanarRelation":
-        pts = np.unique(cls(u, y).points, axis=0)
-        return cls(pts[:, 0], pts[:, 1])
-
     @property
     def points(self) -> np.ndarray:
         return np.column_stack([self.u, self.y])
-
-    def inverse(self) -> "PlanarRelation":
-        """Swap the roles of input and output (an involution)."""
-        sigma = None if self.sigma is None else self.sigma.copy()
-        return PlanarRelation(self.y.copy(), self.u.copy(), sigma)
 
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:

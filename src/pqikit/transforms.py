@@ -23,7 +23,7 @@ from .errors import (
     _floats,
 )
 from .network import agent_call, bracket_roots, dormand_prince
-from .pqi import PQI, PassivityIndices, _inverse, boundary_rays, is_singular
+from .pqi import PQI, PassivityIndices, boundary_rays, is_singular
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,6 @@ class Transform2:
     @property
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "Transform2":
-        return Transform2.from_matrix(_inverse(self.matrix()))
 
     def __call__(self, u, y):
         """Map input/output samples (finite numbers or arrays) to the new pair."""
@@ -254,14 +251,15 @@ def verify_passivation(
     U_RANGE, so ``trials`` sets its resolution; the states span X0_RANGE,
     every equilibrium and every state that a trajectory from X0_RANGE can
     reach within HORIZON (see :func:`_reach`); ``h`` is called once, on the
-    states.  The report passes when no violation exceeds 1e-6.  A system
-    with no equilibrium to check against raises PreconditionFailed, a grid
-    point where f, the output, the storage rate or the supply is not finite
-    NonFiniteValue.
+    states.  The report passes when no violation exceeds 1e-6.  ``trials``
+    that is not an integer of at least 1, a bool included, raises
+    InvalidSpec, a system with no equilibrium to check against
+    PreconditionFailed, and a grid point where f, the output, the storage
+    rate or the supply is not finite NonFiniteValue.
     """
     if system.storage is None:
         raise NoStorageFunction("system supplies no storage-function candidate")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if type(trials) is bool or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvalidSpec(f"trials must be an integer of at least 1, got {trials!r}")
 
     eqs = find_equilibria(system, np.linspace(*U_RANGE, 20))

@@ -1,15 +1,18 @@
 """The package runs on numpy alone: no scipy module on its import path.
 And it raises only its own errors, so bad input is named, never a bare
 Python exception.  Every small float it writes is on a ledger that says what
-the number is relative to."""
+the number is relative to, and every name it exports has a caller."""
 
 import ast
 import builtins
 import collections
 import glob
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 import pqikit
 
@@ -152,8 +155,6 @@ LEDGER = {
     ("network.py", "predict_and_verify", 0.01): (
         "the prediction's gap, " + ABSOLUTE.format(28),),
     ("pqi.py", "DISC_RTOL", 1e-12): ("the discriminant, of the squared coefficients",),
-    ("pqi.py", "MEMBER_RTOL", 1e-9): ("membership, of |coeffs| |z|^2",),
-    ("pqi.py", "contains", 1e-12): ("cone membership, of |w|^2 in ray coordinates",),
     ("pqi.py", "boundary_rays", 1e-30): ("a leading coefficient as zero, of |coeffs|",),
     ("pqi.py", "is_singular", 1e-12): ("|det|, of the row and column norm products",),
     ("relations.py", "DECREASE_RTOL", 1e-9): (
@@ -197,3 +198,37 @@ def test_every_small_float_is_on_the_ledger():
         found.update((os.path.basename(path), where, value)
                      for where, value in _small_floats(tree))
     assert dict(found) == {key: len(why) for key, why in LEDGER.items()}
+
+
+def _used_names(source: str) -> set[str]:
+    """Names the source uses as a name or an attribute: an import alias or a
+    docstring mention is not a use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _callers_use() -> set[str]:
+    """Names used by the package outside __init__.py, the benchmark jobs,
+    the acceptance tests and the README's python blocks."""
+    root = os.path.dirname(SRC)
+    paths = [p for p in glob.glob(os.path.join(SRC, "pqikit", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(root, "perfbench", "*.py"))
+    paths.append(os.path.join(root, "tests", "test_acceptance.py"))
+    used = set()
+    for path in paths:
+        with open(path) as fh:
+            used |= _used_names(fh.read())
+    with open(os.path.join(root, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.S | re.M)
+    return used | _used_names("".join(blocks))
+
+
+CALLERS_USE = _callers_use()
+
+
+# one case per exported name, so a name without a caller is named by its id
+@pytest.mark.parametrize("name", pqikit.__all__)
+def test_every_export_has_a_caller(name):
+    assert name in CALLERS_USE

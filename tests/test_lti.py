@@ -20,7 +20,6 @@ from pqikit import (
     Transform2,
     eips_indices,
     is_stable,
-    l2gain_to_input_index,
     lambda_search,
     linf_norm,
     loop_mu,
@@ -37,7 +36,6 @@ from pqikit.errors import (
     ImproperTF,
     NoStabilizingLambda,
     NonFiniteValue,
-    NonpositiveGain,
     SingularDenominator1p2lm,
     ToolkitError,
     TrivialPQI,
@@ -327,21 +325,6 @@ class TestLambdaSearchOracle:
                 lambda_search(G, grid)
         else:
             assert lambda_search(G, grid) == best_lam
-
-
-class TestL2GainBound:
-    def test_unit_gain(self):
-        assert l2gain_to_input_index(1.0) == -1.25
-
-    def test_three_quarters(self):
-        assert l2gain_to_input_index(0.75) == -0.8125
-
-    def test_small_gain_limit(self):
-        assert abs(l2gain_to_input_index(1e-9) + 0.25) <= 1e-12
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(NonpositiveGain):
-            l2gain_to_input_index(0.0)
 
 
 def _zero_or_unit_size(bound):
@@ -1047,18 +1030,12 @@ class TestSerialization:
     # a list was once cut to its first entry
     (lambda: loop_mu(unstable_plant_tf(), [5.0, 6.0]), DimensionMismatch,
      r"^lambda must be a number, not of shape \(2,\)$"),
-    (lambda: l2gain_to_input_index("a"), NonFiniteValue, "^L2 gain " + WORD),
-    (lambda: l2gain_to_input_index([1.0, [2.0]]), NonFiniteValue, "^L2 gain " + RAGGED),
-    # an infinite gain once gave the bound -inf
-    (lambda: l2gain_to_input_index(math.inf), NonFiniteValue,
-     "^L2 gain = inf is not finite$"),
 ], ids=["zero_denominator", "direct_zero_denominator",
         "direct_trailing_zero_denominator", "direct_nan_list", "direct_improper",
         "transformed_denominator_vanishes",
         "transformed_improper", "eips_denominator_vanishes", "polynomial_ragged",
         "polynomial_word", "tf_ragged", "tf_word", "lambda_grid_ragged", "lambda_grid_word",
-        "lambda_grid_2d", "lambda_ragged", "lambda_word", "lambda_list",
-        "l2gain_word", "l2gain_ragged", "l2gain_inf"])
+        "lambda_grid_2d", "lambda_ragged", "lambda_word", "lambda_list"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

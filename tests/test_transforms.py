@@ -19,7 +19,6 @@ from pqikit import (
     mapping_transform,
     passivize,
     pullback,
-    solution_set,
     verify_passivation,
 )
 from pqikit.errors import (
@@ -100,9 +99,9 @@ class TestMappingTransform:
     @given(nontrivial_pqis(), nontrivial_pqis(), st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_solution_set_transport(self, source, target, seed):
+        # the map carries the solution set {z : source(z) >= 0} onto
+        # {w : target(w) >= 0}: the signs agree off the boundary bands
         T = mapping_transform(source, target)
-        src_cone = solution_set(source)
-        tgt_cone = solution_set(target)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-3.0, 3.0, size=(200, 2))
         m = T.matrix()
@@ -116,7 +115,7 @@ class TestMappingTransform:
             band_t = 1e-6 * norm_t * (w @ w + 1.0)
             if abs(vs) <= band_s or abs(vt) <= band_t:
                 continue
-            assert src_cone.contains(z) == tgt_cone.contains(w)
+            assert (vs > 0.0) == (vt > 0.0)
 
 
 class TestPassivize:
@@ -526,10 +525,13 @@ class TestVerifyPassivation:
             verify_passivation(agent, Transform2.identity(),
                                PassivityIndices(0.0, 0.0), trials=3)
 
-    def test_no_trials_rejected(self):
-        with pytest.raises(ValueError, match="^trials must be an integer of at least 1, got 0$"):
+    # a bool is refused as a count, though Python counts True as 1
+    @pytest.mark.parametrize("trials", [0, True, False])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(InvalidSpec, match=f"^trials must be an integer of at least 1, "
+                                              f"got {trials}$"):
             verify_passivation(nonmonotone_demo_agent(), Transform2.identity(),
-                               PassivityIndices(0.0, 0.0), trials=0)
+                               PassivityIndices(0.0, 0.0), trials=trials)
 
     def test_missing_storage_rejected(self):
         bare = AgentODE(f=lambda x, u: -x + u, h=lambda x: x)
