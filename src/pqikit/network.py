@@ -46,6 +46,7 @@ from .relations import (
     SLOPE_EPS,
     IntegralFunction,
     PlanarRelation,
+    _running_max,
     _trapezoid,
     _write_csv,
     integral_function,
@@ -652,12 +653,20 @@ def _c1_models(funs, vertices: int) -> list:
     """C¹ model (grid, nodal slopes, nodal values) of each certified-convex Fᵢ,
     one per vertex (else DimensionMismatch).
 
-    A model's derivative is the linear interpolant of the nodal slopes, the
+    A model's derivative is the linear interpolant of its nodal slopes and
+    its values their trapezoid sum, so it is convex wherever the slopes
+    never fall; the end cells' quadratics extend it past the grid.  The
+    slopes come from one of two sources.  A K* from
+    :func:`integral_function` keeps the u samples its values sum: those are
+    the relation's own slopes, so the model is (grid, u, values) as they
+    are, exact, with nothing read or summed again; where noise dips the u
+    samples within the certificate's band, they are lifted to their running
+    maximum and summed again, so every model is convex by construction.  A
+    supplied potential has only its values, so its slopes are derived: the
     averages of adjacent cell slopes, and at each end the second-order
-    one-sided slope of the two end cells, so it is nondecreasing whenever
-    the cell slopes are; the end cells' quadratics extend it past the grid.
-    It reproduces a quadratic sampled on a uniform grid exactly.  Each Fᵢ
-    needs two or more samples.
+    one-sided slope of the two end cells, nondecreasing whenever the cell
+    slopes are, which reproduce a quadratic sampled on a uniform grid
+    exactly.  Each Fᵢ needs two or more samples.
     """
     if len(funs) != vertices:
         raise DimensionMismatch(f"{len(funs)} node potentials for {vertices} vertices")
@@ -671,6 +680,9 @@ def _c1_models(funs, vertices: int) -> list:
 
     def model(F: IntegralFunction):
         x = F.grid
+        if F._slopes is not None:
+            d = _running_max(F._slopes)
+            return x, d, F.values if d is F._slopes else _trapezoid(x, d, 0.0)
         h = np.diff(x)
         s = np.diff(F.values) / h
         d = np.empty(len(x))
@@ -747,15 +759,18 @@ def _minimize_convex(models, B, Q):
     that cannot move z, a non-finite objective or the cap of
     _NEWTON_ITERATIONS ends the iteration early.  Whatever ended it, a
     max-norm gradient residual above 1e-6 of the larger of its two parts
-    plus 1e-12 of the largest nodal slope raises NoConvergence naming the
-    reason; the bound scales with the units, like z.  Returns the
+    plus a floor raises NoConvergence naming the reason.  The floor is
+    1e-12 of the largest |nodal slope|, read off each model's two end
+    slopes: exact for nondecreasing slopes, as a relation's lifted u are,
+    and within the certificate's band for derived ones.  The bound scales
+    with the units, like z.  Returns the
     minimizer, the iteration count and the last iterate, which holds the
     objective, the residual and each model's value and slope there; with no
     variables, the empty z with objective 0 and no iteration.  One model per
     row of B (per vertex): B is the identity for the potential problem and
     −E for supplied flow potentials, the one caller of a general B.
     """
-    floor = 1e-12 * max((max(-d.min(), d.max()) for _, d, _ in models), default=0.0)
+    floor = 1e-12 * max((max(-d[0], d[-1]) for _, d, _ in models), default=0.0)
 
     def at(z) -> _Iterate:
         w, cell = B @ z, []

@@ -74,7 +74,9 @@ def _trapezoid(x, v, first: float, dx=None) -> np.ndarray:
     out[0], tail = first, out[1:]
     np.multiply(0.5, np.diff(x) if dx is None else dx, out=tail)
     tail *= v[:-1] + v[1:]
-    np.add(np.cumsum(tail, out=tail), first, out=tail)
+    np.cumsum(tail, out=tail)
+    if first:  # a zero anchor adds nothing
+        tail += first
     return out
 
 
@@ -140,11 +142,14 @@ class PlanarRelation:
 class IntegralFunction:
     """Sampled potential: strictly increasing grid plus accumulated values,
     every sample finite; the samples decide ``convexity_certificate``, except
-    for a conjugate from :func:`legendre`, certified by construction."""
+    for a conjugate from :func:`legendre`, certified by construction.  One
+    from :func:`integral_function` keeps the samples its values sum by
+    trapezoids, its slope at each grid point; any other keeps None."""
 
     grid: np.ndarray
     values: np.ndarray
     convexity_certificate: bool = field(init=False)
+    _slopes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _floats(self.grid, "integral-function grid", (None,))
@@ -153,7 +158,7 @@ class IntegralFunction:
             raise DimensionMismatch(f"integral-function grid and values must be 1-D of "
                                     f"one length, not {x.shape} and {v.shape}")
         h = _cell_widths(x, "integral-function grid")
-        _fill(self, x, v, _convex_certificate(h, v))
+        _fill(self, x, v, _convex_certificate(h, v), None)
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
@@ -164,7 +169,7 @@ class IntegralFunction:
         x = _floats(grid, "integral-function grid", (None,))
         v = _map_samples(f, x, "integral-function values")
         h = _cell_widths(x, "integral-function grid")
-        return _fill(object.__new__(cls), x, v, _convex_certificate(h, v))
+        return _fill(object.__new__(cls), x, v, _convex_certificate(h, v), None)
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "value"], [self.grid, self.values])
@@ -181,12 +186,14 @@ def _cell_widths(x: np.ndarray, what: str) -> np.ndarray:
     return h
 
 
-def _fill(F: IntegralFunction, x, v, certificate: bool) -> IntegralFunction:
-    """F holding the grid x, the values v and the certificate as they are,
-    nothing read again: its maker has read x and v as finite floats of one
-    shape (a sum can overflow, so built values are read too) and checked
-    that x strictly increases."""
-    for name, value in zip(("grid", "values", "convexity_certificate"), (x, v, certificate)):
+def _fill(F: IntegralFunction, x, v, certificate: bool, slopes) -> IntegralFunction:
+    """F holding the grid x, the values v, the certificate and the slopes v
+    sums (or None) as they are, nothing read again: its maker has read x and
+    v as finite floats of one shape (a sum can overflow, so built values are
+    read too, a trapezoid sum by its last partial sum) and checked that x
+    strictly increases."""
+    for name, value in zip(("grid", "values", "convexity_certificate", "_slopes"),
+                           (x, v, certificate, slopes)):
         object.__setattr__(F, name, value)
     return F
 
@@ -250,9 +257,13 @@ def _convex_certificate(h: np.ndarray, values: np.ndarray) -> bool:
     widens only its own comparisons.  A cell slope past float range leaves
     the potential uncertified; a fall or a band past it is the infinity it
     rounds to, so a bound that overflows on a subnormal cell certifies.
+    Slopes that never fall are certified at once, unless an end one, their
+    largest in magnitude, passes the float range; nothing more is read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.diff(values) / h
+        if np.all(slopes[1:] >= slopes[:-1]):  # never falls: the end slopes bound |slope|
+            return not len(slopes) or math.isfinite(slopes[0]) and math.isfinite(slopes[-1])
         band = DECREASE_RTOL * np.abs(slopes).max(initial=0.0)
         if not (math.isfinite(band) and _falls(slopes, band).any()):
             return math.isfinite(band)
@@ -308,11 +319,16 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
 
     Abscissae that each step up past the rounding hold no tie and no fold,
     so neither is looked for; the grid is then a copy, never the relation's
-    own array.  It is finite and strictly increasing by construction, so
-    the result is built without reading it again: one np.diff of it serves
-    the sum and the certificate, and only the summed values are read, since
-    a sum can overflow.  Nothing is warned: a value past the float range is
-    named.
+    own array, and the rounding is read off its end samples, its largest in
+    magnitude wherever the test passes.  It is finite and strictly
+    increasing by construction, so the result is built without reading it
+    again: one np.diff of it serves the sum and the certificate.  A sum can
+    overflow, and a non-finite term or partial sum carries through every
+    later one, so the last partial sum alone is read, and the values in full
+    only where it is not finite, to name the first sample past the float
+    range; nothing is warned.  The result keeps the merged samples of the
+    integrand, the relation's own where no tie merged, as the slopes its
+    values sum (:class:`IntegralFunction`).
     """
     if direction == OF_K:
         x, v = rel.u, rel.y
@@ -324,7 +340,8 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         raise InvalidSamples(f"integral_function ({direction}): the relation has no samples")
     x, v = (x[::-1], v[::-1]) if x[-1] < x[0] else (x, v)
     dx = np.diff(x)
-    if np.all(dx > SLOPE_EPS * float(np.abs(x).max())):
+    # x strictly increases wherever this holds, so its largest magnitude is at an end
+    if np.all(dx > SLOPE_EPS * max(abs(float(x[0])), abs(float(x[-1])))):
         gx, gv = x.copy(), v
     else:
         head, back, fold = _tie_runs(_over_range(x), _over_range(v))
@@ -338,8 +355,11 @@ def integral_function(rel: PlanarRelation, direction: str = OF_K) -> IntegralFun
         dx = np.diff(gx)
     if len(gx) < 2:
         raise MultiValued("relation reduces to a single abscissa")
-    values = _floats(_trapezoid(gx, gv, 0.0, dx), "integral-function values", (None,))
-    return _fill(object.__new__(IntegralFunction), gx, values, _convex_certificate(dx, values))
+    values = _trapezoid(gx, gv, 0.0, dx)
+    if not math.isfinite(values[-1]):  # a non-finite partial sum carries to the last
+        _floats(values, "integral-function values", (None,))
+    return _fill(object.__new__(IntegralFunction), gx, values,
+                 _convex_certificate(dx, values), gv)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -386,7 +406,7 @@ def legendre(F: IntegralFunction, dual_grid) -> IntegralFunction:
     cell = np.diff(vals)
     cell /= _cell_widths(ys, "legendre: dual grid")
     return _fill(object.__new__(IntegralFunction), ys, vals,
-                 math.isfinite(np.abs(cell, out=cell).max(initial=0.0)))
+                 math.isfinite(np.abs(cell, out=cell).max(initial=0.0)), None)
 
 
 def _window_maxima(x, v, slopes, ys, lo, vals) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidSpec,
     NoStorageFunction,
     NonFiniteValue,
@@ -61,9 +62,14 @@ class Transform2:
         return self.a * self.d - self.b * self.c
 
     def __call__(self, u, y):
-        """Map input/output samples (finite numbers or arrays) to the new pair."""
+        """Map input/output samples (finite numbers or arrays that broadcast
+        together, else DimensionMismatch naming both shapes) to the new pair."""
         u, y = _floats(u, "transform input u", None), _floats(y, "transform input y", None)
-        return self.a * u + self.b * y, self.c * u + self.d * y
+        try:
+            return self.a * u + self.b * y, self.c * u + self.d * y
+        except ValueError:  # numpy's own: the shapes do not broadcast
+            raise DimensionMismatch(f"transform inputs u of shape {np.shape(u)} and y of "
+                                    f"shape {np.shape(y)} do not broadcast") from None
 
 
 # Realization of each elementary factor, in application order.

@@ -413,11 +413,14 @@ WORD = "cannot be read as floats: could not convert string to float: 'a'$"
      "^transform input y " + RAGGED),
     (lambda: Transform2.identity()(np.zeros((2, 2)), np.array([[0.0, 1.0], [np.inf, 0.0]])),
      NonFiniteValue, r"^transform input y\[1, 0\] = inf is not finite$"),
+    # numpy's bare ValueError once escaped here
+    (lambda: Transform2.identity()(np.zeros(3), np.zeros(2)), DimensionMismatch,
+     r"^transform inputs u of shape \(3,\) and y of shape \(2,\) do not broadcast$"),
 ], ids=["pqi_word", "pqi_ragged", "pqi_zero", "pqi_list", "indices_word",
         "indices_ragged", "indices_list", "indices_inf", "transform_word", "transform_ragged",
         "from_matrix_ragged", "from_matrix_word", "pullback_ragged", "pullback_word",
         "pullback_nan_map", "transform_call_word", "transform_call_ragged",
-        "transform_call_inf"])
+        "transform_call_inf", "transform_call_shapes"])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()

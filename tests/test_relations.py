@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pqikit
@@ -713,9 +713,11 @@ class TestLegendreAgainstBruteForce:
 
 
 def concatenated_trapezoid(x, v, first):
-    """_trapezoid as one expression: the running sum concatenated behind ``first``."""
-    return np.concatenate(
-        ([first], first + np.cumsum(0.5 * np.diff(x) * (v[:-1] + v[1:]))))
+    """_trapezoid as one expression: the running sum concatenated behind
+    ``first``, and shifted by it unless it is zero, so a zero anchor leaves
+    a sum of -0.0 as it is."""
+    sums = np.cumsum(0.5 * np.diff(x) * (v[:-1] + v[1:]))
+    return np.concatenate(([first], first + sums if first else sums))
 
 
 def accumulated_legendre(F, ys):
@@ -779,8 +781,45 @@ SKIPPED_PASS_CASES = {
 }
 
 
+def full_certificate(h, values):
+    """_convex_certificate as it read every slope before slopes that never
+    fall were certified at once: the band always taken from the largest
+    |cell slope|."""
+    def falls(z, band):
+        return z[1:] - np.maximum.accumulate(z)[:-1] < -band
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values) / h
+        band = DECREASE_RTOL * np.abs(slopes).max(initial=0.0)
+        if not (math.isfinite(band) and falls(slopes, band).any()):
+            return math.isfinite(band)
+        rounding = SLOPE_EPS * np.abs(values).max() / h
+        return not falls(slopes - rounding, band + 2.0 * rounding[1:]).any()
+
+
 class TestSkippedPasses:
     """Passes skipped where they are identities change no bit."""
+
+    @given(st.lists(st.tuples(st.floats(1e-3, 10.0) | st.sampled_from([5e-324, 1e-300]),
+                              st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0, 1e300])),
+                    max_size=20),
+           st.booleans(), st.sampled_from([0.0, 1e-13, 1e-9]), st.integers(0, 2**16))
+    @example(cells=[(1.0, 1.0), (5e-324, 1e300)], rising=True, noise=0.0, seed=0)
+    @example(cells=[(5e-324, 1.0), (1.0, -0.0)], rising=True, noise=0.0, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_matches_the_full_reading_on_drawn_slopes(self, cells, rising,
+                                                                  noise, seed):
+        # cell slopes sorted or not, ties, signed zeros and subnormal cells
+        # among them, some past the float range once divided, under noise
+        # that may or may not make them dip past the band
+        widths, slopes = (np.array([cell[k] for cell in cells]) for k in (0, 1))
+        if rising:
+            slopes = np.sort(slopes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.r_[0.0, np.cumsum(slopes * widths)]
+            values += noise * np.random.default_rng(seed).uniform(-1.0, 1.0, len(values))
+        assume(np.isfinite(values).all())
+        assert _convex_certificate(widths, values) == full_certificate(widths, values)
 
     @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
                     min_size=1, max_size=30),
@@ -1679,6 +1718,19 @@ def test_strict_corpus_curve_integrates_in_y(name):
     rel = TestCurvesAgainstBruteForce.RELATIONS[name]
     if is_cursive(rel).strict:
         integral_function(rel, OF_K_INVERSE)
+
+
+@pytest.mark.parametrize("name", sorted(TestCurvesAgainstBruteForce.RELATIONS))
+@pytest.mark.parametrize("direction", [OF_K, OF_K_INVERSE])
+def test_corpus_certificate_matches_the_full_reading(name, direction):
+    # every curve, and each agent's relation plain and passivized, in each
+    # direction in which it is single-valued: slopes that never fall are
+    # certified at once, with the bool the full reading gives
+    try:
+        F = integral_function(TestCurvesAgainstBruteForce.RELATIONS[name], direction)
+    except MultiValued:
+        return
+    assert F.convexity_certificate == full_certificate(np.diff(F.grid), F.values)
 
 
 def test_chain_weighs_each_axis_by_its_band():
